@@ -1,6 +1,6 @@
 """Core matrix-free evaluation machinery: quadrature, tensor-product bases,
-sum-factorization kernels, the even-odd Flop optimization, the SIMD-lane
-abstraction, and the matrix-free PDE operators built from them."""
+sum-factorization kernels, the even-odd Flop optimization, the execution
+plans, and the matrix-free PDE operators built from them."""
 
 from .quadrature import QuadratureRule, gauss, gauss_lobatto
 from .basis import (
@@ -14,7 +14,6 @@ from .basis import (
 from .even_odd import EvenOddMatrix
 from .plans import FlatScatterPlan, ScatterPlan, Workspace, contract
 from .sum_factorization import TensorProductKernel, apply_1d
-from .lanes import LaneBatch, batch_cells, unbatch_cells, n_lane_batches
 
 __all__ = [
     "QuadratureRule",
@@ -33,8 +32,4 @@ __all__ = [
     "contract",
     "TensorProductKernel",
     "apply_1d",
-    "LaneBatch",
-    "batch_cells",
-    "unbatch_cells",
-    "n_lane_batches",
 ]

@@ -1,25 +1,10 @@
-"""Array-backend shim and compute-dtype policy for the kernel layer.
+"""Compute-dtype policy of the kernel layer.
 
-Every hot kernel in :mod:`repro.core` ultimately reduces to dense
-``matmul``/``einsum`` contractions plus fancy-indexed scatter/gather.
-None of that is numpy-specific — CuPy and torch expose the same
-``xp``-style namespace — so the kernel layer binds its array module
-through this registry instead of importing :mod:`numpy` by name for the
-array math.  The default (and, in this repository, only built-in)
-backend is numpy; a GPU port registers a module with the same surface
-and flips the active backend without forking any operator code::
-
-    from repro.core import backend
-    backend.register_backend("cupy", cupy)   # duck-typed xp namespace
-    backend.use_backend("cupy")
-
-Alongside the namespace the module owns the *dtype policy*:
-
-``default_dtype()`` / ``set_compute_dtype(dt)``
-    The process-wide compute precision.  ``DGDofHandler.zeros()``,
-    ``Workspace`` allocations and friends resolve their dtype here when
-    the caller does not pass one, which is how ``RunConfig.compute_dtype``
-    reaches code that never sees the config object.
+The kernels run on NumPy arrays in one of two precisions.  Which one is
+decided by the *data*: an operator carries its ``dtype``
+(``operator_to_dtype`` / ``RunConfig.compute_dtype`` choose it at
+construction) and every kernel computes in the precision of the array it
+is handed — there is no process-wide precision switch.
 
 ``kernel_dtype(input_dtype)``
     The precision a kernel computes in for a given input: float32 stays
@@ -29,37 +14,23 @@ Alongside the namespace the module owns the *dtype policy*:
     to float64 rather than truncated.
 
 ``resolve_dtype(spec)``
-    Normalizes ``"float32" | "float64" | np.dtype | None`` to a numpy
-    dtype (``None`` → the active default).
+    Normalizes ``"float32" | "float64" | np.dtype | None`` to a
+    supported numpy dtype (``None`` → :data:`DEFAULT_DTYPE`).
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
 __all__ = [
-    "ArrayBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "use_backend",
-    "active_backend",
-    "xp",
     "DEFAULT_DTYPE",
     "SUPPORTED_DTYPES",
     "resolve_dtype",
-    "default_dtype",
-    "set_compute_dtype",
-    "compute_dtype_scope",
     "kernel_dtype",
-    "precision_bytes",
 ]
 
-#: process-default compute precision (double, matching the seed repo)
+#: compute precision of everything not told otherwise (double, matching
+#: the seed repo)
 DEFAULT_DTYPE = np.dtype("float64")
 
 #: dtypes the compute path is validated for
@@ -69,92 +40,12 @@ _FLOAT32 = np.dtype("float32")
 _FLOAT64 = np.dtype("float64")
 
 
-@dataclass(frozen=True)
-class ArrayBackend:
-    """A named array namespace the kernel layer can run on.
-
-    ``xp`` is any module exposing the numpy surface the kernels use
-    (``empty``/``zeros``/``einsum``/``matmul``/``moveaxis``/``add.at``
-    …).  ``asarray``/``to_numpy`` cross the host boundary; for numpy
-    both are the identity.
-    """
-
-    name: str
-    xp: Any
-    #: convert a host (numpy) array into this backend's array type
-    from_numpy: Any = field(default=None, repr=False)
-    #: convert one of this backend's arrays back to numpy
-    to_numpy: Any = field(default=None, repr=False)
-
-    def asarray(self, a, dtype=None):
-        if self.from_numpy is not None:
-            a = self.from_numpy(a)
-        return self.xp.asarray(a, dtype=dtype) if dtype is not None else self.xp.asarray(a)
-
-
-_REGISTRY: dict[str, ArrayBackend] = {}
-_ACTIVE: str = "numpy"
-
-
-def register_backend(name: str, xp_module, *, from_numpy=None, to_numpy=None) -> ArrayBackend:
-    """Register (or replace) a backend under ``name`` and return it."""
-    backend = ArrayBackend(name=name, xp=xp_module,
-                           from_numpy=from_numpy, to_numpy=to_numpy)
-    _REGISTRY[name] = backend
-    return backend
-
-
-def get_backend(name: str) -> ArrayBackend:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown array backend {name!r} "
-            f"(registered: {sorted(_REGISTRY)})"
-        ) from None
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def use_backend(name: str) -> ArrayBackend:
-    """Make ``name`` the active backend; returns it."""
-    global _ACTIVE
-    backend = get_backend(name)  # validate before switching
-    _ACTIVE = name
-    return backend
-
-
-def active_backend() -> ArrayBackend:
-    return _REGISTRY[_ACTIVE]
-
-
-def xp():
-    """The active backend's array namespace (numpy by default).
-
-    Hot loops bind this once per call, not per element — a dict lookup
-    plus attribute access, measured in nanoseconds.
-    """
-    return _REGISTRY[_ACTIVE].xp
-
-
-# numpy is always present and always the fallback
-register_backend("numpy", np)
-
-
-# --------------------------------------------------------------------------
-# dtype policy
-
-_compute_dtype = DEFAULT_DTYPE
-
-
 def resolve_dtype(spec) -> np.dtype:
     """Normalize a dtype spec (``"float32"``, ``np.float32``, ``None``…)
-    to a supported numpy dtype.  ``None`` resolves to the active
-    compute default."""
+    to a supported numpy dtype.  ``None`` resolves to
+    :data:`DEFAULT_DTYPE`."""
     if spec is None:
-        return _compute_dtype
+        return DEFAULT_DTYPE
     dt = np.dtype(spec)
     if dt not in SUPPORTED_DTYPES:
         raise ValueError(
@@ -164,37 +55,7 @@ def resolve_dtype(spec) -> np.dtype:
     return dt
 
 
-def default_dtype() -> np.dtype:
-    """The active process-wide compute precision."""
-    return _compute_dtype
-
-
-def set_compute_dtype(spec) -> np.dtype:
-    """Set the process-wide compute precision; returns the *previous*
-    dtype so callers can restore it."""
-    global _compute_dtype
-    previous = _compute_dtype
-    _compute_dtype = resolve_dtype(spec)
-    return previous
-
-
-@contextlib.contextmanager
-def compute_dtype_scope(spec):
-    """Temporarily switch the default compute dtype (tests, benches)."""
-    previous = set_compute_dtype(spec)
-    try:
-        yield _compute_dtype
-    finally:
-        set_compute_dtype(previous)
-
-
 def kernel_dtype(input_dtype) -> np.dtype:
     """The dtype a kernel computes in for a given input dtype: float32
     inputs stay float32, everything else computes in float64."""
     return _FLOAT32 if np.dtype(input_dtype) == _FLOAT32 else _FLOAT64
-
-
-def precision_bytes(dtype=None) -> int:
-    """Bytes per value at ``dtype`` (default: the operator default) —
-    the knob the analytic transfer/roofline models scale with."""
-    return int(np.dtype(DEFAULT_DTYPE if dtype is None else dtype).itemsize)

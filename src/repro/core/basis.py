@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backend import default_dtype
+from .backend import DEFAULT_DTYPE
 from .quadrature import QuadratureRule, gauss, gauss_lobatto
 
 
@@ -211,8 +211,8 @@ def _cast_shape_matrices(degree: int, n_q_points: int | None, nodes: str,
 def shape_matrices_for_dtype(degree: int, n_q_points: int | None = None,
                              nodes: str = "gauss_lobatto",
                              dtype=None) -> ShapeMatrices:
-    """Shape matrices cast to a compute dtype (default: the configured
-    compute dtype from :mod:`repro.core.backend`).
+    """Shape matrices cast to a compute dtype (default:
+    :data:`repro.core.backend.DEFAULT_DTYPE`).
 
     Tabulation always happens in double precision — barycentric weights
     and nodal differentiation are ill-conditioned in float32 — and the
@@ -221,7 +221,7 @@ def shape_matrices_for_dtype(degree: int, n_q_points: int | None = None,
     re-deriving them in reduced precision, and without the float64
     masters silently promoting float32 cell data.
     """
-    dt = np.dtype(dtype) if dtype is not None else default_dtype()
+    dt = np.dtype(dtype) if dtype is not None else DEFAULT_DTYPE
     if dt == np.float64:
         return shape_matrices(degree, n_q_points, nodes)
     return _cast_shape_matrices(degree, n_q_points, nodes, dt.name)

@@ -49,8 +49,8 @@ class DGDofHandler:
         return self.n_cells * self.dofs_per_cell
 
     def zeros(self, dtype=None) -> np.ndarray:
-        """A zero global vector at ``dtype`` (default: the configured
-        compute dtype, see :func:`repro.core.backend.set_compute_dtype`)."""
+        """A zero global vector at ``dtype`` (default:
+        :data:`repro.core.backend.DEFAULT_DTYPE`)."""
         return np.zeros(self.n_dofs, dtype=resolve_dtype(dtype))
 
     def cell_view(self, vec: np.ndarray) -> np.ndarray:
@@ -236,8 +236,8 @@ class CGDofHandler:
 
     # ------------------------------------------------------------------
     def zeros(self, dtype=None) -> np.ndarray:
-        """A zero global vector at ``dtype`` (default: the configured
-        compute dtype, see :func:`repro.core.backend.set_compute_dtype`)."""
+        """A zero global vector at ``dtype`` (default:
+        :data:`repro.core.backend.DEFAULT_DTYPE`)."""
         return np.zeros(self.n_dofs, dtype=resolve_dtype(dtype))
 
     def expand(self, x_master: np.ndarray) -> np.ndarray:

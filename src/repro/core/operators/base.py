@@ -16,14 +16,13 @@ cell's reference dimensions (so the plus ``J^{-T}`` applies directly).
 from __future__ import annotations
 
 import functools
-import warnings
 
 import numpy as np
 
 from ...mesh.connectivity import Orientation, orient_face_array, orient_to_plus
 from ...telemetry import TRACER
 from ..backend import DEFAULT_DTYPE, kernel_dtype
-from ..plans import POLICY, Workspace, cached_scatter_plan, contract
+from ..plans import Workspace, cached_scatter_plan, contract
 from ..sum_factorization import TensorProductKernel, apply_1d_2d
 
 
@@ -149,10 +148,19 @@ class FaceKernels:
         return out
 
 
+#: metric-application subscripts of :func:`physical_gradient`, keyed on
+#: (ensemble axis present, rank of the reference gradient)
+_PHYSICAL_GRADIENT_SUBSCRIPTS = {
+    (False, 4): "fijab,fjab->fiab",
+    (False, 5): "fijab,fcjab->fciab",
+    (True, 5): "fijab,efjab->efiab",
+    (True, 6): "fijab,efcjab->efciab",
+}
+
+
 def physical_gradient(
     jinv_t: np.ndarray,
     ref_grad: np.ndarray,
-    planned: bool = True,
     out: np.ndarray | None = None,
     ensemble: bool = False,
 ) -> np.ndarray:
@@ -164,32 +172,12 @@ def physical_gradient(
     ``ref_grad`` — (E, F, 3, q, q) / (E, F, C, 3, q, q) — folded into
     the same metric contraction (the flag is explicit because an
     ensemble scalar field and an unbatched vector field share a rank).
-    ``planned=False`` selects the legacy per-call path search (kept for
-    the before/after benchmark gate).
     """
-    if ensemble:
-        if ref_grad.ndim == 5:
-            if planned:
-                return contract("fijab,efjab->efiab", jinv_t, ref_grad, out=out)
-            return np.einsum(
-                "fijab,efjab->efiab", jinv_t, ref_grad, optimize=True
-            )
-        if ref_grad.ndim == 6:
-            if planned:
-                return contract("fijab,efcjab->efciab", jinv_t, ref_grad, out=out)
-            return np.einsum(
-                "fijab,efcjab->efciab", jinv_t, ref_grad, optimize=True
-            )
-        raise ValueError(f"unsupported ensemble ref_grad rank {ref_grad.ndim}")
-    if ref_grad.ndim == 4:
-        if planned:
-            return contract("fijab,fjab->fiab", jinv_t, ref_grad, out=out)
-        return np.einsum("fijab,fjab->fiab", jinv_t, ref_grad, optimize=True)
-    if ref_grad.ndim == 5:
-        if planned:
-            return contract("fijab,fcjab->fciab", jinv_t, ref_grad, out=out)
-        return np.einsum("fijab,fcjab->fciab", jinv_t, ref_grad, optimize=True)
-    raise ValueError(f"unsupported ref_grad rank {ref_grad.ndim}")
+    sub = _PHYSICAL_GRADIENT_SUBSCRIPTS.get((ensemble, ref_grad.ndim))
+    if sub is None:
+        kind = "ensemble ref_grad" if ensemble else "ref_grad"
+        raise ValueError(f"unsupported {kind} rank {ref_grad.ndim}")
+    return contract(sub, jinv_t, ref_grad, out=out)
 
 
 def _instrument_entry(raw):
@@ -223,46 +211,11 @@ def _instrument_entry(raw):
     return wrapped
 
 
-class _UsePlansAttribute:
-    """``use_plans`` as a view of the global execution policy.
-
-    Reading ``op.use_plans`` returns the instance override if one was
-    set, else :data:`repro.core.plans.POLICY` ``.use_plans``.  Assigning
-    it is deprecated (kept for one release) — use
-    :func:`repro.core.plans.plan_execution` instead.  The override is
-    stored under the same ``"use_plans"`` key in the instance dict, so
-    code that stashes/restores it via ``op.__dict__`` keeps working.
-    """
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return POLICY.use_plans
-        return obj.__dict__.get("use_plans", POLICY.use_plans)
-
-    def __set__(self, obj, value) -> None:
-        warnings.warn(
-            "setting op.use_plans is deprecated; use "
-            "repro.core.plans.plan_execution(use_plans=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        obj.__dict__["use_plans"] = bool(value)
-
-    def __delete__(self, obj) -> None:
-        obj.__dict__.pop("use_plans", None)
-
-
 class MatrixFreeOperator:
     """Minimal linear-operator interface shared by all operators.
 
     Every operator carries a lazily created plan cache (scatter plans,
-    contraction paths, reusable workspaces).  Execution strategy is a
-    process-wide policy: :func:`repro.core.plans.plan_execution`
-    (``use_plans=False``) reverts to the legacy unplanned path —
-    ``np.add.at`` scatters and per-call einsum path searches — which the
-    equivalence tests and the vmult benchmark gate use as the reference.
-    ``op.use_plans`` reads the policy (instance assignment is deprecated
-    but honored for one release).
+    contraction paths, reusable workspaces; see :mod:`repro.core.plans`).
     Shallow clones (e.g. the float32 operators inside the multigrid
     V-cycle) may share the cache: scatter plans are dtype-agnostic and
     workspace buffers are keyed by dtype.
@@ -278,7 +231,6 @@ class MatrixFreeOperator:
     """
 
     dtype = DEFAULT_DTYPE
-    use_plans = _UsePlansAttribute()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -309,23 +261,10 @@ class MatrixFreeOperator:
         """Planned ``out[indices] += contrib`` along ``axis``; ``key``
         identifies the index set in the plan cache.  ``axis=1`` serves
         ensemble-stacked cell tensors ``(E, N, ...)``."""
-        if not self.use_plans:
-            if axis == 0:
-                np.add.at(out, indices, contrib)
-            else:
-                np.add.at(out, (slice(None), indices), contrib)
-            return
         plan = cached_scatter_plan(
             self.plan_cache, ("scatter", key), indices, out.shape[axis]
         )
         plan.add(out, contrib, axis=axis)
-
-    def _contract(self, subscripts: str, *operands, out: np.ndarray | None = None):
-        """Cached-plan einsum; falls back to the legacy per-call
-        ``optimize=True`` search when ``use_plans`` is off."""
-        if self.use_plans:
-            return contract(subscripts, *operands, out=out)
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
 
     @property
     def precision_bytes(self) -> int:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
+from ..plans import contract
 from .base import FaceKernels, MatrixFreeOperator
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
@@ -67,8 +68,8 @@ class ConvectiveOperator(MatrixFreeOperator):
         """Numerical flux (F, 3, a, b) in the minus normal direction
         (one extra leading axis for ensemble-stacked traces)."""
         sub = "fiab,efiab->efab" if vm.ndim == 5 else "fiab,fiab->fab"
-        un_m = self._contract(sub, normal, vm)
-        un_p = self._contract(sub, normal, vp)
+        un_m = contract(sub, normal, vm)
+        un_p = contract(sub, normal, vp)
         lam = np.maximum(np.abs(un_m), np.abs(un_p))
         central = 0.5 * (
             vm * un_m[..., None, :, :] + vp * un_p[..., None, :, :]
@@ -93,11 +94,11 @@ class ConvectiveOperator(MatrixFreeOperator):
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i:
         #   rg_i[l] = -sum_j F[i,j] jinv_t[j,l] * jxw
         if ensemble:
-            Fu = self._contract("ecizyx,ecjzyx->ecijzyx", uq, uq)
-            rg = -self._contract("ecijzyx,cjlzyx->ecilzyx", Fu, cm.jinv_t)
+            Fu = contract("ecizyx,ecjzyx->ecijzyx", uq, uq)
+            rg = -contract("ecijzyx,cjlzyx->ecilzyx", Fu, cm.jinv_t)
         else:
-            Fu = self._contract("cizyx,cjzyx->cijzyx", uq, uq)
-            rg = -self._contract("cijzyx,cjlzyx->cilzyx", Fu, cm.jinv_t)
+            Fu = contract("cizyx,cjzyx->cijzyx", uq, uq)
+            rg = -contract("cijzyx,cjlzyx->cilzyx", Fu, cm.jinv_t)
         rg = rg * cm.jxw[:, None, None]
         out = np.stack(
             [kern.integrate_gradients(rg[..., i, :, :, :, :]) for i in range(3)],
@@ -158,8 +159,8 @@ class ConvectiveOperator(MatrixFreeOperator):
         if u_flat.ndim == 2:
             if u_flat.shape[0] == 1:  # keep the unbatched bitstream
                 return np.array([self.max_reference_velocity(u_flat[0])])
-            uref = self._contract("cilzyx,ecizyx->eclzyx", cm.jinv_t, uq)
+            uref = contract("cilzyx,ecizyx->eclzyx", cm.jinv_t, uq)
             speed = np.sqrt((uref**2).sum(axis=2))
             return speed.reshape(speed.shape[0], -1).max(axis=1)
-        uref = self._contract("cilzyx,cizyx->clzyx", cm.jinv_t, uq)
+        uref = contract("cilzyx,cizyx->clzyx", cm.jinv_t, uq)
         return float(np.sqrt((uref**2).sum(axis=1)).max())

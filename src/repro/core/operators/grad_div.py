@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
+from ..plans import contract
 from ..sum_factorization import TensorProductKernel
 from .base import FaceKernels, MatrixFreeOperator
 
@@ -116,15 +117,15 @@ class DivergenceOperator(_MixedSpaceOperator):
         # cell term: -int grad(q) . u
         uq = kern_u.values(u)  # (N, 3, q, q, q)
         if ensemble:
-            rg = -self._contract("cilzyx,ecizyx->eclzyx", cm.jinv_t, uq)
+            rg = -contract("cilzyx,ecizyx->eclzyx", cm.jinv_t, uq)
         else:
-            rg = -self._contract("cilzyx,cizyx->clzyx", cm.jinv_t, uq)
+            rg = -contract("cilzyx,cizyx->clzyx", cm.jinv_t, uq)
         out = kern_p.integrate_gradients(rg * cm.jxw[:, None])
         # interior faces: central flux
         for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
             um, up = self._face_values(self.fk_u, u, batch, ensemble)
             sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            un = self._contract(sub, fm.normal, 0.5 * (um + up))
+            un = contract(sub, fm.normal, 0.5 * (um + up))
             w = fm.jxw
             rv_m = un * w
             contrib_m = self.fk_p.integrate_side(batch.face_m, rv_m, None)
@@ -155,7 +156,7 @@ class DivergenceOperator(_MixedSpaceOperator):
                 tm = self.kern_u.face_nodal_trace(uc, batch.face)
                 ustar = self.fk_u.to_quad(tm)
             sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            un = self._contract(sub, fm.normal, ustar)
+            un = contract(sub, fm.normal, ustar)
             contrib = self.fk_p.integrate_side(batch.face, un * fm.jxw, None)
             self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
         return self.dof_p.flat(out)
@@ -199,9 +200,9 @@ class GradientOperator(_MixedSpaceOperator):
         pq = kern_p.values(p)  # (N, q, q, q)
         coeff = -(pq * cm.jxw)
         if ensemble:
-            rg = self._contract("cilzyx,eczyx->ecilzyx", cm.jinv_t, coeff)
+            rg = contract("cilzyx,eczyx->ecilzyx", cm.jinv_t, coeff)
         else:
-            rg = self._contract("cilzyx,czyx->cilzyx", cm.jinv_t, coeff)
+            rg = contract("cilzyx,czyx->cilzyx", cm.jinv_t, coeff)
         out = np.stack(
             [kern_u.integrate_gradients(rg[..., i, :, :, :, :]) for i in range(3)],
             axis=-4,

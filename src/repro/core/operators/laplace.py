@@ -11,13 +11,7 @@ Weak Dirichlet data (SIP/Nitsche) and Neumann data enter through
 
 Execution plans (see :mod:`repro.core.plans`): every instance owns a
 lazily built cache of scatter plans, einsum contraction plans, and
-workspace buffers, threaded through the whole hot path.  Running under
-``repro.core.plans.plan_execution(use_plans=False)`` restores the legacy
-execution
-(``np.add.at`` scatters, per-call einsum path searches, fresh
-temporaries and the unit-vector diagonal) — the reference the
-equivalence tests and the ``bench_vmult_gate`` before/after numbers are
-measured against.
+workspace buffers, threaded through the whole hot path.
 """
 
 from __future__ import annotations
@@ -29,6 +23,22 @@ from ...mesh.mapping import GeometryField
 from ..dof_handler import CGDofHandler, DGDofHandler
 from ..plans import contract
 from .base import FaceKernels, MatrixFreeOperator, physical_gradient, tangential_dims
+
+
+def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
+    """Diagonal of the cell term ``sum_q (d_a phi_i) D[a,b] (d_b phi_i)``
+    via squared 1D shape-function factors; ``laplace_d`` is
+    (c, i, j, q, q, q), the result (c, n, n, n)."""
+    Ng = kern.shape.interp
+    Dg = kern.shape.grad
+    ldiag = np.zeros((laplace_d.shape[0],) + (kern.n_dofs_1d,) * 3)
+    for a in range(3):
+        for b in range(3):
+            fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
+            fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
+            fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
+            ldiag += contract("czyx,zZ,yY,xX->cZYX", laplace_d[:, a, b], fz, fy, fx)
+    return ldiag
 
 
 class DGLaplaceOperator(MatrixFreeOperator):
@@ -101,10 +111,6 @@ class DGLaplaceOperator(MatrixFreeOperator):
 
     def _cell_term(self, u: np.ndarray, ensemble: bool = False) -> np.ndarray:
         sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
-        if not self.use_plans:
-            g = self.kern.gradients(u)
-            Dg = np.einsum(sub, self.cell_metrics.laplace_d, g, optimize=True)
-            return self.kern.integrate_gradients(Dg)
         ws = self.workspace()
         g = self.kern.gradients(u, ws)
         D = self.cell_metrics.laplace_d
@@ -130,8 +136,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
         n = fm.normal
         jump = vm - vp
         sub = "fiab,efiab->efab" if Gm.ndim == 5 else "fiab,fiab->fab"
-        dn_m = self._contract(sub, n, Gm)
-        dn_p = self._contract(sub, n, Gp)
+        dn_m = contract(sub, n, Gm)
+        dn_p = contract(sub, n, Gp)
         avg_dn = 0.5 * (dn_m + dn_p)
         w = fm.jxw
         rv_m = (-avg_dn + tau[:, None, None] * jump) * w
@@ -143,8 +149,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
         """Physical-gradient test coefficients -> reference components:
         contribution r.(J^{-T} grad v) = (J^{-1} r).grad v."""
         if rg_phys.ndim == 5:
-            return self._contract("fijab,efiab->efjab", jinv_t, rg_phys)
-        return self._contract("fijab,fiab->fjab", jinv_t, rg_phys)
+            return contract("fijab,efiab->efjab", jinv_t, rg_phys)
+        return contract("fijab,fiab->fjab", jinv_t, rg_phys)
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
@@ -159,7 +165,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         u = self.dof.cell_view(x)
         out = self._cell_term(u, ensemble)
         fk = self.fk
-        ws = self.workspace() if self.use_plans else None
+        ws = self.workspace()
         ax = 1 if ensemble else 0
         for ib, (batch, fm, tau) in enumerate(
             zip(self.conn.interior, self.face_metrics, self.tau)
@@ -170,12 +176,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
             vp, gp = fk.eval_side(
                 up, batch.face_p, batch.orientation, batch.subface, ws=ws
             )
-            Gm = physical_gradient(
-                fm.minus.jinv_t, gm, planned=self.use_plans, ensemble=ensemble
-            )
-            Gp = physical_gradient(
-                fm.plus.jinv_t, gp, planned=self.use_plans, ensemble=ensemble
-            )
+            Gm = physical_gradient(fm.minus.jinv_t, gm, ensemble=ensemble)
+            Gp = physical_gradient(fm.plus.jinv_t, gp, ensemble=ensemble)
             rv_m, rg_m, rv_p, rg_p = self._face_flux(fm, tau, vm, Gm, vp, Gp)
             contrib_m = fk.integrate_side(
                 batch.face_m, rv_m, self._to_ref_grad(fm.minus.jinv_t_c, rg_m)
@@ -196,12 +198,10 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 continue  # natural (Neumann) boundary: no operator term
             um = u[:, batch.cells] if ensemble else u[batch.cells]
             vm, gm = fk.eval_side(um, batch.face, ws=ws)
-            Gm = physical_gradient(
-                fm.minus.jinv_t, gm, planned=self.use_plans, ensemble=ensemble
-            )
+            Gm = physical_gradient(fm.minus.jinv_t, gm, ensemble=ensemble)
             n = fm.normal
             sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            dn_m = self._contract(sub, n, Gm)
+            dn_m = contract(sub, n, Gm)
             w = fm.jxw
             rv = (-dn_m + 2.0 * tau[:, None, None] * vm) * w
             rg_phys = (-vm * w)[..., None, :, :] * n
@@ -297,52 +297,15 @@ class DGLaplaceOperator(MatrixFreeOperator):
 
     # ------------------------------------------------------------------
     def diagonal(self) -> np.ndarray:
-        """Exact operator diagonal.
-
-        Planned path: closed-form tensor evaluation — the cell part by
-        the squared-1D-factor einsum trick (as
-        :meth:`CGLaplaceOperator.diagonal`), the face self-couplings by
+        """Exact operator diagonal by closed-form tensor evaluation: the
+        cell part by the squared-1D-factor einsum trick
+        (:func:`_cell_laplace_diagonal`), the face self-couplings by
         precomputed trace-product tensors per (face, orientation,
-        subface) signature — a handful of einsums instead of the
-        ``(k+1)^3`` full operator applications of
-        :meth:`diagonal_reference`."""
-        if not self.use_plans:
-            return self.diagonal_reference()
-        diag = self._cell_diagonal()
+        subface) signature — a handful of einsums instead of one full
+        operator application per local basis function."""
+        diag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
         self._add_face_diagonal(diag)
         return self.dof.flat(diag)
-
-    def diagonal_reference(self) -> np.ndarray:
-        """Legacy unit-vector diagonal: apply the cell term and the
-        cell-local part of the face terms to every local basis vector.
-        Kept as the reference implementation for the fast path."""
-        n = self.kern.n_dofs_1d
-        N = self.dof.n_cells
-        diag = np.zeros((N, n, n, n))
-        for iz in range(n):
-            for iy in range(n):
-                for ix in range(n):
-                    e = np.zeros((N, n, n, n))
-                    e[:, iz, iy, ix] = 1.0
-                    y = self._cell_term(e)
-                    y = y + self._face_self_term(e)
-                    diag[:, iz, iy, ix] = y[:, iz, iy, ix]
-        return self.dof.flat(diag)
-
-    def _cell_diagonal(self) -> np.ndarray:
-        """diag of the cell term via squared 1D shape-function factors."""
-        kern = self.kern
-        Ng = kern.shape.interp
-        Dg = kern.shape.grad
-        D = self.cell_metrics.laplace_d  # (c, i, j, q, q, q)
-        ldiag = np.zeros((self.dof.n_cells,) + (kern.n_dofs_1d,) * 3)
-        for a in range(3):
-            for b in range(3):
-                fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
-                fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
-                fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-                ldiag += contract("czyx,zZ,yY,xX->cZYX", D[:, a, b], fz, fy, fx)
-        return ldiag
 
     def _face_trace_products(self, face, orientation, subface):
         """Precompute, per (face, orientation, subface) signature, the
@@ -389,11 +352,11 @@ class DGLaplaceOperator(MatrixFreeOperator):
         w = fm.jxw  # (F, qa, qb)
         # c_j = sum_i n_i jinv_t[i, j]: normal derivative coefficients in
         # this side's own reference components
-        c = self._contract("fiab,fijab->fjab", fm.normal, jinv_t)
-        T_tau = self._contract("fab,abxy->fxy", tau[:, None, None] * w, RR)
-        T_d = self._contract("fab,abxy->fxy", w * c[:, d], RR)
-        T_a = self._contract("fab,abxy->fxy", w * c[:, a_dim], RRa)
-        T_b = self._contract("fab,abxy->fxy", w * c[:, b_dim], RRb)
+        c = contract("fiab,fijab->fjab", fm.normal, jinv_t)
+        T_tau = contract("fab,abxy->fxy", tau[:, None, None] * w, RR)
+        T_d = contract("fab,abxy->fxy", w * c[:, d], RR)
+        T_a = contract("fab,abxy->fxy", w * c[:, a_dim], RRa)
+        T_b = contract("fab,abxy->fxy", w * c[:, b_dim], RRb)
         f_v = self.kern.shape.face_value[s]  # (n,) value trace weights
         f_g = self.kern.shape.face_grad[s]  # (n,) normal-derivative weights
         vv = f_v * f_v
@@ -434,52 +397,6 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 sign=-1.0, scale=2.0,
             )
             self._scatter_add(diag, batch.cells, db, ("bdy", ib))
-
-    def _face_self_term(self, u: np.ndarray) -> np.ndarray:
-        """Face contributions keeping only the block-diagonal (same-cell)
-        couplings — the part entering the operator diagonal."""
-        fk = self.fk
-        out = np.zeros_like(u)
-        for batch, fm, tau in zip(self.conn.interior, self.face_metrics, self.tau):
-            # minus-to-minus: treat the neighbor trace as zero
-            um = u[batch.cells_m]
-            vm, gm = fk.eval_side(um, batch.face_m)
-            Gm = physical_gradient(fm.minus.jinv_t, gm, planned=self.use_plans)
-            zeros_v = np.zeros_like(vm)
-            zeros_G = np.zeros_like(Gm)
-            rv_m, rg_m, _, _ = self._face_flux(fm, tau, vm, Gm, zeros_v, zeros_G)
-            contrib_m = fk.integrate_side(
-                batch.face_m, rv_m, self._to_ref_grad(fm.minus.jinv_t_c, rg_m)
-            )
-            np.add.at(out, batch.cells_m, contrib_m)
-            # plus-to-plus
-            up = u[batch.cells_p]
-            vp, gp = fk.eval_side(up, batch.face_p, batch.orientation, batch.subface)
-            Gp = physical_gradient(fm.plus.jinv_t, gp, planned=self.use_plans)
-            _, _, rv_p, rg_p = self._face_flux(fm, tau, zeros_v, zeros_G, vp, Gp)
-            contrib_p = fk.integrate_side(
-                batch.face_p,
-                rv_p,
-                self._to_ref_grad(fm.plus.jinv_t_c, rg_p),
-                batch.orientation,
-                batch.subface,
-            )
-            np.add.at(out, batch.cells_p, contrib_p)
-        for batch, fm, tau in zip(self.conn.boundary, self.bdry_metrics, self.tau_b):
-            if batch.boundary_id not in self.dirichlet_ids:
-                continue
-            um = u[batch.cells]
-            vm, gm = fk.eval_side(um, batch.face)
-            Gm = physical_gradient(fm.minus.jinv_t, gm, planned=self.use_plans)
-            dn_m = self._contract("fiab,fiab->fab", fm.normal, Gm)
-            w = fm.jxw
-            rv = (-dn_m + 2.0 * tau[:, None, None] * vm) * w
-            rg_phys = (-vm * w)[:, None] * fm.normal
-            contrib = fk.integrate_side(
-                batch.face, rv, self._to_ref_grad(fm.minus.jinv_t_c, rg_phys)
-            )
-            np.add.at(out, batch.cells, contrib)
-        return out
 
 
 class CGLaplaceOperator(MatrixFreeOperator):
@@ -524,10 +441,6 @@ class CGLaplaceOperator(MatrixFreeOperator):
     def _vmult_impl(self, x: np.ndarray, ensemble: bool) -> np.ndarray:
         u = self.dof.gather_cells(x)
         sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
-        if not self.use_plans:
-            g = self.kern.gradients(u)
-            Dg = np.einsum(sub, self.cell_metrics.laplace_d, g, optimize=True)
-            return self.dof.scatter_add_cells(self.kern.integrate_gradients(Dg))
         ws = self.workspace()
         g = self.kern.gradients(u, ws)
         D = self.cell_metrics.laplace_d
@@ -543,18 +456,7 @@ class CGLaplaceOperator(MatrixFreeOperator):
     def diagonal(self) -> np.ndarray:
         """Jacobi diagonal: local cell diagonals accumulated with squared
         constraint weights (the standard matrix-free approximation)."""
-        kern = self.kern
-        Ng = kern.shape.interp
-        Dg = kern.shape.grad
-        D = self.cell_metrics.laplace_d  # (c, i, j, q, q, q)
-        ldiag = np.zeros((self.dof.n_cells,) + (kern.n_dofs_1d,) * 3)
-        # diag_i = sum_q (d_a phi_i)(q) D[a,b](q) (d_b phi_i)(q)
-        for a in range(3):
-            for b in range(3):
-                fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
-                fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
-                fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-                ldiag += contract("czyx,zZ,yY,xX->cZYX", D[:, a, b], fz, fy, fx)
+        ldiag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
         dg = self.dof.flat_scatter_plan.scatter(ldiag, dtype=ldiag.dtype)
         C2 = self.dof.C.copy()
         C2.data = C2.data**2

@@ -55,13 +55,6 @@ class MassOperator(MatrixFreeOperator):
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         u = self.dof.cell_view(x)
-        if not self.use_plans:
-            q = self.kern.values(u)
-            if self.dof.n_components == 1:
-                q = q * self.jxw
-            else:
-                q = q * self.jxw[:, None]
-            return self.dof.flat(self.kern.integrate_values(q))
         ws = self.workspace()
         q = self.kern.values(u, ws)
         if self.dof.n_components == 1:

@@ -23,6 +23,7 @@ import numpy as np
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
+from ..plans import contract
 from .base import FaceKernels, MatrixFreeOperator
 from .mass import MassOperator
 
@@ -93,14 +94,14 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
             [kern.gradients(u[..., i, :, :, :]) for i in range(3)], axis=-4
         )
         if ensemble:
-            div = self._contract("cilzyx,ecilzyx->eczyx", cm.jinv_t, grads)
+            div = contract("cilzyx,ecilzyx->eczyx", cm.jinv_t, grads)
         else:
-            div = self._contract("cilzyx,cilzyx->czyx", cm.jinv_t, grads)
+            div = contract("cilzyx,cilzyx->czyx", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None]
         if ensemble:
-            rg = self._contract("cilzyx,eczyx->ecilzyx", cm.jinv_t, coeff)
+            rg = contract("cilzyx,eczyx->ecilzyx", cm.jinv_t, coeff)
         else:
-            rg = self._contract("cilzyx,czyx->cilzyx", cm.jinv_t, coeff)
+            rg = contract("cilzyx,czyx->cilzyx", cm.jinv_t, coeff)
         out = np.stack(
             [kern.integrate_gradients(rg[..., i, :, :, :, :]) for i in range(3)],
             axis=-4,
@@ -116,7 +117,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
             vm = self.fk.to_quad(tm)
             vp = self.fk.to_quad(tp, batch.orientation, batch.subface)
             sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            jump_n = self._contract(sub, fm.normal, vm - vp)
+            jump_n = contract(sub, fm.normal, vm - vp)
             q = tau[..., None, None] * jump_n * fm.jxw
             rv = q[..., None, :, :] * fm.normal
             contrib_m = self.fk.integrate_side(batch.face_m, rv, None)

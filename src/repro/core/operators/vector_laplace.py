@@ -44,15 +44,6 @@ class VectorDGLaplace(MatrixFreeOperator):
         comp_sel = (
             (slice(None), slice(None)) if u.ndim == 6 else (slice(None),)
         )
-        if not self.use_plans:
-            for c in range(3):
-                yc = self.scalar.vmult(
-                    self.scalar.dof.flat(
-                        np.ascontiguousarray(u[comp_sel + (c,)])
-                    )
-                )
-                out[comp_sel + (c,)] = self.scalar.dof.cell_view(yc)
-            return self.dof.flat(out)
         # one reusable contiguous staging buffer instead of a fresh
         # ascontiguousarray copy per component per application
         ws = self.workspace()

@@ -41,48 +41,9 @@ the NumPy rendition of that discipline, shared by every operator in
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
-
 import numpy as np
 
-from .backend import DEFAULT_DTYPE, active_backend
-
-
-@dataclass
-class ExecutionPolicy:
-    """Process-wide execution policy of the plan layer.
-
-    ``use_plans`` selects planned execution (cached scatter plans and
-    einsum paths) versus the legacy per-call path (``np.add.at``
-    scatters, per-call ``optimize=True`` einsum searches).  Operators
-    consult this policy unless an instance-level override was set (the
-    deprecated ``op.use_plans = ...`` assignment, kept for one release).
-    """
-
-    use_plans: bool = True
-
-
-#: The single process-wide policy consulted by every operator.
-POLICY = ExecutionPolicy()
-
-
-@contextlib.contextmanager
-def plan_execution(use_plans: bool):
-    """Temporarily switch the global execution policy.
-
-    The supported way to run the legacy unplanned path (benchmarks,
-    equivalence tests)::
-
-        with plan_execution(use_plans=False):
-            op.vmult(x)
-    """
-    prev = POLICY.use_plans
-    POLICY.use_plans = bool(use_plans)
-    try:
-        yield POLICY
-    finally:
-        POLICY.use_plans = prev
+from .backend import DEFAULT_DTYPE
 
 #: Contracted-extent threshold below which a 1- or 2-operand einsum is
 #: dispatched to the direct C loop instead of a precomputed path (the
@@ -136,8 +97,7 @@ def contract(subscripts: str, *operands, out: np.ndarray | None = None):
     if strategy is None:
         strategy = _contraction_strategy(subscripts, operands)
         _PATH_CACHE[key] = strategy
-    xp = active_backend().xp
-    return xp.einsum(subscripts, *operands, out=out, optimize=strategy)
+    return np.einsum(subscripts, *operands, out=out, optimize=strategy)
 
 
 class ScatterPlan:
@@ -292,7 +252,7 @@ class Workspace:
         key = (tag, tuple(shape), np.dtype(dtype).str)
         arr = self._arrays.get(key)
         if arr is None:
-            arr = active_backend().xp.empty(shape, dtype=dtype)
+            arr = np.empty(shape, dtype=dtype)
             self._arrays[key] = arr
         return arr
 

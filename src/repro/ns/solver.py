@@ -113,10 +113,10 @@ class IncompressibleNavierStokesSolver:
         fallback chain mixed-precision MG -> double-precision MG ->
         Jacobi-CG with a raised iteration cap.
 
-        ``compute_dtype`` (``float64``/``float32``; default the global
-        compute dtype, see :func:`repro.core.backend.set_compute_dtype`)
-        selects the precision of the forward solve.  Operators are
-        always *assembled* in double; in single precision the scheme
+        ``compute_dtype`` (``float64``/``float32``; default
+        :data:`repro.core.backend.DEFAULT_DTYPE`) selects the precision
+        of the forward solve.  Operators are always *assembled* in
+        double; in single precision the scheme
         drives dtype-cast clones, while the pressure Poisson outer CG,
         the fallback chain's double tier, and checkpoints keep double
         precision (Section 3.4 mixed precision)."""

@@ -51,7 +51,7 @@ class DistributedDGLaplace:
         self.kern = op.kern
         self.fk = FaceKernels(op.kern)
         n1 = op.kern.n_dofs_1d
-        self._sheet_bytes = 2 * n1 * n1 * 8
+        self._sheet_bytes = 2 * n1 * n1 * np.dtype(op.dtype).itemsize
         # the partition is fixed, so the local/cut split of every face
         # batch — and the scatter destinations of the local bulk — are
         # computed once here instead of on every mat-vec

@@ -192,7 +192,9 @@ class PartitionPlan:
         self.npc = self.n1 ** 3
         self.n_cells = op.dof.n_cells
         self.n_dofs = op.dof.n_dofs
-        self._sheet_bytes = 2 * self.n1 * self.n1 * 8
+        # every byte count below follows the operator's compute dtype
+        self.itemsize = np.dtype(op.dtype).itemsize
+        self._sheet_bytes = 2 * self.n1 * self.n1 * self.itemsize
         ids = np.arange(n_workers)
         lo = np.searchsorted(self.ranks, ids, side="left")
         hi = np.searchsorted(self.ranks, ids, side="right")
@@ -265,19 +267,19 @@ class PartitionPlan:
             pairs=set(self.pairs),
         )
 
-    def payload_bytes(self, itemsize: int = 8) -> int:
+    def payload_bytes(self) -> int:
         """Bytes actually shipped per exchange round by this runtime
         (full nodal ghost-cell tensors, unlike the minimal trace sheets
         of the census model)."""
         total = sum(int(rp.ghosts.size) for rp in self.rank_plans)
-        return total * self.npc * itemsize
+        return total * self.npc * self.itemsize
 
-    def rank_exchange_bytes(self, itemsize: int = 8) -> dict:
+    def rank_exchange_bytes(self) -> dict:
         """Per-rank bytes moved per exchange round,
         ``{rank: {"send": ..., "recv": ...}}`` — the denominator data of
         the per-rank achieved-bandwidth rows in the timeline analysis
         (:func:`repro.telemetry.timeline.analyze_timeline`)."""
-        cell = self.npc * itemsize
+        cell = self.npc * self.itemsize
         return {
             rp.rank: {
                 "send": sum(int(idx.size) for idx in rp.send.values()) * cell,
@@ -420,10 +422,7 @@ class RankLocalOperator:
             return np.zeros(u.shape, dtype=dt)
         sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
         g = self.op.kern.gradients(u)
-        if self.op.use_plans:
-            Dg = contract(sub, self._laplace_d, g)
-        else:
-            Dg = np.einsum(sub, self._laplace_d, g, optimize=True)
+        Dg = contract(sub, self._laplace_d, g)
         return self.op.kern.integrate_gradients(Dg)
 
     def _face_terms(self, w: _FaceWork, u, ug, ensemble: bool):
@@ -436,8 +435,8 @@ class RankLocalOperator:
               else ug[..., w.p_slots, :, :, :])
         vm, gm = fk.eval_side(um, w.face_m)
         vp, gp = fk.eval_side(up, w.face_p, w.orientation, w.subface)
-        Gm = physical_gradient(w.jt_m, gm, planned=op.use_plans, ensemble=ensemble)
-        Gp = physical_gradient(w.jt_p, gp, planned=op.use_plans, ensemble=ensemble)
+        Gm = physical_gradient(w.jt_m, gm, ensemble=ensemble)
+        Gp = physical_gradient(w.jt_p, gp, ensemble=ensemble)
         rv_m, rg_m, rv_p, rg_p = op._face_flux(w, w.tau, vm, Gm, vp, Gp)
         cut = ((slice(None), slice(None, w.take)) if ensemble
                else slice(None, w.take))
@@ -459,9 +458,9 @@ class RankLocalOperator:
         op, fk = self.op, self.fk
         um = u[..., w.cells, :, :, :]
         vm, gm = fk.eval_side(um, w.face)
-        Gm = physical_gradient(w.jt, gm, planned=op.use_plans, ensemble=ensemble)
+        Gm = physical_gradient(w.jt, gm, ensemble=ensemble)
         sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-        dn_m = op._contract(sub, w.normal, Gm)
+        dn_m = contract(sub, w.normal, Gm)
         jxw = w.jxw
         rv = (-dn_m + 2.0 * w.tau[:, None, None] * vm) * jxw
         rg_phys = (-vm * jxw)[..., None, :, :] * w.normal
@@ -814,9 +813,7 @@ class WorkerPool:
     def rank_exchange_bytes(self) -> dict:
         """Per-rank exchange payload bytes per round for the registered
         fine operator's dtype."""
-        op = next(iter(self._ops.values()))
-        itemsize = np.dtype(op.dtype).itemsize
-        return self.plan.rank_exchange_bytes(itemsize)
+        return self.plan.rank_exchange_bytes()
 
     def _session(self, xdt, ydt, lead: int) -> _Session:
         xdt = np.dtype(xdt)

@@ -18,7 +18,6 @@ from .bench import (
     compare_bench,
     load_bench,
     machine_fingerprint,
-    migrate_bench_doc,
     render_bench,
     render_compare,
     run_suite,
@@ -75,7 +74,6 @@ __all__ = [
     "compare_bench",
     "load_bench",
     "machine_fingerprint",
-    "migrate_bench_doc",
     "render_bench",
     "render_compare",
     "run_suite",

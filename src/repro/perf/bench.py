@@ -1,9 +1,9 @@
 """Benchmark regression harness behind ``repro bench``.
 
 Declared *suites* of performance cases (DG Laplace vmult, vector
-Laplace, a multigrid V-cycle, a full lung time step, and the legacy
-planned-vs-legacy vmult gate) run under one schema-versioned document
-format::
+Laplace, a multigrid V-cycle and set-up, a full lung time step, the
+ensemble axis, multi-worker scaling) run under one schema-versioned
+document format::
 
     {
       "schema": "repro/bench/2",
@@ -25,8 +25,6 @@ format::
 :func:`compare_bench` joins two documents by case name and flags every
 case whose throughput dropped by more than ``max_regression`` — the CI
 perf gate (ASV-style continuous benchmarking at reproduction scale).
-:func:`migrate_bench_doc` lifts the PR 2 ``repro/bench-vmult/1``
-documents into this schema so the committed trajectory is preserved.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 BENCH_SCHEMA = "repro/bench/2"
-_OLD_VMULT_SCHEMA = "repro/bench-vmult/1"
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +256,13 @@ def _lung_step_case(name: str, smoke: bool, dtype: str = "float64") -> dict:
 
 def _suite_vmult(smoke: bool, degree: int, select=_always,
                  dtype: str = "float64") -> list[dict]:
-    """The PR 2 planned-vs-legacy gate on the new schema (DG/vector
-    Laplace vmult and the multigrid setup path in both execution modes)
-    plus the ensemble-axis scaling cases: one batched ``(E, n)`` vmult
-    against ``E`` sequential single-member calls."""
+    """DG/vector Laplace vmult and the multigrid setup path on two
+    meshes, plus the ensemble-axis scaling cases: one batched ``(E, n)``
+    vmult against ``E`` sequential single-member calls.  The
+    ``/planned`` case names date from the planned-vs-legacy gate and
+    are kept so documents of earlier PRs still join by name."""
     from ..core.dof_handler import DGDofHandler
     from ..core.operators import VectorDGLaplace
-    from ..core.plans import plan_execution
     from ..solvers.multigrid import operator_to_dtype
     from .measure import measure_operator, measure_throughput
 
@@ -282,38 +279,33 @@ def _suite_vmult(smoke: bool, degree: int, select=_always,
     for mesh_name, forest, reps in meshes:
         dof, geo, conn, _ = _dg_laplace(forest, degree)
         dof_v = DGDofHandler(forest, degree, n_components=3)
-        meta = {"mesh": mesh_name, "n_cells": forest.n_cells, "degree": degree}
+        meta = {"mesh": mesh_name, "n_cells": forest.n_cells,
+                "degree": degree, "mode": "planned"}
 
         def make_op():
             return _dg_laplace(forest, degree)[3]
 
-        for mode, use_plans in (("legacy", False), ("planned", True)):
-            m = dict(meta, mode=mode)
+        name = f"{mesh_name}/dg_laplace/planned{sfx}"
+        if select(name):
+            r = measure_operator(operator_to_dtype(make_op(), ds),
+                                 name=name, repetitions=reps, dtype=ds)
+            cases.append(_throughput_case(name, r, meta, ds))
 
-            name = f"{mesh_name}/dg_laplace/{mode}{sfx}"
-            if select(name):
-                with plan_execution(use_plans):
-                    r = measure_operator(operator_to_dtype(make_op(), ds),
-                                         name=name, repetitions=reps, dtype=ds)
-                cases.append(_throughput_case(name, r, m, ds))
+        name = f"{mesh_name}/vector_laplace/planned{sfx}"
+        if select(name):
+            vec = VectorDGLaplace(make_op(), dof_v)
+            r = measure_operator(operator_to_dtype(vec, ds), name=name,
+                                 repetitions=max(2, reps // 2), dtype=ds)
+            cases.append(_throughput_case(name, r, meta, ds))
 
-            name = f"{mesh_name}/vector_laplace/{mode}{sfx}"
-            if select(name):
-                vec = VectorDGLaplace(make_op(), dof_v)
-                with plan_execution(use_plans):
-                    r = measure_operator(operator_to_dtype(vec, ds), name=name,
-                                         repetitions=max(2, reps // 2),
-                                         dtype=ds)
-                cases.append(_throughput_case(name, r, m, ds))
-
-            name = f"{mesh_name}/mg_setup/{mode}{sfx}"
-            if select(name):
-                sec = _measure_mg_setup(make_op, use_plans,
-                                        repetitions=min(3, reps), dtype=ds)
-                cases.append(_case(
-                    name, dof.n_dofs, 1.0 / sec, "setups/s",
-                    {"best_seconds": sec}, m, ds,
-                ))
+        name = f"{mesh_name}/mg_setup/planned{sfx}"
+        if select(name):
+            sec = _measure_mg_setup(make_op, repetitions=min(3, reps),
+                                    dtype=ds)
+            cases.append(_case(
+                name, dof.n_dofs, 1.0 / sec, "setups/s",
+                {"best_seconds": sec}, meta, ds,
+            ))
 
     # ensemble-axis scaling: a single batched (E, n) vmult amortizes the
     # per-call dispatch/scatter overhead over all members; the
@@ -354,11 +346,10 @@ def _suite_vmult(smoke: bool, degree: int, select=_always,
     return cases
 
 
-def _measure_mg_setup(make_op, use_plans: bool, repetitions: int = 3,
+def _measure_mg_setup(make_op, repetitions: int = 3,
                       dtype: str = "float64") -> float:
     """Best wall time of the multigrid setup path on a fresh operator:
     diagonal + Jacobi + Chebyshev/Lanczos construction."""
-    from ..core.plans import plan_execution
     from ..solvers.chebyshev import ChebyshevSmoother
     from ..solvers.jacobi import JacobiPreconditioner
     from ..solvers.multigrid import operator_to_dtype
@@ -366,11 +357,10 @@ def _measure_mg_setup(make_op, use_plans: bool, repetitions: int = 3,
     best = float("inf")
     for _ in range(repetitions):
         op = operator_to_dtype(make_op(), dtype)
-        with plan_execution(use_plans):
-            t0 = time.perf_counter()
-            jac = JacobiPreconditioner(op, dtype=np.dtype(dtype))
-            ChebyshevSmoother(op, degree=3, jacobi=jac)
-            best = min(best, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        jac = JacobiPreconditioner(op, dtype=np.dtype(dtype))
+        ChebyshevSmoother(op, degree=3, jacobi=jac)
+        best = min(best, time.perf_counter() - t0)
     return best
 
 
@@ -599,72 +589,16 @@ def run_suite(suite: str, smoke: bool = False, degree: int = 3,
     }
 
 
-# ---------------------------------------------------------------------------
-# schema migration
-# ---------------------------------------------------------------------------
-
-def migrate_bench_doc(doc: dict) -> dict:
-    """Lift a ``repro/bench-vmult/1`` document onto the current schema,
-    preserving the measured numbers.  Current-schema documents pass
-    through unchanged."""
-    schema = doc.get("schema")
-    if schema == BENCH_SCHEMA:
-        return doc
-    if schema != _OLD_VMULT_SCHEMA:
-        raise ValueError(f"cannot migrate benchmark schema {schema!r}")
-    cases: list[dict] = []
-    for c in doc.get("cases", []):
-        meta = {"mesh": c["case"], "n_cells": c.get("n_cells"),
-                "degree": c.get("degree")}
-        for mode in ("legacy", "planned"):
-            d = c[mode]
-            m = dict(meta, mode=mode)
-            cases.append(_case(
-                f"{c['case']}/dg_laplace/{mode}",
-                c["n_dofs"],
-                d["dg_laplace_dofs_per_second"],
-                "dofs/s",
-                {
-                    "best_seconds": d["dg_laplace_vmult_seconds"],
-                    "dofs_per_second": d["dg_laplace_dofs_per_second"],
-                    "alloc_peak_bytes": d.get("dg_laplace_alloc_peak_bytes"),
-                    "alloc_net_blocks": d.get("dg_laplace_alloc_net_blocks"),
-                },
-                m,
-            ))
-            cases.append(_case(
-                f"{c['case']}/vector_laplace/{mode}",
-                c["n_dofs"],
-                d["vector_laplace_dofs_per_second"],
-                "dofs/s",
-                {
-                    "best_seconds": d["vector_laplace_vmult_seconds"],
-                    "dofs_per_second": d["vector_laplace_dofs_per_second"],
-                },
-                m,
-            ))
-            cases.append(_case(
-                f"{c['case']}/mg_setup/{mode}",
-                c["n_dofs"],
-                1.0 / d["mg_setup_seconds"],
-                "setups/s",
-                {"best_seconds": d["mg_setup_seconds"]},
-                m,
-            ))
-    return {
-        "schema": BENCH_SCHEMA,
-        "suite": "vmult",
-        "smoke": bool(doc.get("smoke", False)),
-        "degree": doc.get("degree", 3),
-        "fingerprint": {"migrated_from": _OLD_VMULT_SCHEMA},
-        "cases": cases,
-    }
-
-
 def load_bench(path) -> dict:
-    """Read a benchmark document, migrating old schemas transparently."""
+    """Read a benchmark document; anything but the current schema is
+    rejected."""
     doc = json.loads(Path(path).read_text())
-    return migrate_bench_doc(doc)
+    if doc.get("schema") != BENCH_SCHEMA:
+        raise ValueError(
+            f"unsupported benchmark schema {doc.get('schema')!r} "
+            f"(expected {BENCH_SCHEMA!r})"
+        )
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +613,6 @@ def compare_bench(current: dict, baseline: dict,
     Cases missing from either side or measured at a different problem
     size are *skipped with a reason*, never silently compared.
     """
-    current = migrate_bench_doc(current)
-    baseline = migrate_bench_doc(baseline)
-
     def key(c: dict):
         # join by (name, dtype); pre-dtype baselines are all float64
         return (c["name"], c.get("dtype", "float64"))

@@ -20,7 +20,6 @@ from .invariants import (
     InvariantViolation,
     check_adjoint,
     check_nullspace,
-    check_plan_equivalence,
     check_positive_semidefinite,
     check_symmetry,
     make_rng,
@@ -54,7 +53,6 @@ __all__ = [
     "beltrami_temporal_gate",
     "check_adjoint",
     "check_nullspace",
-    "check_plan_equivalence",
     "check_positive_semidefinite",
     "check_symmetry",
     "compare_golden",

@@ -22,6 +22,80 @@ import numpy as np
 GOLDEN_SCHEMA = "repro-golden/1"
 
 
+def _fingerprint(y) -> list[float]:
+    """``[|y|_2, |y|_inf, r.y]`` with a fixed seeded probe ``r``: two
+    norms plus one sign- and position-sensitive functional."""
+    y = np.asarray(y, dtype=np.float64).ravel()
+    r = np.random.default_rng(1234).standard_normal(y.size)
+    return [float(np.linalg.norm(y)), float(np.abs(y).max()), float(r @ y)]
+
+
+def _operator_fingerprints() -> dict:
+    """Fingerprints of one application of each operator family on the
+    meshes where index plans can go wrong: a box forest with hanging
+    faces and the tube junction with rotated faces.
+
+    The committed values were produced by the unplanned reference
+    execution (``np.add.at`` scatters, per-call ``optimize=True`` einsum
+    searches, fresh temporaries) at the last commit that carried it, so
+    they pin the planned hot path to a second implementation of the same
+    arithmetic; regenerate them only for an intended change of that
+    arithmetic.
+    """
+    from ..core.dof_handler import CGDofHandler, DGDofHandler
+    from ..core.operators import (
+        CGLaplaceOperator,
+        DGLaplaceOperator,
+        MassOperator,
+        VectorDGLaplace,
+    )
+    from ..mesh.connectivity import build_connectivity
+    from ..mesh.generators import bifurcation, box
+    from ..mesh.mapping import GeometryField
+    from ..mesh.octree import Forest
+    from ..solvers import single_precision_operator
+
+    hanging = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
+    hanging = hanging.refine([hanging.leaves[0]]).balance()
+    junction = Forest(bifurcation())
+
+    def dg_laplace(forest, degree):
+        return DGLaplaceOperator(
+            DGDofHandler(forest, degree), GeometryField(forest, degree),
+            build_connectivity(forest), dirichlet_ids=(1,),
+        )
+
+    def vmult(op, seed, dtype=np.float64):
+        x = np.random.default_rng(seed).standard_normal(op.n_dofs)
+        return op.vmult(x.astype(dtype, copy=False))
+
+    out: dict = {}
+    for degree in (1, 2, 3):
+        out[f"vmult_dg_laplace_hanging_k{degree}"] = vmult(dg_laplace(hanging, degree), 0)
+    for degree in (1, 2):
+        out[f"vmult_dg_laplace_bifurcation_k{degree}"] = vmult(dg_laplace(junction, degree), 0)
+    lap = dg_laplace(hanging, 2)
+    out["vmult_cg_laplace_hanging_k2"] = vmult(
+        CGLaplaceOperator(
+            CGDofHandler(hanging, 2, build_connectivity(hanging), dirichlet_ids=(1,)),
+            GeometryField(hanging, 2),
+        ), 0)
+    out["vmult_mass_bifurcation_k2"] = vmult(
+        MassOperator(DGDofHandler(junction, 2), GeometryField(junction, 2)), 0)
+    out["vmult_vector_laplace_hanging_k2"] = vmult(
+        VectorDGLaplace(lap, DGDofHandler(hanging, 2, n_components=3)), 8)
+    out["assemble_rhs_dg_laplace_hanging_k2"] = lap.assemble_rhs(
+        f=lambda x, y, z: x * y + z, dirichlet=lambda x, y, z: x - z)
+    metrics = {
+        name: {"value": _fingerprint(y), "rtol": 1e-10} for name, y in out.items()
+    }
+    metrics["vmult_dg_laplace_hanging_k2_float32"] = {
+        "value": _fingerprint(vmult(single_precision_operator(lap), 7, np.float32)),
+        "rtol": 2e-5,
+    }
+    return metrics
+
+
 def compute_golden_metrics() -> dict:
     """Run the committed small cases and return ``name -> metric`` with
     per-metric comparison tolerances."""
@@ -36,7 +110,7 @@ def compute_golden_metrics() -> dict:
     )
     from .mms import poisson_spatial_ladder
 
-    metrics: dict = {}
+    metrics: dict = _operator_fingerprints()
     study = poisson_spatial_ladder(degree=2, levels=(1, 2))
     for level, err in zip(study.meta["levels"], study.errors):
         metrics[f"poisson_k2_l{level}_error_l2"] = {"value": err, "rtol": 1e-4}

@@ -1,14 +1,13 @@
 """Property-based operator invariants over randomized inputs.
 
 Structural identities every matrix-free operator must satisfy regardless
-of mesh, degree, or execution path: symmetry of the SIP Laplace and mass
-forms, the negative-transpose pairing of divergence and gradient, the
-constant null space of Neumann operators, positive semidefiniteness of
-the stabilization penalties, and bitwise-level agreement between the
-planned hot path and the legacy reference execution.  Each check draws
-its probe vectors from a caller-supplied seeded RNG so a failure
-reproduces deterministically, and raises :class:`InvariantViolation`
-(an ``AssertionError``) carrying the measured defect.
+of mesh or degree: symmetry of the SIP Laplace and mass forms, the
+negative-transpose pairing of divergence and gradient, the constant null
+space of Neumann operators, and positive semidefiniteness of the
+stabilization penalties.  Each check draws its probe vectors from a
+caller-supplied seeded RNG so a failure reproduces deterministically,
+and raises :class:`InvariantViolation` (an ``AssertionError``) carrying
+the measured defect.
 """
 
 from __future__ import annotations
@@ -116,50 +115,5 @@ def check_positive_semidefinite(
     if worst < -tol:
         raise InvariantViolation(
             f"{type(op).__name__}: negative Rayleigh quotient {worst:.3e}"
-        )
-    return worst
-
-
-def check_plan_equivalence(
-    op,
-    rng,
-    apply=None,
-    n_trials: int = 2,
-    rtol: float = 1e-12,
-    atol: float = 1e-11,
-    n_in: int | None = None,
-) -> float:
-    """The planned hot path must match the legacy reference execution
-    (``plan_execution(use_plans=False)``) on the same random input.
-    ``apply`` defaults to ``op.vmult``; pass e.g. ``lambda op, x:
-    op.apply(x, t)`` for operators with an inhomogeneous entry point.
-    ``n_in`` overrides the probe size for rectangular operators whose
-    input space differs from ``op.n_dofs`` (e.g. the divergence, which
-    maps velocity to pressure).
-    """
-    from ..core.plans import plan_execution
-
-    apply = apply or (lambda o, x: o.vmult(x))
-    worst = 0.0
-    # a per-operator override would shadow the scoped policy: lift it
-    # for the duration of the check and put it back afterwards
-    had_override = "use_plans" in op.__dict__
-    saved = op.__dict__.pop("use_plans", None)
-    try:
-        for _ in range(n_trials):
-            x = _probe(rng, op.n_dofs if n_in is None else n_in)
-            with plan_execution(True):
-                planned = apply(op, x)
-            with plan_execution(False):
-                reference = apply(op, x)
-            scale = max(float(np.abs(reference).max()), 1e-30)
-            worst = max(worst,
-                        float(np.abs(planned - reference).max()) / scale)
-    finally:
-        if had_override:
-            op.__dict__["use_plans"] = saved
-    if worst > max(rtol, atol):
-        raise InvariantViolation(
-            f"{type(op).__name__}: planned vs reference defect {worst:.3e}"
         )
     return worst

@@ -1,60 +1,13 @@
-"""Tests of the array-backend shim and the compute-dtype policy
-(:mod:`repro.core.backend`)."""
+"""Tests of the compute-dtype policy (:mod:`repro.core.backend`)."""
 
 import numpy as np
 import pytest
 
-from repro.core import backend
-from repro.core.backend import (
-    DEFAULT_DTYPE,
-    active_backend,
-    available_backends,
-    compute_dtype_scope,
-    default_dtype,
-    get_backend,
-    kernel_dtype,
-    precision_bytes,
-    register_backend,
-    resolve_dtype,
-    set_compute_dtype,
-    use_backend,
-    xp,
-)
-
-
-class TestBackendRegistry:
-    def test_numpy_is_default(self):
-        assert active_backend().name == "numpy"
-        assert xp() is np
-        assert "numpy" in available_backends()
-
-    def test_get_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            get_backend("no-such-backend")
-
-    def test_register_and_activate(self):
-        # a fake "accelerator" backend that is numpy with a marker name;
-        # registration only needs an xp-namespace module
-        register_backend("fake-xp", np)
-        try:
-            use_backend("fake-xp")
-            assert active_backend().name == "fake-xp"
-            assert xp() is np
-        finally:
-            use_backend("numpy")
-            backend._REGISTRY.pop("fake-xp", None)
-        assert active_backend().name == "numpy"
-
-    def test_asarray_is_identity_for_numpy(self):
-        b = get_backend("numpy")
-        a = np.arange(3.0)
-        assert b.asarray(a) is a
-        assert b.asarray(a, dtype=np.float32).dtype == np.float32
+from repro.core.backend import DEFAULT_DTYPE, kernel_dtype, resolve_dtype
 
 
 class TestDtypePolicy:
     def test_default_is_double(self):
-        assert default_dtype() == np.dtype(np.float64)
         assert DEFAULT_DTYPE == np.dtype(np.float64)
 
     def test_resolve_rejects_unsupported(self):
@@ -66,19 +19,7 @@ class TestDtypePolicy:
     def test_resolve_accepts_spellings(self):
         assert resolve_dtype("float32") == np.dtype(np.float32)
         assert resolve_dtype(np.float64) == np.dtype(np.float64)
-        assert resolve_dtype(None) == default_dtype()
-
-    def test_set_compute_dtype_and_scope(self):
-        prev = set_compute_dtype(np.float32)
-        try:
-            assert default_dtype() == np.dtype(np.float32)
-            assert resolve_dtype(None) == np.dtype(np.float32)
-        finally:
-            set_compute_dtype(prev)
-        assert default_dtype() == np.dtype(np.float64)
-        with compute_dtype_scope("float32"):
-            assert default_dtype() == np.dtype(np.float32)
-        assert default_dtype() == np.dtype(np.float64)
+        assert resolve_dtype(None) == DEFAULT_DTYPE
 
     def test_kernel_dtype(self):
         assert kernel_dtype(np.dtype(np.float32)) == np.dtype(np.float32)
@@ -87,9 +28,18 @@ class TestDtypePolicy:
         assert kernel_dtype(np.dtype(np.int64)) == np.dtype(np.float64)
 
     def test_precision_bytes(self):
-        assert precision_bytes(np.float32) == 4
-        assert precision_bytes(np.float64) == 8
-        assert precision_bytes() == np.dtype(default_dtype()).itemsize
+        """Bytes per value follow the operator's compute dtype."""
+        from repro.core.dof_handler import DGDofHandler
+        from repro.core.operators import MassOperator
+        from repro.mesh.generators import unit_cube
+        from repro.mesh.mapping import GeometryField
+        from repro.mesh.octree import Forest
+        from repro.solvers.multigrid import operator_to_dtype
+
+        forest = Forest(unit_cube())
+        op = MassOperator(DGDofHandler(forest, 2), GeometryField(forest, 2))
+        assert op.precision_bytes == 8
+        assert operator_to_dtype(op, np.float32).precision_bytes == 4
 
 
 class TestDtypeDefaults:
@@ -101,8 +51,6 @@ class TestDtypeDefaults:
         dof = DGDofHandler(Forest(unit_cube()), 2)
         assert dof.zeros().dtype == np.float64
         assert dof.zeros(dtype=np.float32).dtype == np.float32
-        with compute_dtype_scope("float32"):
-            assert dof.zeros().dtype == np.float32
 
     def test_shape_matrices_for_dtype(self):
         from repro.core.basis import shape_matrices, shape_matrices_for_dtype

@@ -128,16 +128,6 @@ class TestDtypePreserved:
         x = _input_vector(op32, name, np.float32)
         assert _apply(op32, name, x).dtype == np.float32
 
-    @pytest.mark.parametrize("use_plans", [False, True],
-                             ids=["legacy", "planned"])
-    def test_dg_laplace_both_execution_modes(self, setup, use_plans):
-        from repro.core.plans import plan_execution
-
-        op32 = operator_to_dtype(setup[4]["dg_laplace"], np.float32)
-        x = _input_vector(op32, "dg_laplace", np.float32)
-        with plan_execution(use_plans):
-            assert op32.vmult(x).dtype == np.float32
-
 
 class TestFp32MatchesFp64:
     """Single-precision results track the double reference to fp32

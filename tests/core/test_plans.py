@@ -1,38 +1,38 @@
 """Tests of the execution-plan layer (:mod:`repro.core.plans`) and of the
-planned operator paths against their legacy references.
+planned operator paths against implementation-independent references.
 
-The legacy execution — ``np.add.at`` scatters, per-call einsum path
-searches, fresh temporaries, and the unit-vector diagonal — stays
-available via ``plan_execution(use_plans=False)`` and serves as the
-reference for every equivalence assertion here, on meshes with hanging
-faces and with non-identity face orientations (the bifurcation
-junction).
+The plan primitives are compared with the numpy builtins they replace
+(``np.add.at``, ``np.einsum(optimize=True)``, fresh ``np.empty``).  The
+operator applications are pinned to fingerprints the pre-plan reference
+execution produced before it was deleted (``tests/golden``), and the
+closed-form diagonal to the diagonal of the dense matrix assembled from
+``vmult`` — on meshes with hanging faces and with non-identity face
+orientations (the bifurcation junction).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.dof_handler import CGDofHandler, DGDofHandler
-from repro.core.operators import (
-    CGLaplaceOperator,
-    DGLaplaceOperator,
-    MassOperator,
-    VectorDGLaplace,
-)
+from repro.core.dof_handler import DGDofHandler
+from repro.core.operators import DGLaplaceOperator
 from repro.core.plans import (
     _PATH_CACHE,
-    POLICY,
     FlatScatterPlan,
     ScatterPlan,
     Workspace,
     contract,
-    plan_execution,
 )
 from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.solvers import single_precision_operator
+from repro.verification import compare_golden, load_golden
+from repro.verification.golden import _operator_fingerprints
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" / "verification.json"
 
 
 @pytest.fixture(scope="module")
@@ -214,148 +214,84 @@ class TestWorkspace:
 
 
 class TestPlannedVmultEquivalence:
-    """Planned execution == legacy execution to machine precision."""
+    """Planned execution == the committed fingerprints of the pre-plan
+    reference execution (rtol 1e-10; fp32 clone 2e-5)."""
 
-    def check(self, op, n, seed=0, rtol=1e-13):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n)
-        with plan_execution(True):
-            y_planned = op.vmult(x)
-            y_planned2 = op.vmult(x)  # second call: warm workspace buffers
-        with plan_execution(False):
-            y_legacy = op.vmult(x)
-        scale = np.abs(y_legacy).max()
-        np.testing.assert_allclose(y_planned, y_legacy, rtol=rtol,
-                                   atol=rtol * scale)
-        assert np.array_equal(y_planned, y_planned2)  # deterministic reuse
+    @pytest.fixture(scope="class")
+    def computed(self):
+        return _operator_fingerprints()
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_golden(GOLDEN_PATH)
+
+    def check(self, name, computed, golden):
+        one = dict(golden, metrics={name: golden["metrics"][name]})
+        assert compare_golden({name: computed[name]}, one) == []
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_dg_laplace_hanging(self, hanging_forest, degree):
-        _, conn, op = make_dg_laplace(hanging_forest, degree)
-        assert conn.n_hanging_faces > 0
-        self.check(op, op.n_dofs)
+    def test_dg_laplace_hanging(self, computed, golden, degree):
+        self.check(f"vmult_dg_laplace_hanging_k{degree}", computed, golden)
 
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_dg_laplace_bifurcation(self, bifurcation_mesh, degree):
-        _, conn, op = make_dg_laplace(bifurcation_mesh, degree)
-        assert conn.mixed_orientation_fraction() > 0
-        self.check(op, op.n_dofs)
+    def test_dg_laplace_bifurcation(self, computed, golden, degree):
+        self.check(f"vmult_dg_laplace_bifurcation_k{degree}", computed, golden)
 
-    def test_dg_laplace_float32_clone(self, hanging_forest):
-        _, _, op = make_dg_laplace(hanging_forest, 2)
-        sp = single_precision_operator(op)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(sp.n_dofs).astype(np.float32)
-        with plan_execution(True):
-            y_planned = sp.vmult(x)
-        with plan_execution(False):
-            y_legacy = sp.vmult(x)
-        assert y_planned.dtype == y_legacy.dtype
-        scale = np.abs(y_legacy).max()
-        np.testing.assert_allclose(y_planned, y_legacy, rtol=2e-5,
-                                   atol=2e-5 * scale)
+    def test_dg_laplace_float32_clone(self, computed, golden):
+        self.check("vmult_dg_laplace_hanging_k2_float32", computed, golden)
 
-    def test_cg_laplace(self, hanging_forest):
-        geo = GeometryField(hanging_forest, 2)
-        conn = build_connectivity(hanging_forest)
-        dof = CGDofHandler(hanging_forest, 2, conn, dirichlet_ids=(1,))
-        op = CGLaplaceOperator(dof, geo)
-        self.check(op, op.n_dofs)
+    def test_cg_laplace(self, computed, golden):
+        self.check("vmult_cg_laplace_hanging_k2", computed, golden)
 
-    def test_mass(self, bifurcation_mesh):
-        geo = GeometryField(bifurcation_mesh, 2)
-        dof = DGDofHandler(bifurcation_mesh, 2)
-        op = MassOperator(dof, geo)
-        self.check(op, op.n_dofs)
+    def test_mass(self, computed, golden):
+        self.check("vmult_mass_bifurcation_k2", computed, golden)
 
-    def test_vector_laplace(self, hanging_forest):
-        _, _, scalar = make_dg_laplace(hanging_forest, 2)
-        dof_v = DGDofHandler(hanging_forest, 2, n_components=3)
-        op = VectorDGLaplace(scalar, dof_v)
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(op.n_dofs)
-        with plan_execution(True):
-            y_planned = op.vmult(x)
-        with plan_execution(False):
-            y_legacy = op.vmult(x)
-        scale = np.abs(y_legacy).max()
-        np.testing.assert_allclose(y_planned, y_legacy, rtol=1e-13,
-                                   atol=1e-13 * scale)
+    def test_vector_laplace(self, computed, golden):
+        self.check("vmult_vector_laplace_hanging_k2", computed, golden)
 
-    def test_assemble_rhs(self, hanging_forest):
-        _, _, op = make_dg_laplace(hanging_forest, 2)
+    def test_assemble_rhs(self, computed, golden):
+        self.check("assemble_rhs_dg_laplace_hanging_k2", computed, golden)
 
-        def run():
-            return op.assemble_rhs(
-                f=lambda x, y, z: x * y + z,
-                dirichlet=lambda x, y, z: x - z,
-            )
-
-        with plan_execution(True):
-            b_planned = run()
-        with plan_execution(False):
-            b_legacy = run()
-        np.testing.assert_allclose(b_planned, b_legacy, rtol=1e-13,
-                                   atol=1e-15)
+    def test_warm_workspace_is_deterministic(self, hanging_forest):
+        """A second application reuses the workspace buffers the first
+        one allocated and must reproduce it bit for bit."""
+        _, conn, op = make_dg_laplace(hanging_forest, 2)
+        assert conn.n_hanging_faces > 0
+        x = np.random.default_rng(0).standard_normal(op.n_dofs)
+        assert np.array_equal(op.vmult(x), op.vmult(x))
 
 
-class TestExecutionPolicy:
-    """The process-wide policy knob and its deprecated per-op override."""
-
-    def test_plan_execution_scopes_and_restores(self, hanging_forest):
-        _, _, op = make_dg_laplace(hanging_forest, 1)
-        assert POLICY.use_plans  # planned is the default
-        with plan_execution(False):
-            assert not POLICY.use_plans
-            assert not op.use_plans  # operators read the policy
-            with plan_execution(True):
-                assert op.use_plans
-            assert not op.use_plans
-        assert POLICY.use_plans
-
-    def test_deprecated_setter_warns_and_overrides(self, hanging_forest):
-        _, _, op = make_dg_laplace(hanging_forest, 1)
-        with pytest.deprecated_call():
-            op.use_plans = False
-        # the instance override wins over the global policy...
-        with plan_execution(True):
-            assert not op.use_plans
-        # ...and deleting it reverts to reading the policy
-        del op.use_plans
-        assert op.use_plans
+def dense_matrix(op, batch: int = 16) -> np.ndarray:
+    """``A`` assembled from ``op.vmult`` on unit vectors, ``batch``
+    columns per application on the ensemble axis."""
+    eye = np.eye(op.n_dofs, dtype=op.dtype)
+    rows = [op.vmult(eye[i:i + batch]) for i in range(0, op.n_dofs, batch)]
+    return np.concatenate(rows).T
 
 
 class TestFastDiagonal:
-    """Closed-form ``diagonal()`` == unit-vector ``diagonal_reference()``."""
+    """Closed-form ``diagonal()`` == diagonal of the dense matrix built
+    from ``vmult``, which must also come out symmetric."""
+
+    def check(self, op, tol):
+        A = dense_matrix(op)
+        diag = np.diag(A)
+        np.testing.assert_allclose(A, A.T, rtol=0, atol=tol * np.abs(A).max())
+        np.testing.assert_allclose(op.diagonal(), diag, rtol=0,
+                                   atol=tol * np.abs(diag).max())
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_hanging(self, hanging_forest, degree):
         _, conn, op = make_dg_laplace(hanging_forest, degree)
         assert conn.n_hanging_faces > 0
-        fast = op.diagonal()
-        ref = op.diagonal_reference()
-        np.testing.assert_allclose(fast, ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref).max())
+        self.check(op, 1e-12)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_bifurcation(self, bifurcation_mesh, degree):
         _, conn, op = make_dg_laplace(bifurcation_mesh, degree)
         assert conn.mixed_orientation_fraction() > 0
-        fast = op.diagonal()
-        ref = op.diagonal_reference()
-        np.testing.assert_allclose(fast, ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref).max())
+        self.check(op, 1e-12)
 
     def test_float32_clone(self, hanging_forest):
         _, _, op = make_dg_laplace(hanging_forest, 2)
-        sp = single_precision_operator(op)
-        fast = sp.diagonal()
-        ref = sp.diagonal_reference()
-        np.testing.assert_allclose(fast, ref, rtol=2e-4,
-                                   atol=2e-4 * np.abs(ref).max())
-
-    def test_legacy_toggle_uses_reference(self, hanging_forest):
-        _, _, op = make_dg_laplace(hanging_forest, 1)
-        with plan_execution(False):
-            np.testing.assert_array_equal(op.diagonal(),
-                                          op.diagonal_reference())
+        self.check(single_precision_operator(op), 1e-5)

@@ -92,6 +92,22 @@ class TestCensusParity:
         assert real.pairs == sim.pairs
         assert real.bytes_total == sim.bytes_total
 
+    def test_fp32_census_counts_four_byte_items(self, rng):
+        """Census bytes follow the operator's dtype exactly as the shipped
+        payload does: a float32 clone reports half the float64 bytes, in
+        the simulated and in the real exchange."""
+        forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
+        op = make_op(forest)
+        op32 = operator_to_dtype(op, np.float32)
+        x = rng.standard_normal(op.n_dofs)
+        _, sim64 = DistributedDGLaplace(op, 3).vmult(x)
+        _, sim32 = DistributedDGLaplace(op32, 3).vmult(x.astype(np.float32))
+        real64, real32 = PartitionPlan(op, 3), PartitionPlan(op32, 3)
+        assert real64.census().bytes_total == sim64.bytes_total
+        assert real32.census().bytes_total == sim32.bytes_total
+        assert 2 * sim32.bytes_total == sim64.bytes_total
+        assert 2 * real32.payload_bytes() == real64.payload_bytes()
+
 
 class TestInProcessBitwise:
     """The rank-decomposed mat-vec with the full pack/post/interior/

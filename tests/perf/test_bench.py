@@ -12,7 +12,6 @@ from repro.perf.bench import (
     dtype_suffix,
     load_bench,
     machine_fingerprint,
-    migrate_bench_doc,
     render_bench,
     render_compare,
     run_suite,
@@ -141,7 +140,6 @@ class TestDtypeAxis:
                         case_filter="box_r1/dg_laplace")
         assert doc["dtype"] == "float32"
         assert [c["name"] for c in doc["cases"]] == [
-            "box_r1/dg_laplace/legacy@float32",
             "box_r1/dg_laplace/planned@float32",
             "box_r1/dg_laplace/ensemble_e1@float32",
             "box_r1/dg_laplace/ensemble_e2@float32",
@@ -164,71 +162,18 @@ class TestDtypeAxis:
 
 
 class TestMigration:
-    OLD = {
-        "schema": "repro/bench-vmult/1",
-        "smoke": False,
-        "degree": 3,
-        "cases": [{
-            "case": "box_r3", "n_cells": 128, "degree": 3, "n_dofs": 8192,
-            "legacy": {
-                "dg_laplace_vmult_seconds": 0.02,
-                "dg_laplace_dofs_per_second": 409600.0,
-                "dg_laplace_alloc_peak_bytes": 1000,
-                "dg_laplace_alloc_net_blocks": 0,
-                "vector_laplace_vmult_seconds": 0.05,
-                "vector_laplace_dofs_per_second": 163840.0,
-                "mg_setup_seconds": 0.5,
-            },
-            "planned": {
-                "dg_laplace_vmult_seconds": 0.01,
-                "dg_laplace_dofs_per_second": 819200.0,
-                "dg_laplace_alloc_peak_bytes": 500,
-                "dg_laplace_alloc_net_blocks": 0,
-                "vector_laplace_vmult_seconds": 0.025,
-                "vector_laplace_dofs_per_second": 327680.0,
-                "mg_setup_seconds": 0.1,
-            },
-            "speedup": {"dg_laplace_vmult": 2.0, "vector_laplace_vmult": 2.0,
-                        "mg_setup": 5.0},
-        }],
-    }
+    """There is none: a document of any other schema is rejected."""
 
-    def test_numbers_preserved(self):
-        new = migrate_bench_doc(self.OLD)
-        assert new["schema"] == BENCH_SCHEMA
-        assert new["suite"] == "vmult"
-        by_name = {c["name"]: c for c in new["cases"]}
-        assert len(by_name) == 6  # 3 kernels x 2 modes
-        lap = by_name["box_r3/dg_laplace/planned"]
-        assert lap["throughput"] == pytest.approx(819200.0)
-        assert lap["n_dofs"] == 8192
-        assert lap["meta"]["mode"] == "planned"
-        assert lap["metrics"]["best_seconds"] == pytest.approx(0.01)
-        mg = by_name["box_r3/mg_setup/legacy"]
-        assert mg["throughput"] == pytest.approx(2.0)  # 1/0.5 setups/s
-        assert mg["throughput_units"] == "setups/s"
-        assert new["fingerprint"]["migrated_from"] == "repro/bench-vmult/1"
-
-    def test_current_schema_passes_through(self):
-        doc = make_doc({"a": 1.0})
-        assert migrate_bench_doc(doc) is doc
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="cannot migrate"):
-            migrate_bench_doc({"schema": "other/1"})
-
-    def test_load_bench_migrates_from_disk(self, tmp_path):
+    def test_unknown_schema_rejected(self, tmp_path):
         p = tmp_path / "old.json"
-        p.write_text(json.dumps(self.OLD))
-        doc = load_bench(p)
-        assert doc["schema"] == BENCH_SCHEMA
+        p.write_text(json.dumps({"schema": "repro/bench-vmult/1", "cases": []}))
+        with pytest.raises(ValueError, match="unsupported benchmark schema"):
+            load_bench(p)
 
-    def test_compare_works_across_schemas(self):
-        """A new-schema run compares against an old-schema baseline."""
-        new = migrate_bench_doc(self.OLD)
-        rep = compare_bench(new, self.OLD)
-        assert rep["ok"]
-        assert len(rep["unchanged"]) == 6
+    def test_current_schema_passes_through(self, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(make_doc({"a": 1.0})))
+        assert load_bench(p) == make_doc({"a": 1.0})
 
     def test_committed_baseline_is_current_schema(self):
         from pathlib import Path
@@ -270,7 +215,6 @@ class TestRunSuite:
                         case_filter="box_r1/dg_laplace")
         names = [c["name"] for c in doc["cases"]]
         assert names == [
-            "box_r1/dg_laplace/legacy",
             "box_r1/dg_laplace/planned",
             "box_r1/dg_laplace/ensemble_e1",
             "box_r1/dg_laplace/ensemble_e2",
@@ -279,4 +223,4 @@ class TestRunSuite:
             "box_r1/dg_laplace/sequential_e8",
         ]
         modes = {c["meta"]["mode"] for c in doc["cases"]}
-        assert modes == {"legacy", "planned", "ensemble", "sequential"}
+        assert modes == {"planned", "ensemble", "sequential"}

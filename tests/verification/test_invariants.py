@@ -23,7 +23,6 @@ from repro.verification import (
     InvariantViolation,
     check_adjoint,
     check_nullspace,
-    check_plan_equivalence,
     check_positive_semidefinite,
     check_symmetry,
     random_curved_forest,
@@ -66,11 +65,6 @@ class TestLaplaceInvariants:
         op = DGLaplaceOperator(dof, geo, conn, dirichlet_ids=(1,))
         check_positive_semidefinite(op, rng, tol=1e-9)
 
-    def test_plan_equivalence(self, rng, space):
-        _, geo, conn, dof = space
-        op = DGLaplaceOperator(dof, geo, conn, dirichlet_ids=(1,))
-        check_plan_equivalence(op, rng)
-
 
 class TestMassInvariants:
     def test_mass_symmetric_and_spd(self, rng, space):
@@ -100,10 +94,6 @@ class TestMixedSpaceInvariants:
             div.vmult, grad.vmult, dof_u.n_dofs, dof_p.n_dofs, rng,
             sign=-1.0, label="div vs grad",
         )
-
-    def test_divergence_plan_equivalence(self, rng, mixed):
-        dof_u, _, div, _ = mixed
-        check_plan_equivalence(div, rng, n_in=dof_u.n_dofs)
 
 
 class TestPenaltyInvariants:
