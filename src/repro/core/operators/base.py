@@ -10,7 +10,9 @@ adjoints used for ``I_f^T``.
 
 Conventions: all quantities on a face batch live in the *minus* frame;
 the plus side's reference-gradient components remain indexed by the plus
-cell's reference dimensions (so the plus ``J^{-T}`` applies directly).
+cell's reference dimensions (so the plus side's metric — ``J^{-T}``, or
+the stored ``J^{-1} n`` of the SIP flux — applies directly).  Gradient
+stacks are component-major, ``(3, ..., q, q)``.
 """
 
 from __future__ import annotations
@@ -40,35 +42,24 @@ class FaceKernels:
         self.kern = kernel
 
     # -- evaluation ------------------------------------------------------
-    def nodal_traces(self, u_cells: np.ndarray, face: int, ws=None):
-        """Nodal face value and 3-component reference gradient.
-
-        ``u_cells``: (F, ..., n, n, n) -> val (F, ..., n, n) and
-        grad (F, ..., 3, n, n) with the component axis indexing the
-        *cell's own* reference dimensions.  ``ws`` (a
-        :class:`repro.core.plans.Workspace`) assembles the gradient stack
-        in a reusable buffer instead of a fresh allocation.
+    def nodal_gradient(self, t_val: np.ndarray, t_nd: np.ndarray,
+                       face: int) -> np.ndarray:
+        """Component-major reference gradient ``(3, ..., n, n)`` at the
+        face nodes from the nodal value trace ``t_val`` and normal-
+        derivative trace ``t_nd`` (both ``(..., n, n)``): the tangential
+        derivatives come from the value trace.  The component axis
+        indexes the *cell's own* reference dimensions; each component is
+        one contiguous block.
         """
-        kern = self.kern
-        t_val = kern.face_nodal_trace(u_cells, face)
-        t_nd = kern.face_nodal_normal_derivative(u_cells, face)
         d = face // 2
         a_dim, b_dim = tangential_dims(face)
         dt = kernel_dtype(t_val.dtype)
-        D = kern.nodal_diff_matrix(dt)
-        if ws is None:
-            g = [None, None, None]
-            g[d] = t_nd
-            g[a_dim] = apply_1d_2d(D, t_val, 1)
-            g[b_dim] = apply_1d_2d(D, t_val, 0)
-            return t_val, np.stack(g, axis=-3)
-        grad = ws.take(
-            "fk.traces", t_val.shape[:-2] + (3,) + t_val.shape[-2:], dt
-        )
-        grad[..., d, :, :] = t_nd
-        apply_1d_2d(D, t_val, 1, out=grad[..., a_dim, :, :])
-        apply_1d_2d(D, t_val, 0, out=grad[..., b_dim, :, :])
-        return t_val, grad
+        D = self.kern.nodal_diff_matrix(dt)
+        grad = np.empty((3,) + t_val.shape, dt)
+        grad[d] = t_nd
+        apply_1d_2d(D, t_val, 1, out=grad[a_dim])
+        apply_1d_2d(D, t_val, 0, out=grad[b_dim])
+        return grad
 
     def to_quad(
         self,
@@ -87,16 +78,26 @@ class FaceKernels:
         face: int,
         orientation: Orientation | None = None,
         subface: tuple[int, int] | None = None,
-        ws=None,
     ):
         """Evaluate one side of a face batch at the minus quadrature points.
 
-        Returns (values (F, ..., q, q), ref_grad (F, ..., 3, q, q)).
+        ``u_cells``: (..., n, n, n) -> (values (..., q, q), component-
+        major reference gradient (3, ..., q, q)).
         """
-        t_val, t_grad = self.nodal_traces(u_cells, face, ws)
+        kern = self.kern
+        return self.eval_sheets(
+            kern.face_nodal_trace(u_cells, face),
+            kern.face_nodal_normal_derivative(u_cells, face),
+            face, orientation, subface,
+        )
+
+    def eval_sheets(self, t_val, t_nd, face, orientation=None, subface=None):
+        """:meth:`eval_side` from the two nodal sheets it needs of the
+        cell — value and normal-derivative trace — which is also what a
+        ghost exchange ships per cut face."""
         return (
             self.to_quad(t_val, orientation, subface),
-            self.to_quad(t_grad, orientation, subface),
+            self.to_quad(self.nodal_gradient(t_val, t_nd, face), orientation, subface),
         )
 
     # -- integration (adjoints) -------------------------------------------
@@ -121,31 +122,23 @@ class FaceKernels:
         subface: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Adjoint of :meth:`eval_side`: accumulate quadrature-space
-        coefficients of test-function values (``q_val``) and reference
-        gradients (``q_grad``, own-frame components) into cell tensors."""
+        coefficients of test-function values (``q_val``) and component-
+        major reference gradients (``q_grad``, own-frame components)
+        into fresh cell tensors."""
         kern = self.kern
-        d = face // 2
-        a_dim, b_dim = tangential_dims(face)
-        ref = q_val if q_val is not None else q_grad
-        D = kern.nodal_diff_matrix(kernel_dtype(ref.dtype))
-        nodal_plane = None
-        normal_part = None
+        plane = normal = None
         if q_val is not None:
-            nodal_plane = self.from_quad(q_val, orientation, subface)
+            plane = self.from_quad(q_val, orientation, subface)
         if q_grad is not None:
-            g = self.from_quad(q_grad, orientation, subface)
-            # contiguous copies: the tangential sweeps then run as single
-            # folded GEMMs instead of strided per-face matmul stacks
-            ga = np.ascontiguousarray(g[..., a_dim, :, :])
-            gb = np.ascontiguousarray(g[..., b_dim, :, :])
-            gd = g[..., d, :, :]
-            tang = apply_1d_2d(D.T, ga, 1) + apply_1d_2d(D.T, gb, 0)
-            nodal_plane = tang if nodal_plane is None else nodal_plane + tang
-            normal_part = gd
-        out = kern.expand_nodal_trace(nodal_plane, face)
-        if normal_part is not None:
-            out = out + kern.expand_nodal_normal_derivative(normal_part, face)
-        return out
+            a_dim, b_dim = tangential_dims(face)
+            g = np.ascontiguousarray(self.from_quad(q_grad, orientation, subface))
+            Dt = kern.nodal_diff_matrix(kernel_dtype(g.dtype), transpose=True)
+            tang = apply_1d_2d(Dt, g[a_dim], 1)
+            tang += apply_1d_2d(Dt, g[b_dim], 0)
+            if plane is not None:
+                tang += plane
+            plane, normal = tang, g[face // 2]
+        return kern.expand_face_traces(plane, normal, face)
 
 
 #: metric-application subscripts of :func:`physical_gradient`, keyed on

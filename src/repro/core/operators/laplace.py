@@ -19,25 +19,65 @@ from __future__ import annotations
 import numpy as np
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import GeometryField
+from ...mesh.mapping import SYM_SLOT, GeometryField
 from ..dof_handler import CGDofHandler, DGDofHandler
 from ..plans import contract
-from .base import FaceKernels, MatrixFreeOperator, physical_gradient, tangential_dims
+from .base import FaceKernels, MatrixFreeOperator, tangential_dims
+
+
+def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Cell term ``I_e^T D_e I_e u`` of the Laplacian: ``u`` is
+    (..., c, n, n, n), ``laplace_d`` the six symmetric metric entries
+    (6, c, q, q, q) (:data:`~repro.mesh.mapping.SYM_SLOT`).  The
+    reference-gradient stack is component-major, so the 3x3 metric is
+    nine flat multiply-adds.  ``out`` defaults to a fresh array (the
+    result then escapes the workspace ``ws``)."""
+    g = kern.gradients_cm(u, ws)
+    dt = np.result_type(laplace_d.dtype, g.dtype)
+    Dg = ws.take("lap.Dg", g.shape, dt)
+    t = ws.take("lap.t", g.shape[1:], dt)
+    for a in range(3):
+        np.multiply(laplace_d[SYM_SLOT[a][0]], g[0], out=Dg[a])
+        Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][1]], g[1], out=t)
+        Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][2]], g[2], out=t)
+    if out is None:
+        out = np.empty(u.shape, dtype=dt)
+    return kern.integrate_gradients_cm(Dg, ws, out)
+
+
+def _normal_derivative(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``sum_j c[j] g[j]``: normal derivative at the face quadrature
+    points from the stored ``c = J^{-1} n`` (3, F, q, q) and a component-
+    major reference gradient ``g`` (3, ..., F, q, q)."""
+    dn = c[0] * g[0]
+    dn += c[1] * g[1]
+    dn += c[2] * g[2]
+    return dn
+
+
+def _scaled_coefficient(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Test-side reference-gradient coefficients ``s c`` (3, ..., F, q, q)
+    of the physical coefficient field ``s n`` (``s``: (..., F, q, q))."""
+    rg = np.empty((3,) + s.shape, np.result_type(c.dtype, s.dtype))
+    for j in range(3):
+        np.multiply(c[j], s, out=rg[j])
+    return rg
 
 
 def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
     """Diagonal of the cell term ``sum_q (d_a phi_i) D[a,b] (d_b phi_i)``
     via squared 1D shape-function factors; ``laplace_d`` is
-    (c, i, j, q, q, q), the result (c, n, n, n)."""
+    (6, c, q, q, q), the result (c, n, n, n)."""
     Ng = kern.shape.interp
     Dg = kern.shape.grad
-    ldiag = np.zeros((laplace_d.shape[0],) + (kern.n_dofs_1d,) * 3)
+    ldiag = np.zeros((laplace_d.shape[1],) + (kern.n_dofs_1d,) * 3)
     for a in range(3):
         for b in range(3):
             fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
             fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
             fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-            ldiag += contract("czyx,zZ,yY,xX->cZYX", laplace_d[:, a, b], fz, fy, fx)
+            ldiag += contract("czyx,zZ,yY,xX->cZYX", laplace_d[SYM_SLOT[a][b]], fz, fy, fx)
     return ldiag
 
 
@@ -109,85 +149,69 @@ class DGLaplaceOperator(MatrixFreeOperator):
             "dofs": float(self.n_dofs),
         }
 
-    def _cell_term(self, u: np.ndarray, ensemble: bool = False) -> np.ndarray:
-        sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
-        ws = self.workspace()
-        g = self.kern.gradients(u, ws)
-        D = self.cell_metrics.laplace_d
-        Dg = contract(
-            sub, D, g,
-            out=ws.take("lap.Dg", g.shape, np.result_type(D.dtype, g.dtype)),
-        )
-        # fresh output: the result escapes to the caller, workspace
-        # buffers only ever hold intermediates
-        out = np.empty(u.shape, dtype=Dg.dtype)
-        return self.kern.integrate_gradients(Dg, ws, out=out)
+    def _face_flux(self, fm, tau, vm, gm, vp, gp):
+        """SIP numerical flux in quadrature space (minus frame), from the
+        value / component-major reference-gradient traces of both sides.
 
-    def _face_flux(self, fm, tau, vm, Gm, vp, Gp):
-        """SIP numerical flux in quadrature space (minus frame).
-
-        Returns the value/physical-gradient coefficient fields for both
-        test sides: (rv_m, rgphys_m, rv_p, rgphys_p).  The gradient
-        coefficient is the *same* field ``-0.5 [u] w n`` on both sides,
-        so one array is computed and returned twice (callers only read).
-        Ensemble-stacked traces (rank 5 gradients) fold into the same
-        contractions with one extra leading axis.
+        Returns ``(rv, s)``: ``rv`` weights the minus-side test values
+        (the plus side gets ``-rv``), and the scalar ``s = -0.5 [u] w``
+        weights the test normal derivatives of both sides (reference-
+        gradient coefficients ``s c_m`` / ``s c_p``).  ``fm`` supplies
+        the rows ``c_m``, ``c_p``, ``jxw`` matching the traces.
         """
-        n = fm.normal
         jump = vm - vp
-        sub = "fiab,efiab->efab" if Gm.ndim == 5 else "fiab,fiab->fab"
-        dn_m = contract(sub, n, Gm)
-        dn_p = contract(sub, n, Gp)
-        avg_dn = 0.5 * (dn_m + dn_p)
+        dn = _normal_derivative(fm.c_m, gm)
+        dn += _normal_derivative(fm.c_p, gp)
         w = fm.jxw
-        rv_m = (-avg_dn + tau[:, None, None] * jump) * w
-        rv_p = (avg_dn - tau[:, None, None] * jump) * w
-        rg = ((-0.5) * jump * w)[..., None, :, :] * n
-        return rv_m, rg, rv_p, rg
+        return (tau[:, None, None] * jump - 0.5 * dn) * w, (-0.5) * jump * w
 
-    def _to_ref_grad(self, jinv_t, rg_phys):
-        """Physical-gradient test coefficients -> reference components:
-        contribution r.(J^{-T} grad v) = (J^{-1} r).grad v."""
-        if rg_phys.ndim == 5:
-            return contract("fijab,efiab->efjab", jinv_t, rg_phys)
-        return contract("fijab,fiab->fjab", jinv_t, rg_phys)
+    def face_terms(self, batch, fm, tau, minus_traces, plus_traces,
+                   minus: bool = True, plus: bool = True):
+        """Contributions ``(minus cells, plus cells)`` of one interior
+        face batch, each (..., F, n, n, n) or None when not requested.
+
+        ``batch`` supplies ``face_m, face_p, orientation, subface``;
+        ``fm`` the metric rows ``c_m, c_p, jxw``; ``*_traces`` are the
+        ``(values, reference gradient)`` pairs of
+        :meth:`FaceKernels.eval_side`.  The one SIP face kernel: the
+        monolithic, rank-local and simulated-distributed mat-vecs all
+        call it on their face subsets."""
+        rv, s = self._face_flux(fm, tau, *minus_traces, *plus_traces)
+        fk = self.fk
+        contrib_m = contrib_p = None
+        if minus:
+            contrib_m = fk.integrate_side(
+                batch.face_m, rv, _scaled_coefficient(fm.c_m, s)
+            )
+        if plus:
+            contrib_p = fk.integrate_side(
+                batch.face_p, np.negative(rv, out=rv), _scaled_coefficient(fm.c_p, s),
+                batch.orientation, batch.subface,
+            )
+        return contrib_m, contrib_p
+
+    def boundary_terms(self, face: int, fm, tau, u_cells: np.ndarray):
+        """Weak-Dirichlet (Nitsche) contribution of one boundary batch."""
+        vm, gm = self.fk.eval_side(u_cells, face)
+        w = fm.jxw
+        rv = (2.0 * tau[:, None, None] * vm - _normal_derivative(fm.c_m, gm)) * w
+        return self.fk.integrate_side(face, rv, _scaled_coefficient(fm.c_m, -vm * w))
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            # ensemble-stacked states (E, ndof); E=1 runs the unbatched
-            # path so it stays bitwise-identical to a flat vmult
-            if x.shape[0] == 1:
-                return self._vmult_impl(x[0], ensemble=False)[None]
-            return self._vmult_impl(x, ensemble=True)
-        return self._vmult_impl(x, ensemble=False)
-
-    def _vmult_impl(self, x: np.ndarray, ensemble: bool) -> np.ndarray:
+        """``x`` is (ndof,) or ensemble-stacked (E, ndof): the ensemble
+        axis rides along as a leading axis of the same kernels."""
         u = self.dof.cell_view(x)
-        out = self._cell_term(u, ensemble)
         fk = self.fk
-        ws = self.workspace()
-        ax = 1 if ensemble else 0
+        ax = u.ndim - 4
+        out = cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, self.workspace())
         for ib, (batch, fm, tau) in enumerate(
             zip(self.conn.interior, self.face_metrics, self.tau)
         ):
-            um = u[:, batch.cells_m] if ensemble else u[batch.cells_m]
-            up = u[:, batch.cells_p] if ensemble else u[batch.cells_p]
-            vm, gm = fk.eval_side(um, batch.face_m, ws=ws)
-            vp, gp = fk.eval_side(
-                up, batch.face_p, batch.orientation, batch.subface, ws=ws
-            )
-            Gm = physical_gradient(fm.minus.jinv_t, gm, ensemble=ensemble)
-            Gp = physical_gradient(fm.plus.jinv_t, gp, ensemble=ensemble)
-            rv_m, rg_m, rv_p, rg_p = self._face_flux(fm, tau, vm, Gm, vp, Gp)
-            contrib_m = fk.integrate_side(
-                batch.face_m, rv_m, self._to_ref_grad(fm.minus.jinv_t_c, rg_m)
-            )
-            contrib_p = fk.integrate_side(
-                batch.face_p,
-                rv_p,
-                self._to_ref_grad(fm.plus.jinv_t_c, rg_p),
-                batch.orientation,
-                batch.subface,
+            contrib_m, contrib_p = self.face_terms(
+                batch, fm, tau,
+                fk.eval_side(np.take(u, batch.cells_m, axis=ax), batch.face_m),
+                fk.eval_side(np.take(u, batch.cells_p, axis=ax), batch.face_p,
+                             batch.orientation, batch.subface),
             )
             self._scatter_add(out, batch.cells_m, contrib_m, ("int", ib, "m"), axis=ax)
             self._scatter_add(out, batch.cells_p, contrib_p, ("int", ib, "p"), axis=ax)
@@ -196,17 +220,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
         ):
             if batch.boundary_id not in self.dirichlet_ids:
                 continue  # natural (Neumann) boundary: no operator term
-            um = u[:, batch.cells] if ensemble else u[batch.cells]
-            vm, gm = fk.eval_side(um, batch.face, ws=ws)
-            Gm = physical_gradient(fm.minus.jinv_t, gm, ensemble=ensemble)
-            n = fm.normal
-            sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            dn_m = contract(sub, n, Gm)
-            w = fm.jxw
-            rv = (-dn_m + 2.0 * tau[:, None, None] * vm) * w
-            rg_phys = (-vm * w)[..., None, :, :] * n
-            contrib = fk.integrate_side(
-                batch.face, rv, self._to_ref_grad(fm.minus.jinv_t_c, rg_phys)
+            contrib = self.boundary_terms(
+                batch.face, fm, tau, np.take(u, batch.cells, axis=ax)
             )
             self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
         return self.dof.flat(out)
@@ -283,9 +298,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
             if kind == "dirichlet":
                 w = fm.jxw
                 rv = 2.0 * tau[:, None, None] * g * w
-                rg_phys = (-g * w)[..., None, :, :] * fm.normal
                 contrib = fk.integrate_side(
-                    batch.face, rv, self._to_ref_grad(fm.minus.jinv_t_c, rg_phys)
+                    batch.face, rv, _scaled_coefficient(fm.c_m, -g * w)
                 )
             else:
                 contrib = fk.integrate_side(batch.face, g * fm.jxw, None)
@@ -337,26 +351,25 @@ class DGLaplaceOperator(MatrixFreeOperator):
             self.plan_cache[key] = cached
         return cached
 
-    def _face_diag_contrib(self, fm, tau, jinv_t, face, orientation, subface,
+    def _face_diag_contrib(self, fm, tau, c, face, orientation, subface,
                            sign: float, scale: float) -> np.ndarray:
         """Diagonal of one side's self-coupling over one face batch:
 
         ``scale * int_f w (tau phi^2 + sign * phi n.grad(phi))``
 
-        with ``n`` the minus-side outward normal and ``phi`` ranging over
-        this side's basis functions (sign = -1 minus side / Dirichlet
-        boundary, +1 plus side; scale = 2 on Dirichlet boundaries)."""
+        with ``n`` the minus-side outward normal, ``c`` this side's stored
+        ``J^{-1} n`` (normal-derivative coefficients in its own reference
+        components) and ``phi`` ranging over this side's basis functions
+        (sign = -1 minus side / Dirichlet boundary, +1 plus side;
+        scale = 2 on Dirichlet boundaries)."""
         RR, RRa, RRb = self._face_trace_products(face, orientation, subface)
         d, s = divmod(face, 2)
         a_dim, b_dim = tangential_dims(face)
         w = fm.jxw  # (F, qa, qb)
-        # c_j = sum_i n_i jinv_t[i, j]: normal derivative coefficients in
-        # this side's own reference components
-        c = contract("fiab,fijab->fjab", fm.normal, jinv_t)
         T_tau = contract("fab,abxy->fxy", tau[:, None, None] * w, RR)
-        T_d = contract("fab,abxy->fxy", w * c[:, d], RR)
-        T_a = contract("fab,abxy->fxy", w * c[:, a_dim], RRa)
-        T_b = contract("fab,abxy->fxy", w * c[:, b_dim], RRb)
+        T_d = contract("fab,abxy->fxy", w * c[d], RR)
+        T_a = contract("fab,abxy->fxy", w * c[a_dim], RRa)
+        T_b = contract("fab,abxy->fxy", w * c[b_dim], RRb)
         f_v = self.kern.shape.face_value[s]  # (n,) value trace weights
         f_g = self.kern.shape.face_grad[s]  # (n,) normal-derivative weights
         vv = f_v * f_v
@@ -378,12 +391,12 @@ class DGLaplaceOperator(MatrixFreeOperator):
             zip(self.conn.interior, self.face_metrics, self.tau)
         ):
             dm = self._face_diag_contrib(
-                fm, tau, fm.minus.jinv_t, batch.face_m, None, None,
+                fm, tau, fm.c_m, batch.face_m, None, None,
                 sign=-1.0, scale=1.0,
             )
             self._scatter_add(diag, batch.cells_m, dm, ("int", ib, "m"))
             dp = self._face_diag_contrib(
-                fm, tau, fm.plus.jinv_t, batch.face_p,
+                fm, tau, fm.c_p, batch.face_p,
                 batch.orientation, batch.subface, sign=+1.0, scale=1.0,
             )
             self._scatter_add(diag, batch.cells_p, dp, ("int", ib, "p"))
@@ -393,7 +406,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
             if batch.boundary_id not in self.dirichlet_ids:
                 continue
             db = self._face_diag_contrib(
-                fm, tau, fm.minus.jinv_t, batch.face, None, None,
+                fm, tau, fm.c_m, batch.face, None, None,
                 sign=-1.0, scale=2.0,
             )
             self._scatter_add(diag, batch.cells, db, ("bdy", ib))
@@ -434,24 +447,13 @@ class CGLaplaceOperator(MatrixFreeOperator):
         }
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2 and x.shape[0] == 1:
-            return self._vmult_impl(x[0], ensemble=False)[None]
-        return self._vmult_impl(x, ensemble=x.ndim == 2)
-
-    def _vmult_impl(self, x: np.ndarray, ensemble: bool) -> np.ndarray:
         u = self.dof.gather_cells(x)
-        sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
         ws = self.workspace()
-        g = self.kern.gradients(u, ws)
         D = self.cell_metrics.laplace_d
-        Dg = contract(
-            sub, D, g,
-            out=ws.take("lap.Dg", g.shape, np.result_type(D.dtype, g.dtype)),
-        )
-        r = self.kern.integrate_gradients(Dg, ws)
         # scatter_add_cells reduces into a fresh global vector, so the
         # workspace-owned cell residual never escapes
-        return self.dof.scatter_add_cells(r)
+        r = ws.take("lap.out", u.shape, np.result_type(D.dtype, u.dtype))
+        return self.dof.scatter_add_cells(cell_laplacian(self.kern, D, u, ws, r))
 
     def diagonal(self) -> np.ndarray:
         """Jacobi diagonal: local cell diagonals accumulated with squared

@@ -19,6 +19,7 @@ axis), ``d = 1`` is y, ``d = 2`` is z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from .backend import kernel_dtype
 from .basis import ShapeMatrices, shape_matrices
 from .even_odd import EvenOddMatrix
+from .plans import Workspace
 
 _F64 = np.dtype(np.float64)
 
@@ -90,7 +92,7 @@ def apply_1d(
         else:
             lead = u.shape[: axis]
             trail = u.shape[axis + 1:]
-            tr = int(np.prod(trail))
+            tr = math.prod(trail)
             if dim == 1 and tr <= _KRON_MAX_TRAIL:
                 # fold the (n1, n0) block and contract against kron(M, I)
                 # in one GEMM — n0-fold redundant Flops, but a single
@@ -220,11 +222,14 @@ class TensorProductKernel:
         if M is None:
             base = cache.get((name, _F64))
             if base is None:
-                if name != "nodal_diff":
+                if name == "nodal_diff":
+                    basis = self.shape.basis
+                    base = basis.derivatives(basis.nodes)
+                elif name == "nodal_diff_t":
+                    base = self._mat("nodal_diff", _F64).T
+                else:
                     raise KeyError(name)
-                basis = self.shape.basis
-                base = basis.derivatives(basis.nodes)
-                cache[(name, _F64)] = base
+                cache[(name, _F64)] = base = np.ascontiguousarray(base)
             M = np.ascontiguousarray(base, dtype=dtype)
             cache[key] = M
         return M
@@ -262,77 +267,60 @@ class TensorProductKernel:
         v = apply_1d(M, v, 1, out=ws.take("tpk.val.1", lead + (n, nq, nq), dt))
         return apply_1d(M, v, 2, out=ws.take("tpk.val.2", lead + (nq, nq, nq), dt))
 
-    def gradients(self, u: np.ndarray, ws=None) -> np.ndarray:
-        """Reference-coordinate gradients at quadrature points.
+    def _sweep(self, which: str, u: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+        """:meth:`_apply` into a preallocated ``out``."""
+        if self.use_even_odd:
+            out[...] = self._apply(which, u, dim)
+            return out
+        return apply_1d(self._mat(which, kernel_dtype(u.dtype)), u, dim, out=out)
 
-        ``u``: ``(..., n, n, n)`` -> ``(..., 3, n_q, n_q, n_q)`` where the
-        new axis indexes d/dx̂_0, d/dx̂_1, d/dx̂_2.  See :meth:`values`
-        for the ``ws`` contract.
-        """
-        if self.use_collocation:
-            return self.values_and_gradients(u, ws)[1]
-        if ws is None or self.use_even_odd:
-            # shared partial interpolations to save work (collocation reuse)
-            ux = self._apply("interp", u, 0)
-            uxy = self._apply("interp", ux, 1)
-            g0 = self._apply("interp", self._apply("grad", self._apply("interp", u, 1), 0), 2)
-            g1 = self._apply("interp", self._apply("grad", ux, 1), 2)
-            g2 = self._apply("grad", uxy, 2)
-            return np.stack([g0, g1, g2], axis=-4)
+    def _gradients_cm(self, u: np.ndarray, ws, want_values: bool):
+        """Values (``None`` unless wanted) and component-major reference
+        gradients, sharing the partial interpolations."""
+        if ws is None:
+            ws = Workspace()
         lead, n, nq = u.shape[:-3], self.n_dofs_1d, self.n_q_points
         dt = self._ws_dtype(u)
-        M, G = self._mat("interp", dt), self._mat("grad", dt)
-        out = ws.take("tpk.grad.out", lead + (3, nq, nq, nq), dt)
-        ux = apply_1d(M, u, 0, out=ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
-        uxy = apply_1d(M, ux, 1, out=ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
-        uy = apply_1d(M, u, 1, out=ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
-        t = ws.take("tpk.grad.t", lead + (n, nq, nq), dt)
-        apply_1d(M, apply_1d(G, uy, 0, out=t), 2, out=out[..., 0, :, :, :])
-        apply_1d(M, apply_1d(G, ux, 1, out=t), 2, out=out[..., 1, :, :, :])
-        apply_1d(G, uxy, 2, out=out[..., 2, :, :, :])
-        return out
-
-    def values_and_gradients(
-        self, u: np.ndarray, ws=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both values and reference gradients, sharing intermediates."""
+        g = ws.take("tpk.grad.out", (3,) + lead + (nq, nq, nq), dt)
         if self.use_collocation:
             # change of basis: 3 transform sweeps, then one collocation-
             # derivative sweep per direction (6 total instead of 9)
-            D = self._mat("co_grad", self._ws_dtype(u))
+            D = self._mat("co_grad", dt)
             vals = self.values(u, ws)
-            if ws is None:
-                g0 = apply_1d(D, vals, 0)
-                g1 = apply_1d(D, vals, 1)
-                g2 = apply_1d(D, vals, 2)
-                return vals, np.stack([g0, g1, g2], axis=-4)
-            g = ws.take("tpk.vg.grad", vals.shape[:-3] + (3,) + vals.shape[-3:],
-                        self._ws_dtype(vals))
-            apply_1d(D, vals, 0, out=g[..., 0, :, :, :])
-            apply_1d(D, vals, 1, out=g[..., 1, :, :, :])
-            apply_1d(D, vals, 2, out=g[..., 2, :, :, :])
+            for i in range(3):
+                apply_1d(D, vals, i, out=g[i])
             return vals, g
-        if ws is None or self.use_even_odd:
-            ux = self._apply("interp", u, 0)
-            uxy = self._apply("interp", ux, 1)
-            vals = self._apply("interp", uxy, 2)
-            g0 = self._apply("interp", self._apply("grad", self._apply("interp", u, 1), 0), 2)
-            g1 = self._apply("interp", self._apply("grad", ux, 1), 2)
-            g2 = self._apply("grad", uxy, 2)
-            return vals, np.stack([g0, g1, g2], axis=-4)
-        lead, n, nq = u.shape[:-3], self.n_dofs_1d, self.n_q_points
-        dt = self._ws_dtype(u)
-        M, G = self._mat("interp", dt), self._mat("grad", dt)
-        g = ws.take("tpk.vg.grad", lead + (3, nq, nq, nq), dt)
-        ux = apply_1d(M, u, 0, out=ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
-        uxy = apply_1d(M, ux, 1, out=ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
-        vals = apply_1d(M, uxy, 2, out=ws.take("tpk.vg.vals", lead + (nq, nq, nq), dt))
-        uy = apply_1d(M, u, 1, out=ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
+        ux = self._sweep("interp", u, 0, ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
+        uxy = self._sweep("interp", ux, 1, ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
+        vals = None
+        if want_values:
+            vals = self._sweep("interp", uxy, 2, ws.take("tpk.grad.val", lead + (nq, nq, nq), dt))
+        uy = self._sweep("interp", u, 1, ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
         t = ws.take("tpk.grad.t", lead + (n, nq, nq), dt)
-        apply_1d(M, apply_1d(G, uy, 0, out=t), 2, out=g[..., 0, :, :, :])
-        apply_1d(M, apply_1d(G, ux, 1, out=t), 2, out=g[..., 1, :, :, :])
-        apply_1d(G, uxy, 2, out=g[..., 2, :, :, :])
+        self._sweep("interp", self._sweep("grad", uy, 0, t), 2, g[0])
+        self._sweep("interp", self._sweep("grad", ux, 1, t), 2, g[1])
+        self._sweep("grad", uxy, 2, g[2])
         return vals, g
+
+    def gradients_cm(self, u: np.ndarray, ws=None) -> np.ndarray:
+        """Reference-coordinate gradients at quadrature points,
+        *component-major*: ``u`` ``(..., n, n, n)`` ->
+        ``(3, ..., n_q, n_q, n_q)`` with d/dx̂_0, d/dx̂_1, d/dx̂_2 on the
+        leading axis.  Every component is one contiguous block, so each
+        sweep (and each pointwise metric product after it) is a single
+        folded GEMM / flat loop.  With ``ws`` the stack is workspace-
+        owned, otherwise fresh."""
+        return self._gradients_cm(u, ws, False)[1]
+
+    def gradients(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`gradients_cm` viewed as ``(..., 3, n_q, n_q, n_q)``."""
+        return np.moveaxis(self.gradients_cm(u), 0, -4)
+
+    def values_and_gradients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both values and reference gradients (``(..., 3, n_q, n_q,
+        n_q)`` view), sharing intermediates."""
+        vals, g = self._gradients_cm(u, None, True)
+        return vals, np.moveaxis(g, 0, -4)
 
     def integrate_values(self, q: np.ndarray, ws=None,
                          out: np.ndarray | None = None) -> np.ndarray:
@@ -360,51 +348,37 @@ class TensorProductKernel:
             out = ws.take("tpk.iv.2", lead + (n, n, n), dt)
         return apply_1d(Mt, v, 2, out=out)
 
-    def integrate_gradients(self, q: np.ndarray, ws=None,
-                            out: np.ndarray | None = None) -> np.ndarray:
-        """Test against gradients: transpose of :meth:`gradients`.
-
-        ``q``: ``(..., 3, n_q, n_q, n_q)`` -> ``(..., n, n, n)``; see
-        :meth:`integrate_values` for the ``ws``/``out`` contract.
-        """
-        q0 = q[..., 0, :, :, :]
-        q1 = q[..., 1, :, :, :]
-        q2 = q[..., 2, :, :, :]
-        if self.use_collocation:
-            Dt = self._mat("co_grad_t", self._ws_dtype(q))
-            if ws is None:
-                acc = apply_1d(Dt, q0, 0) + apply_1d(Dt, q1, 1) + apply_1d(Dt, q2, 2)
-                res = self.integrate_values(acc)
-                if out is not None:
-                    np.copyto(out, res)
-                    return out
-                return res
-            dt = self._ws_dtype(q)
-            acc = apply_1d(Dt, q0, 0, out=ws.take("tpk.ig.acc", q0.shape, dt))
-            t = ws.take("tpk.ig.t", q0.shape, dt)
-            acc += apply_1d(Dt, q1, 1, out=t)
-            acc += apply_1d(Dt, q2, 2, out=t)
-            return self.integrate_values(acc, ws, out=out)
-        if ws is None or self.use_even_odd:
-            r = self._apply("interp_t", self._apply("interp_t", self._apply("grad_t", q0, 0), 1), 2)
-            r += self._apply("interp_t", self._apply("grad_t", self._apply("interp_t", q1, 0), 1), 2)
-            r += self._apply("grad_t", self._apply("interp_t", self._apply("interp_t", q2, 0), 1), 2)
-            if out is not None:
-                np.copyto(out, r)
-                return out
-            return r
-        lead, n, nq = q0.shape[:-3], self.n_dofs_1d, self.n_q_points
+    def integrate_gradients_cm(self, q: np.ndarray, ws=None,
+                               out: np.ndarray | None = None) -> np.ndarray:
+        """Test against gradients, transpose of :meth:`gradients_cm`:
+        component-major ``(3, ..., n_q, n_q, n_q)`` -> ``(..., n, n, n)``
+        (``out`` or a fresh array; intermediates live in ``ws``)."""
+        if ws is None:
+            ws = Workspace()
+        lead, n, nq = q.shape[1:-3], self.n_dofs_1d, self.n_q_points
         dt = self._ws_dtype(q)
-        Mt, Gt = self._mat("interp_t", dt), self._mat("grad_t", dt)
+        if out is None:
+            out = np.empty(lead + (n, n, n), dt)
+        if self.use_collocation:
+            Dt = self._mat("co_grad_t", dt)
+            acc = apply_1d(Dt, q[0], 0, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
+            t = ws.take("tpk.ig.t", q.shape[1:], dt)
+            acc += apply_1d(Dt, q[1], 1, out=t)
+            acc += apply_1d(Dt, q[2], 2, out=t)
+            return self.integrate_values(acc, ws, out=out)
         b0 = ws.take("tpk.ig.0", lead + (nq, nq, n), dt)
         b1 = ws.take("tpk.ig.1", lead + (nq, n, n), dt)
-        if out is None:
-            out = ws.take("tpk.ig.out", lead + (n, n, n), dt)
         t = ws.take("tpk.ig.tmp", lead + (n, n, n), dt)
-        apply_1d(Mt, apply_1d(Mt, apply_1d(Gt, q0, 0, out=b0), 1, out=b1), 2, out=out)
-        out += apply_1d(Mt, apply_1d(Gt, apply_1d(Mt, q1, 0, out=b0), 1, out=b1), 2, out=t)
-        out += apply_1d(Gt, apply_1d(Mt, apply_1d(Mt, q2, 0, out=b0), 1, out=b1), 2, out=t)
+        sw = self._sweep
+        sw("interp_t", sw("interp_t", sw("grad_t", q[0], 0, b0), 1, b1), 2, out)
+        out += sw("interp_t", sw("grad_t", sw("interp_t", q[1], 0, b0), 1, b1), 2, t)
+        out += sw("grad_t", sw("interp_t", sw("interp_t", q[2], 0, b0), 1, b1), 2, t)
         return out
+
+    def integrate_gradients(self, q: np.ndarray) -> np.ndarray:
+        """:meth:`integrate_gradients_cm` for ``q`` of shape
+        ``(..., 3, n_q, n_q, n_q)``."""
+        return self.integrate_gradients_cm(np.moveaxis(q, -4, 0))
 
     def integrate_values_and_gradients(
         self, qv: np.ndarray, qg: np.ndarray
@@ -418,10 +392,12 @@ class TensorProductKernel:
         """1D differentiation matrix at the nodal points themselves."""
         return self._mat("nodal_diff", _F64)
 
-    def nodal_diff_matrix(self, dtype=None) -> np.ndarray:
-        """:attr:`nodal_diff` cast to ``dtype`` (cached); float32 callers
-        use this so the trace kernels do not promote."""
-        return self._mat("nodal_diff", _F64 if dtype is None else np.dtype(dtype))
+    def nodal_diff_matrix(self, dtype=None, transpose: bool = False) -> np.ndarray:
+        """:attr:`nodal_diff` (or its contiguous transpose) cast to
+        ``dtype`` (cached); float32 callers use this so the trace kernels
+        do not promote."""
+        return self._mat("nodal_diff_t" if transpose else "nodal_diff",
+                         _F64 if dtype is None else np.dtype(dtype))
 
     def nodal_gradients(self, u: np.ndarray) -> np.ndarray:
         """Reference gradients evaluated at the nodal lattice (not the
@@ -500,25 +476,31 @@ class TensorProductKernel:
         q = apply_1d_2d(self._subface_mat(subface[1], dt, transpose=True), q, 0)
         return apply_1d_2d(self._subface_mat(subface[0], dt, transpose=True), q, 1)
 
-    def expand_nodal_trace(self, t: np.ndarray, face: int) -> np.ndarray:
-        """Transpose of :meth:`face_nodal_trace`: scatter a nodal 2D face
-        tensor into a full (zero-padded) cell tensor."""
+    def expand_face_traces(self, plane: np.ndarray, normal: np.ndarray | None,
+                           face: int) -> np.ndarray:
+        """Transpose of :meth:`face_nodal_trace` (``plane``) plus
+        :meth:`face_nodal_normal_derivative` (``normal``, may be None):
+        both nodal 2D face tensors land in one fresh ``(..., n, n, n)``
+        cell tensor."""
         d, s = divmod(face, 2)
         n = self.n_dofs_1d
-        insert_at = t.ndim + 1 - 1 - d
-        out_shape = list(t.shape)
-        out_shape.insert(insert_at, n)
-        out = np.zeros(out_shape, dtype=t.dtype)
-        idx = [slice(None)] * out.ndim
-        idx[insert_at] = 0 if s == 0 else n - 1
-        out[tuple(idx)] = t
+        axis = plane.ndim - d
+        shape = plane.shape[:axis] + (n,) + plane.shape[axis:]
+        if normal is None:
+            out = np.zeros(shape, plane.dtype)
+        else:
+            # one GEMM against the (n^2, n^3) embedding of the trace
+            # vector instead of a short-inner-loop broadcast product
+            cache = self._mat_cache  # type: ignore[attr-defined]
+            key = ("face_grad_expand", face, kernel_dtype(normal.dtype))
+            E = cache.get(key)
+            if E is None:
+                eye = np.eye(n * n).reshape(n * n, n, n)
+                E = self._expand_face(eye, self.shape.face_grad[s], d)
+                E = cache[key] = np.ascontiguousarray(E.reshape(n * n, n**3), key[2])
+            out = np.matmul(normal.reshape(-1, n * n), E).reshape(shape)
+        out[(slice(None),) * axis + (0 if s == 0 else n - 1,)] += plane
         return out
-
-    def expand_nodal_normal_derivative(self, t: np.ndarray, face: int) -> np.ndarray:
-        """Transpose of :meth:`face_nodal_normal_derivative`."""
-        d, s = divmod(face, 2)
-        fvec = self._mat("face_grad", kernel_dtype(t.dtype))[s]
-        return self._expand_face(t, fvec, d)
 
     # -- face kernels (operator I_f of Eq. (7)) --------------------------
     def face_values(self, u: np.ndarray, face: int) -> np.ndarray:

@@ -52,6 +52,20 @@ def _invert_3x3(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return det, inv
 
 
+def _jinv_n(Jinv: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """``J^{-1} n`` per face point, component-major: ``Jinv`` (F, 3, 3, Q),
+    ``normal`` (F, 3, qa, qb) -> contiguous (3, F, qa, qb)."""
+    F = normal.shape[0]
+    c = np.einsum("fjiq,fiq->jfq", Jinv, normal.reshape(F, 3, -1), order="C")
+    return c.reshape((3,) + normal.shape[:1] + normal.shape[2:])
+
+
+#: slot of entry ``(a, b)`` of a symmetric 3x3 block stored as its six
+#: unique entries (row-major upper triangle) — the layout of
+#: :attr:`CellMetrics.laplace_d`
+SYM_SLOT = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
+
+
 @dataclass
 class CellMetrics:
     """Per-cell quadrature-point metric data (the D_e factors of Eq. (7)).
@@ -60,9 +74,10 @@ class CellMetrics:
     ----------
     jxw:       (N, nq, nq, nq)        quadrature weight x |det J|
     jinv_t:    (N, 3, 3, nq, nq, nq)  J^{-T}: phys grad = jinv_t @ ref grad
-    laplace_d: (N, 3, 3, nq, nq, nq)  J^{-1} J^{-T} |det J| w — the
+    laplace_d: (6, N, nq, nq, nq)     J^{-1} J^{-T} |det J| w — the
                symmetric 3x3 block applied between I_e and I_e^T for the
-               Laplacian.
+               Laplacian, as its six unique entries (:data:`SYM_SLOT`),
+               one contiguous plane per entry.
     points:    (N, 3, nq, nq, nq)     physical quadrature points
     det_j:     (N, nq, nq, nq)        Jacobian determinant (sign retained)
     """
@@ -75,43 +90,27 @@ class CellMetrics:
 
 
 @dataclass
-class FaceSideData:
-    """Metric data of one side of a face batch, at the (minus-frame) face
-    quadrature points.
-
-    jinv_t: (F, 3, 3, qa, qb) of that side's cell (plus side already
-            orientation-transformed into the minus frame).
-    """
-
-    jinv_t: np.ndarray
-    _jinv_t_c: np.ndarray | None = None
-
-    @property
-    def jinv_t_c(self) -> np.ndarray:
-        """C-contiguous copy of :attr:`jinv_t` (cached).  ``jinv_t`` is a
-        transposed view whose layout favors the ``J^{-T} g`` einsum; the
-        adjoint contraction (``J^{-1} r``, test-function side) runs ~30%
-        faster on the contiguous layout."""
-        if self._jinv_t_c is None:
-            self._jinv_t_c = np.ascontiguousarray(self.jinv_t)
-        return self._jinv_t_c
-
-
-@dataclass
 class FaceMetrics:
-    """Geometric data of one interior :class:`FaceBatch` (minus frame).
+    """Geometric data of one face batch (minus integration frame).
 
     normal:  (F, 3, qa, qb)  outward unit normal of the minus cell
     jxw:     (F, qa, qb)     surface element x quadrature weight
-    minus/plus: per-side J^{-T} data
+    jinv_t:  (F, 3, 3, qa, qb)  J^{-T} of the cell, boundary batches only
+             (None on interior batches, where nothing reads it)
+    c_m/c_p: (3, F, qa, qb)  ``J^{-1} n`` of the minus / plus cell (plus
+             side orientation-transformed into the minus frame; None on
+             boundary batches): the normal derivative of a field with
+             reference gradient ``g`` is ``sum_j c[j] g[j]``, so the SIP
+             flux reads 3 + 3 + 1 values per interior face point.
     penalty: (F,)            SIP penalty scale max(A_f/V_m, A_f/V_p)
     points:  (F, 3, qa, qb)  physical quadrature points
     """
 
     normal: np.ndarray
     jxw: np.ndarray
-    minus: FaceSideData
-    plus: FaceSideData | None
+    jinv_t: np.ndarray | None
+    c_m: np.ndarray
+    c_p: np.ndarray | None
     penalty: np.ndarray
     points: np.ndarray
 
@@ -167,7 +166,12 @@ class GeometryField:
         w = kern.quadrature_weights  # (nq, nq, nq)
         jxw = np.abs(det) * w
         jinv_t = np.swapaxes(Jinv, 1, 2)
-        laplace_d = np.einsum("cij...,ckj...->cik...", Jinv, Jinv) * jxw[:, None, None]
+        laplace_d = np.empty((6, N, nq, nq, nq))
+        for a in range(3):
+            for b in range(a, 3):
+                np.einsum("cj...,cj...->c...", Jinv[:, a], Jinv[:, b],
+                          out=laplace_d[SYM_SLOT[a][b]])
+        laplace_d *= jxw
         self._cell_metrics = CellMetrics(
             jxw=jxw, jinv_t=jinv_t, laplace_d=laplace_d, points=vals, det_j=det
         )
@@ -210,10 +214,22 @@ class GeometryField:
 
     def face_metrics(self, batch: FaceBatch) -> FaceMetrics:
         """Metric data of an interior face batch (minus integration frame)."""
+        return self._batch_metrics(
+            batch.cells_m, batch.face_m,
+            (batch.cells_p, batch.face_p, batch.orientation, batch.subface),
+        )
+
+    def boundary_metrics(self, batch: BoundaryBatch) -> FaceMetrics:
+        """Metric data of a boundary batch (treated as minus side only)."""
+        return self._batch_metrics(batch.cells, batch.face)
+
+    def _batch_metrics(self, cells_m, face_m, plus=None) -> FaceMetrics:
+        """Metrics of the faces ``face_m`` of ``cells_m``; ``plus`` is the
+        neighbor side ``(cells_p, face_p, orientation, subface)``."""
         kern = self.kernel
-        d_m, s_m = divmod(batch.face_m, 2)
-        qX, qJ_m = self._side_face_data(batch.cells_m, batch.face_m)
-        F = len(batch.cells_m)
+        d_m, s_m = divmod(face_m, 2)
+        qX, qJ_m = self._side_face_data(cells_m, face_m)
+        F = len(cells_m)
         nq = kern.n_q_points
         _, Jinv_m = _invert_3x3(qJ_m.reshape(F, 3, 3, -1))
         jinv_t_m = np.swapaxes(Jinv_m, 1, 2).reshape(F, 3, 3, nq, nq)
@@ -239,59 +255,23 @@ class GeometryField:
         # the surface element computed from its Jacobian needs no subface
         # area factor.
         w1 = kern.shape.quadrature.weights
-        wface = w1[:, None] * w1[None, :]
-        jxw = area * wface[None, :, :]
-
-        plus = None
-        if batch.cells_p is not None:
-            qXp, qJ_p = self._side_face_data(
-                batch.cells_p, batch.face_p, batch.orientation, batch.subface
-            )
-            _, Jinv_p = _invert_3x3(qJ_p.reshape(F, 3, 3, -1))
-            jinv_t_p = np.swapaxes(Jinv_p, 1, 2).reshape(F, 3, 3, nq, nq)
-            plus = FaceSideData(jinv_t=jinv_t_p)
+        jxw = area * (w1[:, None] * w1[None, :])[None]
 
         # SIP penalty scale: area / volume of each adjacent cell
         vols = self._cell_volumes()
         areas = jxw.reshape(F, -1).sum(axis=1)
-        pen = areas / vols[batch.cells_m]
-        if batch.cells_p is not None:
-            area_plus = areas if batch.subface is None else 4.0 * areas
-            pen = np.maximum(pen, area_plus / vols[batch.cells_p])
+        pen = areas / vols[cells_m]
+        c_p = None
+        if plus is not None:
+            cells_p, face_p, orientation, subface = plus
+            _, qJ_p = self._side_face_data(cells_p, face_p, orientation, subface)
+            _, Jinv_p = _invert_3x3(qJ_p.reshape(F, 3, 3, -1))
+            c_p = _jinv_n(Jinv_p, normal)
+            area_plus = areas if subface is None else 4.0 * areas
+            pen = np.maximum(pen, area_plus / vols[cells_p])
         return FaceMetrics(
-            normal=normal, jxw=jxw, minus=FaceSideData(jinv_t=jinv_t_m),
-            plus=plus, penalty=pen, points=qX,
-        )
-
-    def boundary_metrics(self, batch: BoundaryBatch) -> FaceMetrics:
-        """Metric data of a boundary batch (treated as minus side only)."""
-        kern = self.kernel
-        d_m, s_m = divmod(batch.face, 2)
-        qX, qJ_m = self._side_face_data(batch.cells, batch.face)
-        F = len(batch.cells)
-        nq = kern.n_q_points
-        _, Jinv_m = _invert_3x3(qJ_m.reshape(F, 3, 3, -1))
-        jinv_t_m = np.swapaxes(Jinv_m, 1, 2).reshape(F, 3, 3, nq, nq)
-        rem = [dd for dd in (2, 1, 0) if dd != d_m]
-        t_a = qJ_m[:, :, rem[0]]
-        t_b = qJ_m[:, :, rem[1]]
-        sv = np.cross(t_a, t_b, axis=1)
-        area = np.linalg.norm(sv, axis=1)
-        normal = sv / area[:, None]
-        ref_n = np.zeros(3)
-        ref_n[d_m] = 1.0 if s_m == 1 else -1.0
-        sign = np.sign(
-            np.einsum("fi...,fi...->f...", normal, np.einsum("fij...,j->fi...", jinv_t_m, ref_n))
-        )
-        normal = normal * sign[:, None]
-        w1 = kern.shape.quadrature.weights
-        jxw = area * (w1[:, None] * w1[None, :])[None]
-        vols = self._cell_volumes()
-        areas = jxw.reshape(F, -1).sum(axis=1)
-        pen = areas / vols[batch.cells]
-        return FaceMetrics(
-            normal=normal, jxw=jxw, minus=FaceSideData(jinv_t=jinv_t_m),
-            plus=None, penalty=pen, points=qX,
+            normal=normal, jxw=jxw, jinv_t=jinv_t_m if plus is None else None,
+            c_m=_jinv_n(Jinv_m, normal), c_p=c_p, penalty=pen, points=qX,
         )
 
     def all_face_metrics(self, conn: MeshConnectivity):

@@ -389,12 +389,12 @@ class IncompressibleNavierStokesSolver:
                 u = self.dof_u.cell_view(u_history[i])[batch.cells]
                 om = self.dof_u.cell_view(omegas[i])[batch.cells]
                 uv, ug = fk_u.eval_side(u, batch.face)
-                Gu = physical_gradient(fm.minus.jinv_t, ug)
+                Gu = physical_gradient(fm.jinv_t, np.moveaxis(ug, 0, 2))
                 conv = contract("fjab,fijab->fiab", uv, Gu)
                 divu = contract("fiiab->fab", Gu)
                 conv = conv + divu[:, None] * uv
                 ov, og = fk_u.eval_side(om, batch.face)
-                Go = physical_gradient(fm.minus.jinv_t, og)
+                Go = physical_gradient(fm.jinv_t, np.moveaxis(og, 0, 2))
                 curl_om = np.stack(
                     [
                         Go[:, 2, 1] - Go[:, 1, 2],

@@ -23,8 +23,8 @@ protocol per mat-vec mirrors Kronbichler & Kormann's overlap strategy:
    vector is written to the shared output buffer.
 
 Bitwise reproducibility (the contract the parallel test battery
-enforces): every kernel in the vmult path is either elementwise, a
-small-extent einsum evaluated term-by-term per entry, or a
+enforces): every kernel in the vmult path is either an elementwise
+ufunc (the metric multiply-adds of the normal-derivative flux) or a
 sum-factorized GEMM whose fold rows each belong to a single cell/face
 entry — in float64, evaluating a *row subset* produces
 bitwise-identical rows as long as the fold has >= 2 rows, which
@@ -34,7 +34,10 @@ Within one face batch and side a cell appears at most once, so the
 owner's split of a batch into fully-owned and cut entries accumulates
 each output element with exactly the same addends, in the same order,
 as the monolithic
-:meth:`~repro.core.operators.laplace.DGLaplaceOperator._vmult_impl`.
+:meth:`~repro.core.operators.laplace.DGLaplaceOperator.vmult` — which
+calls the very same cell and face kernels
+(:func:`~repro.core.operators.laplace.cell_laplacian`,
+``face_terms``, ``boundary_terms``) on the full batches.
 Distributed fp64 results are therefore bit-identical to single-process
 runs, not merely close.  float32 is different: OpenBLAS sgemm
 row-blocking makes subset rows round differently from full-batch rows
@@ -62,8 +65,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..core.operators.base import MatrixFreeOperator, physical_gradient
-from ..core.plans import contract
+from ..core.operators.base import MatrixFreeOperator
+from ..core.operators.laplace import cell_laplacian
 from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS, merge_snapshots, snapshot_doc
 from ..telemetry.timeline import PHASE_ID, TimelineRing, merge_timeline
@@ -311,11 +314,12 @@ def _padded(idx: np.ndarray, batch_size: int) -> tuple[np.ndarray, int]:
 
 
 class _FaceWork:
-    """Precomputed subset of one interior face batch: the metric rows,
-    penalties, and cell indices of the entries this rank evaluates."""
+    """Precomputed subset of one interior face batch: the metric rows
+    (``c_m``, ``c_p``, ``jxw``), penalties, and cell indices of the
+    entries this rank evaluates."""
 
     __slots__ = ("ib", "face_m", "face_p", "orientation", "subface",
-                 "normal", "jxw", "tau", "jt_m", "jt_p", "jtc_m", "jtc_p",
+                 "c_m", "c_p", "jxw", "tau",
                  "m_local", "p_local", "m_slots", "p_slots", "take")
 
     def __init__(self, ib, batch, fm, tau, idx, lo,
@@ -327,13 +331,10 @@ class _FaceWork:
         self.subface = batch.subface
         pidx, self.take = _padded(idx, batch.cells_m.size)
         pad = pidx.size != idx.size
-        self.normal = fm.normal[pidx]
+        self.c_m = np.ascontiguousarray(fm.c_m[:, pidx])
+        self.c_p = np.ascontiguousarray(fm.c_p[:, pidx])
         self.jxw = fm.jxw[pidx]
         self.tau = tau[pidx]
-        self.jt_m = fm.minus.jinv_t[pidx]
-        self.jt_p = fm.plus.jinv_t[pidx]
-        self.jtc_m = np.ascontiguousarray(fm.minus.jinv_t_c[pidx])
-        self.jtc_p = np.ascontiguousarray(fm.plus.jinv_t_c[pidx])
         # padded gather indices; scatters use the first ``take`` entries
         self.m_local = batch.cells_m[pidx] - lo if m_owned else None
         self.p_local = batch.cells_p[pidx] - lo if p_owned else None
@@ -348,18 +349,15 @@ class _FaceWork:
 class _BdryWork:
     """Owned subset of one (Dirichlet) boundary face batch."""
 
-    __slots__ = ("ib", "face", "normal", "jxw", "tau", "jt", "jtc",
-                 "cells", "take")
+    __slots__ = ("ib", "face", "c_m", "jxw", "tau", "cells", "take")
 
     def __init__(self, ib, batch, fm, tau, idx, lo):
         self.ib = ib
         self.face = batch.face
         pidx, self.take = _padded(idx, batch.cells.size)
-        self.normal = fm.normal[pidx]
+        self.c_m = np.ascontiguousarray(fm.c_m[:, pidx])
         self.jxw = fm.jxw[pidx]
         self.tau = tau[pidx]
-        self.jt = fm.minus.jinv_t[pidx]
-        self.jtc = np.ascontiguousarray(fm.minus.jinv_t_c[pidx])
         self.cells = batch.cells[pidx] - lo
 
 
@@ -381,7 +379,7 @@ class RankLocalOperator:
         rp = plan.rank_plans[rank]
         self.lo, self.hi = rp.lo, rp.hi
         self.rank_plan = rp
-        self._laplace_d = op.cell_metrics.laplace_d[rp.lo:rp.hi]
+        self._laplace_d = op.cell_metrics.laplace_d[:, rp.lo:rp.hi]
         self._loc_work: list[_FaceWork] = []
         self._cut_work: list[_FaceWork] = []
         for ib, (batch, fm, tau) in enumerate(
@@ -416,78 +414,52 @@ class RankLocalOperator:
                 self._bdry_work.append(_BdryWork(ib, batch, fm, tau, idx, rp.lo))
 
     # -- phases --------------------------------------------------------
-    def _cell_term(self, u: np.ndarray, ensemble: bool) -> np.ndarray:
-        if self._laplace_d.shape[0] == 0:
-            dt = np.result_type(self._laplace_d.dtype, u.dtype)
-            return np.zeros(u.shape, dtype=dt)
-        sub = "cijzyx,ecjzyx->ecizyx" if ensemble else "cijzyx,cjzyx->cizyx"
-        g = self.op.kern.gradients(u)
-        Dg = contract(sub, self._laplace_d, g)
-        return self.op.kern.integrate_gradients(Dg)
-
-    def _face_terms(self, w: _FaceWork, u, ug, ensemble: bool):
+    def _face_terms(self, w: _FaceWork, u, ug):
         """Evaluate one face-work item; yields the owned-side buffered
         contributions as ``(sort_key, local_cells, contrib)``."""
-        op, fk = self.op, self.fk
-        um = (u[..., w.m_local, :, :, :] if w.m_local is not None
-              else ug[..., w.m_slots, :, :, :])
-        up = (u[..., w.p_local, :, :, :] if w.p_local is not None
-              else ug[..., w.p_slots, :, :, :])
-        vm, gm = fk.eval_side(um, w.face_m)
-        vp, gp = fk.eval_side(up, w.face_p, w.orientation, w.subface)
-        Gm = physical_gradient(w.jt_m, gm, ensemble=ensemble)
-        Gp = physical_gradient(w.jt_p, gp, ensemble=ensemble)
-        rv_m, rg_m, rv_p, rg_p = op._face_flux(w, w.tau, vm, Gm, vp, Gp)
-        cut = ((slice(None), slice(None, w.take)) if ensemble
-               else slice(None, w.take))
-        out = []
-        if w.m_local is not None:
-            contrib = fk.integrate_side(
-                w.face_m, rv_m, op._to_ref_grad(w.jtc_m, rg_m)
-            )
-            out.append(((0, w.ib, 0), w.m_local[:w.take], contrib[cut]))
-        if w.p_local is not None:
-            contrib = fk.integrate_side(
-                w.face_p, rv_p, op._to_ref_grad(w.jtc_p, rg_p),
-                w.orientation, w.subface,
-            )
-            out.append(((0, w.ib, 1), w.p_local[:w.take], contrib[cut]))
-        return out
+        fk, ax = self.fk, u.ndim - 4
+        um = (np.take(u, w.m_local, axis=ax) if w.m_local is not None
+              else np.take(ug, w.m_slots, axis=ax))
+        up = (np.take(u, w.p_local, axis=ax) if w.p_local is not None
+              else np.take(ug, w.p_slots, axis=ax))
+        contribs = self.op.face_terms(
+            w, w, w.tau,
+            fk.eval_side(um, w.face_m),
+            fk.eval_side(up, w.face_p, w.orientation, w.subface),
+            minus=w.m_local is not None, plus=w.p_local is not None,
+        )
+        return [
+            ((0, w.ib, side), cells[:w.take], contrib[..., :w.take, :, :, :])
+            for side, (cells, contrib) in enumerate(zip((w.m_local, w.p_local), contribs))
+            if cells is not None
+        ]
 
-    def _bdry_terms(self, w: _BdryWork, u, ensemble: bool):
-        op, fk = self.op, self.fk
-        um = u[..., w.cells, :, :, :]
-        vm, gm = fk.eval_side(um, w.face)
-        Gm = physical_gradient(w.jt, gm, ensemble=ensemble)
-        sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-        dn_m = contract(sub, w.normal, Gm)
-        jxw = w.jxw
-        rv = (-dn_m + 2.0 * w.tau[:, None, None] * vm) * jxw
-        rg_phys = (-vm * jxw)[..., None, :, :] * w.normal
-        contrib = fk.integrate_side(w.face, rv, op._to_ref_grad(w.jtc, rg_phys))
-        cut = ((slice(None), slice(None, w.take)) if ensemble
-               else slice(None, w.take))
-        return ((1, w.ib, 0), w.cells[:w.take], contrib[cut])
+    def _bdry_terms(self, w: _BdryWork, u):
+        contrib = self.op.boundary_terms(
+            w.face, w, w.tau, np.take(u, w.cells, axis=u.ndim - 4)
+        )
+        return ((1, w.ib, 0), w.cells[:w.take], contrib[..., :w.take, :, :, :])
 
-    def interior_contribs(self, u: np.ndarray, ensemble: bool):
+    def interior_contribs(self, u: np.ndarray):
         """Cell term plus every contribution that needs no ghost data
         (fully-owned interior faces, owned boundary faces)."""
-        base = self._cell_term(u, ensemble)
+        op = self.op
+        base = cell_laplacian(op.kern, self._laplace_d, u, op.workspace())
         pend = []
         for w in self._loc_work:
-            pend.extend(self._face_terms(w, u, None, ensemble))
+            pend.extend(self._face_terms(w, u, None))
         for w in self._bdry_work:
-            pend.append(self._bdry_terms(w, u, ensemble))
+            pend.append(self._bdry_terms(w, u))
         return base, pend
 
-    def cut_contribs(self, u: np.ndarray, ug: np.ndarray, ensemble: bool):
+    def cut_contribs(self, u: np.ndarray, ug: np.ndarray):
         """Owned-side contributions of the partition-crossing faces."""
         pend = []
         for w in self._cut_work:
-            pend.extend(self._face_terms(w, u, ug, ensemble))
+            pend.extend(self._face_terms(w, u, ug))
         return pend
 
-    def accumulate(self, base, pend, ensemble: bool):
+    def accumulate(self, base, pend):
         """Fold the buffered contributions into ``base`` in canonical
         order: interior batches ascending, minus before plus side,
         boundary batches last — the monolithic accumulation order.
@@ -495,22 +467,19 @@ class RankLocalOperator:
         cut subsets are disjoint, so their relative order is
         immaterial per output element.)"""
         for _key, cells, contrib in sorted(pend, key=lambda t: t[0]):
-            if ensemble:
-                base[:, cells] += contrib
-            else:
-                base[cells] += contrib
+            base[..., cells, :, :, :] += contrib
         return base
 
     def pack(self, u: np.ndarray, dst: int) -> np.ndarray:
         """Ghost-cell payload (owned nodal tensors) for rank ``dst``."""
         return u[..., self.rank_plan.send[dst], :, :, :]
 
-    def apply(self, u: np.ndarray, ug, ensemble: bool) -> np.ndarray:
+    def apply(self, u: np.ndarray, ug) -> np.ndarray:
         """Full owned share in one call (test/serial entry point)."""
-        base, pend = self.interior_contribs(u, ensemble)
+        base, pend = self.interior_contribs(u)
         if ug is not None:
-            pend.extend(self.cut_contribs(u, ug, ensemble))
-        return self.accumulate(base, pend, ensemble)
+            pend.extend(self.cut_contribs(u, ug))
+        return self.accumulate(base, pend)
 
 
 class InProcessGhostRuntime:
@@ -531,7 +500,6 @@ class InProcessGhostRuntime:
         x = np.asarray(x)
         if x.ndim == 2 and x.shape[0] == 1:
             return self.vmult(x[0])[None]
-        ensemble = x.ndim == 2
         plan = self.plan
         n1 = plan.n1
         u_all = x.reshape(x.shape[:-1] + (plan.n_cells, n1, n1, n1))
@@ -548,7 +516,7 @@ class InProcessGhostRuntime:
                           dtype=x.dtype)
             for src, slots in rp.recv.items():
                 ug[..., slots, :, :, :] = mailbox[(src, rlo.rank)]
-            y_own = rlo.apply(u, ug, ensemble)
+            y_own = rlo.apply(u, ug)
             if y is None:
                 y = np.empty(x.shape[:-1] + (plan.n_dofs,), dtype=y_own.dtype)
             npc = plan.npc
@@ -734,8 +702,8 @@ class WorkerPool:
         op = self._ops[tag]
         x = np.asarray(x)
         if x.ndim == 2 and x.shape[0] == 1:
-            # E = 1 runs the unbatched path, mirroring the monolithic
-            # operator's bitwise-stable ensemble routing
+            # E = 1 reuses the flat session's buffers (same bits: the
+            # ensemble axis is only a leading axis of the same kernels)
             return self.vmult(tag, x[0])[None]
         lead = x.shape[0] if x.ndim == 2 else 0
         ydt = np.result_type(np.dtype(op.dtype), x.dtype)
@@ -1042,8 +1010,6 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
     rlo = state.locals[tag]
     rp = rlo.rank_plan
     plan = state.plan
-    lead = sess["lead"]
-    ensemble = lead >= 2
     n1 = plan.n1
     ring = state.ring
     times = {}
@@ -1069,7 +1035,7 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
     t1 = time.perf_counter()
     times["post"] = t1 - tp
     # interior work overlaps the (conceptual) message flight time
-    base, pend = rlo.interior_contribs(u, ensemble)
+    base, pend = rlo.interior_contribs(u)
     t2 = time.perf_counter()
     times["interior"] = t2 - t1
     deadline = time.monotonic() + 120.0
@@ -1094,10 +1060,10 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
             ring.record(rnd, _UNPACK_ID, ts, time.perf_counter(), peer=src)
         else:
             ug[..., slots, :, :, :] = sess["inbox"][src]
-    pend.extend(rlo.cut_contribs(u, ug, ensemble))
+    pend.extend(rlo.cut_contribs(u, ug))
     t4 = time.perf_counter()
     times["cut"] = t4 - t3
-    y_own = rlo.accumulate(base, pend, ensemble)
+    y_own = rlo.accumulate(base, pend)
     sess["y"][..., sl] = y_own.reshape(y_own.shape[:-4] + (-1,))
     t5 = time.perf_counter()
     times["accumulate"] = t5 - t4

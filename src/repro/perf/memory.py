@@ -35,12 +35,15 @@ def laplace_transfer(degree: int, n_q: int | None = None,
 
     * source vector read + destination write (+ its read-for-update):
       3 x (k+1)^3 values per component,
-    * cell metric block D_e: 6 symmetric entries + JxW per point is
-      stored as the 3x3-symmetric ``laplace_d`` (6 doubles / q-point),
-    * face metric data: normal (3) + J^{-T} column (3) + JxW (1) per face
-      quadrature point, 6 faces shared between 2 cells -> 3 face-sheets
-      per cell,
+    * cell metric block D_e: the 6 unique entries of the symmetric
+      ``laplace_d`` (JxW folded in) per quadrature point,
+    * face metric data: ``J^{-1} n`` of both sides (3 + 3) + JxW (1) per
+      face quadrature point, 6 faces shared between 2 cells -> 3
+      face-sheets per cell,
     * ~8 integers of connectivity metadata per cell.
+
+    The metric terms are what the kernel stores and streams
+    (:class:`repro.mesh.mapping.FaceMetrics`, ``CellMetrics.laplace_d``).
     """
     k = degree
     n = k + 1

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.dof_handler import CGDofHandler
-from ..mesh.mapping import GeometryField
+from ..mesh.mapping import SYM_SLOT, GeometryField
 
 
 def gradient_tensors(kernel) -> np.ndarray:
@@ -34,9 +34,12 @@ def assemble_cg_laplace(dof: CGDofHandler, geometry: GeometryField) -> sp.csr_ma
     B = gradient_tensors(kern)  # (3, Q, I)
     N = dof.n_cells
     nloc = kern.n_dofs_cell
-    D = cm.laplace_d.reshape(N, 3, 3, -1)  # (c, a, b, Q)
+    D = cm.laplace_d.reshape(6, N, -1)  # (slot, c, Q)
     # local matrices: A_loc[c, I, J] = sum_{a,b,Q} B[a,Q,I] D[c,a,b,Q] B[b,Q,J]
-    A_loc = np.einsum("aQI,cabQ,bQJ->cIJ", B, D, B, optimize=True)
+    A_loc = sum(
+        np.einsum("QI,cQ,QJ->cIJ", B[a], D[SYM_SLOT[a][b]], B[b], optimize=True)
+        for a in range(3) for b in range(3)
+    )
     rows = np.repeat(dof.cell_to_global.reshape(N, nloc), nloc, axis=1).ravel()
     cols = np.tile(dof.cell_to_global.reshape(N, nloc), (1, nloc)).ravel()
     A_global = sp.csr_matrix(
