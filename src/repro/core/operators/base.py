@@ -72,6 +72,30 @@ class FaceKernels:
             t = orient_face_array(t, orientation)
         return self.kern.face_nodal_to_quad(t, subface)
 
+    def side_values(
+        self,
+        u_cells: np.ndarray,
+        face: int,
+        orientation: Orientation | None = None,
+        subface: tuple[int, int] | None = None,
+    ) -> np.ndarray:
+        """Values of one side of a face batch at the minus quadrature
+        points: (..., n, n, n) -> (..., q, q)."""
+        return self.to_quad(
+            self.kern.face_nodal_trace(u_cells, face), orientation, subface
+        )
+
+    def interior_values(self, u: np.ndarray, batch, axis: int):
+        """Value traces ``(minus, plus)`` of both sides of an interior
+        face batch; ``axis`` is the cell axis of ``u``."""
+        return (
+            self.side_values(np.take(u, batch.cells_m, axis=axis), batch.face_m),
+            self.side_values(
+                np.take(u, batch.cells_p, axis=axis), batch.face_p,
+                batch.orientation, batch.subface,
+            ),
+        )
+
     def eval_side(
         self,
         u_cells: np.ndarray,
@@ -141,36 +165,11 @@ class FaceKernels:
         return kern.expand_face_traces(plane, normal, face)
 
 
-#: metric-application subscripts of :func:`physical_gradient`, keyed on
-#: (ensemble axis present, rank of the reference gradient)
-_PHYSICAL_GRADIENT_SUBSCRIPTS = {
-    (False, 4): "fijab,fjab->fiab",
-    (False, 5): "fijab,fcjab->fciab",
-    (True, 5): "fijab,efjab->efiab",
-    (True, 6): "fijab,efcjab->efciab",
-}
-
-
-def physical_gradient(
-    jinv_t: np.ndarray,
-    ref_grad: np.ndarray,
-    out: np.ndarray | None = None,
-    ensemble: bool = False,
-) -> np.ndarray:
-    """Apply J^{-T} per quadrature point.
-
-    jinv_t: (F, 3, 3, q, q); ref_grad: (F, 3, q, q) for scalar fields or
-    (F, C, 3, q, q) for vector fields (component axis at -4).
-    ``ensemble=True`` expects one extra leading ensemble axis on
-    ``ref_grad`` — (E, F, 3, q, q) / (E, F, C, 3, q, q) — folded into
-    the same metric contraction (the flag is explicit because an
-    ensemble scalar field and an unbatched vector field share a rank).
-    """
-    sub = _PHYSICAL_GRADIENT_SUBSCRIPTS.get((ensemble, ref_grad.ndim))
-    if sub is None:
-        kind = "ensemble ref_grad" if ensemble else "ref_grad"
-        raise ValueError(f"unsupported {kind} rank {ref_grad.ndim}")
-    return contract(sub, jinv_t, ref_grad, out=out)
+def physical_gradient(jinv_t: np.ndarray, ref_grad: np.ndarray) -> np.ndarray:
+    """Apply J^{-T} per face quadrature point: ``jinv_t`` (F, 3, 3, q, q),
+    ``ref_grad`` (..., F, C, 3, q, q) — reference gradients of a
+    C-component field — -> physical gradients of the same shape."""
+    return contract("fijab,...fcjab->...fciab", jinv_t, ref_grad)
 
 
 def _instrument_entry(raw):
@@ -258,6 +257,18 @@ class MatrixFreeOperator:
             self.plan_cache, ("scatter", key), indices, out.shape[axis]
         )
         plan.add(out, contrib, axis=axis)
+
+    def _add_interior_flux(self, out: np.ndarray, fk: FaceKernels, ib: int,
+                           batch, rv: np.ndarray, axis: int) -> None:
+        """Test the value flux ``rv`` of interior batch ``ib`` (minus
+        frame; the plus side sees ``-rv``) against both sides and
+        accumulate into the cell tensors ``out`` along cell axis ``axis``."""
+        contrib_m = fk.integrate_side(batch.face_m, rv, None)
+        contrib_p = fk.integrate_side(
+            batch.face_p, -rv, None, batch.orientation, batch.subface
+        )
+        self._scatter_add(out, batch.cells_m, contrib_m, ("int", ib, "m"), axis=axis)
+        self._scatter_add(out, batch.cells_p, contrib_p, ("int", ib, "p"), axis=axis)
 
     @property
     def precision_bytes(self) -> int:

@@ -54,22 +54,10 @@ class ConvectiveOperator(MatrixFreeOperator):
     def n_dofs(self) -> int:
         return self.dof.n_dofs
 
-    def _face_vals(self, u, batch, ensemble: bool = False):
-        kern = self.kern
-        um = u[:, batch.cells_m] if ensemble else u[batch.cells_m]
-        up = u[:, batch.cells_p] if ensemble else u[batch.cells_p]
-        tm = kern.face_nodal_trace(um, batch.face_m)
-        tp = kern.face_nodal_trace(up, batch.face_p)
-        vm = self.fk.to_quad(tm)
-        vp = self.fk.to_quad(tp, batch.orientation, batch.subface)
-        return vm, vp
-
     def _lax_friedrichs(self, vm, vp, normal):
-        """Numerical flux (F, 3, a, b) in the minus normal direction
-        (one extra leading axis for ensemble-stacked traces)."""
-        sub = "fiab,efiab->efab" if vm.ndim == 5 else "fiab,fiab->fab"
-        un_m = contract(sub, normal, vm)
-        un_p = contract(sub, normal, vp)
+        """Numerical flux (..., F, 3, a, b) in the minus normal direction."""
+        un_m = contract("fiab,...fiab->...fab", normal, vm)
+        un_p = contract("fiab,...fiab->...fab", normal, vp)
         lam = np.maximum(np.abs(un_m), np.abs(un_p))
         central = 0.5 * (
             vm * un_m[..., None, :, :] + vp * un_p[..., None, :, :]
@@ -77,48 +65,26 @@ class ConvectiveOperator(MatrixFreeOperator):
         return central + 0.5 * lam[..., None, :, :] * (vm - vp)
 
     def apply(self, u_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
-        if u_flat.ndim == 2:
-            # ensemble-stacked states; E=1 keeps the unbatched bitstream
-            if u_flat.shape[0] == 1:
-                return self._apply_impl(u_flat[0], t, ensemble=False)[None]
-            return self._apply_impl(u_flat, t, ensemble=True)
-        return self._apply_impl(u_flat, t, ensemble=False)
-
-    def _apply_impl(self, u_flat: np.ndarray, t: float, ensemble: bool) -> np.ndarray:
-        u = self.dof.cell_view(u_flat)
+        u = self.dof.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        ax = 1 if ensemble else 0
+        ax = u.ndim - 5
         # cell term: -int (u (x) u) : grad(v)
-        uq = kern.values(u)  # (N, 3, q, q, q) / (E, N, 3, q, q, q)
-        # F[i, j] = u_i u_j; ref-grad coefficient of v_i:
-        #   rg_i[l] = -sum_j F[i,j] jinv_t[j,l] * jxw
-        if ensemble:
-            Fu = contract("ecizyx,ecjzyx->ecijzyx", uq, uq)
-            rg = -contract("ecijzyx,cjlzyx->ecilzyx", Fu, cm.jinv_t)
-        else:
-            Fu = contract("cizyx,cjzyx->cijzyx", uq, uq)
-            rg = -contract("cijzyx,cjlzyx->cilzyx", Fu, cm.jinv_t)
-        rg = rg * cm.jxw[:, None, None]
-        out = np.stack(
-            [kern.integrate_gradients(rg[..., i, :, :, :, :]) for i in range(3)],
-            axis=-4,
-        )
+        uq = kern.values(u)
+        # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
+        #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
+        Fu = contract("...cizyx,...cjzyx->...cijzyx", uq, uq)
+        rg = contract("...cijzyx,cjlzyx->l...cizyx", Fu, cm.jinv_t)
+        rg *= -cm.jxw[:, None]
+        out = kern.integrate_gradients_cm(rg)
         # interior faces
         for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            vm, vp = self._face_vals(u, batch, ensemble)
+            vm, vp = self.fk.interior_values(u, batch, ax)
             flux = self._lax_friedrichs(vm, vp, fm.normal) * fm.jxw[:, None]
-            contrib_m = self.fk.integrate_side(batch.face_m, flux, None)
-            contrib_p = self.fk.integrate_side(
-                batch.face_p, -flux, None, batch.orientation, batch.subface
-            )
-            self._scatter_add(out, batch.cells_m, contrib_m, ("int", ib, "m"), axis=ax)
-            self._scatter_add(out, batch.cells_p, contrib_p, ("int", ib, "p"), axis=ax)
+            self._add_interior_flux(out, self.fk, ib, batch, flux, ax)
         # boundary faces
         for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            uc = u[:, batch.cells] if ensemble else u[batch.cells]
-            tm = self.kern.face_nodal_trace(uc, batch.face)
-            vm = self.fk.to_quad(tm)
+            vm = self.fk.side_values(np.take(u, batch.cells, axis=ax), batch.face)
             if batch.boundary_id in self.velocity_dirichlet:
                 pts = fm.points
                 g = np.asarray(
@@ -129,8 +95,7 @@ class ConvectiveOperator(MatrixFreeOperator):
                 )
                 # component axis behind the face axis: (.., 3, F, a, b)
                 # -> (.., F, 3, a, b); member-independent data broadcasts
-                g = np.moveaxis(g, -4, -3)
-                vp = -vm + 2.0 * g
+                vp = -vm + 2.0 * np.moveaxis(g, -4, -3)
             else:
                 vp = vm
             flux = self._lax_friedrichs(vm, vp, fm.normal) * fm.jxw[:, None]
@@ -152,15 +117,8 @@ class ConvectiveOperator(MatrixFreeOperator):
         ``(E,)`` array (members share dt; the per-member CFL that this
         feeds is recorded in the step statistics).
         """
-        u = self.dof.cell_view(u_flat)
-        uq = self.kern.values(u)
-        cm = self.cell_metrics
+        uq = self.kern.values(self.dof.cell_view(u_flat))
         # J^{-1} u: ref-space velocity = (jinv)[l,i] u_i; jinv_t[i,l] = jinv[l,i]
-        if u_flat.ndim == 2:
-            if u_flat.shape[0] == 1:  # keep the unbatched bitstream
-                return np.array([self.max_reference_velocity(u_flat[0])])
-            uref = contract("cilzyx,ecizyx->eclzyx", cm.jinv_t, uq)
-            speed = np.sqrt((uref**2).sum(axis=2))
-            return speed.reshape(speed.shape[0], -1).max(axis=1)
-        uref = contract("cilzyx,cizyx->clzyx", cm.jinv_t, uq)
-        return float(np.sqrt((uref**2).sum(axis=1)).max())
+        uref = contract("cilzyx,...cizyx->...clzyx", self.cell_metrics.jinv_t, uq)
+        speed = np.sqrt((uref**2).sum(axis=-4))
+        return speed.reshape(u_flat.shape[:-1] + (-1,)).max(axis=-1)

@@ -241,12 +241,12 @@ class DGLaplaceOperator(MatrixFreeOperator):
         Boundary callables may return ensemble-stacked ``(E, F, a, b)``
         data (per-member windkessel pressures, say); the assembled
         vector is then ``(E, ndof)``, with unbatched data broadcast
-        across the members.  ``E = 1`` keeps the unbatched bitstream.
+        across the members.
         """
         # evaluate the boundary data first: an ensemble-stacked return
         # from any callable promotes the whole right-hand side to (E, .)
         face_data: list[tuple] = []
-        n_members: int | None = None
+        lead: tuple = ()
         for ib, (batch, fm, tau) in enumerate(
             zip(self.conn.boundary, self.bdry_metrics, self.tau_b)
         ):
@@ -269,22 +269,13 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 g = np.asarray(neumann(p[:, 0], p[:, 1], p[:, 2]))
                 kind = "neumann"
             if g.ndim == 4:
-                if n_members is not None and g.shape[0] != n_members:
+                if lead and g.shape[:1] != lead:
                     raise ValueError(
                         "inconsistent ensemble sizes in boundary data: "
-                        f"{g.shape[0]} vs {n_members}"
+                        f"{g.shape[0]} vs {lead[0]}"
                     )
-                n_members = g.shape[0]
+                lead = g.shape[:1]
             face_data.append((ib, batch, fm, tau, kind, g))
-        if n_members == 1:
-            # E = 1 keeps the unbatched bitstream: assemble flat, re-wrap
-            face_data = [
-                (ib, b, fm, tau, kind, g[0] if g.ndim == 4 else g)
-                for ib, b, fm, tau, kind, g in face_data
-            ]
-        ensemble = n_members is not None and n_members > 1
-        lead = (n_members,) if ensemble else ()
-        ax = 1 if ensemble else 0
         out = np.zeros(lead + (self.dof.n_cells,) + (self.kern.n_dofs_1d,) * 3)
         if f is not None:
             pts = self.cell_metrics.points
@@ -292,9 +283,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
             out += self.kern.integrate_values(fv)
         fk = self.fk
         for ib, batch, fm, tau, kind, g in face_data:
-            if ensemble and g.ndim == 3:
-                # member-independent data: shared across the batch
-                g = np.broadcast_to(g, lead + g.shape)
+            # member-independent data broadcasts across the batch in the
+            # scatter
             if kind == "dirichlet":
                 w = fm.jxw
                 rv = 2.0 * tau[:, None, None] * g * w
@@ -303,11 +293,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 )
             else:
                 contrib = fk.integrate_side(batch.face, g * fm.jxw, None)
-            self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
-        flat = self.dof.flat(out)
-        if n_members == 1:
-            return flat[None]
-        return flat
+            self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=len(lead))
+        return self.dof.flat(out)
 
     # ------------------------------------------------------------------
     def diagonal(self) -> np.ndarray:
@@ -345,8 +332,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 np.moveaxis(R.reshape(n, n, qa, qb), (0, 1), (2, 3))
             )  # (qa, qb, ja, jb)
             D = kern.nodal_diff
-            Ra = np.einsum("abkj,kJ->abJj", R, D)
-            Rb = np.einsum("abjk,kJ->abjJ", R, D)
+            Ra = contract("abkj,kJ->abJj", R, D)
+            Rb = contract("abjk,kJ->abjJ", R, D)
             cached = (R * R, R * Ra, R * Rb)
             self.plan_cache[key] = cached
         return cached

@@ -60,7 +60,9 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         step before the penalty solve).  Ensemble-stacked input yields
         per-member ``tau_div`` (E, N) / ``tau_cont`` (E, F) fields."""
         if u_flat.ndim == 2 and u_flat.shape[0] == 1:
-            return self.update_parameters(u_flat[0])
+            # an E=1 solve iterates on the flat vector (solvers/krylov.py),
+            # so a single member's tau carries no member axis
+            u_flat = u_flat[0]
         u = self.dof.cell_view(u_flat)
         uq = self.kern.values(u)
         speed = np.sqrt((uq**2).sum(axis=-4))
@@ -77,55 +79,26 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         ]
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            # ensemble-stacked states; E=1 keeps the unbatched bitstream
-            if x.shape[0] == 1:
-                return self._vmult_impl(x[0], ensemble=False)[None]
-            return self._vmult_impl(x, ensemble=True)
-        return self._vmult_impl(x, ensemble=False)
-
-    def _vmult_impl(self, x: np.ndarray, ensemble: bool) -> np.ndarray:
-        u = self.dof.cell_view(x)
+        u = self.dof.cell_view(x)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        ax = 1 if ensemble else 0
-        # divergence penalty: tau_div (div u)(div v)
-        grads = np.stack(
-            [kern.gradients(u[..., i, :, :, :]) for i in range(3)], axis=-4
-        )
-        if ensemble:
-            div = contract("cilzyx,ecilzyx->eczyx", cm.jinv_t, grads)
-        else:
-            div = contract("cilzyx,cilzyx->czyx", cm.jinv_t, grads)
+        ax = u.ndim - 5
+        # divergence penalty: tau_div (div u)(div v).  ROADMAP 1(A): the
+        # swapaxes transposes the trial-side gradient; the fix deletes it.
+        grads = np.swapaxes(kern.gradients(u), -4, -5)
+        div = contract("cilzyx,...cilzyx->...czyx", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None]
-        if ensemble:
-            rg = contract("cilzyx,eczyx->ecilzyx", cm.jinv_t, coeff)
-        else:
-            rg = contract("cilzyx,czyx->cilzyx", cm.jinv_t, coeff)
-        out = np.stack(
-            [kern.integrate_gradients(rg[..., i, :, :, :, :]) for i in range(3)],
-            axis=-4,
-        )
+        rg = contract("cilzyx,...czyx->l...cizyx", cm.jinv_t, coeff)
+        out = kern.integrate_gradients_cm(rg)
         # continuity penalty: tau_c [u.n][v.n]
         for ib, (batch, fm, tau) in enumerate(
             zip(self.conn.interior, self.face_metrics, self.tau_cont)
         ):
-            um = u[:, batch.cells_m] if ensemble else u[batch.cells_m]
-            up = u[:, batch.cells_p] if ensemble else u[batch.cells_p]
-            tm = kern.face_nodal_trace(um, batch.face_m)
-            tp = kern.face_nodal_trace(up, batch.face_p)
-            vm = self.fk.to_quad(tm)
-            vp = self.fk.to_quad(tp, batch.orientation, batch.subface)
-            sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            jump_n = contract(sub, fm.normal, vm - vp)
+            vm, vp = self.fk.interior_values(u, batch, ax)
+            jump_n = contract("fiab,...fiab->...fab", fm.normal, vm - vp)
             q = tau[..., None, None] * jump_n * fm.jxw
             rv = q[..., None, :, :] * fm.normal
-            contrib_m = self.fk.integrate_side(batch.face_m, rv, None)
-            contrib_p = self.fk.integrate_side(
-                batch.face_p, -rv, None, batch.orientation, batch.subface
-            )
-            self._scatter_add(out, batch.cells_m, contrib_m, ("int", ib, "m"), axis=ax)
-            self._scatter_add(out, batch.cells_p, contrib_p, ("int", ib, "p"), axis=ax)
+            self._add_interior_flux(out, self.fk, ib, batch, rv, ax)
         return self.dof.flat(out)
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - inv-mass preconditioned

@@ -59,25 +59,20 @@ def _contraction_strategy(subscripts: str, operands) -> object:
     direct C loop, or a precomputed ``np.einsum_path`` path list."""
     if len(operands) <= 1:
         return False
-    if "->" in subscripts:
-        lhs = subscripts.split("->")[0]
-    else:
-        lhs = subscripts
-    inputs = lhs.split(",")
+    lhs, arrow, out_labels = subscripts.partition("->")
     if len(operands) == 2:
-        # extent of the contracted index space
+        # extent of the contracted index space; labels behind an
+        # ellipsis (broadcast batch axes, never contracted) are located
+        # from the right
         dims: dict[str, int] = {}
-        for labels, op in zip(inputs, operands):
-            for ax, ch in enumerate(labels):
-                dims[ch] = op.shape[ax]
-        out_labels = (
-            subscripts.split("->")[1]
-            if "->" in subscripts
-            else "".join(sorted(c for c in set(lhs) if lhs.count(c) == 1))
-        )
-        contracted = set(lhs) - set(out_labels) - {","}
+        for labels, op in zip(lhs.split(","), operands):
+            head, _, tail = labels.partition("...")
+            dims.update(zip(head, op.shape))
+            dims.update(zip(reversed(tail), reversed(op.shape)))
+        if not arrow:
+            out_labels = "".join(c for c in dims if lhs.count(c) == 1)
         extent = 1
-        for ch in contracted:
+        for ch in set(dims) - set(out_labels):
             extent *= dims[ch]
         if extent <= DIRECT_CONTRACTION_LIMIT:
             return False
@@ -90,14 +85,20 @@ def contract(subscripts: str, *operands, out: np.ndarray | None = None):
 
     The plan (direct C loop vs. precomputed path) is decided on first use
     per (subscripts, operand shapes) and reused for every later call —
-    no per-application path search.
+    no per-application path search.  Subscripts may carry an ellipsis
+    for leading batch axes (``"cilzyx,...cizyx->...clzyx"``), so one
+    spelling serves flat and ensemble-stacked fields.  A fresh result is
+    C-contiguous in the order of its output subscripts (einsum's default
+    would mimic the operands' strides), so a component-major output
+    ``"...->l...czyx"`` hands the sum-factorization sweeps contiguous
+    blocks.
     """
     key = (subscripts, tuple(op.shape for op in operands))
     strategy = _PATH_CACHE.get(key)
     if strategy is None:
         strategy = _contraction_strategy(subscripts, operands)
         _PATH_CACHE[key] = strategy
-    return np.einsum(subscripts, *operands, out=out, optimize=strategy)
+    return np.einsum(subscripts, *operands, out=out, order="C", optimize=strategy)
 
 
 class ScatterPlan:

@@ -167,7 +167,6 @@ class TensorProductKernel:
             ("grad", _F64): sm.grad,
             ("interp_t", _F64): np.ascontiguousarray(sm.interp.T),
             ("grad_t", _F64): np.ascontiguousarray(sm.grad.T),
-            ("face_value", _F64): sm.face_value,
             ("face_grad", _F64): sm.face_grad,
         })
         if self.use_even_odd:
@@ -380,12 +379,6 @@ class TensorProductKernel:
         ``(..., 3, n_q, n_q, n_q)``."""
         return self.integrate_gradients_cm(np.moveaxis(q, -4, 0))
 
-    def integrate_values_and_gradients(
-        self, qv: np.ndarray, qg: np.ndarray
-    ) -> np.ndarray:
-        """Combined transpose of :meth:`values_and_gradients`."""
-        return self.integrate_values(qv) + self.integrate_gradients(qg)
-
     # -- nodal-lattice kernels (geometry precomputation) ----------------
     @property
     def nodal_diff(self) -> np.ndarray:
@@ -501,47 +494,6 @@ class TensorProductKernel:
             out = np.matmul(normal.reshape(-1, n * n), E).reshape(shape)
         out[(slice(None),) * axis + (0 if s == 0 else n - 1,)] += plane
         return out
-
-    # -- face kernels (operator I_f of Eq. (7)) --------------------------
-    def face_values(self, u: np.ndarray, face: int) -> np.ndarray:
-        """Restrict nodal coefficients to one of the 6 hex faces and
-        interpolate to the face quadrature points.
-
-        ``face`` encodes (normal dimension d, side s) as ``face = 2 d + s``
-        with ``s = 0`` the low and ``s = 1`` the high side.  The result has
-        shape ``(..., n_q, n_q)`` whose two axes are the remaining tensor
-        dimensions in descending order (e.g. face normal to x keeps
-        ``(z, y)``).
-        """
-        d, s = divmod(face, 2)
-        fv = self._mat("face_value", kernel_dtype(u.dtype))[s]
-        traced = apply_1d(fv[None, :], u, d)
-        traced = np.squeeze(traced, axis=traced.ndim - 1 - d)
-        return self._face_interp(traced)
-
-    def face_normal_derivative(self, u: np.ndarray, face: int) -> np.ndarray:
-        """Reference-coordinate normal derivative d/dx̂_d on a face,
-        interpolated to the face quadrature points."""
-        d, s = divmod(face, 2)
-        fg = self._mat("face_grad", kernel_dtype(u.dtype))[s]
-        traced = apply_1d(fg[None, :], u, d)
-        traced = np.squeeze(traced, axis=traced.ndim - 1 - d)
-        return self._face_interp(traced)
-
-    def face_integrate_values(self, q: np.ndarray, face: int) -> np.ndarray:
-        """Transpose of :meth:`face_values`: scatter face-quadrature data
-        back into cell nodal contributions ``(..., n, n, n)``."""
-        d, s = divmod(face, 2)
-        fv = self._mat("face_value", kernel_dtype(q.dtype))[s]
-        nodal2d = self._face_interp_t(q)
-        return self._expand_face(nodal2d, fv, d)
-
-    def face_integrate_normal_derivative(self, q: np.ndarray, face: int) -> np.ndarray:
-        """Transpose of :meth:`face_normal_derivative`."""
-        d, s = divmod(face, 2)
-        fg = self._mat("face_grad", kernel_dtype(q.dtype))[s]
-        nodal2d = self._face_interp_t(q)
-        return self._expand_face(nodal2d, fg, d)
 
     # -- helpers ---------------------------------------------------------
     def _mat2d(self, name: str, dtype: np.dtype) -> np.ndarray:

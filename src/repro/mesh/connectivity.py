@@ -12,7 +12,7 @@ Face frames.  Face ``f = 2 d + s`` of a cell has local coordinates
 ``(a, b)`` running along the two tangential reference dimensions in
 *descending* order (normal x keeps (z, y), normal y keeps (z, x), normal
 z keeps (y, x)); this matches the array layout of
-:meth:`repro.core.sum_factorization.TensorProductKernel.face_values`.
+:meth:`repro.core.sum_factorization.TensorProductKernel.face_nodal_trace`.
 
 An :class:`Orientation` maps the *minus* side's face coordinates to the
 *plus* side's: ``(a', b') = T(a, b)`` — one of the 8 symmetries of the

@@ -10,7 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dof_handler import DGDofHandler
+from ..core.plans import contract
 from ..mesh.mapping import GeometryField
+
+
+def curl_of_gradient(G: np.ndarray, n_point_axes: int) -> np.ndarray:
+    """curl(u) from the physical gradient ``G[..., i, l, <points>] =
+    du_i/dx_l`` (``n_point_axes`` trailing quadrature axes), stacked on
+    the component axis."""
+    pts = (slice(None),) * n_point_axes
+
+    def d(i: int, l: int) -> np.ndarray:
+        return G[(..., i, l) + pts]
+
+    return np.stack(
+        [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)],
+        axis=-1 - n_point_axes,
+    )
 
 
 class FlowDiagnostics:
@@ -30,9 +46,8 @@ class FlowDiagnostics:
         return self.kern.values(u)  # (N, 3, q, q, q)
 
     def _phys_gradients(self, u_flat: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(u_flat)
-        g = np.stack([self.kern.gradients(u[:, i]) for i in range(3)], axis=1)
-        return np.einsum("clmzyx,cimzyx->cilzyx", self.cm.jinv_t, g, optimize=True)
+        g = self.kern.gradients(self.dof.cell_view(u_flat))
+        return contract("clmzyx,...cimzyx->...cilzyx", self.cm.jinv_t, g)
 
     # ------------------------------------------------------------------
     def volume(self) -> float:
@@ -47,20 +62,12 @@ class FlowDiagnostics:
         """1/(2|Omega|) int |curl u|^2 — the viscous-dissipation proxy of
         Taylor-Green-type analyses (epsilon = 2 nu * enstrophy for
         divergence-free fields)."""
-        G = self._phys_gradients(u_flat)
-        curl = np.stack(
-            [
-                G[:, 2, 1] - G[:, 1, 2],
-                G[:, 0, 2] - G[:, 2, 0],
-                G[:, 1, 0] - G[:, 0, 1],
-            ],
-            axis=1,
-        )
+        curl = curl_of_gradient(self._phys_gradients(u_flat), 3)
         return float(0.5 * ((curl**2).sum(axis=1) * self.cm.jxw).sum() / self.volume())
 
     def divergence_l2(self, u_flat: np.ndarray) -> float:
         G = self._phys_gradients(u_flat)
-        div = np.einsum("ciizyx->czyx", G)
+        div = contract("ciizyx->czyx", G)
         return float(np.sqrt((div**2 * self.cm.jxw).sum()))
 
     def max_velocity(self, u_flat: np.ndarray) -> float:
@@ -70,7 +77,7 @@ class FlowDiagnostics:
     def momentum(self, u_flat: np.ndarray) -> np.ndarray:
         """int u dx, one value per component."""
         uq = self._values(u_flat)
-        return np.einsum("cizyx,czyx->i", uq, self.cm.jxw, optimize=True)
+        return contract("cizyx,czyx->i", uq, self.cm.jxw)
 
 
 def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
@@ -108,6 +115,6 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
             lx = basis.values(np.clip(ref[0:1], 0, 1))[0]
             ly = basis.values(np.clip(ref[1:2], 0, 1))[0]
             lz = basis.values(np.clip(ref[2:3], 0, 1))[0]
-            out[ip] = np.einsum("izyx,z,y,x->i", u[c], lz, ly, lx)
+            out[ip] = contract("izyx,z,y,x->i", u[c], lz, ly, lx)
             break
     return out

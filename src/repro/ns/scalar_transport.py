@@ -85,14 +85,8 @@ class ScalarAdvectionOperator:
         out = kern.integrate_gradients(rg)
         # interior faces: upwind
         for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            tm = kern.face_nodal_trace(c[batch.cells_m], batch.face_m)
-            tp = kern.face_nodal_trace(c[batch.cells_p], batch.face_p)
-            cm_ = self.fk.to_quad(tm)
-            cp_ = self.fk.to_quad(tp, batch.orientation, batch.subface)
-            tum = kern.face_nodal_trace(u[batch.cells_m], batch.face_m)
-            tup = kern.face_nodal_trace(u[batch.cells_p], batch.face_p)
-            um = self.fk.to_quad(tum)
-            up = self.fk.to_quad(tup, batch.orientation, batch.subface)
+            cm_, cp_ = self.fk.interior_values(c, batch, 0)
+            um, up = self.fk.interior_values(u, batch, 0)
             un = contract("fiab,fiab->fab", fm.normal, 0.5 * (um + up))
             flux = self._upwind(cm_, cp_, un) * fm.jxw
             contrib_m = self.fk.integrate_side(batch.face_m, flux, None)
@@ -107,10 +101,8 @@ class ScalarAdvectionOperator:
             ).add(out, contrib_p)
         # boundary faces: inflow data where u.n < 0, free outflow otherwise
         for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            tm = kern.face_nodal_trace(c[batch.cells], batch.face)
-            cm_ = self.fk.to_quad(tm)
-            tum = kern.face_nodal_trace(u[batch.cells], batch.face)
-            um = self.fk.to_quad(tum)
+            cm_ = self.fk.side_values(c[batch.cells], batch.face)
+            um = self.fk.side_values(u[batch.cells], batch.face)
             un = contract("fiab,fiab->fab", fm.normal, um)
             c_in = self.inflow_values.get(batch.boundary_id, None)
             if c_in is None:

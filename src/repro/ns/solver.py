@@ -24,6 +24,7 @@ from ..core.operators import (
     MassOperator,
     PenaltyStepOperator,
     VectorDGLaplace,
+    physical_gradient,
 )
 from ..mesh.connectivity import build_connectivity
 from ..mesh.mapping import GeometryField
@@ -40,6 +41,7 @@ from ..telemetry.metrics import METRICS
 from ..timeint.cfl import CFLController
 from ..timeint.dual_splitting import DualSplittingScheme, SplittingOperators
 from .bc import BoundaryConditions
+from .postprocess import curl_of_gradient
 
 # physics health probes sampled once per time step while the metric
 # registry is enabled (each probe is at most one reduction or one
@@ -311,20 +313,9 @@ class IncompressibleNavierStokesSolver:
         u = self.dof_u.cell_view(u_flat)
         kern = self.geo_u.kernel
         cm = self.geo_u.cell_metrics()
-        grads = np.stack([kern.gradients(u[:, i]) for i in range(3)], axis=1)
         # physical gradient: dU_i/dx_l = sum_m jinv_t[l, m] * ghat[i, m]
-        G = contract("clmzyx,cimzyx->cilzyx", cm.jinv_t, grads)
-        curl = np.stack(
-            [
-                G[:, 2, 1] - G[:, 1, 2],
-                G[:, 0, 2] - G[:, 2, 0],
-                G[:, 1, 0] - G[:, 0, 1],
-            ],
-            axis=1,
-        )
-        rhs = np.stack(
-            [kern.integrate_values(curl[:, i] * cm.jxw) for i in range(3)], axis=1
-        )
+        G = contract("clmzyx,...cimzyx->...cilzyx", cm.jinv_t, kern.gradients(u))
+        rhs = kern.integrate_values(curl_of_gradient(G, 3) * cm.jxw[:, None])
         return self.inv_mass_u.vmult(self.dof_u.flat(rhs))
 
     def _pressure_dirichlet_rhs(self, t: float) -> np.ndarray:
@@ -346,8 +337,6 @@ class IncompressibleNavierStokesSolver:
         Ensemble-stacked histories assemble member by member (boundary-
         face work only, far below the solves); ``E = 1`` keeps the
         unbatched bitstream."""
-        from ..core.operators.base import FaceKernels, physical_gradient
-
         if u_history and getattr(u_history[0], "ndim", 1) == 2:
             members = [
                 self._pressure_neumann_rhs(
@@ -357,7 +346,7 @@ class IncompressibleNavierStokesSolver:
             ]
             return np.stack(members)
 
-        fk_u = FaceKernels(self.geo_u.kernel)
+        fk_u = self.divergence.fk_u
         fk_p = self.divergence.fk_p
         order = len(u_history)
         omegas = [self.compute_vorticity(u) for u in u_history]
@@ -395,15 +384,7 @@ class IncompressibleNavierStokesSolver:
                 conv = conv + divu[:, None] * uv
                 ov, og = fk_u.eval_side(om, batch.face)
                 Go = physical_gradient(fm.jinv_t, np.moveaxis(og, 0, 2))
-                curl_om = np.stack(
-                    [
-                        Go[:, 2, 1] - Go[:, 1, 2],
-                        Go[:, 0, 2] - Go[:, 2, 0],
-                        Go[:, 1, 0] - Go[:, 0, 1],
-                    ],
-                    axis=1,
-                )
-                total = total + beta * (conv + self.nu * curl_om)
+                total = total + beta * (conv + self.nu * curl_of_gradient(Go, 2))
             h = -contract("fiab,fiab->fab", n, total)
             contrib = fk_p.integrate_side(batch.face, h * fm.jxw, None)
             cached_scatter_plan(
@@ -429,15 +410,9 @@ class IncompressibleNavierStokesSolver:
         cm = self.geo_u.cell_metrics()
         pts = cm.points
         f = np.asarray(self._body_force_fn(pts[:, 0], pts[:, 1], pts[:, 2], t))
-        f = np.moveaxis(f, 0, 1)  # (N, 3, q, q, q)
-        out = np.stack(
-            [
-                self.geo_u.kernel.integrate_values(f[:, i] * cm.jxw)
-                for i in range(3)
-            ],
-            axis=1,
-        )
-        return self.dof_u.flat(out)
+        # (3, N, q, q, q): the components ride the kernel's batch axis
+        out = self.geo_u.kernel.integrate_values(f * cm.jxw)
+        return self.dof_u.flat(np.moveaxis(out, 0, 1))
 
     # ------------------------------------------------------------------
     def interpolate_velocity(self, fn, t: float = 0.0) -> np.ndarray:
@@ -562,13 +537,7 @@ class IncompressibleNavierStokesSolver:
     def velocity_error_l2(self, exact, t: float) -> float:
         """L2 error of the velocity against ``exact(x, y, z, t) -> (3, ...)``."""
         cm = self.geo_u.cell_metrics()
-        uq = np.stack(
-            [
-                self.geo_u.kernel.values(self.dof_u.cell_view(self.velocity)[:, i])
-                for i in range(3)
-            ],
-            axis=1,
-        )
+        uq = self.geo_u.kernel.values(self.dof_u.cell_view(self.velocity))
         ex = np.asarray(exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2], t))
         ex = np.moveaxis(ex, 0, 1)
         return float(np.sqrt(np.sum((uq - ex) ** 2 * cm.jxw[:, None])))
@@ -576,15 +545,10 @@ class IncompressibleNavierStokesSolver:
     def _divergence_field(self) -> np.ndarray:
         """div(u) at quadrature points; ensemble states get a leading
         member axis."""
-        u = self.dof_u.cell_view(self.velocity)
-        kern = self.geo_u.kernel
-        cm = self.geo_u.cell_metrics()
-        grads = np.stack(
-            [kern.gradients(u[..., i, :, :, :]) for i in range(3)], axis=-5
+        grads = self.geo_u.kernel.gradients(self.dof_u.cell_view(self.velocity))
+        return contract(
+            "cilzyx,...cilzyx->...czyx", self.geo_u.cell_metrics().jinv_t, grads
         )
-        if u.ndim == 6:
-            return contract("cilzyx,ecilzyx->eczyx", cm.jinv_t, grads)
-        return contract("cilzyx,cilzyx->czyx", cm.jinv_t, grads)
 
     def max_divergence(self) -> float:
         """max |div u| at quadrature points — the quantity the penalty
@@ -604,28 +568,17 @@ class IncompressibleNavierStokesSolver:
         """Volumetric flow rate through a boundary (outward positive).
 
         Returns a float; ensemble states yield a per-member ``(E,)``
-        array (``E = 1`` evaluates on the unbatched bitstream)."""
+        array."""
         return self._flow_rate_of(self.velocity, boundary_id)
 
     def _flow_rate_of(self, u_flat: np.ndarray, boundary_id: int):
-        if u_flat.ndim == 2 and u_flat.shape[0] == 1:
-            return np.array([self._flow_rate_of(u_flat[0], boundary_id)])
         u = self.dof_u.cell_view(u_flat)
-        ensemble = u.ndim == 6
+        fk = self.divergence.fk_u
         total = 0.0
-        from ..core.operators.base import FaceKernels
-
-        fk = FaceKernels(self.geo_u.kernel)
         for batch, fm in zip(self.conn.boundary, self.divergence.bdry_metrics):
             if batch.boundary_id != boundary_id:
                 continue
-            uc = u[:, batch.cells] if ensemble else u[batch.cells]
-            tm = self.geo_u.kernel.face_nodal_trace(uc, batch.face)
-            vm = fk.to_quad(tm)
-            sub = "fiab,efiab->efab" if ensemble else "fiab,fiab->fab"
-            un = contract(sub, fm.normal, vm)
-            if ensemble:
-                total = total + (un * fm.jxw).sum(axis=(-3, -2, -1))
-            else:
-                total += float((un * fm.jxw).sum())
+            vm = fk.side_values(np.take(u, batch.cells, axis=u.ndim - 5), batch.face)
+            un = contract("fiab,...fiab->...fab", fm.normal, vm)
+            total = total + (un * fm.jxw).sum(axis=(-3, -2, -1))
         return total

@@ -3,15 +3,29 @@ stack: E=1 must ride the unbatched bitstream exactly, and E>1 members
 must be independent (each row of a batched apply equals the same flat
 apply), at both compute precisions."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.mesh.generators import box
+from repro.core.dof_handler import DGDofHandler
+from repro.core.operators import (
+    ConvectiveOperator,
+    DGLaplaceOperator,
+    DivergenceContinuityPenalty,
+    DivergenceOperator,
+    GradientOperator,
+    VectorDGLaplace,
+)
+from repro.mesh.connectivity import build_connectivity
+from repro.mesh.generators import box, cylinder
+from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.ns import (
     BeltramiFlow,
     BoundaryConditions,
     IncompressibleNavierStokesSolver,
+    PressureDirichlet,
     SolverSettings,
     VelocityDirichlet,
 )
@@ -48,6 +62,34 @@ def _ops(solver):
     ]
 
 
+def _fresh_penalty(solver):
+    """A penalty operator of its own (``update_parameters`` mutates tau,
+    and the module-scoped solver is shared)."""
+    return DivergenceContinuityPenalty(solver.dof_u, solver.geo_u, solver.conn)
+
+
+@contextlib.contextmanager
+def _velocity_state(solver, u):
+    """Temporarily install ``u`` as the solver's current velocity."""
+    history = solver.scheme.u_history
+    saved, history[0] = history[0], u
+    try:
+        yield
+    finally:
+        history[0] = saved
+
+
+def _assert_members(batched, solo, rtol, label=""):
+    """``batched[e]`` matches ``solo(e)`` for every member."""
+    for e in range(len(batched)):
+        ref = np.asarray(solo(e))
+        scale = max(np.abs(ref).max(), 1e-30)
+        np.testing.assert_allclose(
+            batched[e], ref, rtol=rtol, atol=rtol * scale,
+            err_msg=f"{label} member {e}",
+        )
+
+
 class TestE1Bitwise:
     """A single-member batch reproduces the flat bitstream exactly."""
 
@@ -80,6 +122,43 @@ class TestE1Bitwise:
         u = rng.standard_normal(solver.dof_u.n_dofs)
         assert solver._flow_rate_of(u[None], 1)[0] == \
             solver._flow_rate_of(u, 1)
+        with _velocity_state(solver, u):
+            flat = solver._divergence_field()
+        with _velocity_state(solver, u[None]):
+            batched = solver._divergence_field()
+        assert batched.shape == (1,) + flat.shape
+        assert np.array_equal(batched[0], flat)
+
+    def test_penalty_with_updated_parameters(self, solver, rng):
+        """tau != 0 (the shared solver's penalty still carries its
+        initial zeros, so ``test_all_operators`` sees a null operator)."""
+        u, x = rng.standard_normal((2, solver.dof_u.n_dofs))
+        flat_op, batched_op = _fresh_penalty(solver), _fresh_penalty(solver)
+        flat_op.update_parameters(u)
+        batched_op.update_parameters(u[None])
+        assert flat_op.tau_div.min() > 0.0
+        # a single member's tau carries no member axis: the E=1 CG hands
+        # the operator flat vectors after a stacked parameter update
+        assert np.array_equal(batched_op.tau_div, flat_op.tau_div)
+        flat = flat_op.vmult(x)
+        assert np.abs(flat).max() > 0.0
+        assert np.array_equal(batched_op.vmult(x[None])[0], flat)
+        assert np.array_equal(batched_op.vmult(x), flat)
+
+    def test_stacked_dirichlet_data(self, solver, rng):
+        """(1, 3, F, a, b) boundary data rides the same bitstream as the
+        unbatched (3, F, a, b) form."""
+        flow = BeltramiFlow(0.05)
+        stacked = BoundaryConditions({1: VelocityDirichlet(
+            lambda x, y, z, t: np.asarray(flow.velocity(x, y, z, t))[None])})
+        s = solver
+        u = rng.standard_normal(s.dof_u.n_dofs)
+        for make in (
+            lambda bcs: ConvectiveOperator(s.dof_u, s.geo_over, s.conn, bcs),
+            lambda bcs: DivergenceOperator(s.dof_u, s.dof_p, s.geo_u, s.conn, bcs),
+        ):
+            flat = make(s.bcs).apply(u, 0.1)
+            assert np.array_equal(make(stacked).apply(u[None], 0.1)[0], flat)
 
 
 class TestMemberIndependence:
@@ -95,34 +174,142 @@ class TestMemberIndependence:
         for name, op, n in _ops(solver):
             opd = operator_to_dtype(op, dtype)
             X = rng.standard_normal((self.E, n)).astype(dtype)
-            batched = opd.vmult(X)
-            for e in range(self.E):
-                ref = opd.vmult(X[e])
-                scale = max(np.abs(ref).max(), 1e-30)
-                np.testing.assert_allclose(
-                    batched[e], ref, rtol=rtol, atol=rtol * scale,
-                    err_msg=f"{name} member {e} @ {dtype}",
-                )
+            _assert_members(
+                opd.vmult(X), lambda e: opd.vmult(X[e]), rtol, f"{name} @ {dtype}")
 
     def test_convective_members(self, solver):
         rng = np.random.default_rng(5)
         U = rng.standard_normal((self.E, solver.dof_u.n_dofs))
-        batched = solver.convective.apply(U, t=0.0)
-        for e in range(self.E):
-            ref = solver.convective.apply(U[e], t=0.0)
-            scale = np.abs(ref).max()
-            np.testing.assert_allclose(batched[e], ref,
-                                       rtol=1e-12, atol=1e-12 * scale)
+        _assert_members(
+            solver.convective.apply(U, t=0.0),
+            lambda e: solver.convective.apply(U[e], t=0.0), 1e-12, "convective")
 
     def test_permuting_members_permutes_results(self, solver):
         rng = np.random.default_rng(6)
-        op = solver.vector_laplace
-        X = rng.standard_normal((self.E, solver.dof_u.n_dofs))
         perm = [2, 0, 1]
-        y = op.vmult(X)
-        y_perm = op.vmult(X[perm])
-        np.testing.assert_allclose(y_perm, y[perm], rtol=1e-13,
-                                   atol=1e-13 * np.abs(y).max())
+        for name, op, n in _ops(solver):
+            X = rng.standard_normal((self.E, n))
+            y = op.vmult(X)
+            np.testing.assert_allclose(
+                op.vmult(X[perm]), y[perm], rtol=1e-13,
+                atol=1e-13 * max(np.abs(y).max(), 1e-30), err_msg=name,
+            )
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_penalty_with_per_member_parameters(self, solver, dtype, rng):
+        """Per-member tau fields (E, N) / (E, F) from a stacked
+        ``update_parameters`` act member by member."""
+        rtol = 1e-12 if dtype == "float64" else 1e-4
+        U, X = rng.standard_normal((2, self.E, solver.dof_u.n_dofs)).astype(dtype)
+        batched_op = operator_to_dtype(_fresh_penalty(solver), dtype)
+        batched_op.update_parameters(U)
+
+        def solo(e):
+            op = operator_to_dtype(_fresh_penalty(solver), dtype)
+            op.update_parameters(U[e])
+            return op.vmult(X[e])
+
+        _assert_members(batched_op.vmult(X), solo, rtol, f"penalty @ {dtype}")
+
+    def test_cfl_flow_rate_and_divergence_members(self, solver, rng):
+        U = rng.standard_normal((self.E, solver.dof_u.n_dofs))
+        vmax = solver.convective.max_reference_velocity(U)
+        assert vmax.shape == (self.E,)
+        _assert_members(
+            vmax, lambda e: solver.convective.max_reference_velocity(U[e]), 1e-12)
+        rate = solver._flow_rate_of(U, 1)
+        assert rate.shape == (self.E,)
+        _assert_members(rate, lambda e: solver._flow_rate_of(U[e], 1), 1e-12)
+        with _velocity_state(solver, U):
+            div = solver._divergence_field()
+
+        def solo_div(e):
+            with _velocity_state(solver, U[e]):
+                return solver._divergence_field()
+
+        _assert_members(div, solo_div, 1e-12, "divergence field")
+
+    def test_member_independent_equals_member_stacked_dirichlet(self, solver, rng):
+        """Boundary data without a member axis broadcasts: same result
+        as the same data stacked E times, and as each member's flat
+        apply."""
+        s, E = solver, self.E
+        flow = BeltramiFlow(0.05)
+
+        def g(x, y, z, t):
+            return np.asarray(flow.velocity(x, y, z, t))
+
+        def gp(x, y, z, t):
+            return np.sin(x) * y + z + t
+
+        shared_u = BoundaryConditions({1: VelocityDirichlet(g)})
+        stacked_u = BoundaryConditions({1: VelocityDirichlet(
+            lambda *a: np.stack([g(*a)] * E))})
+        shared_p = BoundaryConditions({1: PressureDirichlet(gp)})
+        stacked_p = BoundaryConditions({1: PressureDirichlet(
+            lambda *a: np.stack([gp(*a)] * E))})
+        cases = [
+            (lambda b: ConvectiveOperator(s.dof_u, s.geo_over, s.conn, b),
+             shared_u, stacked_u, s.dof_u.n_dofs),
+            (lambda b: DivergenceOperator(s.dof_u, s.dof_p, s.geo_u, s.conn, b),
+             shared_u, stacked_u, s.dof_u.n_dofs),
+            (lambda b: GradientOperator(s.dof_u, s.dof_p, s.geo_u, s.conn, b),
+             shared_p, stacked_p, s.dof_p.n_dofs),
+        ]
+        for make, shared, stacked, n in cases:
+            X = rng.standard_normal((E, n))
+            op = make(shared)
+            y = op.apply(X, 0.2)
+            label = type(op).__name__
+            _assert_members(make(stacked).apply(X, 0.2), lambda e: y[e], 1e-13, label)
+            _assert_members(y, lambda e: op.apply(X[e], 0.2), 1e-12, label)
+
+
+def _hanging_box():
+    f = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
+    return f.refine([f.leaves[0]]).balance()
+
+
+def _tapered_cylinder():
+    return Forest(cylinder(n_axial=2, smooth=True, taper_radius=0.8))
+
+
+class TestStackedVectorLaplacian:
+    """Components ride the scalar kernel's batch axis: one scalar
+    mat-vec per vector mat-vec, equal to three scalar ones."""
+
+    @pytest.fixture(params=[_tapered_cylinder, _hanging_box],
+                    ids=["tapered_cylinder", "hanging_box"])
+    def operators(self, request):
+        forest = request.param()
+        geo, conn = GeometryField(forest, 2), build_connectivity(forest)
+        present = tuple({b.boundary_id for b in conn.boundary})
+        scalar = DGLaplaceOperator(
+            DGDofHandler(forest, 2), geo, conn, dirichlet_ids=present[:1])
+        return scalar, VectorDGLaplace(scalar, DGDofHandler(forest, 2, n_components=3))
+
+    def test_equals_three_scalar_matvecs(self, operators, rng):
+        scalar, vector = operators
+        x = rng.standard_normal(vector.n_dofs)
+        u = vector.dof.cell_view(x)
+        y = vector.dof.cell_view(vector.vmult(x))
+        for c in range(3):
+            ref = scalar.dof.cell_view(
+                scalar.vmult(scalar.dof.flat(np.ascontiguousarray(u[:, c]))))
+            np.testing.assert_allclose(
+                y[:, c], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    def test_one_scalar_vmult_per_application(self, operators, lead, rng,
+                                              monkeypatch):
+        scalar, vector = operators
+        shapes = []
+        raw = scalar.vmult
+        monkeypatch.setattr(
+            scalar, "vmult", lambda x: shapes.append(x.shape) or raw(x))
+        x = rng.standard_normal(lead + (vector.n_dofs,))
+        assert vector.vmult(x).shape == x.shape
+        assert shapes == [(3 * int(np.prod(lead)), scalar.n_dofs)]
 
 
 @pytest.fixture(scope="module")

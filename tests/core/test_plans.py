@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.dof_handler import DGDofHandler
 from repro.core.operators import DGLaplaceOperator
+from repro.core import plans
 from repro.core.plans import (
     _PATH_CACHE,
     FlatScatterPlan,
@@ -158,6 +159,43 @@ class TestContract:
                                    rtol=1e-13, atol=1e-14)
         key = (subscripts, tuple(s for s in map(tuple, shapes)))
         assert key in _PATH_CACHE  # plan decided once, cached
+
+    @pytest.mark.parametrize("ellipsis,explicit,shapes", [
+        ("cilzyx,...cilzyx->...czyx", "cilzyx,ecilzyx->eczyx",
+         [(4, 3, 3, 2, 2, 2), (2, 4, 3, 3, 2, 2, 2)]),
+        ("cilzyx,...cilzyx->...czyx", "cilzyx,cilzyx->czyx",
+         [(4, 3, 3, 2, 2, 2), (4, 3, 3, 2, 2, 2)]),
+        ("cilzyx,...czyx->l...cizyx", "cilzyx,eczyx->lecizyx",
+         [(4, 3, 3, 2, 2, 2), (2, 4, 2, 2, 2)]),
+        ("fiab,...fiab->...fab", "fiab,efiab->efab",
+         [(5, 3, 4, 4), (2, 5, 3, 4, 4)]),
+        ("...cijzyx,cjlzyx->l...cizyx", "cijzyx,cjlzyx->lcizyx",
+         [(4, 3, 3, 2, 2, 2), (4, 3, 3, 2, 2, 2)]),
+    ])
+    def test_ellipsis_is_bitwise_explicit_and_cached(self, ellipsis, explicit,
+                                                     shapes, rng, monkeypatch):
+        """Leading batch axes spelled ``...``: same plan and same bits as
+        the explicit subscripts, C-contiguous in output-subscript order,
+        and the plan is looked up (not rebuilt) after the first call."""
+        ops = [rng.standard_normal(s) for s in shapes]
+        ref = contract(explicit, *ops)
+        key = (ellipsis, tuple(shapes))
+        _PATH_CACHE.pop(key, None)
+        first = contract(ellipsis, *ops)
+        assert _PATH_CACHE[key] == _PATH_CACHE[(explicit, tuple(shapes))]
+        assert np.array_equal(first, ref) and first.flags.c_contiguous
+        monkeypatch.setattr(
+            plans, "_contraction_strategy",
+            lambda *a: pytest.fail("plan rebuilt on a cache hit"),
+        )
+        assert np.array_equal(contract(ellipsis, *ops), ref)
+
+    def test_ellipsis_large_contraction_gets_a_path(self):
+        a, b = np.ones((2, 5, 4, 4)), np.ones((4, 4, 3, 3))
+        np.testing.assert_allclose(
+            contract("...fab,abxy->...fxy", a, b),
+            np.einsum("efab,abxy->efxy", a, b))
+        assert _PATH_CACHE[("...fab,abxy->...fxy", (a.shape, b.shape))] is not False
 
     def test_out_parameter(self):
         rng = np.random.default_rng(6)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.basis import LagrangeBasis1D
+from repro.core.operators import FaceKernels
 from repro.core.quadrature import gauss, tensor_points
 from repro.core.sum_factorization import TensorProductKernel, apply_1d
 
@@ -108,57 +109,75 @@ class TestCellKernels:
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("face", range(6))
 class TestFaceKernels:
+    """The face path the operators run: ``FaceKernels.eval_side`` (value
+    and component-major reference-gradient traces at the face quadrature
+    points) and its adjoint ``integrate_side``, on all six faces."""
+
+    @staticmethod
+    def _face_points(kern, face):
+        """3D reference points of the face quadrature lattice, (a, b)
+        running over the remaining dims in descending order."""
+        d, s = divmod(face, 2)
+        q1 = gauss(kern.n_q_points).points
+        rem = [dd for dd in (2, 1, 0) if dd != d]
+        pts = np.empty((kern.n_q_points, kern.n_q_points, 3))
+        pts[..., d] = float(s)
+        pts[..., rem[0]] = q1[:, None]
+        pts[..., rem[1]] = q1[None, :]
+        return pts.reshape(-1, 3)
+
     def test_face_values_match_direct(self, k, face):
         kern = TensorProductKernel(k)
         rng = np.random.default_rng(3)
         u = rng.standard_normal((2, k + 1, k + 1, k + 1))
-        d, s = divmod(face, 2)
-        qpts1d = gauss(kern.n_q_points).points
-        # build the 3D points of this face: coordinate d fixed at s
-        fv = kern.face_values(u, face)
+        vals, grads = FaceKernels(kern).eval_side(u, face)
         nq = kern.n_q_points
+        assert vals.shape == (2, nq, nq) and grads.shape == (3, 2, nq, nq)
         nodes = kern.shape.basis.nodes
-        # face array axes are remaining dims in descending order
-        rem = [dd for dd in (2, 1, 0) if dd != d]  # array axis order
+        pts = self._face_points(kern, face)
         for c in range(2):
-            for a in range(nq):
-                for b in range(nq):
-                    coord = [0.0, 0.0, 0.0]
-                    coord[d] = float(s)
-                    coord[rem[0]] = qpts1d[a]
-                    coord[rem[1]] = qpts1d[b]
-                    direct = eval_nodal_3d(u[c], nodes, np.array([coord]))
-                    assert np.isclose(fv[c, a, b], direct[0], atol=1e-11)
+            direct = eval_nodal_3d(u[c], nodes, pts)
+            assert np.allclose(vals[c].ravel(), direct, atol=1e-11)
+            direct_g = grad_nodal_3d(u[c], nodes, pts)
+            assert np.allclose(grads[:, c].reshape(3, -1), direct_g, atol=1e-10)
 
     def test_face_integrate_adjoint(self, k, face):
         kern = TensorProductKernel(k)
+        fk = FaceKernels(kern)
         rng = np.random.default_rng(4)
         u = rng.standard_normal((2, k + 1, k + 1, k + 1))
         q = rng.standard_normal((2, kern.n_q_points, kern.n_q_points))
-        lhs = np.sum(kern.face_integrate_values(q, face) * u)
-        rhs = np.sum(q * kern.face_values(u, face))
+        lhs = np.sum(fk.integrate_side(face, q, None) * u)
+        rhs = np.sum(q * fk.eval_side(u, face)[0])
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
     def test_face_normal_derivative_adjoint(self, k, face):
+        """Gradient traces (normal and tangential) and the combined
+        value + gradient integration are exact adjoints."""
         kern = TensorProductKernel(k)
+        fk = FaceKernels(kern)
         rng = np.random.default_rng(5)
         u = rng.standard_normal((2, k + 1, k + 1, k + 1))
         q = rng.standard_normal((2, kern.n_q_points, kern.n_q_points))
-        lhs = np.sum(kern.face_integrate_normal_derivative(q, face) * u)
-        rhs = np.sum(q * kern.face_normal_derivative(u, face))
-        assert np.isclose(lhs, rhs, rtol=1e-11)
+        qg = rng.standard_normal((3, 2, kern.n_q_points, kern.n_q_points))
+        vals, grads = fk.eval_side(u, face)
+        lhs = np.sum(fk.integrate_side(face, None, qg) * u)
+        assert np.isclose(lhs, np.sum(qg * grads), rtol=1e-11)
+        lhs = np.sum(fk.integrate_side(face, q, qg) * u)
+        assert np.isclose(lhs, np.sum(q * vals) + np.sum(qg * grads), rtol=1e-11)
 
     def test_face_normal_derivative_of_linear(self, k, face):
-        """d/dx_d of the coordinate function x_d is 1 on every face."""
+        """The reference gradient of the coordinate function x_d is the
+        unit vector e_d on every face."""
         kern = TensorProductKernel(k)
         d, s = divmod(face, 2)
         nodes = kern.shape.basis.nodes
-        n = k + 1
         # nodal coefficients of f(x) = x_d
         grids = np.meshgrid(nodes, nodes, nodes, indexing="ij")  # x, y, z
         f = grids[d].transpose(2, 1, 0)[None]  # layout (1, z, y, x)
-        deriv = kern.face_normal_derivative(f, face)
-        assert np.allclose(deriv, 1.0, atol=1e-11)
+        vals, grads = FaceKernels(kern).eval_side(f, face)
+        assert np.allclose(vals, float(s), atol=1e-11)
+        assert np.allclose(grads, np.eye(3)[d][:, None, None, None], atol=1e-11)
 
 
 @settings(deadline=None, max_examples=20)

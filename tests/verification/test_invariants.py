@@ -17,7 +17,9 @@ from repro.core.operators import (
 )
 from repro.core.operators.grad_div import DivergenceOperator, GradientOperator
 from repro.mesh.connectivity import build_connectivity
+from repro.mesh.generators import bifurcation, box, cylinder
 from repro.mesh.mapping import GeometryField
+from repro.mesh.octree import Forest
 from repro.ns.bc import BoundaryConditions, VelocityDirichlet
 from repro.verification import (
     InvariantViolation,
@@ -96,12 +98,53 @@ class TestMixedSpaceInvariants:
         )
 
 
+def _tapered_cylinder() -> Forest:
+    return Forest(cylinder(n_axial=2, smooth=True, taper_radius=0.8))
+
+
+def _bifurcation_60() -> Forest:
+    return Forest(bifurcation(opening_angle_deg=60.0))
+
+
+def _hanging_box() -> Forest:
+    forest = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1, 1: 2}))
+    return forest.refine([forest.leaves[0]]).balance()
+
+
+#: the penalty's trial-side gradient is transposed (penalty.py, the
+#: marked ``np.swapaxes``), which only a non-diagonal Jacobian exposes;
+#: strict, so removing the transposition without this marker turns red
+_ROADMAP_1A = pytest.mark.xfail(
+    strict=True, raises=InvariantViolation, reason="ROADMAP 1(A)"
+)
+
+
 class TestPenaltyInvariants:
     def test_penalty_symmetric_positive_semidefinite(self, rng, space):
+        # the drawn mesh kind is fixed by the test id's seed: this one
+        # gets the Cartesian box (see the parametrized test below)
         forest, geo, conn, _ = space
         dof_u = DGDofHandler(forest, DEGREE, n_components=3)
         pen = DivergenceContinuityPenalty(dof_u, geo, conn)
         pen.update_parameters(rng.standard_normal(dof_u.n_dofs))
+        check_symmetry(pen, rng, rtol=1e-8)
+        check_positive_semidefinite(pen, rng, tol=1e-10)
+
+    @pytest.mark.parametrize("make_forest", [
+        pytest.param(_tapered_cylinder, id="tapered_cylinder", marks=_ROADMAP_1A),
+        pytest.param(_bifurcation_60, id="bifurcation_60", marks=_ROADMAP_1A),
+        pytest.param(_hanging_box, id="hanging_box"),
+    ])
+    def test_penalty_symmetric_psd_on_every_mesh_kind(self, rng, make_forest):
+        """Mesh kind parametrized, not drawn, and tau != 0: the curved
+        kinds cannot be skipped by an unlucky seed."""
+        forest = make_forest()
+        dof_u = DGDofHandler(forest, DEGREE, n_components=3)
+        pen = DivergenceContinuityPenalty(
+            dof_u, GeometryField(forest, DEGREE), build_connectivity(forest)
+        )
+        pen.update_parameters(rng.standard_normal(dof_u.n_dofs))
+        assert pen.tau_div.min() > 0.0
         check_symmetry(pen, rng, rtol=1e-8)
         check_positive_semidefinite(pen, rng, tol=1e-10)
 
