@@ -113,12 +113,7 @@ class CGDofHandler:
         nodes = basis.nodes
         zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
         ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        forest = self.forest
-        out = np.empty((self.n_cells, ref.shape[0], 3))
-        for c, leaf in enumerate(forest.leaves):
-            pts = forest.coarse.map_trilinear(leaf.tree, leaf.ref_points(ref))
-            out[c] = pts
-        return out
+        return self.forest.leaf_points(ref, smooth=False)
 
     def _number_dofs(self) -> None:
         pts = self._nodal_points_trilinear()

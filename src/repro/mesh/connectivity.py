@@ -3,7 +3,8 @@ faces, orientations, and boundary faces.
 
 Faces are matched *geometrically*: the four corner points of every leaf
 face (trilinear coarse-cell geometry, which is evaluated identically from
-both sides of a shared face up to rounding) are quantized and hashed.
+both sides of a shared face up to rounding) are quantized and numbered,
+and faces with the same four corner numbers are the same face.
 This handles arbitrary relative orientations of coarse cells — the case
 the paper highlights as costing ~25% extra face work on the lung mesh due
 to partially filled SIMD lanes — without p4est's transform tables.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hexmesh import face_corner_vertices
+from .hexmesh import CORNER_OFFSETS, face_corner_vertices, trilinear
 from .octree import CellId, Forest
 
 
@@ -164,15 +165,37 @@ class MeshConnectivity:
 
 
 # ---------------------------------------------------------------------------
-def _quantize(points: np.ndarray, tol: float) -> list[tuple[int, int, int]]:
-    q = np.round(points / tol).astype(np.int64)
-    return [tuple(int(v) for v in row) for row in q]
+#: lexicographic cell corner of each face corner, (a, b) frame order 2a + b
+_FACE_VERTS = np.array([face_corner_vertices(f).ravel() for f in range(6)])
+#: tangential dimensions (high, low) of the faces normal to dimension d
+_TANGENTIAL = np.array([[2, 1], [2, 0], [1, 0]])
 
 
-def _face_corner_points(forest: Forest, index: int, face: int) -> np.ndarray:
-    """(2, 2, 3) physical trilinear corners of a leaf face in (a, b) frame."""
-    corners8 = forest.cell_corner_points(index)  # (8, 3) lexicographic
-    return corners8[face_corner_vertices(face)]
+@dataclass(frozen=True)
+class FaceIndex:
+    """Geometric matching of all leaf faces of one forest.  A face is
+    named by its flat index ``6 c + f``.
+
+    tol:         quantization step of the corner positions
+    vertices:    (V, 3) the distinct quantized leaf-corner positions
+    corner_ids:  (6 N, 4) row of ``vertices`` under every face corner
+    pairs:       (P, 2) faces sharing all four corners, ordered by the
+                 first member (the smaller flat index)
+    unmatched:   (U,) faces seen from one side only, ascending
+    hanging:     (H, 3) rows ``(face, coarse face, ancestor level)``: for
+                 an unmatched face, the finest ancestor level whose face
+                 in the same direction is another unmatched leaf face
+    hanging_ids: (H, 4) corner ids of that ancestor face, in the frame
+                 of the (fine) face
+    """
+
+    tol: float
+    vertices: np.ndarray
+    corner_ids: np.ndarray
+    pairs: np.ndarray
+    unmatched: np.ndarray
+    hanging: np.ndarray
+    hanging_ids: np.ndarray
 
 
 def _match_tol(forest: Forest) -> float:
@@ -183,99 +206,118 @@ def _match_tol(forest: Forest) -> float:
     return max(extent, 1.0e-12) * 1e-9
 
 
-def _ancestor_face_on_boundary(cell: CellId, face: int, la: int) -> CellId | None:
-    """The ancestor of ``cell`` at level ``la`` if ``face`` of the cell
-    lies on that ancestor's boundary in the same direction, else None."""
-    d, s = divmod(face, 2)
-    shift = cell.level - la
-    coord = (cell.i, cell.j, cell.k)[d]
-    within = coord - ((coord >> shift) << shift)
-    if s == 0 and within != 0:
-        return None
-    if s == 1 and within != (1 << shift) - 1:
-        return None
-    return CellId(cell.tree, la, cell.i >> shift, cell.j >> shift, cell.k >> shift)
+def _lookup_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position in ``table`` (distinct integer rows) of every row of
+    ``rows``; -1 where absent."""
+    _, inverse = np.unique(np.concatenate([table, rows]), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    position = np.full(len(table) + len(rows), -1)
+    position[inverse[: len(table)]] = np.arange(len(table))
+    return position[inverse[len(table):]]
 
 
-def _orientation_from_corners(km: list, kp: list) -> Orientation:
-    """Derive the dihedral map from minus corner keys to plus corner keys.
+def _vertex_ids(vertices: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Ids ``(n, 4)`` of the face corners ``points`` (n, 4, 3) among the
+    quantized leaf-corner positions ``vertices``; -1 where no leaf
+    corner sits."""
+    q = np.round(points / tol).astype(np.int64).reshape(-1, 3)
+    return _lookup_rows(vertices, q).reshape(-1, 4)
 
-    ``km``, ``kp`` are 2x2 nested lists of hashable corner keys in the
-    two frames; returns T with kp[T(a,b)] == km[a][b].
-    """
-    pos_p = {kp[a][b]: (a, b) for a in range(2) for b in range(2)}
-    try:
-        img00 = pos_p[km[0][0]]
-        img10 = pos_p[km[1][0]]
-    except KeyError as exc:  # pragma: no cover - matching guaranteed by caller
-        raise ValueError("faces do not share corners") from exc
-    # Moving along a in the minus frame moves along b' in the plus frame?
-    swap = img10[0] == img00[0]
-    flip_a = bool(img00[0])
-    flip_b = bool(img00[1])
-    o = Orientation(swap, flip_a, flip_b)
+
+def _find_faces(face_ids: np.ndarray, probe_ids: np.ndarray) -> np.ndarray:
+    """Position among the faces with corner ids ``face_ids`` (F, 4) of
+    the face with the same corner *set* as each ``probe_ids`` row."""
+    return _lookup_rows(np.sort(face_ids, axis=1), np.sort(probe_ids, axis=1))
+
+
+def _orientation_codes(km: np.ndarray, kp: np.ndarray) -> np.ndarray:
+    """:attr:`Orientation.code` of the dihedral maps T taking minus
+    corner ids ``km`` (n, 4) to plus corner ids ``kp``:
+    ``kp[T(a, b)] == km[a, b]`` with corners in frame order ``2 a + b``."""
+    img00 = (kp == km[:, :1]).argmax(axis=1)
+    img10 = (kp == km[:, 2:3]).argmax(axis=1)
+    # moving along a in the minus frame moves along b' in the plus frame?
+    swap = (img10 >> 1) == (img00 >> 1)
+    flip_a, flip_b = img00 >> 1, img00 & 1
     # verify on all four corners (catches degenerate geometry)
-    for a in range(2):
-        for b in range(2):
-            ap, bp = o.apply_coords(float(a), float(b))
-            if kp[int(round(ap))][int(round(bp))] != km[a][b]:
-                raise ValueError("inconsistent face corner correspondence")
-    return o
+    a, b = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    t = np.where(swap[:, None], b, a) ^ flip_a[:, None]
+    u = np.where(swap[:, None], a, b) ^ flip_b[:, None]
+    if not np.array_equal(np.take_along_axis(kp, 2 * t + u, axis=1), km):
+        raise ValueError("inconsistent face corner correspondence")
+    return 4 * swap + 2 * flip_a + flip_b
 
 
-def _corner_keys_2x2(points: np.ndarray, tol: float) -> list:
-    flat = _quantize(points.reshape(4, 3), tol)
-    return [[flat[0], flat[1]], [flat[2], flat[3]]]
+def build_face_index(forest: Forest) -> FaceIndex:
+    """Match every leaf face by its quantized corner set and probe the
+    ancestors of the unmatched ones for a coarser neighbour.  Reached
+    through :attr:`Forest.face_index`, which keeps the result."""
+    tol = _match_tol(forest)
+    tree, level, anchors = forest.leaf_arrays()
+    q = np.round(forest.corner_points / tol).astype(np.int64).reshape(-1, 3)
+    vertices, vid = np.unique(q, axis=0, return_inverse=True)
+    corner_ids = vid.reshape(-1, 8)[:, _FACE_VERTS].reshape(-1, 4)
+    _, group, counts = np.unique(
+        np.sort(corner_ids, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    if counts.size and counts.max() > 2:  # pragma: no cover - defensive
+        raise RuntimeError(f"face shared by {counts.max()} cells")
+    by_group = np.argsort(group.ravel(), kind="stable")  # ascending inside a group
+    starts = np.cumsum(counts) - counts
+    twice = starts[counts == 2]
+    pairs = np.stack([by_group[twice], by_group[twice + 1]], axis=1)
+    pairs = pairs[np.argsort(pairs[:, 0])]
+    unmatched = np.sort(by_group[starts[counts == 1]])
 
-
-def _ancestor_face_corner_points(
-    forest: Forest, cell: CellId, face: int, ancestor: CellId
-) -> np.ndarray:
-    """(2,2,3) physical corners of the ancestor's face (same direction)."""
-    ref = ancestor.ref_corners()[face_corner_vertices(face)]
-    return forest.coarse.map_trilinear(cell.tree, ref.reshape(4, 3)).reshape(2, 2, 3)
-
-
-def _build_face_index(forest: Forest, tol: float):
-    """Hash every leaf face by its quantized corner set."""
-    face_map: dict[frozenset, list[tuple[int, int]]] = {}
-    corner_cache: dict[tuple[int, int], list] = {}
-    for c in range(forest.n_cells):
-        corners8 = forest.cell_corner_points(c)
-        keys8 = _quantize(corners8, tol)
-        for f in range(6):
-            idx = face_corner_vertices(f)
-            k2x2 = [[keys8[idx[a][b]] for b in range(2)] for a in range(2)]
-            corner_cache[(c, f)] = k2x2
-            key = frozenset(k2x2[0] + k2x2[1])
-            face_map.setdefault(key, []).append((c, f))
-    return face_map, corner_cache
+    # every (unmatched face, ancestor level) whose ancestor has the face
+    # on its own boundary in the same direction, finest level first:
+    # probing *every* level is what lets 4:1 situations be detected
+    c, f = np.divmod(unmatched, 6)
+    d, s = np.divmod(f, 2)
+    coord = anchors[c, d]
+    shifts = np.arange(1, forest.max_level + 1)[:, None]
+    on_face = (level[c] >= shifts) & ((coord & ((1 << shifts) - 1)) == s * ((1 << shifts) - 1))
+    shift, pos = np.nonzero(on_face)
+    order = np.lexsort((shift, pos))
+    shift, pos = shift[order] + 1, pos[order]
+    la = level[c[pos]] - shift
+    ref = (
+        (anchors[c[pos]] >> shift[:, None])[:, None, :] + CORNER_OFFSETS[_FACE_VERTS[f[pos]]]
+    ) * (0.5**la)[:, None, None]
+    coarse = forest.coarse
+    ancestor_ids = _vertex_ids(
+        vertices, trilinear(coarse.vertices[coarse.cells[tree[c[pos]]]], ref), tol
+    )
+    hit = _find_faces(corner_ids[unmatched], ancestor_ids)
+    valid = np.nonzero((hit >= 0) & (hit != pos))[0]
+    valid = valid[np.unique(pos[valid], return_index=True)[1]]  # finest hit per face
+    hanging = np.stack([unmatched[pos[valid]], unmatched[hit[valid]], la[valid]], axis=1)
+    return FaceIndex(tol, vertices, corner_ids, pairs, unmatched, hanging, ancestor_ids[valid])
 
 
 def find_unbalanced_cells(forest: Forest) -> list[CellId]:
     """Cells violating the 2:1 face balance: returns the *coarse* cells
     that must be refined."""
-    tol = _match_tol(forest)
-    face_map, _ = _build_face_index(forest, tol)
-    unmatched: dict[frozenset, tuple[int, int]] = {
-        key: entries[0] for key, entries in face_map.items() if len(entries) == 1
-    }
-    violators: set[CellId] = set()
-    for key, (c, f) in unmatched.items():
-        cell = forest.leaves[c]
-        for la in range(cell.level - 1, -1, -1):
-            anc = _ancestor_face_on_boundary(cell, f, la)
-            if anc is None:
-                break
-            pts = _ancestor_face_corner_points(forest, cell, f, anc)
-            anc_key = frozenset(_quantize(pts.reshape(4, 3), tol))
-            hit = unmatched.get(anc_key)
-            if hit is not None and hit != (c, f):
-                cc, _ = hit
-                if forest.leaves[cc].level == la and cell.level - la >= 2:
-                    violators.add(forest.leaves[cc])
-                break
-    return sorted(violators)
+    level = forest.leaf_arrays()[1]
+    fine, coarse_face, la = forest.face_index.hanging.T
+    bad = (level[coarse_face // 6] == la) & (level[fine // 6] - la >= 2)
+    return sorted({forest.leaves[c] for c in (coarse_face[bad] // 6).tolist()})
+
+
+def _interior_rows(minus, plus, codes, subface=None) -> np.ndarray:
+    """``(face_m, face_p, code, sa, sb, cell_m, cell_p)`` per face pair;
+    conforming pairs carry the subface ``(-1, -1)``."""
+    if subface is None:
+        subface = np.full((len(minus), 2), -1)
+    return np.column_stack([minus % 6, plus % 6, codes, subface, minus // 6, plus // 6])
+
+
+def _groups(keys: np.ndarray):
+    """The distinct rows of ``keys`` in lexicographic order, each with
+    the ascending positions that hold it."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(row, np.nonzero(inverse == g)[0]) for g, row in enumerate(uniq.tolist())]
 
 
 def build_connectivity(
@@ -293,160 +335,79 @@ def build_connectivity(
     without changes; the mesh must be uniformly refined across periodic
     boundaries (no 2:1 hanging periodic faces).
     """
-    tol = _match_tol(forest)
-    face_map, corner_cache = _build_face_index(forest, tol)
-
-    interior: dict[tuple, FaceBatch] = {}
-    boundary: dict[tuple, BoundaryBatch] = {}
-    matched: set[tuple[int, int]] = set()
-
-    def add_interior(cm, fm, cp, fp, orientation, subface):
-        key = (fm, fp, orientation.code, subface)
-        batch = interior.get(key)
-        if batch is None:
-            batch = FaceBatch(fm, fp, orientation, subface, [], [])  # type: ignore[arg-type]
-            interior[key] = batch
-        batch.cells_m.append(cm)  # type: ignore[union-attr]
-        batch.cells_p.append(cp)  # type: ignore[union-attr]
+    index = forest.face_index
+    ids = index.corner_ids
+    tree, level, anchors = forest.leaf_arrays()
 
     # conforming pairs -----------------------------------------------------
-    for key, entries in face_map.items():
-        if len(entries) == 2:
-            (cm, fm), (cp, fp) = entries
-            lm = forest.leaves[cm].level
-            lp = forest.leaves[cp].level
-            if lm != lp:  # pragma: no cover - same corners forces same level
-                raise RuntimeError("matched faces at different levels")
-            o = _orientation_from_corners(corner_cache[(cm, fm)], corner_cache[(cp, fp)])
-            add_interior(cm, fm, cp, fp, o, None)
-            matched.add((cm, fm))
-            matched.add((cp, fp))
-        elif len(entries) > 2:  # pragma: no cover - defensive
-            raise RuntimeError(f"face shared by {len(entries)} cells")
+    minus, plus = index.pairs.T
+    if np.any(level[minus // 6] != level[plus // 6]):  # pragma: no cover
+        raise RuntimeError("matched faces at different levels")  # same corners force same level
+    rows = [_interior_rows(minus, plus, _orientation_codes(ids[minus], ids[plus]))]
 
-    # hanging (2:1) pairs ----------------------------------------------------
-    unmatched = {
-        key: entries[0]
-        for key, entries in face_map.items()
-        if len(entries) == 1 and entries[0] not in matched
-    }
-    for key, (c, f) in list(unmatched.items()):
-        if (c, f) in matched:
-            continue
-        cell = forest.leaves[c]
-        if cell.level == 0:
-            continue
-        # probe every ancestor level so 4:1 (unbalanced) situations are
-        # detected and reported instead of silently misclassified
-        hit = None
-        anc_keys_2x2 = None
-        la_hit = None
-        for la in range(cell.level - 1, -1, -1):
-            anc = _ancestor_face_on_boundary(cell, f, la)
-            if anc is None:
-                break
-            pts = _ancestor_face_corner_points(forest, cell, f, anc)
-            keys = _corner_keys_2x2(pts.reshape(4, 3), tol)
-            cand = unmatched.get(frozenset(keys[0] + keys[1]))
-            if cand is not None and cand != (c, f):
-                hit, anc_keys_2x2, la_hit = cand, keys, la
-                break
-        if hit is None:
-            continue
-        cp, fp = hit
-        if forest.leaves[cp].level != la_hit or cell.level - la_hit >= 2:
-            raise RuntimeError("mesh is not 2:1 balanced; call Forest.balance()")
-        # orientation: ancestor/fine frame (minus) -> coarse neighbor (plus)
-        o = _orientation_from_corners(anc_keys_2x2, corner_cache[(cp, fp)])
-        # subface position of the fine cell inside the ancestor face, in
-        # the minus (fine) frame
-        d, s = divmod(f, 2)
-        rem = [dd for dd in (2, 1, 0) if dd != d]  # (high, low)
-        anchor = (cell.i, cell.j, cell.k)
-        sa = anchor[rem[0]] & 1
-        sb = anchor[rem[1]] & 1
-        add_interior(c, f, cp, fp, o, (sa, sb))
-        matched.add((c, f))
-        matched.add((cp, fp))
+    # hanging (2:1) pairs: the fine face integrates ---------------------------
+    fresh = ~np.isin(index.hanging[:, 0], index.hanging[:, 1])  # not itself a coarse side
+    fine, coarse_face, la = index.hanging[fresh].T
+    if np.any((level[coarse_face // 6] != la) | (level[fine // 6] - la >= 2)):
+        raise RuntimeError("mesh is not 2:1 balanced; call Forest.balance()")
+    # orientation: ancestor/fine frame (minus) -> coarse neighbor (plus);
+    # subface: position of the fine cell inside the ancestor face, minus frame
+    codes = _orientation_codes(index.hanging_ids[fresh], ids[coarse_face])
+    tangential = _TANGENTIAL[(fine % 6) // 2]
+    subface = np.take_along_axis(anchors[fine // 6], tangential, axis=1) & 1
+    rows.append(_interior_rows(fine, coarse_face, codes, subface))
 
     # boundary faces -----------------------------------------------------------
-    for key, (c, f) in unmatched.items():
-        if (c, f) in matched:
-            continue
-        cell = forest.leaves[c]
-        anc = _ancestor_face_on_boundary(cell, f, 0)
-        if anc is None:
-            raise RuntimeError(
-                f"face {f} of {cell} is neither matched nor on the domain boundary"
-            )
-        root_face_vertices = forest.coarse.face_vertices(cell.tree, f).ravel()
-        bid = forest.coarse.boundary_id_of(root_face_vertices)
-        bkey = (f, bid)
-        batch = boundary.get(bkey)
-        if batch is None:
-            batch = BoundaryBatch(f, bid, [])  # type: ignore[arg-type]
-            boundary[bkey] = batch
-        batch.cells.append(c)  # type: ignore[union-attr]
+    faces = index.unmatched[~np.isin(index.unmatched, index.hanging[fresh, :2])]
+    c, f = np.divmod(faces, 6)
+    d, s = np.divmod(f, 2)
+    inside = anchors[c, d] != s * ((1 << level[c]) - 1)
+    if inside.any():
+        k = int(np.argmax(inside))
+        raise RuntimeError(
+            f"face {f[k]} of {forest.leaves[c[k]]} is neither matched nor on the domain boundary"
+        )
+    coarse = forest.coarse
+    root_faces, inverse = np.unique(6 * tree[c] + f, return_inverse=True)
+    bid = np.array(
+        [coarse.boundary_id_of(coarse.face_vertices(*divmod(k, 6)).ravel())
+         for k in root_faces.tolist()],
+        dtype=np.int64,
+    )[inverse]
 
     # periodic pairing: translated geometric matching of boundary faces ---
-    if periodic:
-        # collect remaining boundary faces per indicator with their keys
-        remaining: dict[int, list[tuple[int, int]]] = {}
-        for key, (c, f) in unmatched.items():
-            if (c, f) in matched:
-                continue
-            cell = forest.leaves[c]
-            anc = _ancestor_face_on_boundary(cell, f, 0)
-            if anc is None:
-                continue
-            bid = forest.coarse.boundary_id_of(
-                forest.coarse.face_vertices(cell.tree, f).ravel()
+    for id_a, id_b, translation in periodic or ():
+        a, b = faces[bid == id_a], faces[bid == id_b]
+        corners = np.take_along_axis(
+            forest.corner_points[a // 6], _FACE_VERTS[a % 6][:, :, None], axis=1
+        )
+        shifted_ids = _vertex_ids(
+            index.vertices, corners + np.asarray(translation, dtype=float), index.tol
+        )
+        hit = _find_faces(ids[b], shifted_ids)
+        if np.any(hit < 0):
+            raise RuntimeError(
+                f"periodic face of boundary {id_a} has no partner on "
+                f"{id_b} under translation {translation} (is the mesh "
+                "uniformly refined across the periodic boundary?)"
             )
-            remaining.setdefault(bid, []).append((c, f))
-        for id_a, id_b, translation in periodic:
-            t = np.asarray(translation, dtype=float)
-            targets: dict[frozenset, tuple[int, int, list]] = {}
-            for (c, f) in remaining.get(id_b, []):
-                pts = _face_corner_points(forest, c, f)
-                k2x2 = _corner_keys_2x2(pts.reshape(4, 3), tol)
-                targets[frozenset(k2x2[0] + k2x2[1])] = (c, f, k2x2)
-            for (c, f) in remaining.get(id_a, []):
-                pts = _face_corner_points(forest, c, f) + t
-                k2x2_m = _corner_keys_2x2(pts.reshape(4, 3), tol)
-                hit = targets.get(frozenset(k2x2_m[0] + k2x2_m[1]))
-                if hit is None:
-                    raise RuntimeError(
-                        f"periodic face of boundary {id_a} has no partner on "
-                        f"{id_b} under translation {translation} (is the mesh "
-                        "uniformly refined across the periodic boundary?)"
-                    )
-                cp, fp, k2x2_p = hit
-                if forest.leaves[c].level != forest.leaves[cp].level:
-                    raise RuntimeError(
-                        "periodic faces must pair at equal refinement levels"
-                    )
-                o = _orientation_from_corners(k2x2_m, k2x2_p)
-                add_interior(c, f, cp, fp, o, None)
-                matched.add((c, f))
-                matched.add((cp, fp))
-        # drop the now-matched faces from the boundary batches
-        for bkey in list(boundary):
-            batch = boundary[bkey]
-            kept = [cc for cc in batch.cells if (cc, batch.face) not in matched]  # type: ignore[union-attr]
-            if kept:
-                batch.cells = kept  # type: ignore[assignment]
-            else:
-                del boundary[bkey]
+        partner = b[hit]
+        if np.any(level[a // 6] != level[partner // 6]):
+            raise RuntimeError("periodic faces must pair at equal refinement levels")
+        rows.append(_interior_rows(a, partner, _orientation_codes(shifted_ids, ids[partner])))
+        keep = ~np.isin(faces, np.concatenate([a, partner]))
+        faces, bid = faces[keep], bid[keep]
 
-    ibatches = []
-    for batch in interior.values():
-        batch.cells_m = np.asarray(batch.cells_m, dtype=np.int64)
-        batch.cells_p = np.asarray(batch.cells_p, dtype=np.int64)
-        ibatches.append(batch)
-    bbatches = []
-    for batch in boundary.values():
-        batch.cells = np.asarray(batch.cells, dtype=np.int64)
-        bbatches.append(batch)
-    ibatches.sort(key=lambda b: (b.face_m, b.face_p, b.orientation.code, b.subface or (-1, -1)))
-    bbatches.sort(key=lambda b: (b.face, b.boundary_id))
-    return MeshConnectivity(ibatches, bbatches)
+    rows = np.concatenate(rows)
+    interior = [
+        FaceBatch(
+            fm, fp, Orientation(bool(code & 4), bool(code & 2), bool(code & 1)),
+            None if sa < 0 else (sa, sb), rows[at, 5], rows[at, 6],
+        )
+        for (fm, fp, code, sa, sb), at in _groups(rows[:, :5])
+    ]
+    boundary = [
+        BoundaryBatch(face, boundary_id, faces[at] // 6)
+        for (face, boundary_id), at in _groups(np.stack([faces % 6, bid], axis=1))
+    ]
+    return MeshConnectivity(interior, boundary)

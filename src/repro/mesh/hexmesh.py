@@ -19,6 +19,9 @@ from typing import Callable
 
 import numpy as np
 
+#: unit-cube corners in lexicographic order ``v = vx + 2 vy + 4 vz``
+CORNER_OFFSETS = np.array([[v & 1, (v >> 1) & 1, (v >> 2) & 1] for v in range(8)])
+
 #: Local vertex indices of face ``f = 2 d + s`` in the face's own (a, b)
 #: frame, where ``a`` runs along the *higher* remaining dimension and
 #: ``b`` along the lower one (the array-axis order of face data produced
@@ -121,44 +124,40 @@ class HexMesh:
         return float(np.dot(w, np.abs(np.linalg.det(J))))
 
 
+def _corner_weights(fx: np.ndarray, fy: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """``(fx[vx] * fy[vy]) * fz[vz]`` at lexicographic corner
+    ``v = vx + 2 vy + 4 vz``; factors ``(..., 2)`` broadcast to ``(..., 8)``."""
+    w = fz[..., :, None, None] * (fy[..., :, None] * fx[..., None, :])[..., None, :, :]
+    return w.reshape(w.shape[:-3] + (8,))
+
+
 def trilinear(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of 8 corners (lexicographic) at ``ref``.
 
-    ``corners``: (8, 3) or batched (..., 8, 3); ``ref``: (m, 3) in [0,1]^3.
+    ``corners``: (8, 3) or batched (..., 8, 3); ``ref``: (m, 3) in
+    [0,1]^3, or (..., m, 3) with one point set per corner set.
     Returns (..., m, 3).
     """
     ref = np.atleast_2d(ref)
-    x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-    w = np.empty((ref.shape[0], 8))
-    for v in range(8):
-        vx, vy, vz = v & 1, (v >> 1) & 1, (v >> 2) & 1
-        w[:, v] = (
-            (vx * x + (1 - vx) * (1 - x))
-            * (vy * y + (1 - vy) * (1 - y))
-            * (vz * z + (1 - vz) * (1 - z))
-        )
-    return np.einsum("mv,...vd->...md", w, np.asarray(corners))
+    hat = np.stack([1.0 - ref, ref], axis=-1)  # (..., m, 3, 2): 1-D hat pairs
+    w = _corner_weights(hat[..., 0, :], hat[..., 1, :], hat[..., 2, :])
+    return np.einsum("...mv,...vd->...md", w, np.asarray(corners))
 
 
 def trilinear_jacobian(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Jacobian dX/dref of the trilinear map, shape (m, 3, 3);
-    ``J[m, i, j] = dX_i / dref_j``."""
+    """Jacobian dX/dref of the trilinear map, shape (..., m, 3, 3) for
+    corners (..., 8, 3); ``J[m, i, j] = dX_i / dref_j``."""
     ref = np.atleast_2d(ref)
-    x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-    corners = np.asarray(corners)
-    J = np.zeros((ref.shape[0], 3, 3))
-    for v in range(8):
-        vx, vy, vz = v & 1, (v >> 1) & 1, (v >> 2) & 1
-        fx = vx * x + (1 - vx) * (1 - x)
-        fy = vy * y + (1 - vy) * (1 - y)
-        fz = vz * z + (1 - vz) * (1 - z)
-        dfx = np.full_like(x, 2.0 * vx - 1.0)
-        dfy = np.full_like(y, 2.0 * vy - 1.0)
-        dfz = np.full_like(z, 2.0 * vz - 1.0)
-        J += corners[v][None, :, None] * np.stack(
-            [dfx * fy * fz, fx * dfy * fz, fx * fy * dfz], axis=-1
-        )[:, None, :]
-    return J
+    hat = np.stack([1.0 - ref, ref], axis=-1)
+    slope = np.array([-1.0, 1.0])
+    dw = np.stack(
+        [
+            _corner_weights(*(slope if i == j else hat[..., i, :] for i in range(3)))
+            for j in range(3)
+        ],
+        axis=-1,
+    )  # (m, 8, 3): d w_v / d ref_j
+    return np.einsum("mvj,...vi->...mij", dw, np.asarray(corners))
 
 
 def merge_meshes(meshes: list[HexMesh], tol: float = 1e-9) -> HexMesh:

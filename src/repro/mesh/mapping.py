@@ -130,12 +130,8 @@ class GeometryField:
         # reference lattice with x fastest, matching (z, y, x) array layout
         zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
         ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        X = np.empty((forest.n_cells, 3, n, n, n))
-        coarse = forest.coarse
-        for c, leaf in enumerate(forest.leaves):
-            pts = coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
-            X[c] = pts.T.reshape(3, n, n, n)
-        self.X = X
+        X = forest.leaf_points(ref).transpose(0, 2, 1)  # (N, 3, n^3)
+        self.X = np.ascontiguousarray(X).reshape(forest.n_cells, 3, n, n, n)
         # scale reference derivatives: X is sampled on the *leaf* lattice,
         # so kernel gradients are already w.r.t. leaf reference coords.
         self._cell_metrics: CellMetrics | None = None

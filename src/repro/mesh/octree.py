@@ -22,10 +22,11 @@ tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hexmesh import HexMesh
+from .hexmesh import CORNER_OFFSETS, HexMesh, trilinear
 from .morton import forest_order
 
 
@@ -68,18 +69,11 @@ class CellId:
 
     def ref_corners(self) -> np.ndarray:
         """(8, 3) corner coordinates in the tree's reference cube."""
-        h = 1.0 / (1 << self.level)
-        base = np.array([self.i, self.j, self.k], dtype=float) * h
-        out = np.empty((8, 3))
-        for v in range(8):
-            out[v] = base + h * np.array([v & 1, (v >> 1) & 1, (v >> 2) & 1])
-        return out
+        return self.ref_points(CORNER_OFFSETS)
 
     def ref_points(self, unit_points: np.ndarray) -> np.ndarray:
         """Map points of the leaf's unit cube into the tree's unit cube."""
-        h = 1.0 / (1 << self.level)
-        base = np.array([self.i, self.j, self.k], dtype=float) * h
-        return base + h * np.asarray(unit_points)
+        return (np.array(self.anchor) + np.asarray(unit_points)) / (1 << self.level)
 
 
 class Forest:
@@ -94,32 +88,31 @@ class Forest:
         self.coarse = coarse
         if leaves is None:
             leaves = [CellId(t, 0, 0, 0, 0) for t in range(coarse.n_cells)]
-        self.leaves: list[CellId] = self._sorted(list(leaves))
+        leaves = list(leaves)
+        tree = np.array([c.tree for c in leaves], dtype=np.int64)
+        level = np.array([c.level for c in leaves], dtype=np.int64)
+        anchors = np.array([c.anchor for c in leaves], dtype=np.int64).reshape(-1, 3)
+        order = forest_order(tree, level, anchors)
+        self.leaves: list[CellId] = [leaves[q] for q in order.tolist()]
+        self._leaf_arrays = (tree[order], level[order], anchors[order])
+        for shared in self._leaf_arrays:
+            shared.setflags(write=False)
         self._leaf_set = set(self.leaves)
         self._index = {c: i for i, c in enumerate(self.leaves)}
 
     # -- bookkeeping -----------------------------------------------------
-    @staticmethod
-    def _sorted(leaves: list[CellId]) -> list[CellId]:
-        if not leaves:
-            return leaves
-        tree = np.array([c.tree for c in leaves])
-        level = np.array([c.level for c in leaves])
-        anchors = np.array([[c.i, c.j, c.k] for c in leaves])
-        order = forest_order(tree, level, anchors)
-        return [leaves[int(q)] for q in order]
-
     @property
     def n_cells(self) -> int:
         return len(self.leaves)
 
     @property
     def max_level(self) -> int:
-        return max((c.level for c in self.leaves), default=0)
+        return int(self._leaf_arrays[1].max(initial=0))
 
     @property
     def min_level(self) -> int:
-        return min((c.level for c in self.leaves), default=0)
+        level = self._leaf_arrays[1]
+        return int(level.min()) if level.size else 0
 
     def is_leaf(self, cell: CellId) -> bool:
         return cell in self._leaf_set
@@ -250,19 +243,53 @@ class Forest:
         return levels
 
     # -- geometry ----------------------------------------------------------
-    def cell_corner_points(self, index: int) -> np.ndarray:
-        """(8, 3) trilinear physical corners of leaf ``index`` (matching
-        purposes; smooth geometry is handled by the mapping module)."""
-        leaf = self.leaves[index]
-        ref = leaf.ref_corners()
-        return self.coarse.map_trilinear(leaf.tree, ref)
-
     def leaf_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (tree, level, anchor) arrays of all leaves."""
-        tree = np.array([c.tree for c in self.leaves], dtype=np.int64)
-        level = np.array([c.level for c in self.leaves], dtype=np.int64)
-        anchors = np.array([[c.i, c.j, c.k] for c in self.leaves], dtype=np.int64)
-        return tree, level, anchors
+        """(tree, level, anchor) arrays of all leaves, in leaf order."""
+        return self._leaf_arrays
+
+    def leaf_points(self, unit_points: np.ndarray, smooth: bool = True) -> np.ndarray:
+        """Physical images ``(n_cells, m, 3)`` of the unit-cube points
+        ``(m, 3)`` in every leaf — the one owner of "points of all
+        leaves".  The trilinear map is one batched evaluation over the
+        leaves' coarse-cell corners; with ``smooth`` and a
+        :attr:`HexMesh.geometry` the callable is invoked once per tree
+        on that tree's concatenated leaf points."""
+        tree, level, anchors = self._leaf_arrays
+        coarse = self.coarse
+        # leaf unit cube -> tree unit cube (exact: h is a power of two)
+        ref = (anchors[:, None, :] + np.atleast_2d(unit_points)) * (0.5**level)[:, None, None]
+        if coarse.geometry is None or not smooth:
+            return trilinear(coarse.vertices[coarse.cells[tree]], ref)
+        out = np.empty_like(ref)
+        # leaves are tree-major, so each tree owns one contiguous slice
+        bounds = np.searchsorted(tree, np.arange(coarse.n_cells + 1))
+        for t, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                out[lo:hi] = coarse.geometry(t, ref[lo:hi].reshape(-1, 3)).reshape(hi - lo, -1, 3)
+        return out
+
+    @cached_property
+    def corner_points(self) -> np.ndarray:
+        """(n_cells, 8, 3) trilinear physical corners of every leaf (for
+        matching; smooth geometry is handled by the mapping module).
+        Computed once (read-only): a forest never changes after
+        construction."""
+        corners = self.leaf_points(CORNER_OFFSETS, smooth=False)
+        corners.setflags(write=False)
+        return corners
+
+    def cell_corner_points(self, index: int) -> np.ndarray:
+        """(8, 3) trilinear physical corners of leaf ``index``."""
+        return self.corner_points[index]
+
+    @cached_property
+    def face_index(self):
+        """The geometric face matching of this forest
+        (:func:`repro.mesh.connectivity.build_face_index`), shared by
+        :meth:`balance` and ``build_connectivity``."""
+        from . import connectivity
+
+        return connectivity.build_face_index(self)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hexmesh import trilinear_jacobian
+from .hexmesh import CORNER_OFFSETS, trilinear_jacobian
 from .octree import Forest
-
-#: reference-cube corners in lexicographic order
-_CORNERS_REF = np.array(
-    [[v & 1, (v >> 1) & 1, (v >> 2) & 1] for v in range(8)], dtype=float
-)
 
 
 @dataclass
@@ -67,32 +62,22 @@ class MeshQualityReport:
         )
 
 
-def _cell_quality(corners: np.ndarray) -> tuple[float, float, float]:
-    J = trilinear_jacobian(corners, _CORNERS_REF)  # (8, 3, 3)
-    dets = np.linalg.det(J)
-    # normalize each corner's det by the local edge-length product
-    norms = np.linalg.norm(J, axis=1)  # column norms: (8, 3)
-    scale = norms.prod(axis=1)
-    scaled = float((dets / np.where(scale > 0, scale, 1.0)).min())
-    # averaged edge length per reference direction
-    mean_edges = np.abs(np.linalg.norm(J, axis=1)).mean(axis=0)
-    aspect = float(mean_edges.max() / max(mean_edges.min(), 1e-300))
-    # skewness: worst |cos| between distinct Jacobian columns at corners
-    cols = J / np.maximum(norms[:, None, :], 1e-300)
-    cosines = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            cosines.append(np.abs(np.einsum("ki,ki->k", cols[:, :, a], cols[:, :, b])))
-    skew = float(np.max(cosines))
-    return scaled, aspect, skew
-
-
 def mesh_quality(forest: Forest) -> MeshQualityReport:
     """Quality metrics of every leaf cell (trilinear corner geometry)."""
-    n = forest.n_cells
-    sj = np.empty(n)
-    ar = np.empty(n)
-    sk = np.empty(n)
-    for c in range(n):
-        sj[c], ar[c], sk[c] = _cell_quality(forest.cell_corner_points(c))
-    return MeshQualityReport(scaled_jacobian=sj, aspect_ratio=ar, skewness=sk)
+    J = trilinear_jacobian(forest.corner_points, CORNER_OFFSETS)  # (N, 8, 3, 3)
+    norms = np.linalg.norm(J, axis=-2)  # column norms = local edge lengths: (N, 8, 3)
+    # each corner's det normalized by the local edge-length product
+    scale = norms.prod(axis=-1)
+    scaled = (np.linalg.det(J) / np.where(scale > 0, scale, 1.0)).min(axis=1)
+    # averaged edge length per reference direction
+    mean_edges = norms.mean(axis=1)
+    aspect = mean_edges.max(axis=1) / np.maximum(mean_edges.min(axis=1), 1e-300)
+    # skewness: worst |cos| between distinct Jacobian columns at corners
+    cols = J / np.maximum(norms[:, :, None, :], 1e-300)
+    cosines = [
+        np.abs(np.einsum("cki,cki->ck", cols[..., a], cols[..., b]))
+        for a in range(3)
+        for b in range(a + 1, 3)
+    ]
+    skew = np.max(cosines, axis=(0, 2))
+    return MeshQualityReport(scaled_jacobian=scaled, aspect_ratio=aspect, skewness=skew)

@@ -21,9 +21,7 @@ def write_vtk(path, forest: Forest, cell_data: dict | None = None) -> Path:
     """
     path = Path(path)
     n_cells = forest.n_cells
-    points = np.concatenate(
-        [forest.cell_corner_points(c) for c in range(n_cells)], axis=0
-    )
+    points = forest.corner_points.reshape(-1, 3)
     lines = [
         "# vtk DataFile Version 3.0",
         "repro hex mesh",

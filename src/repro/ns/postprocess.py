@@ -93,13 +93,13 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
     basis = LagrangeBasis1D(dof_u.degree)
     u = dof_u.cell_view(u_flat)
     out = np.full((len(points), 3), np.nan)
+    all_corners = forest.corner_points
+    lows, highs = all_corners.min(axis=1), all_corners.max(axis=1)
+    pads = 0.25 * (highs - lows) + tol_cells
     for ip, p in enumerate(np.atleast_2d(points)):
-        for c in range(forest.n_cells):
-            corners = forest.cell_corner_points(c)
-            lo, hi = corners.min(axis=0), corners.max(axis=0)
-            pad = 0.25 * (hi - lo) + tol_cells
-            if np.any(p < lo - pad) or np.any(p > hi + pad):
-                continue
+        near = np.all((p >= lows - pads) & (p <= highs + pads), axis=1)
+        for c in np.nonzero(near)[0]:
+            corners, lo, hi = all_corners[c], lows[c], highs[c]
             # Newton for the reference coordinates
             ref = np.full(3, 0.5)
             ok = False

@@ -416,17 +416,11 @@ class IncompressibleNavierStokesSolver:
 
     # ------------------------------------------------------------------
     def interpolate_velocity(self, fn, t: float = 0.0) -> np.ndarray:
-        """Nodal interpolation of ``fn(x, y, z, t) -> (3, ...)``."""
-        n = self.degree + 1
-        nodes = self.geo_u.kernel.shape.basis.nodes
-        zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-        ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        out = np.empty((self.forest.n_cells, 3, n, n, n))
-        for c, leaf in enumerate(self.forest.leaves):
-            pts = self.forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
-            vals = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2], t))
-            out[c] = vals.reshape(3, n, n, n)
-        return self.dof_u.flat(out)
+        """Nodal interpolation of ``fn(x, y, z, t) -> (3, ...)``: one call
+        on the flattened nodal coordinates of all cells."""
+        X = self.geo_u.X  # (N, 3, n, n, n): the velocity nodes are the geometry nodes
+        vals = np.asarray(fn(X[:, 0].ravel(), X[:, 1].ravel(), X[:, 2].ravel(), t))
+        return self.dof_u.flat(np.moveaxis(vals.reshape((3,) + X[:, 0].shape), 0, 1))
 
     def initialize(self, u0=None, t0: float = 0.0) -> None:
         if u0 is None:

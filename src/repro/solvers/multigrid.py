@@ -202,9 +202,9 @@ class HybridMultigridPreconditioner:
             dof = CGDofHandler(forest, k, connectivity=conn, dirichlet_ids=dirichlet)
             if dof.n_dofs == 0:
                 break  # everything constrained: stop p-coarsening here
-            geo = dg_op.geo if k == degree else GeometryField(forest, k)
+            coarse_geo = dg_op.geo if k == degree else GeometryField(forest, k)
             cg_dofs.append(dof)
-            cg_ops.append(CGLaplaceOperator(dof, geo))
+            cg_ops.append(CGLaplaceOperator(dof, coarse_geo))
         if not cg_dofs:
             raise ValueError(
                 "the conforming auxiliary space has no unconstrained DoFs; "
@@ -237,8 +237,8 @@ class HybridMultigridPreconditioner:
             c_dof = CGDofHandler(coarser, 1, dirichlet_ids=dirichlet)
             if c_dof.n_dofs == 0:
                 break  # a fully constrained level cannot host the AMG
-            c_geo = GeometryField(coarser, 1)
-            c_op = CGLaplaceOperator(c_dof, c_geo)
+            coarse_geo = GeometryField(coarser, 1)
+            c_op = CGLaplaceOperator(c_dof, coarse_geo)
             levels[-1].to_coarser = h_transfer(h_dof, c_dof, cmap)
             op_sp = single_precision_operator(c_op) if precision == np.float32 else c_op
             levels.append(
@@ -252,14 +252,9 @@ class HybridMultigridPreconditioner:
             )
             h_forest, h_dof = coarser, c_dof
 
-        # coarse AMG solver (double precision, as in the paper)
-        coarse_dof = h_dof
-        coarse_geo = (
-            dg_op.geo
-            if coarse_dof.degree == degree and coarse_dof.forest is forest
-            else GeometryField(coarse_dof.forest, coarse_dof.degree)
-        )
-        A_coarse = assemble_cg_laplace(coarse_dof, coarse_geo)
+        # coarse AMG solver (double precision, as in the paper), assembled
+        # with the geometry field of the coarsest level built above
+        A_coarse = assemble_cg_laplace(h_dof, coarse_geo)
         self.amg = SmoothedAggregationAMG(A_coarse, n_cycles=coarse_amg_cycles)
 
         if precision == np.float32:

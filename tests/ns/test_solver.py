@@ -83,6 +83,53 @@ class TestBeltrami:
         assert st.pressure_iterations <= 20
 
 
+def _interpolate_per_leaf(solver, fn, t):
+    """Reference for ``interpolate_velocity``: one geometry evaluation
+    and one call of ``fn`` per leaf."""
+    n = solver.degree + 1
+    nodes = solver.geo_u.kernel.shape.basis.nodes
+    zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    out = np.empty((solver.forest.n_cells, 3, n, n, n))
+    for c, leaf in enumerate(solver.forest.leaves):
+        pts = solver.forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
+        out[c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2], t)).reshape(3, n, n, n)
+    return solver.dof_u.flat(out)
+
+
+class TestInterpolateVelocity:
+    """One call of ``fn`` on all nodes == the per-leaf loop it replaced."""
+
+    def check(self, solver, flow, t):
+        calls = []
+
+        def fn(x, y, z, t):
+            calls.append(x.shape)
+            return flow.velocity(x, y, z, t)
+
+        got = solver.interpolate_velocity(fn, t)
+        want = _interpolate_per_leaf(solver, flow.velocity, t)
+        assert calls == [(solver.dof_u.n_dofs // 3,)]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_beltrami_on_refined_box(self):
+        solver, flow = beltrami_solver(levels=1, degree=3)
+        self.check(solver, flow, 0.1)
+
+    def test_womersley_on_curved_cylinder(self):
+        from repro.mesh.generators import cylinder
+        from repro.ns.analytic import WomersleyPipeFlow
+
+        flow = WomersleyPipeFlow(radius=0.5, nu=0.05, omega=2.0 * np.pi)
+        forest = Forest(cylinder(radius=0.5, length=1.0, n_axial=2)).refine_all(1)
+        g = lambda x, y, z, t: flow.velocity(x, y, z, t)  # noqa: E731
+        bcs = BoundaryConditions({bid: VelocityDirichlet(g) for bid in (0, 1, 2)})
+        solver = IncompressibleNavierStokesSolver(
+            forest, 2, flow.nu, bcs, SolverSettings(use_multigrid=False))
+        self.check(solver, flow, 0.3)
+
+
 class TestInitialGuessExtrapolation:
     def test_pressure_iterations_drop_after_startup(self):
         """Section 5.3: coarse (1e-3) tolerances 'are enabled by
