@@ -371,7 +371,7 @@ def _member_configs(args, base):
 
 
 def _ensemble_run(args, cfg) -> int:
-    from .lung import EnsembleLungSimulation
+    from .lung import LungVentilationSimulation
     from .robustness import StepFailure
     from .telemetry import (
         TRACER,
@@ -386,7 +386,7 @@ def _ensemble_run(args, cfg) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    sim = EnsembleLungSimulation(configs)
+    sim = LungVentilationSimulation(configs)
     n_dofs = sim.solver.dof_u.n_dofs + sim.solver.dof_p.n_dofs
     print(f"ensemble lung g={cfg.generations}: {sim.n_members} members, "
           f"{sim.lung.forest.n_cells} cells, {sim.lung.n_outlets} outlets, "
@@ -412,6 +412,7 @@ def _ensemble_run(args, cfg) -> int:
             if writer is not None:
                 writer.write_summary(TRACER if args.trace else None)
                 writer.close()
+            sim.close()
             return 1
         stats.append(st)
         if writer is not None:
@@ -434,6 +435,7 @@ def _ensemble_run(args, cfg) -> int:
         print(f"{rec.member:>7} {c.windkessel_resistance_scale:>8.3f} "
               f"{c.windkessel_compliance_scale:>8.3f} {rec.dp:>9.1f} "
               f"{rec.tidal_volume * 1e6:>9.3f}")
+    sim.close()  # a --config file may ask for workers
     if writer is not None:
         writer.write_summary(TRACER if args.trace else None)
         writer.close()

@@ -236,25 +236,17 @@ class CGDofHandler:
         return np.zeros(self.n_dofs, dtype=resolve_dtype(dtype))
 
     def expand(self, x_master: np.ndarray) -> np.ndarray:
-        """Master vector -> all nodal values (constraints applied).
-        Ensemble input ``(E, n_dofs)`` maps to ``(E, n_global)``."""
-        if x_master.ndim == 2:
-            return (self.C @ x_master.T).T
-        return self.C @ x_master
+        """Master vector -> all nodal values (constraints applied),
+        ``(*lead, n_dofs)`` -> ``(*lead, n_global)``."""
+        return (self.C @ x_master.T).T
 
     def restrict_add(self, r_global: np.ndarray) -> np.ndarray:
         """Distribute nodal residuals back to masters (C^T)."""
-        if r_global.ndim == 2:
-            return (self.Ct @ r_global.T).T
-        return self.Ct @ r_global
+        return (self.Ct @ r_global.T).T
 
     def gather_cells(self, x_master: np.ndarray) -> np.ndarray:
-        """Master vector -> cell tensors (N, n, n, n); ensemble input
-        gathers to (E, N, n, n, n)."""
-        expanded = self.expand(x_master)
-        if expanded.ndim == 2:
-            return expanded[:, self.cell_to_global]
-        return expanded[self.cell_to_global]
+        """Master vector -> cell tensors ``(*lead, N, n, n, n)``."""
+        return self.expand(x_master)[..., self.cell_to_global]
 
     @property
     def flat_scatter_plan(self) -> FlatScatterPlan:
@@ -269,9 +261,8 @@ class CGDofHandler:
     def scatter_add_cells(self, cell_data: np.ndarray) -> np.ndarray:
         """Accumulate cell tensors into a master-space residual vector.
         Ensemble input (E, N, n, n, n) accumulates member-wise."""
-        axis = 1 if cell_data.ndim == 5 else 0
         r_global = self.flat_scatter_plan.scatter(
-            cell_data, dtype=cell_data.dtype, axis=axis
+            cell_data, dtype=cell_data.dtype, axis=cell_data.ndim - 4
         )
         return self.restrict_add(r_global)
 

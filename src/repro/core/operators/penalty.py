@@ -57,12 +57,8 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
 
     def update_parameters(self, u_flat: np.ndarray) -> None:
         """Recompute tau from the current velocity (called once per time
-        step before the penalty solve).  Ensemble-stacked input yields
-        per-member ``tau_div`` (E, N) / ``tau_cont`` (E, F) fields."""
-        if u_flat.ndim == 2 and u_flat.shape[0] == 1:
-            # an E=1 solve iterates on the flat vector (solvers/krylov.py),
-            # so a single member's tau carries no member axis
-            u_flat = u_flat[0]
+        step before the penalty solve).  ``(*lead, n)`` input yields
+        ``tau_div`` ``(*lead, N)`` / ``tau_cont`` ``(*lead, F)`` fields."""
         u = self.dof.cell_view(u_flat)
         uq = self.kern.values(u)
         speed = np.sqrt((uq**2).sum(axis=-4))

@@ -22,8 +22,7 @@ from .ventilator import (
     VentilationSettings,
     expected_tidal_volume,
 )
-from .simulation import CycleRecord, LungVentilationSimulation
-from .ensemble import EnsembleLungSimulation, MemberRecord
+from .simulation import CycleRecord, LungVentilationSimulation, MemberRecord
 
 __all__ = [
     "AIR_DENSITY",
@@ -50,6 +49,5 @@ __all__ = [
     "expected_tidal_volume",
     "CycleRecord",
     "LungVentilationSimulation",
-    "EnsembleLungSimulation",
     "MemberRecord",
 ]

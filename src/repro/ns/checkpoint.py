@@ -49,14 +49,12 @@ def _config_dict(config) -> dict | None:
     return to_dict() if callable(to_dict) else dict(config)
 
 
-def _config_payload(config) -> dict:
-    d = _config_dict(config)
-    return {} if d is None else {"config_json": np.array(json.dumps(d))}
-
-
-def _stored_config(data) -> dict | None:
+def _stored_config(data):
+    """The embedded config dict — a list of them for a member run, whose
+    ``config_json`` has shape ``(E,)``; ``None`` for version-1 files."""
     if "config_json" in getattr(data, "files", ()):
-        return json.loads(str(data["config_json"].item()))
+        decode = np.vectorize(json.loads, otypes=[object])
+        return decode(data["config_json"]).tolist()
     return None
 
 
@@ -101,15 +99,22 @@ def _dict_diff(a: dict, b: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def _history_payload(scheme) -> dict:
-    """BDF history arrays, always stored in double precision.
+def _scheme_payload(scheme) -> dict:
+    """Format version, time, step sizes and the BDF history arrays,
+    which are always stored in double precision.
 
     A float32 state upcasts to float64 *exactly*, and the loader casts
     back to the scheme's ``state_dtype``, so a save/load round trip is
     bit-identical at either compute precision while the on-disk format
     stays precision-independent (a float32 run can resume a float64
     checkpoint and vice versa)."""
-    payload: dict = {}
+    payload = {
+        "version": np.array(FORMAT_VERSION),
+        "t": np.array(scheme.t),
+        "dt_history": np.asarray(scheme.dt_history, dtype=float),
+        "n_u": np.array(len(scheme.u_history)),
+        "n_p": np.array(len(scheme.p_history)),
+    }
     for i, u in enumerate(scheme.u_history):
         payload[f"u_{i}"] = np.asarray(u, dtype=np.float64)
     for i, c in enumerate(scheme.conv_history):
@@ -119,14 +124,20 @@ def _history_payload(scheme) -> dict:
     return payload
 
 
-def _load_history(data, scheme, n_u: int, n_p: int) -> tuple[list, list, list]:
-    """History fields cast to the target scheme's state dtype (see
-    :func:`_history_payload`; version-1/2 files are float64 already)."""
+def _restore_scheme(data, scheme) -> None:
+    """Set what :func:`_scheme_payload` stored on ``scheme``, history
+    fields cast to its state dtype (version-1/2 files are float64
+    already)."""
     dt = np.dtype(getattr(scheme, "state_dtype", np.float64))
-    u_hist = [data[f"u_{i}"].astype(dt, copy=False) for i in range(n_u)]
-    conv_hist = [data[f"conv_{i}"].astype(dt, copy=False) for i in range(n_u)]
-    p_hist = [data[f"p_{i}"].astype(dt, copy=False) for i in range(n_p)]
-    return u_hist, conv_hist, p_hist
+
+    def fields(key, n):
+        return [data[f"{key}_{i}"].astype(dt, copy=False) for i in range(int(n))]
+
+    scheme.t = float(data["t"])
+    scheme.dt_history = [float(v) for v in data["dt_history"]]
+    scheme.u_history = fields("u", data["n_u"])
+    scheme.conv_history = fields("conv", data["n_u"])
+    scheme.p_history = fields("p", data["n_p"])
 
 
 def save_scheme_state(path, scheme, config=None) -> Path:
@@ -136,16 +147,9 @@ def save_scheme_state(path, scheme, config=None) -> Path:
     :class:`~repro.robustness.RunConfig`) is embedded for drift
     detection on resume.  Returns the path numpy actually wrote."""
     path = Path(path)
-    payload = {
-        "version": np.array(FORMAT_VERSION),
-        "t": np.array(scheme.t),
-        "order": np.array(scheme.order),
-        "dt_history": np.asarray(scheme.dt_history, dtype=float),
-        "n_u": np.array(len(scheme.u_history)),
-        "n_p": np.array(len(scheme.p_history)),
-        **_config_payload(config),
-        **_history_payload(scheme),
-    }
+    payload = {**_scheme_payload(scheme), "order": np.array(scheme.order)}
+    if config is not None:
+        payload["config_json"] = np.array(json.dumps(_config_dict(config)))
     np.savez_compressed(path, **payload)
     return _written_path(path)
 
@@ -157,87 +161,99 @@ def load_scheme_state(path, scheme, config_drift: str = "warn") -> dict | None:
     with np.load(Path(path)) as data:
         _check_version(data)
         stored_config = _stored_config(data)
-        n_u = int(data["n_u"])
-        n_p = int(data["n_p"])
-        u_hist, conv_hist, p_hist = _load_history(data, scheme, n_u, n_p)
-        t = float(data["t"])
-        dt_hist = [float(v) for v in data["dt_history"]]
-    expected = scheme.ops.mass.n_dofs
-    for u in u_hist:
-        if u.shape != (expected,):
-            raise ValueError(
-                f"checkpoint velocity size {u.shape} does not match the "
-                f"discretization ({expected} DoF)"
-            )
-    scheme.t = t
-    scheme.u_history = u_hist
-    scheme.conv_history = conv_hist
-    scheme.p_history = p_hist
-    scheme.dt_history = dt_hist
+        expected = scheme.ops.mass.n_dofs
+        for i in range(int(data["n_u"])):
+            if data[f"u_{i}"].shape != (expected,):
+                raise ValueError(
+                    f"checkpoint velocity size {data[f'u_{i}'].shape} does not "
+                    f"match the discretization ({expected} DoF)"
+                )
+        _restore_scheme(data, scheme)
     return stored_config
 
 
-def save_lung_state(path, sim, config=None) -> Path:
+def _ragged(rows, lead) -> np.ndarray:
+    """Per-member histories as one ``lead + (longest,)`` array, NaN-
+    padded: member breathing periods may differ, so members may have
+    completed different numbers of cycles.  A single run pads nothing."""
+    out = np.full((len(rows), max(len(r) for r in rows)), np.nan)
+    for row, values in zip(out, rows):
+        row[: len(values)] = values
+    return out.reshape(lead + out.shape[1:])
+
+
+def save_lung_state(path, sim) -> Path:
     """Serialize a :class:`~repro.lung.simulation.LungVentilationSimulation`
-    (flow state + windkessels + ventilator controller).  The simulation's
-    own :class:`~repro.robustness.RunConfig` is embedded unless an
-    explicit ``config`` overrides it.  Returns the path numpy actually
-    wrote (``.npz`` appended when missing)."""
+    (flow state + windkessels + ventilator controller + its embedded
+    :class:`~repro.robustness.RunConfig`).  Per-member quantities carry
+    the simulation's ``lead`` in front, ``config_json`` included: scalars
+    and ``(n_outlets,)`` for a single run, ``(E,)`` and ``(E, n_outlets)``
+    for a member run.  Returns the path numpy actually wrote."""
     path = Path(path)
-    if config is None:
-        config = getattr(sim, "config", None)
-    scheme = sim.solver.scheme
+    lead, banks, vents = sim.lead, sim.windkessel_banks, sim.ventilators
+
+    def per_member(values, tail=()):
+        return np.array(values).reshape(lead + tail)
+
     payload = {
-        "version": np.array(FORMAT_VERSION),
-        "t": np.array(scheme.t),
-        "dt_history": np.asarray(scheme.dt_history, dtype=float),
-        "n_u": np.array(len(scheme.u_history)),
-        "n_p": np.array(len(scheme.p_history)),
-        "wk_volumes": np.array([c.volume for c in sim.windkessels.compartments]),
-        "wk_flows": np.array([c.flow for c in sim.windkessels.compartments]),
-        "vent_dp": np.array(sim.ventilator.dp),
-        "vent_dp_history": np.asarray(sim.ventilator.dp_history, dtype=float),
-        "vent_tidal_history": np.asarray(sim.ventilator.tidal_history, dtype=float),
+        **_scheme_payload(sim.solver.scheme),
+        "wk_volumes": per_member(
+            [[c.volume for c in b.compartments] for b in banks], (-1,)),
+        "wk_flows": per_member(
+            [[c.flow for c in b.compartments] for b in banks], (-1,)),
+        "vent_dp": per_member([v.dp for v in vents]),
+        "vent_dp_history": _ragged([v.dp_history for v in vents], lead),
+        "vent_tidal_history": _ragged([v.tidal_history for v in vents], lead),
         "inlet_flow": np.array(sim._inlet_flow),
         "cycle_inhaled": np.array(sim._cycle_inhaled),
         "steps_this_cycle": np.array(sim._steps_this_cycle),
         "current_cycle": np.array(sim._current_cycle),
-        **_config_payload(config),
-        **_history_payload(scheme),
+        "config_json": per_member([json.dumps(c.to_dict()) for c in sim.configs]),
     }
     np.savez_compressed(path, **payload)
     return _written_path(path)
 
 
-def load_lung_state(path, sim, config_drift: str = "warn") -> dict | None:
-    """Restore a lung simulation in place (same mesh/settings).
+def load_lung_state(path, sim, config_drift: str = "warn"):
+    """Restore a lung simulation in place (same mesh/settings/members).
 
-    ``config_drift`` controls the reaction when the checkpoint's
-    embedded config differs from ``sim.config``: "warn" (default,
-    emits :class:`CheckpointConfigDrift`), "raise", or "ignore".
-    Returns the embedded config dict (``None`` for version-1 files)."""
-    scheme = sim.solver.scheme
+    ``config_drift`` controls the reaction when a member's embedded
+    config differs from the simulation's: "warn" (default, emits
+    :class:`CheckpointConfigDrift`), "raise", or "ignore".  Returns the
+    embedded config (see :func:`_stored_config`)."""
+    lead, n_members = sim.lead, sim.n_members
     with np.load(Path(path)) as data:
         _check_version(data)
+        if data["wk_volumes"].shape != lead + (sim.lung.n_outlets,):
+            raise ValueError(
+                "checkpoint member/outlet count "
+                f"{data['wk_volumes'].shape} does not match the model "
+                f"{lead + (sim.lung.n_outlets,)}"
+            )
         stored_config = _stored_config(data)
-        n_u = int(data["n_u"])
-        n_p = int(data["n_p"])
-        if int(data["wk_volumes"].size) != sim.windkessels.n_outlets:
-            raise ValueError("checkpoint outlet count does not match the model")
-        _check_config_drift(stored_config, getattr(sim, "config", None), config_drift)
-        scheme.t = float(data["t"])
-        scheme.dt_history = [float(v) for v in data["dt_history"]]
-        (scheme.u_history, scheme.conv_history,
-         scheme.p_history) = _load_history(data, scheme, n_u, n_p)
-        for c, v, q in zip(sim.windkessels.compartments,
-                           data["wk_volumes"], data["wk_flows"]):
-            c.volume = float(v)
-            c.flow = float(q)
-        sim.ventilator.dp = float(data["vent_dp"])
-        sim.ventilator.dp_history = [float(v) for v in data["vent_dp_history"]]
-        sim.ventilator.tidal_history = [float(v) for v in data["vent_tidal_history"]]
-        sim._inlet_flow = float(data["inlet_flow"])
-        sim._cycle_inhaled = float(data["cycle_inhaled"])
-        sim._steps_this_cycle = int(data["steps_this_cycle"])
-        sim._current_cycle = int(data["current_cycle"])
+        # np.ravel: one dict (or None) -> one item, a list -> its items
+        for old, current in zip(np.ravel(stored_config), sim.configs):
+            _check_config_drift(old, current, config_drift)
+        _restore_scheme(data, sim.solver.scheme)
+
+        def per_member(key):
+            return data[key].reshape(n_members, -1)
+
+        for bank, volumes, flows in zip(
+            sim.windkessel_banks, per_member("wk_volumes"), per_member("wk_flows")
+        ):
+            for c, v, q in zip(bank.compartments, volumes, flows):
+                c.volume = float(v)
+                c.flow = float(q)
+        for vent, dp, dp_hist, tidal_hist in zip(
+            sim.ventilators, data["vent_dp"].ravel(),
+            per_member("vent_dp_history"), per_member("vent_tidal_history"),
+        ):
+            vent.dp = float(dp)
+            vent.dp_history = dp_hist[~np.isnan(dp_hist)].tolist()
+            vent.tidal_history = tidal_hist[~np.isnan(tidal_hist)].tolist()
+        sim._inlet_flow = data["inlet_flow"][()]
+        sim._cycle_inhaled = data["cycle_inhaled"].astype(float)
+        sim._steps_this_cycle = data["steps_this_cycle"].astype(int)
+        sim._current_cycle = data["current_cycle"].astype(int)
     return stored_config

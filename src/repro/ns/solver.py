@@ -34,6 +34,7 @@ from ..robustness.recovery import (
     PressureFallbackChain,
     RecoveryEvent,
     recoverable_step,
+    state_energy,
 )
 from ..solvers.jacobi import JacobiPreconditioner
 from ..solvers.multigrid import HybridMultigridPreconditioner, operator_to_dtype
@@ -458,9 +459,7 @@ class IncompressibleNavierStokesSolver:
         _STEP_DT.set(stats.dt)
         _STEP_WALL.observe(stats.wall_time)
         _CFL_REALIZED.observe(stats.cfl)
-        u = self.scheme.velocity
-        ke = 0.5 * float(u @ u) if u.ndim == 1 else 0.5 * float(np.vdot(u, u))
-        _KINETIC_ENERGY.set(ke)
+        _KINETIC_ENERGY.set(0.5 * state_energy(self.scheme.velocity))
         _DIVERGENCE_L2.set(self.divergence_l2())
         _PRESSURE_RESIDUAL.set(stats.pressure_residual)
 
@@ -498,8 +497,7 @@ class IncompressibleNavierStokesSolver:
 
         This is the shared driver signature (keyword-only after
         ``t_end``) also implemented by
-        :meth:`repro.lung.simulation.LungVentilationSimulation.run` and
-        :meth:`repro.lung.ensemble.EnsembleLungSimulation.run`:
+        :meth:`repro.lung.simulation.LungVentilationSimulation.run`:
         ``dt_initial`` seeds the first step when no history exists yet,
         and ``checkpoints`` (an optional
         :class:`~repro.robustness.CheckpointManager`) is polled after

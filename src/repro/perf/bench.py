@@ -320,29 +320,19 @@ def _suite_vmult(smoke: bool, degree: int, select=_always,
     op = operator_to_dtype(op, ds)
     e_meta = {"mesh": mesh_name, "n_cells": forest.n_cells, "degree": degree}
     rng = np.random.default_rng(0)
-    for members in (1, 2, 4, 8):
-        name = f"{mesh_name}/dg_laplace/ensemble_e{members}{sfx}"
-        if select(name):
-            x = rng.standard_normal((members, op.n_dofs)).astype(ds)
-            r = measure_throughput(
-                lambda: op.vmult(x), n_dofs=members * op.n_dofs,
-                name=name, repetitions=reps,
-            )
-            cases.append(_throughput_case(
-                name, r, dict(e_meta, mode="ensemble", members=members), ds))
-    name = f"{mesh_name}/dg_laplace/sequential_e8{sfx}"
-    if select(name):
-        x = rng.standard_normal((8, op.n_dofs)).astype(ds)
-
-        def run_sequential():
-            for e in range(8):
-                op.vmult(x[e])
-
+    for mode, members in [("ensemble", e) for e in (1, 2, 4, 8)] + [("sequential", 8)]:
+        name = f"{mesh_name}/dg_laplace/{mode}_e{members}{sfx}"
+        if not select(name):
+            continue
+        x = rng.standard_normal((members, op.n_dofs)).astype(ds)
+        # one (E, n) call, or E flat ones
+        calls = [x] if mode == "ensemble" else list(x)
         r = measure_throughput(
-            run_sequential, n_dofs=8 * op.n_dofs, name=name, repetitions=reps,
+            lambda: [op.vmult(v) for v in calls], n_dofs=members * op.n_dofs,
+            name=name, repetitions=reps,
         )
         cases.append(_throughput_case(
-            name, r, dict(e_meta, mode="sequential", members=8), ds))
+            name, r, dict(e_meta, mode=mode, members=members), ds))
     return cases
 
 
@@ -371,7 +361,7 @@ def _suite_ensemble(smoke: bool, degree: int, select=_always,
     sequential simulations.  The throughput metric is aggregate DoF/s
     (members x DoF per step time), so the two cases are directly
     comparable."""
-    from ..lung import EnsembleLungSimulation, LungVentilationSimulation
+    from ..lung import LungVentilationSimulation as Sim
     from ..robustness import RunConfig
 
     ds = str(np.dtype(dtype))
@@ -381,36 +371,17 @@ def _suite_ensemble(smoke: bool, degree: int, select=_always,
     cfg = RunConfig(generations=1, degree=2, seed=0, compute_dtype=ds)
     meta = {"generations": 1, "degree": 2, "members": members}
     cases: list[dict] = []
-
-    name = f"lung_g1/ensemble_step_e{members}{sfx}"
-    if select(name):
-        sim = EnsembleLungSimulation([cfg] * members)
-        n_dofs = sim.solver.dof_u.n_dofs + sim.solver.dof_p.n_dofs
-        sim.step()  # warm-up: plan caches, preconditioner setup
-        seconds = []
-        for _ in range(n_steps):
-            t0 = time.perf_counter()
-            sim.step()
-            seconds.append(time.perf_counter() - t0)
-        best = min(seconds)
-        cases.append(_case(
-            name, members * n_dofs, members * n_dofs / best, "dofs/s",
-            {
-                "best_seconds": best,
-                "mean_seconds": sum(seconds) / len(seconds),
-                "dofs_per_second": members * n_dofs / best,
-                "repetitions": n_steps,
-            },
-            dict(meta, mode="ensemble", n_cells=sim.lung.forest.n_cells),
-            ds,
-        ))
-
-    name = f"lung_g1/sequential_step_e{members}{sfx}"
-    if select(name):
-        sims = [LungVentilationSimulation(cfg) for _ in range(members)]
+    for mode, build in (
+        ("ensemble", lambda: [Sim([cfg] * members)]),
+        ("sequential", lambda: [Sim(cfg) for _ in range(members)]),
+    ):
+        name = f"lung_g1/{mode}_step_e{members}{sfx}"
+        if not select(name):
+            continue
+        sims = build()
         n_dofs = sims[0].solver.dof_u.n_dofs + sims[0].solver.dof_p.n_dofs
         for s in sims:
-            s.step()  # warm-up
+            s.step()  # warm-up: plan caches, preconditioner setup
         seconds = []
         for _ in range(n_steps):
             t0 = time.perf_counter()
@@ -426,8 +397,7 @@ def _suite_ensemble(smoke: bool, degree: int, select=_always,
                 "dofs_per_second": members * n_dofs / best,
                 "repetitions": n_steps,
             },
-            dict(meta, mode="sequential",
-                 n_cells=sims[0].lung.forest.n_cells),
+            dict(meta, mode=mode, n_cells=sims[0].lung.forest.n_cells),
             ds,
         ))
     return cases

@@ -114,15 +114,16 @@ def validate_scheme_state(scheme, prev_energy: float,
         return "non_finite_convective"
     limit = settings.energy_growth_limit
     if limit > 0 and prev_energy > 0:
-        energy = _state_energy(u)
+        energy = state_energy(u)
         if energy > limit * prev_energy:
             return "energy_blowup"
     return None
 
 
-def _state_energy(u: np.ndarray) -> float:
-    """``||u||^2`` over the whole state (ensemble-stacked or flat)."""
-    return float(u @ u) if u.ndim == 1 else float(np.vdot(u, u))
+def state_energy(u: np.ndarray) -> float:
+    """``||u||^2`` over the whole ``(*lead, n)`` state (``np.vdot``
+    flattens; on a flat vector it is the BLAS dot ``u @ u``)."""
+    return float(np.vdot(u, u))
 
 
 def recoverable_step(
@@ -142,7 +143,7 @@ def recoverable_step(
     of the successful attempt."""
     snapshot = scheme.snapshot_state()
     u0 = scheme.u_history[0] if scheme.u_history else None
-    prev_energy = _state_energy(u0) if u0 is not None else 0.0
+    prev_energy = state_energy(u0) if u0 is not None else 0.0
     dt_try = float(dt)
     reason = ""
     attempts = 0
@@ -298,5 +299,6 @@ __all__ = [
     "RecoveryEvent",
     "StepFailure",
     "recoverable_step",
+    "state_energy",
     "validate_scheme_state",
 ]

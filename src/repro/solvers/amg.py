@@ -176,18 +176,14 @@ class SmoothedAggregationAMG:
         return x
 
     def vmult(self, b: np.ndarray) -> np.ndarray:
-        if getattr(b, "ndim", 1) == 2:
-            # ensemble-stacked (E, n): the sparse kernels and triangular
-            # solves all take multiple right-hand sides column-wise
-            bt = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
-            xt = np.zeros_like(bt)
-            for _ in range(self.n_cycles):
-                xt = self._vcycle(0, bt, xt)
-            return np.ascontiguousarray(xt.T)
-        x = np.zeros_like(b, dtype=np.float64)
+        # (*lead, n): the sparse kernels and triangular solves take the
+        # members as right-hand-side columns (.T is the identity on a
+        # flat vector)
+        bt = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
+        xt = np.zeros_like(bt)
         for _ in range(self.n_cycles):
-            x = self._vcycle(0, np.asarray(b, dtype=np.float64), x)
-        return x
+            xt = self._vcycle(0, bt, xt)
+        return np.ascontiguousarray(xt.T)
 
     def solve(self, b: np.ndarray, tol: float = 1e-10, max_cycles: int = 100):
         """Stand-alone V-cycle iteration to the given relative residual."""

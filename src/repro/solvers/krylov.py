@@ -9,6 +9,7 @@ application runs (enabled by time extrapolation of the initial guess).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,183 +120,120 @@ def conjugate_gradient(
     """
     label = f"cg[{name}]" if name else "cg"
     with TRACER.span(label):
-        if getattr(b, "ndim", 1) == 2:
-            if b.shape[0] == 1:
-                # E=1 runs the flat iteration so it stays bitwise
-                # identical to an unbatched solve
-                result = _pcg(
-                    op, b[0], preconditioner, tol, abs_tol, max_iter,
-                    None if x0 is None else np.asarray(x0)[0], dtype,
-                )
-                result.x = result.x[None]
-                result.member_iterations = [result.n_iterations]
-            else:
-                result = _pcg_batched(
-                    op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype
-                )
-        else:
-            result = _pcg(op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype)
+        result = _iterate(op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype)
     # every solve records a failure_reason outcome ('none' on success),
     # so the per-call-site reason counters always sum to the solve count
     reason = result.failure_reason or "none"
+    first, last = result.residuals[0], result.residuals[-1]
     if TRACER.enabled:
         TRACER.incr(f"{label}.solves")
         TRACER.incr(f"{label}.iterations", result.n_iterations)
         TRACER.incr(f"{label}.failure_reason.{reason}")
-        if result.residuals and result.residuals[0] > 0:
-            TRACER.gauge(
-                f"{label}.last_relative_residual",
-                result.residuals[-1] / result.residuals[0],
-            )
+        if first > 0:
+            TRACER.gauge(f"{label}.last_relative_residual", last / first)
     if METRICS.enabled:
         site = name or "unnamed"
         _CG_SOLVES.labels(site).inc()
         _CG_ITERATIONS.labels(site).observe(result.n_iterations)
         _CG_FAILURE_REASON.labels((site, reason)).inc()
         _CG_REDUCTION.labels(site).observe(result.reduction_rate)
-        if result.residuals and result.residuals[0] > 0:
-            _CG_FINAL_RESIDUAL.labels(site).set(
-                result.residuals[-1] / result.residuals[0]
-            )
+        if first > 0:
+            _CG_FINAL_RESIDUAL.labels(site).set(last / first)
     return result
 
 
-def _pcg(op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype=np.float64) -> SolverResult:
+def _per_member(reduce, *vectors) -> np.ndarray:
+    """``reduce(*(v[e] for v in vectors))`` for every member, as a
+    float64 array of shape ``lead``.  Each member takes the reduction a
+    flat solve takes (BLAS ``r @ z``, ``np.linalg.norm(r)``), so ``(1, n)``
+    is ``(n,)`` and member ``e`` of a batch is bit for bit its solo solve;
+    a fused ``(r * z).sum(axis=-1)`` rounds differently."""
+    n = vectors[0].shape[-1]
+    rows = zip(*(v.reshape(-1, n) for v in vectors))
+    return np.array([float(reduce(*row)) for row in rows]).reshape(
+        vectors[0].shape[:-1]
+    )
+
+
+def _iterate(op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype) -> SolverResult:
+    """The PCG iteration on ``(*lead, n)`` states, in lockstep: members
+    share every operator and preconditioner application, and their
+    scalars (``alpha``, ``beta``, norms — shape ``lead``) are masked so a
+    converged or failed member freezes in place.  ``residuals`` records
+    the worst member per iteration, ``member_iterations`` each member's
+    own count and ``n_iterations`` the largest of them."""
     dtype = np.dtype(dtype)
     b = np.asarray(b, dtype=dtype)
+    lead = b.shape[:-1]
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=dtype)
     r = b - op.vmult(x) if x0 is not None else b.copy()
-    b_norm = float(np.linalg.norm(b))
-    threshold = max(tol * b_norm, abs_tol)
-    residuals = [float(np.linalg.norm(r))]
-    if not np.isfinite(residuals[0]):
+    b_norm = _per_member(np.linalg.norm, b)
+    threshold = np.maximum(tol * b_norm, abs_tol)
+    res = _per_member(np.linalg.norm, r)
+    residuals = [float(res.max())]
+    iterations = np.zeros(lead, dtype=int)
+
+    def result(converged: bool, failure: str | None = None) -> SolverResult:
+        return SolverResult(
+            x, int(iterations.max()), converged, residuals, failure,
+            member_iterations=iterations.tolist() if lead else None,
+        )
+
+    if not np.isfinite(res).all():
         # a poisoned right-hand side or initial guess: no iteration can
         # recover from this, report instead of looping to max_iter
-        return SolverResult(x, 0, False, residuals, failure_reason="nan_residual")
-    if residuals[0] <= threshold or b_norm == 0.0:
-        return SolverResult(x, 0, True, residuals)
-    M = preconditioner or IdentityPreconditioner()
-    z = np.asarray(M.vmult(r), dtype=dtype)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, max_iter + 1):
-        Ap = op.vmult(p)
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp):
-            # NaN/inf from the operator or preconditioner (e.g. an
-            # overflowed single-precision V-cycle): x is the last finite
-            # iterate, the update that would poison it is not applied
-            return SolverResult(
-                x, it - 1, False, residuals, failure_reason="nan_residual"
-            )
-        if pAp <= 0:
-            return SolverResult(
-                x, it - 1, False, residuals, failure_reason="breakdown"
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.linalg.norm(r))
-        residuals.append(res)
-        if not np.isfinite(res):
-            return SolverResult(
-                x, it, False, residuals, failure_reason="nan_residual"
-            )
-        if res <= threshold:
-            return SolverResult(x, it, True, residuals)
-        z = np.asarray(M.vmult(r), dtype=dtype)
-        rz_new = float(r @ z)
-        beta = rz_new / rz
-        # p <- z + beta p without a temporary (IEEE addition commutes
-        # bitwise, so this matches `z + beta * p` exactly)
-        p *= beta
-        p += z
-        rz = rz_new
-    return SolverResult(x, max_iter, False, residuals, failure_reason="max_iterations")
-
-
-def _pcg_batched(
-    op, b, preconditioner, tol, abs_tol, max_iter, x0, dtype=np.float64
-) -> SolverResult:
-    """Ensemble-stacked PCG: one lockstep iteration over ``(E, n)``
-    states with per-member convergence masks.
-
-    All members share every operator and preconditioner application (the
-    fused ensemble vmult); per-member scalars (``alpha``, ``beta``) are
-    masked so converged or failed members freeze in place without
-    desynchronizing the batch.  ``residuals`` records the worst member
-    per iteration; ``member_iterations`` counts each member's own
-    iterations until convergence.
-    """
-    dtype = np.dtype(dtype)
-    b = np.asarray(b, dtype=dtype)
-    n_members = b.shape[0]
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=dtype)
-    r = b - op.vmult(x) if x0 is not None else b.copy()
-    b_norm = np.linalg.norm(b, axis=1)
-    threshold = np.maximum(tol * b_norm, abs_tol)
-    res = np.linalg.norm(r, axis=1)
-    residuals = [float(res.max())]
-    member_iterations = np.zeros(n_members, dtype=int)
-    if not np.isfinite(res).all():
-        return SolverResult(
-            x, 0, False, residuals, failure_reason="nan_residual",
-            member_iterations=member_iterations.tolist(),
-        )
+        return result(False, "nan_residual")
     active = (res > threshold) & (b_norm > 0.0)
     if not active.any():
-        return SolverResult(
-            x, 0, True, residuals,
-            member_iterations=member_iterations.tolist(),
-        )
+        return result(True)
     M = preconditioner or IdentityPreconditioner()
     z = np.asarray(M.vmult(r), dtype=dtype)
     p = z.copy()
-    rz = (r * z).sum(axis=1)
+    rz = _per_member(operator.matmul, r, z)
     failure: str | None = None
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         Ap = op.vmult(p)
-        pAp = (p * Ap).sum(axis=1)
-        bad = active & ~np.isfinite(pAp)
-        if bad.any():
-            failure = "nan_residual"
-            active = active & ~bad
-        broke = active & (pAp <= 0)
-        if broke.any():
-            failure = "breakdown"
-            active = active & ~broke
-        if not active.any():
-            break
-        # masked update: converged/failed members get alpha = 0 and
-        # freeze; guarded denominators keep the arithmetic finite
-        denom = np.where(pAp != 0, pAp, 1.0)
-        alpha = np.where(active, rz / denom, 0.0)
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * Ap
-        member_iterations[active] += 1
-        res = np.linalg.norm(r, axis=1)
+        pAp = _per_member(operator.matmul, p, Ap)
+        spd = np.isfinite(pAp) & (pAp > 0)
+        if (active & ~spd).any():
+            # NaN/inf from the operator or preconditioner (e.g. an
+            # overflowed single-precision V-cycle), or an operator that is
+            # not SPD: the member stops at its last finite iterate.  A
+            # non-finite member's r and p are zeroed — masking alone
+            # leaves 0 * NaN to poison x
+            bad = active & ~np.isfinite(pAp)
+            failure = "breakdown" if (active & ~spd & ~bad).any() else "nan_residual"
+            r[bad] = p[bad] = 0
+            Ap = np.where(bad[..., None], 0, Ap)
+            active = active & spd
+            if not active.any():
+                return result(False, failure)
+        # inactive members get alpha = beta = 0 and freeze; the scalars
+        # are rounded to the vectors' dtype as a flat solve's floats are
+        alpha = np.divide(rz, pAp, out=np.zeros(lead, dtype), where=active)
+        x += alpha[..., None] * p
+        r -= alpha[..., None] * Ap
+        iterations += active
+        res = _per_member(np.linalg.norm, r)
         residuals.append(float(res.max()))
-        nan_members = active & ~np.isfinite(res)
-        if nan_members.any():
+        if not np.isfinite(res).all():
             failure = "nan_residual"
+            nan_members = ~np.isfinite(res)
+            r[nan_members] = p[nan_members] = 0
             active = active & ~nan_members
         active = active & (res > threshold)
         if not active.any():
-            break
+            return result(failure is None, failure)
         z = np.asarray(M.vmult(r), dtype=dtype)
-        rz_new = (r * z).sum(axis=1)
-        beta = np.where(active, rz_new / np.where(rz != 0, rz, 1.0), 0.0)
-        p *= beta[:, None]
-        p += np.where(active[:, None], z, z.dtype.type(0))
+        rz_new = _per_member(operator.matmul, r, z)
+        beta = np.divide(rz_new, rz, out=np.zeros(lead, dtype), where=active)
+        # p <- z + beta p without a temporary (IEEE addition commutes
+        # bitwise, so this matches `z + beta * p` exactly); an inactive
+        # member's p = z goes nowhere, its alpha is 0
+        p *= beta[..., None]
+        p += z
         rz = rz_new
-    else:
-        failure = failure or "max_iterations"
-    converged = failure is None and not active.any()
-    return SolverResult(
-        x, it, converged, residuals, failure_reason=failure,
-        member_iterations=member_iterations.tolist(),
-    )
+    return result(False, failure or "max_iterations")
 
 
 def lanczos_max_eigenvalue(op, preconditioner=None, n_iter: int = 12,

@@ -38,16 +38,13 @@ class Transfer:
         self.Pt = self.P.T.tocsr()
 
     def prolongate(self, xc: np.ndarray) -> np.ndarray:
-        """Coarse -> fine; ensemble-stacked (E, n_c) maps row-wise."""
-        if xc.ndim == 2:
-            return (self.P @ xc.T).T
-        return self.P @ xc
+        """Coarse -> fine on ``(*lead, n_c)``: members map row-wise
+        (``.T`` is the identity on a flat vector)."""
+        return (self.P @ xc.T).T
 
     def restrict(self, rf: np.ndarray) -> np.ndarray:
-        """Fine -> coarse (P^T); ensemble-stacked input maps row-wise."""
-        if rf.ndim == 2:
-            return (self.Pt @ rf.T).T
-        return self.Pt @ rf
+        """Fine -> coarse (P^T) on ``(*lead, n_f)``."""
+        return (self.Pt @ rf.T).T
 
     def to_precision(self, dtype) -> "Transfer":
         clone = object.__new__(Transfer)

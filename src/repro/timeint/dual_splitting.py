@@ -135,12 +135,10 @@ class DualSplittingScheme:
         self.statistics = []
 
     def _project_mean_free(self, v: np.ndarray) -> np.ndarray:
-        """Remove the nullspace component for pure-Neumann pressure."""
-        if v.ndim == 2:  # ensemble-stacked: project each member
-            ones = np.ones_like(v[0])
-            return v - ((v @ ones) / (ones @ ones))[:, None] * ones
-        ones = np.ones_like(v)
-        return v - (v @ ones) / (ones @ ones) * ones
+        """Remove each member's nullspace component (pure-Neumann
+        pressure)."""
+        ones = np.ones(v.shape[-1], dtype=v.dtype)
+        return v - ((v @ ones) / (ones @ ones))[..., None] * ones
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:

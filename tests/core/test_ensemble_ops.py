@@ -137,13 +137,14 @@ class TestE1Bitwise:
         flat_op.update_parameters(u)
         batched_op.update_parameters(u[None])
         assert flat_op.tau_div.min() > 0.0
-        # a single member's tau carries no member axis: the E=1 CG hands
-        # the operator flat vectors after a stacked parameter update
-        assert np.array_equal(batched_op.tau_div, flat_op.tau_div)
+        # tau has shape lead + (N,): the CG iterates on (1, n) vectors,
+        # so a single member's tau keeps its member axis
+        assert np.array_equal(batched_op.tau_div, flat_op.tau_div[None])
+        for tb, tf in zip(batched_op.tau_cont, flat_op.tau_cont):
+            assert np.array_equal(tb, tf[None])
         flat = flat_op.vmult(x)
         assert np.abs(flat).max() > 0.0
-        assert np.array_equal(batched_op.vmult(x[None])[0], flat)
-        assert np.array_equal(batched_op.vmult(x), flat)
+        assert np.array_equal(batched_op.vmult(x[None]), flat[None])
 
     def test_stacked_dirichlet_data(self, solver, rng):
         """(1, 3, F, a, b) boundary data rides the same bitstream as the

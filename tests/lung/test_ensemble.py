@@ -1,7 +1,7 @@
-"""Tests of the batched ensemble lung driver: one solver setup, N
-parameter sets.  E=1 must be bitwise identical to the scalar
-:class:`LungVentilationSimulation`; E>1 members must evolve
-independently (matching per-member sequential runs to solver
+"""Tests of member runs of :class:`LungVentilationSimulation`: one
+solver setup, N parameter sets on a leading axis.  ``Sim([cfg])`` must
+be bitwise identical to the single run ``Sim(cfg)``; E>1 members must
+evolve independently (matching per-member sequential runs to solver
 tolerance) while sharing the time step."""
 
 import dataclasses
@@ -9,8 +9,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.lung import EnsembleLungSimulation, LungVentilationSimulation
-from repro.lung.ensemble import MEMBER_VARIABLE_FIELDS
+from repro.lung import LungVentilationSimulation
+from repro.lung.simulation import MEMBER_VARIABLE_FIELDS
 from repro.lung.ventilator import VentilationSettings
 from repro.ns.solver import SolverSettings
 from repro.robustness import RunConfig
@@ -27,22 +27,22 @@ def quick_config(**overrides):
 class TestConstruction:
     def test_needs_members(self):
         with pytest.raises(ValueError, match="at least one"):
-            EnsembleLungSimulation([])
+            LungVentilationSimulation([])
 
     def test_shared_fields_enforced(self):
         with pytest.raises(ValueError, match="shared field"):
-            EnsembleLungSimulation([
+            LungVentilationSimulation([
                 quick_config(), quick_config(degree=3),
             ])
 
     def test_member_variable_fields_allowed(self):
-        sim = EnsembleLungSimulation([
+        sim = LungVentilationSimulation([
             quick_config(),
             quick_config(windkessel_resistance_scale=1.5),
             quick_config(
                 ventilation=VentilationSettings(dp_initial=900.0)),
         ])
-        assert sim.n_members == 3
+        assert sim.n_members == 3 and sim.lead == (3,)
         assert sim.solver.velocity.shape == (3, sim.solver.dof_u.n_dofs)
         assert "windkessel_resistance_scale" in MEMBER_VARIABLE_FIELDS
 
@@ -50,7 +50,7 @@ class TestConstruction:
 class TestE1Bitwise:
     def test_single_member_matches_scalar_simulation(self):
         scalar = LungVentilationSimulation(quick_config())
-        ensemble = EnsembleLungSimulation([quick_config()])
+        ensemble = LungVentilationSimulation([quick_config()])
         for _ in range(3):
             s_stats = scalar.step()
             e_stats = ensemble.step()
@@ -64,8 +64,11 @@ class TestE1Bitwise:
         for c_e, c_s in zip(ensemble.windkessels[0].compartments,
                             scalar.windkessels.compartments):
             assert c_e.volume == c_s.volume
+        assert ensemble.tidal_volume_delivered().shape == (1,)
+        assert isinstance(scalar.tidal_volume_delivered(), float)
         assert ensemble.tidal_volume_delivered()[0] == \
             scalar.tidal_volume_delivered()
+        assert ensemble._inlet_flow[0] == scalar._inlet_flow
 
 
 class TestMemberIndependence:
@@ -78,7 +81,7 @@ class TestMemberIndependence:
 
     def test_members_match_sequential_runs(self):
         configs = [quick_config(**kw) for kw in self.E_CONFIGS]
-        ensemble = EnsembleLungSimulation(configs)
+        ensemble = LungVentilationSimulation(configs)
         dt = 2e-4  # fixed step so batched/sequential share the path
         for _ in range(2):
             stats = ensemble.step(dt)
@@ -105,7 +108,7 @@ class TestMemberIndependence:
 
     def test_members_actually_differ(self):
         configs = [quick_config(**kw) for kw in self.E_CONFIGS]
-        ensemble = EnsembleLungSimulation(configs)
+        ensemble = LungVentilationSimulation(configs)
         for _ in range(2):
             ensemble.step(2e-4)
         v0 = ensemble.member_velocity(0)
@@ -114,7 +117,7 @@ class TestMemberIndependence:
 
     def test_member_records(self):
         configs = [quick_config(**kw) for kw in self.E_CONFIGS[:2]]
-        ensemble = EnsembleLungSimulation(configs)
+        ensemble = LungVentilationSimulation(configs)
         ensemble.step(2e-4)
         recs = ensemble.member_records()
         assert [r.member for r in recs] == [0, 1]
@@ -129,7 +132,7 @@ class TestAdaptiveSteppingShared:
             quick_config(
                 ventilation=VentilationSettings(dp_initial=1500.0)),
         ]
-        ensemble = EnsembleLungSimulation(configs)
+        ensemble = LungVentilationSimulation(configs)
         s1 = ensemble.step()  # dt_max-capped startup step
         s2 = ensemble.step()  # CFL-adaptive from the batched state
         assert s2.dt > 0

@@ -111,3 +111,87 @@ class TestLungCheckpoint:
         )
         with pytest.raises(ValueError, match="outlet count"):
             load_lung_state(path, sim2)
+
+
+class TestMemberRunCheckpoint:
+    @staticmethod
+    def members():
+        return [
+            dataclasses.replace(lung_config(), windkessel_resistance_scale=r)
+            for r in (1.0, 1.5)
+        ]
+
+    def test_member_restart_continues_bitwise(self, tmp_path):
+        """E = 2, save after 2 of 4 steps: the resumed members equal the
+        uninterrupted ones bit for bit."""
+        ref = LungVentilationSimulation(self.members())
+        twin = LungVentilationSimulation(self.members())
+        for _ in range(4):
+            ref.step()
+        for _ in range(2):
+            twin.step()
+        path = save_lung_state(tmp_path / "members.npz", twin)
+        with np.load(path) as data:
+            assert data["wk_volumes"].shape == (2, twin.lung.n_outlets)
+            assert data["vent_dp"].shape == data["config_json"].shape == (2,)
+
+        fresh = LungVentilationSimulation(self.members())
+        stored = load_lung_state(path, fresh)
+        assert [RunConfig.from_dict(d) for d in stored] == fresh.configs
+        for _ in range(2):
+            fresh.step()
+        assert fresh.time == ref.time
+        assert np.array_equal(fresh.solver.velocity, ref.solver.velocity)
+        assert np.array_equal(fresh.solver.pressure, ref.solver.pressure)
+        for bank_f, bank_r in zip(fresh.windkessel_banks, ref.windkessel_banks):
+            assert [c.volume for c in bank_f.compartments] == [
+                c.volume for c in bank_r.compartments
+            ]
+        assert [v.dp for v in fresh.ventilators] == [v.dp for v in ref.ventilators]
+
+    def test_ragged_controller_histories_round_trip(self, tmp_path):
+        """Member periods may differ, so members may have completed
+        different numbers of breathing cycles."""
+        sim = LungVentilationSimulation(self.members())
+        sim.step()
+        sim.ventilators[0].end_of_cycle(4.0e-4)
+        sim.ventilators[0].end_of_cycle(4.5e-4)
+        sim.ventilators[1].end_of_cycle(3.0e-4)
+        path = save_lung_state(tmp_path / "ragged.npz", sim)
+        fresh = LungVentilationSimulation(self.members())
+        load_lung_state(path, fresh)
+        for v_f, v_s in zip(fresh.ventilators, sim.ventilators):
+            assert v_f.dp == v_s.dp
+            assert v_f.dp_history == v_s.dp_history
+            assert v_f.tidal_history == v_s.tidal_history
+
+    def test_drift_check_covers_every_member(self, tmp_path):
+        sim = LungVentilationSimulation(self.members())
+        sim.step()
+        path = save_lung_state(tmp_path / "members.npz", sim)
+        drifted = self.members()
+        drifted[1] = dataclasses.replace(
+            drifted[1], windkessel_resistance_scale=2.0
+        )
+        with pytest.raises(ValueError, match="windkessel_resistance_scale"):
+            load_lung_state(
+                path, LungVentilationSimulation(drifted), config_drift="raise"
+            )
+
+    def test_member_count_validated(self, tmp_path):
+        sim = LungVentilationSimulation(self.members())
+        sim.step()
+        path = save_lung_state(tmp_path / "members.npz", sim)
+        with pytest.raises(ValueError, match="does not match"):
+            load_lung_state(path, LungVentilationSimulation(lung_config()))
+
+    def test_run_polls_the_checkpoint_manager(self, tmp_path):
+        from repro.robustness import CheckpointManager
+
+        sim = LungVentilationSimulation(self.members())
+        manager = CheckpointManager(tmp_path, every_steps=1)
+        sim.run(1.0, max_steps=2, dt_initial=2e-4, checkpoints=manager)
+        assert manager.n_writes == 2
+        fresh = LungVentilationSimulation(self.members())
+        manager.resume(fresh, config_drift="raise")
+        assert np.array_equal(fresh.solver.velocity, sim.solver.velocity)

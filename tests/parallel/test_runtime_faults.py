@@ -168,3 +168,40 @@ class TestCrashResumeDistributed:
                 if k == "config_json":
                     continue
                 assert np.array_equal(A[k], B[k]), f"field {k} differs"
+
+
+class TestMemberRunHonoursWorkers:
+    def test_two_members_on_two_workers_equal_serial(self):
+        """A member run distributes its pressure mat-vec like a single
+        run (``RunConfig.workers``), fp64 steps are bitwise the serial
+        ones, and ``close()`` leaves no pool segment behind."""
+        from repro.lung import LungVentilationSimulation
+        from repro.ns.solver import SolverSettings
+        from repro.robustness import RunConfig
+
+        def run(workers):
+            configs = [
+                RunConfig(
+                    generations=1, degree=2, seed=0, workers=workers,
+                    windkessel_resistance_scale=scale,
+                    solver=SolverSettings(solver_tolerance=1e-6, cfl=0.3),
+                )
+                for scale in (1.0, 1.5)
+            ]
+            sim = LungVentilationSimulation(configs)
+            try:
+                assert (sim.solver._dist_ctx is not None) == (workers >= 2)
+                for _ in range(2):
+                    sim.step(2e-4)
+                return (np.array(sim.solver.velocity),
+                        np.array(sim.solver.pressure),
+                        sim.tidal_volume_delivered())
+            finally:
+                sim.close()
+
+        serial = run(1)
+        distributed = run(2)
+        assert shm_segments(f"repro{os.getpid()}p") == []
+        assert serial[0].shape[0] == 2
+        for s, d in zip(serial, distributed):
+            assert np.array_equal(s, d)
