@@ -191,9 +191,9 @@ def _instrument_entry(raw):
         TRACER.incr("vmult." + name)
         with TRACER.span("vmult[" + name + "]"):
             wm = self.work_model()
-            # an ensemble-stacked state does E members' worth of work in
+            # a (*lead, n) stack does prod(lead) vectors' worth of work in
             # one application — scale the own-work annotation accordingly
-            scale = float(x.shape[0]) if getattr(x, "ndim", 1) == 2 else 1.0
+            scale = float(np.prod(np.shape(x)[:-1]))
             TRACER.annotate(
                 scale * wm["flops"], scale * wm["bytes"], scale * wm["dofs"]
             )

@@ -1,17 +1,11 @@
 """Distributed runtime: Morton partitioning with real ghost-face
 censuses, machine models of the paper's platforms, the calibrated
-strong/weak-scaling performance model, and a real shared-memory
-multi-process worker pool with overlapped ghost exchange
-(:mod:`repro.parallel.runtime`)."""
+strong/weak-scaling performance model, and the one ghost-exchange
+implementation with an in-process and a shared-memory multi-process
+executor (:mod:`repro.parallel.runtime`)."""
 
 from .machine import FUGAKU_A64FX, LOCAL_PYTHON, SUMMIT_V100, SUPERMUC_NG, MachineModel
-from .partition import (
-    PartitionStats,
-    SimulatedGhostExchange,
-    partition_forest,
-    partition_stats,
-)
-from .distributed import DistributedDGLaplace, ExchangeCensus
+from .partition import PartitionStats, partition_forest, partition_stats
 from .perfmodel import (
     SP_SMOOTHER_SPEEDUP,
     THROUGHPUT_VS_DEGREE,
@@ -24,6 +18,7 @@ from .runtime import (
     CRASH_EXIT_CODE,
     DistributedOperator,
     DistributedSolverContext,
+    ExchangeCensus,
     InProcessGhostRuntime,
     PartitionPlan,
     RankLocalOperator,
@@ -35,6 +30,7 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "DistributedOperator",
     "DistributedSolverContext",
+    "ExchangeCensus",
     "InProcessGhostRuntime",
     "PartitionPlan",
     "RankLocalOperator",
@@ -46,11 +42,8 @@ __all__ = [
     "FUGAKU_A64FX",
     "LOCAL_PYTHON",
     "PartitionStats",
-    "SimulatedGhostExchange",
     "partition_forest",
     "partition_stats",
-    "DistributedDGLaplace",
-    "ExchangeCensus",
     "MatvecScalingModel",
     "MultigridLevelSpec",
     "MultigridSolveModel",

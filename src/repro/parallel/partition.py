@@ -1,4 +1,4 @@
-"""Morton-curve mesh partitioning and ghost-layer bookkeeping.
+"""Morton-curve mesh partitioning and its operator-free census.
 
 The forests are already ordered along the per-tree Morton curve
 (p4est ordering, :mod:`repro.mesh.morton`), so partitioning into P ranks
@@ -81,52 +81,3 @@ def partition_stats(forest: Forest, conn: MeshConnectivity, n_ranks: int,
         cut_faces_per_rank=cut_per_rank,
     )
 
-
-class SimulatedGhostExchange:
-    """A functional stand-in for the MPI nearest-neighbor exchange.
-
-    Partitions a DG vector by rank, fills per-rank send buffers with the
-    face sheets of cut faces, 'transfers' them, and lets tests verify
-    that the buffered data reproduces the remote traces exactly — the
-    same non-blocking pattern the solver overlaps with cell work.  It
-    also reports the message census consumed by the performance model.
-    """
-
-    def __init__(self, forest: Forest, conn: MeshConnectivity, n_ranks: int,
-                 degree: int) -> None:
-        self.ranks = partition_forest(forest, n_ranks)
-        self.conn = conn
-        self.degree = degree
-        self.n_ranks = n_ranks
-        # (batch index, face entry index) of every cut face
-        self.cut_entries: list[tuple[int, np.ndarray]] = []
-        for ib, batch in enumerate(conn.interior):
-            remote = self.ranks[batch.cells_m] != self.ranks[batch.cells_p]
-            if remote.any():
-                self.cut_entries.append((ib, np.nonzero(remote)[0]))
-
-    def n_messages(self) -> int:
-        """Total point-to-point messages of one exchange (pairwise,
-        counting each direction)."""
-        pairs = set()
-        for ib, idx in self.cut_entries:
-            batch = self.conn.interior[ib]
-            for e in idx:
-                a = int(self.ranks[batch.cells_m[e]])
-                b = int(self.ranks[batch.cells_p[e]])
-                pairs.add((a, b))
-                pairs.add((b, a))
-        return len(pairs)
-
-    def exchange(self, u_cells: np.ndarray, kernel) -> dict:
-        """Gather the plus-side nodal face traces of all cut faces into
-        'receive buffers' keyed by (batch index, entry index)."""
-        buffers = {}
-        for ib, idx in self.cut_entries:
-            batch = self.conn.interior[ib]
-            traces = kernel.face_nodal_trace(
-                u_cells[batch.cells_p[idx]], batch.face_p
-            )
-            for j, e in enumerate(idx):
-                buffers[(ib, int(e))] = traces[j]
-        return buffers

@@ -1,11 +1,15 @@
-"""Real shared-memory multi-process execution of the DG operators.
+"""Rank-decomposed execution of the DG operators, in-process or on a
+shared-memory multi-process pool.
 
-This module promotes :mod:`repro.parallel` from a *simulation* of the
-paper's MPI layer (Section 3.2) to actual parallel execution: a
-persistent pool of worker processes, each owning a contiguous Morton
-range of cells, evaluates the SIP Laplacian mat-vec with a real ghost
-exchange through ``multiprocessing.shared_memory`` buffers.  The
-protocol per mat-vec mirrors Kronbichler & Kormann's overlap strategy:
+The one implementation of the paper's ghost exchange (Section 3.2):
+:class:`PartitionPlan` cuts the Morton-ordered cells into contiguous
+rank ranges and derives who ships what, :class:`RankLocalOperator`
+evaluates one rank's share, and two executors run the ranks —
+:class:`InProcessGhostRuntime` sequentially in one process (the
+reference), :class:`WorkerPool` as a persistent pool of worker
+processes exchanging ghost cells through
+``multiprocessing.shared_memory`` buffers.  The protocol per mat-vec
+mirrors Kronbichler & Kormann's overlap strategy:
 
 1. **pack** — each worker copies the owned cells its neighbors need
    into per-destination outboxes (one shared-memory segment per ordered
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -70,7 +75,6 @@ from ..core.operators.laplace import cell_laplacian
 from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS, merge_snapshots, snapshot_doc
 from ..telemetry.timeline import PHASE_ID, TimelineRing, merge_timeline
-from .distributed import ExchangeCensus
 from .partition import partition_forest
 
 _POOL_VMULTS = METRICS.counter(
@@ -170,17 +174,25 @@ class _RankPlan:
         return self.hi - self.lo
 
 
+@dataclass
+class ExchangeCensus:
+    """Message accounting of one exchange round."""
+
+    n_messages: int
+    n_sheets: int
+    bytes_total: int
+    pairs: set
+
+
 class PartitionPlan:
     """Morton partition of an operator's mesh plus the derived ghost
     exchange: who owns which cells, which face-batch entries each rank
     computes (fully-owned vs. cut), and the per-rank-pair payloads.
 
-    The cut-entry census is computed identically to
-    :class:`~repro.parallel.partition.SimulatedGhostExchange`, and
-    :meth:`census` reports messages/sheets/bytes with the same
-    conventions as
-    :class:`~repro.parallel.distributed.DistributedDGLaplace` — the
-    parity the parallel test battery asserts.
+    :meth:`census` counts the exchange the paper's protocol needs; the
+    test battery checks it against the operator-free model census
+    :func:`~repro.parallel.partition.partition_stats` and against the
+    outboxes this plan creates.
     """
 
     def __init__(self, op, n_workers: int, weights=None) -> None:
@@ -204,16 +216,14 @@ class PartitionPlan:
         plans = [_RankPlan(rank=r, lo=int(lo[r]), hi=int(hi[r]))
                  for r in range(n_workers)]
 
-        self.cut_entries: list[tuple[int, np.ndarray]] = []
         self.pairs: set[tuple[int, int]] = set()
         self.n_cut_faces = 0
         ghost_far: list[list] = [[] for _ in range(n_workers)]  # (kind, ib, cells)
-        for ib, batch in enumerate(conn.interior):
+        for batch in conn.interior:
             rm = self.ranks[batch.cells_m]
             rp = self.ranks[batch.cells_p]
             cut = np.nonzero(rm != rp)[0]
             if cut.size:
-                self.cut_entries.append((ib, cut))
                 self.n_cut_faces += int(cut.size)
                 for s, d in zip(rm[cut], rp[cut]):
                     self.pairs.add((int(s), int(d)))
@@ -260,9 +270,9 @@ class PartitionPlan:
         self.rank_plans = plans
 
     def census(self) -> ExchangeCensus:
-        """Message accounting with the :class:`DistributedDGLaplace`
-        conventions: one message per ordered neighbor pair, two trace
-        sheets (value + normal derivative) per cut face and direction."""
+        """One message per ordered neighbor pair, two trace sheets
+        (value + normal derivative, everything the SIP flux needs) per
+        cut face and direction."""
         return ExchangeCensus(
             n_messages=len(self.pairs),
             n_sheets=2 * self.n_cut_faces,
@@ -277,12 +287,14 @@ class PartitionPlan:
         total = sum(int(rp.ghosts.size) for rp in self.rank_plans)
         return total * self.npc * self.itemsize
 
-    def rank_exchange_bytes(self) -> dict:
+    def rank_exchange_bytes(self, value_bytes=None) -> dict:
         """Per-rank bytes moved per exchange round,
-        ``{rank: {"send": ..., "recv": ...}}`` — the denominator data of
-        the per-rank achieved-bandwidth rows in the timeline analysis
+        ``{rank: {"send": ..., "recv": ...}}``, when every nodal value
+        takes ``value_bytes`` (default: one value of the operator's
+        dtype) — the denominator data of the per-rank achieved-bandwidth
+        rows in the timeline analysis
         (:func:`repro.telemetry.timeline.analyze_timeline`)."""
-        cell = self.npc * self.itemsize
+        cell = self.npc * (self.itemsize if value_bytes is None else value_bytes)
         return {
             rp.rank: {
                 "send": sum(int(idx.size) for idx in rp.send.values()) * cell,
@@ -379,6 +391,7 @@ class RankLocalOperator:
         rp = plan.rank_plans[rank]
         self.lo, self.hi = rp.lo, rp.hi
         self.rank_plan = rp
+        self._dofs = slice(rp.lo * plan.npc, rp.hi * plan.npc)
         self._laplace_d = op.cell_metrics.laplace_d[:, rp.lo:rp.hi]
         self._loc_work: list[_FaceWork] = []
         self._cut_work: list[_FaceWork] = []
@@ -470,22 +483,47 @@ class RankLocalOperator:
             base[..., cells, :, :, :] += contrib
         return base
 
+    def owned(self, x: np.ndarray) -> np.ndarray:
+        """The owned cells of a flat ``(*lead, n_dofs)`` vector, as a
+        ``(*lead, n_cells, n1, n1, n1)`` view."""
+        n1 = self.plan.n1
+        return x[..., self._dofs].reshape(
+            x.shape[:-1] + (self.rank_plan.n_cells, n1, n1, n1))
+
     def pack(self, u: np.ndarray, dst: int) -> np.ndarray:
         """Ghost-cell payload (owned nodal tensors) for rank ``dst``."""
         return u[..., self.rank_plan.send[dst], :, :, :]
 
-    def apply(self, u: np.ndarray, ug) -> np.ndarray:
-        """Full owned share in one call (test/serial entry point)."""
+    def ghosts(self, inbox, lead: tuple, dtype, ring=None, rnd: int = 0):
+        """The ghost-cell array assembled from the per-source payloads
+        ``inbox[src]``; with a timeline ``ring`` each source's copy is
+        recorded as an ``unpack`` event of round ``rnd``."""
+        rp = self.rank_plan
+        ug = np.empty(lead + (rp.ghosts.size,) + (self.plan.n1,) * 3,
+                      dtype=dtype)
+        for src, slots in rp.recv.items():
+            ts = time.perf_counter()
+            ug[..., slots, :, :, :] = inbox[src]
+            if ring is not None:
+                ring.record(rnd, _UNPACK_ID, ts, time.perf_counter(), peer=src)
+        return ug
+
+    def store(self, y: np.ndarray, y_own: np.ndarray) -> None:
+        """Write the owned share into the flat ``(*lead, n_dofs)``
+        result ``y``."""
+        y[..., self._dofs] = y_own.reshape(y_own.shape[:-4] + (-1,))
+
+    def apply(self, u: np.ndarray, ug: np.ndarray) -> np.ndarray:
+        """Full owned share in one call (the in-process entry point)."""
         base, pend = self.interior_contribs(u)
-        if ug is not None:
-            pend.extend(self.cut_contribs(u, ug))
+        pend.extend(self.cut_contribs(u, ug))
         return self.accumulate(base, pend)
 
 
 class InProcessGhostRuntime:
     """All ranks evaluated sequentially in one process.
 
-    The reference implementation of the runtime protocol: the parallel
+    The reference executor of the runtime protocol: the parallel
     correctness battery checks it bitwise against the monolithic
     operator, and the multi-process pool against it.
     """
@@ -496,32 +534,27 @@ class InProcessGhostRuntime:
         self.locals = [RankLocalOperator(op, self.plan, r)
                        for r in range(self.plan.n_workers)]
 
+    def mailbox(self, x: np.ndarray) -> dict:
+        """One round's messages: ``mail[dst][src]`` is the payload rank
+        ``src`` packs for rank ``dst``."""
+        mail = {rlo.rank: {} for rlo in self.locals}
+        for rlo in self.locals:
+            u = rlo.owned(x)
+            for dst in rlo.rank_plan.send:
+                mail[dst][rlo.rank] = rlo.pack(u, dst)
+        return mail
+
     def vmult(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.ndim == 2 and x.shape[0] == 1:
-            return self.vmult(x[0])[None]
-        plan = self.plan
-        n1 = plan.n1
-        u_all = x.reshape(x.shape[:-1] + (plan.n_cells, n1, n1, n1))
-        mailbox = {}
-        for rlo in self.locals:
-            u = u_all[..., rlo.lo:rlo.hi, :, :, :]
-            for dst in rlo.rank_plan.send:
-                mailbox[(rlo.rank, dst)] = rlo.pack(u, dst)
+        mail = self.mailbox(x)
         y = None
         for rlo in self.locals:
-            rp = rlo.rank_plan
-            u = u_all[..., rlo.lo:rlo.hi, :, :, :]
-            ug = np.empty(x.shape[:-1] + (rp.ghosts.size, n1, n1, n1),
-                          dtype=x.dtype)
-            for src, slots in rp.recv.items():
-                ug[..., slots, :, :, :] = mailbox[(src, rlo.rank)]
-            y_own = rlo.apply(u, ug)
+            ug = rlo.ghosts(mail[rlo.rank], x.shape[:-1], x.dtype)
+            y_own = rlo.apply(rlo.owned(x), ug)
             if y is None:
-                y = np.empty(x.shape[:-1] + (plan.n_dofs,), dtype=y_own.dtype)
-            npc = plan.npc
-            y[..., rlo.lo * npc:rlo.hi * npc] = \
-                y_own.reshape(y_own.shape[:-4] + (-1,))
+                y = np.empty(x.shape[:-1] + (self.plan.n_dofs,),
+                             dtype=y_own.dtype)
+            rlo.store(y, y_own)
         return y
 
 
@@ -538,7 +571,7 @@ def _shm_create(name: str, nbytes: int) -> shared_memory.SharedMemory:
 
 
 class _Session:
-    """Master-side record of one (dtype, ensemble-lead) buffer set."""
+    """Master-side record of one (dtypes, ``lead`` shape) buffer set."""
 
     __slots__ = ("sid", "xdt", "ydt", "lead", "x", "y")
 
@@ -586,6 +619,9 @@ class WorkerPool:
         self._sessions: dict[tuple, _Session] = {}
         self._next_sid = 0
         self._round = 0
+        #: bytes of one nodal value summed over the rounds run (a round
+        #: of ``x`` moves ``prod(x.shape[:-1]) * x.itemsize`` per value)
+        self._value_bytes = 0
         self._closed = False
         self._seq = None
         self.last_timings: list[dict] = []
@@ -701,15 +737,12 @@ class WorkerPool:
             raise RuntimeError("pool is closed")
         op = self._ops[tag]
         x = np.asarray(x)
-        if x.ndim == 2 and x.shape[0] == 1:
-            # E = 1 reuses the flat session's buffers (same bits: the
-            # ensemble axis is only a leading axis of the same kernels)
-            return self.vmult(tag, x[0])[None]
-        lead = x.shape[0] if x.ndim == 2 else 0
+        lead = x.shape[:-1]
         ydt = np.result_type(np.dtype(op.dtype), x.dtype)
         sess = self._session(x.dtype, ydt, lead)
         sess.x[...] = x
         self._round += 1
+        self._value_bytes += math.prod(lead) * x.dtype.itemsize
         _POOL_VMULTS.labels(tag).inc()
         self._broadcast(("vmult", tag, self._round, sess.sid,
                          sess.xdt.name, sess.ydt.name, lead))
@@ -779,11 +812,15 @@ class WorkerPool:
                 for r, tot in enumerate(self.phase_totals) if tot}
 
     def rank_exchange_bytes(self) -> dict:
-        """Per-rank exchange payload bytes per round for the registered
-        fine operator's dtype."""
-        return self.plan.rank_exchange_bytes()
+        """Per-rank exchange payload bytes per round: the mean over the
+        rounds run so far, each counted with its own ``lead`` and
+        ``x.dtype``; before the first round, the plan figure for the
+        first registered operator's dtype."""
+        if not self._round:
+            return self.plan.rank_exchange_bytes()
+        return self.plan.rank_exchange_bytes(self._value_bytes / self._round)
 
-    def _session(self, xdt, ydt, lead: int) -> _Session:
+    def _session(self, xdt, ydt, lead: tuple) -> _Session:
         xdt = np.dtype(xdt)
         ydt = np.dtype(ydt)
         key = (xdt.name, ydt.name, lead)
@@ -793,7 +830,7 @@ class WorkerPool:
         sid = self._next_sid
         self._next_sid += 1
         plan = self.plan
-        shape = (lead, plan.n_dofs) if lead else (plan.n_dofs,)
+        shape = lead + (plan.n_dofs,)
         names = _session_names(self.shm_prefix, sid, plan, lead)
         xseg = _shm_create(names["x"], int(np.prod(shape)) * xdt.itemsize)
         yseg = _shm_create(names["y"], int(np.prod(shape)) * ydt.itemsize)
@@ -931,12 +968,12 @@ class WorkerPool:
             pass
 
 
-def _session_names(prefix: str, sid: int, plan: PartitionPlan, lead: int):
+def _session_names(prefix: str, sid: int, plan: PartitionPlan, lead: tuple):
     """Deterministic segment names shared by master and workers."""
     out = {}
     for rp in plan.rank_plans:
         for dst, idx in rp.send.items():
-            shape = ((lead,) if lead else ()) + (idx.size,) + (plan.n1,) * 3
+            shape = lead + (idx.size,) + (plan.n1,) * 3
             out[(rp.rank, dst)] = (f"{prefix}-s{sid}-ob{rp.rank}to{dst}", shape)
     return {"x": f"{prefix}-s{sid}-x", "y": f"{prefix}-s{sid}-y", "out": out}
 
@@ -970,7 +1007,7 @@ class _WorkerState:
             return sess
         plan = self.plan
         xdt, ydt = np.dtype(xdt), np.dtype(ydt)
-        shape = (lead, plan.n_dofs) if lead else (plan.n_dofs,)
+        shape = lead + (plan.n_dofs,)
         names = _session_names(self.prefix, sid, plan, lead)
         xseg = shared_memory.SharedMemory(name=names["x"])
         yseg = shared_memory.SharedMemory(name=names["y"])
@@ -1009,14 +1046,11 @@ class _WorkerState:
 def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
     rlo = state.locals[tag]
     rp = rlo.rank_plan
-    plan = state.plan
-    n1 = plan.n1
     ring = state.ring
     times = {}
     t0 = time.perf_counter()
     x = sess["x"]
-    sl = slice(rp.lo * plan.npc, rp.hi * plan.npc)
-    u = x[..., sl].reshape(x.shape[:-1] + (rp.n_cells, n1, n1, n1))
+    u = rlo.owned(x)
     for dst in rp.send:
         if ring is not None:
             ts = time.perf_counter()
@@ -1052,19 +1086,11 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
             _WORKER_WAIT_SPINS.labels(str(src)).observe(spins)
     t3 = time.perf_counter()
     times["wait"] = t3 - t2
-    ug = np.empty(x.shape[:-1] + (rp.ghosts.size, n1, n1, n1), dtype=x.dtype)
-    for src, slots in rp.recv.items():
-        if ring is not None:
-            ts = time.perf_counter()
-            ug[..., slots, :, :, :] = sess["inbox"][src]
-            ring.record(rnd, _UNPACK_ID, ts, time.perf_counter(), peer=src)
-        else:
-            ug[..., slots, :, :, :] = sess["inbox"][src]
+    ug = rlo.ghosts(sess["inbox"], x.shape[:-1], x.dtype, ring, rnd)
     pend.extend(rlo.cut_contribs(u, ug))
     t4 = time.perf_counter()
     times["cut"] = t4 - t3
-    y_own = rlo.accumulate(base, pend)
-    sess["y"][..., sl] = y_own.reshape(y_own.shape[:-4] + (-1,))
+    rlo.store(sess["y"], rlo.accumulate(base, pend))
     t5 = time.perf_counter()
     times["accumulate"] = t5 - t4
     # completeness: the six phases are contiguous perf_counter

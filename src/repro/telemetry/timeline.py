@@ -349,7 +349,7 @@ def analyze_timeline(events: list[dict], rank_bytes: dict | None = None,
       eliminating stalls alone.
 
     ``rank_bytes`` (rank -> ``{"send": bytes, "recv": bytes}`` per
-    round, e.g. :meth:`PartitionPlan.rank_exchange_bytes`) adds
+    round, e.g. :meth:`WorkerPool.rank_exchange_bytes`) adds
     achieved exchange bandwidth per rank.  Returns a JSON-serializable
     ``repro/timeline/1`` document.
     """

@@ -1,5 +1,7 @@
-"""Tests of the simulated distributed mat-vec: the ghost-sheet protocol
-must reproduce the monolithic operator exactly."""
+"""Tests of the rank-decomposed mat-vec on the in-process executor: the
+ghost exchange of :class:`~repro.parallel.PartitionPlan` must reproduce
+the monolithic operator bit for bit, with the nearest-neighbor message
+census."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
-from repro.parallel.distributed import DistributedDGLaplace
+from repro.parallel import InProcessGhostRuntime
 
 
 def make_op(forest, degree=2, dirichlet=(1,)):
@@ -25,48 +27,45 @@ class TestDistributedMatvec:
     def test_matches_monolithic_on_box(self, n_ranks, rng):
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
         op = make_op(forest)
-        dist = DistributedDGLaplace(op, n_ranks)
+        rt = InProcessGhostRuntime(op, n_ranks)
         x = rng.standard_normal(op.n_dofs)
-        y_ref = op.vmult(x)
-        y_dist, census = dist.vmult(x)
-        assert np.allclose(y_dist, y_ref, atol=1e-11)
+        assert np.array_equal(rt.vmult(x), op.vmult(x))
+        census = rt.plan.census()
         if n_ranks > 1:
             assert census.n_messages > 0
-            assert census.bytes_total == census.n_sheets * dist._sheet_bytes
+            # two trace sheets of (k+1)^2 values per cut face and direction
+            sheet = 2 * op.kern.n_dofs_1d ** 2 * np.dtype(op.dtype).itemsize
+            assert census.bytes_total == census.n_sheets * sheet
 
     def test_matches_on_hanging_node_mesh(self, rng):
         f = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1}))
         f = f.refine([f.leaves[0]]).balance()
         op = make_op(f, degree=3)
-        dist = DistributedDGLaplace(op, 3)
+        rt = InProcessGhostRuntime(op, 3)
         x = rng.standard_normal(op.n_dofs)
-        y_ref = op.vmult(x)
-        y_dist, census = dist.vmult(x)
-        assert np.allclose(y_dist, y_ref, atol=1e-10)
-        assert census.n_sheets > 0
+        assert np.array_equal(rt.vmult(x), op.vmult(x))
+        assert rt.plan.census().n_sheets > 0
 
     def test_matches_on_bifurcation_with_orientations(self, rng):
         forest = Forest(bifurcation())
         op = make_op(forest, degree=2, dirichlet=(1, 2, 3))
-        dist = DistributedDGLaplace(op, 4)
+        rt = InProcessGhostRuntime(op, 4)
         x = rng.standard_normal(op.n_dofs)
-        y_ref = op.vmult(x)
-        y_dist, _ = dist.vmult(x)
-        assert np.allclose(y_dist, y_ref, atol=1e-10)
+        assert np.array_equal(rt.vmult(x), op.vmult(x))
 
     def test_single_rank_exchanges_nothing(self):
         forest = Forest(box(subdivisions=(3, 1, 1)))
         op = make_op(forest, dirichlet=())
-        dist = DistributedDGLaplace(op, 1)
+        rt = InProcessGhostRuntime(op, 1)
         x = np.ones(op.n_dofs)
-        _, census = dist.vmult(x)
+        assert np.array_equal(rt.vmult(x), op.vmult(x))
+        census = rt.plan.census()
         assert census.n_messages == 0
         assert census.bytes_total == 0
 
     def test_message_count_matches_partition_pairs(self):
         forest = Forest(box(subdivisions=(4, 1, 1)))
         op = make_op(forest, dirichlet=())
-        dist = DistributedDGLaplace(op, 4)
-        _, census = dist.vmult(np.ones(op.n_dofs))
+        rt = InProcessGhostRuntime(op, 4)
         # a 1D chain of 4 ranks: 3 neighbor pairs, both directions
-        assert census.n_messages == 6
+        assert rt.plan.census().n_messages == 6

@@ -4,18 +4,19 @@ memory models, and the scaling performance model."""
 import numpy as np
 
 from repro.core.dof_handler import DGDofHandler
-from repro.core.sum_factorization import TensorProductKernel
+from repro.core.operators import DGLaplaceOperator
 from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import box
+from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.parallel import (
     FUGAKU_A64FX,
     SUMMIT_V100,
     SUPERMUC_NG,
+    InProcessGhostRuntime,
     MatvecScalingModel,
     MultigridLevelSpec,
     MultigridSolveModel,
-    SimulatedGhostExchange,
     partition_forest,
     partition_stats,
 )
@@ -25,6 +26,12 @@ from repro.perf import (
     laplace_transfer,
     measured_transfer,
 )
+
+
+def make_op(forest, degree=2):
+    return DGLaplaceOperator(DGDofHandler(forest, degree),
+                             GeometryField(forest, degree),
+                             build_connectivity(forest), dirichlet_ids=())
 
 
 class TestPartition:
@@ -69,25 +76,28 @@ class TestPartition:
 
 class TestGhostExchange:
     def test_buffers_match_remote_traces(self, rng):
+        """The in-process mailbox delivers exactly the ghost cells each
+        rank's cut faces read, flat and with a leading axis."""
         forest = Forest(box(subdivisions=(4, 1, 1)))
-        conn = build_connectivity(forest)
-        degree = 2
-        kern = TensorProductKernel(degree)
-        ex = SimulatedGhostExchange(forest, conn, 2, degree)
-        dof = DGDofHandler(forest, degree)
-        u = rng.standard_normal((forest.n_cells,) + (degree + 1,) * 3)
-        buffers = ex.exchange(u, kern)
-        assert buffers  # there is at least one cut face
-        for (ib, e), trace in buffers.items():
-            batch = conn.interior[ib]
-            direct = kern.face_nodal_trace(u[batch.cells_p[e]], batch.face_p)
-            assert np.allclose(trace, direct)
+        rt = InProcessGhostRuntime(make_op(forest), 2)
+        plan = rt.plan
+        for lead in ((), (3,)):
+            x = rng.standard_normal(lead + (plan.n_dofs,))
+            u = x.reshape(lead + (plan.n_cells,) + (plan.n1,) * 3)
+            mail = rt.mailbox(x)
+            assert any(mail.values())  # there is at least one cut face
+            for rlo in rt.locals:
+                ug = rlo.ghosts(mail[rlo.rank], lead, x.dtype)
+                assert np.array_equal(ug, u[..., rlo.rank_plan.ghosts, :, :, :])
 
     def test_message_count_positive(self):
         forest = Forest(box(subdivisions=(4, 1, 1)))
-        conn = build_connectivity(forest)
-        ex = SimulatedGhostExchange(forest, conn, 4, 2)
-        assert ex.n_messages() >= 2
+        rt = InProcessGhostRuntime(make_op(forest), 4)
+        mail = rt.mailbox(np.ones(rt.plan.n_dofs))
+        sent = {(src, dst) for dst, box_ in mail.items() for src in box_}
+        census = rt.plan.census()
+        assert census.n_messages >= 2
+        assert sent == census.pairs
 
 
 class TestFlopAndMemoryModels:

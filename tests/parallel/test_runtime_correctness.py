@@ -5,9 +5,10 @@ rank-decomposed mat-vec — in-process or across a real fork +
 shared-memory worker pool — reproduces the monolithic operator
 *bitwise* in double precision (canonical accumulation order plus
 padded face-batch subsets), within tolerance in single precision
-(BLAS sgemm row-blocking rounds subsets differently), and its ghost
-exchange reproduces the :class:`~repro.parallel.SimulatedGhostExchange`
-census exactly.
+(BLAS sgemm row-blocking rounds subsets differently), and its exchange
+census agrees with the operator-free model census
+(:func:`~repro.parallel.partition_stats`) and with the outboxes the plan
+creates.
 
 The in-process half runs in tier1; tests that fork real worker
 processes are marked ``parallel`` (enable with ``--run-parallel``).
@@ -23,10 +24,10 @@ from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.parallel import (
-    DistributedDGLaplace,
     InProcessGhostRuntime,
     PartitionPlan,
     WorkerPool,
+    partition_stats,
 )
 from repro.parallel.runtime import DistributedSolverContext
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
@@ -54,59 +55,51 @@ def random_space(rng, degree=2):
     )
 
 
+def assert_census_parity(op, n_ranks, weights=None):
+    """The plan's census against the model census of the same partition
+    and against the set of outboxes the plan creates."""
+    plan = PartitionPlan(op, n_ranks, weights=weights)
+    census = plan.census()
+    stats = partition_stats(op.geo.forest, op.conn, n_ranks, weights)
+    assert census.n_messages == stats.neighbors_per_rank.sum()
+    assert census.n_sheets == 2 * stats.cut_faces
+    sheet = 2 * plan.n1 ** 2 * np.dtype(op.dtype).itemsize
+    assert census.bytes_total == census.n_sheets * sheet
+    outboxes = {(rp.rank, d) for rp in plan.rank_plans for d in rp.send}
+    assert census.pairs == outboxes
+    assert census.n_messages == len(outboxes)
+    return plan, census
+
+
 class TestCensusParity:
-    """Real ghost exchange == simulated ghost exchange, message for
-    message."""
+    """The exchange census == the model census == the runtime's
+    outboxes, message for message."""
 
     @pytest.mark.parametrize("n_ranks", [2, 3, 4, 7])
-    def test_box_census_matches_simulated(self, n_ranks, rng):
+    def test_box_census_matches_simulated(self, n_ranks):
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
-        op = make_op(forest)
-        x = rng.standard_normal(op.n_dofs)
-        _, sim_census = DistributedDGLaplace(op, n_ranks).vmult(x)
-        real_census = PartitionPlan(op, n_ranks).census()
-        assert real_census.n_messages == sim_census.n_messages
-        assert real_census.n_sheets == sim_census.n_sheets
-        assert real_census.bytes_total == sim_census.bytes_total
-        assert real_census.pairs == sim_census.pairs
+        _, census = assert_census_parity(make_op(forest), n_ranks)
+        assert census.n_messages > 0
 
     def test_randomized_partitions_census(self, rng):
         for _ in range(6):
-            op = random_space(rng)
-            n_ranks = int(rng.integers(2, 5))
-            x = rng.standard_normal(op.n_dofs)
-            _, sim = DistributedDGLaplace(op, n_ranks).vmult(x)
-            real = PartitionPlan(op, n_ranks).census()
-            assert real.n_messages == sim.n_messages
-            assert real.n_sheets == sim.n_sheets
-            assert real.bytes_total == sim.bytes_total
-            assert real.pairs == sim.pairs
+            assert_census_parity(random_space(rng), int(rng.integers(2, 5)))
 
     def test_weighted_partition_census(self, rng):
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
-        op = make_op(forest)
         weights = rng.uniform(0.5, 2.0, size=forest.n_cells)
-        x = rng.standard_normal(op.n_dofs)
-        _, sim = DistributedDGLaplace(op, 3, weights=weights).vmult(x)
-        real = PartitionPlan(op, 3, weights=weights).census()
-        assert real.pairs == sim.pairs
-        assert real.bytes_total == sim.bytes_total
+        assert_census_parity(make_op(forest), 3, weights=weights)
 
-    def test_fp32_census_counts_four_byte_items(self, rng):
+    def test_fp32_census_counts_four_byte_items(self):
         """Census bytes follow the operator's dtype exactly as the shipped
-        payload does: a float32 clone reports half the float64 bytes, in
-        the simulated and in the real exchange."""
+        payload does: a float32 clone reports half the float64 bytes."""
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
         op = make_op(forest)
         op32 = operator_to_dtype(op, np.float32)
-        x = rng.standard_normal(op.n_dofs)
-        _, sim64 = DistributedDGLaplace(op, 3).vmult(x)
-        _, sim32 = DistributedDGLaplace(op32, 3).vmult(x.astype(np.float32))
-        real64, real32 = PartitionPlan(op, 3), PartitionPlan(op32, 3)
-        assert real64.census().bytes_total == sim64.bytes_total
-        assert real32.census().bytes_total == sim32.bytes_total
-        assert 2 * sim32.bytes_total == sim64.bytes_total
-        assert 2 * real32.payload_bytes() == real64.payload_bytes()
+        plan64, census64 = assert_census_parity(op, 3)
+        plan32, census32 = assert_census_parity(op32, 3)
+        assert 2 * census32.bytes_total == census64.bytes_total
+        assert 2 * plan32.payload_bytes() == plan64.payload_bytes()
 
 
 class TestInProcessBitwise:
@@ -114,7 +107,7 @@ class TestInProcessBitwise:
     wait/cut protocol, run sequentially in one process: the bitwise
     oracle the worker pool is then compared against."""
 
-    @pytest.mark.parametrize("n_ranks", [2, 3, 4, 7])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4, 7])
     def test_box_bitwise_fp64(self, n_ranks, rng):
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
         op = make_op(forest)
@@ -192,6 +185,23 @@ class TestWorkerPoolBitwise:
             assert np.array_equal(pool.vmult("op", xE), op.vmult(xE))
             # repeated rounds reuse the shared-memory session
             assert np.array_equal(pool.vmult("op", x), op.vmult(x))
+
+    def test_pool_unit_lead_is_flat_bitwise(self, rng):
+        """A ``(1, n)`` round runs its own ``lead = (1,)`` session and
+        equals the flat round bit for bit; closing unlinks both."""
+        import glob
+
+        forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
+        op = make_op(forest)
+        x = rng.standard_normal(op.n_dofs)
+        pool = WorkerPool(2)
+        pool.register("op", op)
+        with pool:
+            y1 = pool.vmult("op", x[None])
+            assert y1.shape == (1, op.n_dofs)
+            assert np.array_equal(y1, pool.vmult("op", x)[None])
+            assert np.array_equal(y1, op.vmult(x[None]))
+        assert glob.glob(f"/dev/shm/{pool.shm_prefix}*") == []
 
     def test_pool_randomized_mesh_bitwise_fp64(self, rng):
         op = random_space(rng)

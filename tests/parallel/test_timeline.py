@@ -417,6 +417,23 @@ class TestTracedWorkerPool:
         assert rb == plan_rb
         assert all(v["send"] > 0 and v["recv"] > 0 for v in rb.values())
 
+    def test_exchange_bytes_count_each_round_lead(self, rng):
+        """A flat round plus a ``(2, n)`` round move three flat rounds'
+        worth of ghost bytes, and the analysis reports exactly that."""
+        op = self.pool_op()
+        pool = WorkerPool(2, trace_timeline=True)
+        pool.register("op", op)
+        with pool:
+            pool.vmult("op", rng.standard_normal(op.n_dofs))
+            pool.vmult("op", rng.standard_normal((2, op.n_dofs)))
+            a = analyze_timeline(pool.timeline_events(),
+                                 rank_bytes=pool.rank_exchange_bytes())
+        plan_rb = PartitionPlan(op, 2).rank_exchange_bytes()
+        for r, v in plan_rb.items():
+            info = a["totals"]["per_rank"][str(r)]
+            assert info["rounds"] == 2
+            assert info["exchange_bytes_total"] == 3 * (v["send"] + v["recv"])
+
     def test_tracer_worker_subspans(self, rng):
         op = self.pool_op()
         x = rng.standard_normal(op.n_dofs)
