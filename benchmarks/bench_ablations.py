@@ -1,11 +1,13 @@
 """Ablation studies of the design choices DESIGN.md calls out.
 
 The paper attributes its node-level speedup to specific algorithmic
-choices (Section 3.1: even-odd decomposition and related sum-
-factorization optimizations give "1.5x-2x compared to previous
-results"; Section 3.4: degree-3 Chebyshev smoothing, degree-bisection
-p-coarsening, single-precision V-cycles).  Each ablation toggles one
-choice on the real implementation and reports its effect.
+choices (Section 3.1: Flop-minimizing sum-factorization variants give
+"1.5x-2x compared to previous results"; Section 3.4: degree-3 Chebyshev
+smoothing, degree-bisection p-coarsening, single-precision V-cycles).
+Each ablation toggles one choice on the real implementation and reports
+its effect.  (The even-odd decomposition is not among them: in NumPy
+its fold/recombine passes made it 3-4x *slower* than the dense sweeps,
+an ISA-level Flop saving that vectorized Python cannot express.)
 """
 
 import sys
@@ -22,49 +24,6 @@ from repro.core.sum_factorization import TensorProductKernel
 from repro.perf.flops import laplace_flops
 from repro.perf.measure import measure_throughput
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
-
-
-def test_ablation_even_odd(benchmark):
-    """Even-odd decomposition: Flop counts always halve; wall-clock gains
-    appear once the 1D products dominate (large batches / high degree)."""
-    rng = np.random.default_rng(0)
-    rows = []
-    n_cells = 4000
-    for k in (2, 3, 5):
-        u = rng.standard_normal((n_cells,) + (k + 1,) * 3)
-        dense = TensorProductKernel(k, use_even_odd=False)
-        eo = TensorProductKernel(k, use_even_odd=True)
-        r_dense = measure_throughput(lambda: dense.gradients(u), u.size, repetitions=5)
-        r_eo = measure_throughput(lambda: eo.gradients(u), u.size, repetitions=5)
-        f_dense = laplace_flops(k, even_odd=False)
-        f_eo = laplace_flops(k, even_odd=True)
-        rows.append((k, r_dense.best_seconds, r_eo.best_seconds,
-                     f_dense.cell / f_eo.cell))
-    benchmark(lambda: TensorProductKernel(3, use_even_odd=True).gradients(
-        rng.standard_normal((1000, 4, 4, 4))))
-
-    lines = ["Ablation: even-odd decomposition of the 1D kernels",
-             "",
-             f"{'k':>2} {'dense [ms]':>11} {'even-odd [ms]':>14} {'Flop ratio':>11} {'time ratio':>11}"]
-    for k, td, te, fr in rows:
-        lines.append(f"{k:>2} {td*1e3:>11.2f} {te*1e3:>14.2f} {fr:>11.2f} {td/te:>11.2f}")
-    lines.append("")
-    lines.append("(paper: 1.5-2x speedup from Flop-minimizing optimizations on")
-    lines.append(" AVX-512.  In NumPy the fold/recombine steps cost extra array")
-    lines.append(" passes that outweigh the halved multiplications at these")
-    lines.append(" sizes — which is why TensorProductKernel defaults to the")
-    lines.append(" dense path and keeps even-odd as a validated option: the")
-    lines.append(" optimization is ISA-level, not expressible in vector Python.)")
-    emit("ablation_even_odd", "\n".join(lines))
-
-    # the analytic Flop reduction: ~2x for even 1D sizes (odd k), modest
-    # for odd sizes (even k) — the parity effect visible in Figure 7
-    for k, _, _, fr in rows:
-        assert fr > (1.4 if (k + 1) % 2 == 0 else 1.05)
-    # wall-clock: NumPy overhead makes even-odd slower here; bound the
-    # regression so the option stays usable
-    for _, td, te, _ in rows:
-        assert te < 8.0 * td
 
 
 def test_ablation_collocation(benchmark):
@@ -94,8 +53,8 @@ def test_ablation_collocation(benchmark):
         lines.append(f"{k:>2} {ts*1e3:>14.2f} {tc*1e3:>17.2f} {fr:>11.2f} {ts/tc:>11.2f}")
     emit("ablation_collocation", "\n".join(lines))
 
-    # fewer sweeps -> fewer Flops, and (unlike even-odd) the NumPy path
-    # stays comparable since sweeps map 1:1 to matmuls (timing noise on a
+    # fewer sweeps -> fewer Flops, and the NumPy path stays comparable
+    # since sweeps map 1:1 to matmuls (timing noise on a
     # shared machine can still swing individual sizes either way)
     for k, ts, tc, fr in rows:
         assert fr > 1.1

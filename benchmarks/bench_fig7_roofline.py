@@ -2,8 +2,9 @@
 deformed lung geometry — ideal vs measured-style memory transfer.
 
 The arithmetic (Flop) counts come from the analytic model of
-:mod:`repro.perf.flops` (the paper validates the analogous counts
-against LIKWID hardware counters to a few percent); the transfer model
+:mod:`repro.perf.flops` — the dense sweeps the kernels actually run (the
+paper validates its even-odd counts against LIKWID hardware counters to
+a few percent); the transfer model
 follows Section 5.1's description.  We verify the paper's conclusions:
 all relevant degrees are *memory-bandwidth limited* (left of the ridge),
 arithmetic intensity grows with the degree, and the measured transfer
@@ -68,14 +69,11 @@ def test_fig7_roofline(benchmark):
     # shape (i): all degrees are memory-bound on the paper's node
     for k, ai_i, ai_m, _, _ in rows:
         assert ai_i < SUPERMUC_NG.flop_byte_ridge
-    # shape (ii): intensity increases with polynomial degree.  The
-    # even-odd decomposition saves relatively more for even point counts,
-    # so the trend oscillates with parity (visible in the paper's data
-    # too); compare within each parity class and end-to-end.
-    ais = {r[0]: r[1] for r in rows}
-    assert ais[3] > ais[1] and ais[5] > ais[3]
-    assert ais[4] > ais[2] and ais[6] > ais[4]
-    assert ais[6] > ais[1]
+    # shape (ii): intensity increases with polynomial degree.  The dense
+    # sweeps the kernels run have no parity effect (the paper's even-odd
+    # counts oscillate with it), so the growth is strict at every step.
+    ais = [r[1] for r in rows]
+    assert all(b > a for a, b in zip(ais, ais[1:]))
     # shape (iii): measured transfer lowers the intensity by 20-30%
     for k, ai_i, ai_m, _, _ in rows:
         assert 0.7 < ai_m / ai_i < 0.85

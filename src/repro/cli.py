@@ -2,8 +2,9 @@
 
 Small drivers over the library for the workflows a user reaches for
 first — a Poisson solve with the hybrid multigrid, the analytic
-Navier-Stokes validation, a ventilated-lung run, the scaling model, and
-airway-mesh generation with VTK export.
+Navier-Stokes validation, a ventilated-lung run (one parameter set or a
+sweep of members advanced together), the scaling model, and airway-mesh
+generation with VTK export.
 """
 
 from __future__ import annotations
@@ -169,6 +170,7 @@ def cmd_lung(args) -> int:
         TRACER.enable()
     try:
         cfg = RunConfig.from_args(args)
+        configs = _member_configs(args, cfg)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -177,12 +179,57 @@ def cmd_lung(args) -> int:
               "with robustness.checkpoint_dir set)", file=sys.stderr)
         return 2
     with _metrics_session(args.metrics_file, "lung") as worker_docs:
-        return _lung_run(args, cfg, worker_docs)
+        return _lung_run(args, configs, worker_docs)
 
 
-def _lung_run(args, cfg, worker_docs=None) -> int:
-    import os
+def _member_configs(args, base):
+    """What :class:`~repro.lung.LungVentilationSimulation` runs: ``base``
+    alone, or — when a sweep flag is set — one RunConfig per member.
 
+    Each comma-separated list must have length 1 (shared by all
+    members) or exactly the member count; ``--members`` defaults to
+    the longest list."""
+    import dataclasses
+
+    flags = {
+        "windkessel_resistance_scale": "--resistance-scales",
+        "windkessel_compliance_scale": "--compliance-scales",
+        "dp_initial": "--dp-initials",
+    }
+    sweeps: dict[str, list[float]] = {}
+    if args.resistance_scales:
+        sweeps["windkessel_resistance_scale"] = args.resistance_scales
+    if args.compliance_scales:
+        sweeps["windkessel_compliance_scale"] = args.compliance_scales
+    if args.dp_initials:
+        sweeps["dp_initial"] = args.dp_initials
+    if not sweeps and args.members is None:
+        return base
+    n_members = args.members or max(
+        (len(v) for v in sweeps.values()), default=1
+    )
+    for name, values in sweeps.items():
+        if len(values) not in (1, n_members):
+            raise ValueError(
+                f"{flags[name]} has {len(values)} values for "
+                f"{n_members} members (need 1 or {n_members})"
+            )
+    configs = []
+    for e in range(n_members):
+        pick = {k: (v[0] if len(v) == 1 else v[e]) for k, v in sweeps.items()}
+        vent = base.ventilation
+        if "dp_initial" in pick:
+            vent = dataclasses.replace(vent, dp_initial=pick.pop("dp_initial"))
+        configs.append(dataclasses.replace(base, ventilation=vent, **pick))
+    return configs
+
+
+def _fmt_members(values, spec: str) -> str:
+    """Per-member values as ``"v0, v1, ..."`` (a single run: ``"v"``)."""
+    return ", ".join(format(v, spec) for v in np.ravel(values))
+
+
+def _lung_run(args, configs, worker_docs=None) -> int:
     from .lung import LungVentilationSimulation
     from .robustness import CheckpointManager, StepFailure
     from .telemetry import (
@@ -205,7 +252,8 @@ def _lung_run(args, cfg, worker_docs=None) -> int:
         except (OSError, RuntimeError):
             pass
 
-    sim = LungVentilationSimulation(cfg)
+    sim = LungVentilationSimulation(configs)
+    cfg = sim.config
     manager = CheckpointManager.from_settings(cfg.robustness)
     if args.resume:
         try:
@@ -215,12 +263,15 @@ def _lung_run(args, cfg, worker_docs=None) -> int:
             return 2
         print(f"resumed from {resumed_from} (t={sim.time:.6f}s)")
     n_dofs = sim.solver.dof_u.n_dofs + sim.solver.dof_p.n_dofs
+    n_members = sim.n_members
     print(f"lung g={cfg.generations}: {sim.lung.forest.n_cells} cells, "
-          f"{sim.lung.n_outlets} outlets, {n_dofs} DoF")
+          f"{sim.lung.n_outlets} outlets, {n_dofs} DoF, "
+          f"{n_members} member{'s' * (n_members != 1)}")
     writer = None
     if args.log_file:
         writer = RunLogWriter(args.log_file, meta={
             "command": "lung",
+            "members": n_members,
             "generations": cfg.generations,
             "degree": cfg.degree,
             "seed": cfg.seed,
@@ -251,10 +302,15 @@ def _lung_run(args, cfg, worker_docs=None) -> int:
             return 1
         stats.append(st)
         if writer is not None:
+            # per-member values: a float for a single run, a list per member
             extra = {
-                "inflow_m3_s": sim._inlet_flow,
-                "tidal_volume_ml": sim.tidal_volume_delivered() * 1e6,
+                "inflow_m3_s": np.asarray(sim._inlet_flow).tolist(),
+                "tidal_volume_ml":
+                    (np.asarray(sim.tidal_volume_delivered()) * 1e6).tolist(),
                 "recovery_events": len(sim.recovery_log),
+                "member_cfl": np.asarray(st.member_cfl).tolist(),
+                "member_pressure_iterations":
+                    np.asarray(st.member_pressure_iterations).tolist(),
             }
             if dist_ctx is not None:
                 # cumulative per-rank phase seconds; repro monitor
@@ -272,8 +328,17 @@ def _lung_run(args, cfg, worker_docs=None) -> int:
             os._exit(137)
         if (i + 1) % max(1, args.steps // 5) == 0:
             print(f"  step {i + 1:4d}: t={sim.time:.5f}s dt={st.dt:.2e} "
-                  f"inflow={sim._inlet_flow * 1e3:.3f} l/s "
-                  f"V={sim.tidal_volume_delivered() * 1e6:.2f} ml")
+                  f"inflow={_fmt_members(sim._inlet_flow * 1e3, '.3f')} l/s "
+                  f"V={_fmt_members(sim.tidal_volume_delivered() * 1e6, '.2f')}"
+                  " ml")
+    print()
+    print(f"{'member':>7} {'R-scale':>8} {'C-scale':>8} {'dp [Pa]':>9} "
+          f"{'V [ml]':>9}")
+    for rec in sim.member_records():
+        c = rec.config
+        print(f"{rec.member:>7} {c.windkessel_resistance_scale:>8.3f} "
+              f"{c.windkessel_compliance_scale:>8.3f} {rec.dp:>9.1f} "
+              f"{rec.tidal_volume * 1e6:>9.3f}")
     if sim.recovery_log:
         retries = sum(1 for e in sim.recovery_log if e.kind == "step_retry")
         print(f"recovery: {retries} step retries "
@@ -312,141 +377,6 @@ def _lung_run(args, cfg, worker_docs=None) -> int:
         print(f"mesh written to {path}")
     harvest_worker_metrics()
     sim.close()
-    return 0
-
-
-def cmd_ensemble(args) -> int:
-    from .robustness import RunConfig
-    from .telemetry import TRACER
-
-    if args.trace:
-        TRACER.reset()
-        TRACER.enable()
-    try:
-        cfg = RunConfig.from_args(args)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    with _metrics_session(args.metrics_file, "ensemble"):
-        return _ensemble_run(args, cfg)
-
-
-def _member_configs(args, base):
-    """Expand the per-member sweep flags into one RunConfig per member.
-
-    Each comma-separated list must have length 1 (shared by all
-    members) or exactly the ensemble size; ``--members`` defaults to
-    the longest list."""
-    import dataclasses
-
-    flags = {
-        "windkessel_resistance_scale": "--resistance-scales",
-        "windkessel_compliance_scale": "--compliance-scales",
-        "dp_initial": "--dp-initials",
-    }
-    sweeps: dict[str, list[float]] = {}
-    if args.resistance_scales:
-        sweeps["windkessel_resistance_scale"] = args.resistance_scales
-    if args.compliance_scales:
-        sweeps["windkessel_compliance_scale"] = args.compliance_scales
-    if args.dp_initials:
-        sweeps["dp_initial"] = args.dp_initials
-    n_members = args.members or max(
-        (len(v) for v in sweeps.values()), default=1
-    )
-    for name, values in sweeps.items():
-        if len(values) not in (1, n_members):
-            raise ValueError(
-                f"{flags[name]} has {len(values)} values for "
-                f"{n_members} members (need 1 or {n_members})"
-            )
-    configs = []
-    for e in range(n_members):
-        pick = {k: (v[0] if len(v) == 1 else v[e]) for k, v in sweeps.items()}
-        vent = base.ventilation
-        if "dp_initial" in pick:
-            vent = dataclasses.replace(vent, dp_initial=pick.pop("dp_initial"))
-        configs.append(dataclasses.replace(base, ventilation=vent, **pick))
-    return configs
-
-
-def _ensemble_run(args, cfg) -> int:
-    from .lung import LungVentilationSimulation
-    from .robustness import StepFailure
-    from .telemetry import (
-        TRACER,
-        RunLogWriter,
-        aggregate_steps,
-        render_breakdown,
-        render_span_tree,
-    )
-
-    try:
-        configs = _member_configs(args, cfg)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    sim = LungVentilationSimulation(configs)
-    n_dofs = sim.solver.dof_u.n_dofs + sim.solver.dof_p.n_dofs
-    print(f"ensemble lung g={cfg.generations}: {sim.n_members} members, "
-          f"{sim.lung.forest.n_cells} cells, {sim.lung.n_outlets} outlets, "
-          f"{n_dofs} DoF per member ({sim.n_members * n_dofs} total)")
-    writer = None
-    if args.log_file:
-        writer = RunLogWriter(args.log_file, meta={
-            "command": "ensemble",
-            "members": sim.n_members,
-            "generations": cfg.generations,
-            "degree": cfg.degree,
-            "seed": cfg.seed,
-            "n_cells": sim.lung.forest.n_cells,
-            "n_dofs": n_dofs,
-            "steps": args.steps,
-        })
-    stats = []
-    for i in range(args.steps):
-        try:
-            st = sim.step()
-        except StepFailure as e:
-            print(f"error: {e}", file=sys.stderr)
-            if writer is not None:
-                writer.write_summary(TRACER if args.trace else None)
-                writer.close()
-            sim.close()
-            return 1
-        stats.append(st)
-        if writer is not None:
-            writer.write_step(st, extra={
-                "member_cfl": st.member_cfl,
-                "member_pressure_iterations": st.member_pressure_iterations,
-                "inflow_m3_s": [float(q) for q in sim._inlet_flow],
-                "tidal_volume_ml":
-                    [v * 1e6 for v in sim.tidal_volume_delivered()],
-            })
-        if (i + 1) % max(1, args.steps // 5) == 0:
-            tv = sim.tidal_volume_delivered() * 1e6
-            print(f"  step {i + 1:4d}: t={sim.time:.5f}s dt={st.dt:.2e} "
-                  f"V=[{', '.join(f'{v:.2f}' for v in tv)}] ml")
-    print()
-    print(f"{'member':>7} {'R-scale':>8} {'C-scale':>8} {'dp [Pa]':>9} "
-          f"{'V [ml]':>9}")
-    for rec in sim.member_records():
-        c = rec.config
-        print(f"{rec.member:>7} {c.windkessel_resistance_scale:>8.3f} "
-              f"{c.windkessel_compliance_scale:>8.3f} {rec.dp:>9.1f} "
-              f"{rec.tidal_volume * 1e6:>9.3f}")
-    sim.close()  # a --config file may ask for workers
-    if writer is not None:
-        writer.write_summary(TRACER if args.trace else None)
-        writer.close()
-        print(f"run log written to {writer.path}")
-    if args.trace:
-        print()
-        print(render_breakdown(aggregate_steps(stats)))
-        print()
-        print("span profile:")
-        print(render_span_tree(TRACER))
-        TRACER.disable()
     return 0
 
 
@@ -902,10 +832,28 @@ def main(argv=None) -> int:
                    help="emit one machine-readable JSON object instead of text")
     p.set_defaults(fn=cmd_poisson)
 
-    p = sub.add_parser("lung", help="coupled ventilated-lung simulation")
+    p = sub.add_parser(
+        "lung",
+        help="coupled ventilated-lung simulation; the sweep flags run N "
+             "parameter sets (members) through one batched solver",
+    )
     p.add_argument("--config", type=str, default=None,
-                   help="JSON RunConfig file providing the run description; "
-                        "explicit flags override it")
+                   help="JSON RunConfig file providing the run description "
+                        "(the shared base of every member); explicit flags "
+                        "override it")
+    p.add_argument("--members", type=int, default=None,
+                   help="member count (default: longest sweep list; any "
+                        "sweep flag makes this a member run)")
+    p.add_argument("--resistance-scales", type=_float_list, default=None,
+                   metavar="S0,S1,...",
+                   help="per-member windkessel resistance scales "
+                        "(1 value = shared, else one per member)")
+    p.add_argument("--compliance-scales", type=_float_list, default=None,
+                   metavar="S0,S1,...",
+                   help="per-member windkessel compliance scales")
+    p.add_argument("--dp-initials", type=_float_list, default=None,
+                   metavar="P0,P1,...",
+                   help="per-member initial ventilator driving pressures [Pa]")
     p.add_argument("--generations", type=int, default=None,
                    help="airway-tree generations (default 1)")
     p.add_argument("--degree", type=int, default=None,
@@ -954,48 +902,6 @@ def main(argv=None) -> int:
                         "export it here (.prom for the Prometheus "
                         "textfile, anything else for JSON)")
     p.set_defaults(fn=cmd_lung)
-
-    p = sub.add_parser(
-        "ensemble",
-        help="batched ensemble of ventilated-lung runs (one solver setup, "
-             "N parameter sets advanced together on the ensemble axis)",
-    )
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON RunConfig file for the shared base run; "
-                        "explicit flags override it")
-    p.add_argument("--members", type=int, default=None,
-                   help="ensemble size (default: longest sweep list, or 1)")
-    p.add_argument("--resistance-scales", type=_float_list, default=None,
-                   metavar="S0,S1,...",
-                   help="per-member windkessel resistance scales "
-                        "(1 value = shared, else one per member)")
-    p.add_argument("--compliance-scales", type=_float_list, default=None,
-                   metavar="S0,S1,...",
-                   help="per-member windkessel compliance scales")
-    p.add_argument("--dp-initials", type=_float_list, default=None,
-                   metavar="P0,P1,...",
-                   help="per-member initial ventilator driving pressures [Pa]")
-    p.add_argument("--generations", type=int, default=None,
-                   help="airway-tree generations (default 1)")
-    p.add_argument("--degree", type=int, default=None,
-                   help="polynomial degree (default 2)")
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="relative solver tolerance (default 1e-3)")
-    p.add_argument("--compute-dtype", choices=("float64", "float32"),
-                   default=None,
-                   help="forward-solve precision (default float64)")
-    p.add_argument("--trace", action="store_true",
-                   help="enable the telemetry tracer and print the "
-                        "per-sub-step wall-time breakdown and span profile")
-    p.add_argument("--log-file", type=str, default=None,
-                   help="write a schema-versioned JSONL run log with "
-                        "per-member extras")
-    p.add_argument("--metrics-file", type=str, default=None,
-                   help="enable the solver-health metric registry "
-                        "(member-labelled ensemble gauges) and export here")
-    p.set_defaults(fn=cmd_ensemble)
 
     p = sub.add_parser("report", help="aggregate a JSONL run log")
     p.add_argument("run_log", type=str,

@@ -1,6 +1,6 @@
 """Core matrix-free evaluation machinery: quadrature, tensor-product bases,
-sum-factorization kernels, the even-odd Flop optimization, the execution
-plans, and the matrix-free PDE operators built from them."""
+sum-factorization kernels, the execution plans, and the matrix-free PDE
+operators built from them."""
 
 from .quadrature import QuadratureRule, gauss, gauss_lobatto
 from .basis import (
@@ -11,7 +11,6 @@ from .basis import (
     subinterval_matrix,
     change_of_basis_matrix,
 )
-from .even_odd import EvenOddMatrix
 from .plans import FlatScatterPlan, ScatterPlan, Workspace, contract
 from .sum_factorization import TensorProductKernel, apply_1d
 
@@ -25,7 +24,6 @@ __all__ = [
     "embedding_matrix",
     "subinterval_matrix",
     "change_of_basis_matrix",
-    "EvenOddMatrix",
     "ScatterPlan",
     "FlatScatterPlan",
     "Workspace",

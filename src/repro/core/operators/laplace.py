@@ -132,7 +132,6 @@ class DGLaplaceOperator(MatrixFreeOperator):
         fl = laplace_flops(
             self.dof.degree,
             self.kern.n_q_points,
-            even_odd=self.kern.use_even_odd,
             collocation=self.kern.use_collocation,
         )
         tr = laplace_transfer(self.dof.degree, self.kern.n_q_points,
@@ -421,9 +420,7 @@ class CGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import cg_laplace_flops
 
         nq = self.kern.n_q_points
-        fl = cg_laplace_flops(
-            self.dof.degree, nq, even_odd=self.kern.use_even_odd
-        )
+        fl = cg_laplace_flops(self.dof.degree, nq)
         pb = self.precision_bytes
         vec_bytes = 3.0 * pb * self.n_dofs
         metric_bytes = 6.0 * nq**3 * pb * self.dof.n_cells

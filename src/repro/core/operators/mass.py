@@ -42,7 +42,6 @@ class MassOperator(MatrixFreeOperator):
         per_cell = mass_flops(
             self.dof.degree,
             self.kern.n_q_points,
-            even_odd=self.kern.use_even_odd,
             n_components=self.dof.n_components,
         )
         nq = self.kern.n_q_points

@@ -26,7 +26,6 @@ import numpy as np
 
 from .backend import kernel_dtype
 from .basis import ShapeMatrices, shape_matrices
-from .even_odd import EvenOddMatrix
 from .plans import Workspace
 
 _F64 = np.dtype(np.float64)
@@ -133,11 +132,6 @@ class TensorProductKernel:
         Polynomial degree ``k`` of the scalar space.
     n_q_points:
         1D Gauss points per direction (default ``k + 1``).
-    use_even_odd:
-        Apply 1D matrices through their even–odd decomposition, the
-        Flop-halving optimization of Kronbichler & Kormann (2019).  The
-        result is bit-for-bit a different rounding but mathematically
-        identical; tests assert agreement to machine precision.
     use_collocation:
         The *change-of-basis* optimization of Section 3.1: transform the
         nodal coefficients once into the Lagrange basis collocated at the
@@ -150,7 +144,6 @@ class TensorProductKernel:
 
     degree: int
     n_q_points: int = 0
-    use_even_odd: bool = False
     use_collocation: bool = False
 
     def __post_init__(self) -> None:
@@ -169,13 +162,6 @@ class TensorProductKernel:
             ("grad_t", _F64): np.ascontiguousarray(sm.grad.T),
             ("face_grad", _F64): sm.face_grad,
         })
-        if self.use_even_odd:
-            object.__setattr__(self, "_interp_eo", EvenOddMatrix(sm.interp, "even"))
-            object.__setattr__(self, "_grad_eo", EvenOddMatrix(sm.grad, "odd"))
-            object.__setattr__(
-                self, "_interp_t_eo", EvenOddMatrix(sm.interp.T, "even")
-            )
-            object.__setattr__(self, "_grad_t_eo", EvenOddMatrix(sm.grad.T, "odd"))
         if self.use_collocation:
             if nq != self.degree + 1:
                 raise ValueError(
@@ -233,11 +219,10 @@ class TensorProductKernel:
             cache[key] = M
         return M
 
-    def _apply(self, which: str, u: np.ndarray, dim: int) -> np.ndarray:
-        if self.use_even_odd:
-            eo: EvenOddMatrix = getattr(self, f"_{which}_eo")
-            return eo.apply(u, dim)
-        return apply_1d(self._mat(which, kernel_dtype(u.dtype)), u, dim)
+    def _apply(self, which: str, u: np.ndarray, dim: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Sweep the 1D factor ``which`` along ``dim`` (into ``out``)."""
+        return apply_1d(self._mat(which, kernel_dtype(u.dtype)), u, dim, out=out)
 
     # -- cell kernels (operator I_e and I_e^T of Eq. (7)) ---------------
     def _ws_dtype(self, u: np.ndarray) -> np.dtype:
@@ -255,7 +240,7 @@ class TensorProductKernel:
         through preallocated buffers; the returned array is workspace-
         owned and must be consumed before the next ``ws``-based call.
         """
-        if ws is None or self.use_even_odd:
+        if ws is None:
             v = self._apply("interp", u, 0)
             v = self._apply("interp", v, 1)
             return self._apply("interp", v, 2)
@@ -265,13 +250,6 @@ class TensorProductKernel:
         v = apply_1d(M, u, 0, out=ws.take("tpk.val.0", lead + (n, n, nq), dt))
         v = apply_1d(M, v, 1, out=ws.take("tpk.val.1", lead + (n, nq, nq), dt))
         return apply_1d(M, v, 2, out=ws.take("tpk.val.2", lead + (nq, nq, nq), dt))
-
-    def _sweep(self, which: str, u: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-        """:meth:`_apply` into a preallocated ``out``."""
-        if self.use_even_odd:
-            out[...] = self._apply(which, u, dim)
-            return out
-        return apply_1d(self._mat(which, kernel_dtype(u.dtype)), u, dim, out=out)
 
     def _gradients_cm(self, u: np.ndarray, ws, want_values: bool):
         """Values (``None`` unless wanted) and component-major reference
@@ -289,16 +267,16 @@ class TensorProductKernel:
             for i in range(3):
                 apply_1d(D, vals, i, out=g[i])
             return vals, g
-        ux = self._sweep("interp", u, 0, ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
-        uxy = self._sweep("interp", ux, 1, ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
+        ux = self._apply("interp", u, 0, ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
+        uxy = self._apply("interp", ux, 1, ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
         vals = None
         if want_values:
-            vals = self._sweep("interp", uxy, 2, ws.take("tpk.grad.val", lead + (nq, nq, nq), dt))
-        uy = self._sweep("interp", u, 1, ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
+            vals = self._apply("interp", uxy, 2, ws.take("tpk.grad.val", lead + (nq, nq, nq), dt))
+        uy = self._apply("interp", u, 1, ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
         t = ws.take("tpk.grad.t", lead + (n, nq, nq), dt)
-        self._sweep("interp", self._sweep("grad", uy, 0, t), 2, g[0])
-        self._sweep("interp", self._sweep("grad", ux, 1, t), 2, g[1])
-        self._sweep("grad", uxy, 2, g[2])
+        self._apply("interp", self._apply("grad", uy, 0, t), 2, g[0])
+        self._apply("interp", self._apply("grad", ux, 1, t), 2, g[1])
+        self._apply("grad", uxy, 2, g[2])
         return vals, g
 
     def gradients_cm(self, u: np.ndarray, ws=None) -> np.ndarray:
@@ -330,7 +308,7 @@ class TensorProductKernel:
         ``out`` (optional, with ``ws``) receives the final sweep so the
         result is caller-owned rather than workspace-owned.
         """
-        if ws is None or self.use_even_odd:
+        if ws is None:
             v = self._apply("interp_t", q, 0)
             v = self._apply("interp_t", v, 1)
             res = self._apply("interp_t", v, 2)
@@ -368,7 +346,7 @@ class TensorProductKernel:
         b0 = ws.take("tpk.ig.0", lead + (nq, nq, n), dt)
         b1 = ws.take("tpk.ig.1", lead + (nq, n, n), dt)
         t = ws.take("tpk.ig.tmp", lead + (n, n, n), dt)
-        sw = self._sweep
+        sw = self._apply
         sw("interp_t", sw("interp_t", sw("grad_t", q[0], 0, b0), 1, b1), 2, out)
         out += sw("interp_t", sw("grad_t", sw("interp_t", q[1], 0, b0), 1, b1), 2, t)
         out += sw("grad_t", sw("interp_t", sw("interp_t", q[2], 0, b0), 1, b1), 2, t)

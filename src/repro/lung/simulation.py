@@ -47,49 +47,40 @@ MEMBER_VARIABLE_FIELDS = frozenset(
     {"ventilation", "windkessel_resistance_scale", "windkessel_compliance_scale"}
 )
 
-# ventilation-coupling health gauges of a single run, sampled once per
-# coupled step
+# ventilation-coupling health gauges, sampled once per coupled step; a
+# single run is member "0"
 _WK_FLOW = METRICS.gauge(
     "repro_windkessel_flow_m3_per_s",
     "outlet flow rate into each windkessel compartment (outward positive)",
-    labels=("outlet",),
+    labels=("member", "outlet"),
 )
 _WK_VOLUME = METRICS.gauge(
     "repro_windkessel_volume_m3",
     "volume stored in each windkessel compartment",
-    labels=("outlet",),
+    labels=("member", "outlet"),
 )
 _WK_PRESSURE = METRICS.gauge(
     "repro_windkessel_pressure_pa",
     "outlet pressure (PEEP + compartment pressure) per windkessel",
-    labels=("outlet",),
+    labels=("member", "outlet"),
 )
 _INLET_FLOW = METRICS.gauge(
     "repro_inlet_flow_m3_per_s",
     "tracheal inlet flow rate (inward positive, the tubus model sign)",
+    labels=("member",),
 )
 _TIDAL_VOLUME = METRICS.gauge(
     "repro_tidal_volume_m3",
     "total volume stored across all windkessel compartments",
+    labels=("member",),
 )
-# ... and the member-labelled gauges of a member run
 _MEMBER_CFL = METRICS.gauge(
-    "repro_ensemble_member_cfl",
-    "realized CFL number of each ensemble member (members share dt)",
-    labels=("member",),
-)
-_MEMBER_INLET_FLOW = METRICS.gauge(
-    "repro_ensemble_inlet_flow_m3_per_s",
-    "tracheal inlet flow rate per ensemble member (inward positive)",
-    labels=("member",),
-)
-_MEMBER_TIDAL = METRICS.gauge(
-    "repro_ensemble_tidal_volume_m3",
-    "volume stored across all windkessel compartments per member",
+    "repro_member_cfl",
+    "realized CFL number of each member (members share dt)",
     labels=("member",),
 )
 _MEMBER_P_ITER = METRICS.gauge(
-    "repro_ensemble_pressure_iterations",
+    "repro_member_pressure_iterations",
     "pressure-CG iterations until each member's convergence mask closed",
     labels=("member",),
 )
@@ -331,25 +322,22 @@ class LungVentilationSimulation:
         return stats
 
     def _sample_metrics(self, stats) -> None:
-        """Export the coupling gauges (dynamic labels allocate: call
-        behind ``METRICS.enabled``).  The one place that asks which kind
-        of run this is — the two export different metric schemas."""
-        if not self.lead:
-            bank = self.windkessels
+        """Export the coupling gauges, one ``member`` label value per
+        member (dynamic labels allocate: call behind
+        ``METRICS.enabled``)."""
+        for e, (idx, bank) in enumerate(
+            zip(np.ndindex(self.lead), self.windkessel_banks)
+        ):
+            m = str(e)
             for o, comp in enumerate(bank.compartments):
-                key = str(o)
+                key = (m, str(o))
                 _WK_FLOW.labels(key).set(comp.flow)
                 _WK_VOLUME.labels(key).set(comp.volume)
                 _WK_PRESSURE.labels(key).set(bank.outlet_pressure(o))
-            _INLET_FLOW.set(self._inlet_flow)
-            _TIDAL_VOLUME.set(bank.total_volume())
-            return
-        for e, bank in enumerate(self.windkessel_banks):
-            key = str(e)
-            _MEMBER_CFL.labels(key).set(stats.member_cfl[e])
-            _MEMBER_INLET_FLOW.labels(key).set(self._inlet_flow[e])
-            _MEMBER_TIDAL.labels(key).set(bank.total_volume())
-            _MEMBER_P_ITER.labels(key).set(stats.member_pressure_iterations[e])
+            _INLET_FLOW.labels(m).set(self._inlet_flow[idx])
+            _TIDAL_VOLUME.labels(m).set(bank.total_volume())
+            _MEMBER_CFL.labels(m).set(stats.member_cfl[idx])
+            _MEMBER_P_ITER.labels(m).set(stats.member_pressure_iterations[idx])
 
     def run(
         self,

@@ -333,64 +333,48 @@ class IncompressibleNavierStokesSolver:
 
         ``dg/dt`` is approximated by the same BDF formula as the velocity
         time derivative; the convective and rotational terms are
-        extrapolated from the history fields (Fehn et al. 2017).
-
-        Ensemble-stacked histories assemble member by member (boundary-
-        face work only, far below the solves); ``E = 1`` keeps the
-        unbatched bitstream."""
-        if u_history and getattr(u_history[0], "ndim", 1) == 2:
-            members = [
-                self._pressure_neumann_rhs(
-                    t_new, [u[e] for u in u_history], t_history, coeffs, dt
-                )
-                for e in range(u_history[0].shape[0])
-            ]
-            return np.stack(members)
-
+        extrapolated from the history fields (Fehn et al. 2017).  Leading
+        axes of the history fields are batch axes; the boundary data ``g``
+        is member-independent and broadcasts across them."""
         fk_u = self.divergence.fk_u
         fk_p = self.divergence.fk_p
-        order = len(u_history)
-        omegas = [self.compute_vorticity(u) for u in u_history]
-        out = np.zeros((self.dof_p.n_cells,) + (self.dof_p.n1,) * 3)
+        lead = np.shape(u_history[0])[:-1]
+        ax = len(lead)  # cell axis of the cell views
+        us = [self.dof_u.cell_view(u) for u in u_history]
+        omegas = [self.dof_u.cell_view(self.compute_vorticity(u)) for u in u_history]
+        out = np.zeros(lead + (self.dof_p.n_cells,) + (self.dof_p.n1,) * 3)
         for ib, (batch, fm) in enumerate(
             zip(self.conn.boundary, self.divergence.bdry_metrics)
         ):
             if batch.boundary_id not in self.velocity_dirichlet:
                 continue
             pts = fm.points
-            n = fm.normal
             bc = self.bcs.get(batch.boundary_id)
-            # dg/dt by the BDF derivative at t_new
-            g_new = np.moveaxis(
-                np.asarray(bc.g(pts[:, 0], pts[:, 1], pts[:, 2], t_new)), 0, 1
-            )
-            dgdt = coeffs.gamma0 * g_new
-            for i in range(order):
-                g_i = np.moveaxis(
-                    np.asarray(bc.g(pts[:, 0], pts[:, 1], pts[:, 2], t_history[i])),
-                    0,
-                    1,
+
+            def g_at(t):  # (F, 3, a, b)
+                return np.moveaxis(
+                    np.asarray(bc.g(pts[:, 0], pts[:, 1], pts[:, 2], t)), 0, 1
                 )
-                dgdt = dgdt - coeffs.alpha[i] * g_i
-            dgdt = dgdt / dt
-            total = dgdt
-            for i in range(order):
-                beta = coeffs.beta[i]
-                u = self.dof_u.cell_view(u_history[i])[batch.cells]
-                om = self.dof_u.cell_view(omegas[i])[batch.cells]
-                uv, ug = fk_u.eval_side(u, batch.face)
-                Gu = physical_gradient(fm.jinv_t, np.moveaxis(ug, 0, 2))
-                conv = contract("fjab,fijab->fiab", uv, Gu)
-                divu = contract("fiiab->fab", Gu)
-                conv = conv + divu[:, None] * uv
-                ov, og = fk_u.eval_side(om, batch.face)
-                Go = physical_gradient(fm.jinv_t, np.moveaxis(og, 0, 2))
+
+            # dg/dt by the BDF derivative at t_new
+            dgdt = coeffs.gamma0 * g_at(t_new)
+            for alpha, t_i in zip(coeffs.alpha, t_history):
+                dgdt = dgdt - alpha * g_at(t_i)
+            total = dgdt / dt
+            for beta, u, om in zip(coeffs.beta, us, omegas):
+                uv, ug = fk_u.eval_side(np.take(u, batch.cells, axis=ax), batch.face)
+                Gu = physical_gradient(fm.jinv_t, np.moveaxis(ug, 0, -3))
+                conv = contract("...fjab,...fijab->...fiab", uv, Gu)
+                divu = contract("...fiiab->...fab", Gu)
+                conv = conv + divu[..., None, :, :] * uv
+                _, og = fk_u.eval_side(np.take(om, batch.cells, axis=ax), batch.face)
+                Go = physical_gradient(fm.jinv_t, np.moveaxis(og, 0, -3))
                 total = total + beta * (conv + self.nu * curl_of_gradient(Go, 2))
-            h = -contract("fiab,fiab->fab", n, total)
+            h = -contract("fiab,...fiab->...fab", fm.normal, total)
             contrib = fk_p.integrate_side(batch.face, h * fm.jxw, None)
             cached_scatter_plan(
-                self._plan_cache, ("pnbc", ib), batch.cells, out.shape[0]
-            ).add(out, contrib)
+                self._plan_cache, ("pnbc", ib), batch.cells, out.shape[ax]
+            ).add(out, contrib, axis=ax)
         return self.dof_p.flat(out)
 
     def _viscous_boundary_rhs(self, t: float):
@@ -436,15 +420,11 @@ class IncompressibleNavierStokesSolver:
         """Record the realized CFL number on the step statistics: the
         inverse of Eq. (6), ``CFL = dt * k^1.5 * max|J^{-1} u|``.
 
-        ``vmax`` is a per-member ``(E,)`` array for ensemble states;
-        members share dt, so the headline ``cfl`` is the batch maximum
-        while ``member_cfl`` records each member's realized number."""
-        scale = stats.dt * self.degree**1.5
-        if np.ndim(vmax) == 1:
-            stats.member_cfl = [scale * float(v) for v in np.asarray(vmax)]
-            stats.cfl = max(stats.member_cfl)
-        else:
-            stats.cfl = scale * vmax
+        ``vmax`` has the shape of the state's leading axes and so does
+        ``member_cfl``; members share dt, so the headline ``cfl`` is the
+        largest member's."""
+        stats.member_cfl = stats.dt * self.degree**1.5 * vmax
+        stats.cfl = float(np.max(stats.member_cfl))
         if METRICS.enabled:
             self._sample_health(stats)
         return stats

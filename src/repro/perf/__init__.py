@@ -30,7 +30,6 @@ from .flops import (
     inverse_mass_flops,
     laplace_flops,
     mass_flops,
-    mults_1d,
 )
 from .memory import (
     TransferModel,
@@ -53,7 +52,6 @@ __all__ = [
     "flops_apply_1d",
     "inverse_mass_flops",
     "mass_flops",
-    "mults_1d",
     "TransferModel",
     "laplace_transfer",
     "measured_transfer",

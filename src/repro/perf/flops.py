@@ -4,9 +4,9 @@ Section 5.1 / Figure 7: "The number of arithmetic operations follows a
 slight modification of the data in Table 4 of [Kronbichler & Kormann
 2019] ... confirmed to be accurate within a few percent by hardware
 performance counters."  We compute the counts directly from the kernel
-structure implemented in :mod:`repro.core.sum_factorization`, including
-the even-odd reduction, so the roofline placement (Figure 7) uses the
-same arithmetic the code executes.
+structure implemented in :mod:`repro.core.sum_factorization` — dense
+1D products, the only kind the NumPy kernels run — so the roofline
+placement (Figure 7) uses the same arithmetic the code executes.
 
 Conventions: one fused multiply-add counts as 2 Flop; d = 3.
 """
@@ -16,17 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-def mults_1d(n_out: int, n_in: int, even_odd: bool = True) -> int:
-    """Multiplications of one 1D kernel application to one line."""
-    if even_odd:
-        return 2 * ((n_out + 1) // 2) * ((n_in + 1) // 2)
-    return n_out * n_in
-
-
-def flops_apply_1d(n_out: int, n_in: int, n_lines: int, even_odd: bool = True) -> int:
-    """Flops (mults + adds ~ 2x mults) of a full tensor sweep along one
-    dimension: ``n_lines`` independent 1D applications."""
-    return 2 * mults_1d(n_out, n_in, even_odd) * n_lines
+def flops_apply_1d(n_out: int, n_in: int, n_lines: int) -> int:
+    """Flops (one FMA per matrix entry) of a full tensor sweep along one
+    dimension: ``n_lines`` independent dense 1D applications."""
+    return 2 * n_out * n_in * n_lines
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,7 @@ class OperatorFlops:
         )
 
 
-def laplace_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
+def laplace_flops(degree: int, n_q: int | None = None,
                   collocation: bool = False) -> OperatorFlops:
     """Flop counts of the SIP DG Laplacian evaluation (Eq. (7)).
 
@@ -68,28 +61,28 @@ def laplace_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
     if collocation and nq == n:
         # change of basis (3 sweeps) + one derivative sweep per direction,
         # and the symmetric transpose structure on the way back
-        fwd = 3 * flops_apply_1d(nq, n, n2, even_odd)  # transform
-        fwd += 3 * flops_apply_1d(nq, nq, nq2, even_odd)  # collocation grads
-        bwd = 3 * flops_apply_1d(nq, nq, nq2, even_odd)
-        bwd += 3 * flops_apply_1d(n, nq, nq2, even_odd)
+        fwd = 3 * flops_apply_1d(nq, n, n2)  # transform
+        fwd += 3 * flops_apply_1d(nq, nq, nq2)  # collocation grads
+        bwd = 3 * flops_apply_1d(nq, nq, nq2)
+        bwd += 3 * flops_apply_1d(n, nq, nq2)
     else:
         # forward: ux (n2 lines n->nq), uxy (n*nq), vals (nq2), g0 (3
         # sweeps), g1 (2 sweeps), g2 (1 sweep) as in values_and_gradients
         fwd = 0
-        fwd += flops_apply_1d(nq, n, n2, even_odd)  # ux
-        fwd += flops_apply_1d(nq, n, n * nq, even_odd)  # uxy
-        fwd += flops_apply_1d(nq, n, nq2, even_odd)  # vals (reused by g2 path)
+        fwd += flops_apply_1d(nq, n, n2)  # ux
+        fwd += flops_apply_1d(nq, n, n * nq)  # uxy
+        fwd += flops_apply_1d(nq, n, nq2)  # vals (reused by g2 path)
         # g0: interp(y) + grad(x) + interp(z)
-        fwd += flops_apply_1d(nq, n, n2, even_odd) + flops_apply_1d(nq, n, n * nq, even_odd) + flops_apply_1d(nq, n, nq2, even_odd)
+        fwd += flops_apply_1d(nq, n, n2) + flops_apply_1d(nq, n, n * nq) + flops_apply_1d(nq, n, nq2)
         # g1: grad(y) on ux + interp(z)
-        fwd += flops_apply_1d(nq, n, n * nq, even_odd) + flops_apply_1d(nq, n, nq2, even_odd)
+        fwd += flops_apply_1d(nq, n, n * nq) + flops_apply_1d(nq, n, nq2)
         # g2: grad(z) on uxy
-        fwd += flops_apply_1d(nq, n, nq2, even_odd)
+        fwd += flops_apply_1d(nq, n, nq2)
         # integration: transpose of the gradient sweep structure (9 sweeps)
         bwd = 3 * (
-            flops_apply_1d(n, nq, nq2, even_odd)
-            + flops_apply_1d(n, nq, nq * n, even_odd)
-            + flops_apply_1d(n, nq, n2, even_odd)
+            flops_apply_1d(n, nq, nq2)
+            + flops_apply_1d(n, nq, nq * n)
+            + flops_apply_1d(n, nq, n2)
         )
     # quadrature-point work: symmetric 3x3 apply: 9 FMA = 18 Flop per point
     qwork = 18 * nq**3
@@ -103,8 +96,8 @@ def laplace_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
     # ~ 60 Flop/point), and the transposed integration of val+grad.
     per_side_eval = (
         2 * n * n2  # normal-derivative contraction (vector dot per line)
-        + 2 * flops_apply_1d(n, n, n2, even_odd)  # tangential nodal derivs
-        + 4 * (flops_apply_1d(nq, n, n, even_odd) + flops_apply_1d(nq, n, nq, even_odd))
+        + 2 * flops_apply_1d(n, n, n2)  # tangential nodal derivs
+        + 4 * (flops_apply_1d(nq, n, n) + flops_apply_1d(nq, n, nq))
     )
     flux = 60 * nq2
     per_side_int = per_side_eval  # transpose costs the same
@@ -114,15 +107,15 @@ def laplace_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
                          boundary_face=boundary_face)
 
 
-def cg_laplace_flops(degree: int, n_q: int | None = None, even_odd: bool = True) -> OperatorFlops:
+def cg_laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
     """Continuous FE Laplacian: cell work only (no face terms); gather /
     scatter indirection is memory, not Flops."""
-    lap = laplace_flops(degree, n_q, even_odd)
+    lap = laplace_flops(degree, n_q)
     return OperatorFlops(degree=degree, n_q=lap.n_q, cell=lap.cell,
                          inner_face=0, boundary_face=0)
 
 
-def mass_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
+def mass_flops(degree: int, n_q: int | None = None,
                n_components: int = 1) -> int:
     """Flops per cell of one mass mat-vec: forward value interpolation
     (3 tensor sweeps), pointwise JxW multiply, transposed integration."""
@@ -130,14 +123,14 @@ def mass_flops(degree: int, n_q: int | None = None, even_odd: bool = True,
     nq = n_q or n
     n2, nq2 = n * n, nq * nq
     fwd = (
-        flops_apply_1d(nq, n, n2, even_odd)
-        + flops_apply_1d(nq, n, n * nq, even_odd)
-        + flops_apply_1d(nq, n, nq2, even_odd)
+        flops_apply_1d(nq, n, n2)
+        + flops_apply_1d(nq, n, n * nq)
+        + flops_apply_1d(nq, n, nq2)
     )
     bwd = (
-        flops_apply_1d(n, nq, nq2, even_odd)
-        + flops_apply_1d(n, nq, nq * n, even_odd)
-        + flops_apply_1d(n, nq, n2, even_odd)
+        flops_apply_1d(n, nq, nq2)
+        + flops_apply_1d(n, nq, nq * n)
+        + flops_apply_1d(n, nq, n2)
     )
     return n_components * (fwd + nq**3 + bwd)
 
@@ -146,7 +139,7 @@ def inverse_mass_flops(degree: int, n_components: int = 1) -> int:
     """Collocation inverse mass per cell (needs n_q = k+1): two
     tensorized triads of square 1D sweeps plus a pointwise division."""
     n = degree + 1
-    sweeps = 6 * flops_apply_1d(n, n, n * n, even_odd=False)
+    sweeps = 6 * flops_apply_1d(n, n, n * n)
     return n_components * (sweeps + n**3)
 
 

@@ -155,6 +155,21 @@ def _series_card(title: str, subtitle: str, values, *,
     )
 
 
+def _member_cards(title: str, subtitle: str, values, *, unit: str) -> list[str]:
+    """One series card per member for a per-step value that is a scalar
+    (a single run) or a per-member list (a member run); a member run's
+    cards are titled by member."""
+    rows = [v if isinstance(v, list) else [v] for v in values]
+    n = max((len(r) for r in rows), default=0)
+    series = [[r[e] if e < len(r) else None for r in rows] for e in range(n)]
+    return [
+        _series_card(title if n == 1 else f"{title} · member {e}", subtitle,
+                     col, unit=unit)
+        for e, col in enumerate(series)
+        if any(isinstance(v, (int, float)) for v in col)
+    ]
+
+
 def _tile(label: str, value: str) -> str:
     return (
         f'<div class="tile"><div class="v">{html.escape(value)}</div>'
@@ -323,13 +338,11 @@ def render_html_dashboard(
         cards.append(_series_card(
             "Recovery activity", "new recovery events per step",
             _deltas([v or 0 for v in recovery])))
-    if any(isinstance(v, (int, float)) for v in inflow):
-        cards.append(_series_card(
-            "Inlet flow", "tracheal inflow [m³/s]", inflow, unit=" m³/s"))
-    if any(isinstance(v, (int, float)) for v in tidal):
-        cards.append(_series_card(
-            "Tidal volume", "volume stored in the compartments [ml]",
-            tidal, unit=" ml"))
+    cards += _member_cards("Inlet flow", "tracheal inflow [m³/s]", inflow,
+                           unit=" m³/s")
+    cards += _member_cards("Tidal volume",
+                           "volume stored in the compartments [ml]", tidal,
+                           unit=" ml")
 
     timeline_section = _timeline_section((summary or {}).get("timeline"))
 

@@ -40,7 +40,8 @@ class StepStatistics:
     number, stamped by the driving solver when it knows the velocity
     scale (NaN otherwise).  ``pressure_residual`` is the final relative
     residual of the pressure Poisson solve — the per-step convergence
-    signal run dashboards plot."""
+    signal run dashboards plot.  The ``member_*`` fields have the shape
+    of the state's leading axes (``()`` for a flat run)."""
 
     dt: float
     t: float
@@ -51,8 +52,8 @@ class StepStatistics:
     wall_time: float = 0.0
     pressure_residual: float = float("nan")
     substep_seconds: dict[str, float] = field(default_factory=dict)
-    member_cfl: list[float] | None = None
-    member_pressure_iterations: list[int] | None = None
+    member_cfl: np.ndarray | None = None
+    member_pressure_iterations: np.ndarray | None = None
 
 
 @dataclass
@@ -321,7 +322,10 @@ class DualSplittingScheme:
             wall_time=wall,
             pressure_residual=p_res,
             substep_seconds=substeps,
-            member_pressure_iterations=getattr(res_p, "member_iterations", None),
+            # a flat solve reports no member split
+            member_pressure_iterations=np.reshape(
+                res_p.member_iterations or res_p.n_iterations, b_p.shape[:-1]
+            ),
         )
         self.statistics.append(stats)
         return stats

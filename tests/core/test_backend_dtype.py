@@ -67,17 +67,6 @@ class TestDtypeDefaults:
         # tabulated in double, cast after: values match to fp32 eps
         np.testing.assert_allclose(sm32.interp, sm64.interp, rtol=1e-6)
 
-    def test_even_odd_preserves_float32(self):
-        from repro.core.basis import shape_matrices
-        from repro.core.even_odd import EvenOddMatrix
-
-        M = shape_matrices(3, 4).interp
-        eo = EvenOddMatrix(M, "even")
-        v32 = np.random.default_rng(0).standard_normal(4).astype(np.float32)
-        out = eo.matvec(v32)
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, M @ v32.astype(np.float64), rtol=1e-5)
-
     def test_workspace_allocates_at_requested_dtype(self):
         from repro.core.plans import Workspace
 

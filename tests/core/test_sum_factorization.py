@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.basis import LagrangeBasis1D
 from repro.core.operators import FaceKernels
@@ -48,40 +47,43 @@ class TestApply1D:
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("use_even_odd", [False, True])
+@pytest.mark.parametrize("collocation", [False, True])
 class TestCellKernels:
-    def _setup(self, k, use_even_odd, ncells=3, seed=0):
-        kern = TensorProductKernel(k, use_even_odd=use_even_odd)
+    """Both cell paths — the nine-sweep default and the change-of-basis
+    (collocation) path — against direct evaluation."""
+
+    def _setup(self, k, collocation, ncells=3, seed=0):
+        kern = TensorProductKernel(k, use_collocation=collocation)
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((ncells, k + 1, k + 1, k + 1))
         pts = tensor_points(gauss(kern.n_q_points), 3)
         nodes = kern.shape.basis.nodes
         return kern, u, pts, nodes
 
-    def test_values_match_direct(self, k, use_even_odd):
-        kern, u, pts, nodes = self._setup(k, use_even_odd)
+    def test_values_match_direct(self, k, collocation):
+        kern, u, pts, nodes = self._setup(k, collocation)
         fast = kern.values(u)
         for c in range(u.shape[0]):
             direct = eval_nodal_3d(u[c], nodes, pts)
             assert np.allclose(fast[c].ravel(), direct, atol=1e-11)
 
-    def test_gradients_match_direct(self, k, use_even_odd):
-        kern, u, pts, nodes = self._setup(k, use_even_odd)
+    def test_gradients_match_direct(self, k, collocation):
+        kern, u, pts, nodes = self._setup(k, collocation)
         fast = kern.gradients(u)
         nq = kern.n_q_points
         for c in range(u.shape[0]):
             direct = grad_nodal_3d(u[c], nodes, pts)
             assert np.allclose(fast[c].reshape(3, -1), direct, atol=1e-10)
 
-    def test_values_and_gradients_consistent(self, k, use_even_odd):
-        kern, u, _, _ = self._setup(k, use_even_odd)
+    def test_values_and_gradients_consistent(self, k, collocation):
+        kern, u, _, _ = self._setup(k, collocation)
         v, g = kern.values_and_gradients(u)
         assert np.allclose(v, kern.values(u))
         assert np.allclose(g, kern.gradients(u))
 
-    def test_integrate_values_is_transpose(self, k, use_even_odd):
+    def test_integrate_values_is_transpose(self, k, collocation):
         """<I^T q, u> == <q, I u> for all q, u (adjoint identity)."""
-        kern, u, _, _ = self._setup(k, use_even_odd, ncells=2)
+        kern, u, _, _ = self._setup(k, collocation, ncells=2)
         rng = np.random.default_rng(7)
         q = rng.standard_normal((2, kern.n_q_points) * 1 + (kern.n_q_points,) * 2)
         q = rng.standard_normal((2,) + (kern.n_q_points,) * 3)
@@ -89,18 +91,18 @@ class TestCellKernels:
         rhs = np.sum(q * kern.values(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
-    def test_integrate_gradients_is_transpose(self, k, use_even_odd):
-        kern, u, _, _ = self._setup(k, use_even_odd, ncells=2)
+    def test_integrate_gradients_is_transpose(self, k, collocation):
+        kern, u, _, _ = self._setup(k, collocation, ncells=2)
         rng = np.random.default_rng(8)
         q = rng.standard_normal((2, 3) + (kern.n_q_points,) * 3)
         lhs = np.sum(kern.integrate_gradients(q) * u)
         rhs = np.sum(q * kern.gradients(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
-    def test_mass_integral_of_one(self, k, use_even_odd):
+    def test_mass_integral_of_one(self, k, collocation):
         """integrate(1 * w_q) over the reference cell gives nodal weights
         that sum to the cell volume 1."""
-        kern, _, _, _ = self._setup(k, use_even_odd)
+        kern, _, _, _ = self._setup(k, collocation)
         q = np.broadcast_to(kern.quadrature_weights, (1,) + (kern.n_q_points,) * 3)
         nodal = kern.integrate_values(np.array(q))
         assert np.isclose(nodal.sum(), 1.0)
@@ -178,21 +180,3 @@ class TestFaceKernels:
         vals, grads = FaceKernels(kern).eval_side(f, face)
         assert np.allclose(vals, float(s), atol=1e-11)
         assert np.allclose(grads, np.eye(3)[d][:, None, None, None], atol=1e-11)
-
-
-@settings(deadline=None, max_examples=20)
-@given(
-    k=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=1000),
-)
-def test_even_odd_path_matches_dense_path(k, seed):
-    """Property: the Flop-optimized even-odd kernels agree with the dense
-    kernels to machine precision for every degree and random input."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((2, k + 1, k + 1, k + 1))
-    dense = TensorProductKernel(k, use_even_odd=False)
-    eo = TensorProductKernel(k, use_even_odd=True)
-    assert np.allclose(dense.values(u), eo.values(u), atol=1e-12)
-    assert np.allclose(dense.gradients(u), eo.gradients(u), atol=1e-12)
-    q = rng.standard_normal((2, 3) + (k + 1,) * 3)
-    assert np.allclose(dense.integrate_gradients(q), eo.integrate_gradients(q), atol=1e-12)

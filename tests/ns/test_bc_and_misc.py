@@ -9,7 +9,7 @@ from repro.lung.performance import (
     nodes_for_strong_scaling_limit,
 )
 from repro.ns.bc import BoundaryConditions, PressureDirichlet, VelocityDirichlet
-from repro.perf.flops import chebyshev_iteration_flops, mults_1d
+from repro.perf.flops import chebyshev_iteration_flops
 
 
 class TestBoundaryConditions:
@@ -51,11 +51,6 @@ class TestBoundaryConditions:
 
 
 class TestPerformanceModelPieces:
-    def test_mults_1d_parity(self):
-        assert mults_1d(4, 4, even_odd=True) == 8
-        assert mults_1d(4, 4, even_odd=False) == 16
-        assert mults_1d(3, 3, even_odd=True) == 8  # odd sizes save less
-
     def test_chebyshev_update_flops(self):
         assert chebyshev_iteration_flops(3, 64) == 6 * 64
 

@@ -101,11 +101,6 @@ class TestGhostExchange:
 
 
 class TestFlopAndMemoryModels:
-    def test_even_odd_halves_mults(self):
-        f_eo = laplace_flops(3, even_odd=True)
-        f_plain = laplace_flops(3, even_odd=False)
-        assert f_eo.cell < 0.7 * f_plain.cell
-
     def test_flops_grow_with_degree(self):
         assert laplace_flops(5).cell > laplace_flops(2).cell
 

@@ -221,7 +221,6 @@ class TestOperatorInstrumentation:
         wm = op.work_model()
         conn = op.conn
         f = laplace_flops(op.dof.degree, op.kern.n_q_points,
-                          even_odd=op.kern.use_even_odd,
                           collocation=op.kern.use_collocation)
         expected = f.matvec_total(op.dof.n_cells, conn.n_interior_faces,
                                   conn.n_boundary_faces)

@@ -2,12 +2,10 @@
 
 The expected numbers below are computed *by hand* from the model's
 stated structure (Section 5.1 / Figure 7 conventions: FMA = 2 Flop,
-even-odd 1D kernels use ``2*ceil(n/2)**2`` multiplications per line,
-d = 3), independently of the implementation, so a silent change to the
-counting breaks these tests.
+dense 1D kernels use ``n_out * n_in`` multiplications per line, d = 3),
+independently of the implementation, so a silent change to the counting
+breaks these tests.
 """
-
-import math
 
 import pytest
 
@@ -18,38 +16,31 @@ from repro.perf import (
     laplace_transfer,
     mass_flops,
 )
-from repro.perf.flops import chebyshev_iteration_flops, flops_apply_1d, mults_1d
+from repro.perf.flops import chebyshev_iteration_flops, flops_apply_1d
 
 
-def eo_sweep(n, n_lines):
-    """Even-odd tensor sweep: 2 Flop per multiplication, 2*ceil(n/2)^2
+def dense_sweep(n, n_lines):
+    """Dense square tensor sweep: 2 Flop per multiplication, n^2
     multiplications per line."""
-    return 2 * (2 * math.ceil(n / 2) ** 2) * n_lines
+    return 2 * n * n * n_lines
 
 
 class TestPrimitives:
-    def test_mults_1d_even_odd(self):
-        # n=4: even-odd halves both loops -> 2*2*2 = 8 (vs 16 dense)
-        assert mults_1d(4, 4, even_odd=True) == 8
-        assert mults_1d(4, 4, even_odd=False) == 16
-        # odd n=5: ceil(5/2)=3 -> 2*3*3 = 18 (vs 25 dense)
-        assert mults_1d(5, 5, even_odd=True) == 18
-
     def test_flops_apply_1d(self):
-        assert flops_apply_1d(4, 4, 16, even_odd=True) == 2 * 8 * 16
-        assert flops_apply_1d(3, 3, 9, even_odd=False) == 2 * 9 * 9
+        assert flops_apply_1d(4, 4, 16) == 2 * 16 * 16
+        assert flops_apply_1d(3, 5, 9) == 2 * 15 * 9
 
 
 class TestLaplaceFlopsHandCounted:
-    """Cell part = 9 forward + 9 backward even-odd sweeps over n^2 lines
-    plus 18 Flop per quadrature point:  72*ceil(n/2)^2*n^2 + 18*n^3."""
+    """Cell part = 9 forward + 9 backward dense sweeps over n^2 lines
+    plus 18 Flop per quadrature point:  36*n^4 + 18*n^3."""
 
-    # degree -> hand-computed (cell, inner_face, boundary_face)
-    # k=2 (n=3, c=2): cell = 72*4*9   + 18*27  = 2592  + 486  = 3078
-    # k=3 (n=4, c=2): cell = 72*4*16  + 18*64  = 4608  + 1152 = 5760
-    # k=4 (n=5, c=3): cell = 72*9*25  + 18*125 = 16200 + 2250 = 18450
-    # k=5 (n=6, c=3): cell = 72*9*36  + 18*216 = 23328 + 3888 = 27216
-    CELL = {2: 3078, 3: 5760, 4: 18450, 5: 27216}
+    # degree -> hand-computed cell Flops
+    # k=2 (n=3): cell = 36*81   + 18*27  = 2916  + 486  = 3402
+    # k=3 (n=4): cell = 36*256  + 18*64  = 9216  + 1152 = 10368
+    # k=4 (n=5): cell = 36*625  + 18*125 = 22500 + 2250 = 24750
+    # k=5 (n=6): cell = 36*1296 + 18*216 = 46656 + 3888 = 50544
+    CELL = {2: 3402, 3: 10368, 4: 24750, 5: 50544}
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
     def test_cell_flops(self, degree):
@@ -58,28 +49,23 @@ class TestLaplaceFlopsHandCounted:
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
     def test_cell_flops_formula(self, degree):
         n = degree + 1
-        expected = 18 * eo_sweep(n, n * n) + 18 * n**3
+        expected = 18 * dense_sweep(n, n * n) + 18 * n**3
         assert laplace_flops(degree).cell == expected
 
     def test_face_flops_degree2(self):
         # per side: normal-derivative dot (2*n*n^2 = 54) + 2 tangential
-        # sweeps (2*eo_sweep(3, 9) = 288) + 4 fields x 2 quadrature
-        # sweeps over n resp. nq lines (8*eo_sweep(3, 3) = 384) -> 726;
+        # sweeps (2*dense_sweep(3, 9) = 324) + 4 fields x 2 quadrature
+        # sweeps over n resp. nq lines (8*dense_sweep(3, 3) = 432) -> 810;
         # inner face: 2 sides x (eval + transpose) + 60 Flop/q-point
-        # = 4*726 + 60*9 = 3444; boundary: 2*726 + 40*9 = 1812.
+        # = 4*810 + 60*9 = 3780; boundary: 2*810 + 40*9 = 1980.
         f = laplace_flops(2)
-        assert f.inner_face == 3444
-        assert f.boundary_face == 1812
+        assert f.inner_face == 3780
+        assert f.boundary_face == 1980
 
     def test_matvec_total_composition(self):
         f = laplace_flops(3)
         total = f.matvec_total(n_cells=10, n_inner_faces=7, n_boundary_faces=4)
         assert total == 10 * f.cell + 7 * f.inner_face + 4 * f.boundary_face
-
-    def test_even_odd_saves_flops(self):
-        for k in range(1, 7):
-            assert laplace_flops(k, even_odd=True).cell < \
-                laplace_flops(k, even_odd=False).cell
 
 
 class TestLaplaceTransferHandCounted:
@@ -109,7 +95,9 @@ class TestLaplaceTransferHandCounted:
 
 class TestArithmeticIntensity:
     """Figure 7 / Table 1: the DG Laplacian sits left of the Skylake
-    ridge with AI ~ 1.6-4.8 Flop/B across k = 1..6 (paper: ~1-5)."""
+    ridge.  The paper's even-odd counts give AI ~ 1-5 Flop/B; the dense
+    sweeps the NumPy kernels run cost up to 2x more Flops, so the model
+    here spans AI ~ 3.1-8.8 across k = 1..6."""
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_intensity_in_paper_band(self, degree):
@@ -117,35 +105,34 @@ class TestArithmeticIntensity:
         t = laplace_transfer(degree)
         # ~3 interior faces per cell on a structured mesh
         ai = arithmetic_intensity(f.cell + 3 * f.inner_face, t.bytes_per_cell)
-        assert 1.5 <= ai <= 6.5
+        assert 2.5 <= ai <= 9.5
 
     def test_spot_values(self):
-        # k=2: (3078 + 3*3444)/3488 = 13410/3488 = 3.845
+        # k=2: (3402 + 3*3780)/3488 = 14742/3488 = 4.227
         f2, t2 = laplace_flops(2), laplace_transfer(2)
         ai2 = arithmetic_intensity(f2.cell + 3 * f2.inner_face, t2.bytes_per_cell)
-        assert ai2 == pytest.approx(3.845, rel=0.01)
-        # k=4: (18450 + 3*15460)/13232 = 64830/13232 = 4.900
+        assert ai2 == pytest.approx(4.227, rel=0.01)
+        # k=4: (24750 + 3*20500)/13232 = 86250/13232 = 6.518
         f4, t4 = laplace_flops(4), laplace_transfer(4)
         ai4 = arithmetic_intensity(f4.cell + 3 * f4.inner_face, t4.bytes_per_cell)
-        assert ai4 == pytest.approx(4.900, rel=0.01)
+        assert ai4 == pytest.approx(6.518, rel=0.01)
 
     def test_parity_oscillation(self):
-        """Even-odd counts oscillate with parity: odd n (even k) is less
-        favorable, so AI does not grow monotonically."""
+        """Dense counts have no parity oscillation (that was an artifact
+        of the even-odd ceil(n/2) fold): AI grows strictly with k."""
         ais = []
         for k in range(1, 7):
             f, t = laplace_flops(k), laplace_transfer(k)
             ais.append(arithmetic_intensity(f.cell + 3 * f.inner_face,
                                             t.bytes_per_cell))
-        assert ais[2] < ais[1]  # k=3 dips below k=2 (n back to even)
-        assert ais[-1] > ais[0]  # but the trend across the range is up
+        assert all(b > a for a, b in zip(ais, ais[1:]))
 
 
 class TestMassFlops:
     def test_mass_hand_counted_degree2(self):
-        # n = nq = 3: fwd = 3 even-odd sweeps over 9 lines = 3*eo_sweep(3,9)
-        # = 432, bwd symmetric = 432, + 27 pointwise -> 891
-        assert mass_flops(2) == 891
+        # n = nq = 3: fwd = 3 dense sweeps over 9 lines
+        # = 3*dense_sweep(3, 9) = 486, bwd symmetric = 486, + 27 -> 999
+        assert mass_flops(2) == 999
 
     def test_mass_components_scale_linearly(self):
         assert mass_flops(2, n_components=3) == 3 * mass_flops(2)

@@ -39,39 +39,70 @@ def checkpoint_arrays(path):
         return {k: np.array(data[k]) for k in data.files if k != "config_json"}
 
 
+def kill_and_resume(tmp_path, extra=()):
+    """Run the reference, the crashed and the resumed process; return
+    the reference and crash checkpoint directories and run logs."""
+    ref_dir = tmp_path / "ref"
+    crash_dir = tmp_path / "crash"
+    ref_log, resumed_log = tmp_path / "ref.jsonl", tmp_path / "resumed.jsonl"
+    common = ["--steps", "4", "--checkpoint-every", "2",
+              "--checkpoint-keep", "5", *extra]
+
+    run_cli([*common, "--checkpoint-dir", str(ref_dir),
+             "--log-file", str(ref_log)])
+    crash = run_cli(
+        [*common, "--checkpoint-dir", str(crash_dir),
+         "--crash-after-step", "2"],
+        check_rc=137,
+    )
+    assert "simulated crash after step 2" in crash.stdout
+    # the crashed run left exactly the step-2 checkpoint behind
+    assert sorted(p.name for p in crash_dir.glob("*.npz")) == [
+        "ckpt-00000000.npz"
+    ]
+
+    resumed = run_cli(
+        ["--steps", "2", "--checkpoint-every", "2", "--checkpoint-keep",
+         "5", "--checkpoint-dir", str(crash_dir), "--resume", "latest",
+         "--log-file", str(resumed_log), *extra],
+    )
+    assert "resumed from" in resumed.stdout
+
+    ref = checkpoint_arrays(ref_dir / "ckpt-00000001.npz")
+    res = checkpoint_arrays(crash_dir / "ckpt-00000001.npz")
+    assert set(ref) == set(res)
+    for key in sorted(ref):
+        assert np.array_equal(ref[key], res[key]), (
+            f"checkpoint field {key} differs after kill/resume"
+        )
+    return step_records(ref_log), step_records(resumed_log)
+
+
+def step_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if json.loads(line)["type"] == "step"]
+
+
 class TestCrashResume:
     @pytest.mark.slow
     def test_kill_and_resume_is_bit_identical(self, tmp_path):
-        ref_dir = tmp_path / "ref"
-        crash_dir = tmp_path / "crash"
-        common = ["--steps", "4", "--checkpoint-every", "2",
-                  "--checkpoint-keep", "5"]
+        kill_and_resume(tmp_path)
 
-        run_cli([*common, "--checkpoint-dir", str(ref_dir)])
-        crash = run_cli(
-            [*common, "--checkpoint-dir", str(crash_dir),
-             "--crash-after-step", "2"],
-            check_rc=137,
+    @pytest.mark.slow
+    def test_member_run_kill_and_resume_is_bit_identical(self, tmp_path):
+        """A 2-member run survives kill -9 and resume: the resumed
+        per-member step records equal the uninterrupted run's (JSON
+        floats round-trip exactly, so equality is bitwise)."""
+        ref, resumed = kill_and_resume(
+            tmp_path, extra=["--resistance-scales", "1.0,1.5"]
         )
-        assert "simulated crash after step 2" in crash.stdout
-        # the crashed run left exactly the step-2 checkpoint behind
-        assert sorted(p.name for p in crash_dir.glob("*.npz")) == [
-            "ckpt-00000000.npz"
-        ]
-
-        resumed = run_cli(
-            ["--steps", "2", "--checkpoint-every", "2", "--checkpoint-keep",
-             "5", "--checkpoint-dir", str(crash_dir), "--resume", "latest"],
-        )
-        assert "resumed from" in resumed.stdout
-
-        ref = checkpoint_arrays(ref_dir / "ckpt-00000001.npz")
-        res = checkpoint_arrays(crash_dir / "ckpt-00000001.npz")
-        assert set(ref) == set(res)
-        for key in sorted(ref):
-            assert np.array_equal(ref[key], res[key]), (
-                f"checkpoint field {key} differs after kill/resume"
-            )
+        assert len(ref) == 4 and len(resumed) == 2
+        for a, b in zip(ref[2:], resumed):
+            for key in ("t", "dt", "cfl", "iterations", "inflow_m3_s",
+                        "tidal_volume_ml", "member_cfl",
+                        "member_pressure_iterations"):
+                assert a[key] == b[key], (key, a[key], b[key])
+            assert len(a["inflow_m3_s"]) == 2
 
 
 class TestCheckpointFlags:

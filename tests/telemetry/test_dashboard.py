@@ -172,6 +172,23 @@ class TestTimelineSection:
         assert "Distributed timeline" not in html
 
 
+class TestMemberRunDashboard:
+    def test_member_log_renders_ventilation_cards(self, tmp_path):
+        """A 2-member ``repro lung`` log carries per-member lists for the
+        ventilation series: each member gets its own cards."""
+        from repro.cli import main
+
+        log = tmp_path / "members.jsonl"
+        assert main(["lung", "--steps", "2", "--resistance-scales", "1.0,1.5",
+                     "--log-file", str(log)]) == 0
+        header, steps, summary = _read(log)
+        assert isinstance(steps[0]["inflow_m3_s"], list)
+        html = render_html_dashboard(header, steps, summary)
+        for e in (0, 1):
+            assert f"Inlet flow · member {e}" in html
+            assert f"Tidal volume · member {e}" in html
+
+
 class TestDashboardNumbers:
     def test_tiles_reflect_the_log(self, tmp_path):
         log = write_log(tmp_path / "run.jsonl", n_steps=4)

@@ -224,19 +224,21 @@ class TestRunConfigCLI:
 
 
 class TestEnsembleCLI:
+    """Member runs: the sweep flags of ``repro lung``."""
+
     def test_ensemble_sweep_run(self, capsys):
-        assert main(["ensemble", "--steps", "2",
+        assert main(["lung", "--steps", "2",
                      "--resistance-scales", "1.0,1.5"]) == 0
         out = capsys.readouterr().out
         assert "2 members" in out
         assert "R-scale" in out  # per-member summary table
 
     def test_members_flag_replicates_base(self, capsys):
-        assert main(["ensemble", "--steps", "1", "--members", "3"]) == 0
+        assert main(["lung", "--steps", "1", "--members", "3"]) == 0
         assert "3 members" in capsys.readouterr().out
 
     def test_mismatched_sweep_lengths_rejected(self, capsys):
-        assert main(["ensemble", "--steps", "1", "--members", "2",
+        assert main(["lung", "--steps", "1", "--members", "2",
                      "--dp-initials", "800,900,1000"]) == 2
         assert "need 1 or 2" in capsys.readouterr().err
 
@@ -244,13 +246,31 @@ class TestEnsembleCLI:
         from repro.telemetry import read_run_log
 
         log = tmp_path / "ens.jsonl"
-        assert main(["ensemble", "--steps", "2", "--members", "2",
+        assert main(["lung", "--steps", "2", "--members", "2",
                      "--log-file", str(log)]) == 0
         header, steps, summary = read_run_log(log)
-        assert header["command"] == "ensemble"
+        assert header["command"] == "lung"
         assert header["members"] == 2
         assert len(steps) == 2
         assert len(steps[0]["member_cfl"]) == 2
+        assert len(steps[0]["inflow_m3_s"]) == 2
+
+    def test_ensemble_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--steps", "1"])
+        assert exc.value.code == 2
+
+    def test_single_run_logs_scalars_per_member_keys(self, tmp_path, capsys):
+        from repro.telemetry import read_run_log
+
+        log = tmp_path / "run.jsonl"
+        assert main(["lung", "--steps", "1", "--log-file", str(log)]) == 0
+        header, steps, _ = read_run_log(log)
+        assert header["members"] == 1
+        rec = steps[0]
+        assert isinstance(rec["inflow_m3_s"], float)
+        assert rec["member_cfl"] == rec["cfl"]
+        assert rec["member_pressure_iterations"] == rec["iterations"]["pressure"]
 
 
 class TestVerifyCLI:
@@ -451,6 +471,13 @@ class TestMetricsCLI:
         assert "repro_cg_solves_total" in names
         assert "repro_cfl_realized" in names
         assert "repro_windkessel_flow_m3_per_s" in names
+        # one coupling-gauge family: a single run is member "0"
+        wk = {m["name"]: m for m in doc["metrics"]}[
+            "repro_windkessel_flow_m3_per_s"]
+        assert wk["labels"] == ["member", "outlet"]
+        assert {s["labels"][0] for s in wk["samples"]} == {"0"}
+        assert "repro_member_cfl" in names
+        assert not any(n.startswith("repro_ensemble_") for n in names)
         by_name = {m["name"]: m for m in doc["metrics"]}
         steps = by_name["repro_steps_total"]["samples"][0]["value"]
         assert steps == 2
