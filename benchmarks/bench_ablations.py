@@ -7,7 +7,9 @@ smoothing, degree-bisection p-coarsening, single-precision V-cycles).
 Each ablation toggles one choice on the real implementation and reports
 its effect.  (The even-odd decomposition is not among them: in NumPy
 its fold/recombine passes made it 3-4x *slower* than the dense sweeps,
-an ISA-level Flop saving that vectorized Python cannot express.)
+an ISA-level Flop saving that vectorized Python cannot express.  Nor is
+the change of basis: it is the only cell path, with no second one to
+compare against.)
 """
 
 import sys
@@ -20,45 +22,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from common import bifurcation_forest, dg_laplace_setup, emit
 
-from repro.core.sum_factorization import TensorProductKernel
-from repro.perf.flops import laplace_flops
-from repro.perf.measure import measure_throughput
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
-
-
-def test_ablation_collocation(benchmark):
-    """Change-of-basis cell kernels: 6 tensor sweeps instead of 9 for
-    values+gradients (Section 3.1's second Flop optimization)."""
-    rng = np.random.default_rng(1)
-    rows = []
-    for k in (2, 3, 5):
-        u = rng.standard_normal((4000,) + (k + 1,) * 3)
-        std = TensorProductKernel(k)
-        col = TensorProductKernel(k, use_collocation=True)
-        r_std = measure_throughput(lambda: std.values_and_gradients(u), u.size,
-                                   repetitions=5)
-        r_col = measure_throughput(lambda: col.values_and_gradients(u), u.size,
-                                   repetitions=5)
-        f_std = laplace_flops(k)
-        f_col = laplace_flops(k, collocation=True)
-        rows.append((k, r_std.best_seconds, r_col.best_seconds,
-                     f_std.cell / f_col.cell))
-    benchmark(lambda: TensorProductKernel(3, use_collocation=True)
-              .values_and_gradients(rng.standard_normal((1000, 4, 4, 4))))
-
-    lines = ["Ablation: change-of-basis (collocation) cell kernels",
-             "",
-             f"{'k':>2} {'standard [ms]':>14} {'collocation [ms]':>17} {'Flop ratio':>11} {'time ratio':>11}"]
-    for k, ts, tc, fr in rows:
-        lines.append(f"{k:>2} {ts*1e3:>14.2f} {tc*1e3:>17.2f} {fr:>11.2f} {ts/tc:>11.2f}")
-    emit("ablation_collocation", "\n".join(lines))
-
-    # fewer sweeps -> fewer Flops, and the NumPy path stays comparable
-    # since sweeps map 1:1 to matmuls (timing noise on a
-    # shared machine can still swing individual sizes either way)
-    for k, ts, tc, fr in rows:
-        assert fr > 1.1
-        assert tc < 1.8 * ts
 
 
 def _solve_with(mg_kwargs, levels=1):

@@ -2,7 +2,8 @@
 deformed lung geometry — ideal vs measured-style memory transfer.
 
 The arithmetic (Flop) counts come from the analytic model of
-:mod:`repro.perf.flops` — the dense sweeps the kernels actually run (the
+:mod:`repro.perf.flops` as the operator's work model charges them — the
+dense collocation sweeps the kernels actually run (the
 paper validates its even-odd counts against LIKWID hardware counters to
 a few percent); the transfer model
 follows Section 5.1's description.  We verify the paper's conclusions:
@@ -21,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from common import dg_laplace_setup, emit, lung_test_forest
 
 from repro.parallel.machine import SUPERMUC_NG
-from repro.perf.flops import laplace_flops
 from repro.perf.memory import arithmetic_intensity, laplace_transfer, measured_transfer
 from repro.perf.measure import measure_throughput
 
@@ -34,10 +34,7 @@ def test_fig7_roofline(benchmark):
     for k in DEGREES:
         dof, geo, conn, op = dg_laplace_setup(lm.forest, k)
         n_cells = dof.n_cells
-        f = laplace_flops(k)
-        flops_total = f.matvec_total(
-            n_cells, conn.n_interior_faces, conn.n_boundary_faces
-        )
+        flops_total = op.work_model()["flops"]  # Dirichlet faces only
         ideal = laplace_transfer(k)
         meas = measured_transfer(ideal)
         ai_ideal = arithmetic_intensity(flops_total, ideal.total_bytes(n_cells))

@@ -132,48 +132,37 @@ class TensorProductKernel:
         Polynomial degree ``k`` of the scalar space.
     n_q_points:
         1D Gauss points per direction (default ``k + 1``).
-    use_collocation:
-        The *change-of-basis* optimization of Section 3.1: transform the
-        nodal coefficients once into the Lagrange basis collocated at the
-        quadrature points, after which the interpolation matrix is the
-        identity and gradients need one collocation-derivative sweep per
-        direction — 6 tensor sweeps for values+gradients instead of 9.
-        Requires ``n_q_points == degree + 1``; cell kernels only (face
-        traces stay in the nodal basis).
+
+    Cell gradients use the *change of basis* of Section 3.1: the values
+    at the quadrature points are the coefficients of the Lagrange basis
+    collocated there, so one ``n_q x n_q`` collocation-derivative sweep
+    per direction follows the three interpolation sweeps — 6 tensor
+    sweeps for values and gradients instead of 9.  The collocation
+    derivative is exact for any ``n_q >= k + 1`` (over-integration,
+    lower-degree pressure spaces); face traces stay in the nodal basis.
     """
 
     degree: int
     n_q_points: int = 0
-    use_collocation: bool = False
 
     def __post_init__(self) -> None:
         nq = self.n_q_points or self.degree + 1
         object.__setattr__(self, "n_q_points", nq)
         sm = shape_matrices(self.degree, nq)
         object.__setattr__(self, "_sm", sm)
+        # derivative matrix of the Lagrange basis on the n_q Gauss points
+        co_grad = shape_matrices(nq - 1, nq, nodes="gauss").grad
         # dtype-matched copies of every 1D factor, keyed (name, dtype).
         # The float64 masters live here too; float32 copies are cast once
         # on first use so single-precision sweeps never touch a float64
         # matrix (which would silently promote the whole contraction).
         object.__setattr__(self, "_mat_cache", {
             ("interp", _F64): sm.interp,
-            ("grad", _F64): sm.grad,
             ("interp_t", _F64): np.ascontiguousarray(sm.interp.T),
-            ("grad_t", _F64): np.ascontiguousarray(sm.grad.T),
+            ("co_grad", _F64): co_grad,
+            ("co_grad_t", _F64): np.ascontiguousarray(co_grad.T),
             ("face_grad", _F64): sm.face_grad,
         })
-        if self.use_collocation:
-            if nq != self.degree + 1:
-                raise ValueError(
-                    "the change-of-basis path needs n_q == degree + 1 "
-                    "(square, invertible transform)"
-                )
-            # S: nodal (Gauss-Lobatto) coefficients -> values at Gauss
-            # points == coefficients in the collocation basis
-            sm_co = shape_matrices(self.degree, nq, nodes="gauss")
-            object.__setattr__(self, "_co_grad", sm_co.grad)
-            self._mat_cache[("co_grad", _F64)] = sm_co.grad
-            self._mat_cache[("co_grad_t", _F64)] = np.ascontiguousarray(sm_co.grad.T)
 
     # -- 1D matrices ---------------------------------------------------
     @property
@@ -251,32 +240,19 @@ class TensorProductKernel:
         v = apply_1d(M, v, 1, out=ws.take("tpk.val.1", lead + (n, nq, nq), dt))
         return apply_1d(M, v, 2, out=ws.take("tpk.val.2", lead + (nq, nq, nq), dt))
 
-    def _gradients_cm(self, u: np.ndarray, ws, want_values: bool):
-        """Values (``None`` unless wanted) and component-major reference
-        gradients, sharing the partial interpolations."""
+    def _gradients_cm(self, u: np.ndarray, ws):
+        """Values and component-major reference gradients: the three
+        interpolation sweeps of :meth:`values`, then one collocation-
+        derivative sweep per direction."""
         if ws is None:
             ws = Workspace()
-        lead, n, nq = u.shape[:-3], self.n_dofs_1d, self.n_q_points
+        nq = self.n_q_points
         dt = self._ws_dtype(u)
-        g = ws.take("tpk.grad.out", (3,) + lead + (nq, nq, nq), dt)
-        if self.use_collocation:
-            # change of basis: 3 transform sweeps, then one collocation-
-            # derivative sweep per direction (6 total instead of 9)
-            D = self._mat("co_grad", dt)
-            vals = self.values(u, ws)
-            for i in range(3):
-                apply_1d(D, vals, i, out=g[i])
-            return vals, g
-        ux = self._apply("interp", u, 0, ws.take("tpk.grad.ux", lead + (n, n, nq), dt))
-        uxy = self._apply("interp", ux, 1, ws.take("tpk.grad.uxy", lead + (n, nq, nq), dt))
-        vals = None
-        if want_values:
-            vals = self._apply("interp", uxy, 2, ws.take("tpk.grad.val", lead + (nq, nq, nq), dt))
-        uy = self._apply("interp", u, 1, ws.take("tpk.grad.uy", lead + (n, nq, n), dt))
-        t = ws.take("tpk.grad.t", lead + (n, nq, nq), dt)
-        self._apply("interp", self._apply("grad", uy, 0, t), 2, g[0])
-        self._apply("interp", self._apply("grad", ux, 1, t), 2, g[1])
-        self._apply("grad", uxy, 2, g[2])
+        g = ws.take("tpk.grad.out", (3,) + u.shape[:-3] + (nq, nq, nq), dt)
+        vals = self.values(u, ws)
+        D = self._mat("co_grad", dt)
+        for i in range(3):
+            apply_1d(D, vals, i, out=g[i])
         return vals, g
 
     def gradients_cm(self, u: np.ndarray, ws=None) -> np.ndarray:
@@ -287,7 +263,7 @@ class TensorProductKernel:
         sweep (and each pointwise metric product after it) is a single
         folded GEMM / flat loop.  With ``ws`` the stack is workspace-
         owned, otherwise fresh."""
-        return self._gradients_cm(u, ws, False)[1]
+        return self._gradients_cm(u, ws)[1]
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         """:meth:`gradients_cm` viewed as ``(..., 3, n_q, n_q, n_q)``."""
@@ -296,7 +272,7 @@ class TensorProductKernel:
     def values_and_gradients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both values and reference gradients (``(..., 3, n_q, n_q,
         n_q)`` view), sharing intermediates."""
-        vals, g = self._gradients_cm(u, None, True)
+        vals, g = self._gradients_cm(u, None)
         return vals, np.moveaxis(g, 0, -4)
 
     def integrate_values(self, q: np.ndarray, ws=None,
@@ -329,28 +305,21 @@ class TensorProductKernel:
                                out: np.ndarray | None = None) -> np.ndarray:
         """Test against gradients, transpose of :meth:`gradients_cm`:
         component-major ``(3, ..., n_q, n_q, n_q)`` -> ``(..., n, n, n)``
-        (``out`` or a fresh array; intermediates live in ``ws``)."""
+        (``out`` or a fresh array; intermediates live in ``ws``): three
+        accumulated transposed collocation-derivative sweeps, then
+        :meth:`integrate_values`."""
         if ws is None:
             ws = Workspace()
-        lead, n, nq = q.shape[1:-3], self.n_dofs_1d, self.n_q_points
+        n = self.n_dofs_1d
         dt = self._ws_dtype(q)
         if out is None:
-            out = np.empty(lead + (n, n, n), dt)
-        if self.use_collocation:
-            Dt = self._mat("co_grad_t", dt)
-            acc = apply_1d(Dt, q[0], 0, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
-            t = ws.take("tpk.ig.t", q.shape[1:], dt)
-            acc += apply_1d(Dt, q[1], 1, out=t)
-            acc += apply_1d(Dt, q[2], 2, out=t)
-            return self.integrate_values(acc, ws, out=out)
-        b0 = ws.take("tpk.ig.0", lead + (nq, nq, n), dt)
-        b1 = ws.take("tpk.ig.1", lead + (nq, n, n), dt)
-        t = ws.take("tpk.ig.tmp", lead + (n, n, n), dt)
-        sw = self._apply
-        sw("interp_t", sw("interp_t", sw("grad_t", q[0], 0, b0), 1, b1), 2, out)
-        out += sw("interp_t", sw("grad_t", sw("interp_t", q[1], 0, b0), 1, b1), 2, t)
-        out += sw("grad_t", sw("interp_t", sw("interp_t", q[2], 0, b0), 1, b1), 2, t)
-        return out
+            out = np.empty(q.shape[1:-3] + (n, n, n), dt)
+        Dt = self._mat("co_grad_t", dt)
+        acc = apply_1d(Dt, q[0], 0, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
+        t = ws.take("tpk.ig.t", q.shape[1:], dt)
+        acc += apply_1d(Dt, q[1], 1, out=t)
+        acc += apply_1d(Dt, q[2], 2, out=t)
+        return self.integrate_values(acc, ws, out=out)
 
     def integrate_gradients(self, q: np.ndarray) -> np.ndarray:
         """:meth:`integrate_gradients_cm` for ``q`` of shape

@@ -118,13 +118,10 @@ class FaceMetrics:
 class GeometryField:
     """Nodal polynomial geometry of all leaves + metric factories."""
 
-    def __init__(self, forest: Forest, degree: int, n_q_points: int | None = None,
-                 use_collocation: bool = False):
+    def __init__(self, forest: Forest, degree: int, n_q_points: int | None = None):
         self.forest = forest
         self.degree = degree
-        self.kernel = TensorProductKernel(
-            degree, n_q_points or degree + 1, use_collocation=use_collocation
-        )
+        self.kernel = TensorProductKernel(degree, n_q_points or degree + 1)
         n = degree + 1
         nodes = self.kernel.shape.basis.nodes
         # reference lattice with x fastest, matching (z, y, x) array layout

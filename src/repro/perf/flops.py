@@ -40,16 +40,25 @@ class OperatorFlops:
         )
 
 
-def laplace_flops(degree: int, n_q: int | None = None,
-                  collocation: bool = False) -> OperatorFlops:
+def _interpolation_flops(n: int, nq: int) -> int:
+    """The three sweeps interpolating a cell tensor n^3 -> nq^3 (the
+    transposed integration costs the same)."""
+    return (
+        flops_apply_1d(nq, n, n * n)
+        + flops_apply_1d(nq, n, n * nq)
+        + flops_apply_1d(nq, n, nq * nq)
+    )
+
+
+def laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
     """Flop counts of the SIP DG Laplacian evaluation (Eq. (7)).
 
-    Cell part (per cell): gradients = 3 sweeps of shared interpolation +
-    per-component derivative sweeps (the implementation's
-    values_and_gradients layout: 8 tensor sweeps), quadrature-point work
-    (3x3 symmetric matrix x vector: 9 FMA), integration (transpose, 9
-    sweeps equivalent).  Face part: traces, tangential derivatives,
-    metric applications, flux arithmetic for both sides.
+    Cell part (per cell): the collocation layout of the cell kernel —
+    3 interpolation sweeps to the quadrature points plus one n_q x n_q
+    collocation-derivative sweep per direction, the same 6 sweeps
+    transposed on the way back — and the quadrature-point work (3x3
+    symmetric matrix x vector: 9 FMA).  Face part: traces, tangential
+    derivatives, metric applications, flux arithmetic for both sides.
     """
     k = degree
     n = k + 1
@@ -58,35 +67,10 @@ def laplace_flops(degree: int, n_q: int | None = None,
     nq2 = nq * nq
 
     # -- cell -------------------------------------------------------------
-    if collocation and nq == n:
-        # change of basis (3 sweeps) + one derivative sweep per direction,
-        # and the symmetric transpose structure on the way back
-        fwd = 3 * flops_apply_1d(nq, n, n2)  # transform
-        fwd += 3 * flops_apply_1d(nq, nq, nq2)  # collocation grads
-        bwd = 3 * flops_apply_1d(nq, nq, nq2)
-        bwd += 3 * flops_apply_1d(n, nq, nq2)
-    else:
-        # forward: ux (n2 lines n->nq), uxy (n*nq), vals (nq2), g0 (3
-        # sweeps), g1 (2 sweeps), g2 (1 sweep) as in values_and_gradients
-        fwd = 0
-        fwd += flops_apply_1d(nq, n, n2)  # ux
-        fwd += flops_apply_1d(nq, n, n * nq)  # uxy
-        fwd += flops_apply_1d(nq, n, nq2)  # vals (reused by g2 path)
-        # g0: interp(y) + grad(x) + interp(z)
-        fwd += flops_apply_1d(nq, n, n2) + flops_apply_1d(nq, n, n * nq) + flops_apply_1d(nq, n, nq2)
-        # g1: grad(y) on ux + interp(z)
-        fwd += flops_apply_1d(nq, n, n * nq) + flops_apply_1d(nq, n, nq2)
-        # g2: grad(z) on uxy
-        fwd += flops_apply_1d(nq, n, nq2)
-        # integration: transpose of the gradient sweep structure (9 sweeps)
-        bwd = 3 * (
-            flops_apply_1d(n, nq, nq2)
-            + flops_apply_1d(n, nq, nq * n)
-            + flops_apply_1d(n, nq, n2)
-        )
+    sweeps = _interpolation_flops(n, nq) + 3 * flops_apply_1d(nq, nq, nq2)
     # quadrature-point work: symmetric 3x3 apply: 9 FMA = 18 Flop per point
     qwork = 18 * nq**3
-    cell = fwd + qwork + bwd
+    cell = 2 * sweeps + qwork
 
     # -- interior face ------------------------------------------------------
     # per side: value trace (free at GL nodes), normal-derivative trace
@@ -121,18 +105,7 @@ def mass_flops(degree: int, n_q: int | None = None,
     (3 tensor sweeps), pointwise JxW multiply, transposed integration."""
     n = degree + 1
     nq = n_q or n
-    n2, nq2 = n * n, nq * nq
-    fwd = (
-        flops_apply_1d(nq, n, n2)
-        + flops_apply_1d(nq, n, n * nq)
-        + flops_apply_1d(nq, n, nq2)
-    )
-    bwd = (
-        flops_apply_1d(n, nq, nq2)
-        + flops_apply_1d(n, nq, nq * n)
-        + flops_apply_1d(n, nq, n2)
-    )
-    return n_components * (fwd + nq**3 + bwd)
+    return n_components * (2 * _interpolation_flops(n, nq) + nq**3)
 
 
 def inverse_mass_flops(degree: int, n_components: int = 1) -> int:

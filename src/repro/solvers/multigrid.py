@@ -16,7 +16,9 @@ of degree ``k`` on the (possibly locally refined) forest,
 Every level except the AMG root is smoothed by a degree-3 Chebyshev
 iteration with point-Jacobi preconditioning, and the whole V-cycle runs
 in **single precision** while the outer conjugate gradient iterates in
-double precision — the mixed-precision strategy of Section 3.4.
+double precision — the mixed-precision strategy of Section 3.4.  Levels
+of degree >= 2 are matrix-free; the degree-1 levels apply their
+assembled ``C^T A C``, the same matrix the AMG root is built on.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..mesh.octree import Forest
 from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS, REDUCTION_BUCKETS
 from .amg import SmoothedAggregationAMG
-from .assemble import assemble_cg_laplace
+from .assemble import AssembledOperator, assemble_cg_laplace
 from .chebyshev import ChebyshevSmoother
 from .transfer import Transfer, dg_from_cg, h_transfer, p_transfer
 
@@ -130,16 +132,26 @@ def single_precision_operator(op):
     return operator_to_dtype(op, np.float32)
 
 
+def _cg_operator(dof: CGDofHandler, geometry: GeometryField):
+    """Operator of one continuous level: the assembled matrix at degree
+    1, where a matrix-free mat-vec is all call overhead, and the
+    matrix-free operator at every higher degree."""
+    if dof.degree == 1:
+        return AssembledOperator(assemble_cg_laplace(dof, geometry))
+    return CGLaplaceOperator(dof, geometry)
+
+
 @dataclass
 class MGLevel:
-    """One multigrid level: its operator, smoother, and the transfer that
-    connects it to the next *coarser* level."""
+    """One multigrid level: its operator, smoother (None on the coarsest
+    level, which the AMG solves), and the transfer that connects it to
+    the next *coarser* level."""
 
     name: str
     operator: object
-    smoother: ChebyshevSmoother | None
-    to_coarser: Transfer | None
     n_dofs: int
+    smoother: ChebyshevSmoother | None = None
+    to_coarser: Transfer | None = None
 
 
 class HybridMultigridPreconditioner:
@@ -183,49 +195,26 @@ class HybridMultigridPreconditioner:
         if p_sequence[0] != degree:
             raise ValueError("p_sequence must start at the DG degree")
 
-        levels: list[MGLevel] = []
-        # finest: the DG level itself
-        dg_sp = single_precision_operator(dg_op) if precision == np.float32 else dg_op
-        levels.append(
-            MGLevel(
-                name=f"DG(k={degree})",
-                operator=dg_sp,
-                smoother=ChebyshevSmoother(dg_sp, smoother_degree, smoothing_range),
-                to_coarser=None,
-                n_dofs=dg_op.n_dofs,
-            )
-        )
-        # continuous level of the same degree
+        # finest: the DG level itself (levels are built in float64; the
+        # precision cast and the smoothers follow once the hierarchy stands)
+        levels = [MGLevel(f"DG(k={degree})", dg_op, dg_op.n_dofs)]
+        # continuous levels of decreasing degree on the finest mesh
         cg_dofs: list[CGDofHandler] = []
-        cg_ops: list[CGLaplaceOperator] = []
         for k in p_sequence:
             dof = CGDofHandler(forest, k, connectivity=conn, dirichlet_ids=dirichlet)
             if dof.n_dofs == 0:
                 break  # everything constrained: stop p-coarsening here
             coarse_geo = dg_op.geo if k == degree else GeometryField(forest, k)
+            if cg_dofs:
+                levels[-1].to_coarser = p_transfer(cg_dofs[-1], dof)
             cg_dofs.append(dof)
-            cg_ops.append(CGLaplaceOperator(dof, coarse_geo))
+            levels.append(MGLevel(f"CG(k={k})", _cg_operator(dof, coarse_geo), dof.n_dofs))
         if not cg_dofs:
             raise ValueError(
                 "the conforming auxiliary space has no unconstrained DoFs; "
                 "the mesh is too coarse for the hybrid multigrid"
             )
-        p_sequence = p_sequence[: len(cg_dofs)]
         levels[0].to_coarser = dg_from_cg(dg_op.dof, cg_dofs[0])
-        for i, k in enumerate(p_sequence):
-            op = cg_ops[i]
-            op_sp = single_precision_operator(op) if precision == np.float32 else op
-            levels.append(
-                MGLevel(
-                    name=f"CG(k={k})",
-                    operator=op_sp,
-                    smoother=ChebyshevSmoother(op_sp, smoother_degree, smoothing_range),
-                    to_coarser=None,
-                    n_dofs=op.n_dofs,
-                )
-            )
-            if i + 1 < len(p_sequence):
-                levels[-1].to_coarser = p_transfer(cg_dofs[i], cg_dofs[i + 1])
 
         # geometric levels by global coarsening at degree 1
         h_forest = forest
@@ -238,29 +227,29 @@ class HybridMultigridPreconditioner:
             if c_dof.n_dofs == 0:
                 break  # a fully constrained level cannot host the AMG
             coarse_geo = GeometryField(coarser, 1)
-            c_op = CGLaplaceOperator(c_dof, coarse_geo)
             levels[-1].to_coarser = h_transfer(h_dof, c_dof, cmap)
-            op_sp = single_precision_operator(c_op) if precision == np.float32 else c_op
-            levels.append(
-                MGLevel(
-                    name=f"CG(k=1, {coarser.n_cells} cells)",
-                    operator=op_sp,
-                    smoother=ChebyshevSmoother(op_sp, smoother_degree, smoothing_range),
-                    to_coarser=None,
-                    n_dofs=c_op.n_dofs,
-                )
-            )
+            levels.append(MGLevel(f"CG(k=1, {coarser.n_cells} cells)",
+                                  _cg_operator(c_dof, coarse_geo), c_dof.n_dofs))
             h_forest, h_dof = coarser, c_dof
 
-        # coarse AMG solver (double precision, as in the paper), assembled
-        # with the geometry field of the coarsest level built above
-        A_coarse = assemble_cg_laplace(h_dof, coarse_geo)
+        # coarse AMG solver (double precision, as in the paper) on the
+        # coarsest level's matrix — already assembled at degree 1
+        coarsest = levels[-1].operator
+        if isinstance(coarsest, AssembledOperator):
+            A_coarse = coarsest.matrix
+        else:
+            A_coarse = assemble_cg_laplace(h_dof, coarse_geo)
         self.amg = SmoothedAggregationAMG(A_coarse, n_cycles=coarse_amg_cycles)
 
+        # the V-cycle precision, and a smoother on every level but the
+        # coarsest, which the AMG solves instead
         if precision == np.float32:
             for lev in levels:
+                lev.operator = single_precision_operator(lev.operator)
                 if lev.to_coarser is not None:
                     lev.to_coarser = lev.to_coarser.to_precision(np.float32)
+        for lev in levels[:-1]:
+            lev.smoother = ChebyshevSmoother(lev.operator, smoother_degree, smoothing_range)
         self.levels = levels  # fine -> coarse
         self.level_mults: list[int] = [0] * (len(levels) + 1)
         self.amg_calls = 0

@@ -220,11 +220,27 @@ class TestOperatorInstrumentation:
         op, _ = traced
         wm = op.work_model()
         conn = op.conn
-        f = laplace_flops(op.dof.degree, op.kern.n_q_points,
-                          collocation=op.kern.use_collocation)
-        expected = f.matvec_total(op.dof.n_cells, conn.n_interior_faces,
-                                  conn.n_boundary_faces)
+        # boundary id 1 marks one of the ten boundary faces; the nine
+        # Neumann faces carry no operator term and cost nothing
+        assert conn.n_boundary_faces == 10
+        f = laplace_flops(op.dof.degree, op.kern.n_q_points)
+        expected = f.matvec_total(op.dof.n_cells, conn.n_interior_faces, 1)
         assert wm["flops"] == pytest.approx(expected)
         assert wm["bytes"] >= laplace_transfer(
             op.dof.degree, op.kern.n_q_points
         ).total_bytes(op.dof.n_cells) * 0.99
+
+    def test_work_model_charges_dirichlet_faces_only(self, traced):
+        """All-Neumann: cells and interior faces only; all-Dirichlet:
+        every boundary face too."""
+        from repro.core.operators import DGLaplaceOperator
+        from repro.perf import laplace_flops
+
+        op, _ = traced
+        conn = op.conn
+        f = laplace_flops(op.dof.degree, op.kern.n_q_points)
+        bulk = f.matvec_total(op.dof.n_cells, conn.n_interior_faces, 0)
+        ids = tuple({b.boundary_id for b in conn.boundary})
+        for dirichlet, n_faces in (((), 0), (ids, conn.n_boundary_faces)):
+            wm = DGLaplaceOperator(op.dof, op.geo, conn, dirichlet_ids=dirichlet).work_model()
+            assert wm["flops"] == bulk + n_faces * f.boundary_face

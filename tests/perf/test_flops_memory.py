@@ -32,15 +32,16 @@ class TestPrimitives:
 
 
 class TestLaplaceFlopsHandCounted:
-    """Cell part = 9 forward + 9 backward dense sweeps over n^2 lines
-    plus 18 Flop per quadrature point:  36*n^4 + 18*n^3."""
+    """Cell part = 6 forward (3 interpolation + 3 collocation-derivative)
+    + 6 backward dense sweeps over n^2 lines plus 18 Flop per quadrature
+    point:  24*n^4 + 18*n^3."""
 
     # degree -> hand-computed cell Flops
-    # k=2 (n=3): cell = 36*81   + 18*27  = 2916  + 486  = 3402
-    # k=3 (n=4): cell = 36*256  + 18*64  = 9216  + 1152 = 10368
-    # k=4 (n=5): cell = 36*625  + 18*125 = 22500 + 2250 = 24750
-    # k=5 (n=6): cell = 36*1296 + 18*216 = 46656 + 3888 = 50544
-    CELL = {2: 3402, 3: 10368, 4: 24750, 5: 50544}
+    # k=2 (n=3): cell = 24*81   + 18*27  = 1944  + 486  = 2430
+    # k=3 (n=4): cell = 24*256  + 18*64  = 6144  + 1152 = 7296
+    # k=4 (n=5): cell = 24*625  + 18*125 = 15000 + 2250 = 17250
+    # k=5 (n=6): cell = 24*1296 + 18*216 = 31104 + 3888 = 34992
+    CELL = {2: 2430, 3: 7296, 4: 17250, 5: 34992}
 
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
     def test_cell_flops(self, degree):
@@ -49,8 +50,14 @@ class TestLaplaceFlopsHandCounted:
     @pytest.mark.parametrize("degree", [2, 3, 4, 5])
     def test_cell_flops_formula(self, degree):
         n = degree + 1
-        expected = 18 * dense_sweep(n, n * n) + 18 * n**3
+        expected = 12 * dense_sweep(n, n * n) + 18 * n**3
         assert laplace_flops(degree).cell == expected
+
+    def test_over_integrated_cell_flops(self):
+        # k=2 on nq=4 points (n=3): interpolation 2*(4*3)*(9+12+16) = 888
+        # per direction of travel, collocation 3*dense_sweep(4, 16) = 1536;
+        # both ways: 2*(888 + 1536) = 4848, + 18*64 = 1152 -> 6000
+        assert laplace_flops(2, 4).cell == 6000
 
     def test_face_flops_degree2(self):
         # per side: normal-derivative dot (2*n*n^2 = 54) + 2 tangential
@@ -96,8 +103,8 @@ class TestLaplaceTransferHandCounted:
 class TestArithmeticIntensity:
     """Figure 7 / Table 1: the DG Laplacian sits left of the Skylake
     ridge.  The paper's even-odd counts give AI ~ 1-5 Flop/B; the dense
-    sweeps the NumPy kernels run cost up to 2x more Flops, so the model
-    here spans AI ~ 3.1-8.8 across k = 1..6."""
+    sweeps the NumPy kernels run cost more Flops, so the model here spans
+    AI ~ 2.9-7.9 across k = 1..6."""
 
     @pytest.mark.parametrize("degree", range(1, 7))
     def test_intensity_in_paper_band(self, degree):
@@ -108,14 +115,14 @@ class TestArithmeticIntensity:
         assert 2.5 <= ai <= 9.5
 
     def test_spot_values(self):
-        # k=2: (3402 + 3*3780)/3488 = 14742/3488 = 4.227
+        # k=2: (2430 + 3*3780)/3488 = 13770/3488 = 3.948
         f2, t2 = laplace_flops(2), laplace_transfer(2)
         ai2 = arithmetic_intensity(f2.cell + 3 * f2.inner_face, t2.bytes_per_cell)
-        assert ai2 == pytest.approx(4.227, rel=0.01)
-        # k=4: (24750 + 3*20500)/13232 = 86250/13232 = 6.518
+        assert ai2 == pytest.approx(3.948, rel=0.01)
+        # k=4: (17250 + 3*20500)/13232 = 78750/13232 = 5.951
         f4, t4 = laplace_flops(4), laplace_transfer(4)
         ai4 = arithmetic_intensity(f4.cell + 3 * f4.inner_face, t4.bytes_per_cell)
-        assert ai4 == pytest.approx(6.518, rel=0.01)
+        assert ai4 == pytest.approx(5.951, rel=0.01)
 
     def test_parity_oscillation(self):
         """Dense counts have no parity oscillation (that was an artifact

@@ -2,9 +2,10 @@
 counts and mixed precision per Section 3.4 / Figures 9-10."""
 
 import numpy as np
+import pytest
 
 from repro.core.dof_handler import CGDofHandler, DGDofHandler
-from repro.core.operators import DGLaplaceOperator
+from repro.core.operators import CGLaplaceOperator, DGLaplaceOperator
 from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
@@ -15,7 +16,9 @@ from repro.solvers import (
     dg_from_cg,
     h_transfer,
     p_transfer,
+    single_precision_operator,
 )
+from repro.solvers.assemble import AssembledOperator, assemble_cg_laplace
 
 
 class TestTransfers:
@@ -89,6 +92,66 @@ class TestTransfers:
         xc = rng.standard_normal(coarse.n_dofs)
         rf = rng.standard_normal(fine.n_dofs)
         assert np.isclose(rf @ T.prolongate(xc), xc @ T.restrict(rf), rtol=1e-12)
+
+
+def _refined_box(hanging):
+    forest = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
+    return forest.refine([forest.leaves[0]]).balance() if hanging else forest
+
+
+@pytest.mark.parametrize("hanging", [False, True])
+class TestAssembledLevels:
+    """The degree-1 levels apply the assembled ``C^T A C`` of the
+    matrix-free operator they replace."""
+
+    @staticmethod
+    def _pair(hanging):
+        forest = _refined_box(hanging)
+        dof = CGDofHandler(forest, 1, build_connectivity(forest), dirichlet_ids=(1,))
+        geo = GeometryField(forest, 1)
+        return (CGLaplaceOperator(dof, geo),
+                AssembledOperator(assemble_cg_laplace(dof, geo)))
+
+    def test_vmult_matches_matrix_free(self, hanging, rng):
+        mf, asm = self._pair(hanging)
+        assert (mf.n_dofs, asm.dtype) == (asm.n_dofs, np.float64)
+        assert asm.work_model()["flops"] == 2 * asm.matrix.nnz
+        x = rng.standard_normal(mf.n_dofs)
+        want = mf.vmult(x)
+        assert np.abs(asm.vmult(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_stack_is_bitwise_flat(self, hanging, rng):
+        _, asm = self._pair(hanging)
+        for op in (asm, single_precision_operator(asm)):
+            X = rng.standard_normal((2, asm.n_dofs)).astype(op.dtype)
+            Y = op.vmult(X)
+            assert Y.dtype == op.dtype
+            assert np.array_equal(Y, np.stack([op.vmult(X[0]), op.vmult(X[1])]))
+
+    def test_diagonal_is_exact(self, hanging):
+        """``diag(C^T A C)`` probed column by column; the matrix-free
+        squared-constraint-weight diagonal agrees only without hanging
+        nodes."""
+        mf, asm = self._pair(hanging)
+        exact = np.diag(mf.vmult(np.eye(mf.n_dofs)))
+        np.testing.assert_allclose(asm.diagonal(), exact, rtol=1e-13)
+        off = np.abs(mf.diagonal() / exact - 1).max()
+        assert off > 0.05 if hanging else off < 1e-13
+
+    def test_multigrid_levels(self, hanging):
+        """Degree-1 levels assembled, higher degrees matrix-free, the
+        coarsest level — the AMG's — carries no smoother, and the AMG is
+        built on that level's float64 matrix."""
+        _, _, op = make_dg_poisson(_refined_box(hanging), 2)
+        mg = HybridMultigridPreconditioner(op)
+        kinds = [type(lev.operator).__name__ for lev in mg.levels]
+        assert kinds[:2] == ["DGLaplaceOperator", "CGLaplaceOperator"]
+        assert set(kinds[2:]) == {"AssembledOperator"}
+        assert all(lev.operator.dtype == np.float32 for lev in mg.levels)
+        assert [lev.smoother is None for lev in mg.levels] == [False] * (len(kinds) - 1) + [True]
+        coarsest = mg.levels[-1].operator.matrix
+        assert coarsest.dtype == np.float64
+        assert np.shares_memory(mg.amg.levels[0].A.data, coarsest.data)
 
 
 def make_dg_poisson(forest, degree, dirichlet_mesh_ids=(1,)):
