@@ -11,7 +11,7 @@ from .basis import (
     subinterval_matrix,
     change_of_basis_matrix,
 )
-from .plans import FlatScatterPlan, ScatterPlan, Workspace, contract
+from .plans import ScatterPlan, Workspace, contract
 from .sum_factorization import TensorProductKernel, apply_1d
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "subinterval_matrix",
     "change_of_basis_matrix",
     "ScatterPlan",
-    "FlatScatterPlan",
     "Workspace",
     "contract",
     "TensorProductKernel",

@@ -15,6 +15,11 @@ are resolved by substitution.  The resulting space is exactly the
 conforming auxiliary space of the hybrid multigrid algorithm
 (Section 3.4), where hanging-node constraints must be handled in the
 smoother diagonal, the transfer, and the operator application.
+
+All of that indirection is planned once into one sparse *cell map*
+``G = P·C`` (rows: the cell nodes in :meth:`DGDofHandler.cell_view`
+order, columns: the masters), so a CG gather is ``G x`` and a scatter
+``Gᵀ c`` — one streaming sparse product each way.
 """
 
 from __future__ import annotations
@@ -24,9 +29,8 @@ import scipy.sparse as sp
 
 from ..mesh.connectivity import MeshConnectivity, orient_face_array
 from ..mesh.octree import Forest
-from .backend import resolve_dtype
+from .backend import kernel_dtype, resolve_dtype
 from .basis import LagrangeBasis1D
-from .plans import FlatScatterPlan
 from .sum_factorization import TensorProductKernel
 
 
@@ -82,7 +86,8 @@ class CGDofHandler:
     The *unconstrained* ("master") dofs form the solution space; the
     rectangular operator ``C`` (n_global x n_master) expands a master
     vector to all nodal values (constrained nodes get interpolated
-    values).  An operator in the CG space is applied as ``C^T A_loc C``.
+    values).  An operator in the CG space is applied as ``G^T A_loc G``
+    with the cell map ``G = P·C`` of :meth:`cell_map`.
     """
 
     def __init__(
@@ -103,6 +108,7 @@ class CGDofHandler:
         self.connectivity = connectivity or build_connectivity(forest)
         self.dirichlet_ids = tuple(dirichlet_ids)
         self._kernel = TensorProductKernel(degree)
+        self._cell_maps: dict = {}
         self._number_dofs()
         self._build_constraints()
 
@@ -121,11 +127,17 @@ class CGDofHandler:
         extent = float(np.max(v.max(axis=0) - v.min(axis=0))) if len(v) else 1.0
         tol = max(extent, 1e-12) * 1e-9
         keys = np.round(pts.reshape(-1, 3) / tol).astype(np.int64)
-        _, uniq_idx, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
+        # number the distinct rows in lexicographic (x, y, z) order — the
+        # numbering of ``np.unique(keys, axis=0)``, without its structured
+        # row sort
+        order = np.lexsort(keys.T[::-1])
+        sorted_keys = keys[order]
+        new_row = np.ones(len(keys), dtype=bool)
+        np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=new_row[1:])
+        inverse = np.empty(len(keys), dtype=np.intp)
+        inverse[order] = np.cumsum(new_row) - 1
         n = self.n1
-        self.n_global = int(inverse.max()) + 1 if inverse.size else 0
+        self.n_global = int(new_row.sum())
         self.cell_to_global = inverse.reshape(self.n_cells, n, n, n)
 
     # ------------------------------------------------------------------
@@ -240,31 +252,46 @@ class CGDofHandler:
         ``(*lead, n_dofs)`` -> ``(*lead, n_global)``."""
         return (self.C @ x_master.T).T
 
-    def restrict_add(self, r_global: np.ndarray) -> np.ndarray:
-        """Distribute nodal residuals back to masters (C^T)."""
-        return (self.Ct @ r_global.T).T
+    def cell_map(self, dtype) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """``(G, Gᵀ)`` in the kernel dtype of ``dtype``.
+
+        ``G = P·C`` maps masters to the ``n_cells·(k+1)³`` cell nodes in
+        cell-tensor order (``P`` picks ``cell_to_global``): hanging-node
+        weights, Dirichlet zeros and the node sharing are all in it.  It
+        is built once from ``C``; the float32 copy is cached beside it
+        (as :meth:`TensorProductKernel._mat` caches its factors), so a
+        float32 vector never meets a float64 map."""
+        maps = self._cell_maps
+        if not maps:
+            n = self.cell_to_global.size
+            P = sp.csr_matrix(
+                (np.ones(n), (np.arange(n), self.cell_to_global.ravel())),
+                shape=(n, self.n_global),
+            )
+            G = P @ self.C
+            maps[self.C.dtype] = (G, G.T.tocsr())
+        dt = kernel_dtype(dtype)
+        if dt not in maps:
+            maps[dt] = tuple(m.astype(dt) for m in maps[self.C.dtype])
+        return maps[dt]
 
     def gather_cells(self, x_master: np.ndarray) -> np.ndarray:
-        """Master vector -> cell tensors ``(*lead, N, n, n, n)``."""
-        return self.expand(x_master)[..., self.cell_to_global]
-
-    @property
-    def flat_scatter_plan(self) -> FlatScatterPlan:
-        """Planned cell-to-global scatter (built lazily, dtype-agnostic,
-        shared by float64 operators and their float32 clones)."""
-        plan = self.__dict__.get("_flat_scatter_plan")
-        if plan is None:
-            plan = FlatScatterPlan(self.cell_to_global, self.n_global)
-            self.__dict__["_flat_scatter_plan"] = plan
-        return plan
+        """Master vector ``(*lead, n_dofs)`` -> cell tensors
+        ``(*lead, N, n, n, n)``: one ``G x`` (any ``lead`` flattened to
+        one axis, as :meth:`AssembledOperator.vmult` does)."""
+        G, _ = self.cell_map(x_master.dtype)
+        lead = x_master.shape[:-1]
+        x2 = x_master.reshape(-1, self.n_dofs) if len(lead) > 1 else x_master
+        n = self.n1
+        return (G @ x2.T).T.reshape(lead + (self.n_cells, n, n, n))
 
     def scatter_add_cells(self, cell_data: np.ndarray) -> np.ndarray:
-        """Accumulate cell tensors into a master-space residual vector.
-        Ensemble input (E, N, n, n, n) accumulates member-wise."""
-        r_global = self.flat_scatter_plan.scatter(
-            cell_data, dtype=cell_data.dtype, axis=cell_data.ndim - 4
-        )
-        return self.restrict_add(r_global)
+        """Accumulate cell tensors ``(*lead, N, n, n, n)`` into a
+        master-space residual ``(*lead, n_dofs)``: one ``Gᵀ c``."""
+        _, Gt = self.cell_map(cell_data.dtype)
+        lead = cell_data.shape[:-4]
+        c2 = cell_data.reshape((-1, Gt.shape[1]) if lead else (Gt.shape[1],))
+        return (Gt @ c2.T).T.reshape(lead + (self.n_dofs,))
 
     def nodal_points(self) -> np.ndarray:
         """(n_global, 3) trilinear position of every global node."""

@@ -251,8 +251,8 @@ class MatrixFreeOperator:
     def _scatter_add(self, out: np.ndarray, indices: np.ndarray,
                      contrib: np.ndarray, key, axis: int = 0) -> None:
         """Planned ``out[indices] += contrib`` along ``axis``; ``key``
-        identifies the index set in the plan cache.  ``axis=1`` serves
-        ensemble-stacked cell tensors ``(E, N, ...)``."""
+        identifies the index set in the plan cache.  ``axis=len(lead)``
+        serves batch-stacked cell tensors ``(*lead, N, ...)``."""
         plan = cached_scatter_plan(
             self.plan_cache, ("scatter", key), indices, out.shape[axis]
         )

@@ -194,8 +194,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
         return self.fk.integrate_side(face, rv, _scaled_coefficient(fm.c_m, -vm * w))
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        """``x`` is (ndof,) or ensemble-stacked (E, ndof): the ensemble
-        axis rides along as a leading axis of the same kernels."""
+        """``x`` is (ndof,) or batch-stacked ``(*lead, ndof)``: the
+        leading axes ride along in front of the same kernels."""
         u = self.dof.cell_view(x)
         fk = self.fk
         ax = u.ndim - 4
@@ -438,9 +438,8 @@ class CGLaplaceOperator(MatrixFreeOperator):
 
     def diagonal(self) -> np.ndarray:
         """Jacobi diagonal: local cell diagonals accumulated with squared
-        constraint weights (the standard matrix-free approximation)."""
+        constraint weights (the standard matrix-free approximation),
+        ``(G∘G)ᵀ · ldiag`` through the handler's cell map."""
         ldiag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
-        dg = self.dof.flat_scatter_plan.scatter(ldiag, dtype=ldiag.dtype)
-        C2 = self.dof.C.copy()
-        C2.data = C2.data**2
-        return C2.T @ dg
+        _, Gt = self.dof.cell_map(ldiag.dtype)
+        return Gt.power(2) @ ldiag.reshape(-1)

@@ -14,11 +14,6 @@ the NumPy rendition of that discipline, shared by every operator in
   number and subface), so the scatter is a plain fancy ``+=``.  Index
   sets *with* duplicates fall back to an argsort + ``np.add.reduceat``
   segment sum planned once.
-* :class:`FlatScatterPlan` — the duplicate-heavy flat variant used for
-  continuous (CG) assembly, where one global node receives up to eight
-  cell contributions.  Sorting and segment boundaries are precomputed;
-  the dtype of the contribution is preserved (unlike ``np.bincount``),
-  which the float32 multigrid levels rely on.
 * :func:`contract` — an einsum dispatcher with a global plan cache.
   Contractions with at most two operands and a small contracted extent
   (the ``J^{-T} g`` style metric applications, contracting a length-3
@@ -102,7 +97,7 @@ def contract(subscripts: str, *operands, out: np.ndarray | None = None):
 
 
 class ScatterPlan:
-    """Precomputed scatter-add ``out[indices] += contrib`` along axis 0.
+    """Precomputed scatter-add ``out[indices] += contrib`` along one axis.
 
     When the planned index set has no duplicates — true for every face
     batch, whose key fixes (face_m, face_p, orientation, subface) so a
@@ -142,95 +137,21 @@ class ScatterPlan:
     def add(self, out: np.ndarray, contrib: np.ndarray, axis: int = 0) -> np.ndarray:
         """Accumulate ``contrib`` slices into ``out`` along ``axis``.
 
-        ``axis=0`` is the classic ``out[indices] += contrib``; ``axis=1``
-        serves ensemble-stacked states ``(E, N, ...)`` where the cell
-        axis sits behind the ensemble axis.
+        ``axis=0`` is the classic ``out[indices] += contrib``; a larger
+        ``axis`` serves batch-stacked states ``(*lead, N, ...)`` where the
+        cell axis sits behind ``len(lead)`` leading axes.
         """
         if self.indices.size == 0:
             return out
-        if axis == 0:
-            if self.is_unique:
-                out[self.indices] += contrib
-            else:
-                folded = np.add.reduceat(contrib[self.order], self.segments, axis=0)
-                out[self.targets] += folded
-        elif axis == 1:
-            if self.is_unique:
-                out[:, self.indices] += contrib
-            else:
-                folded = np.add.reduceat(
-                    contrib[:, self.order], self.segments, axis=1
-                )
-                out[:, self.targets] += folded
+        lead = (slice(None),) * axis
+        if self.is_unique:
+            out[lead + (self.indices,)] += contrib
         else:
-            raise ValueError(f"unsupported scatter axis {axis}")
+            folded = np.add.reduceat(
+                contrib[lead + (self.order,)], self.segments, axis=axis
+            )
+            out[lead + (self.targets,)] += folded
         return out
-
-
-class FlatScatterPlan:
-    """Planned scatter-add into a flat vector with many duplicates.
-
-    The CG assembly pattern: ``cell_to_global`` maps every local node of
-    every cell to a global node, and up to eight cells contribute to one
-    node.  The argsort order and segment starts are computed once; each
-    application is one gather, one ``reduceat``, one indexed ``+=`` —
-    preserving the contribution dtype (``np.bincount`` would force
-    float64, breaking the float32 V-cycle levels).
-    """
-
-    __slots__ = ("n_rows", "order", "segments", "targets", "size")
-
-    def __init__(self, indices: np.ndarray, n_rows: int) -> None:
-        idx = np.asarray(indices, dtype=np.intp).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-            raise ValueError("scatter indices out of range")
-        self.n_rows = int(n_rows)
-        self.size = idx.size
-        if idx.size == 0:
-            self.order = self.segments = self.targets = None
-            return
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        new_segment = np.empty(idx.size, dtype=bool)
-        new_segment[0] = True
-        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=new_segment[1:])
-        self.order = order
-        self.segments = np.flatnonzero(new_segment)
-        self.targets = sorted_idx[self.segments]
-
-    def scatter_add(self, out: np.ndarray, values: np.ndarray,
-                    axis: int = 0) -> np.ndarray:
-        """``out[indices[e]] += values.ravel()[e]`` for all entries.
-
-        ``axis=1`` treats the leading axis of ``values`` (and ``out``)
-        as an ensemble axis: each member's trailing entries are folded
-        independently with the same precomputed plan.
-        """
-        if self.size == 0:
-            return out
-        if axis == 0:
-            v = np.asarray(values).reshape(-1)
-            folded = np.add.reduceat(v[self.order], self.segments)
-            out[self.targets] += folded
-        elif axis == 1:
-            v = np.asarray(values)
-            v = v.reshape(v.shape[0], -1)
-            folded = np.add.reduceat(v[:, self.order], self.segments, axis=1)
-            out[:, self.targets] += folded
-        else:
-            raise ValueError(f"unsupported scatter axis {axis}")
-        return out
-
-    def scatter(self, values: np.ndarray, dtype=None,
-                axis: int = 0) -> np.ndarray:
-        """Fresh accumulation vector of length ``n_rows`` (``axis=1``:
-        one row per leading-axis member of ``values``)."""
-        v = np.asarray(values)
-        if axis == 0:
-            out = np.zeros(self.n_rows, dtype=dtype or v.dtype)
-        else:
-            out = np.zeros((v.shape[0], self.n_rows), dtype=dtype or v.dtype)
-        return self.scatter_add(out, v, axis=axis)
 
 
 class Workspace:

@@ -106,7 +106,8 @@ def operator_to_dtype(op, dtype):
     Composite operators (vector Laplacian, Helmholtz, penalty step) have
     their nested operators cast recursively.  The clone shares the
     original's plan cache — scatter plans are dtype-agnostic, workspace
-    buffers and work models are keyed by dtype."""
+    buffers and work models are keyed by dtype — and its dof handler,
+    whose CG cell map is picked by the input dtype."""
     dtype = np.dtype(dtype)
     if np.dtype(getattr(op, "dtype", None)) == dtype:
         return op
@@ -118,11 +119,6 @@ def operator_to_dtype(op, dtype):
         sub = getattr(clone, name, None)
         if sub is not None and hasattr(sub, "vmult"):
             setattr(clone, name, operator_to_dtype(sub, dtype))
-    if hasattr(clone, "dof") and hasattr(clone.dof, "C"):
-        dof_clone = copy.copy(clone.dof)
-        dof_clone.C = clone.dof.C.astype(dtype)
-        dof_clone.Ct = clone.dof.Ct.astype(dtype)
-        clone.dof = dof_clone
     clone.dtype = dtype
     return clone
 
@@ -214,7 +210,6 @@ class HybridMultigridPreconditioner:
                 "the conforming auxiliary space has no unconstrained DoFs; "
                 "the mesh is too coarse for the hybrid multigrid"
             )
-        levels[0].to_coarser = dg_from_cg(dg_op.dof, cg_dofs[0])
 
         # geometric levels by global coarsening at degree 1
         h_forest = forest
@@ -248,6 +243,9 @@ class HybridMultigridPreconditioner:
                 lev.operator = single_precision_operator(lev.operator)
                 if lev.to_coarser is not None:
                     lev.to_coarser = lev.to_coarser.to_precision(np.float32)
+        # the DG -> CG transfer is the CG handler's cell map, which the
+        # handler already keeps at the V-cycle precision
+        levels[0].to_coarser = dg_from_cg(dg_op.dof, cg_dofs[0], precision)
         for lev in levels[:-1]:
             lev.smoother = ChebyshevSmoother(lev.operator, smoother_degree, smoothing_range)
         self.levels = levels  # fine -> coarse

@@ -31,11 +31,12 @@ from ..mesh.octree import CellId, Forest
 
 
 class Transfer:
-    """Wrapper of a sparse prolongation matrix P (fine x coarse)."""
+    """Wrapper of a sparse prolongation matrix P (fine x coarse) and its
+    CSR transpose (formed here unless the caller already holds it)."""
 
-    def __init__(self, P: sp.spmatrix) -> None:
+    def __init__(self, P: sp.spmatrix, Pt: sp.spmatrix | None = None) -> None:
         self.P = sp.csr_matrix(P)
-        self.Pt = self.P.T.tocsr()
+        self.Pt = self.P.T.tocsr() if Pt is None else Pt
 
     def prolongate(self, xc: np.ndarray) -> np.ndarray:
         """Coarse -> fine on ``(*lead, n_c)``: members map row-wise
@@ -57,17 +58,14 @@ class Transfer:
         return self.P.shape
 
 
-def dg_from_cg(dg: DGDofHandler, cg: CGDofHandler) -> Transfer:
-    """Exact embedding of the conforming space into the DG space."""
+def dg_from_cg(dg: DGDofHandler, cg: CGDofHandler, dtype=np.float64) -> Transfer:
+    """Exact embedding of the conforming space into the DG space: the CG
+    handler's cell map ``G`` at ``dtype`` (its rows are the DG dofs,
+    cell-major), shared with the handler rather than copied."""
     if dg.degree != cg.degree or dg.forest is not cg.forest:
         if dg.degree != cg.degree or dg.n_cells != cg.n_cells:
             raise ValueError("DG and CG spaces must share mesh and degree")
-    n_dg = dg.n_dofs
-    cols = cg.cell_to_global.ravel()
-    G = sp.csr_matrix(
-        (np.ones(n_dg), (np.arange(n_dg), cols)), shape=(n_dg, cg.n_global)
-    )
-    return Transfer(G @ cg.C)
+    return Transfer(*cg.cell_map(dtype))
 
 
 def _interpolation_rows(

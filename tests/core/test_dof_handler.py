@@ -4,8 +4,45 @@ import numpy as np
 import pytest
 
 from repro.core.dof_handler import CGDofHandler, DGDofHandler
+from repro.core.operators import CGLaplaceOperator, DGLaplaceOperator
+from repro.core.operators.laplace import _cell_laplace_diagonal
+from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import box, cylinder
+from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
+from repro.solvers.assemble import AssembledOperator, assemble_cg_laplace
+from repro.solvers.multigrid import operator_to_dtype
+
+
+def _conforming_box():
+    return Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
+
+
+def _hanging_box():
+    f = _conforming_box()
+    return f.refine([f.leaves[0]]).balance()
+
+
+def _cylinder():
+    return Forest(cylinder(n_axial=2))
+
+
+MESHES = {"box": _conforming_box, "hanging": _hanging_box, "cylinder": _cylinder}
+
+
+@pytest.fixture(scope="module", params=sorted(MESHES))
+def cg_space(request):
+    """``(dof, CGLaplaceOperator)`` at k=2 with Dirichlet nodes on the
+    conforming box, the 2:1 hanging box and the curved cylinder."""
+    forest = MESHES[request.param]()
+    dof = CGDofHandler(forest, 2, dirichlet_ids=(1,))
+    if request.param == "hanging":
+        assert any(entries for entries in dof.constraints.values())
+    return dof, CGLaplaceOperator(dof, GeometryField(forest, 2))
+
+
+def _rel_err(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
 
 
 class TestDGDofHandler:
@@ -109,3 +146,86 @@ class TestHangingConstraints:
         pts = dof.nodal_points()
         assert pts.shape == (dof.n_global, 3)
         assert pts.min() >= -1e-12 and pts.max() <= 2 + 1e-12
+
+
+class TestCellMap:
+    """``gather_cells`` / ``scatter_add_cells`` through the one sparse
+    cell map ``G = P·C`` against implementation-independent references:
+    the ``C`` expansion plus a fancy index, and ``np.add.at``."""
+
+    def test_gather_matches_expand_and_index(self, cg_space):
+        dof, _ = cg_space
+        x = np.random.default_rng(0).standard_normal(dof.n_dofs)
+        ref = dof.expand(x)[dof.cell_to_global]
+        assert _rel_err(dof.gather_cells(x), ref) <= 1e-14
+
+    def test_scatter_matches_add_at(self, cg_space):
+        dof, _ = cg_space
+        n = dof.n1
+        cells = np.random.default_rng(1).standard_normal((dof.n_cells, n, n, n))
+        r_global = np.zeros(dof.n_global)
+        np.add.at(r_global, dof.cell_to_global.ravel(), cells.ravel())
+        ref = dof.Ct @ r_global
+        assert _rel_err(dof.scatter_add_cells(cells), ref) <= 1e-14
+
+    def test_diagonal_matches_squared_constraint_formula(self, cg_space):
+        """``(G∘G)ᵀ ldiag`` is ``C²ᵀ`` applied to the scattered cell
+        diagonals, summed in another order."""
+        dof, op = cg_space
+        ldiag = _cell_laplace_diagonal(op.kern, op.cell_metrics.laplace_d)
+        scattered = np.zeros(dof.n_global)
+        np.add.at(scattered, dof.cell_to_global.ravel(), ldiag.ravel())
+        C2 = dof.C.copy()
+        C2.data = C2.data**2
+        assert _rel_err(op.diagonal(), C2.T @ scattered) <= 1e-14
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_member_stack_is_bitwise_flat(self, cg_space, dtype):
+        """A ``(2, n)`` stack is two flat calls bit for bit, and a float32
+        input runs on the float32 map (the result stays float32)."""
+        dof, op = cg_space
+        op = operator_to_dtype(op, dtype)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((2, dof.n_dofs)).astype(dtype)
+        n = dof.n1
+        cells = rng.standard_normal((2, dof.n_cells, n, n, n)).astype(dtype)
+        for fn, arg in ((dof.gather_cells, x), (dof.scatter_add_cells, cells),
+                        (op.vmult, x)):
+            stacked = fn(arg)
+            assert stacked.dtype == dtype, fn.__name__
+            for e in range(2):
+                assert np.array_equal(stacked[e], fn(arg[e])), fn.__name__
+
+
+class TestAnyLead:
+    """``(*lead, n)`` with two lead axes: every Laplacian equals its six
+    flat calls bit for bit (DESIGN.md §5, "One axis convention")."""
+
+    @staticmethod
+    def check(op, n_dofs):
+        x = np.random.default_rng(3).standard_normal((2, 3, n_dofs))
+        y = op.vmult(x)
+        assert y.shape == x.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(y[i, j], op.vmult(x[i, j]))
+
+    def test_dg_laplace(self):
+        forest = _conforming_box()
+        dof = DGDofHandler(forest, 2)
+        op = DGLaplaceOperator(dof, GeometryField(forest, 2),
+                               build_connectivity(forest), dirichlet_ids=(1,))
+        self.check(op, dof.n_dofs)
+
+    def test_cg_laplace_and_gather(self, cg_space):
+        dof, op = cg_space
+        self.check(op, dof.n_dofs)
+        x = np.random.default_rng(4).standard_normal((2, 3, dof.n_dofs))
+        cells = dof.gather_cells(x)
+        assert cells.shape == (2, 3, dof.n_cells) + (dof.n1,) * 3
+        assert dof.scatter_add_cells(cells).shape == x.shape
+
+    def test_assembled(self):
+        forest = _hanging_box()
+        dof = CGDofHandler(forest, 1, dirichlet_ids=(1,))
+        op = AssembledOperator(assemble_cg_laplace(dof, GeometryField(forest, 1)))
+        self.check(op, dof.n_dofs)

@@ -8,7 +8,7 @@ dtype contract these tests check
 * fp32 results agree with the fp64 reference within single-precision
   roundoff on a curved (bifurcation) mesh with mixed face orientations
   and randomized input, and
-* the planned DG-Laplace vmult allocates measurably fewer transient
+* the planned DG- and CG-Laplace vmults allocate measurably fewer transient
   bytes at fp32 than at fp64 (tracemalloc high-water mark), i.e. the
   kernels do not secretly stage double-precision temporaries.
 
@@ -149,17 +149,18 @@ class TestFp32MatchesFp64:
 
 
 class TestNoDoubleTemporaries:
-    """tracemalloc check on the representative kernel: a warm planned
-    DG-Laplace vmult at fp32 must allocate well under the fp64 peak —
-    if any hot temporary were secretly staged in double, the fp32 peak
-    would match the fp64 one instead of halving."""
+    """tracemalloc check on the representative kernels: a warm planned
+    vmult at fp32 must allocate well under the fp64 peak — if any hot
+    temporary were secretly staged in double, the fp32 peak would match
+    the fp64 one instead of halving."""
 
-    def test_fp32_peak_allocation_is_smaller(self, setup):
+    @staticmethod
+    def check(setup, name):
         from repro.perf.measure import measure_allocations
 
-        op64 = setup[4]["dg_laplace"]
+        op64 = setup[4][name]
         op32 = operator_to_dtype(op64, np.float32)
-        x64 = _input_vector(op64, "dg_laplace", np.float64)
+        x64 = _input_vector(op64, name, np.float64)
         x32 = x64.astype(np.float32)
         # warm both plan caches/workspaces so we measure steady state
         op64.vmult(x64)
@@ -168,6 +169,14 @@ class TestNoDoubleTemporaries:
         peak32, _ = measure_allocations(lambda: op32.vmult(x32))
         assert peak64 > 0
         assert peak32 <= 0.75 * peak64, (
-            f"fp32 vmult peak {peak32}B vs fp64 {peak64}B — "
+            f"fp32 {name} vmult peak {peak32}B vs fp64 {peak64}B — "
             "hidden double-precision temporaries?"
         )
+
+    def test_fp32_peak_allocation_is_smaller(self, setup):
+        self.check(setup, "dg_laplace")
+
+    def test_cg_laplace_fp32_peak_allocation_is_smaller(self, setup):
+        """The CG gather/scatter runs through the handler's sparse cell
+        map; a map left in float64 would stage the whole vmult in double."""
+        self.check(setup, "cg_laplace")

@@ -20,7 +20,6 @@ from repro.core.operators import DGLaplaceOperator
 from repro.core import plans
 from repro.core.plans import (
     _PATH_CACHE,
-    FlatScatterPlan,
     ScatterPlan,
     Workspace,
     contract,
@@ -115,32 +114,21 @@ class TestScatterPlan:
                 ScatterPlan(cells, n_cells).add(out, contrib)
                 np.testing.assert_allclose(out, ref, rtol=1e-14, atol=0)
 
-
-class TestFlatScatterPlan:
-    def test_matches_add_at(self):
+    @pytest.mark.parametrize("unique", [True, False])
+    def test_any_axis_is_bitwise_axis0(self, unique):
+        """Behind two leading axes the scatter runs the axis-0 operation
+        per leading index (unique and duplicate index sets alike)."""
         rng = np.random.default_rng(3)
-        idx = rng.integers(0, 30, size=(8, 27))  # CG-style: heavy duplication
-        vals = rng.standard_normal((8, 27))
-        ref = np.zeros(30)
-        np.add.at(ref, idx.ravel(), vals.ravel())
-        plan = FlatScatterPlan(idx, 30)
-        np.testing.assert_allclose(plan.scatter(vals), ref, rtol=1e-14)
-        out = np.ones(30)
-        plan.scatter_add(out, vals)
-        np.testing.assert_allclose(out, 1.0 + ref, rtol=1e-14)
-
-    def test_preserves_float32(self):
-        """Unlike ``np.bincount``, the plan keeps float32 contributions in
-        float32 — the float32 multigrid levels depend on this."""
-        rng = np.random.default_rng(4)
-        idx = rng.integers(0, 10, size=40)
-        vals = rng.standard_normal(40).astype(np.float32)
-        out = FlatScatterPlan(idx, 10).scatter(vals)
-        assert out.dtype == np.float32
-
-    def test_empty(self):
-        plan = FlatScatterPlan(np.array([], dtype=np.intp), 5)
-        assert np.array_equal(plan.scatter(np.array([])), np.zeros(5))
+        idx = rng.permutation(12)[:5] if unique else rng.integers(0, 12, 30)
+        contrib = rng.standard_normal((2, 3, len(idx), 4))
+        out = rng.standard_normal((2, 3, 12, 4))
+        ref = out.copy()
+        plan = ScatterPlan(idx, 12)
+        assert plan.is_unique == unique
+        plan.add(out, contrib, axis=2)
+        for i, j in np.ndindex(2, 3):
+            plan.add(ref[i, j], contrib[i, j])
+        assert np.array_equal(out, ref)
 
 
 class TestContract:
