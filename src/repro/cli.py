@@ -33,35 +33,43 @@ def _float_list(text: str) -> list[float]:
 
 
 @contextlib.contextmanager
-def _metrics_session(path: str | None, command: str):
-    """Enable the global metric registry for the lifetime of a command
-    and export its state to ``path`` on the way out (including error
-    exits — a failed run's metrics are exactly the interesting ones).
-    Yields a list the command may append per-worker snapshot documents
-    to (``pool.collect_worker_metrics()``); they are folded into the
-    export so worker-side series — phase seconds, ghost-wait spins —
-    land in the one file the run produces.  A no-op when no
-    ``--metrics-file`` was given."""
+def _telemetry_session(command: str, metrics_path: str | None,
+                       trace: bool = False):
+    """Enable the global telemetry for the lifetime of a command — the
+    metric registry when ``metrics_path`` is given or ``trace`` is set,
+    the span tracer with ``trace`` — and disable both in one ``finally``,
+    on every exit.  The registry's state is exported to ``metrics_path``
+    (when given) on the way out, error exits included: a failed run's
+    metrics are exactly the interesting ones.  Yields a list the command
+    may append per-worker snapshot documents to
+    (``pool.collect_worker_metrics()``); they are folded into the export
+    so worker-side series — phase seconds, ghost-wait spins — land in
+    the one file the run produces."""
     worker_docs: list[dict] = []
-    if not path:
+    if not (metrics_path or trace):
         yield worker_docs
         return
-    from .telemetry import METRICS, export_metrics
+    from .telemetry import METRICS, TRACER, export_metrics
     from .telemetry.metrics import merge_snapshots, snapshot_doc
 
     METRICS.reset()
     METRICS.enable()
+    if trace:
+        TRACER.reset()
+        TRACER.enable()
     try:
         yield worker_docs
     finally:
+        TRACER.disable()
         METRICS.disable()
-        source: dict = snapshot_doc(METRICS)
-        meta = {"command": command}
-        if worker_docs:
-            source = merge_snapshots([source, *worker_docs])
-            meta["aggregated_workers"] = len(worker_docs)
-        out = export_metrics(source, path, meta=meta)
-        print(f"metrics written to {out}")
+        if metrics_path:
+            source: dict = snapshot_doc(METRICS)
+            meta = {"command": command}
+            if worker_docs:
+                source = merge_snapshots([source, *worker_docs])
+                meta["aggregated_workers"] = len(worker_docs)
+            out = export_metrics(source, metrics_path, meta=meta)
+            print(f"metrics written to {out}")
 
 
 def _write_timeline_trace(ctx, path, quiet=False):
@@ -163,11 +171,7 @@ def cmd_poisson(args) -> int:
 
 def cmd_lung(args) -> int:
     from .robustness import RunConfig
-    from .telemetry import TRACER
 
-    if args.trace:
-        TRACER.reset()
-        TRACER.enable()
     try:
         cfg = RunConfig.from_args(args)
         configs = _member_configs(args, cfg)
@@ -178,7 +182,8 @@ def cmd_lung(args) -> int:
         print("error: --resume requires --checkpoint-dir (or a config file "
               "with robustness.checkpoint_dir set)", file=sys.stderr)
         return 2
-    with _metrics_session(args.metrics_file, "lung") as worker_docs:
+    with _telemetry_session("lung", args.metrics_file,
+                            trace=args.trace) as worker_docs:
         return _lung_run(args, configs, worker_docs)
 
 
@@ -229,7 +234,7 @@ def _fmt_members(values, spec: str) -> str:
     return ", ".join(format(v, spec) for v in np.ravel(values))
 
 
-def _lung_run(args, configs, worker_docs=None) -> int:
+def _lung_run(args, configs, worker_docs) -> int:
     from .lung import LungVentilationSimulation
     from .robustness import CheckpointManager, StepFailure
     from .telemetry import (
@@ -238,19 +243,35 @@ def _lung_run(args, configs, worker_docs=None) -> int:
         RunLogWriter,
         aggregate_steps,
         render_breakdown,
-        render_counters,
         render_span_tree,
     )
+    from .telemetry.metrics import (
+        merge_snapshots,
+        render_metrics_table,
+        snapshot_doc,
+    )
 
-    def harvest_worker_metrics():
-        # fold the workers' registries into the session export; tolerate
-        # a pool that already died (the master's own series still export)
-        if dist_ctx is None or worker_docs is None or not METRICS.enabled:
-            return
-        try:
-            worker_docs.append(dist_ctx.pool.collect_worker_metrics())
-        except (OSError, RuntimeError):
-            pass
+    def summarize(extra=None):
+        """Fold the workers' registries into the session (tolerating a
+        pool that already died: the master's own series still count),
+        then close the run log with the merged master+worker metrics;
+        returns that metric list (None while the registry is off)."""
+        metrics = None
+        if METRICS.enabled:
+            if dist_ctx is not None:
+                try:
+                    worker_docs.append(dist_ctx.pool.collect_worker_metrics())
+                except (OSError, RuntimeError):
+                    pass
+            metrics = merge_snapshots(
+                [snapshot_doc(METRICS), *worker_docs]
+            )["metrics"]
+        if writer is not None:
+            writer.write_summary(TRACER if args.trace else None,
+                                 metrics=metrics, extra=extra)
+            writer.close()
+            print(f"run log written to {writer.path}")
+        return metrics
 
     sim = LungVentilationSimulation(configs)
     cfg = sim.config
@@ -294,10 +315,7 @@ def _lung_run(args, configs, worker_docs=None) -> int:
                 path = manager.save(sim)
                 print(f"pre-failure state checkpointed to {path}",
                       file=sys.stderr)
-            if writer is not None:
-                writer.write_summary(TRACER if args.trace else None)
-                writer.close()
-            harvest_worker_metrics()
+            summarize()
             sim.close()
             return 1
         stats.append(st)
@@ -351,31 +369,24 @@ def _lung_run(args, configs, worker_docs=None) -> int:
                   "no trace recorded", file=sys.stderr)
         else:
             timeline_analysis = _write_timeline_trace(dist_ctx, trace_path)
-    if writer is not None:
-        summary_extra = (
-            {"timeline": timeline_analysis}
-            if timeline_analysis is not None else None
-        )
-        writer.write_summary(TRACER if args.trace else None,
-                             extra=summary_extra)
-        writer.close()
-        print(f"run log written to {writer.path}")
+    metrics = summarize(
+        {"timeline": timeline_analysis}
+        if timeline_analysis is not None else None
+    )
     if args.trace:
         print()
         print(render_breakdown(aggregate_steps(stats)))
         print()
         print("span profile:")
         print(render_span_tree(TRACER))
-        counters = render_counters(TRACER)
-        if counters:
-            print(counters)
-        TRACER.disable()
+        print()
+        print("metrics:")
+        print(render_metrics_table({"metrics": metrics}))
     if args.vtk:
         from .mesh.vtk import write_vtk
 
         path = write_vtk(args.vtk, sim.lung.forest)
         print(f"mesh written to {path}")
-    harvest_worker_metrics()
     sim.close()
     return 0
 
@@ -423,7 +434,7 @@ def cmd_report(args) -> int:
 
             print()
             print(render_timeline(summary["timeline"]))
-        robustness = render_robustness(summary.get("counters") or {})
+        robustness = render_robustness(summary.get("metrics"))
         if robustness:
             print()
             print(robustness)
@@ -434,11 +445,12 @@ def cmd_report(args) -> int:
             if "(no annotated spans" not in roofline:
                 print()
                 print(roofline)
-        if summary.get("counters"):
+        if summary.get("metrics"):
+            from .telemetry.metrics import render_metrics_table
+
             print()
-            print("counters:")
-            for name in sorted(summary["counters"]):
-                print(f"  {name:<42s} {summary['counters'][name]:>12d}")
+            print("metrics:")
+            print(render_metrics_table(summary))
     return 0
 
 
@@ -562,7 +574,7 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with _metrics_session(args.metrics_file, "bench"):
+    with _telemetry_session("bench", args.metrics_file):
         return _bench_run(args)
 
 
@@ -679,7 +691,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    with _metrics_session(args.metrics_file, "verify"):
+    with _telemetry_session("verify", args.metrics_file):
         return _verify_run(args)
 
 
@@ -872,8 +884,9 @@ def main(argv=None) -> int:
                         "bitwise identical to the serial run")
     p.add_argument("--vtk", type=str, default=None)
     p.add_argument("--trace", action="store_true",
-                   help="enable the telemetry tracer and print the "
-                        "per-sub-step wall-time breakdown and span profile")
+                   help="enable the span tracer and the metric registry "
+                        "and print the per-sub-step wall-time breakdown, "
+                        "span profile and metrics table")
     p.add_argument("--trace-timeline", type=str, default=None, metavar="FILE",
                    help="with --workers: record per-rank worker timeline "
                         "events and write a Chrome trace-event JSON here "
@@ -1017,7 +1030,8 @@ def main(argv=None) -> int:
                         "the Prometheus textfile")
     p.add_argument("files", nargs="+",
                    help="metric snapshot file(s) written with "
-                        "--metrics-file (merged when several)")
+                        "--metrics-file, or .jsonl run logs whose summary "
+                        "carries metrics (merged when several)")
     p.add_argument("--output", type=str, default=None,
                    help="write the result here instead of stdout")
     p.set_defaults(fn=cmd_metrics)

@@ -175,10 +175,10 @@ def physical_gradient(jinv_t: np.ndarray, ref_grad: np.ndarray) -> np.ndarray:
 def _instrument_entry(raw):
     """Wrap an operator-application entry point with telemetry.
 
-    When the tracer is enabled, one application records the
-    ``vmult.<ClassName>`` counter, opens a ``vmult[<ClassName>]`` span,
-    and annotates it with the operator's analytic own-work model
-    (flops / bytes / dofs) so the roofline attribution can compute
+    When the tracer is enabled, one application opens a
+    ``vmult[<ClassName>]`` span (whose ``count`` is the number of
+    applications) and annotates it with the operator's analytic own-work
+    model (flops / bytes / dofs) so the roofline attribution can compute
     achieved GFlop/s and GB/s per kernel.  When disabled the wrapper is
     a single attribute check in front of the raw method.
     """
@@ -188,7 +188,6 @@ def _instrument_entry(raw):
         if not TRACER.enabled:
             return raw(self, x, *args, **kwargs)
         name = type(self).__name__
-        TRACER.incr("vmult." + name)
         with TRACER.span("vmult[" + name + "]"):
             wm = self.work_model()
             # a (*lead, n) stack does prod(lead) vectors' worth of work in

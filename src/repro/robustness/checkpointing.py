@@ -27,10 +27,16 @@ import re
 from pathlib import Path
 
 from ..ns.checkpoint import load_lung_state, save_lung_state
-from ..telemetry import TRACER
+from ..telemetry.metrics import METRICS
 from .config import RobustnessSettings
 
 _CKPT_RE = re.compile(r"-(\d{8})\.npz$")
+
+_CHECKPOINTS = METRICS.counter(
+    "repro_checkpoints_total",
+    "checkpoint files written and loaded",
+    labels=("action",),
+)
 
 
 class CheckpointManager:
@@ -139,8 +145,7 @@ class CheckpointManager:
         self._steps_since = 0
         self._last_t = float(sim.time)
         self.n_writes += 1
-        if TRACER.enabled:
-            TRACER.incr("checkpoint.writes")
+        _CHECKPOINTS.labels("write").inc()
         self._rotate()
         return final
 
@@ -166,6 +171,5 @@ class CheckpointManager:
         if not Path(path).exists():
             raise FileNotFoundError(f"checkpoint {path} does not exist")
         load_lung_state(path, sim, config_drift=config_drift)
-        if TRACER.enabled:
-            TRACER.incr("checkpoint.loads")
+        _CHECKPOINTS.labels("load").inc()
         return Path(path)

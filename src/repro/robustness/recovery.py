@@ -12,8 +12,9 @@ hit (Fehn et al., arXiv:1806.03095; Franco et al., arXiv:1910.03032):
   preconditioner tier still converges.
 
 Every recovery action is recorded as a :class:`RecoveryEvent` and, when
-the global tracer is enabled, as ``recovery.*`` / ``fallback.*``
-telemetry counters so ``repro report`` can show a run's fault history.
+the global metric registry is enabled, in the ``repro_recovery_*`` /
+``repro_fallback_*`` metric families so ``repro report`` can show a
+run's fault history.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from ..solvers.krylov import SolverResult, conjugate_gradient
-from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS
 from .config import RobustnessSettings
 
@@ -36,7 +36,9 @@ _RECOVERY_RETRIES = METRICS.counter(
 )
 _RECOVERY_FAILURES = METRICS.counter(
     "repro_recovery_step_failures_total",
-    "time steps abandoned after the retry budget",
+    "time steps abandoned after the retry budget, by the last validation "
+    "reason",
+    labels=("reason",),
 )
 _FALLBACK_TIER = METRICS.counter(
     "repro_fallback_tier_total",
@@ -154,12 +156,8 @@ def recoverable_step(
         if reason is None:
             return stats
         scheme.restore_state(snapshot)
-        if TRACER.enabled:
-            TRACER.incr(f"recovery.reasons.{reason}")
         if attempt == settings.max_step_retries:
             break  # budget exhausted: no retry follows this failure
-        if TRACER.enabled:
-            TRACER.incr("recovery.step_retries")
         if METRICS.enabled:
             _RECOVERY_RETRIES.labels(reason).inc()
         if events is not None:
@@ -173,9 +171,8 @@ def recoverable_step(
                 )
             )
         dt_try *= settings.dt_backoff
-    if TRACER.enabled:
-        TRACER.incr("recovery.step_failures")
-    _RECOVERY_FAILURES.inc()
+    if METRICS.enabled:
+        _RECOVERY_FAILURES.labels(reason).inc()
     last_dt = dt_try
     if events is not None:
         events.append(
@@ -208,7 +205,7 @@ class PressureFallbackChain:
     """Deterministic solver escalation for an SPD (pressure) solve.
 
     Tiers are tried in order; the first converged tier wins and is
-    recorded (``tier_counts``, ``res.tier``, telemetry counters).  A
+    recorded (``tier_counts``, ``res.tier``, ``repro_fallback_*``).  A
     tier that made finite partial progress warm-starts the next tier;
     a non-finite right-hand side short-circuits the chain, since no
     preconditioner can rescue a poisoned system.  If every tier fails,
@@ -270,10 +267,6 @@ class PressureFallbackChain:
                             detail=tier.name,
                         )
                     )
-                if TRACER.enabled:
-                    TRACER.incr(f"fallback.{self.name}.tier.{tier.name}")
-                    if i > 0:
-                        TRACER.incr(f"fallback.{self.name}.escalations")
                 if METRICS.enabled:
                     _FALLBACK_TIER.labels((self.name, tier.name)).inc()
                     if i > 0:
@@ -284,8 +277,6 @@ class PressureFallbackChain:
                 break  # a poisoned right-hand side cannot be rescued
             # warm-start the next tier from finite partial progress
             x_start = res.x if np.isfinite(res.x).all() else x0
-        if TRACER.enabled:
-            TRACER.incr(f"fallback.{self.name}.exhausted")
         if METRICS.enabled:
             _FALLBACK_EXHAUSTED.labels(self.name).inc()
         last.tier = ""

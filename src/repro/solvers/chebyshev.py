@@ -134,7 +134,6 @@ class ChebyshevSmoother:
         op, P = self.op, self.jacobi
         if not TRACER.enabled:
             return self._smooth(op, P, b, x)
-        TRACER.incr("chebyshev.applications")
         with TRACER.span("chebyshev"):
             # own vector-update work on top of the (self-annotating)
             # operator and Jacobi applications: ~6 Flop/DoF/iteration

@@ -115,7 +115,7 @@ def conjugate_gradient(
     end-to-end in single precision.  Scalar reductions (norms, ``r @ z``)
     always accumulate through Python floats, i.e. in double.
 
-    ``name`` labels this solve in the telemetry span tree and counters
+    ``name`` labels this solve in the telemetry span tree and metrics
     (e.g. ``"pressure"``); unnamed solves report under plain ``cg``.
     """
     label = f"cg[{name}]" if name else "cg"
@@ -125,12 +125,6 @@ def conjugate_gradient(
     # so the per-call-site reason counters always sum to the solve count
     reason = result.failure_reason or "none"
     first, last = result.residuals[0], result.residuals[-1]
-    if TRACER.enabled:
-        TRACER.incr(f"{label}.solves")
-        TRACER.incr(f"{label}.iterations", result.n_iterations)
-        TRACER.incr(f"{label}.failure_reason.{reason}")
-        if first > 0:
-            TRACER.gauge(f"{label}.last_relative_residual", last / first)
     if METRICS.enabled:
         site = name or "unnamed"
         _CG_SOLVES.labels(site).inc()

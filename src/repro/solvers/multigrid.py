@@ -284,7 +284,6 @@ class HybridMultigridPreconditioner:
             self.amg_calls += 1
             _MG_AMG_SOLVES.inc()
             with TRACER.span("amg_coarse"):
-                TRACER.incr("mg.amg_solves")
                 return self.amg.vmult(np.asarray(b, dtype=np.float64)).astype(b.dtype)
         lev = self.levels[i]
         # per-level numerics diagnostics: the residual after pre-smoothing
@@ -323,12 +322,10 @@ class HybridMultigridPreconditioner:
         ``nan_residual``, which lets a fallback chain escalate to a
         more conservative tier."""
         with TRACER.span("mg_vcycle"):
-            TRACER.incr("mg.vcycles")
             _MG_VCYCLES.inc()
             r_p = np.asarray(r, dtype=self.precision)
             x = self._vcycle(0, r_p)
             if not np.isfinite(x).all():
                 self.nonfinite_vcycles += 1
-                TRACER.incr("mg.nonfinite_vcycles")
                 _MG_NONFINITE.inc()
             return np.asarray(x, dtype=np.float64)

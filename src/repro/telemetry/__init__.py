@@ -1,13 +1,16 @@
-"""Solver telemetry: hierarchical tracing spans, per-step statistics
-sinks, and run reports.
+"""Solver telemetry: hierarchical tracing spans, the solver-health
+metric registry, per-step run-log sinks, and run reports.
 
-The solve stack (time integrator, Krylov/multigrid solvers, matrix-free
-operators) reports into the process-global :data:`TRACER`, which is
-disabled by default and costs one attribute check per call site when
-off.  Enable it (``TRACER.enable()`` or ``repro lung --trace``) to
-collect a hierarchical wall-time profile, vmult/iteration counters,
-per-sub-step timings, and the analytic work-model annotations behind
-``repro roofline``; pair it with :class:`RunLogWriter` to stream a
+Spans time, metrics count.  The solve stack (time integrator,
+Krylov/multigrid solvers, matrix-free operators) opens spans on the
+process-global :data:`TRACER` and records counters, gauges and
+histograms in the process-global :data:`METRICS` registry; both are
+disabled by default and cost one attribute check per call site when
+off.  Enable them (``repro lung --trace`` turns on both,
+``--metrics-file`` the registry alone) to collect a hierarchical
+wall-time profile with per-region call counts, per-sub-step timings,
+the analytic work-model annotations behind ``repro roofline``, and the
+solver-health metrics; pair them with :class:`RunLogWriter` to stream a
 schema-versioned JSONL record per time step that ``repro report``
 aggregates into the paper's Table-2-style breakdown and ``repro
 monitor`` tails while the run is still executing.
@@ -17,7 +20,6 @@ from .dashboard import render_html_dashboard, write_html_dashboard
 from .metrics import (
     METRICS,
     MetricRegistry,
-    MetricsWriter,
     export_metrics,
     load_metrics,
     merge_snapshots,
@@ -31,9 +33,9 @@ from .report import (
     RunAggregate,
     aggregate_steps,
     render_breakdown,
-    render_counters,
     render_robustness,
     render_span_tree,
+    robustness_rows,
 )
 from .sinks import SCHEMA, JsonlWriter, RunLogWriter, read_run_log, step_record
 from .timeline import (
@@ -56,7 +58,6 @@ __all__ = [
     "JsonlWriter",
     "METRICS",
     "MetricRegistry",
-    "MetricsWriter",
     "NULL_SPAN",
     "SCHEMA",
     "RunAggregate",
@@ -85,10 +86,10 @@ __all__ = [
     "monitor_once",
     "read_run_log",
     "render_breakdown",
-    "render_counters",
     "render_html_dashboard",
     "render_robustness",
     "render_span_tree",
+    "robustness_rows",
     "step_record",
     "summarize_run",
     "write_html_dashboard",

@@ -20,6 +20,7 @@ import math
 from pathlib import Path
 
 from .metrics import METRICS, load_metrics, merge_snapshots
+from .report import robustness_rows
 from .sinks import read_run_log
 
 # series-1 blue and the neutral surfaces of the validated default
@@ -186,15 +187,6 @@ def _deltas(cumulative) -> list[float]:
     return out
 
 
-def _robustness_rows(summary: dict | None) -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    counters = (summary or {}).get("counters") or {}
-    for name in sorted(counters):
-        if name.startswith(("recovery.", "fallback.")):
-            rows.append((name, str(counters[name])))
-    return rows
-
-
 def _catalog_table(metrics_doc: dict | None) -> str:
     """Metric catalog + current values from a snapshot document; falls
     back to the registered catalog when no snapshot was supplied."""
@@ -346,22 +338,22 @@ def render_html_dashboard(
 
     timeline_section = _timeline_section((summary or {}).get("timeline"))
 
-    rob_rows = _robustness_rows(summary)
+    rob_rows = robustness_rows((summary or {}).get("metrics"))
     if rob_rows:
         robustness = (
-            "<table><thead><tr><th>counter</th>"
+            "<table><thead><tr><th>activity</th>"
             '<th class="num">count</th></tr></thead><tbody>'
             + "".join(
-                f"<tr><td><code>{html.escape(k)}</code></td>"
-                f'<td class="num">{html.escape(v)}</td></tr>'
-                for k, v in rob_rows
+                f"<tr><td>{html.escape(k)}</td>"
+                f'<td class="num">{n}</td></tr>'
+                for k, n in rob_rows
             )
             + "</tbody></table>"
         )
     elif n_recovery:
         robustness = (f'<p class="warn">{n_recovery} recovery events '
-                      "(no counter breakdown in this log — rerun with "
-                      "--trace)</p>")
+                      "(no metrics in this log — rerun with --trace or "
+                      "--metrics-file)</p>")
     else:
         robustness = '<p class="empty">no recovery activity recorded</p>'
 

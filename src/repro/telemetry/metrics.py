@@ -1,9 +1,11 @@
-"""Typed solver-health metric registry with Prometheus/JSONL exporters.
+"""Typed solver-health metric registry with Prometheus and JSON exporters.
 
 The numerics of a run (CG convergence shape, per-MG-level residual
 reduction, Chebyshev eigenvalue estimates, divergence/energy health,
-recovery activity) report into one process-global
-:data:`METRICS` registry holding three metric types:
+recovery and checkpoint activity) report into one process-global
+:data:`METRICS` registry — the package's only counter and gauge store
+(the :class:`~repro.telemetry.tracer.Tracer` times, the registry
+counts) — holding three metric types:
 
 * :class:`Counter` — monotonic float totals (``*_total`` names),
 * :class:`Gauge` — last-written values,
@@ -29,9 +31,9 @@ Exporters:
   textfile collector), with :func:`parse_prometheus` as the matching
   reader so tests can round-trip what we emit;
 * :func:`snapshot_doc` — a schema-versioned JSON document
-  (``repro/metrics/1``), streamable as JSONL via
-  :class:`MetricsWriter` (header first, then cumulative ``snapshot``
-  records — the last line of a crashed worker is its final state);
+  (``repro/metrics/1``); :func:`load_metrics` reads it back, as well as
+  a Prometheus textfile or the ``metrics`` list a run-log summary
+  carries;
 * :func:`merge_snapshots` — the cross-process aggregator that merges
   per-worker snapshot documents: counters are summed, gauges take the
   last write (argument order), histogram buckets are merged
@@ -44,11 +46,10 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from bisect import bisect_left
 from pathlib import Path
 
-from .sinks import JsonlWriter
+from .sinks import read_run_log
 
 SCHEMA = "repro/metrics/1"
 
@@ -405,93 +406,34 @@ def snapshot_doc(registry: MetricRegistry, meta: dict | None = None) -> dict:
     }
 
 
-def write_snapshot(registry: MetricRegistry, path, meta: dict | None = None) -> Path:
-    """Write one JSON snapshot document (a per-worker metrics file)."""
-    path = Path(path)
-    with path.open("w") as f:
-        json.dump(snapshot_doc(registry, meta), f, indent=2, allow_nan=True)
-        f.write("\n")
-    return path
-
-
-class MetricsWriter(JsonlWriter):
-    """Streaming JSONL metrics sink: a ``repro/metrics/1`` header, then
-    cumulative ``snapshot`` records — the last parseable line of a
-    crashed worker is that worker's final state."""
-
-    def __init__(self, path, meta: dict | None = None) -> None:
-        self.n_snapshots = 0
-        super().__init__(path, SCHEMA, meta)
-
-    def write_snapshot(self, registry: MetricRegistry, t: float | None = None) -> None:
-        rec: dict = {
-            "type": "snapshot",
-            "seq": self.n_snapshots,
-            "metrics": _metric_dicts(registry),
-        }
-        if t is not None:
-            rec["t"] = t
-        self._write(rec)
-        self.n_snapshots += 1
-
-
 def load_metrics(path) -> dict:
-    """Read a metrics file — a single JSON snapshot document, a
-    :class:`MetricsWriter` JSONL stream (the **last** parseable
-    snapshot wins; corrupt mid-stream lines from crashed workers are
-    skipped with a warning, matching the aggregation use case), or a
-    ``.prom``/``.txt`` Prometheus textfile parsed back through
-    :func:`parse_prometheus`."""
+    """Read a metrics file as a snapshot document: a JSON snapshot
+    document, a ``.prom``/``.txt`` Prometheus textfile parsed back
+    through :func:`parse_prometheus`, or a ``.jsonl`` run log, whose
+    summary footer carries the run's merged ``metrics`` list
+    (``repro lung --log-file`` with ``--trace`` or ``--metrics-file``)."""
     path = Path(path)
-    text = path.read_text()
     if path.suffix in (".prom", ".txt"):
-        return parse_prometheus(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "schema" in doc and "type" not in doc:
-        if doc.get("schema") != SCHEMA:
+        return parse_prometheus(path.read_text())
+    if path.suffix == ".jsonl":
+        header, _, summary = read_run_log(path)
+        if not summary or "metrics" not in summary:
             raise ValueError(
-                f"{path}: unsupported metrics schema {doc.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
+                f"{path}: run log has no summary metrics (rerun with "
+                "--trace or --metrics-file)"
             )
-        doc.setdefault("meta", {})
-        doc.setdefault("metrics", [])
-        return doc
-    # JSONL stream: header + snapshot records
-    header: dict | None = None
-    last: dict | None = None
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            warnings.warn(
-                f"{path}:{line_no}: skipping corrupt metrics record ({e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        if rec.get("type") == "header":
-            if rec.get("schema") != SCHEMA:
-                raise ValueError(
-                    f"{path}: unsupported metrics schema "
-                    f"{rec.get('schema')!r} (expected {SCHEMA!r})"
-                )
-            header = rec
-        elif rec.get("type") == "snapshot":
-            last = rec
-    if header is None:
-        raise ValueError(f"{path}: no {SCHEMA!r} header or document found")
-    meta = {k: v for k, v in header.items() if k not in ("type", "schema")}
-    return {
-        "schema": SCHEMA,
-        "meta": meta,
-        "metrics": list(last.get("metrics", [])) if last else [],
-    }
+        meta = {k: v for k, v in header.items() if k not in ("type", "schema")}
+        return {"schema": SCHEMA, "meta": meta, "metrics": summary["metrics"]}
+    doc = json.loads(path.read_text())
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(
+            f"{path}: unsupported metrics schema {schema!r} "
+            f"(expected {SCHEMA!r})"
+        )
+    doc.setdefault("meta", {})
+    doc.setdefault("metrics", [])
+    return doc
 
 
 # ----------------------------------------------------------------------

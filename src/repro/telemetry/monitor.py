@@ -81,7 +81,7 @@ def summarize_run(path, header: dict, steps: list[dict],
         if breakdown:
             lines.append(breakdown)
     if summary is not None:
-        rb = render_robustness(summary.get("counters") or {})
+        rb = render_robustness(summary.get("metrics"))
         if rb:
             lines.append(rb)
     lines.append("status: " + ("finished" if summary is not None

@@ -1,6 +1,6 @@
 """Terminal reports over telemetry data.
 
-Two views:
+Three views:
 
 * :func:`render_breakdown` — the paper's Table-2-style wall-time
   breakdown of one run: seconds per time step and share of the step for
@@ -8,10 +8,12 @@ Two views:
 * :func:`render_span_tree` — the raw hierarchical span profile of a
   :class:`~repro.telemetry.tracer.Tracer` (inclusive/exclusive seconds
   and call counts per nested region).
+* :func:`render_robustness` — the fault-tolerance activity of a run
+  (:func:`robustness_rows`), read from its metric families.
 
-Both operate on plain dicts so they work equally on live
-``StepStatistics`` objects and on records read back from a JSONL run
-log by :func:`~repro.telemetry.sinks.read_run_log`.
+They operate on plain dicts so they work equally on live
+``StepStatistics`` objects and registries and on records read back from
+a JSONL run log by :func:`~repro.telemetry.sinks.read_run_log`.
 """
 
 from __future__ import annotations
@@ -130,79 +132,47 @@ def render_span_tree(tracer, min_seconds: float = 0.0) -> str:
     return "\n".join(lines)
 
 
-#: counter-name prefixes that make up the robustness summary
-ROBUSTNESS_PREFIXES = ("recovery.", "fallback.", "checkpoint.")
+#: metric family -> row title of the robustness view, in display order
+_ROBUSTNESS_ROWS = {
+    "repro_recovery_step_retries_total": "step retries",
+    "repro_recovery_step_failures_total": "step failures",
+    "repro_fallback_tier_total": "fallback tier",
+    "repro_fallback_escalations_total": "fallback escalations",
+    "repro_fallback_exhausted_total": "fallback exhausted",
+    "repro_checkpoints_total": "checkpoints",
+}
+#: the metric families the robustness view reads (a test checks each is
+#: registered and catalogued, so a rename cannot silently blank it)
+ROBUSTNESS_FAMILIES = tuple(_ROBUSTNESS_ROWS)
 
 
-def render_robustness(counters: dict) -> str:
-    """Summarize the fault-tolerance counters of a run (PR 3's recovery,
-    pressure-fallback, and checkpoint subsystems) from a flat counter
-    dict — live (``TRACER.counters``) or from a run-log summary.
+def robustness_rows(metrics) -> list[tuple[str, int]]:
+    """The fault-tolerance activity of a run as ``(row, count)`` pairs:
+    step retries and failures per reason, converged solves per fallback
+    tier, escalations and exhaustions per chain, checkpoint writes and
+    loads.  Reads a ``metrics`` list — a snapshot document's or a
+    run-log summary's — and skips zero samples, so a run that recorded
+    none of it yields ``[]``.  The one view behind ``repro report``,
+    ``repro monitor`` and the HTML dashboard."""
+    by_name = {m["name"]: m for m in metrics or ()}
+    rows = []
+    for name, title in _ROBUSTNESS_ROWS.items():
+        m = by_name.get(name)
+        for s in (m or {}).get("samples", ()):
+            if s["value"]:
+                labels = ", ".join(
+                    f"{k}={v}" for k, v in zip(m["labels"], s["labels"])
+                )
+                rows.append((f"{title} [{labels}]" if labels else title,
+                             int(s["value"])))
+    return rows
 
-    Returns an empty string when the run recorded none of them.
-    """
-    if not counters:
+
+def render_robustness(metrics) -> str:
+    """Text form of :func:`robustness_rows`; empty when there are none."""
+    rows = robustness_rows(metrics)
+    if not rows:
         return ""
-    retries = counters.get("recovery.step_retries", 0)
-    failures = counters.get("recovery.step_failures", 0)
-    reasons = {
-        k.removeprefix("recovery.reasons."): v
-        for k, v in counters.items()
-        if k.startswith("recovery.reasons.")
-    }
-    ckpt_writes = counters.get("checkpoint.writes", 0)
-    ckpt_loads = counters.get("checkpoint.loads", 0)
-    # fallback.<chain>.tier.<tier> / .escalations / .exhausted
-    chains: dict[str, dict] = {}
-    for k, v in counters.items():
-        if not k.startswith("fallback."):
-            continue
-        rest = k.removeprefix("fallback.")
-        if ".tier." in rest:
-            chain, tier = rest.split(".tier.", 1)
-            chains.setdefault(chain, {}).setdefault("tiers", {})[tier] = v
-        elif rest.endswith(".escalations"):
-            chains.setdefault(rest.removesuffix(".escalations"), {})[
-                "escalations"
-            ] = v
-        elif rest.endswith(".exhausted"):
-            chains.setdefault(rest.removesuffix(".exhausted"), {})[
-                "exhausted"
-            ] = v
-    if not (retries or failures or reasons or ckpt_writes or ckpt_loads
-            or chains):
-        return ""
-    lines = ["robustness:"]
-    lines.append(
-        f"  step retries: {retries}   step failures: {failures}"
+    return "\n".join(
+        ["robustness:"] + [f"  {row:<52s} {n:>8d}" for row, n in rows]
     )
-    for reason in sorted(reasons):
-        lines.append(f"    retry reason {reason}: {reasons[reason]}")
-    for chain in sorted(chains):
-        info = chains[chain]
-        tiers = info.get("tiers", {})
-        tier_s = ", ".join(
-            f"{t}={tiers[t]}" for t in sorted(tiers)
-        ) or "none recorded"
-        lines.append(
-            f"  fallback[{chain}]: escalations={info.get('escalations', 0)} "
-            f"exhausted={info.get('exhausted', 0)}  tiers: {tier_s}"
-        )
-    lines.append(
-        f"  checkpoints: {ckpt_writes} written, {ckpt_loads} loaded"
-    )
-    return "\n".join(lines)
-
-
-def render_counters(tracer) -> str:
-    """Flat counter/gauge dump, sorted by name."""
-    lines = []
-    if tracer.counters:
-        lines.append("counters:")
-        for name in sorted(tracer.counters):
-            lines.append(f"  {name:<42s} {tracer.counters[name]:>12d}")
-    if tracer.gauges:
-        lines.append("gauges:")
-        for name in sorted(tracer.gauges):
-            lines.append(f"  {name:<42s} {tracer.gauges[name]:>12.4e}")
-    return "\n".join(lines)

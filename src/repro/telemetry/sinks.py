@@ -3,9 +3,12 @@
 The JSONL run log is the machine-readable record of a solver run — one
 JSON object per line: a schema-versioned ``header`` first, one ``step``
 record per time step, and an optional ``summary`` footer carrying the
-tracer's counters/gauges and span tree.  ``repro report`` (and any
-external tooling) consumes these files; the schema string is bumped on
-breaking changes so readers can refuse logs they do not understand.
+tracer's span tree (``spans``) and the run's merged master+worker metric
+list (``metrics``, shaped as in a ``repro/metrics/1`` snapshot).
+``repro report``, ``repro monitor``, ``repro metrics`` and the HTML
+dashboard (and any external tooling) consume these files; the schema
+string is bumped on breaking changes so readers can refuse logs they do
+not understand.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import warnings
 from pathlib import Path
 from typing import IO
 
-SCHEMA = "repro-runlog/1"
+SCHEMA = "repro-runlog/2"
 
 
 def step_record(stats, step_index: int, extra: dict | None = None) -> dict:
@@ -90,10 +93,15 @@ class RunLogWriter(JsonlWriter):
         self.n_steps += 1
         return rec
 
-    def write_summary(self, tracer=None, extra: dict | None = None) -> None:
+    def write_summary(self, tracer=None, metrics: list | None = None,
+                      extra: dict | None = None) -> None:
+        """Footer record: the tracer's span tree and the run's metric
+        list (a snapshot document's ``metrics``), each when given."""
         rec: dict = {"type": "summary", "n_steps": self.n_steps}
         if tracer is not None:
             rec.update(tracer.snapshot())
+        if metrics is not None:
+            rec["metrics"] = metrics
         if extra:
             rec.update(extra)
         self._write(rec)

@@ -1,4 +1,4 @@
-"""Zero-dependency hierarchical span tracer with counters and gauges.
+"""Zero-dependency hierarchical span tracer.
 
 The solve stack is instrumented with *spans* — named, nested timing
 regions entered through a context manager::
@@ -8,9 +8,11 @@ regions entered through a context manager::
 
 Each distinct (parent, name) pair accumulates inclusive wall time and a
 call count into one :class:`SpanNode`; exclusive time (inclusive minus
-the children's inclusive time) is derived at report time.  Flat *typed
-counters* (monotonic integers, e.g. ``vmult.DGLaplaceOperator``) and
-*gauges* (last-written floats) ride along in the same tracer.
+the children's inclusive time) is derived at report time.  Spans time;
+they count nothing beyond their own visits — a span's ``count`` is how
+often its region ran (``vmult[DGLaplaceOperator]`` counts the
+operator's applications), and every other tally lives in the metric
+registry (:data:`~repro.telemetry.metrics.METRICS`).
 
 Spans can additionally carry *work-model annotations* — analytic Flop,
 byte-transfer, and DoF tallies attached by the instrumented kernel while
@@ -154,10 +156,10 @@ class _Span:
 
 
 class Tracer:
-    """Hierarchical span tracer plus flat counters and gauges.
+    """Hierarchical span tracer.
 
     One process-global instance (:data:`repro.telemetry.TRACER`) is the
-    registry the whole solve stack reports into; independent instances
+    tracer the whole solve stack reports into; independent instances
     can be created for tests.
     """
 
@@ -165,8 +167,6 @@ class Tracer:
         self.enabled = enabled
         self.root = SpanNode("root")
         self._stack: list[SpanNode] = [self.root]
-        self.counters: dict[str, int] = {}
-        self.gauges: dict[str, float] = {}
 
     # -- lifecycle -------------------------------------------------------
     def enable(self) -> None:
@@ -176,12 +176,9 @@ class Tracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop all recorded spans, counters, and gauges (keeps the
-        enabled flag)."""
+        """Drop all recorded spans (keeps the enabled flag)."""
         self.root = SpanNode("root")
         self._stack = [self.root]
-        self.counters.clear()
-        self.gauges.clear()
 
     # -- recording -------------------------------------------------------
     def span(self, name: str):
@@ -204,18 +201,6 @@ class Tracer:
             return
         self._stack[-1].add_work(flops, bytes, dofs)
 
-    def incr(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to the named monotonic counter."""
-        if not self.enabled:
-            return
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record the latest value of a named gauge."""
-        if not self.enabled:
-            return
-        self.gauges[name] = float(value)
-
     # -- inspection ------------------------------------------------------
     def find(self, *path: str) -> SpanNode | None:
         """Look up a span node by its name path from the root."""
@@ -227,9 +212,7 @@ class Tracer:
         return node
 
     def snapshot(self) -> dict:
-        """JSON-serializable view of everything recorded so far."""
+        """JSON-serializable view of the recorded span tree."""
         return {
             "spans": {k: v.to_dict() for k, v in self.root.children.items()},
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
         }

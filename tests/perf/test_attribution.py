@@ -212,7 +212,7 @@ class TestOperatorInstrumentation:
         assert v.flops == pytest.approx(3 * wm["flops"])
         assert v.bytes == pytest.approx(3 * wm["bytes"])
         assert v.dofs == pytest.approx(3 * op.n_dofs)
-        assert snap["counters"]["vmult.DGLaplaceOperator"] == 3
+        assert snap["spans"]["vmult[DGLaplaceOperator]"]["count"] == 3
 
     def test_work_model_matches_analytic_counts(self, traced):
         from repro.perf import laplace_flops, laplace_transfer

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.telemetry import METRICS, TRACER, read_run_log, robustness_rows
+
+from .test_recovery import FaultyConvective
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -138,11 +141,122 @@ class TestCheckpointFlags:
         assert "lung g=1" in capsys.readouterr().out
 
     def test_run_log_records_recovery_counters(self, tmp_path):
-        # a clean traced run reports zero-fault telemetry: the counters
-        # namespace exists in the summary only when faults occurred
+        # a clean traced run reports zero-fault telemetry: the recovery
+        # families are in the summary's metrics but carry no samples
         log = tmp_path / "run.jsonl"
         assert main(["lung", "--steps", "2", "--trace",
                      "--log-file", str(log)]) == 0
         summary = [json.loads(line) for line in log.read_text().splitlines()
                    if json.loads(line).get("type") == "summary"][0]
-        assert not any(k.startswith("recovery.") for k in summary["counters"])
+        assert "counters" not in summary
+        recovery = [m for m in summary["metrics"]
+                    if m["name"].startswith("repro_recovery_")]
+        assert len(recovery) == 2
+        assert not any(m["samples"] for m in recovery)
+
+
+class PoisonOnce:
+    """Preconditioner proxy whose first application is non-finite: one
+    injected pressure-fallback escalation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def vmult(self, r):
+        self.calls += 1
+        out = self.inner.vmult(r)
+        return np.full_like(out, np.nan) if self.calls == 1 else out
+
+
+def rig_lung(monkeypatch, rig):
+    """Make ``repro lung`` pass the simulation it builds through
+    ``rig(sim)`` before stepping."""
+    import repro.lung
+
+    class Rigged(repro.lung.LungVentilationSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rig(self)
+
+    monkeypatch.setattr(repro.lung, "LungVentilationSimulation", Rigged)
+
+
+def poison_convective(sim):
+    ops = sim.solver.scheme.ops
+    ops.convective = FaultyConvective(ops.convective, persistent_from=1)
+
+
+def poison_first_pressure_solve(sim):
+    chain = sim.solver.pressure_fallback
+    tier = chain.tiers[0]
+    chain._preconditioners[tier.name] = PoisonOnce(chain.preconditioner(tier))
+
+
+class TestTelemetrySession:
+    """Every exit of a traced ``repro lung`` turns the global tracer and
+    metric registry off again."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "{tmp}/nope.json"],
+        ["--resume", "latest"],
+        ["--checkpoint-dir", "{tmp}/empty", "--resume", "latest"],
+    ], ids=["bad_config", "resume_without_dir", "resume_error"])
+    def test_exit_2_leaves_telemetry_off(self, tmp_path, capsys, flags):
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main(["lung", "--steps", "1", "--trace", "--metrics-file",
+                     str(tmp_path / "m.prom"), *flags]) == 2
+        assert not TRACER.enabled and not METRICS.enabled
+
+    def test_step_failure_leaves_telemetry_off(self, tmp_path, capsys,
+                                               monkeypatch):
+        rig_lung(monkeypatch, poison_convective)
+        log = tmp_path / "run.jsonl"
+        assert main(["lung", "--steps", "2", "--trace",
+                     "--log-file", str(log)]) == 1
+        assert "failed after 4 attempt(s)" in capsys.readouterr().err
+        assert not TRACER.enabled and not METRICS.enabled
+        # the summary is written after the harvest and counts the
+        # abandoned step under its reason
+        _, _, summary = read_run_log(log)
+        rows = dict(robustness_rows(summary["metrics"]))
+        assert rows["step retries [reason=non_finite_convective]"] == 3
+        assert rows["step failures [reason=non_finite_convective]"] == 1
+
+
+class TestRobustnessViews:
+    def test_report_monitor_dashboard_agree(self, tmp_path, capsys,
+                                            monkeypatch):
+        """An injected pressure-fallback escalation and two checkpoint
+        writes show the same numbers in ``repro report``, ``repro
+        monitor`` and the dashboard: all three render one view."""
+        import html
+
+        from repro.telemetry import render_robustness
+
+        rig_lung(monkeypatch, poison_first_pressure_solve)
+        log = tmp_path / "run.jsonl"
+        assert main(["lung", "--steps", "2", "--trace",
+                     "--log-file", str(log),
+                     "--checkpoint-dir", str(tmp_path / "ck"),
+                     "--checkpoint-every", "1"]) == 0
+        _, _, summary = read_run_log(log)
+        rows = dict(robustness_rows(summary["metrics"]))
+        assert rows["fallback escalations [chain=pressure]"] == 1
+        assert rows["fallback tier [chain=pressure, tier=mg_double]"] == 1
+        assert rows["fallback tier [chain=pressure, tier=mg_mixed]"] >= 1
+        assert rows["checkpoints [action=write]"] == 2
+        block = render_robustness(summary["metrics"])
+
+        capsys.readouterr()
+        assert main(["report", str(log)]) == 0
+        assert block in capsys.readouterr().out
+        assert main(["monitor", str(log)]) == 0
+        assert block in capsys.readouterr().out
+        dash = tmp_path / "dash.html"
+        assert main(["report", "--html", str(log),
+                     "--output", str(dash)]) == 0
+        page = dash.read_text()
+        for row, n in rows.items():
+            assert (f"<td>{html.escape(row)}</td>"
+                    f'<td class="num">{n}</td>') in page

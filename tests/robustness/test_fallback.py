@@ -22,7 +22,17 @@ from repro.robustness import (
     RobustnessSettings,
 )
 from repro.solvers import HybridMultigridPreconditioner, JacobiPreconditioner
-from repro.telemetry import TRACER
+from repro.telemetry import METRICS
+
+
+@pytest.fixture
+def metrics():
+    """The global metric registry, enabled and zeroed for one test."""
+    METRICS.reset()
+    METRICS.enable()
+    yield METRICS
+    METRICS.disable()
+    METRICS.reset()
 
 
 class DenseOp:
@@ -59,7 +69,7 @@ def spd_matrix(n, cond=100.0, seed=0):
 
 
 class TestChainEscalation:
-    def test_escalates_past_poisoned_tier(self):
+    def test_escalates_past_poisoned_tier(self, metrics):
         A = spd_matrix(30)
         op = DenseOp(A)
         b = np.ones(30)
@@ -68,12 +78,7 @@ class TestChainEscalation:
             FallbackTier("primary", lambda: poison),
             FallbackTier("rescue", lambda: JacobiPreconditioner(op)),
         ])
-        TRACER.reset()
-        TRACER.enable()
-        try:
-            res = chain.solve(op, b, tol=1e-10, max_iter=500)
-        finally:
-            TRACER.disable()
+        res = chain.solve(op, b, tol=1e-10, max_iter=500)
         assert res.converged
         assert res.tier == "rescue"
         assert np.allclose(A @ res.x, b, atol=1e-7)
@@ -81,8 +86,10 @@ class TestChainEscalation:
         assert chain.escalations == 1
         assert chain.events[0].kind == "fallback_escalation"
         assert chain.events[0].reason == "nan_residual"
-        assert TRACER.counters["fallback.pressure.tier.rescue"] == 1
-        assert TRACER.counters["fallback.pressure.escalations"] == 1
+        tier = metrics.get("repro_fallback_tier_total")
+        assert tier.labels(("pressure", "rescue")).value == 1
+        esc = metrics.get("repro_fallback_escalations_total")
+        assert esc.labels("pressure").value == 1
 
     def test_first_tier_success_records_no_escalation(self):
         A = spd_matrix(30)
@@ -96,23 +103,19 @@ class TestChainEscalation:
         assert chain.escalations == 0
         assert "rescue" not in chain._preconditioners
 
-    def test_exhausted_chain_returns_last_failure(self):
+    def test_exhausted_chain_returns_last_failure(self, metrics):
         A = spd_matrix(10)
         op = DenseOp(A)
         chain = PressureFallbackChain([
             FallbackTier("a", PoisonPre),
             FallbackTier("b", PoisonPre),
         ])
-        TRACER.reset()
-        TRACER.enable()
-        try:
-            res = chain.solve(op, np.ones(10), tol=1e-10, max_iter=50)
-        finally:
-            TRACER.disable()
+        res = chain.solve(op, np.ones(10), tol=1e-10, max_iter=50)
         assert not res.converged
         assert res.tier == ""
         assert res.failure_reason == "nan_residual"
-        assert TRACER.counters["fallback.pressure.exhausted"] == 1
+        exhausted = metrics.get("repro_fallback_exhausted_total")
+        assert exhausted.labels("pressure").value == 1
 
     def test_poisoned_rhs_short_circuits(self):
         A = spd_matrix(10)
@@ -151,7 +154,7 @@ def poisson_operator():
 
 
 class TestMixedPrecisionEscalation:
-    def test_overflow_rhs_escalates_to_double_precision_mg(self):
+    def test_overflow_rhs_escalates_to_double_precision_mg(self, metrics):
         """A right-hand side near the float32 range: the mixed-precision
         V-cycle overflows to non-finite, the double-precision tier
         converges — the documented first escalation of the chain."""
@@ -167,20 +170,17 @@ class TestMixedPrecisionEscalation:
         rng = np.random.default_rng(0)
         b = rng.standard_normal(op.n_dofs) * 2e38  # finite in float32, but
         # any product overflows the single-precision V-cycle
-        TRACER.reset()
-        TRACER.enable()
-        try:
-            # the poisoned single-precision V-cycle overflows by design
-            with np.errstate(invalid="ignore", over="ignore"):
-                res = chain.solve(op, b, tol=1e-8, max_iter=500)
-        finally:
-            TRACER.disable()
+        # the poisoned single-precision V-cycle overflows by design
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = chain.solve(op, b, tol=1e-8, max_iter=500)
         assert res.converged
         assert res.tier == "mg_double"
         assert mg_mixed.nonfinite_vcycles > 0
-        assert TRACER.counters["fallback.pressure.tier.mg_double"] == 1
-        assert TRACER.counters["fallback.pressure.escalations"] == 1
-        assert TRACER.counters["mg.nonfinite_vcycles"] >= 1
+        tier = metrics.get("repro_fallback_tier_total")
+        assert tier.labels(("pressure", "mg_double")).value == 1
+        esc = metrics.get("repro_fallback_escalations_total")
+        assert esc.labels("pressure").value == 1
+        assert metrics.get("repro_mg_nonfinite_vcycles_total").value >= 1
         rel = np.linalg.norm(op.vmult(res.x) - b) / np.linalg.norm(b)
         assert rel < 1e-6
 

@@ -18,7 +18,17 @@ from repro.robustness import (
     recoverable_step,
     validate_scheme_state,
 )
-from repro.telemetry import TRACER
+from repro.telemetry import METRICS, render_robustness, snapshot_doc
+
+
+@pytest.fixture
+def metrics():
+    """The global metric registry, enabled and zeroed for one test."""
+    METRICS.reset()
+    METRICS.enable()
+    yield METRICS
+    METRICS.disable()
+    METRICS.reset()
 
 
 def beltrami_solver(robustness=None):
@@ -101,20 +111,15 @@ class TestValidateSchemeState:
 
 
 class TestRecoverableStep:
-    def test_transient_fault_recovers_with_backoff(self):
+    def test_transient_fault_recovers_with_backoff(self, metrics):
         solver = beltrami_solver()
         scheme = solver.scheme
         scheme.ops.convective = FaultyConvective(
             scheme.ops.convective, fail_calls={1}
         )
         settings = RobustnessSettings(max_step_retries=2, dt_backoff=0.5)
-        TRACER.reset()
-        TRACER.enable()
-        try:
-            events = []
-            stats = recoverable_step(scheme, 0.01, settings, events=events)
-        finally:
-            TRACER.disable()
+        events = []
+        stats = recoverable_step(scheme, 0.01, settings, events=events)
         # first attempt failed on the convective evaluation, the retry
         # ran at the backed-off step size
         assert stats.dt == pytest.approx(0.005)
@@ -124,8 +129,31 @@ class TestRecoverableStep:
         assert events[0].kind == "step_retry"
         assert events[0].reason == "non_finite_convective"
         assert events[0].dt == pytest.approx(0.01)
-        assert TRACER.counters["recovery.step_retries"] == 1
-        assert TRACER.counters["recovery.reasons.non_finite_convective"] == 1
+        retries = metrics.get("repro_recovery_step_retries_total")
+        assert retries.labels("non_finite_convective").value == 1
+        assert metrics.get("repro_recovery_step_failures_total").children == {}
+
+    def test_step_failure_counted_by_reason(self, metrics):
+        """Every failed validation is counted once under its reason: the
+        retries plus the abandoning failure add up to the attempts."""
+        solver = beltrami_solver()
+        scheme = solver.scheme
+        scheme.ops.convective = FaultyConvective(
+            scheme.ops.convective, persistent_from=1
+        )
+        settings = RobustnessSettings(max_step_retries=2, dt_backoff=0.5)
+        with pytest.raises(StepFailure) as exc_info:
+            recoverable_step(scheme, 0.01, settings)
+        err = exc_info.value
+        retries = metrics.get("repro_recovery_step_retries_total")
+        failures = metrics.get("repro_recovery_step_failures_total")
+        assert retries.labels(err.reason).value == 2
+        assert failures.labels(err.reason).value == 1
+        assert (retries.labels(err.reason).value
+                + failures.labels(err.reason).value) == err.attempts
+        out = render_robustness(snapshot_doc(metrics)["metrics"])
+        assert "step retries [reason=non_finite_convective]" in out
+        assert "step failures [reason=non_finite_convective]" in out
 
     def test_persistent_fault_raises_step_failure(self):
         solver = beltrami_solver()

@@ -5,11 +5,10 @@ import pytest
 from repro.telemetry import (
     METRICS,
     RunLogWriter,
-    Tracer,
     render_html_dashboard,
     write_html_dashboard,
 )
-from repro.telemetry.metrics import export_metrics, snapshot_doc
+from repro.telemetry.metrics import MetricRegistry, export_metrics, snapshot_doc
 from repro.timeint.dual_splitting import StepStatistics
 
 
@@ -28,8 +27,11 @@ def make_stats(i, wall=0.1):
 
 
 def write_log(path, n_steps=5, extra=None):
-    tr = Tracer(enabled=True)
-    tr.incr("recovery.retries.nan_detected", 2)
+    reg = MetricRegistry(enabled=True)
+    reg.counter("repro_recovery_step_retries_total",
+                labels=("reason",)).labels("nan_detected").inc(2)
+    reg.counter("repro_checkpoints_total",
+                labels=("action",)).labels("write").inc(3)
     with RunLogWriter(path, meta={"command": "lung", "n_dofs": 99}) as w:
         for i in range(n_steps):
             w.write_step(
@@ -38,7 +40,7 @@ def write_log(path, n_steps=5, extra=None):
                        "tidal_volume_ml": 20.0 * i,
                        **(extra or {})},
             )
-        w.write_summary(tr)
+        w.write_summary(metrics=snapshot_doc(reg)["metrics"])
     return path
 
 
@@ -65,7 +67,11 @@ class TestRenderDashboard:
     def test_recovery_counters_surface_in_robustness_section(self, tmp_path):
         log = write_log(tmp_path / "run.jsonl")
         html = render_html_dashboard(*_read(log))
-        assert "recovery.retries.nan_detected" in html
+        assert ("<td>step retries [reason=nan_detected]</td>"
+                '<td class="num">2</td>') in html
+        # checkpoints are part of the one robustness view too
+        assert ("<td>checkpoints [action=write]</td>"
+                '<td class="num">3</td>') in html
 
     def test_metrics_doc_renders_catalog(self, tmp_path):
         METRICS.reset()

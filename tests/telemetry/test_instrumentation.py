@@ -1,5 +1,6 @@
 """Integration tests: the instrumented solve stack reports into the
-global tracer, and stays silent (and cheap) when it is disabled."""
+global tracer and metric registry, and stays silent (and cheap) when
+they are disabled."""
 
 import numpy as np
 import pytest
@@ -11,17 +12,28 @@ from repro.mesh.generators import box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
-from repro.telemetry import TRACER
+from repro.telemetry import METRICS, TRACER
 
 
 @pytest.fixture
 def tracing():
-    """Enable the global tracer for one test, always restoring it."""
+    """Enable the global tracer and metric registry for one test, always
+    restoring both."""
     TRACER.reset()
     TRACER.enable()
+    METRICS.reset()
+    METRICS.enable()
     yield TRACER
     TRACER.disable()
     TRACER.reset()
+    METRICS.disable()
+    METRICS.reset()
+
+
+def span_calls(tracer, name):
+    """Call count of every span called ``name``, wherever it nests."""
+    return sum(node.count for _, node in tracer.root.walk()
+               if node.name == name)
 
 
 def small_poisson(degree=2, refinements=1):
@@ -41,6 +53,7 @@ class TestInstrumentedSolve:
         op, b = small_poisson()
         mg = HybridMultigridPreconditioner(op)
         tracing.reset()  # drop setup-time spans (Lanczos etc.)
+        METRICS.reset()  # ... and setup-time metrics
         res = conjugate_gradient(op, b, mg, tol=1e-10, name="poisson")
         assert res.converged
         # spans: cg[poisson] > mg_vcycle > per-level + amg_coarse
@@ -51,26 +64,27 @@ class TestInstrumentedSolve:
         # one V-cycle per CG iteration (initial z + one per iteration)
         assert mg_node.count >= res.n_iterations
         assert "amg_coarse" in mg_node.children
-        # counters
-        c = tracing.counters
-        assert c["cg[poisson].solves"] == 1
-        assert c["cg[poisson].iterations"] == res.n_iterations
-        assert c["mg.vcycles"] == mg_node.count
-        assert c["vmult.DGLaplaceOperator"] >= res.n_iterations
-        assert c["chebyshev.applications"] > 0
-        # gauges
-        assert tracing.gauges["cg[poisson].last_relative_residual"] <= 1e-10
+        # application counts are span counts ...
+        assert span_calls(tracing, "vmult[DGLaplaceOperator]") >= res.n_iterations
+        assert span_calls(tracing, "chebyshev") > 0
+        # ... and every other tally is a metric family
+        assert METRICS.get("repro_cg_solves_total").labels("poisson").value == 1
+        assert (METRICS.get("repro_cg_iterations").labels("poisson").sum
+                == res.n_iterations)
+        assert METRICS.get("repro_mg_vcycles_total").value == mg_node.count
+        assert (METRICS.get("repro_cg_last_relative_residual")
+                .labels("poisson").value <= 1e-10)
 
     def test_disabled_tracer_records_nothing_during_solve(self):
-        assert not TRACER.enabled
+        assert not TRACER.enabled and not METRICS.enabled
         TRACER.reset()
+        METRICS.reset()
         op, b = small_poisson()
         mg = HybridMultigridPreconditioner(op)
         res = conjugate_gradient(op, b, mg, tol=1e-8, name="poisson")
         assert res.converged
         assert TRACER.root.children == {}
-        assert TRACER.counters == {}
-        assert TRACER.gauges == {}
+        assert METRICS.get("repro_cg_solves_total").children == {}
 
     def test_dual_splitting_substep_spans(self, tracing):
         """One Navier-Stokes step emits the per-sub-step spans and a

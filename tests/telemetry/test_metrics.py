@@ -10,7 +10,6 @@ from repro.telemetry.metrics import (
     METRICS,
     NULL_METRIC,
     MetricRegistry,
-    MetricsWriter,
     doc_to_prometheus,
     export_metrics,
     load_metrics,
@@ -19,7 +18,6 @@ from repro.telemetry.metrics import (
     snapshot_doc,
     to_prometheus,
     write_prometheus,
-    write_snapshot,
 )
 
 
@@ -258,7 +256,7 @@ class TestSnapshotFiles:
 
     def test_load_single_doc_and_prom(self, tmp_path):
         reg = make_registry()
-        js = write_snapshot(reg, tmp_path / "m.json")
+        js = export_metrics(reg, tmp_path / "m.json")
         prom = write_prometheus(reg, tmp_path / "m.prom")
         assert load_metrics(js)["metrics"] == snapshot_doc(reg)["metrics"]
         assert load_metrics(prom)["metrics"]  # parsed back through .prom
@@ -269,34 +267,26 @@ class TestSnapshotFiles:
         with pytest.raises(ValueError, match="unsupported metrics schema"):
             load_metrics(path)
 
-    def test_jsonl_stream_last_snapshot_wins(self, tmp_path):
-        reg = MetricRegistry(enabled=True)
-        c = reg.counter("c_total")
-        path = tmp_path / "m.jsonl"
-        with MetricsWriter(path, meta={"worker": 0}) as w:
-            c.inc()
-            w.write_snapshot(reg, t=0.1)
-            c.inc(4)
-            w.write_snapshot(reg, t=0.2)
-        doc = load_metrics(path)
-        assert doc["meta"]["worker"] == 0
-        assert doc["metrics"][0]["samples"][0]["value"] == 5
+    def test_load_run_log_summary_metrics(self, tmp_path):
+        """A ``.jsonl`` path is a run log: its summary's metric list."""
+        from repro.telemetry import RunLogWriter
 
-    def test_jsonl_stream_corrupt_line_skipped(self, tmp_path):
-        reg = MetricRegistry(enabled=True)
-        c = reg.counter("c_total")
-        path = tmp_path / "m.jsonl"
-        with MetricsWriter(path) as w:
-            c.inc()
-            w.write_snapshot(reg)
-            c.inc()
-            w.write_snapshot(reg)
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][:-15]  # mangle the final snapshot
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(RuntimeWarning, match="corrupt metrics record"):
-            doc = load_metrics(path)
-        assert doc["metrics"][0]["samples"][0]["value"] == 1  # prior snapshot
+        reg = make_registry()
+        path = tmp_path / "run.jsonl"
+        with RunLogWriter(path, meta={"command": "lung"}) as w:
+            w.write_summary(metrics=snapshot_doc(reg)["metrics"])
+        doc = load_metrics(path)
+        assert doc["metrics"] == snapshot_doc(reg)["metrics"]
+        assert doc["meta"] == {"command": "lung"}
+
+    def test_load_run_log_without_metrics_raises(self, tmp_path):
+        from repro.telemetry import RunLogWriter
+
+        path = tmp_path / "run.jsonl"
+        with RunLogWriter(path) as w:
+            w.write_summary()
+        with pytest.raises(ValueError, match="no summary metrics"):
+            load_metrics(path)
 
 
 class TestMerge:

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.telemetry import RunLogWriter, Tracer, monitor_file, monitor_once
+from repro.telemetry import RunLogWriter, monitor_file, monitor_once
+from repro.telemetry.metrics import MetricRegistry, snapshot_doc
 from repro.timeint.dual_splitting import StepStatistics
 
 
@@ -21,15 +22,12 @@ def make_stats(i, wall=0.2):
     )
 
 
-def write_log(path, n_steps=4, planned=10, summary=False, counters=None):
+def write_log(path, n_steps=4, planned=10, summary=False, metrics=None):
     w = RunLogWriter(path, meta={"command": "lung", "steps": planned})
     for i in range(n_steps):
         w.write_step(make_stats(i), extra={"recovery_events": i})
     if summary:
-        tr = Tracer(enabled=True)
-        for name, v in (counters or {}).items():
-            tr.incr(name, v)
-        w.write_summary(tr)
+        w.write_summary(metrics=metrics)
     w.close()
     return path
 
@@ -50,14 +48,20 @@ class TestMonitorOnce:
         assert "status: running" in text
 
     def test_finished_log_shows_robustness(self, tmp_path):
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_recovery_step_retries_total",
+                    labels=("reason",)).labels("energy_blowup").inc(2)
+        reg.counter("repro_checkpoints_total",
+                    labels=("action",)).labels("write").inc()
         path = write_log(tmp_path / "run.jsonl", summary=True,
-                         counters={"recovery.step_retries": 2,
-                                   "checkpoint.writes": 1})
+                         metrics=snapshot_doc(reg)["metrics"])
         text, finished = monitor_once(path)
         assert finished
         assert "status: finished" in text
         assert "robustness:" in text
-        assert "step retries: 2" in text
+        lines = [ln.split() for ln in text.splitlines()]
+        assert ["step", "retries", "[reason=energy_blowup]", "2"] in lines
+        assert ["checkpoints", "[action=write]", "1"] in lines
 
     def test_worker_phase_breakdown(self, tmp_path):
         # distributed runs attach cumulative per-rank phase seconds to

@@ -11,9 +11,15 @@ from repro.telemetry import (
     aggregate_steps,
     read_run_log,
     render_breakdown,
-    render_counters,
+    render_robustness,
     render_span_tree,
+    robustness_rows,
     step_record,
+)
+from repro.telemetry.metrics import (
+    MetricRegistry,
+    render_metrics_table,
+    snapshot_doc,
 )
 from repro.timeint.dual_splitting import StepStatistics
 
@@ -42,13 +48,15 @@ class TestRunLog:
         path = tmp_path / "run.jsonl"
         tr = Tracer(enabled=True)
         with tr.span("step"):
-            tr.incr("vmult.Op", 7)
+            pass
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_demo_total").inc(7)
         with RunLogWriter(path, meta={"command": "test", "n_dofs": 42}) as w:
             for i in range(3):
                 w.write_step(make_stats(i), extra={"inflow_m3_s": 0.1 * i})
-            w.write_summary(tr)
+            w.write_summary(tr, metrics=snapshot_doc(reg)["metrics"])
         header, steps, summary = read_run_log(path)
-        assert header["schema"] == SCHEMA
+        assert header["schema"] == SCHEMA == "repro-runlog/2"
         assert header["n_dofs"] == 42
         assert len(steps) == 3
         assert steps[0]["step"] == 0 and steps[2]["step"] == 2
@@ -56,7 +64,10 @@ class TestRunLog:
         assert steps[1]["substeps_s"]["pressure_poisson"] == pytest.approx(0.06)
         assert steps[2]["inflow_m3_s"] == pytest.approx(0.2)
         assert summary["n_steps"] == 3
-        assert summary["counters"]["vmult.Op"] == 7
+        (demo,) = summary["metrics"]
+        assert demo["name"] == "repro_demo_total"
+        assert demo["samples"][0]["value"] == 7
+        assert "counters" not in summary and "gauges" not in summary
         assert summary["spans"]["step"]["count"] == 1
 
     def test_every_line_is_json(self, tmp_path):
@@ -177,54 +188,69 @@ class TestRenderers:
         assert "calls" in out
 
     def test_counter_render(self):
-        tr = Tracer(enabled=True)
-        tr.incr("vmult.Op", 3)
-        tr.gauge("res", 1e-8)
-        out = render_counters(tr)
-        assert "vmult.Op" in out and "3" in out
-        assert "res" in out
-        assert render_counters(Tracer(enabled=True)) == ""
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_demo_total").inc(3)
+        reg.gauge("repro_res").set(1e-8)
+        out = render_metrics_table(snapshot_doc(reg))
+        assert "repro_demo_total" in out and "3" in out
+        assert "repro_res" in out and "1e-08" in out
+
+
+def fault_metrics():
+    """A metric list with every robustness family populated, plus an
+    unrelated family the view must ignore."""
+    reg = MetricRegistry(enabled=True)
+    retries = reg.counter("repro_recovery_step_retries_total",
+                          labels=("reason",))
+    retries.labels("solver_divergence").inc(2)
+    retries.labels("nan_detected").inc()
+    reg.counter("repro_recovery_step_failures_total",
+                labels=("reason",)).labels("nan_detected").inc()
+    tier = reg.counter("repro_fallback_tier_total", labels=("chain", "tier"))
+    tier.labels(("pressure", "mg_mixed")).inc(40)
+    tier.labels(("pressure", "direct")).inc(2)
+    reg.counter("repro_fallback_escalations_total",
+                labels=("chain",)).labels("pressure").inc(2)
+    reg.counter("repro_fallback_exhausted_total", labels=("chain",))
+    ckpt = reg.counter("repro_checkpoints_total", labels=("action",))
+    ckpt.labels("write").inc(5)
+    ckpt.labels("load").inc()
+    reg.counter("repro_steps_total").inc(999)
+    return snapshot_doc(reg)["metrics"]
 
 
 class TestRobustnessRender:
     def test_full_counter_set(self):
-        from repro.telemetry import render_robustness
-
-        out = render_robustness({
-            "recovery.step_retries": 3,
-            "recovery.step_failures": 1,
-            "recovery.reasons.solver_divergence": 2,
-            "recovery.reasons.nan_detected": 1,
-            "fallback.pressure.tier.mg_mixed": 40,
-            "fallback.pressure.tier.direct": 2,
-            "fallback.pressure.escalations": 2,
-            "fallback.pressure.exhausted": 0,
-            "checkpoint.writes": 5,
-            "checkpoint.loads": 1,
-            "vmult.Op": 999,  # unrelated counters are ignored
-        })
+        assert dict(robustness_rows(fault_metrics())) == {
+            "step retries [reason=nan_detected]": 1,
+            "step retries [reason=solver_divergence]": 2,
+            "step failures [reason=nan_detected]": 1,
+            "fallback tier [chain=pressure, tier=direct]": 2,
+            "fallback tier [chain=pressure, tier=mg_mixed]": 40,
+            "fallback escalations [chain=pressure]": 2,
+            "checkpoints [action=load]": 1,
+            "checkpoints [action=write]": 5,
+        }
+        out = render_robustness(fault_metrics())
         assert out.startswith("robustness:")
-        assert "step retries: 3" in out and "step failures: 1" in out
-        assert "retry reason solver_divergence: 2" in out
-        assert "retry reason nan_detected: 1" in out
-        assert "fallback[pressure]: escalations=2 exhausted=0" in out
-        assert "direct=2" in out and "mg_mixed=40" in out
-        assert "5 written, 1 loaded" in out
-        assert "vmult.Op" not in out
+        assert "step failures [reason=nan_detected]" in out
+        assert "repro_steps_total" not in out and "999" not in out
 
     def test_empty_when_nothing_recorded(self):
-        from repro.telemetry import render_robustness
-
-        assert render_robustness({}) == ""
-        assert render_robustness({"vmult.Op": 7, "cg.iterations": 12}) == ""
+        assert render_robustness(None) == ""
+        assert render_robustness([]) == ""
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_steps_total").inc(7)
+        reg.counter("repro_checkpoints_total", labels=("action",))
+        assert render_robustness(snapshot_doc(reg)["metrics"]) == ""
 
     def test_partial_counters(self):
-        from repro.telemetry import render_robustness
-
-        out = render_robustness({"checkpoint.writes": 2})
-        assert "checkpoints: 2 written, 0 loaded" in out
-        out = render_robustness({"fallback.pressure.escalations": 1})
-        assert "fallback[pressure]" in out and "tiers: none recorded" in out
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_checkpoints_total",
+                    labels=("action",)).labels("write").inc(2)
+        assert robustness_rows(snapshot_doc(reg)["metrics"]) == [
+            ("checkpoints [action=write]", 2)
+        ]
 
 
 class TestOnCorruptWarn:

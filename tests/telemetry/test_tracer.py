@@ -1,5 +1,5 @@
-"""Tests of the hierarchical span tracer: nesting, timing, counters,
-gauges, and the disabled-mode no-op fast path."""
+"""Tests of the hierarchical span tracer: nesting, timing, work
+annotations, and the disabled-mode no-op fast path."""
 
 import time
 
@@ -78,30 +78,20 @@ class TestSpans:
         assert "b" in snap["spans"]["a"]["children"]
         assert snap["spans"]["a"]["count"] == 1
 
-
-class TestCountersGauges:
-    def test_counter_accumulation(self):
-        tr = Tracer(enabled=True)
-        tr.incr("x")
-        tr.incr("x", 4)
-        tr.incr("y", 2)
-        assert tr.counters == {"x": 5, "y": 2}
-
-    def test_gauge_keeps_last_value(self):
-        tr = Tracer(enabled=True)
-        tr.gauge("g", 1.5)
-        tr.gauge("g", 2.5)
-        assert tr.gauges["g"] == 2.5
-
     def test_reset_clears_everything(self):
         tr = Tracer(enabled=True)
         with tr.span("a"):
-            tr.incr("c")
-            tr.gauge("g", 1.0)
+            pass
         tr.reset()
         assert tr.root.children == {}
-        assert tr.counters == {} and tr.gauges == {}
+        assert tr.snapshot() == {"spans": {}}
         assert tr.enabled  # reset keeps the enabled flag
+
+    def test_public_surface_is_spans_only(self):
+        """The tracer times regions; every count lives in METRICS."""
+        public = {n for n in dir(Tracer()) if not n.startswith("_")}
+        assert public == {"enabled", "root", "span", "annotate", "find",
+                          "snapshot", "enable", "disable", "reset"}
 
 
 class TestWorkAnnotations:
@@ -167,10 +157,10 @@ class TestDisabledMode:
     def test_disabled_records_nothing(self):
         tr = Tracer(enabled=False)
         with tr.span("a"):
-            tr.incr("c")
-            tr.gauge("g", 1.0)
+            with tr.span("b"):
+                pass
         assert tr.root.children == {}
-        assert tr.counters == {} and tr.gauges == {}
+        assert tr.snapshot() == {"spans": {}}
 
     def test_disabled_span_is_shared_noop(self):
         tr = Tracer(enabled=False)
@@ -187,7 +177,7 @@ class TestDisabledMode:
         for _ in range(n):
             with tr.span("hot"):
                 pass
-            tr.incr("hot")
+            tr.annotate(flops=1.0)
         per_call = (time.perf_counter() - t0) / n
         assert per_call < 20e-6  # generous bound for slow CI machines
 
@@ -207,8 +197,6 @@ class TestDisabledMode:
             for _ in range(n):
                 with tr.span("kernel"):
                     tr.annotate(flops=1.0, bytes=2.0, dofs=3.0)
-                tr.incr("kernel.calls")
-                tr.gauge("residual", 1e-9)
 
         def peak(n):
             hot_loop(n)  # warm up: bytecode caches, method binding
@@ -230,4 +218,3 @@ class TestDisabledMode:
         )
         assert large < 1024
         assert tr.root.children == {}
-        assert tr.counters == {} and tr.gauges == {}

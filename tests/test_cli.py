@@ -55,7 +55,7 @@ class TestCLI:
 
 class TestTelemetryCLI:
     def test_lung_trace_and_log_file(self, tmp_path, capsys):
-        from repro.telemetry import TRACER, read_run_log
+        from repro.telemetry import METRICS, TRACER, read_run_log
 
         log = tmp_path / "run.jsonl"
         assert main(["lung", "--steps", "3", "--trace",
@@ -64,10 +64,13 @@ class TestTelemetryCLI:
         assert "wall time per time step" in out
         assert "pressure_poisson" in out
         assert "span profile:" in out
-        assert "vmult.DGLaplaceOperator" in out
-        assert not TRACER.enabled  # the command restores the global state
+        assert "vmult[DGLaplaceOperator]" in out
+        assert "metrics:" in out and "repro_cg_solves_total" in out
+        # the command restores the global state
+        assert not TRACER.enabled and not METRICS.enabled
 
         header, steps, summary = read_run_log(log)
+        assert header["schema"] == "repro-runlog/2"
         assert header["command"] == "lung"
         assert len(steps) == 3  # one schema-valid record per time step
         for rec in steps:
@@ -78,7 +81,26 @@ class TestTelemetryCLI:
                 rec["wall_time_s"], rel=0.1
             )
         assert summary["n_steps"] == 3
-        assert summary["counters"]["cg[pressure].solves"] == 3
+        assert "counters" not in summary and "gauges" not in summary
+        (solves,) = [m for m in summary["metrics"]
+                     if m["name"] == "repro_cg_solves_total"]
+        by_site = {tuple(s["labels"]): s["value"] for s in solves["samples"]}
+        assert by_site[("pressure",)] == 3
+
+    def test_traced_steps_equal_untraced(self, tmp_path, capsys):
+        """Telemetry observes and never steers: the step records of a
+        traced run equal an untraced run's bit for bit."""
+        from repro.telemetry import read_run_log
+
+        keys = ("t", "dt", "iterations", "inflow_m3_s", "tidal_volume_ml")
+        runs = []
+        for flags in ([], ["--trace"]):
+            log = tmp_path / f"run{len(flags)}.jsonl"
+            assert main(["lung", "--steps", "3", *flags,
+                         "--log-file", str(log)]) == 0
+            _, steps, _ = read_run_log(log)
+            runs.append([{k: s[k] for k in keys} for s in steps])
+        assert runs[0] == runs[1]
 
     def test_lung_log_file_without_trace(self, tmp_path, capsys):
         from repro.telemetry import read_run_log
@@ -100,7 +122,7 @@ class TestTelemetryCLI:
         out = capsys.readouterr().out
         assert "wall time per time step (3 steps" in out
         assert "pressure_poisson" in out and "iters/solve" in out
-        assert "counters:" in out
+        assert "metrics:" in out and "repro_cg_solves_total" in out
 
     def test_report_synthetic_log(self, tmp_path, capsys):
         from repro.telemetry import SCHEMA
@@ -535,6 +557,21 @@ class TestMetricsCLI:
         text = prom.read_text()
         assert "# TYPE repro_demo gauge" in text
         assert "repro_demo 1.5" in text
+
+    def test_metrics_render_reads_run_log(self, tmp_path, capsys):
+        """``repro metrics`` reads the metric list a run log's summary
+        carries; a run without metrics is a usage error."""
+        log = tmp_path / "run.jsonl"
+        assert main(["lung", "--steps", "1", "--trace",
+                     "--log-file", str(log)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "render", str(log)]) == 0
+        assert "repro_cg_solves_total" in capsys.readouterr().out
+        bare = tmp_path / "bare.jsonl"
+        assert main(["lung", "--steps", "1", "--log-file", str(bare)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "render", str(bare)]) == 2
+        assert "no summary metrics" in capsys.readouterr().err
 
     def test_metrics_rejects_missing_file(self, tmp_path, capsys):
         assert main(["metrics", "render", str(tmp_path / "nope.json")]) == 2
