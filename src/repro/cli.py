@@ -40,17 +40,13 @@ def _telemetry_session(command: str, metrics_path: str | None,
     the span tracer with ``trace`` — and disable both in one ``finally``,
     on every exit.  The registry's state is exported to ``metrics_path``
     (when given) on the way out, error exits included: a failed run's
-    metrics are exactly the interesting ones.  Yields a list the command
-    may append per-worker snapshot documents to
-    (``pool.collect_worker_metrics()``); they are folded into the export
-    so worker-side series — phase seconds, ghost-wait spins — land in
-    the one file the run produces."""
-    worker_docs: list[dict] = []
+    metrics are exactly the interesting ones.  Worker-pool series —
+    phase seconds, ghost-wait spins — are recorded by the master from
+    each round's reply, so the one registry holds them too."""
     if not (metrics_path or trace):
-        yield worker_docs
+        yield
         return
     from .telemetry import METRICS, TRACER, export_metrics
-    from .telemetry.metrics import merge_snapshots, snapshot_doc
 
     METRICS.reset()
     METRICS.enable()
@@ -58,17 +54,13 @@ def _telemetry_session(command: str, metrics_path: str | None,
         TRACER.reset()
         TRACER.enable()
     try:
-        yield worker_docs
+        yield
     finally:
         TRACER.disable()
         METRICS.disable()
         if metrics_path:
-            source: dict = snapshot_doc(METRICS)
-            meta = {"command": command}
-            if worker_docs:
-                source = merge_snapshots([source, *worker_docs])
-                meta["aggregated_workers"] = len(worker_docs)
-            out = export_metrics(source, metrics_path, meta=meta)
+            out = export_metrics(METRICS, metrics_path,
+                                 meta={"command": command})
             print(f"metrics written to {out}")
 
 
@@ -80,16 +72,12 @@ def _write_timeline_trace(ctx, path, quiet=False):
 
     events = ctx.timeline_events()
     rank_bytes = ctx.rank_exchange_bytes()
-    analysis = analyze_timeline(
-        events, rank_bytes=rank_bytes,
-        dropped_events=ctx.pool.timeline_dropped,
-    )
+    analysis = analyze_timeline(events, rank_bytes=rank_bytes)
     meta = {
         "rank_exchange_bytes": {str(k): v for k, v in rank_bytes.items()},
         "clock_offsets_s": {str(k): v
                             for k, v in ctx.pool.clock_offsets.items()},
         "clock_rtts_s": {str(k): v for k, v in ctx.pool.clock_rtts.items()},
-        "dropped_events": ctx.pool.timeline_dropped,
     }
     out = write_chrome_trace(path, events, meta=meta)
     if not quiet:
@@ -182,9 +170,8 @@ def cmd_lung(args) -> int:
         print("error: --resume requires --checkpoint-dir (or a config file "
               "with robustness.checkpoint_dir set)", file=sys.stderr)
         return 2
-    with _telemetry_session("lung", args.metrics_file,
-                            trace=args.trace) as worker_docs:
-        return _lung_run(args, configs, worker_docs)
+    with _telemetry_session("lung", args.metrics_file, trace=args.trace):
+        return _lung_run(args, configs)
 
 
 def _member_configs(args, base):
@@ -234,8 +221,9 @@ def _fmt_members(values, spec: str) -> str:
     return ", ".join(format(v, spec) for v in np.ravel(values))
 
 
-def _lung_run(args, configs, worker_docs) -> int:
+def _lung_run(args, configs) -> int:
     from .lung import LungVentilationSimulation
+    from .parallel import WorkerCrash
     from .robustness import CheckpointManager, StepFailure
     from .telemetry import (
         METRICS,
@@ -245,27 +233,12 @@ def _lung_run(args, configs, worker_docs) -> int:
         render_breakdown,
         render_span_tree,
     )
-    from .telemetry.metrics import (
-        merge_snapshots,
-        render_metrics_table,
-        snapshot_doc,
-    )
+    from .telemetry.metrics import render_metrics_table, snapshot_doc
 
     def summarize(extra=None):
-        """Fold the workers' registries into the session (tolerating a
-        pool that already died: the master's own series still count),
-        then close the run log with the merged master+worker metrics;
-        returns that metric list (None while the registry is off)."""
-        metrics = None
-        if METRICS.enabled:
-            if dist_ctx is not None:
-                try:
-                    worker_docs.append(dist_ctx.pool.collect_worker_metrics())
-                except (OSError, RuntimeError):
-                    pass
-            metrics = merge_snapshots(
-                [snapshot_doc(METRICS), *worker_docs]
-            )["metrics"]
+        """Close the run log with the session's metrics; returns that
+        metric list (None while the registry is off)."""
+        metrics = snapshot_doc(METRICS)["metrics"] if METRICS.enabled else None
         if writer is not None:
             writer.write_summary(TRACER if args.trace else None,
                                  metrics=metrics, extra=extra)
@@ -301,10 +274,6 @@ def _lung_run(args, configs, worker_docs) -> int:
             "steps": args.steps,
         })
     dist_ctx = sim.solver.distributed_context
-    if dist_ctx is not None and METRICS.enabled:
-        # workers fork with metrics disabled; switch their registries on
-        # so the session export can fold the worker-side series in
-        dist_ctx.pool.enable_worker_metrics()
     stats = []
     for i in range(args.steps):
         try:
@@ -315,6 +284,13 @@ def _lung_run(args, configs, worker_docs) -> int:
                 path = manager.save(sim)
                 print(f"pre-failure state checkpointed to {path}",
                       file=sys.stderr)
+            summarize()
+            sim.close()
+            return 1
+        except WorkerCrash as e:
+            # the state is mid-step, so there is nothing sound to
+            # checkpoint; the pool has already torn itself down
+            print(f"error: {e}", file=sys.stderr)
             summarize()
             sim.close()
             return 1
@@ -470,11 +446,8 @@ def cmd_trace(args) -> int:
     if not events:
         print("error: trace contains no timeline events", file=sys.stderr)
         return 1
-    analysis = analyze_timeline(
-        events,
-        rank_bytes=meta.get("rank_exchange_bytes"),
-        dropped_events=int(meta.get("dropped_events", 0)),
-    )
+    analysis = analyze_timeline(events,
+                                rank_bytes=meta.get("rank_exchange_bytes"))
     if args.json:
         print(json.dumps(analysis))
         return 0

@@ -235,7 +235,7 @@ class IncompressibleNavierStokesSolver:
     def distributed_context(self):
         """The live :class:`~repro.parallel.DistributedSolverContext`,
         or ``None`` while the pressure solve runs serially — callers
-        drain its merged worker timeline / phase totals from here."""
+        read its merged worker timeline / phase totals from here."""
         return self._dist_ctx
 
     def distribute_pressure(self, n_workers: int,

@@ -50,6 +50,16 @@ and :class:`DistributedSolverContext` keeps the fp32 fine-level
 smoother serial by default to preserve the fp64 bitwise contract of
 the outer iteration.
 
+Measurement: a worker round is measured once, in its ``done`` reply —
+the seven ``perf_counter`` stamps that bound the six phases, the
+per-peer ``send``/``unpack`` intervals, and the per-source wait spins.
+The master derives every view from that one record
+(:meth:`WorkerPool._record_round`): the per-rank phase totals, the
+``repro_parallel_worker_*`` metric families of its own registry, the
+tracer's ``workers`` sub-spans, and — with ``trace_timeline`` — the
+merged timeline.  The worker process never touches the telemetry
+registries.
+
 Limits: Linux-only (``fork`` start method and ``/dev/shm``); one
 outstanding mat-vec at a time (the solvers are sequential in their
 operator applications anyway); workers inherit the registered operators
@@ -73,8 +83,8 @@ import numpy as np
 from ..core.operators.base import MatrixFreeOperator
 from ..core.operators.laplace import cell_laplacian
 from ..telemetry import TRACER
-from ..telemetry.metrics import METRICS, merge_snapshots, snapshot_doc
-from ..telemetry.timeline import PHASE_ID, TimelineRing, merge_timeline
+from ..telemetry.metrics import METRICS
+from ..telemetry.timeline import PHASES, merge_timeline
 from .partition import partition_forest
 
 _POOL_VMULTS = METRICS.counter(
@@ -88,11 +98,11 @@ _POOL_CRASHES = METRICS.counter(
 )
 _WORKER_VMULTS = METRICS.counter(
     "repro_parallel_worker_vmults_total",
-    "mat-vec shares executed by this worker process",
+    "mat-vec shares completed by the pool's workers",
 )
 _WORKER_PHASE_SECONDS = METRICS.counter(
     "repro_parallel_worker_phase_seconds_total",
-    "wall time of this worker's vmult shares by protocol phase",
+    "wall time of the workers' vmult shares by protocol phase",
     labels=("phase",),
 )
 _WORKER_WAIT_SPINS = METRICS.histogram(
@@ -107,19 +117,6 @@ _WORKER_WAIT_SPINS = METRICS.histogram(
 #: exit code of an injected worker crash — the same code the hidden
 #: ``repro lung --crash-after-step`` fault hook uses
 CRASH_EXIT_CODE = 137
-
-_PHASES = ("pack", "post", "interior", "wait", "cut", "accumulate")
-
-# timeline-event ids hoisted to module constants (the recording sites
-# sit on the allocation-free hot path)
-_PACK_ID = PHASE_ID["pack"]
-_POST_ID = PHASE_ID["post"]
-_INTERIOR_ID = PHASE_ID["interior"]
-_WAIT_ID = PHASE_ID["wait"]
-_CUT_ID = PHASE_ID["cut"]
-_ACCUM_ID = PHASE_ID["accumulate"]
-_SEND_ID = PHASE_ID["send"]
-_UNPACK_ID = PHASE_ID["unpack"]
 
 #: worker->master clock-offset handshake probes at pool startup; the
 #: best (lowest-RTT) sample wins and half its RTT bounds the offset
@@ -494,18 +491,18 @@ class RankLocalOperator:
         """Ghost-cell payload (owned nodal tensors) for rank ``dst``."""
         return u[..., self.rank_plan.send[dst], :, :, :]
 
-    def ghosts(self, inbox, lead: tuple, dtype, ring=None, rnd: int = 0):
+    def ghosts(self, inbox, lead: tuple, dtype, peers: list | None = None):
         """The ghost-cell array assembled from the per-source payloads
-        ``inbox[src]``; with a timeline ``ring`` each source's copy is
-        recorded as an ``unpack`` event of round ``rnd``."""
+        ``inbox[src]``; with a ``peers`` list each source's copy is
+        appended to it as an ``("unpack", src, t0, t1)`` interval."""
         rp = self.rank_plan
         ug = np.empty(lead + (rp.ghosts.size,) + (self.plan.n1,) * 3,
                       dtype=dtype)
         for src, slots in rp.recv.items():
             ts = time.perf_counter()
             ug[..., slots, :, :, :] = inbox[src]
-            if ring is not None:
-                ring.record(rnd, _UNPACK_ID, ts, time.perf_counter(), peer=src)
+            if peers is not None:
+                peers.append(("unpack", src, ts, time.perf_counter()))
         return ug
 
     def store(self, y: np.ndarray, y_own: np.ndarray) -> None:
@@ -601,8 +598,7 @@ class WorkerPool:
     """
 
     def __init__(self, n_workers: int, *, weights=None,
-                 timeout: float = 300.0, trace_timeline: bool = False,
-                 timeline_capacity: int = 65536) -> None:
+                 timeout: float = 300.0, trace_timeline: bool = False) -> None:
         if n_workers < 2:
             raise ValueError("WorkerPool needs >= 2 workers; use the "
                              "operator directly for serial execution")
@@ -624,16 +620,15 @@ class WorkerPool:
         self._value_bytes = 0
         self._closed = False
         self._seq = None
-        self.last_timings: list[dict] = []
+        #: per-rank phase seconds of the last completed round
+        self.last_timings: list = [None] * self.n_workers
         #: cumulative per-rank phase seconds over the pool's lifetime
-        #: (always maintained — it is 7 float adds per round)
+        #: (always maintained — it is 6 float adds per rank and round)
         self.phase_totals: list[dict] = [dict() for _ in range(self.n_workers)]
         self.trace_timeline = bool(trace_timeline)
-        self.timeline_capacity = int(timeline_capacity)
-        self._tl_rings: list[TimelineRing] = []
-        self._tl_cursors: list[int] = []
-        self._tl_chunks: dict[int, list] = {}
-        self.timeline_dropped = 0
+        #: rank -> the ``(round, stamps, peers)`` records of its completed
+        #: rounds (kept only with ``trace_timeline``)
+        self._rounds: dict[int, list] = {r: [] for r in range(self.n_workers)}
         #: per-rank worker-clock minus master-clock offsets (handshake
         #: estimate; subtracted when merging timelines) and the half-RTT
         #: uncertainty of each estimate
@@ -664,23 +659,12 @@ class WorkerPool:
         self._segments.append(seq)
         self._seq = np.ndarray((self.n_workers,), dtype=np.int64, buffer=seq.buf)
         self._seq[:] = 0
-        if self.trace_timeline:
-            nbytes = TimelineRing.nbytes(self.timeline_capacity)
-            for r in range(self.n_workers):
-                seg = _shm_create(f"{self.shm_prefix}-tl{r}", nbytes)
-                self._segments.append(seg)
-                ring = TimelineRing(seg.buf)
-                ring.clear()
-                self._tl_rings.append(ring)
-                self._tl_cursors.append(0)
-                self._tl_chunks[r] = []
         ctx = get_context("fork")
         for r in range(self.n_workers):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(r, child, self._ops, self._plan, self.shm_prefix,
-                      self.trace_timeline),
+                args=(r, child, self._ops, self._plan, self.shm_prefix),
                 name=f"repro-worker-{r}",
                 daemon=True,
             )
@@ -746,28 +730,34 @@ class WorkerPool:
         _POOL_VMULTS.labels(tag).inc()
         self._broadcast(("vmult", tag, self._round, sess.sid,
                          sess.xdt.name, sess.ydt.name, lead))
-        self._gather_done()
-        for r, t in enumerate(self.last_timings):
-            if t:
-                tot = self.phase_totals[r]
-                for phase, sec in t.items():
-                    tot[phase] = tot.get(phase, 0.0) + sec
-        if self._tl_rings:
-            self._drain_timeline()
+        for r, reply in enumerate(self._gather_done()):
+            self._record_round(r, self._round, *reply[2:])
         if TRACER.enabled:
             self._tracer_attach()
         return np.array(sess.y, copy=True)
 
-    def _drain_timeline(self) -> None:
-        """Copy the events each worker recorded since the last drain out
-        of its ring (the workers are quiescent between rounds, so the
-        single-writer rings are safe to read)."""
-        for r, ring in enumerate(self._tl_rings):
-            events, cursor, dropped = ring.drain(self._tl_cursors[r])
-            self._tl_cursors[r] = cursor
-            self.timeline_dropped += dropped
-            if events.size:
-                self._tl_chunks[r].append(events)
+    def _record_round(self, rank: int, rnd: int, stamps, peers, spins) -> None:
+        """Derive every view of one completed worker round from its
+        ``done`` reply: ``stamps`` are the seven ``perf_counter`` reads
+        bounding the six phases, ``peers`` the ``(phase, peer, t0, t1)``
+        ``send``/``unpack`` intervals, ``spins`` the ``(src, n)``
+        wait-loop counts.  The phase durations are consecutive stamp
+        differences, so they telescope to the round's wall time by
+        construction."""
+        times = {phase: b - a
+                 for phase, a, b in zip(PHASES, stamps, stamps[1:])}
+        self.last_timings[rank] = times
+        tot = self.phase_totals[rank]
+        for phase, sec in times.items():
+            tot[phase] = tot.get(phase, 0.0) + sec
+        if METRICS.enabled:
+            _WORKER_VMULTS.inc()
+            for phase, sec in times.items():
+                _WORKER_PHASE_SECONDS.labels(phase).inc(sec)
+            for src, n in spins:
+                _WORKER_WAIT_SPINS.labels(str(src)).observe(n)
+        if self.trace_timeline:
+            self._rounds[rank].append((rnd, stamps, peers))
 
     def _tracer_attach(self) -> None:
         """Attach this round's worker timings as rank-tagged sub-spans
@@ -778,30 +768,24 @@ class WorkerPool:
         its rank children carry each rank's full phase breakdown —
         exclusive time of the ``workers`` node is therefore not
         meaningful, but the enclosing solver span stays consistent."""
-        timings = [t for t in self.last_timings if t]
-        if not timings:
-            return
         node = TRACER._stack[-1].child("workers")
         node.count += 1
-        node.total += max(sum(t.values()) for t in timings)
+        node.total += max(sum(t.values()) for t in self.last_timings)
         for r, t in enumerate(self.last_timings):
-            if not t:
-                continue
             rn = node.child(f"rank{r}")
             rn.count += 1
             rn.total += sum(t.values())
-            for phase in _PHASES:
-                if phase in t:
-                    pn = rn.child(phase)
-                    pn.count += 1
-                    pn.total += t[phase]
+            for phase, sec in t.items():
+                pn = rn.child(phase)
+                pn.count += 1
+                pn.total += sec
 
     # -- timeline ------------------------------------------------------
     def timeline_events(self) -> list[dict]:
         """The merged global timeline (master clock, rebased to t=0) of
-        everything drained so far; see
-        :func:`repro.telemetry.timeline.merge_timeline`."""
-        return merge_timeline(self._tl_chunks, self.clock_offsets)
+        every round recorded so far (empty without ``trace_timeline``);
+        see :func:`repro.telemetry.timeline.merge_timeline`."""
+        return merge_timeline(self._rounds, self.clock_offsets)
 
     def worker_phase_totals(self) -> dict:
         """Cumulative per-rank phase seconds,
@@ -857,8 +841,10 @@ class WorkerPool:
                     self._procs[r].exitcode,
                 ))
 
-    def _gather_done(self) -> None:
-        self.last_timings = [None] * self.n_workers
+    def _gather_done(self) -> list:
+        """Every worker's ``done`` reply of the current round, by rank —
+        or a :class:`WorkerCrash` if any worker fails to deliver one."""
+        replies = [None] * self.n_workers
         pending = set(range(self.n_workers))
         deadline = time.monotonic() + self.timeout
         while pending:
@@ -877,7 +863,7 @@ class WorkerPool:
                     if reply[0] == "error":
                         self._fail(WorkerCrash(
                             r, f"worker {r} failed: {reply[1]}"))
-                    self.last_timings[r] = reply[2]
+                    replies[r] = reply
                     pending.discard(r)
                 elif not proc.is_alive():
                     self._fail(WorkerCrash(
@@ -888,6 +874,7 @@ class WorkerPool:
                     ))
             if time.monotonic() > deadline:
                 self._fail(WorkerCrash(-1, "pool timed out waiting for workers"))
+        return replies
 
     def _fail(self, exc: WorkerCrash):
         _POOL_CRASHES.inc()
@@ -902,20 +889,9 @@ class WorkerPool:
             raise ValueError(f"unknown crash point {when!r}")
         self._command(rank, ("crash", when))
 
-    # -- worker metrics ------------------------------------------------
-    def enable_worker_metrics(self) -> None:
-        """Reset and enable the metric registries inside every worker."""
-        for r in range(self.n_workers):
-            self._command(r, ("metrics_on",))
-
-    def collect_worker_metrics(self) -> dict:
-        """Merged snapshot of the per-worker registries (associative
-        :func:`~repro.telemetry.metrics.merge_snapshots` reduction)."""
-        docs = [self._command(r, ("metrics_doc",))[1]
-                for r in range(self.n_workers)]
-        return merge_snapshots(docs)
-
     def _command(self, rank: int, msg):
+        if self._closed:
+            raise RuntimeError("pool is closed")
         try:
             self._pipes[rank].send(msg)
             return self._pipes[rank].recv()
@@ -983,7 +959,7 @@ def _session_names(prefix: str, sid: int, plan: PartitionPlan, lead: tuple):
 # ----------------------------------------------------------------------
 
 class _WorkerState:
-    def __init__(self, rank, ops, plan, prefix, trace=False):
+    def __init__(self, rank, ops, plan, prefix):
         self.rank = rank
         self.plan = plan
         self.prefix = prefix
@@ -993,11 +969,6 @@ class _WorkerState:
         self._segs = [seq_seg]
         self.seq = np.ndarray((plan.n_workers,), dtype=np.int64,
                               buffer=seq_seg.buf)
-        self.ring: TimelineRing | None = None
-        if trace:
-            tl_seg = shared_memory.SharedMemory(name=f"{prefix}-tl{rank}")
-            self._segs.append(tl_seg)
-            self.ring = TimelineRing(tl_seg.buf)
         self.sessions: dict[int, dict] = {}
         self.crash: str | None = None
 
@@ -1043,80 +1014,53 @@ class _WorkerState:
                 pass
 
 
-def _worker_vmult(state: _WorkerState, tag, rnd, sess) -> dict:
+def _worker_vmult(state: _WorkerState, tag, rnd, sess):
+    """One mat-vec share; returns the round's record ``(stamps, peers,
+    spins)`` — see :meth:`WorkerPool._record_round`."""
     rlo = state.locals[tag]
     rp = rlo.rank_plan
-    ring = state.ring
-    times = {}
+    peers = []
     t0 = time.perf_counter()
     x = sess["x"]
     u = rlo.owned(x)
     for dst in rp.send:
-        if ring is not None:
-            ts = time.perf_counter()
-            sess["out"][dst][...] = rlo.pack(u, dst)
-            ring.record(rnd, _SEND_ID, ts, time.perf_counter(), peer=dst)
-        else:
-            sess["out"][dst][...] = rlo.pack(u, dst)
+        ts = time.perf_counter()
+        sess["out"][dst][...] = rlo.pack(u, dst)
+        peers.append(("send", dst, ts, time.perf_counter()))
     if state.crash == "before_post":
         os._exit(CRASH_EXIT_CODE)
-    tp = time.perf_counter()
-    times["pack"] = tp - t0
+    t1 = time.perf_counter()
     # post: publish this round so neighbors may read the outboxes
     state.seq[state.rank] = rnd
     if state.crash == "after_post":
         os._exit(CRASH_EXIT_CODE)
-    t1 = time.perf_counter()
-    times["post"] = t1 - tp
+    t2 = time.perf_counter()
     # interior work overlaps the (conceptual) message flight time
     base, pend = rlo.interior_contribs(u)
-    t2 = time.perf_counter()
-    times["interior"] = t2 - t1
+    t3 = time.perf_counter()
     deadline = time.monotonic() + 120.0
+    spins = []
     for src in rp.recv:
-        spins = 0
+        n = 0
         while state.seq[src] < rnd:
-            spins += 1
-            time.sleep(0 if spins < 1000 else 5e-5)
+            n += 1
+            time.sleep(0 if n < 1000 else 5e-5)
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"ghost exchange stalled waiting for rank {src}"
                 )
-        if METRICS.enabled:
-            _WORKER_WAIT_SPINS.labels(str(src)).observe(spins)
-    t3 = time.perf_counter()
-    times["wait"] = t3 - t2
-    ug = rlo.ghosts(sess["inbox"], x.shape[:-1], x.dtype, ring, rnd)
-    pend.extend(rlo.cut_contribs(u, ug))
+        spins.append((src, n))
     t4 = time.perf_counter()
-    times["cut"] = t4 - t3
-    rlo.store(sess["y"], rlo.accumulate(base, pend))
+    ug = rlo.ghosts(sess["inbox"], x.shape[:-1], x.dtype, peers)
+    pend.extend(rlo.cut_contribs(u, ug))
     t5 = time.perf_counter()
-    times["accumulate"] = t5 - t4
-    # completeness: the six phases are contiguous perf_counter
-    # intervals, so they must telescope to the round wall time
-    wall = t5 - t0
-    if abs(sum(times.values()) - wall) > 1e-9 + 1e-6 * wall:
-        raise RuntimeError(
-            f"phase accounting incomplete: phases sum to "
-            f"{sum(times.values()):.9f} s but the round took {wall:.9f} s"
-        )
-    if ring is not None:
-        ring.record(rnd, _PACK_ID, t0, tp)
-        ring.record(rnd, _POST_ID, tp, t1)
-        ring.record(rnd, _INTERIOR_ID, t1, t2)
-        ring.record(rnd, _WAIT_ID, t2, t3)
-        ring.record(rnd, _CUT_ID, t3, t4)
-        ring.record(rnd, _ACCUM_ID, t4, t5)
-    if METRICS.enabled:
-        _WORKER_VMULTS.inc()
-        for phase in _PHASES:
-            _WORKER_PHASE_SECONDS.labels(phase).inc(times[phase])
-    return times
+    rlo.store(sess["y"], rlo.accumulate(base, pend))
+    t6 = time.perf_counter()
+    return (t0, t1, t2, t3, t4, t5, t6), peers, spins
 
 
-def _worker_main(rank, pipe, ops, plan, prefix, trace=False) -> None:
-    state = _WorkerState(rank, ops, plan, prefix, trace)
+def _worker_main(rank, pipe, ops, plan, prefix) -> None:
+    state = _WorkerState(rank, ops, plan, prefix)
     # Forked siblings inherit each other's parent-side pipe fds, so a
     # dead master does not deliver EOF here.  Poll with a timeout and
     # watch for re-parenting (getppid changes when the master dies) so
@@ -1139,20 +1083,13 @@ def _worker_main(rank, pipe, ops, plan, prefix, trace=False) -> None:
                 if kind == "vmult":
                     _, tag, rnd, sid, xdt, ydt, lead = msg
                     sess = state.attach_session(sid, xdt, ydt, lead)
-                    times = _worker_vmult(state, tag, rnd, sess)
-                    pipe.send(("done", rank, times))
+                    pipe.send(("done", rank,
+                               *_worker_vmult(state, tag, rnd, sess)))
                 elif kind == "crash":
                     state.crash = msg[1]
                     pipe.send(("ok", rank))
                 elif kind == "clock":
                     pipe.send(("clock", rank, time.perf_counter()))
-                elif kind == "metrics_on":
-                    METRICS.reset()
-                    METRICS.enable()
-                    pipe.send(("ok", rank))
-                elif kind == "metrics_doc":
-                    pipe.send(("doc", snapshot_doc(
-                        METRICS, meta={"worker": rank})))
                 else:
                     pipe.send(("error", f"unknown command {kind!r}"))
             except Exception as exc:  # noqa: BLE001 - reported to master
@@ -1248,7 +1185,7 @@ class DistributedSolverContext:
         self.census = self.pool.census()
 
     def timeline_events(self) -> list[dict]:
-        """Merged master-clock timeline drained from the pool so far."""
+        """Merged master-clock timeline of the pool's rounds so far."""
         return self.pool.timeline_events()
 
     def rank_exchange_bytes(self) -> dict:

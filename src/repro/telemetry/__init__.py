@@ -40,7 +40,6 @@ from .report import (
 from .sinks import SCHEMA, JsonlWriter, RunLogWriter, read_run_log, step_record
 from .timeline import (
     TIMELINE_SCHEMA,
-    TimelineRing,
     analyze_timeline,
     chrome_trace_doc,
     load_chrome_trace,
@@ -66,7 +65,6 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TRACER",
     "Tracer",
-    "TimelineRing",
     "aggregate_steps",
     "analyze_timeline",
     "chrome_trace_doc",

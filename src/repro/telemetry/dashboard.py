@@ -187,15 +187,15 @@ def _deltas(cumulative) -> list[float]:
     return out
 
 
-def _catalog_table(metrics_doc: dict | None) -> str:
+def _catalog_table(snapshot: dict | None) -> str:
     """Metric catalog + current values from a snapshot document; falls
     back to the registered catalog when no snapshot was supplied."""
-    if metrics_doc is None:
+    if snapshot is None:
         entries = METRICS.catalog()
         for e in entries:
             e["samples"] = []
     else:
-        entries = metrics_doc.get("metrics", [])
+        entries = snapshot.get("metrics", [])
     if not entries:
         return '<p class="empty">no metrics recorded</p>'
     rows = []
@@ -252,9 +252,6 @@ def _timeline_section(analysis: dict | None) -> str:
         _tile("stall speedup bound",
               f"×{totals.get('stall_speedup_bound', 1.0):.2f}"),
     ]
-    if analysis.get("dropped_events"):
-        tiles.append(_tile("dropped events",
-                           str(analysis["dropped_events"])))
     cards = [
         _series_card("Wait fraction", "wait / (interior + wait) per round "
                      "(0 = exchange fully hidden)",
@@ -277,7 +274,7 @@ def render_html_dashboard(
     header: dict,
     steps: list[dict],
     summary: dict | None,
-    metrics_doc: dict | None = None,
+    snapshot: dict | None = None,
     title: str = "repro run dashboard",
 ) -> str:
     """Render one self-contained HTML page from parsed run-log parts."""
@@ -380,7 +377,7 @@ def render_html_dashboard(
 <h2>Robustness</h2>
 {robustness}
 <h2>Metric catalog</h2>
-{_catalog_table(metrics_doc)}
+{_catalog_table(snapshot)}
 </body>
 </html>
 """
@@ -392,12 +389,12 @@ def write_html_dashboard(
     """Render ``run_log`` (+ optional metric snapshot files, merged) to
     a self-contained HTML file at ``output``."""
     header, steps, summary = read_run_log(run_log, on_corrupt="warn")
-    metrics_doc = None
+    snapshot = None
     docs = [load_metrics(p) for p in metrics_paths]
     if docs:
-        metrics_doc = docs[0] if len(docs) == 1 else merge_snapshots(docs)
+        snapshot = docs[0] if len(docs) == 1 else merge_snapshots(docs)
     html_text = render_html_dashboard(
-        header, steps, summary, metrics_doc,
+        header, steps, summary, snapshot,
         title=title or f"repro run — {Path(run_log).name}",
     )
     output = Path(output)

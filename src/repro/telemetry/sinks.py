@@ -3,8 +3,8 @@
 The JSONL run log is the machine-readable record of a solver run — one
 JSON object per line: a schema-versioned ``header`` first, one ``step``
 record per time step, and an optional ``summary`` footer carrying the
-tracer's span tree (``spans``) and the run's merged master+worker metric
-list (``metrics``, shaped as in a ``repro/metrics/1`` snapshot).
+tracer's span tree (``spans``) and the run's metric list (``metrics``,
+shaped as in a ``repro/metrics/1`` snapshot).
 ``repro report``, ``repro monitor``, ``repro metrics`` and the HTML
 dashboard (and any external tooling) consume these files; the schema
 string is bumped on breaking changes so readers can refuse logs they do

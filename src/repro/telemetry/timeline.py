@@ -3,13 +3,14 @@
 The shared-memory worker pool (:mod:`repro.parallel.runtime`) overlaps
 ghost-face communication with interior cell work; the aggregated phase
 counters prove the protocol runs, but not that the overlap *works*.
-This module records what every rank did *when*: each worker writes
-timestamped phase events (pack / post / interior / wait / cut /
-accumulate, plus peer-tagged ``send``/``unpack`` detail events) into a
-bounded ring buffer living in a shared-memory segment — allocation-free
-on the hot path — and the master drains and merges the per-rank streams
-into one monotonic global timeline using the master-clock offsets
-measured by the pool's startup handshake.
+This module shows what every rank did *when*.  Each worker round is
+measured once, in the worker's ``done`` reply: the stamps bounding its
+phases (pack / post / interior / wait / cut / accumulate) plus the
+peer-tagged ``send``/``unpack`` detail intervals.  With
+``trace_timeline`` the master keeps those round records, and
+:func:`merge_timeline` expands them into one monotonic global event
+stream using the master-clock offsets measured by the pool's startup
+handshake.
 
 On top of the merged stream:
 
@@ -39,15 +40,13 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 #: Schema tag of the analysis document (``repro trace --json`` and the
 #: ``timeline`` section of a run-log summary).
 TIMELINE_SCHEMA = "repro/timeline/1"
 
 #: Top-level protocol phases, in execution order.  These partition one
-#: round's wall time on a rank (the completeness invariant the worker
-#: asserts every round).
+#: round's wall time on a rank: the reply carries the seven stamps that
+#: bound them, so the phases telescope to the round by construction.
 PHASES = ("pack", "post", "interior", "wait", "cut", "accumulate")
 
 #: Peer-tagged detail events nested inside the top-level phases:
@@ -55,138 +54,40 @@ PHASES = ("pack", "post", "interior", "wait", "cut", "accumulate")
 #: per source, inside ``cut``).  Flow arrows connect send -> unpack.
 DETAIL_PHASES = ("send", "unpack")
 
-#: All recordable event names; the ring stores the index into this.
-PHASE_NAMES = PHASES + DETAIL_PHASES
-
-PHASE_ID = {name: i for i, name in enumerate(PHASE_NAMES)}
-
-#: One timeline event: protocol round, phase id, peer rank (-1 when the
-#: event has no peer), start/end in ``perf_counter`` seconds.
-EVENT_DTYPE = np.dtype(
-    [
-        ("round", np.int64),
-        ("phase", np.int16),
-        ("peer", np.int16),
-        ("t0", np.float64),
-        ("t1", np.float64),
-    ]
-)
-
-_HEADER_BYTES = 16  # int64 write cursor + one reserved slot
-
-
-class TimelineRing:
-    """Bounded single-writer ring of timeline events over a raw buffer.
-
-    The writer (one worker process) appends with :meth:`record`; the
-    reader (the master) drains with :meth:`drain` while the writer is
-    quiescent between rounds.  The write cursor only ever grows — on
-    overflow the oldest events are overwritten and the reader reports
-    them as dropped, so a stalled master can never block a worker.
-
-    ``record`` is allocation-free: the field views are extracted once
-    at construction and every call is five scalar stores plus a cursor
-    bump, safe to leave in the mat-vec hot path.
-    """
-
-    def __init__(self, buf) -> None:
-        nbytes = memoryview(buf).nbytes
-        self.capacity = (nbytes - _HEADER_BYTES) // EVENT_DTYPE.itemsize
-        if self.capacity < 1:
-            raise ValueError("timeline buffer too small for one event")
-        # np.ndarray(buffer=...) (not np.frombuffer) so the view does
-        # not pin the mmap of a SharedMemory buffer against close()
-        self._header = np.ndarray((2,), dtype=np.int64, buffer=buf)
-        self._events = np.ndarray(
-            (self.capacity,), dtype=EVENT_DTYPE, buffer=buf,
-            offset=_HEADER_BYTES,
-        )
-        # pre-extracted field views keep record() allocation-free
-        self._round = self._events["round"]
-        self._phase = self._events["phase"]
-        self._peer = self._events["peer"]
-        self._t0 = self._events["t0"]
-        self._t1 = self._events["t1"]
-
-    @staticmethod
-    def nbytes(capacity: int) -> int:
-        """Buffer size needed for ``capacity`` events."""
-        return _HEADER_BYTES + int(capacity) * EVENT_DTYPE.itemsize
-
-    def clear(self) -> None:
-        self._header[0] = 0
-
-    @property
-    def cursor(self) -> int:
-        """Total events ever recorded (monotonic, not capped)."""
-        return int(self._header[0])
-
-    def record(self, rnd, phase, t0, t1, peer=-1) -> None:
-        """Append one event (single writer; allocation-free)."""
-        c = self._header[0]
-        i = c % self.capacity
-        self._round[i] = rnd
-        self._phase[i] = phase
-        self._peer[i] = peer
-        self._t0[i] = t0
-        self._t1[i] = t1
-        self._header[0] = c + 1
-
-    def drain(self, start: int) -> tuple[np.ndarray, int, int]:
-        """Copy the events recorded since ``start``.
-
-        Returns ``(events, cursor, dropped)``: a compact copy of the
-        surviving events in record order, the new cursor to pass to the
-        next drain, and how many events since ``start`` were already
-        overwritten.  Call only while the writer is quiescent.
-        """
-        end = self.cursor
-        n = end - start
-        dropped = 0
-        if n > self.capacity:
-            dropped = n - self.capacity
-            start = end - self.capacity
-            n = self.capacity
-        if n <= 0:
-            return np.empty(0, dtype=EVENT_DTYPE), end, dropped
-        lo = start % self.capacity
-        hi = end % self.capacity
-        if n == self.capacity or hi <= lo:
-            out = np.concatenate([self._events[lo:], self._events[:hi]])
-            out = out[:n].copy()
-        else:
-            out = self._events[lo:hi].copy()
-        return out, end, dropped
-
 
 # ----------------------------------------------------------------------
 # merging per-rank streams
 # ----------------------------------------------------------------------
 
-def merge_timeline(rank_events: dict, offsets=None, rebase: bool = True) -> list[dict]:
-    """Merge per-rank event arrays into one global timeline.
+def merge_timeline(rank_rounds: dict, offsets=None, rebase: bool = True) -> list[dict]:
+    """Merge per-rank round records into one global timeline.
 
-    ``rank_events`` maps rank -> list of :data:`EVENT_DTYPE` arrays (in
-    drain order); ``offsets`` maps rank -> that rank's clock minus the
-    master clock (the handshake estimate), subtracted so all events
-    share the master clock.  With ``rebase`` the merged stream starts
-    at t=0.  Returns plain dicts sorted by start time — the input every
+    ``rank_rounds`` maps rank -> list of ``(round, stamps, peers)``
+    records, as the worker pool keeps them: ``stamps`` are the seven
+    clock reads bounding the :data:`PHASES` and ``peers`` the
+    ``(phase, peer, t0, t1)`` :data:`DETAIL_PHASES` intervals.
+    ``offsets`` maps rank -> that rank's clock minus the master clock
+    (the handshake estimate), subtracted so all events share the master
+    clock.  With ``rebase`` the merged stream starts at t=0.  Returns
+    plain dicts sorted by start time — the input every
     exporter/analyzer here consumes.
     """
     offsets = offsets or {}
     events: list[dict] = []
-    for rank, chunks in rank_events.items():
+    for rank, records in rank_rounds.items():
         off = float(offsets.get(rank, 0.0))
-        for chunk in chunks:
-            for ev in chunk:
+        for rnd, stamps, peers in records:
+            spans = [(p, -1, a, b)
+                     for p, a, b in zip(PHASES, stamps, stamps[1:])]
+            for phase, peer, t0, t1 in spans + list(peers):
                 events.append(
                     {
                         "rank": int(rank),
-                        "round": int(ev["round"]),
-                        "phase": PHASE_NAMES[int(ev["phase"])],
-                        "peer": int(ev["peer"]),
-                        "t0": float(ev["t0"]) - off,
-                        "t1": float(ev["t1"]) - off,
+                        "round": int(rnd),
+                        "phase": phase,
+                        "peer": int(peer),
+                        "t0": float(t0) - off,
+                        "t1": float(t1) - off,
                     }
                 )
     events.sort(key=lambda e: (e["t0"], e["rank"], e["t1"]))
@@ -329,8 +230,7 @@ def _phase_seconds(events: list[dict]):
     return rounds, detail
 
 
-def analyze_timeline(events: list[dict], rank_bytes: dict | None = None,
-                     dropped_events: int = 0) -> dict:
+def analyze_timeline(events: list[dict], rank_bytes: dict | None = None) -> dict:
     """Per-round overlap/stall accounting of a merged timeline.
 
     Per round (and aggregated over the solve):
@@ -453,7 +353,6 @@ def analyze_timeline(events: list[dict], rank_bytes: dict | None = None,
         "n_ranks": len(rank_phase),
         "n_rounds": len(rounds),
         "n_events": len(events),
-        "dropped_events": int(dropped_events),
         "rounds": rounds,
         "totals": {
             "wall_s": tot_wall,
@@ -477,12 +376,7 @@ def render_timeline(analysis: dict, max_rounds: int = 5) -> str:
     lines = [
         f"distributed timeline: {analysis.get('n_ranks', 0)} ranks, "
         f"{analysis.get('n_rounds', 0)} rounds, "
-        f"{analysis.get('n_events', 0)} events"
-        + (
-            f" ({analysis['dropped_events']} dropped)"
-            if analysis.get("dropped_events")
-            else ""
-        ),
+        f"{analysis.get('n_events', 0)} events",
         f"  overlap efficiency: {t.get('overlap_efficiency', float('nan')):.1%}"
         f" (wait fraction {t.get('wait_fraction', float('nan')):.1%})   "
         f"imbalance (max/mean interior): "

@@ -32,6 +32,8 @@ from repro.parallel import (
 from repro.parallel.runtime import DistributedSolverContext
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
 from repro.solvers.multigrid import operator_to_dtype
+from repro.telemetry import METRICS
+from repro.telemetry.metrics import snapshot_doc
 from repro.verification import random_curved_forest
 
 
@@ -273,13 +275,18 @@ class TestWorkerPoolBitwise:
         x = rng.standard_normal(op.n_dofs)
         pool = WorkerPool(2)
         pool.register("op", op)
-        with pool:
-            pool.enable_worker_metrics()
-            pool.vmult("op", x)
-            merged = pool.collect_worker_metrics()
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            with pool:
+                pool.vmult("op", x)
+            merged = snapshot_doc(METRICS)
+        finally:
+            METRICS.disable()
+            METRICS.reset()
         by_name = {m["name"]: m for m in merged["metrics"]}
         vm = by_name["repro_parallel_worker_vmults_total"]
-        # the associative merge sums both workers' shares of the round
+        # the master counts both workers' shares of the round
         assert sum(s["value"] for s in vm["samples"]) == 2.0
         phases = by_name["repro_parallel_worker_phase_seconds_total"]
         seen = {s["labels"][0] for s in phases["samples"]}

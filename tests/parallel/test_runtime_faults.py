@@ -25,6 +25,8 @@ from repro.mesh.generators import box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.parallel import CRASH_EXIT_CODE, WorkerCrash, WorkerPool
+from repro.telemetry import METRICS, TRACER
+from repro.telemetry.metrics import parse_prometheus, snapshot_doc
 
 pytestmark = pytest.mark.parallel
 
@@ -42,6 +44,13 @@ def make_op(forest, degree=2, dirichlet=(1,)):
 
 def shm_segments(prefix: str) -> list[str]:
     return glob.glob(f"/dev/shm/{prefix}*")
+
+
+def metric_total(name: str, doc=None) -> float:
+    """Sum of a counter's samples in ``doc`` (default: the live registry)."""
+    doc = snapshot_doc(METRICS) if doc is None else doc
+    (m,) = [m for m in doc["metrics"] if m["name"] == name]
+    return sum(s["value"] for s in m["samples"])
 
 
 @pytest.fixture
@@ -94,6 +103,27 @@ class TestWorkerCrash:
         with pytest.raises(RuntimeError, match="closed"):
             pool.vmult("op", x)
 
+    def test_crash_is_counted_once(self, pool_op, rng):
+        """A command on a torn-down pool is a usage error, not a second
+        worker crash."""
+        x = rng.standard_normal(pool_op.n_dofs)
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            pool = WorkerPool(2)
+            pool.register("op", pool_op)
+            pool.start()
+            pool.inject_crash(1)
+            with pytest.raises(WorkerCrash):
+                pool.vmult("op", x)
+            with pytest.raises(RuntimeError, match="pool is closed"):
+                pool.inject_crash(0)
+            crashes = metric_total("repro_parallel_worker_crashes_total")
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        assert crashes == 1.0
+
     def test_healthy_close_releases_shared_memory(self, pool_op, rng):
         x = rng.standard_normal(pool_op.n_dofs)
         pool = WorkerPool(2)
@@ -103,6 +133,44 @@ class TestWorkerCrash:
             assert shm_segments(pool.shm_prefix) != []
         assert shm_segments(pool.shm_prefix) == []
         pool.close()  # idempotent
+
+
+class TestWorkerCrashDuringLungRun:
+    def test_crash_exits_1_with_summary_and_export(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """A worker dying mid-step ends ``repro lung`` with a structured
+        error: exit 1, a closed run log, a metrics export counting only
+        the completed rounds, no leaked segment, telemetry off."""
+        from repro.cli import main
+        from repro.lung import LungVentilationSimulation
+
+        step = LungVentilationSimulation.step
+        pools = []
+
+        def crashing_step(self):
+            pool = self.solver.distributed_context.pool
+            pools.append(pool)
+            if len(pools) == 2:
+                pool.inject_crash(1)
+            return step(self)
+
+        monkeypatch.setattr(LungVentilationSimulation, "step", crashing_step)
+        log, prom = tmp_path / "run.jsonl", tmp_path / "run.prom"
+        rc = main(["lung", "--steps", "3", "--generations", "1",
+                   "--workers", "2", "--log-file", str(log),
+                   "--metrics-file", str(prom)])
+        assert rc == 1
+        assert "error: worker 1" in capsys.readouterr().err
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["type"] for r in records] == ["header", "step", "summary"]
+        doc = parse_prometheus(prom.read_text())
+        pool_vmults = metric_total("repro_parallel_pool_vmults_total", doc)
+        assert pool_vmults > 1
+        # the crashed round was dispatched but completed on no rank
+        assert metric_total("repro_parallel_worker_vmults_total", doc) == \
+            2 * (pool_vmults - 1)
+        assert shm_segments(pools[0].shm_prefix) == []
+        assert not TRACER.enabled and not METRICS.enabled
 
 
 class TestCrashResumeDistributed:

@@ -1,18 +1,18 @@
 """Tests of the cross-process timeline tracing stack.
 
-Tier-1 half: the :class:`~repro.telemetry.timeline.TimelineRing` event
-ring over a plain buffer (record/drain round-trip, overflow accounting,
-allocation-free hot path), the merge/export/analysis pipeline on
-synthetic hand-computed timelines, and the Chrome trace-event JSON
-round-trip.  Tests that fork a real traced worker pool are marked
-``parallel`` (enable with ``--run-parallel``): the full contract there
-is that tracing observes without perturbing — the traced mat-vec stays
-bitwise identical to the serial operator — while every protocol round
-leaves a complete six-phase event record per rank.
+Tier-1 half: the master-side reply-to-views function
+(:meth:`~repro.parallel.WorkerPool._record_round`) on synthetic stamps,
+the merge/export/analysis pipeline on synthetic hand-computed
+timelines, and the Chrome trace-event JSON round-trip.  Tests that fork
+a real traced worker pool are marked ``parallel`` (enable with
+``--run-parallel``): the full contract there is that tracing observes
+without perturbing — the traced mat-vec stays bitwise identical to the
+serial operator — while every protocol round leaves a complete
+six-phase event record per rank, and the master's metric registry
+counts exactly the rounds the workers completed.
 """
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,15 +25,11 @@ from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.parallel import WorkerPool
 from repro.parallel.runtime import DistributedSolverContext, PartitionPlan
-from repro.telemetry import TRACER
-from repro.telemetry.metrics import merge_snapshots
+from repro.telemetry import METRICS, TRACER
+from repro.telemetry.metrics import snapshot_doc
 from repro.telemetry.timeline import (
-    EVENT_DTYPE,
-    PHASE_ID,
-    PHASE_NAMES,
     PHASES,
     TIMELINE_SCHEMA,
-    TimelineRing,
     analyze_timeline,
     chrome_trace_doc,
     load_chrome_trace,
@@ -51,79 +47,73 @@ def make_op(forest, degree=2, dirichlet=(1,)):
     return DGLaplaceOperator(dof, geo, conn, dirichlet_ids=dirichlet)
 
 
-def make_ring(capacity=16):
-    return TimelineRing(bytearray(TimelineRing.nbytes(capacity)))
+def master_metrics():
+    """The master registry's current samples, by metric name."""
+    return {m["name"]: m for m in snapshot_doc(METRICS)["metrics"]}
 
 
-class TestTimelineRing:
-    def test_capacity_from_buffer(self):
-        ring = make_ring(10)
-        assert ring.capacity == 10
-        # page-rounded segments (a larger buffer than requested) must
-        # still give master and worker the same capacity
-        padded = TimelineRing(bytearray(TimelineRing.nbytes(10) + 3))
-        assert padded.capacity == 10
-        with pytest.raises(ValueError):
-            TimelineRing(bytearray(4))
+def metric_total(by_name, name):
+    return sum(s["value"] for s in by_name[name]["samples"])
 
-    def test_record_drain_round_trip(self):
-        ring = make_ring(16)
-        ring.record(0, PHASE_ID["pack"], 1.0, 2.0)
-        ring.record(0, PHASE_ID["send"], 1.25, 1.5, peer=3)
-        ring.record(1, PHASE_ID["wait"], 2.0, 2.5)
-        events, cursor, dropped = ring.drain(0)
-        assert cursor == 3 and dropped == 0
-        assert events.dtype == EVENT_DTYPE
-        assert [PHASE_NAMES[p] for p in events["phase"]] == [
-            "pack", "send", "wait",
-        ]
-        assert list(events["round"]) == [0, 0, 1]
-        assert list(events["peer"]) == [-1, 3, -1]
-        assert list(events["t0"]) == [1.0, 1.25, 2.0]
-        assert list(events["t1"]) == [2.0, 1.5, 2.5]
-        # incremental drain from the returned cursor sees only new events
-        ring.record(2, PHASE_ID["cut"], 3.0, 4.0)
-        events, cursor, dropped = ring.drain(cursor)
-        assert len(events) == 1 and cursor == 4 and dropped == 0
-        assert PHASE_NAMES[int(events["phase"][0])] == "cut"
 
-    def test_overflow_drops_oldest(self):
-        ring = make_ring(4)
-        for i in range(10):
-            ring.record(i, PHASE_ID["interior"], float(i), float(i) + 0.5)
-        assert ring.cursor == 10  # monotonic, not capped
-        events, cursor, dropped = ring.drain(0)
-        assert cursor == 10 and dropped == 6
-        # the survivors are the newest `capacity` events, in order
-        assert list(events["round"]) == [6, 7, 8, 9]
+@pytest.fixture
+def master_registry():
+    METRICS.reset()
+    METRICS.enable()
+    try:
+        yield
+    finally:
+        METRICS.disable()
+        METRICS.reset()
 
-    def test_wraparound_preserves_order(self):
-        ring = make_ring(4)
-        for i in range(6):  # cursor wraps: events 2..5 live at slots 2,3,0,1
-            ring.record(i, PHASE_ID["pack"], float(i), float(i + 1))
-        events, _, dropped = ring.drain(2)
-        assert dropped == 0
-        assert list(events["round"]) == [2, 3, 4, 5]
 
-    def test_clear_resets_cursor(self):
-        ring = make_ring(4)
-        ring.record(0, 0, 0.0, 1.0)
-        ring.clear()
-        assert ring.cursor == 0
-        events, _, _ = ring.drain(0)
-        assert len(events) == 0
+class TestRecordRound:
+    """The one master-side function that turns a worker's ``done``
+    reply into phase totals, metrics and timeline events — no fork."""
 
-    def test_record_is_allocation_free(self):
-        ring = make_ring(64)
-        ring.record(0, 1, 0.0, 1.0)  # warm any lazy numpy machinery
-        tracemalloc.start()
-        try:
-            for i in range(200):
-                ring.record(i, PHASE_ID["wait"], 0.5, 1.5, peer=1)
-            current, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert current == 0, f"record() allocated {current} bytes"
+    # deliberately uneven stamps, so the differences carry rounding
+    STAMPS = (100.1, 100.3, 100.30007, 100.9, 101.05, 101.4, 101.41)
+    PEERS = (("send", 1, 100.15, 100.2), ("send", 2, 100.2, 100.25),
+             ("unpack", 1, 101.1, 101.2), ("unpack", 2, 101.2, 101.3))
+    SPINS = ((1, 0), (2, 17))
+
+    def test_durations_metrics_and_events(self, master_registry):
+        pool = WorkerPool(3, trace_timeline=True)
+        pool._record_round(0, 1, self.STAMPS, self.PEERS, self.SPINS)
+        pool._record_round(0, 2, self.STAMPS, self.PEERS, self.SPINS)
+        diffs = [b - a for a, b in zip(self.STAMPS, self.STAMPS[1:])]
+        assert pool.last_timings[0] == dict(zip(PHASES, diffs))
+        assert pool.last_timings[1] is None
+        # bitwise: the totals are the same differences added twice
+        assert pool.phase_totals[0] == {p: d + d for p, d in zip(PHASES, diffs)}
+        assert pool.worker_phase_totals() == {"0": pool.phase_totals[0]}
+
+        by_name = master_metrics()
+        assert metric_total(by_name, "repro_parallel_worker_vmults_total") == 2
+        phases = {s["labels"][0]: s["value"] for s in
+                  by_name["repro_parallel_worker_phase_seconds_total"]["samples"]}
+        assert phases == pool.phase_totals[0]
+        spins = {s["labels"][0]: (s["count"], s["sum"]) for s in
+                 by_name["repro_parallel_ghost_wait_spins"]["samples"]}
+        assert spins == {"1": (2, 0.0), "2": (2, 34.0)}
+
+        events = pool.timeline_events()
+        assert len(events) == 2 * (len(PHASES) + len(self.PEERS))
+        for rnd in (1, 2):
+            mine = [e for e in events if e["round"] == rnd]
+            assert [e["phase"] for e in mine if e["phase"] in PHASES] \
+                == list(PHASES)
+            detail = sorted((e["phase"], e["peer"]) for e in mine
+                            if e["phase"] not in PHASES)
+            assert detail == [("send", 1), ("send", 2),
+                              ("unpack", 1), ("unpack", 2)]
+            assert all(e["peer"] == -1 for e in mine if e["phase"] in PHASES)
+
+    def test_untraced_pool_keeps_no_events(self, master_registry):
+        pool = WorkerPool(2)
+        pool._record_round(1, 1, self.STAMPS, self.PEERS[:1], self.SPINS[:1])
+        assert pool.timeline_events() == []
+        assert set(pool.worker_phase_totals()) == {"1"}
 
 
 def ev(rank, rnd, phase, t0, t1, peer=-1):
@@ -144,36 +134,37 @@ def synthetic_round(rank, rnd, base, interior, wait):
     return out
 
 
+def stamps(t0, step=1.0):
+    """The seven stamps of a round whose six phases each take ``step``."""
+    return tuple(t0 + i * step for i in range(len(PHASES) + 1))
+
+
 class TestMergeTimeline:
     def test_offsets_and_rebase(self):
-        a = np.zeros(2, dtype=EVENT_DTYPE)
-        a["round"] = [0, 0]
-        a["phase"] = [PHASE_ID["pack"], PHASE_ID["interior"]]
-        a["peer"] = -1
-        a["t0"], a["t1"] = [100.0, 101.0], [101.0, 102.0]
-        b = np.zeros(1, dtype=EVENT_DTYPE)
-        b["phase"] = PHASE_ID["pack"]
-        b["peer"] = -1
+        a = (0, stamps(100.0), ())
         # rank 1's clock runs 50 s ahead of the master
-        b["t0"], b["t1"] = 150.5, 151.5
+        b = (0, stamps(150.5), (("send", 0, 150.6, 150.7),))
         merged = merge_timeline({0: [a], 1: [b]}, offsets={1: 50.0})
-        assert [e["rank"] for e in merged] == [0, 1, 0]
+        assert [(e["rank"], e["phase"]) for e in merged[:4]] == [
+            (0, "pack"), (1, "pack"), (1, "send"), (0, "post"),
+        ]
         # rebased to t=0 on the common (master) clock
         assert merged[0]["t0"] == 0.0
         assert merged[1]["t0"] == pytest.approx(0.5)
-        assert merged[2]["t0"] == pytest.approx(1.0)
+        assert merged[2]["t0"] == pytest.approx(0.6)
+        assert merged[2]["peer"] == 0
+        assert merged[3]["t0"] == pytest.approx(1.0)
 
     def test_multiple_chunks_per_rank(self):
-        chunks = []
-        for start in (0.0, 10.0):
-            c = np.zeros(1, dtype=EVENT_DTYPE)
-            c["phase"] = PHASE_ID["wait"]
-            c["peer"] = -1
-            c["t0"], c["t1"] = start, start + 1.0
-            chunks.append(c)
-        merged = merge_timeline({0: chunks}, rebase=False)
-        assert [e["t0"] for e in merged] == [0.0, 10.0]
-        assert all(e["phase"] == "wait" for e in merged)
+        # one record per round; a rank's records expand in time order
+        merged = merge_timeline(
+            {0: [(0, stamps(0.0), ()), (1, stamps(10.0), ())]}, rebase=False
+        )
+        assert [e["t0"] for e in merged] == [float(t) for t in
+                                            (0, 1, 2, 3, 4, 5,
+                                             10, 11, 12, 13, 14, 15)]
+        assert [e["round"] for e in merged] == [0] * 6 + [1] * 6
+        assert [e["phase"] for e in merged] == list(PHASES) * 2
 
 
 class TestChromeTrace:
@@ -235,7 +226,7 @@ class TestAnalyzeTimeline:
         a = analyze_timeline(events)
         assert a["schema"] == TIMELINE_SCHEMA
         assert a["n_ranks"] == 2 and a["n_rounds"] == 1
-        assert a["n_events"] == 12 and a["dropped_events"] == 0
+        assert a["n_events"] == 12
         (r,) = a["rounds"]
         assert r["wait_fraction"] == pytest.approx(0.12 / 1.02)
         assert r["overlap_efficiency"] == pytest.approx(1 - 0.12 / 1.02)
@@ -258,8 +249,8 @@ class TestAnalyzeTimeline:
         for rnd in range(3):
             events += synthetic_round(0, rnd, rnd * 2.0, 0.5, 0.1)
             events += synthetic_round(1, rnd, rnd * 2.0, 0.5, 0.1)
-        a = analyze_timeline(events, dropped_events=7)
-        assert a["n_rounds"] == 3 and a["dropped_events"] == 7
+        a = analyze_timeline(events)
+        assert a["n_rounds"] == 3
         t = a["totals"]
         assert t["interior_s"] == pytest.approx(3.0)
         assert t["critical_path_s"] == pytest.approx(
@@ -309,11 +300,6 @@ class TestRendering:
         assert "rank 0" in text and "GB/s" in text
         assert "worst rounds by wait fraction" in text
 
-    def test_render_timeline_reports_drops(self):
-        a = analyze_timeline(synthetic_round(0, 0, 0.0, 0.1, 0.0),
-                             dropped_events=5)
-        assert "(5 dropped)" in render_timeline(a)
-
     def test_render_worker_phases(self):
         text = render_worker_phases(
             {"0": {"pack": 0.1, "interior": 0.7, "wait": 0.2},
@@ -345,7 +331,7 @@ class TestTracedWorkerPool:
             events = pool.timeline_events()
             offsets = dict(pool.clock_offsets)
             rtts = dict(pool.clock_rtts)
-        assert pool.timeline_dropped == 0
+            totals = pool.worker_phase_totals()
         # every (round, rank) carries the full six-phase record
         seen = {}
         for e in events:
@@ -372,6 +358,13 @@ class TestTracedWorkerPool:
         analysis = analyze_timeline(events)
         assert analysis["n_rounds"] == 3 and analysis["n_ranks"] == 2
         assert 0.0 <= analysis["totals"]["wait_fraction"] <= 1.0
+        # the phase totals and the timeline are views of one record:
+        # they differ only by the clock offset the merge subtracts
+        per_rank = analysis["totals"]["per_rank"]
+        assert set(totals) == set(per_rank) == {"0", "1"}
+        for r, phases in totals.items():
+            assert phases == pytest.approx(per_rank[r]["phase_seconds"],
+                                           rel=1e-9, abs=1e-12)
 
     def test_traced_ensemble_vmult_bitwise(self, rng):
         op = self.pool_op()
@@ -391,20 +384,6 @@ class TestTracedWorkerPool:
             pool.vmult("op", rng.standard_normal(op.n_dofs))
             assert glob.glob(f"/dev/shm/{pool.shm_prefix}*tl*") == []
             assert pool.timeline_events() == []
-
-    def test_tiny_ring_reports_drops(self, rng):
-        op = self.pool_op()
-        x = rng.standard_normal(op.n_dofs)
-        # one round on 2 ranks writes >6 events per rank; capacity 4
-        # must overflow and be accounted, never crash
-        pool = WorkerPool(2, trace_timeline=True, timeline_capacity=4)
-        pool.register("op", op)
-        with pool:
-            assert np.array_equal(pool.vmult("op", x), op.vmult(x))
-            assert pool.timeline_dropped > 0
-            a = analyze_timeline(pool.timeline_events(),
-                                 dropped_events=pool.timeline_dropped)
-        assert a["dropped_events"] == pool.timeline_dropped
 
     def test_rank_exchange_bytes(self, rng):
         op = self.pool_op()
@@ -461,98 +440,89 @@ class TestTracedWorkerPool:
 
 @pytest.mark.parallel
 class TestMergedWorkerTelemetry:
-    """Satellite battery: merged per-worker metrics under ensemble
-    inputs, session reuse, and associative merging across pool
-    restarts after a worker crash."""
+    """The master registry's worker series under ensemble inputs,
+    session reuse, and a pool restart after a worker crash."""
 
     def pool_op(self):
         forest = Forest(box(subdivisions=(4, 2, 1), boundary_ids={0: 1}))
         return make_op(forest)
 
-    def merged(self, pool):
-        doc = pool.collect_worker_metrics()
-        return doc, {m["name"]: m for m in doc["metrics"]}
-
-    def test_post_phase_and_spin_histogram(self, rng):
+    def test_post_phase_and_spin_histogram(self, rng, master_registry):
         op = self.pool_op()
         pool = WorkerPool(2)
         pool.register("op", op)
         with pool:
-            pool.enable_worker_metrics()
             pool.vmult("op", rng.standard_normal(op.n_dofs))
-            _, by_name = self.merged(pool)
+        by_name = master_metrics()
         phases = by_name["repro_parallel_worker_phase_seconds_total"]
         seen = {s["labels"][0] for s in phases["samples"]}
         assert seen == set(PHASES)  # completeness: post included
         spins = by_name["repro_parallel_ghost_wait_spins"]
-        srcs = {s["labels"][0] for s in spins["samples"]}
-        assert srcs == {"0", "1"}  # each worker waited on its peer
-        # histogram merge carries per-source counts: one wait per round
+        # each worker waited on its peer, once per round
         counts = {s["labels"][0]: s["count"] for s in spins["samples"]}
         assert counts == {"0": 1, "1": 1}
 
-    def test_ensemble_rounds_merge(self, rng):
+    def test_ensemble_rounds_merge(self, rng, master_registry):
         op = self.pool_op()
         pool = WorkerPool(2)
         pool.register("op", op)
         with pool:
-            pool.enable_worker_metrics()
             pool.vmult("op", rng.standard_normal((3, op.n_dofs)))
-            _, by_name = self.merged(pool)
-        vm = by_name["repro_parallel_worker_vmults_total"]
         # one round regardless of the ensemble width; both workers count
-        assert sum(s["value"] for s in vm["samples"]) == 2.0
+        assert metric_total(master_metrics(),
+                            "repro_parallel_worker_vmults_total") == 2.0
 
-    def test_session_reuse_accumulates(self, rng):
+    def test_session_reuse_accumulates(self, rng, master_registry):
         op = self.pool_op()
         x = rng.standard_normal(op.n_dofs)
         pool = WorkerPool(2)
         pool.register("op", op)
         with pool:
-            pool.enable_worker_metrics()
             for _ in range(3):
                 pool.vmult("op", x)
-            _, by_name = self.merged(pool)
             totals = pool.worker_phase_totals()
-        vm = by_name["repro_parallel_worker_vmults_total"]
-        assert sum(s["value"] for s in vm["samples"]) == 6.0
+        by_name = master_metrics()
+        assert metric_total(by_name, "repro_parallel_worker_vmults_total") == 6.0
         assert set(totals) == {"0", "1"}
         for phases in totals.values():
             assert set(phases) == set(PHASES)
             assert phases["interior"] > 0
+        # the exported phase seconds are the pools' per-rank totals summed
+        exported = {s["labels"][0]: s["value"] for s in
+                    by_name["repro_parallel_worker_phase_seconds_total"]["samples"]}
+        for p in PHASES:
+            assert exported[p] == pytest.approx(
+                sum(t[p] for t in totals.values()), rel=1e-12)
 
-    def test_merge_across_pool_restart_is_associative(self, rng):
+    def test_master_registry_counts_rounds_across_crash(self, rng,
+                                                        master_registry):
         from repro.parallel import WorkerCrash
         op = self.pool_op()
         x = rng.standard_normal(op.n_dofs)
-        docs = []
         pool = WorkerPool(2)
         pool.register("op", op)
         pool.start()
         try:
-            pool.enable_worker_metrics()
             pool.vmult("op", x)
-            docs.append(pool.collect_worker_metrics())
             pool.inject_crash(1)
             with pytest.raises(WorkerCrash):
                 pool.vmult("op", x)
         finally:
             pool.close()
-        # a fresh pool after the crash: its snapshots merge with the
-        # dead pool's, and the reduction is associative
+        # a fresh pool after the crash keeps counting into the same
+        # registry; the crashed round completed on no rank that counts
         pool = WorkerPool(2)
         pool.register("op", op)
         with pool:
-            pool.enable_worker_metrics()
             pool.vmult("op", x)
             pool.vmult("op", x)
-            docs.append(pool.collect_worker_metrics())
-        merged = merge_snapshots(docs)
-        left = merge_snapshots([docs[0], merge_snapshots([docs[1]])])
-        assert merged["metrics"] == left["metrics"]
-        by_name = {m["name"]: m for m in merged["metrics"]}
-        vm = by_name["repro_parallel_worker_vmults_total"]
-        assert sum(s["value"] for s in vm["samples"]) == 6.0
+        by_name = master_metrics()
+        assert metric_total(by_name, "repro_parallel_worker_vmults_total") == 6.0
+        assert metric_total(by_name, "repro_parallel_pool_vmults_total") == 4.0
+        assert metric_total(by_name, "repro_parallel_worker_crashes_total") == 1.0
+        spins = by_name["repro_parallel_ghost_wait_spins"]
+        assert {s["labels"][0]: s["count"] for s in spins["samples"]} == {
+            "0": 3, "1": 3}
 
 
 @pytest.mark.parallel

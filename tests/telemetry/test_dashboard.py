@@ -84,7 +84,7 @@ class TestRenderDashboard:
             METRICS.reset()
         log = write_log(tmp_path / "run.jsonl")
         header, steps, summary = _read(log)
-        html = render_html_dashboard(header, steps, summary, metrics_doc=doc)
+        html = render_html_dashboard(header, steps, summary, snapshot=doc)
         assert "repro_dash_demo_total" in html
         assert "demo counter" in html
 
