@@ -3,16 +3,16 @@
 Every DG operator is a sum of cell contributions
 ``G_e^T I_e^T D_e I_e G_e`` and face contributions
 ``G_f^T I_f^T D_f I_f G_f``.  :class:`FaceKernels` supplies the ``I_f``
-part: evaluation of value and reference-gradient traces of a cell field
-at the (minus-frame) face quadrature points — handling neighbor
-orientation and 2:1 sub-face interpolation — together with the exact
-adjoints used for ``I_f^T``.
+part of the flow operators (the SIP Laplacian has its own face loop,
+:class:`~repro.core.operators.laplace.FaceLoop`): evaluation of value and
+reference-gradient traces of a cell field at the (minus-frame) face
+quadrature points — handling neighbor orientation and 2:1 sub-face
+interpolation — together with the exact adjoints used for ``I_f^T``.
 
 Conventions: all quantities on a face batch live in the *minus* frame;
 the plus side's reference-gradient components remain indexed by the plus
-cell's reference dimensions (so the plus side's metric — ``J^{-T}``, or
-the stored ``J^{-1} n`` of the SIP flux — applies directly).  Gradient
-stacks are component-major, ``(3, ..., q, q)``.
+cell's reference dimensions (so the plus side's ``J^{-T}`` applies
+directly).  Gradient stacks are component-major, ``(3, ..., q, q)``.
 """
 
 from __future__ import annotations
@@ -42,25 +42,6 @@ class FaceKernels:
         self.kern = kernel
 
     # -- evaluation ------------------------------------------------------
-    def nodal_gradient(self, t_val: np.ndarray, t_nd: np.ndarray,
-                       face: int) -> np.ndarray:
-        """Component-major reference gradient ``(3, ..., n, n)`` at the
-        face nodes from the nodal value trace ``t_val`` and normal-
-        derivative trace ``t_nd`` (both ``(..., n, n)``): the tangential
-        derivatives come from the value trace.  The component axis
-        indexes the *cell's own* reference dimensions; each component is
-        one contiguous block.
-        """
-        d = face // 2
-        a_dim, b_dim = tangential_dims(face)
-        dt = kernel_dtype(t_val.dtype)
-        D = self.kern.nodal_diff_matrix(dt)
-        grad = np.empty((3,) + t_val.shape, dt)
-        grad[d] = t_nd
-        apply_1d_2d(D, t_val, 1, out=grad[a_dim])
-        apply_1d_2d(D, t_val, 0, out=grad[b_dim])
-        return grad
-
     def to_quad(
         self,
         t: np.ndarray,
@@ -106,23 +87,21 @@ class FaceKernels:
         """Evaluate one side of a face batch at the minus quadrature points.
 
         ``u_cells``: (..., n, n, n) -> (values (..., q, q), component-
-        major reference gradient (3, ..., q, q)).
+        major reference gradient (3, ..., q, q)).  The gradient's
+        component axis indexes the *cell's own* reference dimensions;
+        its tangential components come from the value trace.
         """
         kern = self.kern
-        return self.eval_sheets(
-            kern.face_nodal_trace(u_cells, face),
-            kern.face_nodal_normal_derivative(u_cells, face),
-            face, orientation, subface,
-        )
-
-    def eval_sheets(self, t_val, t_nd, face, orientation=None, subface=None):
-        """:meth:`eval_side` from the two nodal sheets it needs of the
-        cell — value and normal-derivative trace — which is also what a
-        ghost exchange ships per cut face."""
-        return (
-            self.to_quad(t_val, orientation, subface),
-            self.to_quad(self.nodal_gradient(t_val, t_nd, face), orientation, subface),
-        )
+        t_val = kern.face_nodal_trace(u_cells, face)
+        dt = kernel_dtype(t_val.dtype)
+        D = kern.nodal_diff_matrix(dt)
+        a_dim, b_dim = tangential_dims(face)
+        grad = np.empty((3,) + t_val.shape, dt)
+        grad[face // 2] = kern.face_nodal_normal_derivative(u_cells, face)
+        apply_1d_2d(D, t_val, 1, out=grad[a_dim])
+        apply_1d_2d(D, t_val, 0, out=grad[b_dim])
+        return (self.to_quad(t_val, orientation, subface),
+                self.to_quad(grad, orientation, subface))
 
     # -- integration (adjoints) -------------------------------------------
     def from_quad(

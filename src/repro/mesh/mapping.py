@@ -52,12 +52,24 @@ def _invert_3x3(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return det, inv
 
 
-def _jinv_n(Jinv: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """``J^{-1} n`` per face point, component-major: ``Jinv`` (F, 3, 3, Q),
-    ``normal`` (F, 3, qa, qb) -> contiguous (3, F, qa, qb)."""
+def _jinv_n(Jinv: np.ndarray, normal: np.ndarray, face: int, o=None) -> np.ndarray:
+    """``J^{-1} n`` per face point of one side, ``Jinv`` (F, 3, 3, Q),
+    ``normal`` (F, 3, qa, qb), as its minus-face-frame components
+    ``(n, a, b)``, contiguous (3, F, Q): the side's orientation ``o``
+    swaps the tangential pair or negates a flipped one, so they weigh
+    derivatives of the side's trace oriented into the minus frame."""
+    d = face // 2
+    a, b = [dd for dd in (2, 1, 0) if dd != d]
+    sa = sb = 1.0
+    if o is not None:
+        sa, sb = (-1.0 if o.flip_a else 1.0), (-1.0 if o.flip_b else 1.0)
+        if o.swap:
+            a, b, sa, sb = b, a, sb, sa
     F = normal.shape[0]
-    c = np.einsum("fjiq,fiq->jfq", Jinv, normal.reshape(F, 3, -1), order="C")
-    return c.reshape((3,) + normal.shape[:1] + normal.shape[2:])
+    c = np.einsum("fjiq,fiq->jfq", Jinv[:, [d, a, b]], normal.reshape(F, 3, -1), order="C")
+    c[1] *= sa
+    c[2] *= sb
+    return c
 
 
 #: slot of entry ``(a, b)`` of a symmetric 3x3 block stored as its six
@@ -97,11 +109,11 @@ class FaceMetrics:
     jxw:     (F, qa, qb)     surface element x quadrature weight
     jinv_t:  (F, 3, 3, qa, qb)  J^{-T} of the cell, boundary batches only
              (None on interior batches, where nothing reads it)
-    c_m/c_p: (3, F, qa, qb)  ``J^{-1} n`` of the minus / plus cell (plus
-             side orientation-transformed into the minus frame; None on
-             boundary batches): the normal derivative of a field with
-             reference gradient ``g`` is ``sum_j c[j] g[j]``, so the SIP
-             flux reads 3 + 3 + 1 values per interior face point.
+    c_m/c_p: (3, F, qa*qb)  ``J^{-1} n`` of the minus / plus cell as
+             minus-frame ``(n, a, b)`` components (:func:`_jinv_n`; c_p
+             None on boundary batches): the normal derivative of a trace
+             is ``c[0] d_n + c[1] d_a + c[2] d_b``, so the SIP flux reads
+             3 + 3 + 1 values per interior face point.
     penalty: (F,)            SIP penalty scale max(A_f/V_m, A_f/V_p)
     points:  (F, 3, qa, qb)  physical quadrature points
     """
@@ -259,12 +271,12 @@ class GeometryField:
             cells_p, face_p, orientation, subface = plus
             _, qJ_p = self._side_face_data(cells_p, face_p, orientation, subface)
             _, Jinv_p = _invert_3x3(qJ_p.reshape(F, 3, 3, -1))
-            c_p = _jinv_n(Jinv_p, normal)
+            c_p = _jinv_n(Jinv_p, normal, face_p, orientation)
             area_plus = areas if subface is None else 4.0 * areas
             pen = np.maximum(pen, area_plus / vols[cells_p])
         return FaceMetrics(
             normal=normal, jxw=jxw, jinv_t=jinv_t_m if plus is None else None,
-            c_m=_jinv_n(Jinv_m, normal), c_p=c_p, penalty=pen, points=qX,
+            c_m=_jinv_n(Jinv_m, normal, face_m), c_p=c_p, penalty=pen, points=qX,
         )
 
     def all_face_metrics(self, conn: MeshConnectivity):

@@ -16,39 +16,29 @@ mirrors Kronbichler & Kormann's overlap strategy:
    rank pair),
 2. **post** — the worker publishes its round number in a shared
    sequence array (the "message has been sent" flag),
-3. **interior** — cell terms, fully-owned face batches, and owned
-   boundary faces are evaluated while neighbor data is (potentially)
-   still in flight,
+3. **interior** — the cell term, the fully owned faces and the owned
+   Dirichlet faces run while neighbor data is (potentially) in flight,
 4. **wait/unpack** — the worker spins until every source neighbor has
    posted the current round, gathers the inboxes into a ghost-cell
-   array, and evaluates the cut faces,
-5. **accumulate** — all buffered contributions are added in the exact
-   order of the monolithic operator, and the owned slice of the result
-   vector is written to the shared output buffer.
+   array, and runs the cut faces,
+5. **accumulate** — the residual sheets are expanded onto the cell
+   term, and the owned slice of the result vector is written to the
+   shared output buffer.
 
 Bitwise reproducibility (the contract the parallel test battery
-enforces): every kernel in the vmult path is either an elementwise
-ufunc (the metric multiply-adds of the normal-derivative flux) or a
-sum-factorized GEMM whose fold rows each belong to a single cell/face
-entry — in float64, evaluating a *row subset* produces
-bitwise-identical rows as long as the fold has >= 2 rows, which
-:func:`_padded` guarantees by duplicating the single entry of 1-face
-subsets (dgemm falls into a differently-rounded gemv path at one row).
-Within one face batch and side a cell appears at most once, so the
-owner's split of a batch into fully-owned and cut entries accumulates
-each output element with exactly the same addends, in the same order,
-as the monolithic
-:meth:`~repro.core.operators.laplace.DGLaplaceOperator.vmult` — which
-calls the very same cell and face kernels
-(:func:`~repro.core.operators.laplace.cell_laplacian`,
-``face_terms``, ``boundary_terms``) on the full batches.
-Distributed fp64 results are therefore bit-identical to single-process
-runs, not merely close.  float32 is different: OpenBLAS sgemm
-row-blocking makes subset rows round differently from full-batch rows
-(~1e-7 relative), so the fp32 contract is tolerance (1e-5), not bits —
-and :class:`DistributedSolverContext` keeps the fp32 fine-level
-smoother serial by default to preserve the fp64 bitwise contract of
-the outer iteration.
+enforces): a rank runs the operator's own
+:class:`~repro.core.operators.laplace.FaceLoop` restricted to its
+faces.  Every step of a face-side row is elementwise or a GEMM row, and
+in float64 a GEMM row is bitwise independent of the other rows as long
+as the product has >= 2 rows (the loop never issues a one-row product:
+dgemm rounds its gemv path differently).  Each owned residual slot is
+written by exactly one row — the four subfaces of a coarse face fold
+in a fixed order — so no accumulation order is left to replay, and
+distributed fp64 results are bit-identical to single-process runs.
+The float32 contract is a tolerance (1e-5), not bits — sgemm may
+block subset rows differently — and :class:`DistributedSolverContext`
+keeps the fp32 fine-level smoother serial by default to preserve the
+fp64 bitwise contract of the outer iteration.
 
 Measurement: a worker round is measured once, in its ``done`` reply —
 the seven ``perf_counter`` stamps that bound the six phases, the
@@ -81,7 +71,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..core.operators.base import MatrixFreeOperator
-from ..core.operators.laplace import cell_laplacian
+from ..core.operators.laplace import FaceLoop, cell_laplacian
+from ..core.plans import Workspace
 from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS
 from ..telemetry.timeline import PHASES, merge_timeline
@@ -149,16 +140,6 @@ class _RankPlan:
     rank: int
     lo: int  # owned cells are the Morton-contiguous range [lo, hi)
     hi: int
-    #: per interior batch: entry indices where this rank owns both cells
-    loc: list = field(default_factory=list)
-    #: per interior batch: (entries, far-ghost slots) where only the
-    #: minus cell is owned (the plus cell arrives via the exchange)
-    cut_m: list = field(default_factory=list)
-    #: per interior batch: (entries, far-ghost slots) where only the
-    #: plus cell is owned
-    cut_p: list = field(default_factory=list)
-    #: per boundary batch: entry indices whose cell this rank owns
-    bdry: list = field(default_factory=list)
     #: sorted global ids of the ghost cells this rank receives
     ghosts: np.ndarray | None = None
     #: source rank -> slots into ``ghosts`` its payload fills
@@ -183,8 +164,8 @@ class ExchangeCensus:
 
 class PartitionPlan:
     """Morton partition of an operator's mesh plus the derived ghost
-    exchange: who owns which cells, which face-batch entries each rank
-    computes (fully-owned vs. cut), and the per-rank-pair payloads.
+    exchange: who owns which cells, which ghost cells each rank
+    receives, and the per-rank-pair payloads.
 
     :meth:`census` counts the exchange the paper's protocol needs; the
     test battery checks it against the operator-free model census
@@ -195,7 +176,6 @@ class PartitionPlan:
     def __init__(self, op, n_workers: int, weights=None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        conn = op.conn
         self.n_workers = int(n_workers)
         self.ranks = partition_forest(op.geo.forest, n_workers, weights=weights)
         if np.any(np.diff(self.ranks) < 0):
@@ -213,46 +193,16 @@ class PartitionPlan:
         plans = [_RankPlan(rank=r, lo=int(lo[r]), hi=int(hi[r]))
                  for r in range(n_workers)]
 
-        self.pairs: set[tuple[int, int]] = set()
-        self.n_cut_faces = 0
-        ghost_far: list[list] = [[] for _ in range(n_workers)]  # (kind, ib, cells)
-        for batch in conn.interior:
-            rm = self.ranks[batch.cells_m]
-            rp = self.ranks[batch.cells_p]
-            cut = np.nonzero(rm != rp)[0]
-            if cut.size:
-                self.n_cut_faces += int(cut.size)
-                for s, d in zip(rm[cut], rp[cut]):
-                    self.pairs.add((int(s), int(d)))
-                    self.pairs.add((int(d), int(s)))
-            for rp_ in plans:
-                r = rp_.rank
-                em = rm == r
-                ep = rp == r
-                rp_.loc.append(np.nonzero(em & ep)[0])
-                cm = np.nonzero(em & ~ep)[0]
-                cp = np.nonzero(ep & ~em)[0]
-                rp_.cut_m.append((cm, batch.cells_p[cm]))
-                rp_.cut_p.append((cp, batch.cells_m[cp]))
-                if cm.size:
-                    ghost_far[r].append(batch.cells_p[cm])
-                if cp.size:
-                    ghost_far[r].append(batch.cells_m[cp])
-        for ib, batch in enumerate(conn.boundary):
-            rb = self.ranks[batch.cells]
-            for rp_ in plans:
-                rp_.bdry.append(np.nonzero(rb == rp_.rank)[0])
-
+        (cm, _, cp, *_), _ = op.face_loop.table
+        rm, rq = self.ranks[cm], self.ranks[cp]
+        cut = rm != rq
+        self.n_cut_faces = int(cut.sum())
+        self.pairs: set[tuple[int, int]] = set(zip(rm[cut].tolist(), rq[cut].tolist()))
+        self.pairs |= {(d, s) for s, d in self.pairs}
         for rp_ in plans:
             r = rp_.rank
-            ghosts = (np.unique(np.concatenate(ghost_far[r]))
-                      if ghost_far[r] else np.empty(0, dtype=np.intp))
+            ghosts = np.unique(np.concatenate([cp[cut & (rm == r)], cm[cut & (rq == r)]]))
             rp_.ghosts = ghosts
-            # far-cell arrays -> slots into the ghost array
-            rp_.cut_m = [(idx, np.searchsorted(ghosts, far))
-                         for idx, far in rp_.cut_m]
-            rp_.cut_p = [(idx, np.searchsorted(ghosts, far))
-                         for idx, far in rp_.cut_p]
             # split the ghosts by owner (ownership ranges are contiguous)
             for s in range(n_workers):
                 if s == r:
@@ -305,179 +255,64 @@ class PartitionPlan:
 # rank-local operator
 # ----------------------------------------------------------------------
 
-def _padded(idx: np.ndarray, batch_size: int) -> tuple[np.ndarray, int]:
-    """Pad a 1-entry face subset to 2 entries by duplicating it.
-
-    The face-trace kernels fold one GEMM row per face; a single-row
-    product takes BLAS's gemv-like path whose rounding differs from the
-    >= 2-row kernels, so a 1-face subset of a larger batch would break
-    the bitwise contract.  Duplicating the entry restores a >= 2-row
-    product — whose per-row results are independent of the other rows —
-    and the caller drops the duplicate.  A batch that has only one face
-    *in total* is evaluated unpadded, reproducing the monolithic
-    single-row path exactly.
-    """
-    if idx.size == 1 and batch_size > 1:
-        return np.concatenate([idx, idx]), 1
-    return idx, int(idx.size)
-
-
-class _FaceWork:
-    """Precomputed subset of one interior face batch: the metric rows
-    (``c_m``, ``c_p``, ``jxw``), penalties, and cell indices of the
-    entries this rank evaluates."""
-
-    __slots__ = ("ib", "face_m", "face_p", "orientation", "subface",
-                 "c_m", "c_p", "jxw", "tau",
-                 "m_local", "p_local", "m_slots", "p_slots", "take")
-
-    def __init__(self, ib, batch, fm, tau, idx, lo,
-                 m_owned, p_owned, m_slots=None, p_slots=None):
-        self.ib = ib
-        self.face_m = batch.face_m
-        self.face_p = batch.face_p
-        self.orientation = batch.orientation
-        self.subface = batch.subface
-        pidx, self.take = _padded(idx, batch.cells_m.size)
-        pad = pidx.size != idx.size
-        self.c_m = np.ascontiguousarray(fm.c_m[:, pidx])
-        self.c_p = np.ascontiguousarray(fm.c_p[:, pidx])
-        self.jxw = fm.jxw[pidx]
-        self.tau = tau[pidx]
-        # padded gather indices; scatters use the first ``take`` entries
-        self.m_local = batch.cells_m[pidx] - lo if m_owned else None
-        self.p_local = batch.cells_p[pidx] - lo if p_owned else None
-        self.m_slots = (None if m_slots is None
-                        else (np.concatenate([m_slots, m_slots]) if pad
-                              else m_slots))
-        self.p_slots = (None if p_slots is None
-                        else (np.concatenate([p_slots, p_slots]) if pad
-                              else p_slots))
-
-
-class _BdryWork:
-    """Owned subset of one (Dirichlet) boundary face batch."""
-
-    __slots__ = ("ib", "face", "c_m", "jxw", "tau", "cells", "take")
-
-    def __init__(self, ib, batch, fm, tau, idx, lo):
-        self.ib = ib
-        self.face = batch.face
-        pidx, self.take = _padded(idx, batch.cells.size)
-        self.c_m = np.ascontiguousarray(fm.c_m[:, pidx])
-        self.jxw = fm.jxw[pidx]
-        self.tau = tau[pidx]
-        self.cells = batch.cells[pidx] - lo
-
-
 class RankLocalOperator:
     """One rank's owner-computes share of a
     :class:`~repro.core.operators.laplace.DGLaplaceOperator` mat-vec.
 
-    Contributions are buffered, then accumulated in the canonical
-    monolithic order (cell term; per interior batch minus then plus
-    side; boundary batches last) so the owned output slice is bitwise
-    identical to the corresponding slice of a single-process ``vmult``.
+    The operator's face loop restricted to the faces of the owned cells,
+    in two phases: fully owned and owned Dirichlet faces, then the cut
+    faces, whose far side reads the sheets of the exchanged ghost cells.
+    Every owned residual slot is written by the same row arithmetic as in
+    the serial loop, so the owned output slice is bitwise identical to
+    the corresponding slice of a single-process ``vmult``.
     """
 
     def __init__(self, op, plan: PartitionPlan, rank: int) -> None:
         self.op = op
         self.plan = plan
         self.rank = rank
-        self.fk = op.fk
         rp = plan.rank_plans[rank]
-        self.lo, self.hi = rp.lo, rp.hi
         self.rank_plan = rp
         self._dofs = slice(rp.lo * plan.npc, rp.hi * plan.npc)
         self._laplace_d = op.cell_metrics.laplace_d[:, rp.lo:rp.hi]
-        self._loc_work: list[_FaceWork] = []
-        self._cut_work: list[_FaceWork] = []
-        for ib, (batch, fm, tau) in enumerate(
-            zip(op.conn.interior, op.face_metrics, op.tau)
-        ):
-            idx = rp.loc[ib]
-            if idx.size:
-                self._loc_work.append(_FaceWork(
-                    ib, batch, fm, tau, idx, rp.lo,
-                    m_owned=True, p_owned=True,
-                ))
-            idx, slots = rp.cut_m[ib]
-            if idx.size:
-                self._cut_work.append(_FaceWork(
-                    ib, batch, fm, tau, idx, rp.lo,
-                    m_owned=True, p_owned=False, p_slots=slots,
-                ))
-            idx, slots = rp.cut_p[ib]
-            if idx.size:
-                self._cut_work.append(_FaceWork(
-                    ib, batch, fm, tau, idx, rp.lo,
-                    m_owned=False, p_owned=True, m_slots=slots,
-                ))
-        self._bdry_work: list[_BdryWork] = []
-        for ib, (batch, fm, tau) in enumerate(
-            zip(op.conn.boundary, op.bdry_metrics, op.tau_b)
-        ):
-            if batch.boundary_id not in op.dirichlet_ids:
-                continue
-            idx = rp.bdry[ib]
-            if idx.size:
-                self._bdry_work.append(_BdryWork(ib, batch, fm, tau, idx, rp.lo))
+        (cm, fm, cp, fp, code, kind), (cd, fd) = op.face_loop.table
+        n_own = rp.n_cells
+        own_m, own_p, own_d = ((c >= rp.lo) & (c < rp.hi) for c in (cm, cp, cd))
+        # local cell ids: the owned cells, then the ghosts
+        lm, lp, ld = (np.where(o, c - rp.lo, n_own + np.searchsorted(rp.ghosts, c))
+                      for o, c in ((own_m, cm), (own_p, cp), (own_d, cd)))
+        self.faces = FaceLoop(
+            op.kern, n_own + rp.ghosts.size, n_own, (lm, fm, lp, fp, code, kind), (ld, fd),
+            phases=((own_m & own_p, own_d), (own_m ^ own_p, np.zeros_like(own_d))),
+        )
+        self.data = op.face_loop.restrict(op.face_data, self.faces)
+        self.ws = Workspace()
 
     # -- phases --------------------------------------------------------
-    def _face_terms(self, w: _FaceWork, u, ug):
-        """Evaluate one face-work item; yields the owned-side buffered
-        contributions as ``(sort_key, local_cells, contrib)``."""
-        fk, ax = self.fk, u.ndim - 4
-        um = (np.take(u, w.m_local, axis=ax) if w.m_local is not None
-              else np.take(ug, w.m_slots, axis=ax))
-        up = (np.take(u, w.p_local, axis=ax) if w.p_local is not None
-              else np.take(ug, w.p_slots, axis=ax))
-        contribs = self.op.face_terms(
-            w, w, w.tau,
-            fk.eval_side(um, w.face_m),
-            fk.eval_side(up, w.face_p, w.orientation, w.subface),
-            minus=w.m_local is not None, plus=w.p_local is not None,
-        )
-        return [
-            ((0, w.ib, side), cells[:w.take], contrib[..., :w.take, :, :, :])
-            for side, (cells, contrib) in enumerate(zip((w.m_local, w.p_local), contribs))
-            if cells is not None
-        ]
-
-    def _bdry_terms(self, w: _BdryWork, u):
-        contrib = self.op.boundary_terms(
-            w.face, w, w.tau, np.take(u, w.cells, axis=u.ndim - 4)
-        )
-        return ((1, w.ib, 0), w.cells[:w.take], contrib[..., :w.take, :, :, :])
-
-    def interior_contribs(self, u: np.ndarray):
-        """Cell term plus every contribution that needs no ghost data
-        (fully-owned interior faces, owned boundary faces)."""
+    def interior(self, u: np.ndarray):
+        """Cell term plus every face that needs no ghost data; returns
+        the round's state for :meth:`cut` and :meth:`accumulate`."""
         op = self.op
         base = cell_laplacian(op.kern, self._laplace_d, u, op.workspace())
-        pend = []
-        for w in self._loc_work:
-            pend.extend(self._face_terms(w, u, None))
-        for w in self._bdry_work:
-            pend.append(self._bdry_terms(w, u))
-        return base, pend
+        u = u.reshape((-1,) + u.shape[-4:])
+        buf = self.ws.take("sip.sheets", (u.shape[0], self.faces.size), base.dtype)
+        self.faces.sheets(u, buf)
+        self.faces.run(buf, self.data, self.faces.phases[0], op._face_flux, self.ws)
+        return base, buf
 
-    def cut_contribs(self, u: np.ndarray, ug: np.ndarray):
-        """Owned-side contributions of the partition-crossing faces."""
-        pend = []
-        for w in self._cut_work:
-            pend.extend(self._face_terms(w, u, ug))
-        return pend
+    def cut(self, state, ug: np.ndarray) -> None:
+        """The partition-crossing faces, once the ghost cells ``ug``
+        have arrived."""
+        buf = state[1]
+        self.faces.sheets(ug.reshape(buf.shape[:1] + ug.shape[-4:]), buf,
+                          lo=self.rank_plan.n_cells)
+        self.faces.run(buf, self.data, self.faces.phases[1], self.op._face_flux, self.ws)
 
-    def accumulate(self, base, pend):
-        """Fold the buffered contributions into ``base`` in canonical
-        order: interior batches ascending, minus before plus side,
-        boundary batches last — the monolithic accumulation order.
-        (Within one batch and side the owned cell sets of the local and
-        cut subsets are disjoint, so their relative order is
-        immaterial per output element.)"""
-        for _key, cells, contrib in sorted(pend, key=lambda t: t[0]):
-            base[..., cells, :, :, :] += contrib
+    def accumulate(self, state) -> np.ndarray:
+        """Add the owned residual sheets onto the cell term."""
+        base, buf = state
+        self.faces.finish(buf)
+        self.faces.expand(buf, base.reshape(buf.shape[:1] + base.shape[-4:]), self.ws)
         return base
 
     def owned(self, x: np.ndarray) -> np.ndarray:
@@ -510,12 +345,6 @@ class RankLocalOperator:
         result ``y``."""
         y[..., self._dofs] = y_own.reshape(y_own.shape[:-4] + (-1,))
 
-    def apply(self, u: np.ndarray, ug: np.ndarray) -> np.ndarray:
-        """Full owned share in one call (the in-process entry point)."""
-        base, pend = self.interior_contribs(u)
-        pend.extend(self.cut_contribs(u, ug))
-        return self.accumulate(base, pend)
-
 
 class InProcessGhostRuntime:
     """All ranks evaluated sequentially in one process.
@@ -546,8 +375,9 @@ class InProcessGhostRuntime:
         mail = self.mailbox(x)
         y = None
         for rlo in self.locals:
-            ug = rlo.ghosts(mail[rlo.rank], x.shape[:-1], x.dtype)
-            y_own = rlo.apply(rlo.owned(x), ug)
+            work = rlo.interior(rlo.owned(x))
+            rlo.cut(work, rlo.ghosts(mail[rlo.rank], x.shape[:-1], x.dtype))
+            y_own = rlo.accumulate(work)
             if y is None:
                 y = np.empty(x.shape[:-1] + (self.plan.n_dofs,),
                              dtype=y_own.dtype)
@@ -1036,7 +866,7 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess):
         os._exit(CRASH_EXIT_CODE)
     t2 = time.perf_counter()
     # interior work overlaps the (conceptual) message flight time
-    base, pend = rlo.interior_contribs(u)
+    work = rlo.interior(u)
     t3 = time.perf_counter()
     deadline = time.monotonic() + 120.0
     spins = []
@@ -1052,9 +882,9 @@ def _worker_vmult(state: _WorkerState, tag, rnd, sess):
         spins.append((src, n))
     t4 = time.perf_counter()
     ug = rlo.ghosts(sess["inbox"], x.shape[:-1], x.dtype, peers)
-    pend.extend(rlo.cut_contribs(u, ug))
+    rlo.cut(work, ug)
     t5 = time.perf_counter()
-    rlo.store(sess["y"], rlo.accumulate(base, pend))
+    rlo.store(sess["y"], rlo.accumulate(work))
     t6 = time.perf_counter()
     return (t0, t1, t2, t3, t4, t5, t6), peers, spins
 

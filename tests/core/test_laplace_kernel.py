@@ -3,35 +3,43 @@ that its one code path is symmetric, precision-stable and ensemble-
 transparent on the meshes where face bugs hide (curved, 2:1 hanging,
 non-identity orientations at once)."""
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
 from repro.core.dof_handler import DGDofHandler
 from repro.core.operators import DGLaplaceOperator
-from repro.mesh.connectivity import build_connectivity
-from repro.mesh.generators import bifurcation
+from repro.core.sum_factorization import apply_1d_2d
+from repro.lung.airway_mesh import INLET_ID, airway_tree_mesh
+from repro.lung.tree import grow_airway_tree
+from repro.mesh.connectivity import build_connectivity, orient_face_array
+from repro.mesh.generators import box
 from repro.mesh.mapping import SYM_SLOT, GeometryField
 from repro.mesh.octree import Forest
 from repro.perf.memory import laplace_transfer
+from repro.robustness.config import RunConfig
 from repro.solvers.multigrid import operator_to_dtype
 from repro.verification import check_symmetry
+
+from .conftest import SHEAR
 
 DEGREE = 2
 
 
-@pytest.fixture
-def curved_hanging(rng):
-    """Randomized bifurcation (curved, non-identity orientations) with
-    one randomly picked cell refined (2:1 hanging faces)."""
-    forest = Forest(bifurcation(opening_angle_deg=float(rng.uniform(40.0, 80.0))))
-    pick = int(rng.integers(0, forest.n_cells))
-    forest = forest.refine([forest.leaves[pick]]).balance()
-    geo = GeometryField(forest, DEGREE)
-    conn = build_connectivity(forest)
-    assert any(b.subface is not None for b in conn.interior)
-    assert any(not b.orientation.is_identity for b in conn.interior)
-    op = DGLaplaceOperator(DGDofHandler(forest, DEGREE), geo, conn, dirichlet_ids=(1,))
-    return geo, conn, op
+def _frame_jacobian(geo, cells, face, o=None, subface=None):
+    """``dX / d(n, a, b)`` (F, 3, 3, q, q) at the minus-frame quadrature
+    points of one face side: derivatives of the side's geometry traces
+    oriented into the minus frame."""
+    kern = geo.kernel
+    X = geo.X[cells]
+    t, tn = kern.face_nodal_trace(X, face), kern.face_nodal_normal_derivative(X, face)
+    if o is not None:
+        t, tn = orient_face_array(t, o), orient_face_array(tn, o)
+    t = np.ascontiguousarray(t)
+    cols = (tn, apply_1d_2d(kern.nodal_diff, t, 1), apply_1d_2d(kern.nodal_diff, t, 0))
+    return np.stack([kern.face_nodal_to_quad(np.ascontiguousarray(col), subface)
+                     for col in cols], axis=2)
 
 
 class _Recording:
@@ -58,26 +66,35 @@ class TestStorageEqualsTransferModel:
         D = op.cell_metrics.laplace_d
         assert D.dtype == dtype and D.shape == (6, op.dof.n_cells, nq, nq, nq)
         cell_bytes = D.nbytes // op.dof.n_cells
-        # faces: 7 values per quadrature point (+ tau per face)
-        u = op.dof.cell_view(rng.standard_normal(op.n_dofs).astype(dtype))
-        for batch, fm, tau in zip(conn.interior, op.face_metrics, op.tau):
-            probe = _Recording(fm)
-            op.face_terms(
-                batch, probe, tau,
-                op.fk.eval_side(u[batch.cells_m], batch.face_m),
-                op.fk.eval_side(u[batch.cells_p], batch.face_p,
-                                batch.orientation, batch.subface),
-            )
-            assert probe.read == {"c_m", "c_p", "jxw"}
-            # ... and no 3x3 block is stored beside them
-            assert fm.jinv_t is None
-            read = [getattr(fm, name) for name in sorted(probe.read)]
-            assert all(a.dtype == dtype for a in read) and tau.dtype == dtype
-            face_bytes = sum(a.nbytes for a in read) // batch.n_faces
-            assert face_bytes == 7 * nq * nq * pb
-            assert tau.shape == (batch.n_faces,)
-            # the model's per-cell charge: 3 face sheets + the cell block
-            assert model.bytes_per_cell == vec_and_meta + cell_bytes + 3 * face_bytes
+        # faces: the one store the face loop reads — 7 values per
+        # interior face quadrature point (c_m, c_p, jxw), 4 per Dirichlet
+        # face (c, jxw), plus tau per face
+        fd = op.face_data
+        probe = op.face_data = _Recording(fd)
+        try:
+            op.vmult(rng.standard_normal(op.n_dofs).astype(dtype))
+        finally:
+            op.face_data = fd
+        assert probe.read == {"c", "jxw", "tau"}
+        assert all(getattr(fd, name).dtype == dtype for name in probe.read)
+        n_int = conn.n_interior_faces
+        n_dir = sum(b.n_faces for b in conn.boundary if b.boundary_id in op.dirichlet_ids)
+        assert fd.c.shape == (3, 2 * n_int + n_dir, nq * nq)
+        assert fd.jxw.shape == (n_int + n_dir, nq * nq)
+        assert fd.tau.shape == (n_int + n_dir,)
+        face_bytes = 7 * nq * nq * pb
+        assert fd.c.nbytes + fd.jxw.nbytes == n_int * face_bytes + n_dir * 4 * nq * nq * pb
+        # stored once: every array the clone does not share with its
+        # master is at the compute dtype (no second, float64 copy)
+        for name, value in vars(op).items():
+            if value is vars(op64).get(name):
+                continue
+            arrays = ([value] if isinstance(value, np.ndarray) else
+                      [getattr(value, f.name) for f in fields(value)] if is_dataclass(value)
+                      else [])
+            assert all(a.dtype == dtype for a in arrays if a.dtype.kind == "f"), name
+        # the model's per-cell charge: 3 face sheets + the cell block
+        assert model.bytes_per_cell == vec_and_meta + cell_bytes + 3 * face_bytes
 
 
 class TestNormalDerivativeKernel:
@@ -85,25 +102,23 @@ class TestNormalDerivativeKernel:
         check_symmetry(curved_hanging[2], rng)
 
     def test_coefficients_are_jinv_n(self, curved_hanging):
-        """``c = J^{-1} n`` on both sides: ``J c`` must reproduce the
-        stored normal, with ``J`` re-derived from the geometry field."""
-        geo, conn, op = curved_hanging
-        for batch, fm in zip(conn.interior, op.face_metrics):
-            sides = (
-                (fm.c_m, geo._side_face_data(batch.cells_m, batch.face_m)[1]),
-                (fm.c_p, geo._side_face_data(batch.cells_p, batch.face_p,
-                                             batch.orientation, batch.subface)[1]),
-            )
-            for c, J in sides:
-                assert c.flags.c_contiguous and c.shape == (3,) + fm.jxw.shape
-                np.testing.assert_allclose(
-                    np.einsum("fijab,jfab->fiab", J, c), fm.normal, atol=1e-11
-                )
-        for batch, fm in zip(conn.boundary, op.bdry_metrics):
-            assert fm.c_p is None
-            J = geo._side_face_data(batch.cells, batch.face)[1]
+        """``c = J^{-1} n`` on both sides, in the minus-frame ``(n, a, b)``
+        components: ``J c`` must reproduce the stored normal, with the
+        frame Jacobian ``dX/d(n, a, b)`` re-derived from each side's
+        oriented nodal traces of the geometry field."""
+        geo, conn, _ = curved_hanging
+        fms, bms = geo.all_face_metrics(conn)
+        sides = [(fm, fm.c_m, (b.cells_m, b.face_m)) for b, fm in zip(conn.interior, fms)]
+        sides += [(fm, fm.c_p, (b.cells_p, b.face_p, b.orientation, b.subface))
+                  for b, fm in zip(conn.interior, fms)]
+        sides += [(fm, fm.c_m, (b.cells, b.face)) for b, fm in zip(conn.boundary, bms)]
+        assert all(fm.c_p is None for fm in bms)
+        for fm, c, side in sides:
+            assert c.flags.c_contiguous and c.shape == (3,) + fm.jxw.reshape(len(fm.jxw), -1).shape
+            J = _frame_jacobian(geo, *side)
             np.testing.assert_allclose(
-                np.einsum("fijab,jfab->fiab", J, fm.c_m), fm.normal, atol=1e-11
+                np.einsum("fikab,kfab->fiab", J, c.reshape((3,) + fm.jxw.shape)),
+                fm.normal, atol=1e-11,
             )
 
     def test_cell_metric_is_the_symmetric_block(self, curved_hanging):
@@ -129,9 +144,73 @@ class TestNormalDerivativeKernel:
         X = rng.standard_normal((3, op.n_dofs))
         Y = op.vmult(X)
         for e in range(3):
-            # one-face batches fold to a single GEMM row when run solo
-            # (differently rounded gemv path), hence not bitwise
-            solo = op.vmult(X[e])
-            np.testing.assert_allclose(Y[e], solo, rtol=1e-12,
-                                       atol=1e-12 * np.abs(solo).max())
+            # the face loop runs the same chunks, GEMM row counts and
+            # elementwise flux per member as solo
+            assert np.array_equal(Y[e], op.vmult(X[e]))
         assert np.array_equal(op.vmult(X[:1])[0], op.vmult(X[0]))
+
+
+class TestGalerkinConsistency:
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_linear_solution_on_every_orientation(self, rotated_hanging_box, degree):
+        """``A u = b`` for a linear ``u``: the SIP form is consistent, so
+        the interior fluxes cancel exactly — which needs every face
+        side's normal derivative right, whatever its orientation (swaps
+        and flips) or subface."""
+        forest, conn = rotated_hanging_box
+        geo = GeometryField(forest, degree)
+        op = DGLaplaceOperator(DGDofHandler(forest, degree), geo, conn, dirichlet_ids=(1,))
+        a = np.array([0.3, -1.1, 0.7])
+
+        def dudn(*xyz):
+            # side d of the sheared unit box: reference coordinate d at
+            # 0 or 1, outward normal along -/+ row d of SHEAR^{-1}
+            ref = np.einsum("ij,j...->i...", np.linalg.inv(SHEAR), np.stack(xyz))
+            n = np.linalg.inv(SHEAR).T / np.linalg.norm(np.linalg.inv(SHEAR), axis=1)
+            side = (ref > 1 - 1e-12) * 1.0 - (ref < 1e-12)
+            return sum(side[d] * (a @ n[:, d]) for d in range(3))
+
+        b = op.assemble_rhs(dirichlet=lambda x, y, z: a[0] * x + a[1] * y + a[2] * z,
+                            neumann=dudn)
+        u = np.einsum("i,ci...->c...", a, geo.X).reshape(-1)
+        np.testing.assert_allclose(op.vmult(u), b, rtol=0, atol=1e-11 * np.abs(b).max())
+
+
+def _pressure_operator(forest, dirichlet_ids):
+    """The k=1 pressure Poisson operator of a k=2 flow solver."""
+    return DGLaplaceOperator(DGDofHandler(forest, 1), GeometryField(forest, 1),
+                             build_connectivity(forest), dirichlet_ids=dirichlet_ids)
+
+
+def _matmul_calls(op, monkeypatch) -> int:
+    """``np.matmul`` calls of one fp64 mat-vec."""
+    x = np.random.default_rng(0).standard_normal(op.n_dofs)
+    op.vmult(x)  # plans and workspaces are built on the first call
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", counting)
+        op.vmult(x)
+    return len(calls)
+
+
+class TestFaceWorkScalesWithChunks:
+    def test_lung_pressure_calls_no_more_than_beltrami(self, monkeypatch):
+        """The g=2 lung pressure operator has 15 face batches (interior
+        plus Dirichlet), the r=2 Beltrami box 6: one face loop makes the
+        GEMM count follow the chunks, not the batches."""
+        cfg = RunConfig(generations=2, degree=2, seed=0)
+        lung = airway_tree_mesh(grow_airway_tree(cfg.generations, scale=cfg.scale, seed=cfg.seed))
+        lung_op = _pressure_operator(lung.forest, (INLET_ID, *lung.outlet_ids))
+        beltrami = Forest(box(subdivisions=(1, 1, 1),
+                              boundary_ids={i: 1 for i in range(6)})).refine_all(2)
+        box_op = _pressure_operator(beltrami, ())
+        n_batches = len(lung_op.conn.interior) + sum(
+            b.boundary_id in lung_op.dirichlet_ids for b in lung_op.conn.boundary)
+        assert n_batches > 2 * len(box_op.conn.interior)
+        assert _matmul_calls(lung_op, monkeypatch) <= _matmul_calls(box_op, monkeypatch)

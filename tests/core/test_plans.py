@@ -318,6 +318,11 @@ class TestFastDiagonal:
         assert conn.mixed_orientation_fraction() > 0
         self.check(op, 1e-12)
 
+    def test_curved_hanging(self, curved_hanging):
+        """Reoriented, 2:1 subface-interpolated and curved faces at once
+        (no benchmark mesh has a row that is all three)."""
+        self.check(curved_hanging[2], 1e-12)
+
     def test_float32_clone(self, hanging_forest):
         _, _, op = make_dg_laplace(hanging_forest, 2)
         self.check(single_precision_operator(op), 1e-5)

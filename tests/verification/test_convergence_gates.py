@@ -37,16 +37,15 @@ class TestPoissonSpatialOrder:
 
 
 class _LaplaceWithoutConsistencyTerms(DGLaplaceOperator):
-    """Injected bug: the SIP interior face flux with the consistency and
+    """Injected bug: the SIP face flux with the consistency and
     adjoint-consistency terms dropped — only the jump penalty survives.
     This is exactly the class of bug (a lost face-integral term) the
     rate gate exists to catch: the operator stays symmetric positive
     definite and produces plausible-looking solutions, but the scheme is
     inconsistent and the L2 order collapses."""
 
-    def _face_flux(self, fm, tau, vm, gm, vp, gp):
-        jump = vm - vp
-        return tau[:, None, None] * jump * fm.jxw, np.zeros_like(jump)
+    def _face_flux(self, jump, dn, w, tau):
+        return tau[:, None] * jump * w, np.zeros_like(jump)
 
 
 class TestGateCatchesInjectedBug:
