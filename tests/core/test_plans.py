@@ -278,6 +278,15 @@ class TestPlannedVmultEquivalence:
     def test_assemble_rhs(self, computed, golden):
         self.check("assemble_rhs_dg_laplace_hanging_k2", computed, golden)
 
+    @pytest.mark.parametrize("mesh", ["hanging", "bifurcation"])
+    @pytest.mark.parametrize("entry", [
+        "apply_convective", "apply_divergence", "apply_divergence_interior_trace",
+        "apply_gradient", "vmult_penalty", "pressure_neumann_rhs",
+        "viscous_boundary_rhs",
+    ])
+    def test_flow_operators(self, computed, golden, entry, mesh):
+        self.check(f"{entry}_{mesh}_k2", computed, golden)
+
     def test_warm_workspace_is_deterministic(self, hanging_forest):
         """A second application reuses the workspace buffers the first
         one allocated and must reproduce it bit for bit."""
