@@ -58,21 +58,8 @@ def main() -> None:
     diag = FlowDiagnostics(flow.dof_u, flow.geo_u)
     u = flow.velocity / diag.max_velocity(flow.velocity)
     dt = 0.025  # explicit advection-diffusion limit at the junction cells
-    from repro.core.operators.base import FaceKernels
-
-    fk = FaceKernels(flow.geo_u.kernel)
-
     def outlet_mean_c(bid):
-        c = transport.dof_c.cell_view(transport.c)
-        total, area = 0.0, 0.0
-        for batch, fm in zip(flow.conn.boundary, flow.divergence.bdry_metrics):
-            if batch.boundary_id != bid:
-                continue
-            tr = flow.geo_u.kernel.face_nodal_trace(c[batch.cells], batch.face)
-            cq = fk.to_quad(tr)
-            total += float((cq * fm.jxw).sum())
-            area += float(fm.jxw.sum())
-        return total / area
+        return transport.advection.boundary_mean(transport.c, bid)
 
     for step in range(1, 801):
         transport.step(dt, u)

@@ -1,6 +1,6 @@
 """Matrix-free PDE operators built on the sum-factorization kernels."""
 
-from .base import FaceKernels, MatrixFreeOperator, physical_gradient
+from .base import FaceLoop, MatrixFreeOperator
 from .mass import InverseMassOperator, MassOperator
 from .laplace import CGLaplaceOperator, DGLaplaceOperator
 from .vector_laplace import HelmholtzOperator, VectorDGLaplace
@@ -9,9 +9,8 @@ from .convective import ConvectiveOperator
 from .penalty import DivergenceContinuityPenalty, PenaltyStepOperator
 
 __all__ = [
-    "FaceKernels",
+    "FaceLoop",
     "MatrixFreeOperator",
-    "physical_gradient",
     "InverseMassOperator",
     "MassOperator",
     "CGLaplaceOperator",

@@ -11,6 +11,13 @@ Flux: ``F*(u_m, u_p) = {u (x) u} n + lambda/2 (u_m - u_p)`` with
 ``lambda = max(|u_m . n|, |u_p . n|)``.  Boundary data: mirrored
 ``u_p = -u_m + 2 g`` on velocity-Dirichlet boundaries (energy-stable),
 ``u_p = u_m`` on pressure/outflow boundaries.
+
+The face term is one flux block of the planned value loop
+(:class:`~repro.core.operators.base.FaceLoop`): the three velocity
+components (and any ensemble members) ride the loop's leading axis, every
+face side is a row of the same chunked gather, flux and scatter, and the
+Dirichlet data of each boundary id is evaluated once per application on
+all of that id's quadrature points.
 """
 
 from __future__ import annotations
@@ -23,7 +30,9 @@ from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
-from .base import FaceKernels, MatrixFreeOperator
+from .base import (
+    MatrixFreeOperator, components_first, components_last, dirichlet_rows, value_faces,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ...ns.bc import BoundaryConditions
@@ -41,12 +50,11 @@ class ConvectiveOperator(MatrixFreeOperator):
             raise ValueError("convective term expects over-integration (>= k+2 points)")
         self.dof = dof_u
         self.kern = geometry_over.kernel
-        self.fk = FaceKernels(self.kern)
         self.geo = geometry_over
         self.conn = connectivity
         self.bcs = bcs
         self.cell_metrics = geometry_over.cell_metrics()
-        self.face_metrics, self.bdry_metrics = geometry_over.all_face_metrics(connectivity)
+        self.loop, self.face_data = value_faces(geometry_over, connectivity)
         present = {b.boundary_id for b in connectivity.boundary}
         self.velocity_dirichlet = set(bcs.velocity_dirichlet_ids(present))
 
@@ -55,20 +63,17 @@ class ConvectiveOperator(MatrixFreeOperator):
         return self.dof.n_dofs
 
     def _lax_friedrichs(self, vm, vp, normal):
-        """Numerical flux (..., F, 3, a, b) in the minus normal direction."""
-        un_m = contract("fiab,...fiab->...fab", normal, vm)
-        un_p = contract("fiab,...fiab->...fab", normal, vp)
+        """Numerical flux (..., 3, F, q*q) in the minus normal direction."""
+        un_m = contract("ifq,...ifq->...fq", normal, vm)
+        un_p = contract("ifq,...ifq->...fq", normal, vp)
         lam = np.maximum(np.abs(un_m), np.abs(un_p))
-        central = 0.5 * (
-            vm * un_m[..., None, :, :] + vp * un_p[..., None, :, :]
-        )
+        central = 0.5 * (vm * un_m[..., None, :, :] + vp * un_p[..., None, :, :])
         return central + 0.5 * lam[..., None, :, :] * (vm - vp)
 
     def apply(self, u_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
         u = self.dof.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        ax = u.ndim - 5
         # cell term: -int (u (x) u) : grad(v)
         uq = kern.values(u)
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
@@ -76,32 +81,25 @@ class ConvectiveOperator(MatrixFreeOperator):
         Fu = contract("...cizyx,...cjzyx->...cijzyx", uq, uq)
         rg = contract("...cijzyx,cjlzyx->l...cizyx", Fu, cm.jinv_t)
         rg *= -cm.jxw[:, None]
-        out = kern.integrate_gradients_cm(rg)
-        # interior faces
-        for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            vm, vp = self.fk.interior_values(u, batch, ax)
-            flux = self._lax_friedrichs(vm, vp, fm.normal) * fm.jxw[:, None]
-            self._add_interior_flux(out, self.fk, ib, batch, flux, ax)
-        # boundary faces
-        for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            vm = self.fk.side_values(np.take(u, batch.cells, axis=ax), batch.face)
-            if batch.boundary_id in self.velocity_dirichlet:
-                pts = fm.points
-                g = np.asarray(
-                    self.bcs.velocity_value(
-                        batch.boundary_id, pts[:, 0], pts[:, 1], pts[:, 2], t
-                    ),
-                    dtype=vm.dtype,
-                )
-                # component axis behind the face axis: (.., 3, F, a, b)
-                # -> (.., F, 3, a, b); member-independent data broadcasts
-                vp = -vm + 2.0 * np.moveaxis(g, -4, -3)
-            else:
-                vp = vm
-            flux = self._lax_friedrichs(vm, vp, fm.normal) * fm.jxw[:, None]
-            contrib = self.fk.integrate_side(batch.face, flux, None)
-            self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
-        return self.dof.flat(out)
+        out = components_first(kern.integrate_gradients_cm(rg))
+        fd = self.face_data
+        g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
+                                 self.bcs.velocity_value, t, 1, out.dtype)
+
+        def flux(v, ch):
+            v = v.reshape((-1, 3) + v.shape[1:])
+            F, Fi, b = ch.F, ch.Fi, slice(ch.b0, ch.b0 + ch.F - ch.Fi)
+            vm, vp = v[:, :, :F], np.empty_like(v[:, :, :F])
+            vp[:, :, :Fi] = v[:, :, F:]
+            # mirrored ghost -u_m + 2 g on velocity-Dirichlet rows, the
+            # interior trace elsewhere (member-independent g broadcasts)
+            vb = vm[:, :, Fi:]
+            vp[:, :, Fi:] = np.where(rows[b], -vb + 2.0 * g[:, :, b], vb)
+            f = slice(ch.f0, ch.f0 + F)
+            return self._lax_friedrichs(vm, vp, fd.normal[:, f]) * fd.jxw[f]
+
+        self.loop.apply(components_first(u), out, flux)
+        return self.dof.flat(components_last(out, u.shape[:-5]))
 
     def vmult(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - nonlinear
         raise NotImplementedError("convective operator is nonlinear; use apply()")

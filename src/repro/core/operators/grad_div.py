@@ -16,6 +16,13 @@ Boundary treatment (dual splitting, Fehn et al. 2017):
 
 With matching homogeneous data the two operators are negative
 transposes of each other, which tests assert.
+
+Both face terms run the planned value loop
+(:class:`~repro.core.operators.base.FaceLoop`) over one face table in two
+spaces: the trial space's loop gathers and traces, the test space's loop
+integrates and scatters — the two loops have identical chunks, so one
+flux block per chunk connects them.  Velocity components and ensemble
+members ride the loops' leading axis.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
 from ..sum_factorization import TensorProductKernel
-from .base import FaceKernels, MatrixFreeOperator
+from .base import (
+    MatrixFreeOperator, components_first, components_last, dirichlet_rows, value_faces,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ...ns.bc import BoundaryConditions
@@ -52,17 +61,15 @@ class _MixedSpaceOperator(MatrixFreeOperator):
         self.dof_p = dof_p
         self.kern_u = geometry.kernel
         self.kern_p = TensorProductKernel(dof_p.degree, geometry.kernel.n_q_points)
-        self.fk_u = FaceKernels(self.kern_u)
-        self.fk_p = FaceKernels(self.kern_p)
         self.geo = geometry
         self.conn = connectivity
         self.bcs = bcs
         self.cell_metrics = geometry.cell_metrics()
-        self.face_metrics, self.bdry_metrics = geometry.all_face_metrics(connectivity)
+        self.loop_u, self.face_data = value_faces(geometry, connectivity)
+        self.loop_p, _ = value_faces(geometry, connectivity, self.kern_p)
         present = {b.boundary_id for b in connectivity.boundary}
         self.velocity_dirichlet = set(bcs.velocity_dirichlet_ids(present))
         self.pressure_dirichlet = set(bcs.pressure_dirichlet_ids(present))
-
 
 class DivergenceOperator(_MixedSpaceOperator):
     """q -> (div u, q): maps a velocity vector to a pressure-space vector."""
@@ -76,59 +83,44 @@ class DivergenceOperator(_MixedSpaceOperator):
         u_flat: np.ndarray,
         t: float = 0.0,
         interior_trace_everywhere: bool = False,
+        homogeneous: bool = False,
     ) -> np.ndarray:
         """``interior_trace_everywhere=True`` evaluates the boundary flux
         from the field's own trace — the form entering the pressure
         Poisson right-hand side of the dual splitting, where all boundary
-        physics is carried by the consistent pressure Neumann data."""
+        physics is carried by the consistent pressure Neumann data;
+        ``homogeneous=True`` treats the velocity-Dirichlet data as zero."""
         u = self.dof_u.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
         cm = self.cell_metrics
-        ax = u.ndim - 5
         # cell term: -int grad(q) . u
         uq = self.kern_u.values(u)
         rg = contract("cilzyx,...cizyx->l...czyx", cm.jinv_t, uq)
         rg *= -cm.jxw
         out = self.kern_p.integrate_gradients_cm(rg)
-        # interior faces: central flux
-        for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            um, up = self.fk_u.interior_values(u, batch, ax)
-            un = contract("fiab,...fiab->...fab", fm.normal, 0.5 * (um + up))
-            self._add_interior_flux(out, self.fk_p, ib, batch, un * fm.jxw, ax)
-        # boundary faces
-        for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            if batch.boundary_id in self.velocity_dirichlet and not interior_trace_everywhere:
-                pts = fm.points
-                g = np.asarray(
-                    self.bcs.velocity_value(
-                        batch.boundary_id, pts[:, 0], pts[:, 1], pts[:, 2], t
-                    ),
-                    dtype=u.dtype,
-                )
-                # (.., 3, F, a, b) -> (.., F, 3, a, b); member-independent
-                # data broadcasts across the batch in the scatter
-                ustar = np.moveaxis(g, -4, -3)
-            else:
-                ustar = self.fk_u.side_values(
-                    np.take(u, batch.cells, axis=ax), batch.face
-                )
-            un = contract("fiab,...fiab->...fab", fm.normal, ustar)
-            contrib = self.fk_p.integrate_side(batch.face, un * fm.jxw, None)
-            self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
+        fd = self.face_data
+        ids = () if interior_trace_everywhere else self.velocity_dirichlet
+        g, rows = dirichlet_rows(self.loop_u, fd.points, ids, self.bcs.velocity_value, t, 1,
+                                 out.dtype, homogeneous)
+
+        def flux(v, ch):
+            # central flux {u} . n on interior faces; the prescribed
+            # velocity on velocity-Dirichlet rows, the trace elsewhere
+            v = v.reshape((-1, 3) + v.shape[1:])
+            F, Fi, b = ch.F, ch.Fi, slice(ch.b0, ch.b0 + ch.F - ch.Fi)
+            ustar = np.empty_like(v[:, :, :F])
+            ustar[:, :, :Fi] = 0.5 * (v[:, :, :Fi] + v[:, :, F:])
+            ustar[:, :, Fi:] = np.where(rows[b], g[:, :, b], v[:, :, Fi:F])
+            return contract("ifq,...ifq->...fq", fd.normal[:, ch.f0:ch.f0 + F],
+                            ustar) * fd.jxw[ch.f0:ch.f0 + F]
+
+        self.loop_u.apply(components_first(u), out.reshape((-1,) + out.shape[-4:]), flux,
+                          self.loop_p)
         return self.dof_p.flat(out)
 
     def vmult(self, u_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data (linear) application: velocity-Dirichlet
         boundary data treated as zero."""
-        from ...ns.bc import BoundaryConditions, VelocityDirichlet
-
-        saved = self.bcs
-        self.bcs = BoundaryConditions(
-            {bid: VelocityDirichlet.no_slip() for bid in self.velocity_dirichlet}
-        )
-        try:
-            return self.apply(u_flat)
-        finally:
-            self.bcs = saved
+        return self.apply(u_flat, homogeneous=True)
 
 
 class GradientOperator(_MixedSpaceOperator):
@@ -138,49 +130,31 @@ class GradientOperator(_MixedSpaceOperator):
     def n_dofs(self) -> int:
         return self.dof_u.n_dofs
 
-    def apply(self, p_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
+    def apply(self, p_flat: np.ndarray, t: float = 0.0, homogeneous: bool = False) -> np.ndarray:
+        """``homogeneous=True`` treats the pressure-Dirichlet data as zero."""
         p = self.dof_p.cell_view(p_flat)  # (*lead, N, n_p, n_p, n_p)
         cm = self.cell_metrics
-        ax = p.ndim - 4
         # cell term: -int p div(v) -> component-major ref-grad
         # coefficients of each v_i
         coeff = -(self.kern_p.values(p) * cm.jxw)
         rg = contract("cilzyx,...czyx->l...cizyx", cm.jinv_t, coeff)
-        out = self.kern_u.integrate_gradients_cm(rg)
-        # interior faces: central flux {p} n . [v]
-        for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            pm, pp = self.fk_p.interior_values(p, batch, ax)
-            rv = (0.5 * (pm + pp) * fm.jxw)[..., None, :, :] * fm.normal
-            self._add_interior_flux(out, self.fk_u, ib, batch, rv, ax)
-        # boundary faces
-        for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            if batch.boundary_id in self.pressure_dirichlet:
-                pts = fm.points
-                # member-independent data broadcasts across the batch
-                pstar = np.asarray(
-                    self.bcs.pressure_value(
-                        batch.boundary_id, pts[:, 0], pts[:, 1], pts[:, 2], t
-                    ),
-                    dtype=p.dtype,
-                )
-            else:
-                pstar = self.fk_p.side_values(
-                    np.take(p, batch.cells, axis=ax), batch.face
-                )
-            rv = (pstar * fm.jxw)[..., None, :, :] * fm.normal
-            contrib = self.fk_u.integrate_side(batch.face, rv, None)
-            self._scatter_add(out, batch.cells, contrib, ("bdy", ib), axis=ax)
-        return self.dof_u.flat(out)
+        out = components_first(self.kern_u.integrate_gradients_cm(rg))
+        fd = self.face_data
+        g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,
+                                 self.bcs.pressure_value, t, 0, out.dtype, homogeneous)
+
+        def flux(v, ch):
+            # central flux {p} n . [v]; the prescribed pressure on
+            # pressure-Dirichlet rows, the trace elsewhere
+            F, Fi, b = ch.F, ch.Fi, slice(ch.b0, ch.b0 + ch.F - ch.Fi)
+            pstar = np.empty_like(v[:, :F])
+            pstar[:, :Fi] = 0.5 * (v[:, :Fi] + v[:, F:])
+            pstar[:, Fi:] = np.where(rows[b], g[:, b], v[:, Fi:F])
+            return (pstar * fd.jxw[ch.f0:ch.f0 + F])[:, None] * fd.normal[:, ch.f0:ch.f0 + F]
+
+        self.loop_p.apply(p.reshape((-1,) + p.shape[-4:]), out, flux, self.loop_u)
+        return self.dof_u.flat(components_last(out, p.shape[:-4]))
 
     def vmult(self, p_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data application (pressure-Dirichlet data = 0)."""
-        from ...ns.bc import BoundaryConditions, PressureDirichlet
-
-        saved = self.bcs
-        self.bcs = BoundaryConditions(
-            {bid: PressureDirichlet(0.0) for bid in self.pressure_dirichlet}
-        )
-        try:
-            return self.apply(p_flat)
-        finally:
-            self.bcs = saved
+        return self.apply(p_flat, homogeneous=True)

@@ -14,6 +14,11 @@ the current solution (``|u|_e``: mean speed, ``h_e = V_e^{1/3}``).  The
 penalty step solves ``(M + dt A_pen) u = M u_hat`` by inverse-mass
 preconditioned CG — the mass operator the whole stabilization design
 exploits (Section 2.3).
+
+The continuity penalty is one flux block of the planned value loop
+(:class:`~repro.core.operators.base.FaceLoop`) with the velocity
+components and ensemble members on its leading axis; ``tau_c`` is one
+``(*lead, faces)`` array over the interior faces in loop order.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
-from .base import FaceKernels, MatrixFreeOperator
+from .base import MatrixFreeOperator, components_first, components_last, value_faces
 from .mass import MassOperator
 
 
@@ -39,16 +44,18 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
     ) -> None:
         self.dof = dof_u
         self.kern = geometry.kernel
-        self.fk = FaceKernels(self.kern)
         self.conn = connectivity
         self.cell_metrics = geometry.cell_metrics()
-        self.face_metrics, _ = geometry.all_face_metrics(connectivity)
+        self.loop, self.face_data = value_faces(geometry, connectivity)
+        (cm, _, cp, *_), _ = self.loop.table
+        f = self.loop.src_faces[self.loop.src_faces < cm.size]
+        self._face_cells = cm[f], cp[f]  # interior faces in loop order
         self.zeta_div = zeta_div
         self.zeta_cont = zeta_cont
         vols = self.cell_metrics.jxw.reshape(dof_u.n_cells, -1).sum(axis=1)
         self.h_cell = vols ** (1.0 / 3.0)
         self.tau_div = np.zeros(dof_u.n_cells)
-        self.tau_cont = [np.zeros(b.n_faces) for b in connectivity.interior]
+        self.tau_cont = np.zeros(connectivity.n_interior_faces)
         self._mass_weight = self.cell_metrics.jxw
 
     @property
@@ -58,7 +65,8 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
     def update_parameters(self, u_flat: np.ndarray) -> None:
         """Recompute tau from the current velocity (called once per time
         step before the penalty solve).  ``(*lead, n)`` input yields
-        ``tau_div`` ``(*lead, N)`` / ``tau_cont`` ``(*lead, F)`` fields."""
+        ``tau_div`` ``(*lead, N)`` / ``tau_cont`` ``(*lead, F)`` fields
+        (``tau_cont`` over the interior faces in loop order)."""
         u = self.dof.cell_view(u_flat)
         uq = self.kern.values(u)
         speed = np.sqrt((uq**2).sum(axis=-4))
@@ -67,35 +75,37 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         mean_speed = sp.reshape(sp.shape[:-3] + (-1,)).sum(axis=-1) / vols
         k = self.dof.degree
         self.tau_div = self.zeta_div * mean_speed * self.h_cell / (k + 1)
-        self.tau_cont = [
-            self.zeta_cont
-            * 0.5
-            * (mean_speed[..., b.cells_m] + mean_speed[..., b.cells_p])
-            for b in self.conn.interior
-        ]
+        cm, cp = self._face_cells
+        self.tau_cont = self.zeta_cont * 0.5 * (mean_speed[..., cm] + mean_speed[..., cp])
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         u = self.dof.cell_view(x)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        ax = u.ndim - 5
         # divergence penalty: tau_div (div u)(div v).  ROADMAP 1(A): the
         # swapaxes transposes the trial-side gradient; the fix deletes it.
         grads = np.swapaxes(kern.gradients(u), -4, -5)
         div = contract("cilzyx,...cilzyx->...czyx", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None]
         rg = contract("cilzyx,...czyx->l...cizyx", cm.jinv_t, coeff)
-        out = kern.integrate_gradients_cm(rg)
-        # continuity penalty: tau_c [u.n][v.n]
-        for ib, (batch, fm, tau) in enumerate(
-            zip(self.conn.interior, self.face_metrics, self.tau_cont)
-        ):
-            vm, vp = self.fk.interior_values(u, batch, ax)
-            jump_n = contract("fiab,...fiab->...fab", fm.normal, vm - vp)
-            q = tau[..., None, None] * jump_n * fm.jxw
-            rv = q[..., None, :, :] * fm.normal
-            self._add_interior_flux(out, self.fk, ib, batch, rv, ax)
-        return self.dof.flat(out)
+        out = components_first(kern.integrate_gradients_cm(rg))
+        fd = self.face_data
+        tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))
+
+        def flux(v, ch):
+            # continuity penalty tau_c [u.n][v.n] on the interior rows;
+            # the boundary rows carry none
+            v = v.reshape((-1, 3) + v.shape[1:])
+            F, Fi, i0 = ch.F, ch.Fi, ch.f0 - ch.b0
+            nrm, w = fd.normal[:, ch.f0:ch.f0 + Fi], fd.jxw[ch.f0:ch.f0 + Fi]
+            jump_n = contract("ifq,...ifq->...fq", nrm, v[:, :, :Fi] - v[:, :, F:])
+            q = tau[:, i0:i0 + Fi, None] * jump_n * w
+            rv = np.zeros_like(v[:, :, :F])
+            rv[:, :, :Fi] = q[:, None] * nrm
+            return rv
+
+        self.loop.apply(components_first(u), out, flux)
+        return self.dof.flat(components_last(out, u.shape[:-5]))
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - inv-mass preconditioned
         raise NotImplementedError

@@ -55,18 +55,16 @@ class VectorDGLaplace(MatrixFreeOperator):
         d = self.scalar.dof.cell_view(self.scalar.diagonal())
         return self.dof.flat(np.repeat(d[:, None], 3, axis=1))
 
-    def assemble_rhs(self, dirichlet_components=None, neumann_components=None) -> np.ndarray:
-        """Inhomogeneous weak boundary data, one callable per component
-        (each ``f(x, y, z) -> array``); None entries are zero."""
-        out = np.zeros((self.dof.n_cells, 3) + (self.dof.n1,) * 3)
-        for c in range(3):
-            g = dirichlet_components[c] if dirichlet_components else None
-            h = neumann_components[c] if neumann_components else None
-            if g is None and h is None:
-                continue
-            rc = self.scalar.assemble_rhs(dirichlet=g, neumann=h)
-            out[:, c] = self.scalar.dof.cell_view(rc)
-        return self.dof.flat(out)
+    def assemble_rhs(self, dirichlet=None) -> np.ndarray:
+        """Inhomogeneous weak Dirichlet data: ``dirichlet`` maps boundary
+        ids to vector callables ``g(x, y, z) -> (3, F, a, b)`` (or
+        member-stacked ``(E, 3, F, a, b)``); the components ride the
+        scalar assembly's leading axis."""
+        r = self.scalar.assemble_rhs(dirichlet=dirichlet)  # (*lead, 3, n_scalar)
+        cells = self.scalar.dof.cell_view(r)
+        if cells.ndim == 4:  # no data
+            cells = np.broadcast_to(cells, (3,) + cells.shape)
+        return self.dof.flat(np.moveaxis(cells, -5, -4))
 
 
 class HelmholtzOperator(MatrixFreeOperator):

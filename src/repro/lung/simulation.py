@@ -279,17 +279,15 @@ class LungVentilationSimulation:
         stats = self.solver.step(dt)
         t0 = time.perf_counter()
         with TRACER.span("coupling"):
-            # outlet flows (outward = into the compartments), lead + (n_outlets,)
-            flows = np.stack(
-                [self.solver.flow_rate(bid) for bid in self.lung.outlet_ids],
-                axis=-1,
-            )
+            # outlet flows (outward = into the compartments), lead +
+            # (n_outlets,), and the inlet's, in one boundary reduction
+            rates = self.solver.flow_rates(list(self.lung.outlet_ids) + [INLET_ID])
             for bank, q in zip(
-                self.windkessel_banks, flows.reshape(self.n_members, -1)
+                self.windkessel_banks, rates[..., :-1].reshape(self.n_members, -1)
             ):
                 bank.advance(q, stats.dt)
             # inlet flow: inward positive for the tubus model
-            self._inlet_flow = -self.solver.flow_rate(INLET_ID)
+            self._inlet_flow = -rates[..., -1]
         if METRICS.enabled:
             self._sample_metrics(stats)
         # the coupling stage is part of this step's cost

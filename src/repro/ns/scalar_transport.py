@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dof_handler import DGDofHandler
-from ..core.operators.base import FaceKernels
-from ..core.plans import cached_scatter_plan, contract
+from ..core.operators.base import value_faces
+from ..core.plans import contract
 from ..core.operators.laplace import DGLaplaceOperator
 from ..core.operators.mass import InverseMassOperator
 from ..mesh.connectivity import MeshConnectivity
@@ -32,8 +32,9 @@ class ScalarAdvectionOperator:
     """Weak form of ``div(u c)`` with upwind numerical fluxes.
 
     The advecting velocity is a DG field frozen per transport step (the
-    usual operator-splitting between flow and transport); its traces are
-    evaluated with the same face kernels as the convective operator.
+    usual operator-splitting between flow and transport); the scalar and
+    the three velocity components ride the leading axis of the same
+    planned value loop as the flow operators.
     """
 
     def __init__(
@@ -55,14 +56,15 @@ class ScalarAdvectionOperator:
         self.dof_c = dof_c
         self.dof_u = dof_u
         self.kern = geometry.kernel
-        self.fk = FaceKernels(self.kern)
         self.conn = connectivity
         self.cell_metrics = geometry.cell_metrics()
-        self.face_metrics, self.bdry_metrics = geometry.all_face_metrics(connectivity)
+        self.loop, self.face_data = value_faces(geometry, connectivity)
         #: boundary id -> prescribed inflow concentration
         self.inflow_values = dict(inflow_values or {})
         self.outflow_ids = set(outflow_ids)
-        self._plan_cache: dict = {}
+        # inflow concentration per boundary face, NaN off the inflow ids
+        self._c_in = np.array([self.inflow_values.get(b, np.nan) for b in self.loop.bids],
+                              float)[:, None]
 
     @property
     def n_dofs(self) -> int:
@@ -83,38 +85,30 @@ class ScalarAdvectionOperator:
         coeff = -(cq * cmx.jxw)
         rg = contract("cilzyx,cizyx,czyx->clzyx", cmx.jinv_t, uq, coeff)
         out = kern.integrate_gradients(rg)
-        # interior faces: upwind
-        for ib, (batch, fm) in enumerate(zip(self.conn.interior, self.face_metrics)):
-            cm_, cp_ = self.fk.interior_values(c, batch, 0)
-            um, up = self.fk.interior_values(u, batch, 0)
-            un = contract("fiab,fiab->fab", fm.normal, 0.5 * (um + up))
-            flux = self._upwind(cm_, cp_, un) * fm.jxw
-            contrib_m = self.fk.integrate_side(batch.face_m, flux, None)
-            contrib_p = self.fk.integrate_side(
-                batch.face_p, -flux, None, batch.orientation, batch.subface
-            )
-            cached_scatter_plan(
-                self._plan_cache, ("int", ib, "m"), batch.cells_m, out.shape[0]
-            ).add(out, contrib_m)
-            cached_scatter_plan(
-                self._plan_cache, ("int", ib, "p"), batch.cells_p, out.shape[0]
-            ).add(out, contrib_p)
-        # boundary faces: inflow data where u.n < 0, free outflow otherwise
-        for ib, (batch, fm) in enumerate(zip(self.conn.boundary, self.bdry_metrics)):
-            cm_ = self.fk.side_values(c[batch.cells], batch.face)
-            um = self.fk.side_values(u[batch.cells], batch.face)
-            un = contract("fiab,fiab->fab", fm.normal, um)
-            c_in = self.inflow_values.get(batch.boundary_id, None)
-            if c_in is None:
-                cp_ = cm_  # wall / free boundary: use interior value
-            else:
-                cp_ = np.full_like(cm_, float(c_in))
-            flux = self._upwind(cm_, cp_, un) * fm.jxw
-            contrib = self.fk.integrate_side(batch.face, flux, None)
-            cached_scatter_plan(
-                self._plan_cache, ("bdy", ib), batch.cells, out.shape[0]
-            ).add(out, contrib)
+        fd, c_in = self.face_data, self._c_in
+
+        def flux(v, ch):
+            # upwind on interior faces; boundary faces: inflow data where
+            # u.n < 0 on inflow ids, the interior value elsewhere
+            F, Fi, b = ch.F, ch.Fi, slice(ch.b0, ch.b0 + ch.F - ch.Fi)
+            c_m, c_p = v[0, :F], np.empty_like(v[0, :F])
+            c_p[:Fi] = v[0, F:]
+            c_p[Fi:] = np.where(np.isnan(c_in[b]), c_m[Fi:], c_in[b])
+            um = v[1:, :F].copy()
+            um[:, :Fi] = 0.5 * (um[:, :Fi] + v[1:, F:])
+            un = contract("ifq,ifq->fq", fd.normal[:, ch.f0:ch.f0 + F], um)
+            return self._upwind(c_m, c_p, un) * fd.jxw[ch.f0:ch.f0 + F]
+
+        fields = np.concatenate([c[None], np.moveaxis(u, 1, 0)])
+        self.loop.apply(fields, out[None], flux)
         return self.dof_c.flat(out)
+
+    def boundary_mean(self, c_flat: np.ndarray, boundary_id: int) -> float:
+        """Area-weighted mean of the concentration over one boundary id."""
+        c = self.loop.boundary_values(self.dof_c.cell_view(c_flat)[None])[0]
+        sel = self.loop.bids == boundary_id
+        w = self.face_data.jxw[self.loop.bface[sel]]
+        return float((c[sel] * w).sum() / w.sum())
 
 
 class ScalarTransportSolver:

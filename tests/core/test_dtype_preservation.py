@@ -180,3 +180,32 @@ class TestNoDoubleTemporaries:
         """The CG gather/scatter runs through the handler's sparse cell
         map; a map left in float64 would stage the whole vmult in double."""
         self.check(setup, "cg_laplace")
+
+
+class TestNoDoubleFaceData:
+    """A float32 clone of a flow operator keeps no float64 array — its
+    loop-order face metrics and penalty parameters are cast, so the face
+    loop never promotes."""
+
+    @pytest.mark.parametrize("name", ["convective", "divergence", "gradient", "penalty"])
+    def test_fp32_clone_holds_no_float64_array(self, setup, name):
+        from dataclasses import fields, is_dataclass
+
+        *_, ops = setup
+        clone = operator_to_dtype(ops[name], np.float32)
+        if name == "penalty":
+            clone.update_parameters(np.ones(clone.n_dofs, np.float32))
+
+        def walk(obj, path):
+            if isinstance(obj, np.ndarray):
+                assert obj.dtype != np.float64, path
+            elif is_dataclass(obj) and not isinstance(obj, type):
+                for f in fields(obj):
+                    walk(getattr(obj, f.name), f"{path}.{f.name}")
+            elif isinstance(obj, (list, tuple)):
+                for i, v in enumerate(obj):
+                    walk(v, f"{path}[{i}]")
+
+        assert "face_data" in vars(clone)
+        for attr, value in vars(clone).items():
+            walk(value, attr)

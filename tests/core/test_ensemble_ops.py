@@ -140,8 +140,7 @@ class TestE1Bitwise:
         # tau has shape lead + (N,): the CG iterates on (1, n) vectors,
         # so a single member's tau keeps its member axis
         assert np.array_equal(batched_op.tau_div, flat_op.tau_div[None])
-        for tb, tf in zip(batched_op.tau_cont, flat_op.tau_cont):
-            assert np.array_equal(tb, tf[None])
+        assert np.array_equal(batched_op.tau_cont, flat_op.tau_cont[None])
         flat = flat_op.vmult(x)
         assert np.abs(flat).max() > 0.0
         assert np.array_equal(batched_op.vmult(x[None]), flat[None])
@@ -266,6 +265,60 @@ class TestMemberIndependence:
             _assert_members(y, lambda e: op.apply(X[e], 0.2), 1e-12, label)
 
 
+class TestStackedBoundaryRhs:
+    """Member-stacked ``(E, 3, F, a, b)`` wall data through the solver's
+    boundary right-hand sides (viscous Nitsche data, consistent pressure
+    Neumann data): each member equals its flat run, E=1 is bitwise."""
+
+    SCALES = (1.0, -0.5)
+
+    @staticmethod
+    def _with_data(solver, g, fn):
+        saved = solver.bcs
+        solver.bcs = BoundaryConditions({1: VelocityDirichlet(g)})
+        try:
+            return fn()
+        finally:
+            solver.bcs = saved
+
+    def _runs(self, solver, fn, scales, U):
+        """``fn(*U)`` under stacked data of ``scales`` and each member's
+        flat run ``fn(*U[:, e])``."""
+        flow = BeltramiFlow(0.05)
+
+        def member(c):
+            return lambda x, y, z, t: c * np.asarray(flow.velocity(x, y, z, t))
+
+        stacked = self._with_data(
+            solver, lambda *a: np.stack([member(c)(*a) for c in scales]), lambda: fn(*U))
+        flat = [self._with_data(solver, member(c), lambda: fn(*U[:, e]))
+                for e, c in enumerate(scales)]
+        return stacked, flat
+
+    def _cases(self, solver, rng):
+        from repro.timeint import bdf_coefficients
+
+        coeffs = bdf_coefficients(2, [0.01, 0.01])
+        return [
+            lambda u0, u1: solver._viscous_boundary_rhs(0.1),
+            lambda u0, u1: solver._pressure_neumann_rhs(
+                0.1, [u0, u1], [0.09, 0.08], coeffs, 0.01),
+        ], rng.standard_normal((2, len(self.SCALES), solver.dof_u.n_dofs))
+
+    def test_members_equal_flat_runs(self, solver, rng):
+        fns, U = self._cases(solver, rng)
+        for fn in fns:
+            stacked, flat = self._runs(solver, fn, self.SCALES, U)
+            assert stacked.shape == (len(self.SCALES),) + flat[0].shape
+            _assert_members(stacked, lambda e: flat[e], 1e-12)
+
+    def test_e1_is_bitwise(self, solver, rng):
+        fns, U = self._cases(solver, rng)
+        for fn in fns:
+            stacked, flat = self._runs(solver, fn, self.SCALES[:1], U[:, :1])
+            assert np.array_equal(stacked, flat[0][None])
+
+
 def _hanging_box():
     f = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
     return f.refine([f.leaves[0]]).balance()
@@ -362,11 +415,9 @@ class TestEnsembleAssembleRhs:
         assert np.array_equal(rhs1[0], flat)
 
     def test_inconsistent_ensemble_sizes_rejected(self, laplace_op):
+        """Each boundary callable runs once per id, so the mismatch is
+        between the Dirichlet and the Neumann data."""
         op = laplace_op
-        sizes = iter([2, 3])
-
-        def bad(x, y, z):
-            return np.stack([x] * next(sizes))
-
         with pytest.raises(ValueError, match="inconsistent ensemble"):
-            op.assemble_rhs(dirichlet=bad)
+            op.assemble_rhs(dirichlet=lambda x, y, z: np.stack([x] * 2),
+                            neumann=lambda x, y, z: np.stack([x] * 3))

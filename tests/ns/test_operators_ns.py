@@ -164,14 +164,14 @@ class TestPenalty:
         # rigid rotation: div = 0 and continuous -> penalty-free
         u = interpolate_vector(dof_u, forest, lambda x, y, z: np.stack([-y, x, 0 * z]))
         P.tau_div = np.ones(forest.n_cells)
-        P.tau_cont = [np.ones(b.n_faces) for b in conn.interior]
+        P.tau_cont = np.ones(conn.n_interior_faces)
         assert np.abs(P.vmult(u)).max() < 1e-10
 
     def test_spsd(self, setup, rng):
         forest, geo, _, conn, dof_u, _, _, _ = setup
         P = DivergenceContinuityPenalty(dof_u, geo, conn)
         P.tau_div = np.ones(forest.n_cells)
-        P.tau_cont = [np.ones(b.n_faces) for b in conn.interior]
+        P.tau_cont = np.ones(conn.n_interior_faces)
         x, y = rng.standard_normal((2, dof_u.n_dofs))
         assert np.isclose(x @ P.vmult(y), y @ P.vmult(x), rtol=1e-10)
         assert x @ P.vmult(x) >= -1e-10
@@ -240,3 +240,61 @@ class TestHelmholtz:
         # inverse mass preconditioning should converge fast in the
         # mass-dominated regime (the paper's sub-step preconditioner)
         assert res.n_iterations < 60
+
+
+def _flow_setup(forest, conn):
+    """k=2 spaces and geometries of ``forest`` (k+2 points for the
+    convective term)."""
+    return (GeometryField(forest, 2), GeometryField(forest, 2, n_q_points=4),
+            DGDofHandler(forest, 2, n_components=3), DGDofHandler(forest, 1))
+
+
+@pytest.fixture(params=["curved_hanging", "rotated_hanging_box"])
+def plan_mesh(request):
+    """``(forest, connectivity)`` of the meshes where face plans can go
+    wrong: curved with reoriented and 2:1 hanging faces, and a sheared
+    box with swapped/flipped orientations and hanging faces."""
+    value = request.getfixturevalue(request.param)
+    if request.param == "curved_hanging":
+        return value[0].forest, value[1]
+    return value
+
+
+class TestOnPlanMeshes:
+    """The duality, stability and definiteness properties of the flow
+    operators on hanging, reoriented and curved faces."""
+
+    def test_negative_transpose(self, plan_mesh, rng):
+        forest, conn = plan_mesh
+        geo, _, dof_u, dof_p = _flow_setup(forest, conn)
+        ids = sorted({b.boundary_id for b in conn.boundary})
+        bcs = BoundaryConditions({ids[0]: PressureDirichlet(0.0)})
+        D = DivergenceOperator(dof_u, dof_p, geo, conn, bcs)
+        G = GradientOperator(dof_u, dof_p, geo, conn, bcs)
+        u = rng.standard_normal(dof_u.n_dofs)
+        p = rng.standard_normal(dof_p.n_dofs)
+        assert np.isclose(p @ D.vmult(u), -u @ G.vmult(p), rtol=1e-11)
+
+    def test_convective_energy_stability_with_noslip(self, plan_mesh, rng):
+        forest, conn = plan_mesh
+        _, geo_over, dof_u, _ = _flow_setup(forest, conn)
+        C = ConvectiveOperator(dof_u, geo_over, conn, BoundaryConditions())
+        u = interpolate_vector(
+            dof_u, forest,
+            lambda x, y, z: np.stack([np.sin(np.pi * y), np.sin(np.pi * z), np.sin(np.pi * x)]),
+        )
+        assert u @ C.apply(u) > -1e-10
+
+    def test_penalty_spsd(self, plan_mesh, rng):
+        """The continuity (face) penalty with tau from
+        ``update_parameters``; the divergence (cell) penalty is zeroed —
+        it is not symmetric on non-Cartesian cells (ROADMAP 1(A))."""
+        forest, conn = plan_mesh
+        geo, _, dof_u, _ = _flow_setup(forest, conn)
+        P = DivergenceContinuityPenalty(dof_u, geo, conn)
+        P.update_parameters(rng.standard_normal(dof_u.n_dofs))
+        assert P.tau_cont.min() > 0.0
+        P.tau_div = np.zeros_like(P.tau_div)
+        x, y = rng.standard_normal((2, dof_u.n_dofs))
+        assert np.isclose(x @ P.vmult(y), y @ P.vmult(x), rtol=1e-10)
+        assert x @ P.vmult(x) >= -1e-10
