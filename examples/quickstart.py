@@ -46,8 +46,8 @@ def main() -> None:
 
     # L2 error against the manufactured solution
     cm = geometry.cell_metrics()
-    uq = geometry.kernel.values(dofs.cell_view(result.x))
-    eq = exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+    uq = geometry.kernel.values(dofs.to_lanes(dofs.cell_view(result.x)))
+    eq = exact(*cm.points)
     err = np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw))
     print(f"L2 error vs manufactured solution: {err:.3e}")
 

@@ -17,8 +17,9 @@ conforming auxiliary space of the hybrid multigrid algorithm
 smoother diagonal, the transfer, and the operator application.
 
 All of that indirection is planned once into one sparse *cell map*
-``G = P·C`` (rows: the cell nodes in :meth:`DGDofHandler.cell_view`
-order, columns: the masters), so a CG gather is ``G x`` and a scatter
+``G = P·C`` (rows: the cell nodes in the lane order of
+:meth:`DGDofHandler.to_lanes`, columns: the masters), so a CG gather is
+``G x`` straight into the layout of the cell kernels and a scatter
 ``Gᵀ c`` — one streaming sparse product each way.
 """
 
@@ -32,6 +33,14 @@ from ..mesh.octree import Forest
 from .backend import kernel_dtype, resolve_dtype
 from .basis import LagrangeBasis1D
 from .sum_factorization import TensorProductKernel
+
+
+def csr_with_data(m: sp.csr_matrix, data: np.ndarray, indices=None) -> sp.csr_matrix:
+    """``m`` with ``data`` (and ``indices``) in its stored entry order —
+    scipy's ``astype`` and ``power`` sort each row, changing the order a
+    product sums it in."""
+    return sp.csr_matrix((data, m.indices if indices is None else indices, m.indptr),
+                         shape=m.shape)
 
 
 class DGDofHandler:
@@ -62,8 +71,9 @@ class DGDofHandler:
         scalar -> (N, n, n, n); vector -> (N, c, n, n, n).
 
         An ensemble-stacked vector ``(E, ndof)`` views as
-        ``(E, N, [c,] n, n, n)`` — the cell axis stays adjacent to the
-        tensor axes so the sum-factorization folds are unchanged.
+        ``(E, N, [c,] n, n, n)``.  This cell-major layout is what the
+        face loops read; the cell kernels work on its lane block
+        (:meth:`to_lanes`).
         """
         n = self.n1
         lead = vec.shape[:-1]
@@ -71,12 +81,30 @@ class DGDofHandler:
             return vec.reshape(lead + (self.n_cells, n, n, n))
         return vec.reshape(lead + (self.n_cells, self.n_components, n, n, n))
 
+    @property
+    def _cell_axis(self) -> int:
+        return -5 if self.n_components > 1 else -4
+
     def flat(self, cells: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`cell_view`: cell tensors back to the flat
         global vector, preserving any ensemble axes in front."""
-        n_trail = 5 if self.n_components > 1 else 4
-        lead = cells.shape[:-n_trail]
-        return cells.reshape(lead + (-1,))
+        return cells.reshape(cells.shape[:self._cell_axis] + (-1,))
+
+    def to_lanes(self, cells: np.ndarray, ws=None) -> np.ndarray:
+        """:meth:`cell_view` tensors of any number ``N`` of cells copied
+        into a *lane block* ``(*lead, [c,] n, n, n, N)`` — the cells on
+        the trailing axis, the layout of the cell kernels — fresh, or the
+        ``dof.lanes`` buffer of the workspace ``ws``."""
+        t = np.moveaxis(cells, self._cell_axis, -1)
+        if ws is None:
+            return np.array(t, order="C")
+        out = ws.take("dof.lanes", t.shape, t.dtype)
+        np.copyto(out, t)
+        return out
+
+    def from_lanes(self, block: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_lanes`, into fresh cell tensors."""
+        return np.array(np.moveaxis(block, -1, self._cell_axis), order="C")
 
 
 class CGDofHandler:
@@ -256,11 +284,13 @@ class CGDofHandler:
         """``(G, Gᵀ)`` in the kernel dtype of ``dtype``.
 
         ``G = P·C`` maps masters to the ``n_cells·(k+1)³`` cell nodes in
-        cell-tensor order (``P`` picks ``cell_to_global``): hanging-node
-        weights, Dirichlet zeros and the node sharing are all in it.  It
-        is built once from ``C``; the float32 copy is cached beside it
-        (as :meth:`TensorProductKernel._mat` caches its factors), so a
-        float32 vector never meets a float64 map."""
+        the lane order of :meth:`DGDofHandler.to_lanes` (``P`` picks
+        ``cell_to_global``): hanging-node weights, Dirichlet zeros and the
+        node sharing are all in it.  ``Gᵀ`` is the cell-major map's
+        transpose with its columns relabelled, so each row sums in the
+        cell-major order.  Both are built once from ``C``; the float32
+        copies are cached beside them, so a float32 vector never meets a
+        float64 map."""
         maps = self._cell_maps
         if not maps:
             n = self.cell_to_global.size
@@ -269,24 +299,30 @@ class CGDofHandler:
                 shape=(n, self.n_global),
             )
             G = P @ self.C
-            maps[self.C.dtype] = (G, G.T.tocsr())
+            Gt = G.T.tocsr()
+            # lane row of every cell-major row c·n³ + node is node·N + c
+            lane = np.arange(n).reshape(self.n_cells, -1).T.ravel()
+            pos = np.empty(n, Gt.indices.dtype)
+            pos[lane] = np.arange(n)
+            maps[self.C.dtype] = (G[lane], csr_with_data(Gt, Gt.data, pos[Gt.indices]))
         dt = kernel_dtype(dtype)
         if dt not in maps:
-            maps[dt] = tuple(m.astype(dt) for m in maps[self.C.dtype])
+            G, Gt = maps[self.C.dtype]
+            maps[dt] = (G.astype(dt), csr_with_data(Gt, Gt.data.astype(dt)))
         return maps[dt]
 
     def gather_cells(self, x_master: np.ndarray) -> np.ndarray:
-        """Master vector ``(*lead, n_dofs)`` -> cell tensors
-        ``(*lead, N, n, n, n)``: one ``G x`` (any ``lead`` flattened to
-        one axis, as :meth:`AssembledOperator.vmult` does)."""
+        """Master vector ``(*lead, n_dofs)`` -> lane block ``(*lead, n,
+        n, n, N)``: one ``G x`` (any ``lead`` flattened to one axis, as
+        :meth:`AssembledOperator.vmult` does)."""
         G, _ = self.cell_map(x_master.dtype)
         lead = x_master.shape[:-1]
         x2 = x_master.reshape(-1, self.n_dofs) if len(lead) > 1 else x_master
         n = self.n1
-        return (G @ x2.T).T.reshape(lead + (self.n_cells, n, n, n))
+        return (G @ x2.T).T.reshape(lead + (n, n, n, self.n_cells))
 
     def scatter_add_cells(self, cell_data: np.ndarray) -> np.ndarray:
-        """Accumulate cell tensors ``(*lead, N, n, n, n)`` into a
+        """Accumulate a lane block ``(*lead, n, n, n, N)`` into a
         master-space residual ``(*lead, n_dofs)``: one ``Gᵀ c``."""
         _, Gt = self.cell_map(cell_data.dtype)
         lead = cell_data.shape[:-4]

@@ -74,14 +74,14 @@ class ConvectiveOperator(MatrixFreeOperator):
         u = self.dof.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        # cell term: -int (u (x) u) : grad(v)
-        uq = kern.values(u)
+        # cell term: -int (u (x) u) : grad(v), on lane blocks
+        uq = kern.values(self.dof.to_lanes(u))
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
         #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
-        Fu = contract("...cizyx,...cjzyx->...cijzyx", uq, uq)
-        rg = contract("...cijzyx,cjlzyx->l...cizyx", Fu, cm.jinv_t)
-        rg *= -cm.jxw[:, None]
-        out = components_first(kern.integrate_gradients_cm(rg))
+        Fu = contract("...izyxc,...jzyxc->...ijzyxc", uq, uq)
+        rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, cm.jinv_t)
+        rg *= -cm.jxw
+        out = components_first(self.dof.from_lanes(kern.integrate_gradients_cm(rg)))
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
                                  self.bcs.velocity_value, t, 1, out.dtype)
@@ -115,8 +115,8 @@ class ConvectiveOperator(MatrixFreeOperator):
         ``(E,)`` array (members share dt; the per-member CFL that this
         feeds is recorded in the step statistics).
         """
-        uq = self.kern.values(self.dof.cell_view(u_flat))
+        uq = self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))
         # J^{-1} u: ref-space velocity = (jinv)[l,i] u_i; jinv_t[i,l] = jinv[l,i]
-        uref = contract("cilzyx,...cizyx->...clzyx", self.cell_metrics.jinv_t, uq)
-        speed = np.sqrt((uref**2).sum(axis=-4))
+        uref = contract("ilzyxc,...izyxc->...lzyxc", self.cell_metrics.jinv_t, uq)
+        speed = np.sqrt((uref**2).sum(axis=-5))
         return speed.reshape(u_flat.shape[:-1] + (-1,)).max(axis=-1)

@@ -92,11 +92,11 @@ class DivergenceOperator(_MixedSpaceOperator):
         ``homogeneous=True`` treats the velocity-Dirichlet data as zero."""
         u = self.dof_u.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
         cm = self.cell_metrics
-        # cell term: -int grad(q) . u
-        uq = self.kern_u.values(u)
-        rg = contract("cilzyx,...cizyx->l...czyx", cm.jinv_t, uq)
+        # cell term: -int grad(q) . u, on lane blocks
+        uq = self.kern_u.values(self.dof_u.to_lanes(u))
+        rg = contract("ilzyxc,...izyxc->l...zyxc", cm.jinv_t, uq)
         rg *= -cm.jxw
-        out = self.kern_p.integrate_gradients_cm(rg)
+        out = self.dof_p.from_lanes(self.kern_p.integrate_gradients_cm(rg))
         fd = self.face_data
         ids = () if interior_trace_everywhere else self.velocity_dirichlet
         g, rows = dirichlet_rows(self.loop_u, fd.points, ids, self.bcs.velocity_value, t, 1,
@@ -135,10 +135,10 @@ class GradientOperator(_MixedSpaceOperator):
         p = self.dof_p.cell_view(p_flat)  # (*lead, N, n_p, n_p, n_p)
         cm = self.cell_metrics
         # cell term: -int p div(v) -> component-major ref-grad
-        # coefficients of each v_i
-        coeff = -(self.kern_p.values(p) * cm.jxw)
-        rg = contract("cilzyx,...czyx->l...cizyx", cm.jinv_t, coeff)
-        out = components_first(self.kern_u.integrate_gradients_cm(rg))
+        # coefficients of each v_i, on lane blocks
+        coeff = -(self.kern_p.values(self.dof_p.to_lanes(p)) * cm.jxw)
+        rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
+        out = components_first(self.dof_u.from_lanes(self.kern_u.integrate_gradients_cm(rg)))
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,
                                  self.bcs.pressure_value, t, 0, out.dtype, homogeneous)

@@ -28,19 +28,19 @@ import numpy as np
 
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import SYM_SLOT, GeometryField
-from ..dof_handler import CGDofHandler, DGDofHandler
+from ..dof_handler import CGDofHandler, DGDofHandler, csr_with_data
 from ..plans import contract
 from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
 
 
 def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Cell term ``I_e^T D_e I_e u`` of the Laplacian: ``u`` is
-    (..., c, n, n, n), ``laplace_d`` the six symmetric metric entries
-    (6, c, q, q, q) (:data:`~repro.mesh.mapping.SYM_SLOT`).  The
+    """Cell term ``I_e^T D_e I_e u`` of the Laplacian on a lane block:
+    ``u`` is (..., n, n, n, c), ``laplace_d`` the six symmetric metric
+    entries (6, q, q, q, c) (:data:`~repro.mesh.mapping.SYM_SLOT`).  The
     reference-gradient stack is component-major, so the 3x3 metric is
-    nine flat multiply-adds.  ``out`` defaults to a fresh array (the
-    result then escapes the workspace ``ws``)."""
+    nine flat multiply-adds.  The result lands in ``out`` (``u`` itself
+    may be it), by default the workspace's ``lap.out`` block."""
     g = kern.gradients_cm(u, ws)
     dt = np.result_type(laplace_d.dtype, g.dtype)
     Dg = ws.take("lap.Dg", g.shape, dt)
@@ -50,23 +50,23 @@ def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
         Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][1]], g[1], out=t)
         Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][2]], g[2], out=t)
     if out is None:
-        out = np.empty(u.shape, dtype=dt)
+        out = ws.take("lap.out", u.shape, dt)
     return kern.integrate_gradients_cm(Dg, ws, out)
 
 
 def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
     """Diagonal of the cell term ``sum_q (d_a phi_i) D[a,b] (d_b phi_i)``
     via squared 1D shape-function factors; ``laplace_d`` is
-    (6, c, q, q, q), the result (c, n, n, n)."""
+    (6, q, q, q, c), the result the lane block (n, n, n, c)."""
     Ng = kern.shape.interp
     Dg = kern.shape.grad
-    ldiag = np.zeros((laplace_d.shape[1],) + (kern.n_dofs_1d,) * 3)
+    ldiag = np.zeros((kern.n_dofs_1d,) * 3 + laplace_d.shape[-1:])
     for a in range(3):
         for b in range(3):
             fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
             fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
             fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-            ldiag += contract("czyx,zZ,yY,xX->cZYX", laplace_d[SYM_SLOT[a][b]], fz, fy, fx)
+            ldiag += contract("zyxc,zZ,yY,xX->ZYXc", laplace_d[SYM_SLOT[a][b]], fz, fy, fx)
     return ldiag
 
 
@@ -180,10 +180,11 @@ class DGLaplaceOperator(MatrixFreeOperator):
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         """``x`` is (ndof,) or batch-stacked ``(*lead, ndof)``: the
-        leading axes ride along in front of the same kernels."""
-        u = self.dof.cell_view(x)
-        ws = self.workspace()
-        out = cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, ws)
+        leading axes ride along in front of the same kernels, the cell
+        term on one lane block (:meth:`DGDofHandler.to_lanes`)."""
+        u, ws = self.dof.cell_view(x), self.workspace()
+        ul = self.dof.to_lanes(u, ws)  # the cell term overwrites its own input
+        out = self.dof.from_lanes(cell_laplacian(self.kern, self.cell_metrics.laplace_d, ul, ws, ul))
         loop, data = self.face_loop, self.face_data
         u = u.reshape((-1,) + u.shape[-4:])
         buf = ws.take("sip.sheets", (u.shape[0], loop.size),
@@ -229,8 +230,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
         out = np.zeros(lead + (self.dof.n_cells, n, n, n))
         if f is not None:
             pts = self.cell_metrics.points
-            fv = f(pts[:, 0], pts[:, 1], pts[:, 2]) * self.cell_metrics.jxw
-            out += self.kern.integrate_values(fv)
+            fv = f(pts[0], pts[1], pts[2]) * self.cell_metrics.jxw
+            out += self.dof.from_lanes(self.kern.integrate_values(fv))
         cells = out.reshape((-1,) + out.shape[-4:])
 
         def add(lp, data, weights):  # zeroed sheets, boundary rows only: no finish
@@ -263,7 +264,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         (:func:`_cell_laplace_diagonal`), the face self-couplings by one
         pass of the face loop (:meth:`FaceLoop.add_diagonal`) instead of
         one full operator application per local basis function."""
-        diag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
+        diag = self.dof.from_lanes(_cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d))
         self.face_loop.add_diagonal(self.face_data, diag)
         return self.dof.flat(diag)
 
@@ -302,12 +303,10 @@ class CGLaplaceOperator(MatrixFreeOperator):
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         u = self.dof.gather_cells(x)
-        ws = self.workspace()
-        D = self.cell_metrics.laplace_d
-        # scatter_add_cells reduces into a fresh global vector, so the
-        # workspace-owned cell residual never escapes
-        r = ws.take("lap.out", u.shape, np.result_type(D.dtype, u.dtype))
-        return self.dof.scatter_add_cells(cell_laplacian(self.kern, D, u, ws, r))
+        # the cell term overwrites the gathered cells, which
+        # scatter_add_cells reduces into a fresh global vector
+        cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, self.workspace(), u)
+        return self.dof.scatter_add_cells(u)
 
     def diagonal(self) -> np.ndarray:
         """Jacobi diagonal: local cell diagonals accumulated with squared
@@ -315,4 +314,4 @@ class CGLaplaceOperator(MatrixFreeOperator):
         ``(G∘G)ᵀ · ldiag`` through the handler's cell map."""
         ldiag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
         _, Gt = self.dof.cell_map(ldiag.dtype)
-        return Gt.power(2) @ ldiag.reshape(-1)
+        return csr_with_data(Gt, Gt.data**2) @ ldiag.reshape(-1)

@@ -18,7 +18,6 @@ import numpy as np
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
-from ..sum_factorization import apply_1d
 from .base import MatrixFreeOperator
 
 
@@ -53,24 +52,20 @@ class MassOperator(MatrixFreeOperator):
         }
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(x)
         ws = self.workspace()
-        q = self.kern.values(u, ws)
-        if self.dof.n_components == 1:
-            q *= self.jxw
-        else:
-            q *= self.jxw[:, None]
-        out = np.empty(u.shape, dtype=q.dtype)
-        return self.dof.flat(self.kern.integrate_values(q, ws, out=out))
+        # components (and members) ride the lane block's leading axes
+        q = self.kern.values(self.dof.to_lanes(self.dof.cell_view(x), ws), ws)
+        q *= self.jxw
+        return self.dof.flat(self.dof.from_lanes(self.kern.integrate_values(q, ws)))
 
     def diagonal(self) -> np.ndarray:
         """Matrix-free diagonal via squared 1D interpolation factors."""
         kern = self.kern
         N2 = kern.shape.interp**2  # (nq, n)
-        diag = contract("czyx,zZ,yY,xX->cZYX", self.jxw, N2, N2, N2)
+        diag = contract("zyxc,zZ,yY,xX->ZYXc", self.jxw, N2, N2, N2)
         if self.dof.n_components > 1:
-            diag = np.repeat(diag[:, None], self.dof.n_components, axis=1)
-        return self.dof.flat(diag)
+            diag = np.broadcast_to(diag, (self.dof.n_components,) + diag.shape)
+        return self.dof.flat(self.dof.from_lanes(diag))
 
 
 class InverseMassOperator(MatrixFreeOperator):
@@ -105,20 +100,10 @@ class InverseMassOperator(MatrixFreeOperator):
             "dofs": float(self.n_dofs),
         }
 
-    def _apply_matrix_3d(self, M: np.ndarray, u: np.ndarray) -> np.ndarray:
-        for dim in range(3):
-            u = apply_1d(M, u, dim)
-        return u
-
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(x)
-        t = self._apply_matrix_3d(self.Sinv.T, u)
-        if self.dof.n_components == 1:
-            t = t / self.jxw
-        else:
-            t = t / self.jxw[:, None]
-        y = self._apply_matrix_3d(self.Sinv, t)
-        return self.dof.flat(y)
+        t = self.kern.apply_tensor(self.Sinv.T, self.dof.to_lanes(self.dof.cell_view(x)))
+        t /= self.jxw
+        return self.dof.flat(self.dof.from_lanes(self.kern.apply_tensor(self.Sinv, t)))
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - not used as smoother
         raise NotImplementedError("inverse mass is itself the preconditioner")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import GeometryField
+from ...mesh.mapping import GeometryField, cell_sums
 from ..dof_handler import DGDofHandler
 from ..plans import contract
 from .base import MatrixFreeOperator, components_first, components_last, value_faces
@@ -52,11 +52,9 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         self._face_cells = cm[f], cp[f]  # interior faces in loop order
         self.zeta_div = zeta_div
         self.zeta_cont = zeta_cont
-        vols = self.cell_metrics.jxw.reshape(dof_u.n_cells, -1).sum(axis=1)
-        self.h_cell = vols ** (1.0 / 3.0)
+        self.h_cell = cell_sums(self.cell_metrics.jxw) ** (1.0 / 3.0)
         self.tau_div = np.zeros(dof_u.n_cells)
         self.tau_cont = np.zeros(connectivity.n_interior_faces)
-        self._mass_weight = self.cell_metrics.jxw
 
     @property
     def n_dofs(self) -> int:
@@ -67,12 +65,10 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         step before the penalty solve).  ``(*lead, n)`` input yields
         ``tau_div`` ``(*lead, N)`` / ``tau_cont`` ``(*lead, F)`` fields
         (``tau_cont`` over the interior faces in loop order)."""
-        u = self.dof.cell_view(u_flat)
-        uq = self.kern.values(u)
-        speed = np.sqrt((uq**2).sum(axis=-4))
-        vols = self._mass_weight.reshape(self.dof.n_cells, -1).sum(axis=1)
-        sp = speed * self._mass_weight
-        mean_speed = sp.reshape(sp.shape[:-3] + (-1,)).sum(axis=-1) / vols
+        uq = self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))
+        speed = np.sqrt((uq**2).sum(axis=-5))
+        jxw = self.cell_metrics.jxw
+        mean_speed = cell_sums(speed * jxw) / cell_sums(jxw)
         k = self.dof.degree
         self.tau_div = self.zeta_div * mean_speed * self.h_cell / (k + 1)
         cm, cp = self._face_cells
@@ -82,13 +78,14 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         u = self.dof.cell_view(x)  # (*lead, N, 3, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
-        # divergence penalty: tau_div (div u)(div v).  ROADMAP 1(A): the
-        # swapaxes transposes the trial-side gradient; the fix deletes it.
-        grads = np.swapaxes(kern.gradients(u), -4, -5)
-        div = contract("cilzyx,...cilzyx->...czyx", cm.jinv_t, grads)
-        coeff = div * cm.jxw * self.tau_div[..., None, None, None]
-        rg = contract("cilzyx,...czyx->l...cizyx", cm.jinv_t, coeff)
-        out = components_first(kern.integrate_gradients_cm(rg))
+        # divergence penalty: tau_div (div u)(div v), on lane blocks.
+        # ROADMAP 1(A): the swapaxes transposes the trial-side gradient;
+        # the fix deletes it.
+        grads = np.swapaxes(kern.gradients_cm(self.dof.to_lanes(u)), 0, -5)
+        div = contract("ilzyxc,l...izyxc->...zyxc", cm.jinv_t, grads)
+        coeff = div * cm.jxw * self.tau_div[..., None, None, None, :]
+        rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
+        out = components_first(self.dof.from_lanes(kern.integrate_gradients_cm(rg)))
         fd = self.face_data
         tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))
 

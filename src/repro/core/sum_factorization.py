@@ -9,12 +9,19 @@ operators in :mod:`repro.core.operators` do is composed of the primitives
 in this module.
 
 Data layout (the Python analogue of cross-element SIMD vectorization):
-all element data is batched as ``u[c, iz, iy, ix]`` — the leading cell
-axis plays the role of the AVX-512 lanes of the paper, and NumPy executes
-each 1D contraction as one large matrix product over all cells at once.
+the cell kernels of :class:`TensorProductKernel` work on *lane blocks*
+``u[..., iz, iy, ix, c]`` — the cell index is the trailing, fastest axis,
+as the lane index of deal.II's ``VectorizedArray`` is innermost in the
+paper's kernels.  A 1D contraction along x, y or z is then one GEMM
+stack whose right-hand sides are at least the ``N`` cells wide, never a
+``K = k + 1`` tall-skinny product or a stack of tiny per-cell ones.
+Global DG vectors stay cell-major; :class:`~repro.core.dof_handler.
+DGDofHandler` copies between the two layouts (``to_lanes`` /
+``from_lanes``), the face loops read the cell-major cells.
 
-Dimension convention: dimension ``d = 0`` is x (the *last*, fastest array
-axis), ``d = 1`` is y, ``d = 2`` is z.
+:func:`apply_1d` itself is layout-agnostic: dimension ``d = 0`` is the
+*last* array axis, ``d = 1`` the one before it, and so on — on a lane
+block x is ``d = 1``, y ``d = 2`` and z ``d = 3``.
 """
 
 from __future__ import annotations
@@ -58,67 +65,44 @@ def _kron_identity(M: np.ndarray, n0: int) -> np.ndarray:
 def apply_1d(
     M: np.ndarray, u: np.ndarray, dim: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Contract matrix ``M`` with tensor ``u`` along tensor dimension ``dim``.
+    """Contract matrix ``M`` with tensor ``u`` along dimension ``dim``,
+    the array axis ``u.ndim - 1 - dim`` (``dim = 0`` is the last axis).
+    The result replaces the size of that axis by ``M.shape[0]``:
 
-    ``u`` has shape ``(..., n_2, n_1, n_0)`` (trailing three axes are the
-    tensor axes, anything before is batch).  The result replaces the size
-    of dimension ``dim`` by ``M.shape[0]``:
-
-        out[..., i_dim'] = sum_j M[i_dim', j] u[..., j ...]
+        out[..., i_dim', ...] = sum_j M[i_dim', j] u[..., j, ...]
 
     ``out``, when given, receives the result (its dtype must match the
     promoted result dtype so no rounding changes sneak in).
 
-    Contiguous inputs take shape-folded GEMM paths: the whole batch is
-    reshaped so BLAS sees one large product (dim 0) or a short stack of
-    wide products (dims 1-2) instead of thousands of ``(k+1) x (k+1)``
-    matrices — this is where single precision actually buys bandwidth,
-    since sgemm streams half the bytes of dgemm.
+    The whole batch is reshaped so BLAS sees one large product (dim 0),
+    one ``kron(M, I)`` product (dim 1 over at most ``_KRON_MAX_TRAIL``
+    trailing values) or a stack of products whose right-hand sides are
+    the trailing axes — on a lane block at least the ``N`` cells wide —
+    instead of thousands of ``(k+1) x (k+1)`` matrices: this is where
+    single precision actually buys bandwidth, since sgemm streams half
+    the bytes of dgemm.
     """
+    u = np.ascontiguousarray(u)
     axis = u.ndim - 1 - dim
     m, n = M.shape
-    if u.flags.c_contiguous:
-        # a strided ``out`` cannot alias the GEMM buffer; compute fresh
-        # and copy — still far cheaper than the per-slice matmul stack
-        fold = out if out is not None and out.flags.c_contiguous else None
-        if dim == 0:
-            # one GEMM over every remaining axis
-            res2d = np.matmul(
-                u.reshape(-1, n), M.T,
-                out=None if fold is None else fold.reshape(-1, m),
-            )
-            res = res2d.reshape(u.shape[:-1] + (m,)) if fold is None else fold
-        else:
-            lead = u.shape[: axis]
-            trail = u.shape[axis + 1:]
-            tr = math.prod(trail)
-            if dim == 1 and tr <= _KRON_MAX_TRAIL:
-                # fold the (n1, n0) block and contract against kron(M, I)
-                # in one GEMM — n0-fold redundant Flops, but a single
-                # sgemm/dgemm instead of a stack of (k+1)^2 products
-                K = _kron_identity(M, tr)
-                res2 = np.matmul(
-                    u.reshape(-1, n * tr), K.T,
-                    out=None if fold is None else fold.reshape(-1, m * tr),
-                )
-                res = res2.reshape(lead + (m,) + trail) if fold is None else fold
-            else:
-                # (lead..., n, trail...) -> stack of (n, prod(trail))
-                # right-hand sides; results land in the natural layout
-                u3 = u.reshape(-1, n, tr)
-                res3 = np.matmul(
-                    M, u3, out=None if fold is None else fold.reshape(-1, m, tr)
-                )
-                res = res3.reshape(lead + (m,) + trail) if fold is None else fold
-        if out is None or fold is not None:
-            return res
-        out[...] = res
-        return out
-    moved = np.moveaxis(u, axis, -1)
+    tr = math.prod(u.shape[axis + 1:])
+    # a strided ``out`` cannot alias the GEMM buffer; compute fresh and copy
+    fold = out if out is not None and out.flags.c_contiguous else None
+    if dim == 0:
+        a, b, shape = u.reshape(-1, n), M.T, (-1, m)
+    elif dim == 1 and tr <= _KRON_MAX_TRAIL:
+        # fold the (n1, n0) block and contract against kron(M, I) in one
+        # GEMM — n0-fold redundant Flops, but a single sgemm/dgemm
+        a, b, shape = u.reshape(-1, n * tr), _kron_identity(M, tr).T, (-1, m * tr)
+    else:
+        a, b, shape = M, u.reshape(-1, n, tr), (-1, m, tr)
+    res = np.matmul(a, b, out=None if fold is None else fold.reshape(shape))
+    if fold is not None:
+        return fold
+    res = res.reshape(u.shape[:axis] + (m,) + u.shape[axis + 1:])
     if out is None:
-        res = moved @ M.T
-        return np.moveaxis(res, -1, axis)
-    np.matmul(moved, M.T, out=np.moveaxis(out, axis, -1))
+        return res
+    out[...] = res
     return out
 
 
@@ -177,10 +161,6 @@ class TensorProductKernel:
         return (self.degree + 1) ** 3
 
     @property
-    def n_q_cell(self) -> int:
-        return self.n_q_points**3
-
-    @property
     def quadrature_weights(self) -> np.ndarray:
         """Tensor-product quadrature weights, shape (n_q, n_q, n_q)."""
         w = self.shape.quadrature.weights
@@ -205,123 +185,83 @@ class TensorProductKernel:
             cache[key] = M
         return M
 
-    def _apply(self, which: str, u: np.ndarray, dim: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """Sweep the 1D factor ``which`` along ``dim`` (into ``out``)."""
-        return apply_1d(self._mat(which, kernel_dtype(u.dtype)), u, dim, out=out)
-
     # -- cell kernels (operator I_e and I_e^T of Eq. (7)) ---------------
-    def _ws_dtype(self, u: np.ndarray) -> np.dtype:
-        """Compute dtype of a sweep: float32 inputs stay float32 (the
-        1D factors are fetched as dtype-matched copies), everything else
-        computes in float64."""
-        return kernel_dtype(u.dtype)
+    # Every cell method takes and returns lane blocks ``(*lead, n|q, n|q,
+    # n|q, N)``; direction d (0 = x) is ``apply_1d`` dimension d + 1.
+
+    def apply_tensor(self, M: np.ndarray, u: np.ndarray, ws=None,
+                     tag: str = "tpk.t", out: np.ndarray | None = None) -> np.ndarray:
+        """Sweep the 1D matrix ``M`` along x, then y, then z of the lane
+        block ``u``, into ``out``, else the ``ws`` buffers ``tag.0..2``
+        (intermediates too), else fresh arrays."""
+        dt = np.result_type(M.dtype, u.dtype)
+        m, n = M.shape
+        lead, N = u.shape[:-4], u.shape[-1]
+        shapes = (lead + (n, n, m, N), lead + (n, m, m, N), lead + (m, m, m, N))
+        for d in range(3):
+            dst = out if d == 2 else None
+            if dst is None and ws is not None:
+                dst = ws.take(f"{tag}.{d}", shapes[d], dt)
+            u = apply_1d(M, u, d + 1, out=dst)
+        return u
 
     def values(self, u: np.ndarray, ws=None) -> np.ndarray:
-        """Interpolate nodal coefficients to quadrature-point values.
+        """Interpolate nodal coefficients to quadrature-point values,
+        ``(*lead, n, n, n, N) -> (*lead, q, q, q, N)``; with a
+        :class:`~repro.core.plans.Workspace` ``ws`` the result is
+        workspace-owned (consume it before the next ``ws`` call)."""
+        return self.apply_tensor(self._mat("interp", kernel_dtype(u.dtype)), u, ws, "tpk.val")
 
-        ``u``: ``(..., n, n, n)`` -> ``(..., n_q, n_q, n_q)``.
-
-        ``ws`` (a :class:`repro.core.plans.Workspace`) routes every sweep
-        through preallocated buffers; the returned array is workspace-
-        owned and must be consumed before the next ``ws``-based call.
-        """
-        if ws is None:
-            v = self._apply("interp", u, 0)
-            v = self._apply("interp", v, 1)
-            return self._apply("interp", v, 2)
-        lead, n, nq = u.shape[:-3], self.n_dofs_1d, self.n_q_points
-        dt = self._ws_dtype(u)
-        M = self._mat("interp", dt)
-        v = apply_1d(M, u, 0, out=ws.take("tpk.val.0", lead + (n, n, nq), dt))
-        v = apply_1d(M, v, 1, out=ws.take("tpk.val.1", lead + (n, nq, nq), dt))
-        return apply_1d(M, v, 2, out=ws.take("tpk.val.2", lead + (nq, nq, nq), dt))
-
-    def _gradients_cm(self, u: np.ndarray, ws):
+    def values_and_gradients(self, u: np.ndarray, ws=None):
         """Values and component-major reference gradients: the three
         interpolation sweeps of :meth:`values`, then one collocation-
-        derivative sweep per direction."""
-        if ws is None:
-            ws = Workspace()
+        derivative sweep per direction.  Returns ``(values, gradients)``
+        with gradients ``(3, *lead, q, q, q, N)`` (:meth:`gradients_cm`);
+        with ``ws`` both are workspace-owned."""
         nq = self.n_q_points
-        dt = self._ws_dtype(u)
-        g = ws.take("tpk.grad.out", (3,) + u.shape[:-3] + (nq, nq, nq), dt)
+        dt = kernel_dtype(u.dtype)
+        shape = (3,) + u.shape[:-4] + (nq, nq, nq, u.shape[-1])
+        g = np.empty(shape, dt) if ws is None else ws.take("tpk.grad.out", shape, dt)
         vals = self.values(u, ws)
         D = self._mat("co_grad", dt)
         for i in range(3):
-            apply_1d(D, vals, i, out=g[i])
+            apply_1d(D, vals, i + 1, out=g[i])
         return vals, g
 
     def gradients_cm(self, u: np.ndarray, ws=None) -> np.ndarray:
-        """Reference-coordinate gradients at quadrature points,
-        *component-major*: ``u`` ``(..., n, n, n)`` ->
-        ``(3, ..., n_q, n_q, n_q)`` with d/dx̂_0, d/dx̂_1, d/dx̂_2 on the
-        leading axis.  Every component is one contiguous block, so each
-        sweep (and each pointwise metric product after it) is a single
-        folded GEMM / flat loop.  With ``ws`` the stack is workspace-
-        owned, otherwise fresh."""
-        return self._gradients_cm(u, ws)[1]
-
-    def gradients(self, u: np.ndarray) -> np.ndarray:
-        """:meth:`gradients_cm` viewed as ``(..., 3, n_q, n_q, n_q)``."""
-        return np.moveaxis(self.gradients_cm(u), 0, -4)
-
-    def values_and_gradients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both values and reference gradients (``(..., 3, n_q, n_q,
-        n_q)`` view), sharing intermediates."""
-        vals, g = self._gradients_cm(u, None)
-        return vals, np.moveaxis(g, 0, -4)
+        """Reference gradients at the quadrature points, *component-
+        major*: ``(*lead, n, n, n, N) -> (3, *lead, q, q, q, N)``, every
+        d/dx̂_d one contiguous lane block (workspace-owned with ``ws``)."""
+        return self.values_and_gradients(u, ws)[1]
 
     def integrate_values(self, q: np.ndarray, ws=None,
                          out: np.ndarray | None = None) -> np.ndarray:
-        """Test against values: transpose of :meth:`values`.
-
-        ``q``: quadrature data ``(..., n_q, n_q, n_q)`` (already multiplied
-        by JxW etc.) -> nodal residual contributions ``(..., n, n, n)``.
-        ``out`` (optional, with ``ws``) receives the final sweep so the
-        result is caller-owned rather than workspace-owned.
-        """
-        if ws is None:
-            v = self._apply("interp_t", q, 0)
-            v = self._apply("interp_t", v, 1)
-            res = self._apply("interp_t", v, 2)
-            if out is not None:
-                np.copyto(out, res)
-                return out
-            return res
-        lead, n, nq = q.shape[:-3], self.n_dofs_1d, self.n_q_points
-        dt = self._ws_dtype(q)
-        Mt = self._mat("interp_t", dt)
-        v = apply_1d(Mt, q, 0, out=ws.take("tpk.iv.0", lead + (nq, nq, n), dt))
-        v = apply_1d(Mt, v, 1, out=ws.take("tpk.iv.1", lead + (nq, n, n), dt))
-        if out is None:
-            out = ws.take("tpk.iv.2", lead + (n, n, n), dt)
-        return apply_1d(Mt, v, 2, out=out)
+        """Test against values, the transpose of :meth:`values`:
+        quadrature data ``(*lead, q, q, q, N)`` (JxW etc. applied) ->
+        nodal residuals ``(*lead, n, n, n, N)``, into ``out``, else
+        workspace-owned with ``ws``, else fresh."""
+        Mt = self._mat("interp_t", kernel_dtype(q.dtype))
+        return self.apply_tensor(Mt, q, ws, "tpk.iv", out)
 
     def integrate_gradients_cm(self, q: np.ndarray, ws=None,
                                out: np.ndarray | None = None) -> np.ndarray:
         """Test against gradients, transpose of :meth:`gradients_cm`:
-        component-major ``(3, ..., n_q, n_q, n_q)`` -> ``(..., n, n, n)``
-        (``out`` or a fresh array; intermediates live in ``ws``): three
-        accumulated transposed collocation-derivative sweeps, then
+        component-major ``(3, *lead, q, q, q, N)`` -> ``(*lead, n, n, n,
+        N)`` (``out`` or a fresh array; intermediates live in ``ws``):
+        three accumulated transposed collocation-derivative sweeps, then
         :meth:`integrate_values`."""
         if ws is None:
             ws = Workspace()
         n = self.n_dofs_1d
-        dt = self._ws_dtype(q)
+        dt = kernel_dtype(q.dtype)
         if out is None:
-            out = np.empty(q.shape[1:-3] + (n, n, n), dt)
+            out = np.empty(q.shape[1:-4] + (n, n, n, q.shape[-1]), dt)
         Dt = self._mat("co_grad_t", dt)
-        acc = apply_1d(Dt, q[0], 0, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
+        acc = apply_1d(Dt, q[0], 1, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
         t = ws.take("tpk.ig.t", q.shape[1:], dt)
-        acc += apply_1d(Dt, q[1], 1, out=t)
-        acc += apply_1d(Dt, q[2], 2, out=t)
+        acc += apply_1d(Dt, q[1], 2, out=t)
+        acc += apply_1d(Dt, q[2], 3, out=t)
         return self.integrate_values(acc, ws, out=out)
-
-    def integrate_gradients(self, q: np.ndarray) -> np.ndarray:
-        """:meth:`integrate_gradients_cm` for ``q`` of shape
-        ``(..., 3, n_q, n_q, n_q)``."""
-        return self.integrate_gradients_cm(np.moveaxis(q, -4, 0))
 
     # -- nodal-lattice kernels (geometry precomputation) ----------------
     @property
@@ -331,15 +271,14 @@ class TensorProductKernel:
 
     def nodal_gradients(self, u: np.ndarray) -> np.ndarray:
         """Reference gradients evaluated at the nodal lattice (not the
-        quadrature points): ``(..., n, n, n) -> (..., 3, n, n, n)``.
+        quadrature points), component-major: ``(*lead, n, n, n, N) ->
+        (3, *lead, n, n, n, N)``.
 
         Used to differentiate the precomputed polynomial geometry
         (Heltai et al. 2021) when building metric terms.
         """
         D = self._mat("nodal_diff", kernel_dtype(u.dtype))
-        return np.stack(
-            [apply_1d(D, u, 0), apply_1d(D, u, 1), apply_1d(D, u, 2)], axis=-4
-        )
+        return np.stack([apply_1d(D, u, d + 1) for d in range(3)])
 
     def face_nodal_trace(self, u: np.ndarray, face: int) -> np.ndarray:
         """Restrict nodal coefficients to the 2D nodal lattice of a face.

@@ -10,8 +10,9 @@ same sum-factorization kernels used by the operators.
 Layouts
 -------
 * nodal geometry  ``X[c, i, nz, ny, nx]``  (i = physical component)
-* cell Jacobian   ``J[c, i, j, qz, qy, qx]`` = dX_i/dref_j at cell
-  quadrature points
+* cell metrics    lane blocks ``(..., qz, qy, qx, c)`` with the cells on
+  the trailing axis, the layout of the cell kernels
+  (:class:`CellMetrics`)
 * face arrays     ``(n_faces, ..., qa, qb)`` with the face lattice on the
   trailing axes so orientation transforms apply uniformly.
 """
@@ -30,27 +31,41 @@ from .octree import Forest
 
 def _invert_3x3(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinant and inverse of a field of 3x3 matrices with the matrix
-    axes at positions 1, 2: ``J[..., i, j, ...]`` of shape
-    ``(N, 3, 3, *rest)``.  Returns ``(det (N, *rest), inv (N, 3, 3, *rest))``.
+    axes leading: ``J[i, j, ...]`` of shape ``(3, 3, *rest)``.  Returns
+    ``(det (*rest), inv (3, 3, *rest))``.
     """
     a = J
     det = (
-        a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
-        - a[:, 0, 1] * (a[:, 1, 0] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 0])
-        + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
     )
-    inv = np.empty_like(a)
-    inv[:, 0, 0] = a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1]
-    inv[:, 0, 1] = a[:, 0, 2] * a[:, 2, 1] - a[:, 0, 1] * a[:, 2, 2]
-    inv[:, 0, 2] = a[:, 0, 1] * a[:, 1, 2] - a[:, 0, 2] * a[:, 1, 1]
-    inv[:, 1, 0] = a[:, 1, 2] * a[:, 2, 0] - a[:, 1, 0] * a[:, 2, 2]
-    inv[:, 1, 1] = a[:, 0, 0] * a[:, 2, 2] - a[:, 0, 2] * a[:, 2, 0]
-    inv[:, 1, 2] = a[:, 0, 2] * a[:, 1, 0] - a[:, 0, 0] * a[:, 1, 2]
-    inv[:, 2, 0] = a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0]
-    inv[:, 2, 1] = a[:, 0, 1] * a[:, 2, 0] - a[:, 0, 0] * a[:, 2, 1]
-    inv[:, 2, 2] = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    inv /= det[:, None, None]
+    inv = np.empty(a.shape, a.dtype)
+    inv[0, 0] = a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
+    inv[0, 1] = a[0, 2] * a[2, 1] - a[0, 1] * a[2, 2]
+    inv[0, 2] = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
+    inv[1, 0] = a[1, 2] * a[2, 0] - a[1, 0] * a[2, 2]
+    inv[1, 1] = a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
+    inv[1, 2] = a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]
+    inv[2, 0] = a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]
+    inv[2, 1] = a[0, 1] * a[2, 0] - a[0, 0] * a[2, 1]
+    inv[2, 2] = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    inv /= det
     return det, inv
+
+
+def _face_inverse(qJ: np.ndarray) -> np.ndarray:
+    """``J^{-1}`` ``(F, 3, 3, Q)`` of face Jacobians ``(F, 3, 3, qa, qb)``."""
+    inv = _invert_3x3(np.moveaxis(qJ.reshape(qJ.shape[:3] + (-1,)), 0, 2))[1]
+    return np.ascontiguousarray(np.moveaxis(inv, 2, 0))
+
+
+def cell_sums(a: np.ndarray) -> np.ndarray:
+    """Per-cell sums ``(..., q, q, q, N) -> (..., N)`` of lane quadrature
+    data, each cell's values summed contiguously (NumPy's pairwise order,
+    as on a cell-major array)."""
+    a = a.reshape(a.shape[:-4] + (-1, a.shape[-1]))
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).sum(axis=-1)
 
 
 def _jinv_n(Jinv: np.ndarray, normal: np.ndarray, face: int, o=None) -> np.ndarray:
@@ -81,18 +96,20 @@ SYM_SLOT = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
 @dataclass
 class CellMetrics:
-    """Per-cell quadrature-point metric data (the D_e factors of Eq. (7)).
+    """Per-cell quadrature-point metric data (the D_e factors of Eq. (7)),
+    every array a lane block (the ``N`` cells on the trailing axis, the
+    layout of the cell kernels).
 
     Attributes
     ----------
-    jxw:       (N, nq, nq, nq)        quadrature weight x |det J|
-    jinv_t:    (N, 3, 3, nq, nq, nq)  J^{-T}: phys grad = jinv_t @ ref grad
-    laplace_d: (6, N, nq, nq, nq)     J^{-1} J^{-T} |det J| w — the
+    jxw:       (nq, nq, nq, N)        quadrature weight x |det J|
+    jinv_t:    (3, 3, nq, nq, nq, N)  J^{-T}: phys grad = jinv_t @ ref grad
+    laplace_d: (6, nq, nq, nq, N)     J^{-1} J^{-T} |det J| w — the
                symmetric 3x3 block applied between I_e and I_e^T for the
                Laplacian, as its six unique entries (:data:`SYM_SLOT`),
                one contiguous plane per entry.
-    points:    (N, 3, nq, nq, nq)     physical quadrature points
-    det_j:     (N, nq, nq, nq)        Jacobian determinant (sign retained)
+    points:    (3, nq, nq, nq, N)     physical quadrature points
+    det_j:     (nq, nq, nq, N)        Jacobian determinant (sign retained)
     """
 
     jxw: np.ndarray
@@ -165,41 +182,28 @@ class GeometryField:
         if self._cell_metrics is not None:
             return self._cell_metrics
         kern = self.kernel
-        nq = kern.n_q_points
-        N = self.n_cells
-        # J[c, i, j, q...]: gradients of each physical component
-        vals, grads = kern.values_and_gradients(self.X)
-        # grads has shape (N, 3phys, 3ref, nq, nq, nq) because the X
-        # component axis rides along as a batch axis before the new ref axis
-        J = grads
-        det, Jinv = _invert_3x3(J.reshape(N, 3, 3, -1))
-        det = det.reshape(N, nq, nq, nq)
-        Jinv = Jinv.reshape(N, 3, 3, nq, nq, nq)
+        # grads[j, i] = dX_i/dref_j: the X component axis rides along as
+        # a batch axis behind the component-major reference axis
+        vals, grads = kern.values_and_gradients(np.moveaxis(self.X, 0, -1).copy())
+        det, Jinv = _invert_3x3(np.swapaxes(grads, 0, 1))
         if np.any(det <= 0):
-            bad = int(np.sum(np.any(det.reshape(N, -1) <= 0, axis=1)))
+            bad = int(np.sum(np.any(det.reshape(-1, self.n_cells) <= 0, axis=0)))
             raise ValueError(f"{bad} cells have non-positive Jacobian")
-        w = kern.quadrature_weights  # (nq, nq, nq)
-        jxw = np.abs(det) * w
-        jinv_t = np.swapaxes(Jinv, 1, 2)
-        laplace_d = np.empty((6, N, nq, nq, nq))
+        jxw = np.abs(det) * kern.quadrature_weights[..., None]
+        laplace_d = np.empty((6,) + jxw.shape)
         for a in range(3):
             for b in range(a, 3):
-                np.einsum("cj...,cj...->c...", Jinv[:, a], Jinv[:, b],
-                          out=laplace_d[SYM_SLOT[a][b]])
+                np.einsum("j...,j...->...", Jinv[a], Jinv[b], out=laplace_d[SYM_SLOT[a][b]])
         laplace_d *= jxw
-        self._cell_metrics = CellMetrics(
-            jxw=jxw, jinv_t=jinv_t, laplace_d=laplace_d, points=vals, det_j=det
-        )
+        self._cell_metrics = CellMetrics(jxw=jxw, jinv_t=np.swapaxes(Jinv, 0, 1),
+                                         laplace_d=laplace_d, points=vals, det_j=det)
         return self._cell_metrics
 
     # ------------------------------------------------------------------
     def _nodal_jacobian(self, cells: np.ndarray) -> np.ndarray:
         """J at the nodal lattice of the given cells: (F, 3, 3, n, n, n)."""
-        return self.kernel.nodal_gradients(self.X[cells])
-
-    def _cell_volumes(self) -> np.ndarray:
-        cm = self.cell_metrics()
-        return cm.jxw.reshape(self.n_cells, -1).sum(axis=1)
+        g = self.kernel.nodal_gradients(np.moveaxis(self.X[cells], 0, -1).copy())
+        return np.moveaxis(g, (0, -1), (2, 0))
 
     def _side_face_data(
         self,
@@ -246,7 +250,7 @@ class GeometryField:
         qX, qJ_m = self._side_face_data(cells_m, face_m)
         F = len(cells_m)
         nq = kern.n_q_points
-        _, Jinv_m = _invert_3x3(qJ_m.reshape(F, 3, 3, -1))
+        Jinv_m = _face_inverse(qJ_m)
         jinv_t_m = np.swapaxes(Jinv_m, 1, 2).reshape(F, 3, 3, nq, nq)
 
         # surface element: cross product of the two tangent columns of J,
@@ -273,14 +277,14 @@ class GeometryField:
         jxw = area * (w1[:, None] * w1[None, :])[None]
 
         # SIP penalty scale: area / volume of each adjacent cell
-        vols = self._cell_volumes()
+        vols = cell_sums(self.cell_metrics().jxw)
         areas = jxw.reshape(F, -1).sum(axis=1)
         pen = areas / vols[cells_m]
         c_p = None
         if plus is not None:
             cells_p, face_p, orientation, subface = plus
             _, qJ_p = self._side_face_data(cells_p, face_p, orientation, subface)
-            _, Jinv_p = _invert_3x3(qJ_p.reshape(F, 3, 3, -1))
+            Jinv_p = _face_inverse(qJ_p)
             c_p = _jinv_n(Jinv_p, normal, face_p, orientation)
             area_plus = areas if subface is None else 4.0 * areas
             pen = np.maximum(pen, area_plus / vols[cells_p])

@@ -42,12 +42,11 @@ class FlowDiagnostics:
 
     # ------------------------------------------------------------------
     def _values(self, u_flat: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(u_flat)
-        return self.kern.values(u)  # (N, 3, q, q, q)
+        return self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))  # (3, q, q, q, N)
 
     def _phys_gradients(self, u_flat: np.ndarray) -> np.ndarray:
-        g = self.kern.gradients(self.dof.cell_view(u_flat))
-        return contract("clmzyx,...cimzyx->...cilzyx", self.cm.jinv_t, g)
+        g = self.kern.gradients_cm(self.dof.to_lanes(self.dof.cell_view(u_flat)))
+        return contract("lmzyxc,m...izyxc->...ilzyxc", self.cm.jinv_t, g)
 
     # ------------------------------------------------------------------
     def volume(self) -> float:
@@ -56,28 +55,28 @@ class FlowDiagnostics:
     def kinetic_energy(self, u_flat: np.ndarray) -> float:
         """E_k = 1/(2|Omega|) int |u|^2 (volume-specific, rho = 1)."""
         uq = self._values(u_flat)
-        return float(0.5 * ((uq**2).sum(axis=1) * self.cm.jxw).sum() / self.volume())
+        return float(0.5 * ((uq**2).sum(axis=-5) * self.cm.jxw).sum() / self.volume())
 
     def enstrophy(self, u_flat: np.ndarray) -> float:
         """1/(2|Omega|) int |curl u|^2 — the viscous-dissipation proxy of
         Taylor-Green-type analyses (epsilon = 2 nu * enstrophy for
         divergence-free fields)."""
-        curl = curl_of_gradient(self._phys_gradients(u_flat), 3)
-        return float(0.5 * ((curl**2).sum(axis=1) * self.cm.jxw).sum() / self.volume())
+        curl = curl_of_gradient(self._phys_gradients(u_flat), 4)
+        return float(0.5 * ((curl**2).sum(axis=-5) * self.cm.jxw).sum() / self.volume())
 
     def divergence_l2(self, u_flat: np.ndarray) -> float:
         G = self._phys_gradients(u_flat)
-        div = contract("ciizyx->czyx", G)
+        div = contract("...iizyxc->...zyxc", G)
         return float(np.sqrt((div**2 * self.cm.jxw).sum()))
 
     def max_velocity(self, u_flat: np.ndarray) -> float:
         uq = self._values(u_flat)
-        return float(np.sqrt((uq**2).sum(axis=1)).max())
+        return float(np.sqrt((uq**2).sum(axis=-5)).max())
 
     def momentum(self, u_flat: np.ndarray) -> np.ndarray:
         """int u dx, one value per component."""
         uq = self._values(u_flat)
-        return contract("cizyx,czyx->i", uq, self.cm.jxw)
+        return contract("izyxc,zyxc->i", uq, self.cm.jxw)
 
 
 def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,

@@ -79,12 +79,12 @@ class ScalarAdvectionOperator:
         u = self.dof_u.cell_view(u_flat)
         kern = self.kern
         cmx = self.cell_metrics
-        # cell term: -int c u . grad(v)
-        cq = kern.values(c)
-        uq = kern.values(u)
+        # cell term: -int c u . grad(v), on lane blocks
+        cq = kern.values(self.dof_c.to_lanes(c))
+        uq = kern.values(self.dof_u.to_lanes(u))
         coeff = -(cq * cmx.jxw)
-        rg = contract("cilzyx,cizyx,czyx->clzyx", cmx.jinv_t, uq, coeff)
-        out = kern.integrate_gradients(rg)
+        rg = contract("ilzyxc,izyxc,zyxc->lzyxc", cmx.jinv_t, uq, coeff)
+        out = self.dof_c.from_lanes(kern.integrate_gradients_cm(rg))
         fd, c_in = self.face_data, self._c_in
 
         def flux(v, ch):
@@ -164,5 +164,5 @@ class ScalarTransportSolver:
 
     def mean_concentration(self, geometry: GeometryField) -> float:
         cm = geometry.cell_metrics()
-        cq = geometry.kernel.values(self.dof_c.cell_view(self.c))
+        cq = geometry.kernel.values(self.dof_c.to_lanes(self.dof_c.cell_view(self.c)))
         return float((cq * cm.jxw).sum() / cm.jxw.sum())

@@ -322,13 +322,13 @@ class IncompressibleNavierStokesSolver:
         """L2 projection of curl(u) into the velocity space (cell-local,
         inverted by the fast mass inverse) — needed by the consistent
         pressure Neumann boundary condition."""
-        u = self.dof_u.cell_view(u_flat)
-        kern = self.geo_u.kernel
+        dof, kern = self.dof_u, self.geo_u.kernel
         cm = self.geo_u.cell_metrics()
         # physical gradient: dU_i/dx_l = sum_m jinv_t[l, m] * ghat[i, m]
-        G = contract("clmzyx,...cimzyx->...cilzyx", cm.jinv_t, kern.gradients(u))
-        rhs = kern.integrate_values(curl_of_gradient(G, 3) * cm.jxw[:, None])
-        return self.inv_mass_u.vmult(self.dof_u.flat(rhs))
+        g = kern.gradients_cm(dof.to_lanes(dof.cell_view(u_flat)))
+        G = contract("lmzyxc,m...izyxc->...ilzyxc", cm.jinv_t, g)
+        rhs = kern.integrate_values(curl_of_gradient(G, 4) * cm.jxw)
+        return self.inv_mass_u.vmult(dof.flat(dof.from_lanes(rhs)))
 
     def _pressure_dirichlet_rhs(self, t: float) -> np.ndarray:
         """Weak Dirichlet data of the pressure Poisson operator."""
@@ -399,11 +399,10 @@ class IncompressibleNavierStokesSolver:
     def _assembled_body_force(self, t: float) -> np.ndarray:
         """integral(f . v) assembled into the velocity space."""
         cm = self.geo_u.cell_metrics()
-        pts = cm.points
-        f = np.asarray(self._body_force_fn(pts[:, 0], pts[:, 1], pts[:, 2], t))
-        # (3, N, q, q, q): the components ride the kernel's batch axis
+        f = np.asarray(self._body_force_fn(*cm.points, t))
+        # (3, q, q, q, N): the components ride the lane block's batch axis
         out = self.geo_u.kernel.integrate_values(f * cm.jxw)
-        return self.dof_u.flat(np.moveaxis(out, 0, 1))
+        return self.dof_u.flat(self.dof_u.from_lanes(out))
 
     # ------------------------------------------------------------------
     def interpolate_velocity(self, fn, t: float = 0.0) -> np.ndarray:
@@ -515,18 +514,16 @@ class IncompressibleNavierStokesSolver:
     def velocity_error_l2(self, exact, t: float) -> float:
         """L2 error of the velocity against ``exact(x, y, z, t) -> (3, ...)``."""
         cm = self.geo_u.cell_metrics()
-        uq = self.geo_u.kernel.values(self.dof_u.cell_view(self.velocity))
-        ex = np.asarray(exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2], t))
-        ex = np.moveaxis(ex, 0, 1)
-        return float(np.sqrt(np.sum((uq - ex) ** 2 * cm.jxw[:, None])))
+        uq = self.geo_u.kernel.values(self.dof_u.to_lanes(self.dof_u.cell_view(self.velocity)))
+        ex = np.asarray(exact(*cm.points, t))
+        return float(np.sqrt(np.sum((uq - ex) ** 2 * cm.jxw)))
 
     def _divergence_field(self) -> np.ndarray:
         """div(u) at quadrature points; ensemble states get a leading
         member axis."""
-        grads = self.geo_u.kernel.gradients(self.dof_u.cell_view(self.velocity))
-        return contract(
-            "cilzyx,...cilzyx->...czyx", self.geo_u.cell_metrics().jinv_t, grads
-        )
+        dof = self.dof_u
+        g = self.geo_u.kernel.gradients_cm(dof.to_lanes(dof.cell_view(self.velocity)))
+        return contract("ilzyxc,l...izyxc->...zyxc", self.geo_u.cell_metrics().jinv_t, g)
 
     def max_divergence(self) -> float:
         """max |div u| at quadrature points — the quantity the penalty

@@ -275,7 +275,7 @@ class RankLocalOperator:
         rp = plan.rank_plans[rank]
         self.rank_plan = rp
         self._dofs = slice(rp.lo * plan.npc, rp.hi * plan.npc)
-        self._laplace_d = op.cell_metrics.laplace_d[:, rp.lo:rp.hi]
+        self._laplace_d = np.ascontiguousarray(op.cell_metrics.laplace_d[..., rp.lo:rp.hi])
         (cm, fm, cp, fp, code, kind), (cd, fd, bd) = op.face_loop.table
         n_own = rp.n_cells
         own_m, own_p, own_d = ((c >= rp.lo) & (c < rp.hi) for c in (cm, cp, cd))
@@ -294,7 +294,9 @@ class RankLocalOperator:
         """Cell term plus every face that needs no ghost data; returns
         the round's state for :meth:`cut` and :meth:`accumulate`."""
         op = self.op
-        base = cell_laplacian(op.kern, self._laplace_d, u, op.workspace())
+        ws = op.workspace()
+        ul = op.dof.to_lanes(u, ws)
+        base = op.dof.from_lanes(cell_laplacian(op.kern, self._laplace_d, ul, ws, ul))
         u = u.reshape((-1,) + u.shape[-4:])
         buf = self.ws.take("sip.sheets", (u.shape[0], self.faces.size), base.dtype)
         self.faces.sheets(u, buf)

@@ -35,7 +35,8 @@ def assemble_cg_laplace(dof: CGDofHandler, geometry: GeometryField) -> sp.csr_ma
     B = gradient_tensors(kern)  # (3, Q, I)
     N = dof.n_cells
     nloc = kern.n_dofs_cell
-    D = cm.laplace_d.reshape(6, N, -1)  # (slot, c, Q)
+    # (slot, c, Q): the lane block's cells in front, as the loop reads them
+    D = np.ascontiguousarray(np.swapaxes(cm.laplace_d.reshape(6, -1, N), 1, 2))
     # local matrices: A_loc[c, I, J] = sum_{a,b,Q} B[a,Q,I] D[c,a,b,Q] B[b,Q,J]
     A_loc = sum(
         np.einsum("QI,cQ,QJ->cIJ", B[a], D[SYM_SLOT[a][b]], B[b], optimize=True)

@@ -88,7 +88,7 @@ def _cast_arrays(obj, dtype, _seen=None):
 #: array-valued operator attributes cast by :func:`operator_to_dtype`
 _CASTABLE_ATTRS = (
     "cell_metrics", "face_data", "jxw",
-    "Sinv", "h_cell", "tau_div", "tau_cont", "_mass_weight",
+    "Sinv", "h_cell", "tau_div", "tau_cont",
 )
 
 #: nested operators a composite delegates to (cast recursively)

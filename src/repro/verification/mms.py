@@ -135,8 +135,8 @@ def _default_poisson_exact(x, y, z):
 
 def _l2_error_scalar(dof, geo, u_flat, exact) -> float:
     cm = geo.cell_metrics()
-    uq = geo.kernel.values(dof.cell_view(u_flat))
-    eq = exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+    uq = geo.kernel.values(dof.to_lanes(dof.cell_view(u_flat)))
+    eq = exact(*cm.points)
     return float(np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw)))
 
 

@@ -35,9 +35,9 @@ def solve_on_cylinder(levels: int, degree: int):
                              tol=1e-11, max_iter=4000)
     assert res.converged
     cm = geo.cell_metrics()
-    r2 = cm.points[:, 0] ** 2 + cm.points[:, 1] ** 2
+    r2 = cm.points[0] ** 2 + cm.points[1] ** 2
     exact = (R * R - r2) / 4.0
-    uq = geo.kernel.values(dof.cell_view(res.x))
+    uq = geo.kernel.values(dof.to_lanes(dof.cell_view(res.x)))
     err = float(np.sqrt(np.sum((uq - exact) ** 2 * cm.jxw)))
     return err
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.dof_handler import CGDofHandler, DGDofHandler
 from repro.core.operators import CGLaplaceOperator, DGLaplaceOperator
@@ -85,14 +86,14 @@ class TestCGNumbering:
         # at all shared positions (checked by construction of expand)
         x = np.random.default_rng(0).standard_normal(dof.n_dofs)
         cells = dof.gather_cells(x)
-        assert cells.shape == (forest.n_cells, 3, 3, 3)
+        assert cells.shape == (3, 3, 3, forest.n_cells)
 
     def test_gather_scatter_adjoint(self):
         forest = Forest(box(subdivisions=(2, 1, 1))).refine_all(1)
         dof = CGDofHandler(forest, 2)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(dof.n_dofs)
-        cells = rng.standard_normal((forest.n_cells, 3, 3, 3))
+        cells = rng.standard_normal((3, 3, 3, forest.n_cells))
         lhs = np.sum(dof.gather_cells(x) * cells)
         rhs = x @ dof.scatter_add_cells(cells)
         assert np.isclose(lhs, rhs, rtol=1e-12)
@@ -148,15 +149,21 @@ class TestHangingConstraints:
         assert pts.min() >= -1e-12 and pts.max() <= 2 + 1e-12
 
 
+def _lanes(cells):
+    """Cell-major ``(..., N, n, n, n)`` -> lane block ``(..., n, n, n, N)``."""
+    return np.moveaxis(cells, -4, -1)
+
+
 class TestCellMap:
     """``gather_cells`` / ``scatter_add_cells`` through the one sparse
     cell map ``G = P·C`` against implementation-independent references:
-    the ``C`` expansion plus a fancy index, and ``np.add.at``."""
+    the ``C`` expansion plus a fancy index, and ``np.add.at``; and bit
+    for bit against the cell-major map the lane map was permuted from."""
 
     def test_gather_matches_expand_and_index(self, cg_space):
         dof, _ = cg_space
         x = np.random.default_rng(0).standard_normal(dof.n_dofs)
-        ref = dof.expand(x)[dof.cell_to_global]
+        ref = _lanes(dof.expand(x)[dof.cell_to_global])
         assert _rel_err(dof.gather_cells(x), ref) <= 1e-14
 
     def test_scatter_matches_add_at(self, cg_space):
@@ -166,13 +173,34 @@ class TestCellMap:
         r_global = np.zeros(dof.n_global)
         np.add.at(r_global, dof.cell_to_global.ravel(), cells.ravel())
         ref = dof.Ct @ r_global
-        assert _rel_err(dof.scatter_add_cells(cells), ref) <= 1e-14
+        assert _rel_err(dof.scatter_add_cells(_lanes(cells).copy()), ref) <= 1e-14
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lane_map_is_bitwise_the_cell_major_map(self, cg_space, dtype):
+        """``G x`` in lane order and ``Gᵀ c`` are the cell-major map's
+        ``G x`` and ``Gᵀ c`` bit for bit, with ``Gᵀ`` summing each row in
+        the cell-major entry order — also after the Jacobi diagonal was
+        taken (scipy's ``power`` sorts a matrix in place)."""
+        dof, op = cg_space
+        op.diagonal()
+        n = dof.n_cells * dof.n1**3
+        P = sp.csr_matrix((np.ones(n), (np.arange(n), dof.cell_to_global.ravel())),
+                          shape=(n, dof.n_global))
+        G = P @ dof.C
+        G, Gt = G.astype(dtype), G.T.tocsr().astype(dtype)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, dof.n_dofs)).astype(dtype)
+        cells = rng.standard_normal((2, dof.n_cells) + (dof.n1,) * 3).astype(dtype)
+        want = _lanes((G @ x.T).T.reshape(cells.shape))
+        assert np.array_equal(dof.gather_cells(x), want)
+        got = dof.scatter_add_cells(_lanes(cells).copy())
+        assert np.array_equal(got, (Gt @ cells.reshape(2, -1).T).T)
 
     def test_diagonal_matches_squared_constraint_formula(self, cg_space):
         """``(G∘G)ᵀ ldiag`` is ``C²ᵀ`` applied to the scattered cell
         diagonals, summed in another order."""
         dof, op = cg_space
-        ldiag = _cell_laplace_diagonal(op.kern, op.cell_metrics.laplace_d)
+        ldiag = np.moveaxis(_cell_laplace_diagonal(op.kern, op.cell_metrics.laplace_d), -1, 0)
         scattered = np.zeros(dof.n_global)
         np.add.at(scattered, dof.cell_to_global.ravel(), ldiag.ravel())
         C2 = dof.C.copy()
@@ -188,7 +216,7 @@ class TestCellMap:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, dof.n_dofs)).astype(dtype)
         n = dof.n1
-        cells = rng.standard_normal((2, dof.n_cells, n, n, n)).astype(dtype)
+        cells = rng.standard_normal((2, n, n, n, dof.n_cells)).astype(dtype)
         for fn, arg in ((dof.gather_cells, x), (dof.scatter_add_cells, cells),
                         (op.vmult, x)):
             stacked = fn(arg)
@@ -221,7 +249,7 @@ class TestAnyLead:
         self.check(op, dof.n_dofs)
         x = np.random.default_rng(4).standard_normal((2, 3, dof.n_dofs))
         cells = dof.gather_cells(x)
-        assert cells.shape == (2, 3, dof.n_cells) + (dof.n1,) * 3
+        assert cells.shape == (2, 3) + (dof.n1,) * 3 + (dof.n_cells,)
         assert dof.scatter_add_cells(cells).shape == x.shape
 
     def test_assembled(self):

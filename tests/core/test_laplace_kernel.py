@@ -33,7 +33,8 @@ def _frame_jacobian(geo, cells, face, o=None, subface=None):
     oriented into the minus frame."""
     kern = geo.kernel
     X = geo.X[cells]
-    tn = kern.face_nodal_trace(kern.nodal_gradients(X)[:, :, face // 2], face)
+    dX = kern.nodal_gradients(np.moveaxis(X, 0, -1).copy())[face // 2]  # lane block
+    tn = kern.face_nodal_trace(np.moveaxis(dX, -1, 0), face)
     t = kern.face_nodal_trace(X, face)
     if o is not None:
         t, tn = orient_face_array(t, o), orient_face_array(tn, o)
@@ -65,7 +66,7 @@ class TestStorageEqualsTransferModel:
         vec_and_meta = 3 * (DEGREE + 1) ** 3 * pb + 8 * 4
         # cells: 6 values per quadrature point
         D = op.cell_metrics.laplace_d
-        assert D.dtype == dtype and D.shape == (6, op.dof.n_cells, nq, nq, nq)
+        assert D.dtype == dtype and D.shape == (6, nq, nq, nq, op.dof.n_cells)
         cell_bytes = D.nbytes // op.dof.n_cells
         # faces: the one store the face loop reads — 7 values per
         # interior face quadrature point (c_m, c_p, jxw), 4 per Dirichlet
@@ -125,11 +126,11 @@ class TestNormalDerivativeKernel:
     def test_cell_metric_is_the_symmetric_block(self, curved_hanging):
         geo, _, op = curved_hanging
         cm = geo.cell_metrics()
-        full = np.einsum("cji...,cjk...->cik...", cm.jinv_t, cm.jinv_t) * cm.jxw[:, None, None]
+        full = np.einsum("ji...,jk...->ik...", cm.jinv_t, cm.jinv_t) * cm.jxw
         for a in range(3):
             for b in range(3):
                 np.testing.assert_allclose(
-                    cm.laplace_d[SYM_SLOT[a][b]], full[:, a, b], rtol=1e-12, atol=1e-14
+                    cm.laplace_d[SYM_SLOT[a][b]], full[a, b], rtol=1e-12, atol=1e-14
                 )
 
     def test_float32_clone_tracks_float64(self, curved_hanging, rng):

@@ -190,8 +190,8 @@ class TestDGPoissonConvergence:
         u = solve_cg(op, b, M=Minv.vmult)
         # L2 error by quadrature
         cm = geo.cell_metrics()
-        uq = geo.kernel.values(dof.cell_view(u))
-        eq = exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+        uq = geo.kernel.values(dof.to_lanes(dof.cell_view(u)))
+        eq = exact(*cm.points)
         return float(np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw)))
 
     @pytest.mark.parametrize("degree,expected_rate", [(1, 2.0), (2, 3.0), (3, 4.0)])
@@ -221,8 +221,8 @@ class TestDGPoissonConvergence:
             Minv = InverseMassOperator(dof, geo)
             u = solve_cg(op, b, M=Minv.vmult)
             cm = geo.cell_metrics()
-            uq = geo.kernel.values(dof.cell_view(u))
-            eq = exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+            uq = geo.kernel.values(dof.to_lanes(dof.cell_view(u)))
+            eq = exact(*cm.points)
             errors.append(float(np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw))))
         assert errors[1] < 0.25 * errors[0]
 
@@ -273,11 +273,11 @@ class TestCGLaplace:
             op = CGLaplaceOperator(dof, geo)
             # rhs: project f into the master space
             cm = geo.cell_metrics()
-            fq = 3 * np.pi**2 * exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+            fq = 3 * np.pi**2 * exact(*cm.points)
             b = dof.scatter_add_cells(geo.kernel.integrate_values(fq * cm.jxw))
             u = solve_cg(op, b)
             uq = geo.kernel.values(dof.gather_cells(u))
-            eq = exact(cm.points[:, 0], cm.points[:, 1], cm.points[:, 2])
+            eq = exact(*cm.points)
             errors.append(float(np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw))))
         rate = np.log2(errors[0] / errors[1])
         assert rate > 2.6
@@ -299,7 +299,7 @@ class TestCGLaplace:
         conn = dof.connectivity
         assert any(b.is_hanging for b in conn.interior)
         loop = FaceLoop.of(geo.kernel, f.n_cells, conn.interior, [], sheets=2)
-        buf = cells.reshape(1, -1)
+        buf = np.moveaxis(cells, -1, 0).reshape(1, -1)  # the loop reads cell-major cells
         for ch in loop.chunks:
             v = loop.trace(buf, ch, loop.ws)
             assert np.allclose(v[:, :ch.Fi], v[:, ch.F:], atol=1e-10)

@@ -51,12 +51,13 @@ class TestApply1D:
 class TestCellKernels:
     """The cell path — interpolation, then collocation derivatives —
     against direct evaluation, on the k+1 Gauss points and on the
-    over-integrated k+2 points of the convective kernel."""
+    over-integrated k+2 points of the convective kernel; lane blocks,
+    the cells on the trailing axis."""
 
     def _setup(self, k, over_integrated, ncells=3, seed=0):
         kern = TensorProductKernel(k, k + 2 if over_integrated else k + 1)
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal((ncells, k + 1, k + 1, k + 1))
+        u = np.moveaxis(rng.standard_normal((ncells, k + 1, k + 1, k + 1)), 0, -1).copy()
         pts = tensor_points(gauss(kern.n_q_points), 3)
         nodes = kern.shape.basis.nodes
         return kern, u, pts, nodes
@@ -64,28 +65,28 @@ class TestCellKernels:
     def test_values_match_direct(self, k, over_integrated):
         kern, u, pts, nodes = self._setup(k, over_integrated)
         fast = kern.values(u)
-        for c in range(u.shape[0]):
-            direct = eval_nodal_3d(u[c], nodes, pts)
-            assert np.allclose(fast[c].ravel(), direct, atol=1e-11)
+        for c in range(u.shape[-1]):
+            direct = eval_nodal_3d(u[..., c], nodes, pts)
+            assert np.allclose(fast[..., c].ravel(), direct, atol=1e-11)
 
     def test_gradients_match_direct(self, k, over_integrated):
         kern, u, pts, nodes = self._setup(k, over_integrated)
-        fast = kern.gradients(u)
-        for c in range(u.shape[0]):
-            direct = grad_nodal_3d(u[c], nodes, pts)
-            assert np.allclose(fast[c].reshape(3, -1), direct, atol=1e-10)
+        fast = kern.gradients_cm(u)
+        for c in range(u.shape[-1]):
+            direct = grad_nodal_3d(u[..., c], nodes, pts)
+            assert np.allclose(fast[..., c].reshape(3, -1), direct, atol=1e-10)
 
     def test_values_and_gradients_consistent(self, k, over_integrated):
         kern, u, _, _ = self._setup(k, over_integrated)
         v, g = kern.values_and_gradients(u)
         assert np.allclose(v, kern.values(u))
-        assert np.allclose(g, kern.gradients(u))
+        assert np.allclose(g, kern.gradients_cm(u))
 
     def test_integrate_values_is_transpose(self, k, over_integrated):
         """<I^T q, u> == <q, I u> for all q, u (adjoint identity)."""
         kern, u, _, _ = self._setup(k, over_integrated, ncells=2)
         rng = np.random.default_rng(7)
-        q = rng.standard_normal((2,) + (kern.n_q_points,) * 3)
+        q = rng.standard_normal((kern.n_q_points,) * 3 + (2,))
         lhs = np.sum(kern.integrate_values(q) * u)
         rhs = np.sum(q * kern.values(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
@@ -93,17 +94,16 @@ class TestCellKernels:
     def test_integrate_gradients_is_transpose(self, k, over_integrated):
         kern, u, _, _ = self._setup(k, over_integrated, ncells=2)
         rng = np.random.default_rng(8)
-        q = rng.standard_normal((2, 3) + (kern.n_q_points,) * 3)
-        lhs = np.sum(kern.integrate_gradients(q) * u)
-        rhs = np.sum(q * kern.gradients(u))
+        q = rng.standard_normal((3,) + (kern.n_q_points,) * 3 + (2,))
+        lhs = np.sum(kern.integrate_gradients_cm(q) * u)
+        rhs = np.sum(q * kern.gradients_cm(u))
         assert np.isclose(lhs, rhs, rtol=1e-11)
 
     def test_mass_integral_of_one(self, k, over_integrated):
         """integrate(1 * w_q) over the reference cell gives nodal weights
         that sum to the cell volume 1."""
         kern, _, _, _ = self._setup(k, over_integrated)
-        q = np.broadcast_to(kern.quadrature_weights, (1,) + (kern.n_q_points,) * 3)
-        nodal = kern.integrate_values(np.array(q))
+        nodal = kern.integrate_values(kern.quadrature_weights[..., None])
         assert np.isclose(nodal.sum(), 1.0)
 
 

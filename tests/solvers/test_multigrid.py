@@ -35,8 +35,8 @@ class TestTransfers:
         xd = T.prolongate(xc)
         geo = GeometryField(forest, 2)
         cm = geo.cell_metrics()
-        vals = geo.kernel.values(dg.cell_view(xd))
-        exact = 2 * cm.points[:, 0] - cm.points[:, 1] + 0.5 * cm.points[:, 2]
+        vals = geo.kernel.values(dg.to_lanes(dg.cell_view(xd)))
+        exact = 2 * cm.points[0] - cm.points[1] + 0.5 * cm.points[2]
         assert np.allclose(vals, exact, atol=1e-10)
 
     def test_p_transfer_preserves_coarse_polynomials(self):
