@@ -62,12 +62,20 @@ def _matmul_rows(a, b, out, r0: int, r1: int) -> None:
         np.matmul(a, b, out=out[..., r0:r1, :])
 
 
+def _scatter(buf: np.ndarray, sidx: np.ndarray, G: np.ndarray) -> None:
+    """``buf[:, sidx] = G`` row by row: ``intp`` slots on a 1-D row take
+    NumPy's fast path, not its slow mixed-indexing one."""
+    for row, g in zip(buf, G):
+        row[sidx] = g
+
+
 class Chunk(NamedTuple):
     """Rows of :class:`FaceLoop` from loop row ``r0``: minus ``[0, Fi)``,
     boundary ``[Fi, F)``, plus ``[F, C)``; faces from loop face ``f0``,
     boundary faces from ``b0``; ``(kind, first, end)`` row ``groups``;
-    gather/scatter slots ``idx``/``sidx`` ``(sheets // 2, C, n*n)`` (a
-    two-sheet loop gathers cell nodes)."""
+    gather/scatter slots ``idx``/``sidx`` ``(sheets // 2, C, n*n)``
+    (``sidx`` intp, see :func:`_scatter`; a two-sheet loop gathers cell
+    nodes)."""
 
     r0: int
     f0: int
@@ -182,9 +190,10 @@ class FaceLoop:
                 ext = 3 * M + ks * nn * (len(sub) + np.arange(hang.size))[:, None, None]
                 ext = ext + np.arange(ks * nn).reshape(ks, nn)
                 sub += zip(k[hang], idx[hang], ext)
-                gidx = sidx = np.ascontiguousarray(idx.swapaxes(0, 1), np.int32)
+                # a conforming chunk gathers and scatters the same slots
+                gidx = sidx = np.ascontiguousarray(idx.swapaxes(0, 1), np.intp)
                 if hang.size:
-                    sidx = gidx.copy()
+                    gidx = gidx.astype(np.int32)
                     sidx[:, hang] = ext.swapaxes(0, 1)
                 if ks == 1:  # a value sheet is a slice of the cell's nodes
                     gidx = (row_cell[rows, None] * n ** 3
@@ -339,7 +348,7 @@ class FaceLoop:
                 _matmul_rows(Q[:, 2:], KD, T, a, b)
             G[:, 0] += T[:, 0]
             G[:, 0] += T[:, 1]
-            buf[:, sidx] = G
+            _scatter(buf, sidx, G)
 
     def _rows(self, ch: Chunk, rows):
         """Row runs and selector of ``rows``: every row of the chunk, or a
@@ -391,7 +400,7 @@ class FaceLoop:
                 G[:, 0, a:b] += T[:, 1, a:b]
             else:
                 _matmul_rows(R, K, G[:, 0], a, b)
-        buf[:, sidx] = G
+        _scatter(buf, sidx, G)
 
     def apply(self, u: np.ndarray, out: np.ndarray, flux, test: "FaceLoop | None" = None) -> None:
         """``out`` (L', N, m, m, m) += the face terms of the cells ``u``
@@ -492,7 +501,7 @@ class FaceLoop:
                 KK, KKa, KKb = self._mat((kind, True), dt)
                 G[0, 0, a:b] = tw[a:b] @ KK + cw[1, a:b] @ KKa + cw[2, a:b] @ KKb
                 G[0, 1, a:b] = cw[0, a:b] @ KK
-            buf[:, sidx] = G
+            _scatter(buf, sidx, G)
         self.finish(buf)
         self.expand(buf, diag[None], Workspace(), "T2")
 
