@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -88,15 +89,21 @@ def estimate_spectral_radius(A: sp.csr_matrix, n_iter: int = 15, seed: int = 7) 
     return abs(lam)
 
 
-def symmetric_gauss_seidel(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One symmetric Gauss-Seidel sweep (forward then backward), using
-    scipy triangular solves on the splitting matrices."""
+def gauss_seidel_splitting(A: sp.csr_matrix) -> tuple:
+    """``(D + L, U_strict, D + U, L_strict)``, built once per matrix."""
     L = sp.tril(A, format="csr")  # D + strictly lower
     U = sp.triu(A, format="csr")  # D + strictly upper
+    return L, A - L, U, A - U
+
+
+def symmetric_gauss_seidel(split: tuple, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One symmetric Gauss-Seidel sweep (forward then backward): scipy
+    triangular solves on a :func:`gauss_seidel_splitting`."""
+    L, U_strict, U, L_strict = split
     # forward: (D+L) x_new = b - U_strict x
-    x = spla.spsolve_triangular(L, b - (A - L) @ x, lower=True)
+    x = spla.spsolve_triangular(L, b - U_strict @ x, lower=True)
     # backward
-    x = spla.spsolve_triangular(U.tocsr(), b - (A - U) @ x, lower=False)
+    x = spla.spsolve_triangular(U, b - L_strict @ x, lower=False)
     return x
 
 
@@ -104,6 +111,9 @@ def symmetric_gauss_seidel(A: sp.csr_matrix, b: np.ndarray, x: np.ndarray) -> np
 class _Level:
     A: sp.csr_matrix
     P: sp.csr_matrix | None  # to coarser
+
+    def __post_init__(self) -> None:
+        self.split = gauss_seidel_splitting(self.A) if self.P is not None else None
 
 
 class SmoothedAggregationAMG:
@@ -160,19 +170,20 @@ class SmoothedAggregationAMG:
         return self.levels[0].A.shape[0]
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        L = self._coarse_factor
-        return np.linalg.solve(L.T, np.linalg.solve(L, b))
+        """Two triangular solves on the Cholesky factor; a non-finite
+        right-hand side comes back non-finite instead of raising."""
+        return sla.cho_solve((self._coarse_factor, True), b, check_finite=False)
 
     def _vcycle(self, level: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         lev = self.levels[level]
         if lev.P is None:
             return self._coarse_solve(b)
-        x = symmetric_gauss_seidel(lev.A, b, x)
+        x = symmetric_gauss_seidel(lev.split, b, x)
         r = b - lev.A @ x
         bc = lev.P.T @ r
         xc = self._vcycle(level + 1, bc, np.zeros_like(bc))
         x = x + lev.P @ xc
-        x = symmetric_gauss_seidel(lev.A, b, x)
+        x = symmetric_gauss_seidel(lev.split, b, x)
         return x
 
     def vmult(self, b: np.ndarray) -> np.ndarray:

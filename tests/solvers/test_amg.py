@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.core.dof_handler import CGDofHandler
 from repro.mesh.generators import box
@@ -11,6 +12,7 @@ from repro.mesh.octree import Forest
 from repro.solvers.amg import (
     SmoothedAggregationAMG,
     aggregate,
+    gauss_seidel_splitting,
     strength_graph,
     symmetric_gauss_seidel,
     tentative_prolongator,
@@ -56,8 +58,23 @@ class TestComponents:
         A = poisson_1d(30)
         b = np.ones(30)
         x = np.zeros(30)
-        x = symmetric_gauss_seidel(A, b, x)
+        x = symmetric_gauss_seidel(gauss_seidel_splitting(A), b, x)
         assert np.linalg.norm(b - A @ x) < np.linalg.norm(b)
+
+    def test_precomputed_sgs_is_bitwise_the_per_call_formula(self):
+        """The splitting built once gives the sweep that splits the
+        matrix on every call, bit for bit (one and two right-hand
+        sides)."""
+        A = poisson_3d_matrix(cells=3)
+        rng = np.random.default_rng(3)
+        split = gauss_seidel_splitting(A)
+        for shape in ((A.shape[0],), (A.shape[0], 2)):
+            b, x = rng.standard_normal((2,) + shape)
+            L = sp.tril(A, format="csr")
+            U = sp.triu(A, format="csr")
+            want = spla.spsolve_triangular(L, b - (A - L) @ x, lower=True)
+            want = spla.spsolve_triangular(U.tocsr(), b - (A - U) @ want, lower=False)
+            assert np.array_equal(symmetric_gauss_seidel(split, b, x), want)
 
 
 class TestAMGSolve:
@@ -106,6 +123,22 @@ class TestAMGSolve:
         assert amg.n_levels == 1
         x = amg.vmult(np.ones(10))
         assert np.allclose(A @ x, np.ones(10), atol=1e-10)
+
+    def test_coarse_solve_is_the_dense_solve(self):
+        """The triangular solves on the Cholesky factor solve the
+        coarsest matrix, for one and for several right-hand sides."""
+        A = poisson_3d_matrix(cells=3)
+        amg = SmoothedAggregationAMG(A, max_coarse=A.shape[0])
+        Ac = amg._coarse_dense
+        rng = np.random.default_rng(4)
+        for b in (rng.standard_normal(Ac.shape[0]), rng.standard_normal((Ac.shape[0], 3))):
+            want = np.linalg.solve(Ac, b)
+            got = amg._coarse_solve(b)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_nonfinite_coarse_rhs_does_not_raise(self):
+        amg = SmoothedAggregationAMG(poisson_1d(10), max_coarse=50)
+        assert np.isnan(amg.vmult(np.full(10, np.nan))).all()
 
     def test_singular_neumann_matrix_regularized(self):
         # pure Neumann Laplacian: singular; AMG must still not blow up
