@@ -307,11 +307,11 @@ class FaceLoop:
         """The SIP face terms of ``chunks`` (four sheets; ``data`` a
         :class:`~repro.core.operators.laplace.FaceData`): per chunk one
         gather of the rows' sheets, per interpolation kind the GEMMs to
-        ``v, d_n v, d_a v, d_b v`` at the quadrature points, one flux
-        block, the transposed GEMMs, and one scatter of the residual
-        sheets into ``buf`` in place."""
+        ``v, d_n v, d_a v, d_b v`` (no ``d_a v, d_b v`` for a normal-only
+        ``data.c``) at the quadrature points, one flux block, the
+        transposed GEMMs and one scatter of the residual sheets."""
         L, dt = buf.shape[0], buf.dtype
-        nn, qq = self.n1 ** 2, data.jxw.shape[1]
+        nn, qq, k = self.n1 ** 2, data.jxw.shape[1], len(data.c)
         for r0, f0, _, Fi, F, groups, idx, sidx in chunks:
             C = idx.shape[1]
             G = self.scratch(ws, "sip.G", (L, 2, C, nn), dt)
@@ -320,15 +320,16 @@ class FaceLoop:
             mats = [(self._mat((kind, False), dt), a, b) for kind, a, b in groups]
             for (_, Kt, _, KDt), a, b in mats:
                 _matmul_rows(G[:, :2], Kt, Q[:, :2], a, b)
-                _matmul_rows(G[:, :1], KDt, Q[:, 2:], a, b)
+                if k > 1:
+                    _matmul_rows(G[:, :1], KDt, Q[:, 2:], a, b)
             # rows: minus sides [0, Fi), Dirichlet sides [Fi, F), plus
             # sides [F, C); a Dirichlet face sees the mirror ghost
             # u_p = -u_m, d_n u_p = d_n u_m; the normal derivative
             # overwrites Q[:, 1], the jump Q[:, 2]
             c = data.c[:, r0:r0 + C]
             v, dn = Q[:, 0], np.multiply(c[0], Q[:, 1], out=Q[:, 1])
-            dn += np.multiply(c[1], Q[:, 2], out=Q[:, 2])
-            dn += np.multiply(c[2], Q[:, 3], out=Q[:, 3])
+            for i in range(1, k):
+                dn += np.multiply(c[i], Q[:, 1 + i], out=Q[:, 1 + i])
             jump = Q[:, 2, :F]
             np.subtract(v[:, :Fi], v[:, F:], out=jump[:, :Fi])
             np.add(v[:, Fi:F], v[:, Fi:F], out=jump[:, Fi:])
@@ -337,17 +338,18 @@ class FaceLoop:
             rv, s = flux(jump, dn[:, :F], data.jxw[f0:f0 + F], data.tau[f0:f0 + F])
             Q[:, 0, :F] = rv
             np.negative(rv[:, :Fi], out=Q[:, 0, F:])
-            np.multiply(c[:, :F], s[:, None], out=Q[:, 1:, :F])
-            np.multiply(c[:, F:], s[:, None, :Fi], out=Q[:, 1:, F:])
+            np.multiply(c[:, :F], s[:, None], out=Q[:, 1:1 + k, :F])
+            np.multiply(c[:, F:], s[:, None, :Fi], out=Q[:, 1:1 + k, F:])
             for (K, _, _, _), a, b in mats:
                 _matmul_rows(Q[:, :2], K, G[:, :2], a, b)
-            # the derivative back-GEMMs land in the consumed Q[:, :2]
-            # (n_q >= k + 1, so they fit)
-            T = Q.reshape(L, -1)[:, :2 * C * nn].reshape(L, 2, C, nn)
-            for (_, _, KD, _), a, b in mats:
-                _matmul_rows(Q[:, 2:], KD, T, a, b)
-            G[:, 0] += T[:, 0]
-            G[:, 0] += T[:, 1]
+            if k > 1:
+                # the derivative back-GEMMs land in the consumed Q[:, :2]
+                # (n_q >= k + 1, so they fit)
+                T = Q.reshape(L, -1)[:, :2 * C * nn].reshape(L, 2, C, nn)
+                for (_, _, KD, _), a, b in mats:
+                    _matmul_rows(Q[:, 2:], KD, T, a, b)
+                G[:, 0] += T[:, 0]
+                G[:, 0] += T[:, 1]
             _scatter(buf, sidx, G)
 
     def _rows(self, ch: Chunk, rows):
@@ -498,8 +500,8 @@ class FaceLoop:
             cw = np.where(np.arange(C) < F, -scale, scale)[:, None] * w * data.c[:, r0:r0 + C]
             G = np.empty((1, 2, C, self.n1 ** 2), dt)
             for kind, a, b in groups:
-                KK, KKa, KKb = self._mat((kind, True), dt)
-                G[0, 0, a:b] = tw[a:b] @ KK + cw[1, a:b] @ KKa + cw[2, a:b] @ KKb
+                KK, *KKt = self._mat((kind, True), dt)
+                G[0, 0, a:b] = sum((x[a:b] @ m for x, m in zip(cw[1:], KKt)), tw[a:b] @ KK)
                 G[0, 1, a:b] = cw[0, a:b] @ KK
             _scatter(buf, sidx, G)
         self.finish(buf)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import SYM_SLOT, GeometryField
+from ...mesh.mapping import METRIC_ROWS, GeometryField, sparsest
 from ..dof_handler import CGDofHandler, DGDofHandler, csr_with_data
 from ..plans import contract
 from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
@@ -36,19 +36,19 @@ from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
 def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Cell term ``I_e^T D_e I_e u`` of the Laplacian on a lane block:
-    ``u`` is (..., n, n, n, c), ``laplace_d`` the six symmetric metric
-    entries (6, q, q, q, c) (:data:`~repro.mesh.mapping.SYM_SLOT`).  The
+    ``u`` is (..., n, n, n, c), ``laplace_d`` the stored metric entries
+    (6|3, q, q, q, c) (:data:`~repro.mesh.mapping.METRIC_ROWS`).  The
     reference-gradient stack is component-major, so the 3x3 metric is
-    nine flat multiply-adds.  The result lands in ``out`` (``u`` itself
-    may be it), by default the workspace's ``lap.out`` block."""
+    nine flat multiply-adds (three if diagonal).  The result lands in
+    ``out`` (``u`` itself may be it), by default ``lap.out``."""
     g = kern.gradients_cm(u, ws)
     dt = np.result_type(laplace_d.dtype, g.dtype)
     Dg = ws.take("lap.Dg", g.shape, dt)
     t = ws.take("lap.t", g.shape[1:], dt)
-    for a in range(3):
-        np.multiply(laplace_d[SYM_SLOT[a][0]], g[0], out=Dg[a])
-        Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][1]], g[1], out=t)
-        Dg[a] += np.multiply(laplace_d[SYM_SLOT[a][2]], g[2], out=t)
+    for a, ((b, s), *rest) in enumerate(METRIC_ROWS[len(laplace_d)]):
+        np.multiply(laplace_d[s], g[b], out=Dg[a])
+        for b, s in rest:
+            Dg[a] += np.multiply(laplace_d[s], g[b], out=t)
     if out is None:
         out = ws.take("lap.out", u.shape, dt)
     return kern.integrate_gradients_cm(Dg, ws, out)
@@ -57,16 +57,16 @@ def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
 def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
     """Diagonal of the cell term ``sum_q (d_a phi_i) D[a,b] (d_b phi_i)``
     via squared 1D shape-function factors; ``laplace_d`` is
-    (6, q, q, q, c), the result the lane block (n, n, n, c)."""
+    (6|3, q, q, q, c), the result the lane block (n, n, n, c)."""
     Ng = kern.shape.interp
     Dg = kern.shape.grad
     ldiag = np.zeros((kern.n_dofs_1d,) * 3 + laplace_d.shape[-1:])
-    for a in range(3):
-        for b in range(3):
+    for a, row in enumerate(METRIC_ROWS[len(laplace_d)]):
+        for b, s in row:
             fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
             fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
             fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-            ldiag += contract("zyxc,zZ,yY,xX->ZYXc", laplace_d[SYM_SLOT[a][b]], fz, fy, fx)
+            ldiag += contract("zyxc,zZ,yY,xX->ZYXc", laplace_d[s], fz, fy, fx)
     return ldiag
 
 
@@ -74,8 +74,8 @@ def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
 class FaceData:
     """SIP face metrics, stored once in :class:`FaceLoop` order.
 
-    c:   (3, rows, q*q)  ``J^{-1} n`` of every face side as minus-frame
-         ``(n, a, b)`` components (``FaceMetrics.c_m`` / ``c_p``)
+    c:   (3|1, rows, q*q)  ``J^{-1} n`` of every face side as minus-frame
+         ``(n, a, b)`` components, ``n`` only if axis-aligned (``FaceMetrics.c_m``)
     jxw: (faces, q*q)    surface element x quadrature weight
     tau: (faces,)        SIP penalty
     """
@@ -133,9 +133,10 @@ class DGLaplaceOperator(MatrixFreeOperator):
         faces = list(fms) + [fm for _, fm in dirichlet]
         qq = self.kern.n_q_points ** 2
         rows, fs = self.face_loop.src_rows, self.face_loop.src_faces
+        c = np.concatenate([np.zeros((3, 0, qq))] + [fm.c_m for fm in fms] + [fm.c_p for fm in fms]
+                           + [fm.c_m for _, fm in dirichlet], axis=1)[:, rows]
         self.face_data = FaceData(
-            np.concatenate([np.zeros((3, 0, qq))] + [fm.c_m for fm in fms] + [fm.c_p for fm in fms]
-                           + [fm.c_m for _, fm in dirichlet], axis=1)[:, rows],
+            sparsest(c, [0], [1, 2]),
             np.concatenate([np.zeros((0, qq))] + [fm.jxw.reshape(-1, qq) for fm in faces])[fs],
             np.concatenate([np.zeros(0)] + [pen * fm.penalty for fm in faces])[fs],
         )
@@ -154,9 +155,10 @@ class DGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import laplace_flops
         from ...perf.memory import laplace_transfer
 
-        fl = laplace_flops(self.dof.degree, self.kern.n_q_points)
-        tr = laplace_transfer(self.dof.degree, self.kern.n_q_points,
-                              precision_bytes=self.precision_bytes)
+        cell, face = len(self.cell_metrics.laplace_d), len(self.face_data.c)
+        fl = laplace_flops(self.dof.degree, self.kern.n_q_points, cell, face)
+        tr = laplace_transfer(self.dof.degree, self.kern.n_q_points, self.precision_bytes,
+                              cell_entries=cell, face_components=face)
         n_dirichlet = sum(b.n_faces for b in self.conn.boundary
                           if b.boundary_id in self.dirichlet_ids)
         return {
@@ -243,12 +245,12 @@ class DGLaplaceOperator(MatrixFreeOperator):
                 lp.integrate(R, ch, buf, lp.ws, slice(ch.Fi, ch.F))
             lp.expand(buf, cells, lp.ws)
 
-        def nitsche(ch, gb):  # weights of v (2 tau g w) and d_n, d_a, d_b v (-g w n)
+        def nitsche(ch, gb):  # weights of v (2 tau g w) and d_n, d_a, d_b v (-g w c)
             faces = slice(ch.f0 + ch.Fi, ch.f0 + ch.F)
             w = fd.jxw[faces]
-            R = np.empty((gb.shape[0], 4) + gb.shape[1:])
+            R = np.zeros((gb.shape[0], 4) + gb.shape[1:])  # unstored c: zero weights
             R[:, 0] = 2.0 * fd.tau[faces][:, None] * gb * w
-            R[:, 1:] = fd.c[:, ch.r0 + ch.Fi:ch.r0 + ch.F] * (-gb * w)[:, None]
+            R[:, 1:1 + len(fd.c)] = fd.c[:, ch.r0 + ch.Fi:ch.r0 + ch.F] * (-gb * w)[:, None]
             return R
 
         if g is not None:
@@ -291,10 +293,10 @@ class CGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import cg_laplace_flops
 
         nq = self.kern.n_q_points
-        fl = cg_laplace_flops(self.dof.degree, nq)
+        fl = cg_laplace_flops(self.dof.degree, nq, len(self.cell_metrics.laplace_d))
         pb = self.precision_bytes
         vec_bytes = 3.0 * pb * self.n_dofs
-        metric_bytes = 6.0 * nq**3 * pb * self.dof.n_cells
+        metric_bytes = len(self.cell_metrics.laplace_d) * nq**3 * pb * self.dof.n_cells
         return {
             "flops": float(fl.matvec_total(self.dof.n_cells, 0, 0)),
             "bytes": vec_bytes + metric_bytes,

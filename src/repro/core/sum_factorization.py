@@ -85,17 +85,18 @@ def apply_1d(
     u = np.ascontiguousarray(u)
     axis = u.ndim - 1 - dim
     m, n = M.shape
-    tr = math.prod(u.shape[axis + 1:])
+    # explicit extents, not -1, so an empty block (a rank without cells) runs
+    lead, tr = math.prod(u.shape[:axis]), math.prod(u.shape[axis + 1:])
     # a strided ``out`` cannot alias the GEMM buffer; compute fresh and copy
     fold = out if out is not None and out.flags.c_contiguous else None
     if dim == 0:
-        a, b, shape = u.reshape(-1, n), M.T, (-1, m)
+        a, b, shape = u.reshape(lead, n), M.T, (lead, m)
     elif dim == 1 and tr <= _KRON_MAX_TRAIL:
         # fold the (n1, n0) block and contract against kron(M, I) in one
         # GEMM — n0-fold redundant Flops, but a single sgemm/dgemm
-        a, b, shape = u.reshape(-1, n * tr), _kron_identity(M, tr).T, (-1, m * tr)
+        a, b, shape = u.reshape(lead, n * tr), _kron_identity(M, tr).T, (lead, m * tr)
     else:
-        a, b, shape = M, u.reshape(-1, n, tr), (-1, m, tr)
+        a, b, shape = M, u.reshape(lead, n, tr), (lead, m, tr)
     res = np.matmul(a, b, out=None if fold is None else fold.reshape(shape))
     if fold is not None:
         return fold

@@ -93,6 +93,21 @@ def _jinv_n(Jinv: np.ndarray, normal: np.ndarray, face: int, o=None) -> np.ndarr
 #: :attr:`CellMetrics.laplace_d`
 SYM_SLOT = ((0, 1, 2), (1, 3, 4), (2, 4, 5))
 
+#: the stored entries of :attr:`CellMetrics.laplace_d` by its plane count,
+#: ``(b, slot)`` per row ``a``: the six unique ones, or the three diagonal
+METRIC_ROWS = {6: tuple(tuple((b, SYM_SLOT[a][b]) for b in range(3)) for a in range(3)),
+               3: (((0, 0),), ((1, 1),), ((2, 2),))}
+
+#: relative size below which a metric entry is roundoff (:func:`sparsest`; deal.II MappingInfo)
+METRIC_ROUNDOFF = 1e-12
+
+
+def sparsest(block: np.ndarray, kept: list, dropped: list) -> np.ndarray:
+    """``block[kept]`` if all of ``block[dropped]`` is roundoff against the
+    largest kept entry at its point, else ``block``: one pattern per mesh."""
+    small = np.abs(block[dropped]) <= METRIC_ROUNDOFF * np.abs(block[kept]).max(axis=0)
+    return block[kept] if np.all(small) else block
+
 
 @dataclass
 class CellMetrics:
@@ -104,10 +119,11 @@ class CellMetrics:
     ----------
     jxw:       (nq, nq, nq, N)        quadrature weight x |det J|
     jinv_t:    (3, 3, nq, nq, nq, N)  J^{-T}: phys grad = jinv_t @ ref grad
-    laplace_d: (6, nq, nq, nq, N)     J^{-1} J^{-T} |det J| w — the
+    laplace_d: (6|3, nq, nq, nq, N)   J^{-1} J^{-T} |det J| w — the
                symmetric 3x3 block applied between I_e and I_e^T for the
-               Laplacian, as its six unique entries (:data:`SYM_SLOT`),
-               one contiguous plane per entry.
+               Laplacian, as its six unique entries (:data:`SYM_SLOT`) or,
+               on an axis-aligned mesh, its three diagonal ones
+               (:data:`METRIC_ROWS`), one contiguous plane per entry.
     points:    (3, nq, nq, nq, N)     physical quadrature points
     det_j:     (nq, nq, nq, N)        Jacobian determinant (sign retained)
     """
@@ -131,7 +147,7 @@ class FaceMetrics:
              minus-frame ``(n, a, b)`` components (:func:`_jinv_n`; c_p
              None on boundary batches): the normal derivative of a trace
              is ``c[0] d_n + c[1] d_a + c[2] d_b``, so the SIP flux reads
-             3 + 3 + 1 values per interior face point.
+             3 + 3 + 1 values per interior face point, 1 + 1 + 1 from a (1, ...) ``FaceData.c``.
     penalty: (F,)            SIP penalty scale max(A_f/V_m, A_f/V_p)
     points:  (F, 3, qa, qb)  physical quadrature points
     """
@@ -195,6 +211,7 @@ class GeometryField:
             for b in range(a, 3):
                 np.einsum("j...,j...->...", Jinv[a], Jinv[b], out=laplace_d[SYM_SLOT[a][b]])
         laplace_d *= jxw
+        laplace_d = sparsest(laplace_d, [0, 3, 5], [1, 2, 4])
         self._cell_metrics = CellMetrics(jxw=jxw, jinv_t=np.swapaxes(Jinv, 0, 1),
                                          laplace_d=laplace_d, points=vals, det_j=det)
         return self._cell_metrics

@@ -297,7 +297,7 @@ class RankLocalOperator:
         ws = op.workspace()
         ul = op.dof.to_lanes(u, ws)
         base = op.dof.from_lanes(cell_laplacian(op.kern, self._laplace_d, ul, ws, ul))
-        u = u.reshape((-1,) + u.shape[-4:])
+        u = u.reshape((math.prod(u.shape[:-4]),) + u.shape[-4:])
         buf = self.ws.take("sip.sheets", (u.shape[0], self.faces.size), base.dtype)
         self.faces.sheets(u, buf)
         self.faces.run(buf, self.data, self.faces.phases[0], op._face_flux, self.ws)

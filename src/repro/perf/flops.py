@@ -50,15 +50,17 @@ def _interpolation_flops(n: int, nq: int) -> int:
     )
 
 
-def laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
+def laplace_flops(degree: int, n_q: int | None = None, cell_entries: int = 6,
+                  face_components: int = 3) -> OperatorFlops:
     """Flop counts of the SIP DG Laplacian evaluation (Eq. (7)).
 
     Cell part (per cell): the collocation layout of the cell kernel —
     3 interpolation sweeps to the quadrature points plus one n_q x n_q
     collocation-derivative sweep per direction, the same 6 sweeps
     transposed on the way back — and the quadrature-point work (3x3
-    symmetric matrix x vector: 9 FMA).  Face part: traces, tangential
-    derivatives, metric applications, flux arithmetic for both sides.
+    symmetric matrix x vector: 9 FMA, 3 multiplies for ``cell_entries =
+    3``).  Face part: traces, tangential derivatives (none for
+    ``face_components = 1``), metric, flux arithmetic for both sides.
     """
     k = degree
     n = k + 1
@@ -68,20 +70,19 @@ def laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
 
     # -- cell -------------------------------------------------------------
     sweeps = _interpolation_flops(n, nq) + 3 * flops_apply_1d(nq, nq, nq2)
-    # quadrature-point work: symmetric 3x3 apply: 9 FMA = 18 Flop per point
-    qwork = 18 * nq**3
+    qwork = 2 * {6: 9, 3: 3}[cell_entries] * nq**3
     cell = 2 * sweeps + qwork
 
     # -- interior face ------------------------------------------------------
     # per side: value trace (free at GL nodes), normal-derivative trace
-    # (1 sweep over n2 lines), 2 tangential nodal derivative sweeps,
-    # interpolation of val+3 gradient components to quadrature
-    # (4 fields x 2 sweeps), per-point flux (J^{-T} 2x, dots, penalty
-    # ~ 60 Flop/point), and the transposed integration of val+grad.
+    # (1 sweep over n2 lines), one tangential nodal derivative sweep per
+    # stored tangential component, interpolation of val + the stored
+    # gradient components to quadrature (2 sweeps each), per-point flux
+    # (~ 60 Flop/point), and the transposed integration of val+grad.
     per_side_eval = (
         2 * n * n2  # normal-derivative contraction (vector dot per line)
-        + 2 * flops_apply_1d(n, n, n2)  # tangential nodal derivs
-        + 4 * (flops_apply_1d(nq, n, n) + flops_apply_1d(nq, n, nq))
+        + (face_components - 1) * flops_apply_1d(n, n, n2)  # tangential nodal derivs
+        + (1 + face_components) * (flops_apply_1d(nq, n, n) + flops_apply_1d(nq, n, nq))
     )
     flux = 60 * nq2
     per_side_int = per_side_eval  # transpose costs the same
@@ -91,10 +92,10 @@ def laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
                          boundary_face=boundary_face)
 
 
-def cg_laplace_flops(degree: int, n_q: int | None = None) -> OperatorFlops:
+def cg_laplace_flops(degree: int, n_q: int | None = None, cell_entries: int = 6) -> OperatorFlops:
     """Continuous FE Laplacian: cell work only (no face terms); gather /
     scatter indirection is memory, not Flops."""
-    lap = laplace_flops(degree, n_q)
+    lap = laplace_flops(degree, n_q, cell_entries)
     return OperatorFlops(degree=degree, n_q=lap.n_q, cell=lap.cell,
                          inner_face=0, boundary_face=0)
 

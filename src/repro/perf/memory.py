@@ -28,18 +28,18 @@ class TransferModel:
         return self.bytes_per_cell / (self.degree + 1) ** 3
 
 
-def laplace_transfer(degree: int, n_q: int | None = None,
-                     precision_bytes: int = 8,
-                     n_components: int = 1) -> TransferModel:
+def laplace_transfer(degree: int, n_q: int | None = None, precision_bytes: int = 8,
+                     n_components: int = 1, cell_entries: int = 6,
+                     face_components: int = 3) -> TransferModel:
     """Ideal bytes moved per cell for one DG Laplacian mat-vec:
 
     * source vector read + destination write (+ its read-for-update):
       3 x (k+1)^3 values per component,
-    * cell metric block D_e: the 6 unique entries of the symmetric
-      ``laplace_d`` (JxW folded in) per quadrature point,
-    * face metric data: ``J^{-1} n`` of both sides (3 + 3) + JxW (1) per
-      face quadrature point, 6 faces shared between 2 cells -> 3
-      face-sheets per cell,
+    * cell metric block D_e: the ``cell_entries`` (6, or 3 if diagonal)
+      stored entries of ``laplace_d`` (JxW folded in) per quadrature point,
+    * face metric data: the stored ``J^{-1} n`` components of both sides
+      (3 + 3, or 1 + 1) + JxW (1) per face quadrature point, 6 faces
+      shared between 2 cells -> 3 face-sheets per cell,
     * ~8 integers of connectivity metadata per cell.
 
     The metric terms are what the kernel stores and streams
@@ -49,8 +49,8 @@ def laplace_transfer(degree: int, n_q: int | None = None,
     n = k + 1
     nq = n_q or n
     vec = 3 * n**3 * n_components * precision_bytes
-    cell_metric = 6 * nq**3 * precision_bytes
-    face_metric = 3 * (7 * nq * nq) * precision_bytes
+    cell_metric = cell_entries * nq**3 * precision_bytes
+    face_metric = 3 * ((2 * face_components + 1) * nq * nq) * precision_bytes
     metadata = 8 * 4
     return TransferModel(degree=k, n_q=nq,
                          bytes_per_cell=vec + cell_metric + face_metric + metadata)

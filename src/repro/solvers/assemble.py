@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from ..core.dof_handler import CGDofHandler
 from ..core.operators.base import MatrixFreeOperator
-from ..mesh.mapping import SYM_SLOT, GeometryField
+from ..mesh.mapping import METRIC_ROWS, GeometryField
 
 
 def gradient_tensors(kernel) -> np.ndarray:
@@ -36,11 +36,11 @@ def assemble_cg_laplace(dof: CGDofHandler, geometry: GeometryField) -> sp.csr_ma
     N = dof.n_cells
     nloc = kern.n_dofs_cell
     # (slot, c, Q): the lane block's cells in front, as the loop reads them
-    D = np.ascontiguousarray(np.swapaxes(cm.laplace_d.reshape(6, -1, N), 1, 2))
-    # local matrices: A_loc[c, I, J] = sum_{a,b,Q} B[a,Q,I] D[c,a,b,Q] B[b,Q,J]
+    D = np.ascontiguousarray(np.swapaxes(cm.laplace_d.reshape(len(cm.laplace_d), -1, N), 1, 2))
+    # local matrices: A_loc[c, I, J] = sum_{stored a,b; Q} B[a,Q,I] D[c,a,b,Q] B[b,Q,J]
     A_loc = sum(
-        np.einsum("QI,cQ,QJ->cIJ", B[a], D[SYM_SLOT[a][b]], B[b], optimize=True)
-        for a in range(3) for b in range(3)
+        np.einsum("QI,cQ,QJ->cIJ", B[a], D[s], B[b], optimize=True)
+        for a, row in enumerate(METRIC_ROWS[len(D)]) for b, s in row
     )
     rows = np.repeat(dof.cell_to_global.reshape(N, nloc), nloc, axis=1).ravel()
     cols = np.tile(dof.cell_to_global.reshape(N, nloc), (1, nloc)).ravel()

@@ -201,21 +201,41 @@ def _matmul_calls(op, monkeypatch) -> int:
     return len(calls)
 
 
+def _beltrami_box(shear=None) -> Forest:
+    """The r=2 Beltrami box, optionally mapped by ``shear``."""
+    mesh = box(subdivisions=(1, 1, 1), boundary_ids={i: 1 for i in range(6)})
+    if shear is not None:
+        mesh.vertices = mesh.vertices @ shear.T
+    return Forest(mesh).refine_all(2)
+
+
 class TestFaceWorkScalesWithChunks:
     def test_lung_pressure_calls_no_more_than_beltrami(self, monkeypatch):
         """The g=2 lung pressure operator has 15 face batches (interior
-        plus Dirichlet), the r=2 Beltrami box 6: one face loop makes the
-        GEMM count follow the chunks, not the batches."""
+        plus Dirichlet), the sheared r=2 Beltrami box 6, both with the
+        full metric pattern: one face loop makes the GEMM count follow
+        the chunks, not the batches."""
         cfg = RunConfig(generations=2, degree=2, seed=0)
         lung = airway_tree_mesh(grow_airway_tree(cfg.generations, scale=cfg.scale, seed=cfg.seed))
         lung_op = _pressure_operator(lung.forest, (INLET_ID, *lung.outlet_ids))
-        beltrami = Forest(box(subdivisions=(1, 1, 1),
-                              boundary_ids={i: 1 for i in range(6)})).refine_all(2)
-        box_op = _pressure_operator(beltrami, ())
+        box_op = _pressure_operator(_beltrami_box(SHEAR), ())
+        assert len(lung_op.face_data.c) == len(box_op.face_data.c) == 3
         n_batches = len(lung_op.conn.interior) + sum(
             b.boundary_id in lung_op.dirichlet_ids for b in lung_op.conn.boundary)
         assert n_batches > 2 * len(box_op.conn.interior)
         assert _matmul_calls(lung_op, monkeypatch) <= _matmul_calls(box_op, monkeypatch)
+
+    def test_axis_aligned_box_skips_the_tangential_gemms(self, monkeypatch):
+        """A normal-only ``J^{-1} n`` drops the tangential-derivative
+        GEMM and its transpose: two GEMMs fewer per chunk than the same
+        box sheared."""
+        sheared = _pressure_operator(_beltrami_box(SHEAR), ())
+        aligned = _pressure_operator(_beltrami_box(), ())
+        assert (len(aligned.face_data.c), len(sheared.face_data.c)) == (1, 3)
+        chunks = len(aligned.face_loop.chunks)
+        assert chunks == len(sheared.face_loop.chunks)
+        assert (_matmul_calls(sheared, monkeypatch) - _matmul_calls(aligned, monkeypatch)
+                == 2 * chunks)
 
     def test_lung_convective_calls_no_more_than_beltrami(self, monkeypatch):
         """One ``ConvectiveOperator.apply``: the g=2 lung has 14 face

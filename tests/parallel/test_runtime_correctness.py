@@ -170,6 +170,31 @@ class TestInProcessBitwise:
             assert np.abs(y - y_ref).max() <= 1e-5 * max(scale, 1.0)
 
 
+class TestRankWithoutCells:
+    """Two ranks on a one-cell mesh (``repro poisson --refine 0
+    --workers 2``): the rank that owns no cell runs empty blocks and
+    contributes nothing.  One real two-worker round costs a few
+    milliseconds, so both halves run in tier1."""
+
+    @pytest.fixture
+    def op(self):
+        return make_op(Forest(box(subdivisions=(1, 1, 1), boundary_ids={i: 1 for i in range(6)})),
+                       degree=3)
+
+    def test_in_process_bitwise_fp64(self, op, rng):
+        rt = InProcessGhostRuntime(op, 2)
+        assert sorted(rp.n_cells for rp in rt.plan.rank_plans) == [0, 1]
+        x = rng.standard_normal(op.n_dofs)
+        assert np.array_equal(rt.vmult(x), op.vmult(x))
+
+    def test_pool_bitwise_fp64(self, op, rng):
+        x = rng.standard_normal(op.n_dofs)
+        pool = WorkerPool(2)
+        pool.register("op", op)
+        with pool:
+            assert np.array_equal(pool.vmult("op", x), op.vmult(x))
+
+
 @pytest.mark.parallel
 class TestWorkerPoolBitwise:
     """The same contract across real fork + shared-memory workers."""

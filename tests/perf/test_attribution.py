@@ -223,11 +223,15 @@ class TestOperatorInstrumentation:
         # boundary id 1 marks one of the ten boundary faces; the nine
         # Neumann faces carry no operator term and cost nothing
         assert conn.n_boundary_faces == 10
-        f = laplace_flops(op.dof.degree, op.kern.n_q_points)
+        # the box is axis-aligned: the model counts the stored diagonal
+        # cell metric and normal-only face coefficient
+        stored = len(op.cell_metrics.laplace_d), len(op.face_data.c)
+        assert stored == (3, 1)
+        f = laplace_flops(op.dof.degree, op.kern.n_q_points, *stored)
         expected = f.matvec_total(op.dof.n_cells, conn.n_interior_faces, 1)
         assert wm["flops"] == pytest.approx(expected)
         assert wm["bytes"] >= laplace_transfer(
-            op.dof.degree, op.kern.n_q_points
+            op.dof.degree, op.kern.n_q_points, 8, 1, *stored
         ).total_bytes(op.dof.n_cells) * 0.99
 
     def test_work_model_charges_dirichlet_faces_only(self, traced):
@@ -238,7 +242,7 @@ class TestOperatorInstrumentation:
 
         op, _ = traced
         conn = op.conn
-        f = laplace_flops(op.dof.degree, op.kern.n_q_points)
+        f = laplace_flops(op.dof.degree, op.kern.n_q_points, 3, 1)
         bulk = f.matvec_total(op.dof.n_cells, conn.n_interior_faces, 0)
         ids = tuple({b.boundary_id for b in conn.boundary})
         for dirichlet, n_faces in (((), 0), (ids, conn.n_boundary_faces)):
