@@ -24,7 +24,7 @@ from repro.mesh.mapping import GeometryField
 from repro.parallel.perfmodel import SP_SMOOTHER_SPEEDUP, THROUGHPUT_VS_DEGREE
 from repro.perf.measure import measure_throughput
 from repro.solvers.chebyshev import ChebyshevSmoother
-from repro.solvers.multigrid import single_precision_operator
+from repro.solvers.multigrid import operator_to_dtype
 
 #: Figure 6 (left) readings, SuperMUC-NG node [DoF/s]
 PAPER_DP_MATVEC = {1: 0.85e9, 2: 1.25e9, 3: 1.40e9, 4: 1.45e9, 5: 1.40e9, 6: 1.30e9}
@@ -44,14 +44,14 @@ def run_measurements():
         # one smoother iteration = one mat-vec + the associated vector
         # updates (Section 5.1); a nonzero iterate forces the residual
         # evaluation the paper's granularity includes
-        op_sp = single_precision_operator(op)
+        op_sp = operator_to_dtype(op, np.float32)
         sm = ChebyshevSmoother(op_sp, degree=1)
         x32 = x.astype(np.float32)
         x0_32 = rng.standard_normal(op.n_dofs).astype(np.float32)
         r_sp = measure_throughput(lambda: sm.smooth(x32, x0_32), op.n_dofs,
                                   f"Chebyshev iter SP k={k}", repetitions=5, warmup=1)
         cg_dof = CGDofHandler(lm.forest, k, connectivity=conn, dirichlet_ids=(1,))
-        cg_op = single_precision_operator(CGLaplaceOperator(cg_dof, geo))
+        cg_op = operator_to_dtype(CGLaplaceOperator(cg_dof, geo), np.float32)
         sm_cg = ChebyshevSmoother(cg_op, degree=1)
         y32 = rng.standard_normal(cg_op.n_dofs).astype(np.float32)
         y0_32 = rng.standard_normal(cg_op.n_dofs).astype(np.float32)

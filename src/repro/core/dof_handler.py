@@ -1,9 +1,11 @@
 """Degree-of-freedom handlers for DG and continuous (CG) spaces.
 
 *DG* unknowns are cell-local: the global vector is simply the cell-major
-concatenation of ``(k+1)^3`` tensors (times components), so gather and
-scatter are reshapes — the property that makes DG mass inversion and
-cell-wise vectorization cheap.
+concatenation of ``(k+1)^3`` tensors, so gather and scatter are reshapes
+— the property that makes DG mass inversion and cell-wise vectorization
+cheap.  A vector field is stored component-major, one such scalar field
+per component, so its components are a batch axis like ensemble
+members and the cell axis of every field is ``-4``.
 
 *CG* unknowns are shared between cells.  Nodes are identified by
 quantized physical positions on the *trilinear* leaf geometry (the same
@@ -68,34 +70,30 @@ class DGDofHandler:
 
     def cell_view(self, vec: np.ndarray) -> np.ndarray:
         """View a flat global vector as cell tensors:
-        scalar -> (N, n, n, n); vector -> (N, c, n, n, n).
+        scalar -> (N, n, n, n); vector -> (c, N, n, n, n).
 
-        An ensemble-stacked vector ``(E, ndof)`` views as
-        ``(E, N, [c,] n, n, n)``.  This cell-major layout is what the
-        face loops read; the cell kernels work on its lane block
-        (:meth:`to_lanes`).
+        A vector field is stored component-major, ``c`` scalar fields one
+        after another, so the cell axis is always ``-4``.  An
+        ensemble-stacked vector ``(E, ndof)`` views as ``(E, [c,] N, n,
+        n, n)``.  This cell-major layout is what the face loops read; the
+        cell kernels work on its lane block (:meth:`to_lanes`).
         """
         n = self.n1
-        lead = vec.shape[:-1]
-        if self.n_components == 1:
-            return vec.reshape(lead + (self.n_cells, n, n, n))
-        return vec.reshape(lead + (self.n_cells, self.n_components, n, n, n))
-
-    @property
-    def _cell_axis(self) -> int:
-        return -5 if self.n_components > 1 else -4
+        comps = (self.n_components,) if self.n_components > 1 else ()
+        return vec.reshape(vec.shape[:-1] + comps + (self.n_cells, n, n, n))
 
     def flat(self, cells: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`cell_view`: cell tensors back to the flat
         global vector, preserving any ensemble axes in front."""
-        return cells.reshape(cells.shape[:self._cell_axis] + (-1,))
+        lead = cells.shape[:-5] if self.n_components > 1 else cells.shape[:-4]
+        return cells.reshape(lead + (-1,))
 
     def to_lanes(self, cells: np.ndarray, ws=None) -> np.ndarray:
         """:meth:`cell_view` tensors of any number ``N`` of cells copied
         into a *lane block* ``(*lead, [c,] n, n, n, N)`` — the cells on
         the trailing axis, the layout of the cell kernels — fresh, or the
         ``dof.lanes`` buffer of the workspace ``ws``."""
-        t = np.moveaxis(cells, self._cell_axis, -1)
+        t = np.moveaxis(cells, -4, -1)
         if ws is None:
             return np.array(t, order="C")
         out = ws.take("dof.lanes", t.shape, t.dtype)
@@ -104,7 +102,7 @@ class DGDofHandler:
 
     def from_lanes(self, block: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_lanes`, into fresh cell tensors."""
-        return np.array(np.moveaxis(block, -1, self._cell_axis), order="C")
+        return np.array(np.moveaxis(block, -1, -4), order="C")
 
 
 class CGDofHandler:

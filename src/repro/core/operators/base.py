@@ -15,9 +15,10 @@ loop and the face metrics in its order once per geometry and
 connectivity; boundary data is evaluated once per id on all of that
 id's points (:meth:`FaceLoop.boundary_data`).
 
-Conventions: all quantities on a face live in the *minus* frame; vector
-fields ride the loop's leading axis component by component
-(:func:`components_first`), behind any ensemble members.
+Conventions: all quantities on a face live in the *minus* frame.  A
+vector field is stored component-major, ``(*lead, 3, N, n, n, n)``, so it
+rides the loop's leading axis as ``u.reshape((-1,) + u.shape[-4:])`` —
+three scalar fields per ensemble member, members major — with no copy.
 """
 
 from __future__ import annotations
@@ -552,20 +553,6 @@ def dirichlet_rows(loop: FaceLoop, points, ids, value, t: float, comps: int, dty
     trail = g.shape[g.ndim - 2 - comps:]
     return (g.reshape((int(np.prod(g.shape[:g.ndim - 2 - comps])),) + trail),
             np.isin(loop.bids, list(ids))[:, None])
-
-
-def components_first(u: np.ndarray) -> np.ndarray:
-    """Cells of a 3-component field ``(*lead, N, 3, n, n, n)`` as the
-    loop's ``(L, N, n, n, n)`` with the components on the leading axis
-    (``L = prod(lead) * 3``)."""
-    u = np.moveaxis(u, -4, -5)
-    return np.ascontiguousarray(u).reshape((-1,) + u.shape[-4:])
-
-
-def components_last(x: np.ndarray, lead: tuple) -> np.ndarray:
-    """Inverse of :func:`components_first`: ``(L, N, n, n, n)`` back to
-    ``(*lead, N, 3, n, n, n)``."""
-    return np.moveaxis(x.reshape(lead + (3,) + x.shape[1:]), -5, -4)
 
 
 def _instrument_entry(raw):

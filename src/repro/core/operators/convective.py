@@ -30,9 +30,7 @@ from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
-from .base import (
-    MatrixFreeOperator, components_first, components_last, dirichlet_rows, value_faces,
-)
+from .base import MatrixFreeOperator, dirichlet_rows, value_faces
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ...ns.bc import BoundaryConditions
@@ -71,7 +69,7 @@ class ConvectiveOperator(MatrixFreeOperator):
         return central + 0.5 * lam[..., None, :, :] * (vm - vp)
 
     def apply(self, u_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
-        u = self.dof.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
+        u = self.dof.cell_view(u_flat)  # (*lead, 3, N, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
         # cell term: -int (u (x) u) : grad(v), on lane blocks
@@ -81,7 +79,7 @@ class ConvectiveOperator(MatrixFreeOperator):
         Fu = contract("...izyxc,...jzyxc->...ijzyxc", uq, uq)
         rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, cm.jinv_t)
         rg *= -cm.jxw
-        out = components_first(self.dof.from_lanes(kern.integrate_gradients_cm(rg)))
+        out = self.dof.from_lanes(kern.integrate_gradients_cm(rg))
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
                                  self.bcs.velocity_value, t, 1, out.dtype)
@@ -98,8 +96,9 @@ class ConvectiveOperator(MatrixFreeOperator):
             f = slice(ch.f0, ch.f0 + F)
             return self._lax_friedrichs(vm, vp, fd.normal[:, f]) * fd.jxw[f]
 
-        self.loop.apply(components_first(u), out, flux)
-        return self.dof.flat(components_last(out, u.shape[:-5]))
+        self.loop.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+                        flux)
+        return self.dof.flat(out)
 
     def vmult(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - nonlinear
         raise NotImplementedError("convective operator is nonlinear; use apply()")

@@ -36,9 +36,7 @@ from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
 from ..plans import contract
 from ..sum_factorization import TensorProductKernel
-from .base import (
-    MatrixFreeOperator, components_first, components_last, dirichlet_rows, value_faces,
-)
+from .base import MatrixFreeOperator, dirichlet_rows, value_faces
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
     from ...ns.bc import BoundaryConditions
@@ -90,7 +88,7 @@ class DivergenceOperator(_MixedSpaceOperator):
         Poisson right-hand side of the dual splitting, where all boundary
         physics is carried by the consistent pressure Neumann data;
         ``homogeneous=True`` treats the velocity-Dirichlet data as zero."""
-        u = self.dof_u.cell_view(u_flat)  # (*lead, N, 3, n, n, n)
+        u = self.dof_u.cell_view(u_flat)  # (*lead, 3, N, n, n, n)
         cm = self.cell_metrics
         # cell term: -int grad(q) . u, on lane blocks
         uq = self.kern_u.values(self.dof_u.to_lanes(u))
@@ -113,8 +111,8 @@ class DivergenceOperator(_MixedSpaceOperator):
             return contract("ifq,...ifq->...fq", fd.normal[:, ch.f0:ch.f0 + F],
                             ustar) * fd.jxw[ch.f0:ch.f0 + F]
 
-        self.loop_u.apply(components_first(u), out.reshape((-1,) + out.shape[-4:]), flux,
-                          self.loop_p)
+        self.loop_u.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+                          flux, self.loop_p)
         return self.dof_p.flat(out)
 
     def vmult(self, u_flat: np.ndarray) -> np.ndarray:
@@ -138,7 +136,7 @@ class GradientOperator(_MixedSpaceOperator):
         # coefficients of each v_i, on lane blocks
         coeff = -(self.kern_p.values(self.dof_p.to_lanes(p)) * cm.jxw)
         rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
-        out = components_first(self.dof_u.from_lanes(self.kern_u.integrate_gradients_cm(rg)))
+        out = self.dof_u.from_lanes(self.kern_u.integrate_gradients_cm(rg))
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,
                                  self.bcs.pressure_value, t, 0, out.dtype, homogeneous)
@@ -152,8 +150,9 @@ class GradientOperator(_MixedSpaceOperator):
             pstar[:, Fi:] = np.where(rows[b], g[:, b], v[:, Fi:F])
             return (pstar * fd.jxw[ch.f0:ch.f0 + F])[:, None] * fd.normal[:, ch.f0:ch.f0 + F]
 
-        self.loop_p.apply(p.reshape((-1,) + p.shape[-4:]), out, flux, self.loop_u)
-        return self.dof_u.flat(components_last(out, p.shape[:-4]))
+        self.loop_p.apply(p.reshape((-1,) + p.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+                          flux, self.loop_u)
+        return self.dof_u.flat(out)
 
     def vmult(self, p_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data application (pressure-Dirichlet data = 0)."""

@@ -29,7 +29,7 @@ from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import GeometryField, cell_sums
 from ..dof_handler import DGDofHandler
 from ..plans import contract
-from .base import MatrixFreeOperator, components_first, components_last, value_faces
+from .base import MatrixFreeOperator, value_faces
 from .mass import MassOperator
 
 
@@ -75,7 +75,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         self.tau_cont = self.zeta_cont * 0.5 * (mean_speed[..., cm] + mean_speed[..., cp])
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(x)  # (*lead, N, 3, n, n, n)
+        u = self.dof.cell_view(x)  # (*lead, 3, N, n, n, n)
         kern = self.kern
         cm = self.cell_metrics
         # divergence penalty: tau_div (div u)(div v), on lane blocks.
@@ -85,7 +85,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         div = contract("ilzyxc,l...izyxc->...zyxc", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None, :]
         rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
-        out = components_first(self.dof.from_lanes(kern.integrate_gradients_cm(rg)))
+        out = self.dof.from_lanes(kern.integrate_gradients_cm(rg))
         fd = self.face_data
         tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))
 
@@ -101,8 +101,9 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
             rv[:, :, :Fi] = q[:, None] * nrm
             return rv
 
-        self.loop.apply(components_first(u), out, flux)
-        return self.dof.flat(components_last(out, u.shape[:-5]))
+        self.loop.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+                        flux)
+        return self.dof.flat(out)
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - inv-mass preconditioned
         raise NotImplementedError

@@ -34,26 +34,17 @@ class VectorDGLaplace(MatrixFreeOperator):
         return self.dof.n_dofs
 
     def _build_work_model(self) -> dict:
-        # own work is only the component staging/result copies; the
-        # scalar Laplacian annotates its own nested spans
-        n = float(self.n_dofs)
-        return {"flops": 0.0, "bytes": 4.0 * self.precision_bytes * n, "dofs": n}
+        # no own work (the reshapes are views); the scalar Laplacian
+        # annotates its own nested span
+        return {"flops": 0.0, "bytes": 0.0, "dofs": float(self.n_dofs)}
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(x)  # (*lead, N, 3, n, n, n)
-        # components ride the scalar kernel's batch axis: one transposing
-        # copy into a reusable (*lead, 3, N, n, n, n) staging buffer, one
-        # scalar mat-vec on the (3E, ndof) stack, one copy back
-        comp = self.workspace().take(
-            "veclap.comp", u.shape[:-5] + (3, u.shape[-5]) + u.shape[-3:], u.dtype
-        )
-        np.copyto(comp, np.moveaxis(u, -4, -5))
-        y = self.scalar.vmult(comp.reshape(-1, self.scalar.n_dofs))
-        return self.dof.flat(np.moveaxis(y.reshape(comp.shape), -5, -4))
+        # a velocity is three scalar fields: one scalar mat-vec on the
+        # (3E, n_scalar) stack
+        return self.scalar.vmult(x.reshape(-1, self.scalar.n_dofs)).reshape(x.shape)
 
     def diagonal(self) -> np.ndarray:
-        d = self.scalar.dof.cell_view(self.scalar.diagonal())
-        return self.dof.flat(np.repeat(d[:, None], 3, axis=1))
+        return np.tile(self.scalar.diagonal(), 3)
 
     def assemble_rhs(self, dirichlet=None) -> np.ndarray:
         """Inhomogeneous weak Dirichlet data: ``dirichlet`` maps boundary
@@ -61,10 +52,9 @@ class VectorDGLaplace(MatrixFreeOperator):
         member-stacked ``(E, 3, F, a, b)``); the components ride the
         scalar assembly's leading axis."""
         r = self.scalar.assemble_rhs(dirichlet=dirichlet)  # (*lead, 3, n_scalar)
-        cells = self.scalar.dof.cell_view(r)
-        if cells.ndim == 4:  # no data
-            cells = np.broadcast_to(cells, (3,) + cells.shape)
-        return self.dof.flat(np.moveaxis(cells, -5, -4))
+        if r.ndim == 1:  # no data
+            r = np.broadcast_to(r, (3,) + r.shape)
+        return r.reshape(r.shape[:-2] + (-1,))
 
 
 class HelmholtzOperator(MatrixFreeOperator):

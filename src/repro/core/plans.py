@@ -29,7 +29,7 @@ the NumPy rendition of that discipline, shared by every operator in
   smoothing and CG, hitting identical shapes thousands of times) perform
   no large allocations.  Buffers are keyed by (tag, shape, dtype), so a
   float32 clone of an operator (see
-  :func:`repro.solvers.multigrid.single_precision_operator`) transparently
+  :func:`repro.solvers.multigrid.operator_to_dtype`) transparently
   gets its own set.
 """
 

@@ -12,7 +12,10 @@ Format version 2 additionally embeds the run's configuration
 configuration drift — restoring a state into a simulation built with
 different solver settings silently changes the trajectory, which is
 exactly the class of bug a long checkpointed run cannot afford.
-Version-1 files (no embedded config) still load.
+Version 3 stores the velocity histories component-major, the layout of
+:class:`~repro.core.dof_handler.DGDofHandler`; version-1/2 files, whose
+velocities were written interleaved per cell, are permuted once on load,
+and version-1 files (no embedded config) still load.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: format versions this module can read
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 class CheckpointConfigDrift(UserWarning):
@@ -126,12 +129,20 @@ def _scheme_payload(scheme) -> dict:
 
 def _restore_scheme(data, scheme) -> None:
     """Set what :func:`_scheme_payload` stored on ``scheme``, history
-    fields cast to its state dtype (version-1/2 files are float64
-    already)."""
+    fields cast to its state dtype (stored fields are float64 already).
+    The velocity histories of version-1/2 files go from their
+    ``(*lead, N, 3, n³)`` order to the component-major ``(*lead, 3, N,
+    n³)``."""
     dt = np.dtype(getattr(scheme, "state_dtype", np.float64))
+    n_cells = scheme.ops.mass.dof.n_cells
+    interleaved = int(data["version"]) < 3
 
     def fields(key, n):
-        return [data[f"{key}_{i}"].astype(dt, copy=False) for i in range(int(n))]
+        out = [data[f"{key}_{i}"].astype(dt, copy=False) for i in range(int(n))]
+        if interleaved and key != "p":
+            out = [np.swapaxes(x.reshape(x.shape[:-1] + (n_cells, 3, -1)), -3, -2)
+                   .reshape(x.shape) for x in out]
+        return out
 
     scheme.t = float(data["t"])
     scheme.dt_history = [float(v) for v in data["dt_history"]]

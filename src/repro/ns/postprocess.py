@@ -114,6 +114,6 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
             lx = basis.values(np.clip(ref[0:1], 0, 1))[0]
             ly = basis.values(np.clip(ref[1:2], 0, 1))[0]
             lz = basis.values(np.clip(ref[2:3], 0, 1))[0]
-            out[ip] = contract("izyx,z,y,x->i", u[c], lz, ly, lx)
+            out[ip] = contract("izyx,z,y,x->i", u[:, c], lz, ly, lx)
             break
     return out

@@ -99,7 +99,7 @@ class ScalarAdvectionOperator:
             un = contract("ifq,ifq->fq", fd.normal[:, ch.f0:ch.f0 + F], um)
             return self._upwind(c_m, c_p, un) * fd.jxw[ch.f0:ch.f0 + F]
 
-        fields = np.concatenate([c[None], np.moveaxis(u, 1, 0)])
+        fields = np.concatenate([c[None], u])
         self.loop.apply(fields, out[None], flux)
         return self.dof_c.flat(out)
 

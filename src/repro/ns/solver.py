@@ -25,7 +25,7 @@ from ..core.operators import (
     PenaltyStepOperator,
     VectorDGLaplace,
 )
-from ..core.operators.base import FaceLoop, components_first, in_loop_order, tangential_dims
+from ..core.operators.base import FaceLoop, in_loop_order, tangential_dims
 from ..mesh.connectivity import build_connectivity
 from ..mesh.mapping import GeometryField
 from ..mesh.octree import Forest
@@ -366,7 +366,8 @@ class IncompressibleNavierStokesSolver:
         omega = self.compute_vorticity(sum(b * u for b, u in zip(beta, u_history)))
         for weight, field in [*zip(beta, u_history), (None, omega)]:
             src = wall.scratch(wall.ws, "fl.src", (3 * total.shape[0], wall.size), field.dtype)
-            wall.sheets(components_first(self.dof_u.cell_view(field)), src)
+            u = self.dof_u.cell_view(field)
+            wall.sheets(u.reshape((-1,) + u.shape[-4:]), src)
             for ch in wall.chunks:
                 b = slice(ch.b0, ch.b0 + ch.F - ch.Fi)
                 Q = wall.trace(src, ch, wall.ws, slice(ch.Fi, ch.F), full=True)
@@ -409,8 +410,7 @@ class IncompressibleNavierStokesSolver:
         """Nodal interpolation of ``fn(x, y, z, t) -> (3, ...)``: one call
         on the flattened nodal coordinates of all cells."""
         X = self.geo_u.X  # (N, 3, n, n, n): the velocity nodes are the geometry nodes
-        vals = np.asarray(fn(X[:, 0].ravel(), X[:, 1].ravel(), X[:, 2].ravel(), t))
-        return self.dof_u.flat(np.moveaxis(vals.reshape((3,) + X[:, 0].shape), 0, 1))
+        return np.asarray(fn(X[:, 0].ravel(), X[:, 1].ravel(), X[:, 2].ravel(), t)).reshape(-1)
 
     def initialize(self, u0=None, t0: float = 0.0) -> None:
         if u0 is None:
@@ -558,8 +558,8 @@ class IncompressibleNavierStokesSolver:
     def _flow_rates_of(self, u_flat: np.ndarray, boundary_ids):
         loop, fd = self.divergence.loop_u, self.divergence.face_data
         u = self.dof_u.cell_view(u_flat)
-        v = loop.boundary_values(components_first(u))
-        v = v.reshape(u.shape[:-5] + (3,) + v.shape[1:])
+        v = loop.boundary_values(u.reshape((-1,) + u.shape[-4:]))
+        v = v.reshape(u.shape[:-4] + v.shape[1:])
         un = contract("ifq,...ifq->...fq", fd.normal[:, loop.bface], v)
         q = (un * fd.jxw[loop.bface]).sum(axis=-1)
         return q @ (loop.bids[:, None] == np.asarray(boundary_ids)).astype(q.dtype)

@@ -8,7 +8,7 @@ from .chebyshev import ChebyshevSmoother
 from .amg import SmoothedAggregationAMG
 from .assemble import assemble_cg_laplace
 from .transfer import Transfer, dg_from_cg, h_transfer, p_transfer
-from .multigrid import HybridMultigridPreconditioner, single_precision_operator
+from .multigrid import HybridMultigridPreconditioner
 
 __all__ = [
     "SolverResult",
@@ -23,5 +23,4 @@ __all__ = [
     "h_transfer",
     "p_transfer",
     "HybridMultigridPreconditioner",
-    "single_precision_operator",
 ]

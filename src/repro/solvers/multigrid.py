@@ -123,11 +123,6 @@ def operator_to_dtype(op, dtype):
     return clone
 
 
-def single_precision_operator(op):
-    """Backward-compatible alias: :func:`operator_to_dtype` at float32."""
-    return operator_to_dtype(op, np.float32)
-
-
 def _cg_operator(dof: CGDofHandler, geometry: GeometryField):
     """Operator of one continuous level: the assembled matrix at degree
     1, where a matrix-free mat-vec is all call overhead, and the
@@ -240,7 +235,7 @@ class HybridMultigridPreconditioner:
         # coarsest, which the AMG solves instead
         if precision == np.float32:
             for lev in levels:
-                lev.operator = single_precision_operator(lev.operator)
+                lev.operator = operator_to_dtype(lev.operator, np.float32)
                 if lev.to_coarser is not None:
                     lev.to_coarser = lev.to_coarser.to_precision(np.float32)
         # the DG -> CG transfer is the CG handler's cell map, which the

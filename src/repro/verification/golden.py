@@ -30,6 +30,16 @@ def _fingerprint(y) -> list[float]:
     return [float(np.linalg.norm(y)), float(np.abs(y).max()), float(r @ y)]
 
 
+def _interleaved(u, n_cells: int, inverse: bool = False):
+    """A velocity vector from the component-major layout ``(3, N, n³)``
+    to the per-cell interleaved ``(N, 3, n³)`` (``inverse``: back) — the
+    fingerprinted velocities were drawn and taken interleaved, the layout
+    of the implementation that produced them, so they are kept that way
+    instead of being regenerated."""
+    pair = (n_cells, 3) if inverse else (3, n_cells)
+    return np.swapaxes(u.reshape(u.shape[:-1] + pair + (-1,)), -3, -2).reshape(u.shape)
+
+
 def _operator_fingerprints() -> dict:
     """Fingerprints of one application of each operator family on the
     meshes where index plans can go wrong: a box forest with hanging
@@ -55,7 +65,7 @@ def _operator_fingerprints() -> dict:
     from ..mesh.generators import bifurcation, box
     from ..mesh.mapping import GeometryField
     from ..mesh.octree import Forest
-    from ..solvers import single_precision_operator
+    from ..solvers.multigrid import operator_to_dtype
 
     hanging = Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
     hanging = hanging.refine([hanging.leaves[0]]).balance()
@@ -84,8 +94,10 @@ def _operator_fingerprints() -> dict:
         ), 0)
     out["vmult_mass_bifurcation_k2"] = vmult(
         MassOperator(DGDofHandler(junction, 2), GeometryField(junction, 2)), 0)
-    out["vmult_vector_laplace_hanging_k2"] = vmult(
-        VectorDGLaplace(lap, DGDofHandler(hanging, 2, n_components=3)), 8)
+    vec = VectorDGLaplace(lap, DGDofHandler(hanging, 2, n_components=3))
+    x = np.random.default_rng(8).standard_normal(vec.n_dofs)
+    out["vmult_vector_laplace_hanging_k2"] = _interleaved(
+        vec.vmult(_interleaved(x, hanging.n_cells, inverse=True)), hanging.n_cells)
     out["assemble_rhs_dg_laplace_hanging_k2"] = lap.assemble_rhs(
         f=lambda x, y, z: x * y + z, dirichlet=lambda x, y, z: x - z)
     for name, forest in (("hanging", hanging), ("bifurcation", junction)):
@@ -94,7 +106,7 @@ def _operator_fingerprints() -> dict:
         name: {"value": _fingerprint(y), "rtol": 1e-10} for name, y in out.items()
     }
     metrics["vmult_dg_laplace_hanging_k2_float32"] = {
-        "value": _fingerprint(vmult(single_precision_operator(lap), 7, np.float32)),
+        "value": _fingerprint(vmult(operator_to_dtype(lap, np.float32), 7, np.float32)),
         "rtol": 2e-5,
     }
     return metrics
@@ -122,11 +134,12 @@ def _flow_operator_outputs(name: str, forest) -> dict:
         SolverSettings(use_multigrid=False),
     )
     rng = np.random.default_rng(21)
-    u0, u1, w = rng.standard_normal((3, solver.dof_u.n_dofs))
+    N = forest.n_cells
+    u0, u1, w = _interleaved(rng.standard_normal((3, solver.dof_u.n_dofs)), N, inverse=True)
     p = rng.standard_normal(solver.dof_p.n_dofs)
     solver.penalty.update_parameters(w)
     coeffs = bdf_coefficients(2, [0.01, 0.02])
-    return {
+    out = {
         f"apply_convective_{name}_k2": solver.convective.apply(u0, 0.3),
         f"apply_divergence_{name}_k2": solver.divergence.apply(u0, 0.3),
         f"apply_divergence_interior_trace_{name}_k2": solver.divergence.apply(
@@ -137,6 +150,8 @@ def _flow_operator_outputs(name: str, forest) -> dict:
             0.3, [u0, u1], [0.29, 0.27], coeffs, 0.01),
         f"viscous_boundary_rhs_{name}_k2": solver._viscous_boundary_rhs(0.3),
     }
+    return {key: _interleaved(y, N) if y.size == solver.dof_u.n_dofs else y
+            for key, y in out.items()}
 
 
 def compute_golden_metrics() -> dict:

@@ -86,6 +86,24 @@ def rng(request) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def interpolate_per_leaf(dof_u, forest, fn) -> np.ndarray:
+    """Nodal interpolation of ``fn(x, y, z) -> (3, ...)`` into the
+    component-major velocity layout ``(3, N, n, n, n)``, with one geometry
+    evaluation and one call of ``fn`` per leaf: the reference of the
+    solver's batched ``interpolate_velocity``."""
+    from repro.core.basis import LagrangeBasis1D
+
+    n = dof_u.n1
+    nodes = LagrangeBasis1D(dof_u.degree).nodes
+    zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
+    ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    out = np.empty((3, forest.n_cells, n, n, n))
+    for c, leaf in enumerate(forest.leaves):
+        pts = forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
+        out[:, c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2])).reshape(3, n, n, n)
+    return dof_u.flat(out)
+
+
 # -- meshes where face plans can go wrong (hanging, reoriented, curved) --
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.dof_handler import CGDofHandler, DGDofHandler
-from repro.core.operators import CGLaplaceOperator, DGLaplaceOperator
+from repro.core.operators import CGLaplaceOperator, DGLaplaceOperator, VectorDGLaplace
 from repro.core.operators.laplace import _cell_laplace_diagonal
 from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import box, cylinder
@@ -257,3 +257,39 @@ class TestAnyLead:
         dof = CGDofHandler(forest, 1, dirichlet_ids=(1,))
         op = AssembledOperator(assemble_cg_laplace(dof, GeometryField(forest, 1)))
         self.check(op, dof.n_dofs)
+
+    @pytest.fixture(scope="class")
+    def vector_laplace(self):
+        forest = _conforming_box()
+        scalar = DGLaplaceOperator(DGDofHandler(forest, 2), GeometryField(forest, 2),
+                                   build_connectivity(forest), dirichlet_ids=(1,))
+        return VectorDGLaplace(scalar, DGDofHandler(forest, 2, n_components=3))
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_velocity_is_three_scalar_fields(self, vector_laplace, lead):
+        """Component-major layout: component ``i`` of ``cell_view`` is
+        the ``i``-th third of every lead row viewed as cells, and the
+        lane copies and ``flat`` round-trip bitwise."""
+        dof = vector_laplace.dof
+        cells_shape = (dof.n_cells,) + (dof.n1,) * 3
+        x = np.random.default_rng(5).standard_normal(lead + (dof.n_dofs,))
+        cells = dof.cell_view(x)
+        assert cells.shape == lead + (3,) + cells_shape
+        for i in range(3):
+            assert np.array_equal(cells[..., i, :, :, :, :],
+                                  x.reshape(lead + (3, -1))[..., i, :].reshape(lead + cells_shape))
+        lanes = dof.to_lanes(cells)
+        assert lanes.shape == lead + (3,) + cells_shape[1:] + cells_shape[:1]
+        assert np.array_equal(dof.from_lanes(lanes), cells)
+        assert np.array_equal(dof.flat(dof.from_lanes(lanes)), x)
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    def test_vector_laplace_is_its_scalar_stack(self, vector_laplace, lead):
+        """``VectorDGLaplace.vmult`` is bitwise its scalar operator on the
+        ``(3E, n)`` stack, and ``E = 1`` is bitwise the flat vector."""
+        scalar = vector_laplace.scalar
+        x = np.random.default_rng(6).standard_normal(lead + (vector_laplace.n_dofs,))
+        y = vector_laplace.vmult(x)
+        assert np.array_equal(y, scalar.vmult(x.reshape(-1, scalar.n_dofs)).reshape(x.shape))
+        first = x.reshape(-1, vector_laplace.n_dofs)[:1]
+        assert np.array_equal(vector_laplace.vmult(first)[0], vector_laplace.vmult(first[0]))

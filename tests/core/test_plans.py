@@ -28,7 +28,7 @@ from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
-from repro.solvers import single_precision_operator
+from repro.solvers.multigrid import operator_to_dtype
 from repro.verification import compare_golden, load_golden
 from repro.verification.golden import _operator_fingerprints
 
@@ -334,4 +334,4 @@ class TestFastDiagonal:
 
     def test_float32_clone(self, hanging_forest):
         _, _, op = make_dg_laplace(hanging_forest, 2)
-        self.check(single_precision_operator(op), 1e-5)
+        self.check(operator_to_dtype(op, np.float32), 1e-5)

@@ -128,8 +128,8 @@ class TestPeriodicOperators:
         mass0 = float((values(solver.c) * cm.jxw).sum())
         # uniform velocity in +x
         n = degree + 1
-        u = np.zeros((forest.n_cells, 3, n, n, n))
-        u[:, 0] = 1.0
+        u = np.zeros((3, forest.n_cells, n, n, n))
+        u[0] = 1.0
         u_flat = dof_u.flat(u)
         # advect one full period (t = 1): the blob returns to its start
         dt = 0.005

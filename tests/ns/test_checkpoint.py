@@ -195,3 +195,50 @@ class TestMemberRunCheckpoint:
         fresh = LungVentilationSimulation(self.members())
         manager.resume(fresh, config_drift="raise")
         assert np.array_equal(fresh.solver.velocity, sim.solver.velocity)
+
+
+def _as_version_2(path, n_cells):
+    """Rewrite a checkpoint as the version-2 file of the same state:
+    velocity histories interleaved per cell, ``(*lead, N, 3, n³)``."""
+    with np.load(path) as data:
+        payload = {k: data[k] for k in data.files}
+    for key, x in payload.items():
+        if key.startswith(("u_", "conv_")):
+            cm = x.reshape(x.shape[:-1] + (3, n_cells, -1))
+            payload[key] = np.swapaxes(cm, -3, -2).reshape(x.shape)
+    payload["version"] = np.array(2)
+    np.savez_compressed(path, **payload)
+    return payload
+
+
+class TestVelocityLayoutVersions:
+    """Version 3 stores velocities component-major; a version-2 file
+    (interleaved per cell) of the same state resumes bit for bit."""
+
+    @pytest.mark.parametrize("members", [1, 2])
+    def test_versions_2_and_3_resume_bitwise(self, tmp_path, members):
+        configs = lung_config if members == 1 else TestMemberRunCheckpoint.members
+        ref = LungVentilationSimulation(configs())
+        twin = LungVentilationSimulation(configs())
+        for _ in range(4):
+            ref.step()
+        for _ in range(2):
+            twin.step()
+        v3 = save_lung_state(tmp_path / "v3.npz", twin)
+        v2 = save_lung_state(tmp_path / "v2.npz", twin)
+        old = _as_version_2(v2, twin.solver.dof_u.n_cells)
+        with np.load(v3) as data:
+            assert int(data["version"]) == 3
+            assert not np.array_equal(data["u_0"], old["u_0"])
+        scheme = twin.solver.scheme
+        for path in (v3, v2):
+            fresh = LungVentilationSimulation(configs())
+            load_lung_state(path, fresh)
+            got = fresh.solver.scheme
+            for a, b in zip(got.u_history + got.conv_history,
+                            scheme.u_history + scheme.conv_history, strict=True):
+                assert np.array_equal(a, b)
+            for _ in range(2):
+                fresh.step()
+            assert np.array_equal(fresh.solver.velocity, ref.solver.velocity)
+            assert np.array_equal(fresh.solver.pressure, ref.solver.pressure)

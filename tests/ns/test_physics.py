@@ -17,6 +17,8 @@ from repro.ns import (
 )
 from repro.ns.postprocess import FlowDiagnostics, sample_centerline
 
+from ..conftest import interpolate_per_leaf
+
 
 class TestFlowDiagnostics:
     def make(self, degree=2):
@@ -25,22 +27,9 @@ class TestFlowDiagnostics:
         dof = DGDofHandler(forest, degree, n_components=3)
         return forest, geo, dof, FlowDiagnostics(dof, geo)
 
-    def interpolate(self, dof, forest, fn):
-        from repro.core.basis import LagrangeBasis1D
-
-        n = dof.n1
-        nodes = LagrangeBasis1D(dof.degree).nodes
-        zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-        ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-        out = np.empty((forest.n_cells, 3, n, n, n))
-        for c, leaf in enumerate(forest.leaves):
-            pts = forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
-            out[c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2])).reshape(3, n, n, n)
-        return dof.flat(out)
-
     def test_kinetic_energy_of_uniform_flow(self):
         forest, geo, dof, diag = self.make()
-        u = self.interpolate(dof, forest, lambda x, y, z: np.stack([2 + 0 * x, 0 * y, 0 * z]))
+        u = interpolate_per_leaf(dof, forest, lambda x, y, z: np.stack([2 + 0 * x, 0 * y, 0 * z]))
         assert np.isclose(diag.kinetic_energy(u), 2.0)  # |u|^2/2 = 2
         assert np.isclose(diag.max_velocity(u), 2.0)
         assert np.allclose(diag.momentum(u), [2.0, 0.0, 0.0])
@@ -48,13 +37,13 @@ class TestFlowDiagnostics:
     def test_enstrophy_of_rigid_rotation(self):
         forest, geo, dof, diag = self.make(degree=2)
         # u = omega x r with omega = e_z: curl u = 2 e_z, enstrophy = 2
-        u = self.interpolate(dof, forest, lambda x, y, z: np.stack([-y, x, 0 * z]))
+        u = interpolate_per_leaf(dof, forest, lambda x, y, z: np.stack([-y, x, 0 * z]))
         assert np.isclose(diag.enstrophy(u), 2.0, rtol=1e-10)
         assert diag.divergence_l2(u) < 1e-10
 
     def test_divergence_norm_of_source_flow(self):
         forest, geo, dof, diag = self.make(degree=2)
-        u = self.interpolate(dof, forest, lambda x, y, z: np.stack([x, y, z]))
+        u = interpolate_per_leaf(dof, forest, lambda x, y, z: np.stack([x, y, z]))
         # div = 3 on the unit cube: L2 norm = 3
         assert np.isclose(diag.divergence_l2(u), 3.0, rtol=1e-10)
 
@@ -64,7 +53,7 @@ class TestFlowDiagnostics:
 
     def test_sample_centerline(self):
         forest, geo, dof, diag = self.make(degree=2)
-        u = self.interpolate(dof, forest, lambda x, y, z: np.stack([x * y, z, 0 * x]))
+        u = interpolate_per_leaf(dof, forest, lambda x, y, z: np.stack([x * y, z, 0 * x]))
         pts = np.array([[0.25, 0.5, 0.75], [0.9, 0.9, 0.1]])
         vals = sample_centerline(dof, geo, u, pts)
         assert np.allclose(vals[0], [0.125, 0.75, 0.0], atol=1e-10)

@@ -10,6 +10,8 @@ from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.ns.scalar_transport import ScalarAdvectionOperator, ScalarTransportSolver
 
+from ..conftest import interpolate_per_leaf
+
 
 def make_setup(degree=2, subdivisions=(3, 1, 1), boundary_ids=None):
     mesh = box(
@@ -23,20 +25,6 @@ def make_setup(degree=2, subdivisions=(3, 1, 1), boundary_ids=None):
     return forest, geo, conn, dof_u
 
 
-def interpolate_vector(dof_u, forest, fn):
-    from repro.core.basis import LagrangeBasis1D
-
-    n = dof_u.n1
-    nodes = LagrangeBasis1D(dof_u.degree).nodes
-    zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    out = np.empty((forest.n_cells, 3, n, n, n))
-    for c, leaf in enumerate(forest.leaves):
-        pts = forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
-        out[c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2])).reshape(3, n, n, n)
-    return dof_u.flat(out)
-
-
 class TestAdvectionOperator:
     def test_constant_concentration_conserved(self):
         """With c = const and closed upwind fluxes, the total advective
@@ -46,7 +34,7 @@ class TestAdvectionOperator:
         dof_c = DGDofHandler(forest, 2)
         adv = ScalarAdvectionOperator(dof_c, dof_u, geo, conn,
                                       inflow_values={1: 1.0})
-        u = interpolate_vector(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
+        u = interpolate_per_leaf(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
         c = np.ones(dof_c.n_dofs)
         r = adv.apply(c, u)
         ones = np.ones(dof_c.n_dofs)
@@ -75,7 +63,7 @@ class TestTransportSolver:
         c = 1 fills up monotonically towards 1 (the O2 wash-in the
         ventilation model predicts)."""
         forest, geo, conn, dof_u = make_setup()
-        u = interpolate_vector(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
+        u = interpolate_per_leaf(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
         solver = ScalarTransportSolver(
             forest, 2, diffusivity=0.01, connectivity=conn, geometry=geo,
             dof_u=dof_u, inflow_values={1: 1.0},
@@ -111,7 +99,7 @@ class TestTransportSolver:
         """Upwinding keeps the wash-in solution within [0 - eps, 1 + eps]
         (no blow-up; small DG overshoots allowed)."""
         forest, geo, conn, dof_u = make_setup()
-        u = interpolate_vector(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
+        u = interpolate_per_leaf(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
         solver = ScalarTransportSolver(
             forest, 2, diffusivity=0.01, connectivity=conn, geometry=geo,
             dof_u=dof_u, inflow_values={1: 1.0},

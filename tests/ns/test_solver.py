@@ -18,6 +18,8 @@ from repro.ns import (
     poiseuille_square_duct_flow_rate,
 )
 
+from ..conftest import interpolate_per_leaf
+
 
 def beltrami_solver(levels=1, degree=2, nu=0.05, tol=1e-8):
     mesh = box(subdivisions=(1, 1, 1), boundary_ids={i: 1 for i in range(6)})
@@ -83,20 +85,6 @@ class TestBeltrami:
         assert st.pressure_iterations <= 20
 
 
-def _interpolate_per_leaf(solver, fn, t):
-    """Reference for ``interpolate_velocity``: one geometry evaluation
-    and one call of ``fn`` per leaf."""
-    n = solver.degree + 1
-    nodes = solver.geo_u.kernel.shape.basis.nodes
-    zz, yy, xx = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    ref = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    out = np.empty((solver.forest.n_cells, 3, n, n, n))
-    for c, leaf in enumerate(solver.forest.leaves):
-        pts = solver.forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
-        out[c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2], t)).reshape(3, n, n, n)
-    return solver.dof_u.flat(out)
-
-
 class TestInterpolateVelocity:
     """One call of ``fn`` on all nodes == the per-leaf loop it replaced."""
 
@@ -108,7 +96,8 @@ class TestInterpolateVelocity:
             return flow.velocity(x, y, z, t)
 
         got = solver.interpolate_velocity(fn, t)
-        want = _interpolate_per_leaf(solver, flow.velocity, t)
+        want = interpolate_per_leaf(solver.dof_u, solver.forest,
+                                    lambda x, y, z: flow.velocity(x, y, z, t))
         assert calls == [(solver.dof_u.n_dofs // 3,)]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -12,11 +12,8 @@ from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import box
 from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
-from repro.solvers import (
-    ChebyshevSmoother,
-    JacobiPreconditioner,
-    single_precision_operator,
-)
+from repro.solvers import ChebyshevSmoother, JacobiPreconditioner
+from repro.solvers.multigrid import operator_to_dtype
 
 
 def reference_smooth(sm, b, x=None):
@@ -87,7 +84,7 @@ class TestInPlaceChebyshevBitwise:
     def test_float32_operator_bitwise(self, smoother):
         """Mixed-precision V-cycle configuration: float32 operator and
         Jacobi diagonal, float32 vectors."""
-        sp = single_precision_operator(smoother.op)
+        sp = operator_to_dtype(smoother.op, np.float32)
         jac = JacobiPreconditioner(sp)
         sm = ChebyshevSmoother(sp, degree=3, jacobi=jac)
         rng = np.random.default_rng(46)

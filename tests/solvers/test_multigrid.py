@@ -16,9 +16,9 @@ from repro.solvers import (
     dg_from_cg,
     h_transfer,
     p_transfer,
-    single_precision_operator,
 )
 from repro.solvers.assemble import AssembledOperator, assemble_cg_laplace
+from repro.solvers.multigrid import operator_to_dtype
 
 
 class TestTransfers:
@@ -122,7 +122,7 @@ class TestAssembledLevels:
 
     def test_stack_is_bitwise_flat(self, hanging, rng):
         _, asm = self._pair(hanging)
-        for op in (asm, single_precision_operator(asm)):
+        for op in (asm, operator_to_dtype(asm, np.float32)):
             X = rng.standard_normal((2, asm.n_dofs)).astype(op.dtype)
             Y = op.vmult(X)
             assert Y.dtype == op.dtype
