@@ -73,13 +73,14 @@ class ConvectiveOperator(MatrixFreeOperator):
         kern = self.kern
         cm = self.cell_metrics
         # cell term: -int (u (x) u) : grad(v), on lane blocks
-        uq = kern.values(self.dof.to_lanes(u))
+        ul = self.dof.to_lanes(u)
+        uq = kern.values(ul)
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
         #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
         Fu = contract("...izyxc,...jzyxc->...ijzyxc", uq, uq)
         rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, cm.jinv_t)
         rg *= -cm.jxw
-        out = self.dof.from_lanes(kern.integrate_gradients_cm(rg))
+        out = kern.integrate_gradients_cm(rg)
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
                                  self.bcs.velocity_value, t, 1, out.dtype)
@@ -96,9 +97,9 @@ class ConvectiveOperator(MatrixFreeOperator):
             f = slice(ch.f0, ch.f0 + F)
             return self._lax_friedrichs(vm, vp, fd.normal[:, f]) * fd.jxw[f]
 
-        self.loop.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+        self.loop.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                         flux)
-        return self.dof.flat(out)
+        return self.dof.flat(self.dof.from_lanes(out))
 
     def vmult(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - nonlinear
         raise NotImplementedError("convective operator is nonlinear; use apply()")

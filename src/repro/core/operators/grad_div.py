@@ -91,10 +91,11 @@ class DivergenceOperator(_MixedSpaceOperator):
         u = self.dof_u.cell_view(u_flat)  # (*lead, 3, N, n, n, n)
         cm = self.cell_metrics
         # cell term: -int grad(q) . u, on lane blocks
-        uq = self.kern_u.values(self.dof_u.to_lanes(u))
+        ul = self.dof_u.to_lanes(u)
+        uq = self.kern_u.values(ul)
         rg = contract("ilzyxc,...izyxc->l...zyxc", cm.jinv_t, uq)
         rg *= -cm.jxw
-        out = self.dof_p.from_lanes(self.kern_p.integrate_gradients_cm(rg))
+        out = self.kern_p.integrate_gradients_cm(rg)
         fd = self.face_data
         ids = () if interior_trace_everywhere else self.velocity_dirichlet
         g, rows = dirichlet_rows(self.loop_u, fd.points, ids, self.bcs.velocity_value, t, 1,
@@ -111,9 +112,9 @@ class DivergenceOperator(_MixedSpaceOperator):
             return contract("ifq,...ifq->...fq", fd.normal[:, ch.f0:ch.f0 + F],
                             ustar) * fd.jxw[ch.f0:ch.f0 + F]
 
-        self.loop_u.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+        self.loop_u.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                           flux, self.loop_p)
-        return self.dof_p.flat(out)
+        return self.dof_p.flat(self.dof_p.from_lanes(out))
 
     def vmult(self, u_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data (linear) application: velocity-Dirichlet
@@ -134,9 +135,10 @@ class GradientOperator(_MixedSpaceOperator):
         cm = self.cell_metrics
         # cell term: -int p div(v) -> component-major ref-grad
         # coefficients of each v_i, on lane blocks
-        coeff = -(self.kern_p.values(self.dof_p.to_lanes(p)) * cm.jxw)
+        pl = self.dof_p.to_lanes(p)
+        coeff = -(self.kern_p.values(pl) * cm.jxw)
         rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
-        out = self.dof_u.from_lanes(self.kern_u.integrate_gradients_cm(rg))
+        out = self.kern_u.integrate_gradients_cm(rg)
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,
                                  self.bcs.pressure_value, t, 0, out.dtype, homogeneous)
@@ -150,9 +152,9 @@ class GradientOperator(_MixedSpaceOperator):
             pstar[:, Fi:] = np.where(rows[b], g[:, b], v[:, Fi:F])
             return (pstar * fd.jxw[ch.f0:ch.f0 + F])[:, None] * fd.normal[:, ch.f0:ch.f0 + F]
 
-        self.loop_p.apply(p.reshape((-1,) + p.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+        self.loop_p.apply(pl.reshape((-1,) + pl.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                           flux, self.loop_u)
-        return self.dof_u.flat(out)
+        return self.dof_u.flat(self.dof_u.from_lanes(out))
 
     def vmult(self, p_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data application (pressure-Dirichlet data = 0)."""

@@ -11,12 +11,12 @@ Weak Dirichlet data (SIP/Nitsche) and Neumann data enter through
 loop's boundary rows (each boundary id's data evaluated once).
 
 The SIP mat-vec is the cell term plus one planned face loop
-(:class:`~repro.core.operators.base.FaceLoop`, four sheets per
-direction): every face side — interior minus, interior plus, Dirichlet
-— is a row of the same chunked sheet gather, flux block and sheet
-scatter, whatever its face number, orientation or subface; the
-rank-local operator of :mod:`repro.parallel.runtime` runs the same loop
-on its own faces.  The mat-vec's scratch buffers live in each
+(:class:`~repro.core.operators.base.FaceLoop`, four sheets per direction)
+on the cell term's lane block: every face side — interior minus,
+interior plus, Dirichlet — is a row of the same chunked sheet gather,
+precomposed flux block and sheet scatter, whatever its face number,
+orientation or subface; :mod:`repro.parallel.runtime`'s rank-local
+operator runs the same loop on its own faces.  The mat-vec's scratch buffers live in each
 instance's workspace (:mod:`repro.core.plans`).
 """
 
@@ -72,24 +72,23 @@ def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FaceData:
-    """SIP face metrics, stored once in :class:`FaceLoop` order.
+    """SIP flux coefficients in :class:`FaceLoop` order, both doubled
+    on Dirichlet faces (:meth:`DGLaplaceOperator._face_coefficients`).
 
-    c:   (3|1, rows, q*q)  ``J^{-1} n`` of every face side as minus-frame
-         ``(n, a, b)`` components, ``n`` only if axis-aligned (``FaceMetrics.c_m``)
-    jxw: (faces, q*q)    surface element x quadrature weight
-    tau: (faces,)        SIP penalty
+    a: (faces, q*q)      ``tau w``, the weight of the jump ``[u]``
+    b: (3|1, rows, q*q)  ``-w c / 2``, the weights of the minus-frame
+       ``(n, a, b)`` derivatives, ``c = J^{-1} n`` (``FaceMetrics.c_m``),
+       ``n`` only if axis-aligned
     """
 
-    c: np.ndarray
-    jxw: np.ndarray
-    tau: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     def restrict(self, loop: FaceLoop, sub: FaceLoop) -> "FaceData":
         """This data, in ``loop``'s order, in the order of ``sub`` — a
         loop over a subset of the same table."""
-        pf, pr = loop.positions()
-        f = pf[sub.src_faces]
-        return FaceData(self.c[:, pr[sub.src_rows]], self.jxw[f], self.tau[f])
+        pf, pr = np.argsort(loop.src_faces), np.argsort(loop.src_rows)  # loop positions
+        return FaceData(self.a[pf[sub.src_faces]], self.b[:, pr[sub.src_rows]])
 
 
 class DGLaplaceOperator(MatrixFreeOperator):
@@ -132,14 +131,13 @@ class DGLaplaceOperator(MatrixFreeOperator):
                                      [b for b, _ in dirichlet])
         faces = list(fms) + [fm for _, fm in dirichlet]
         qq = self.kern.n_q_points ** 2
-        rows, fs = self.face_loop.src_rows, self.face_loop.src_faces
-        c = np.concatenate([np.zeros((3, 0, qq))] + [fm.c_m for fm in fms] + [fm.c_p for fm in fms]
-                           + [fm.c_m for _, fm in dirichlet], axis=1)[:, rows]
-        self.face_data = FaceData(
-            sparsest(c, [0], [1, 2]),
-            np.concatenate([np.zeros((0, qq))] + [fm.jxw.reshape(-1, qq) for fm in faces])[fs],
-            np.concatenate([np.zeros(0)] + [pen * fm.penalty for fm in faces])[fs],
-        )
+        a, b = self._face_coefficients(
+            np.concatenate([np.zeros((3, 0, qq))] + [fm.c_m for fm in fms] + [fm.c_p for fm in fms]
+                           + [fm.c_m for _, fm in dirichlet], axis=1),
+            np.concatenate([np.zeros((0, qq))] + [fm.jxw.reshape(-1, qq) for fm in faces]),
+            np.concatenate([np.zeros(0)] + [pen * fm.penalty for fm in faces]))
+        loop = self.face_loop
+        self.face_data = FaceData(a[loop.src_faces], sparsest(b[:, loop.src_rows], [0], [1, 2]))
         self.dirichlet_points = in_loop_order(
             [fm.points for _, fm in dirichlet], self.face_loop.bsrc, (3, qq))
 
@@ -155,7 +153,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import laplace_flops
         from ...perf.memory import laplace_transfer
 
-        cell, face = len(self.cell_metrics.laplace_d), len(self.face_data.c)
+        cell, face = len(self.cell_metrics.laplace_d), len(self.face_data.b)
         fl = laplace_flops(self.dof.degree, self.kern.n_q_points, cell, face)
         tr = laplace_transfer(self.dof.degree, self.kern.n_q_points, self.precision_bytes,
                               cell_entries=cell, face_components=face)
@@ -171,31 +169,32 @@ class DGLaplaceOperator(MatrixFreeOperator):
             "dofs": float(self.n_dofs),
         }
 
-    def _face_flux(self, jump, dn, w, tau):
-        """SIP numerical flux at the quadrature points of a chunk's faces
-        (minus frame) from the jump ``[u]`` and the summed normal
-        derivatives ``dn`` of both sides: returns ``(rv, s)``, ``rv``
-        weighting the minus-side test values (the plus side gets
-        ``-rv``) and ``s = -0.5 [u] w`` the test normal derivatives of
-        both sides.  The one hook of :meth:`FaceLoop.run`."""
-        return (tau[:, None] * jump - 0.5 * dn) * w, (-0.5) * jump * w
+    def _face_coefficients(self, c, w, tau):
+        """The one hook of :meth:`FaceLoop.run`: :class:`FaceData`'s ``a =
+        s tau w`` per face and ``b = -s w c / 2`` per row (``s`` 2 on
+        Dirichlet faces, the mirror ghost) from ``c`` (3, rows, q*q) of the
+        minus, plus and Dirichlet sides of faces ``[0, Fi)``, ``[0, Fi)``,
+        ``[Fi, F)`` and ``w`` (F, q*q), ``tau`` (F,), all in table order."""
+        Fi = c.shape[1] - len(w)
+        sw = np.where(np.arange(len(w)) < Fi, 1.0, 2.0)[:, None] * w
+        return tau[:, None] * sw, -0.5 * sw[np.r_[0:Fi, 0:len(w)]] * c
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         """``x`` is (ndof,) or batch-stacked ``(*lead, ndof)``: the
-        leading axes ride along in front of the same kernels, the cell
-        term on one lane block (:meth:`DGDofHandler.to_lanes`)."""
-        u, ws = self.dof.cell_view(x), self.workspace()
-        ul = self.dof.to_lanes(u, ws)  # the cell term overwrites its own input
-        out = self.dof.from_lanes(cell_laplacian(self.kern, self.cell_metrics.laplace_d, ul, ws, ul))
-        loop, data = self.face_loop, self.face_data
-        u = u.reshape((-1,) + u.shape[-4:])
-        buf = ws.take("sip.sheets", (u.shape[0], loop.size),
-                      np.result_type(u.dtype, data.c.dtype))
-        loop.sheets(u, buf)
-        loop.run(buf, data, loop.chunks, self._face_flux, ws)
+        leading axes ride along in front of the same kernels.  One lane
+        block (:meth:`DGDofHandler.to_lanes`) gives the face sheets, then
+        takes the cell term in place and the face terms on top."""
+        ws, loop, data = self.workspace(), self.face_loop, self.face_data
+        ul = self.dof.to_lanes(self.dof.cell_view(x), ws)
+        lanes = ul.reshape((-1,) + ul.shape[-4:])
+        buf = ws.take("sip.sheets", (lanes.shape[0], loop.size),
+                      np.result_type(ul.dtype, data.a.dtype))
+        loop.sheets(lanes, buf)
+        cell_laplacian(self.kern, self.cell_metrics.laplace_d, ul, ws, ul)
+        loop.run(buf, data, loop.chunks, ws)
         loop.finish(buf)
-        loop.expand(buf, out.reshape(u.shape), ws)
-        return self.dof.flat(out)
+        loop.expand(buf, lanes, ws)
+        return self.dof.flat(self.dof.from_lanes(ul))
 
     # ------------------------------------------------------------------
     def assemble_rhs(
@@ -229,35 +228,32 @@ class DGLaplaceOperator(MatrixFreeOperator):
         except ValueError:
             raise ValueError("inconsistent ensemble sizes in boundary data") from None
         n = self.kern.n_dofs_1d
-        out = np.zeros(lead + (self.dof.n_cells, n, n, n))
+        out = np.zeros(lead + (n, n, n, self.dof.n_cells))
         if f is not None:
             pts = self.cell_metrics.points
-            fv = f(pts[0], pts[1], pts[2]) * self.cell_metrics.jxw
-            out += self.dof.from_lanes(self.kern.integrate_values(fv))
-        cells = out.reshape((-1,) + out.shape[-4:])
+            out += self.kern.integrate_values(f(pts[0], pts[1], pts[2]) * self.cell_metrics.jxw)
+        lanes = out.reshape((-1,) + out.shape[-4:])
 
         def add(lp, data, weights):  # zeroed sheets, boundary rows only: no finish
             data = np.broadcast_to(data, lead + data.shape[-2:]).reshape(
-                cells.shape[:1] + data.shape[-2:])
-            buf = np.zeros((cells.shape[0], lp.size))
+                lanes.shape[:1] + data.shape[-2:])
+            buf = np.zeros((lanes.shape[0], lp.size))
             for ch in lp.chunks:
                 R = weights(ch, data[:, ch.b0:ch.b0 + ch.F - ch.Fi])
                 lp.integrate(R, ch, buf, lp.ws, slice(ch.Fi, ch.F))
-            lp.expand(buf, cells, lp.ws)
+            lp.expand(buf, lanes, lp.ws)
 
-        def nitsche(ch, gb):  # weights of v (2 tau g w) and d_n, d_a, d_b v (-g w c)
-            faces = slice(ch.f0 + ch.Fi, ch.f0 + ch.F)
-            w = fd.jxw[faces]
-            R = np.zeros((gb.shape[0], 4) + gb.shape[1:])  # unstored c: zero weights
-            R[:, 0] = 2.0 * fd.tau[faces][:, None] * gb * w
-            R[:, 1:1 + len(fd.c)] = fd.c[:, ch.r0 + ch.Fi:ch.r0 + ch.F] * (-gb * w)[:, None]
+        def nitsche(ch, gb):  # weights of v (a g) and d_n, d_a, d_b v (b g)
+            R = np.zeros((gb.shape[0], 4) + gb.shape[1:])  # unstored b: zero weights
+            R[:, 0] = fd.a[ch.f0 + ch.Fi:ch.f0 + ch.F] * gb
+            R[:, 1:1 + len(fd.b)] = fd.b[:, ch.r0 + ch.Fi:ch.r0 + ch.F] * gb[:, None]
             return R
 
         if g is not None:
             add(loop, g, nitsche)
         if h is not None:
             add(nloop, h, lambda ch, hb: hb)
-        return self.dof.flat(out)
+        return self.dof.flat(self.dof.from_lanes(out))
 
     # ------------------------------------------------------------------
     def diagonal(self) -> np.ndarray:
@@ -266,9 +262,9 @@ class DGLaplaceOperator(MatrixFreeOperator):
         (:func:`_cell_laplace_diagonal`), the face self-couplings by one
         pass of the face loop (:meth:`FaceLoop.add_diagonal`) instead of
         one full operator application per local basis function."""
-        diag = self.dof.from_lanes(_cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d))
+        diag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
         self.face_loop.add_diagonal(self.face_data, diag)
-        return self.dof.flat(diag)
+        return self.dof.flat(self.dof.from_lanes(diag))
 
 
 class CGLaplaceOperator(MatrixFreeOperator):

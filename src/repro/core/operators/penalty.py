@@ -81,11 +81,12 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         # divergence penalty: tau_div (div u)(div v), on lane blocks.
         # ROADMAP 1(A): the swapaxes transposes the trial-side gradient;
         # the fix deletes it.
-        grads = np.swapaxes(kern.gradients_cm(self.dof.to_lanes(u)), 0, -5)
+        ul = self.dof.to_lanes(u)
+        grads = np.swapaxes(kern.gradients_cm(ul), 0, -5)
         div = contract("ilzyxc,l...izyxc->...zyxc", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None, :]
         rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
-        out = self.dof.from_lanes(kern.integrate_gradients_cm(rg))
+        out = kern.integrate_gradients_cm(rg)
         fd = self.face_data
         tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))
 
@@ -101,9 +102,9 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
             rv[:, :, :Fi] = q[:, None] * nrm
             return rv
 
-        self.loop.apply(u.reshape((-1,) + u.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
+        self.loop.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                         flux)
-        return self.dof.flat(out)
+        return self.dof.flat(self.dof.from_lanes(out))
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - inv-mass preconditioned
         raise NotImplementedError

@@ -19,7 +19,7 @@ Global DG vectors stay cell-major, ``(*lead, [3,] N, n, n, n)`` with a
 velocity's components as its innermost lead axis;
 :class:`~repro.core.dof_handler.DGDofHandler` copies between the two
 layouts (``to_lanes`` / ``from_lanes``, the cell axis ``-4`` to the
-end and back), the face loops read the cell-major cells.  Components
+end and back), and the face loops read the same lane blocks.  Components
 and members are batch axes of every kernel alike.
 
 :func:`apply_1d` itself is layout-agnostic: dimension ``d = 0`` is the

@@ -24,6 +24,7 @@ enters through the pressure-Dirichlet boundary data.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -220,10 +221,11 @@ class LungVentilationSimulation:
         settings = config.solver
         if not np.isfinite(settings.dt_max):
             # the flow starts from rest: bound the startup step by a small
-            # fraction of the fastest member's breathing period
-            settings.dt_max = min(
+            # fraction of the fastest member's breathing period (on a
+            # copy: the caller's configs stay as given)
+            settings = dataclasses.replace(settings, dt_max=min(
                 v.settings.period for v in self.ventilators
-            ) / 500.0
+            ) / 500.0)
         self.solver = IncompressibleNavierStokesSolver(
             lung_mesh.forest,
             config.degree,

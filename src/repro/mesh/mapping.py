@@ -147,7 +147,7 @@ class FaceMetrics:
              minus-frame ``(n, a, b)`` components (:func:`_jinv_n`; c_p
              None on boundary batches): the normal derivative of a trace
              is ``c[0] d_n + c[1] d_a + c[2] d_b``, so the SIP flux reads
-             3 + 3 + 1 values per interior face point, 1 + 1 + 1 from a (1, ...) ``FaceData.c``.
+             3 + 3 + 1 values per interior face point, 1 + 1 + 1 from a (1, ...) ``FaceData.b``.
     penalty: (F,)            SIP penalty scale max(A_f/V_m, A_f/V_p)
     points:  (F, 3, qa, qb)  physical quadrature points
     """

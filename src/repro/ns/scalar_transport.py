@@ -80,11 +80,11 @@ class ScalarAdvectionOperator:
         kern = self.kern
         cmx = self.cell_metrics
         # cell term: -int c u . grad(v), on lane blocks
-        cq = kern.values(self.dof_c.to_lanes(c))
-        uq = kern.values(self.dof_u.to_lanes(u))
+        cl, ul = self.dof_c.to_lanes(c), self.dof_u.to_lanes(u)
+        cq, uq = kern.values(cl), kern.values(ul)
         coeff = -(cq * cmx.jxw)
         rg = contract("ilzyxc,izyxc,zyxc->lzyxc", cmx.jinv_t, uq, coeff)
-        out = self.dof_c.from_lanes(kern.integrate_gradients_cm(rg))
+        out = kern.integrate_gradients_cm(rg)
         fd, c_in = self.face_data, self._c_in
 
         def flux(v, ch):
@@ -99,13 +99,12 @@ class ScalarAdvectionOperator:
             un = contract("ifq,ifq->fq", fd.normal[:, ch.f0:ch.f0 + F], um)
             return self._upwind(c_m, c_p, un) * fd.jxw[ch.f0:ch.f0 + F]
 
-        fields = np.concatenate([c[None], u])
-        self.loop.apply(fields, out[None], flux)
-        return self.dof_c.flat(out)
+        self.loop.apply(np.concatenate([cl[None], ul]), out[None], flux)
+        return self.dof_c.flat(self.dof_c.from_lanes(out))
 
     def boundary_mean(self, c_flat: np.ndarray, boundary_id: int) -> float:
         """Area-weighted mean of the concentration over one boundary id."""
-        c = self.loop.boundary_values(self.dof_c.cell_view(c_flat)[None])[0]
+        c = self.loop.boundary_values(self.dof_c.to_lanes(self.dof_c.cell_view(c_flat))[None])[0]
         sel = self.loop.bids == boundary_id
         w = self.face_data.jxw[self.loop.bface[sel]]
         return float((c[sel] * w).sum() / w.sum())

@@ -366,8 +366,8 @@ class IncompressibleNavierStokesSolver:
         omega = self.compute_vorticity(sum(b * u for b, u in zip(beta, u_history)))
         for weight, field in [*zip(beta, u_history), (None, omega)]:
             src = wall.scratch(wall.ws, "fl.src", (3 * total.shape[0], wall.size), field.dtype)
-            u = self.dof_u.cell_view(field)
-            wall.sheets(u.reshape((-1,) + u.shape[-4:]), src)
+            ul = self.dof_u.to_lanes(self.dof_u.cell_view(field))
+            wall.sheets(ul.reshape((-1,) + ul.shape[-4:]), src)
             for ch in wall.chunks:
                 b = slice(ch.b0, ch.b0 + ch.F - ch.Fi)
                 Q = wall.trace(src, ch, wall.ws, slice(ch.Fi, ch.F), full=True)
@@ -385,9 +385,9 @@ class IncompressibleNavierStokesSolver:
         dst = np.zeros((h.shape[0], ploop.size))
         for ch in ploop.chunks:
             ploop.integrate(h[:, ch.b0:ch.b0 + ch.F - ch.Fi], ch, dst, ploop.ws, slice(ch.Fi, ch.F))
-        out = np.zeros((h.shape[0], self.dof_p.n_cells) + (self.dof_p.n1,) * 3)
+        out = np.zeros((h.shape[0],) + (self.dof_p.n1,) * 3 + (self.dof_p.n_cells,))
         ploop.expand(dst, out, ploop.ws)
-        return self.dof_p.flat(out.reshape(lead + out.shape[1:]))
+        return self.dof_p.flat(self.dof_p.from_lanes(out.reshape(lead + out.shape[1:])))
 
     def _viscous_boundary_rhs(self, t: float):
         """Weak velocity-Dirichlet data of the viscous step: every wall's
@@ -557,9 +557,9 @@ class IncompressibleNavierStokesSolver:
 
     def _flow_rates_of(self, u_flat: np.ndarray, boundary_ids):
         loop, fd = self.divergence.loop_u, self.divergence.face_data
-        u = self.dof_u.cell_view(u_flat)
-        v = loop.boundary_values(u.reshape((-1,) + u.shape[-4:]))
-        v = v.reshape(u.shape[:-4] + v.shape[1:])
+        ul = self.dof_u.to_lanes(self.dof_u.cell_view(u_flat))
+        v = loop.boundary_values(ul.reshape((-1,) + ul.shape[-4:]))
+        v = v.reshape(ul.shape[:-4] + v.shape[1:])
         un = contract("ifq,...ifq->...fq", fd.normal[:, loop.bface], v)
         q = (un * fd.jxw[loop.bface]).sum(axis=-1)
         return q @ (loop.bids[:, None] == np.asarray(boundary_ids)).astype(q.dtype)

@@ -19,8 +19,8 @@ mirrors Kronbichler & Kormann's overlap strategy:
 3. **interior** — the cell term, the fully owned faces and the owned
    Dirichlet faces run while neighbor data is (potentially) in flight,
 4. **wait/unpack** — the worker spins until every source neighbor has
-   posted the current round, gathers the inboxes into a ghost-cell
-   array, and runs the cut faces,
+   posted the current round, gathers the inboxes into the ghost cells'
+   lane block, and runs the cut faces,
 5. **accumulate** — the residual sheets are expanded onto the cell
    term, and the owned slice of the result vector is written to the
    shared output buffer.
@@ -291,32 +291,31 @@ class RankLocalOperator:
 
     # -- phases --------------------------------------------------------
     def interior(self, u: np.ndarray):
-        """Cell term plus every face that needs no ghost data; returns
-        the round's state for :meth:`cut` and :meth:`accumulate`."""
+        """Cell term plus every face that needs no ghost data, on one lane
+        block; returns the state for :meth:`cut` and :meth:`accumulate`."""
         op = self.op
-        ws = op.workspace()
-        ul = op.dof.to_lanes(u, ws)
-        base = op.dof.from_lanes(cell_laplacian(op.kern, self._laplace_d, ul, ws, ul))
-        u = u.reshape((math.prod(u.shape[:-4]),) + u.shape[-4:])
-        buf = self.ws.take("sip.sheets", (u.shape[0], self.faces.size), base.dtype)
-        self.faces.sheets(u, buf)
-        self.faces.run(buf, self.data, self.faces.phases[0], op._face_flux, self.ws)
-        return base, buf
+        ul = op.dof.to_lanes(u, self.ws)
+        lanes = ul.reshape((math.prod(ul.shape[:-4]),) + ul.shape[-4:])
+        buf = self.ws.take("sip.sheets", (lanes.shape[0], self.faces.size), ul.dtype)
+        self.faces.sheets(lanes, buf)
+        cell_laplacian(op.kern, self._laplace_d, ul, op.workspace(), ul)
+        self.faces.run(buf, self.data, self.faces.phases[0], self.ws)
+        return ul, buf
 
     def cut(self, state, ug: np.ndarray) -> None:
-        """The partition-crossing faces, once the ghost cells ``ug``
-        have arrived."""
+        """The partition-crossing faces, once the ghost cells' lane
+        block ``ug`` has arrived."""
         buf = state[1]
         self.faces.sheets(ug.reshape(buf.shape[:1] + ug.shape[-4:]), buf,
                           lo=self.rank_plan.n_cells)
-        self.faces.run(buf, self.data, self.faces.phases[1], self.op._face_flux, self.ws)
+        self.faces.run(buf, self.data, self.faces.phases[1], self.ws)
 
     def accumulate(self, state) -> np.ndarray:
         """Add the owned residual sheets onto the cell term."""
-        base, buf = state
+        ul, buf = state
         self.faces.finish(buf)
-        self.faces.expand(buf, base.reshape(buf.shape[:1] + base.shape[-4:]), self.ws)
-        return base
+        self.faces.expand(buf, ul.reshape(buf.shape[:1] + ul.shape[-4:]), self.ws)
+        return self.op.dof.from_lanes(ul)
 
     def owned(self, x: np.ndarray) -> np.ndarray:
         """The owned cells of a flat ``(*lead, n_dofs)`` vector, as a
@@ -330,15 +329,15 @@ class RankLocalOperator:
         return u[..., self.rank_plan.send[dst], :, :, :]
 
     def ghosts(self, inbox, lead: tuple, dtype, peers: list | None = None):
-        """The ghost-cell array assembled from the per-source payloads
-        ``inbox[src]``; with a ``peers`` list each source's copy is
-        appended to it as an ``("unpack", src, t0, t1)`` interval."""
+        """The ghost cells' lane block ``(*lead, n1, n1, n1, ghosts)``
+        assembled from the per-source payloads ``inbox[src]``; with a
+        ``peers`` list each source's copy is appended to it as an
+        ``("unpack", src, t0, t1)`` interval."""
         rp = self.rank_plan
-        ug = np.empty(lead + (rp.ghosts.size,) + (self.plan.n1,) * 3,
-                      dtype=dtype)
+        ug = np.empty(lead + (self.plan.n1,) * 3 + (rp.ghosts.size,), dtype=dtype)
         for src, slots in rp.recv.items():
             ts = time.perf_counter()
-            ug[..., slots, :, :, :] = inbox[src]
+            ug[..., slots] = np.moveaxis(inbox[src], -4, -1)
             if peers is not None:
                 peers.append(("unpack", src, ts, time.perf_counter()))
         return ug

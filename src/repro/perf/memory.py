@@ -37,9 +37,9 @@ def laplace_transfer(degree: int, n_q: int | None = None, precision_bytes: int =
       3 x (k+1)^3 values per component,
     * cell metric block D_e: the ``cell_entries`` (6, or 3 if diagonal)
       stored entries of ``laplace_d`` (JxW folded in) per quadrature point,
-    * face metric data: the stored ``J^{-1} n`` components of both sides
-      (3 + 3, or 1 + 1) + JxW (1) per face quadrature point, 6 faces
-      shared between 2 cells -> 3 face-sheets per cell,
+    * face metric data: the flux coefficients of ``J^{-1} n`` stored for
+      both sides (3 + 3, or 1 + 1) + the penalty weight (1) per face
+      quadrature point, 6 faces shared between 2 cells -> 3 face-sheets per cell,
     * ~8 integers of connectivity metadata per cell.
 
     The metric terms are what the kernel stores and streams

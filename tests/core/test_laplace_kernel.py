@@ -69,23 +69,22 @@ class TestStorageEqualsTransferModel:
         assert D.dtype == dtype and D.shape == (6, nq, nq, nq, op.dof.n_cells)
         cell_bytes = D.nbytes // op.dof.n_cells
         # faces: the one store the face loop reads — 7 values per
-        # interior face quadrature point (c_m, c_p, jxw), 4 per Dirichlet
-        # face (c, jxw), plus tau per face
+        # interior face quadrature point (b of both sides, a), 4 per
+        # Dirichlet face (b, a)
         fd = op.face_data
         probe = op.face_data = _Recording(fd)
         try:
             op.vmult(rng.standard_normal(op.n_dofs).astype(dtype))
         finally:
             op.face_data = fd
-        assert probe.read == {"c", "jxw", "tau"}
+        assert probe.read == {"a", "b"}
         assert all(getattr(fd, name).dtype == dtype for name in probe.read)
         n_int = conn.n_interior_faces
         n_dir = sum(b.n_faces for b in conn.boundary if b.boundary_id in op.dirichlet_ids)
-        assert fd.c.shape == (3, 2 * n_int + n_dir, nq * nq)
-        assert fd.jxw.shape == (n_int + n_dir, nq * nq)
-        assert fd.tau.shape == (n_int + n_dir,)
+        assert fd.b.shape == (3, 2 * n_int + n_dir, nq * nq)
+        assert fd.a.shape == (n_int + n_dir, nq * nq)
         face_bytes = 7 * nq * nq * pb
-        assert fd.c.nbytes + fd.jxw.nbytes == n_int * face_bytes + n_dir * 4 * nq * nq * pb
+        assert fd.b.nbytes + fd.a.nbytes == n_int * face_bytes + n_dir * 4 * nq * nq * pb
         # stored once: every array the clone does not share with its
         # master is at the compute dtype (no second, float64 copy)
         for name, value in vars(op).items():
@@ -219,7 +218,7 @@ class TestFaceWorkScalesWithChunks:
         lung = airway_tree_mesh(grow_airway_tree(cfg.generations, scale=cfg.scale, seed=cfg.seed))
         lung_op = _pressure_operator(lung.forest, (INLET_ID, *lung.outlet_ids))
         box_op = _pressure_operator(_beltrami_box(SHEAR), ())
-        assert len(lung_op.face_data.c) == len(box_op.face_data.c) == 3
+        assert len(lung_op.face_data.b) == len(box_op.face_data.b) == 3
         n_batches = len(lung_op.conn.interior) + sum(
             b.boundary_id in lung_op.dirichlet_ids for b in lung_op.conn.boundary)
         assert n_batches > 2 * len(box_op.conn.interior)
@@ -231,7 +230,7 @@ class TestFaceWorkScalesWithChunks:
         box sheared."""
         sheared = _pressure_operator(_beltrami_box(SHEAR), ())
         aligned = _pressure_operator(_beltrami_box(), ())
-        assert (len(aligned.face_data.c), len(sheared.face_data.c)) == (1, 3)
+        assert (len(aligned.face_data.b), len(sheared.face_data.b)) == (1, 3)
         chunks = len(aligned.face_loop.chunks)
         assert chunks == len(sheared.face_loop.chunks)
         assert (_matmul_calls(sheared, monkeypatch) - _matmul_calls(aligned, monkeypatch)

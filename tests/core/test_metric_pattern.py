@@ -48,7 +48,7 @@ def _operator(forest, degree=2, dirichlet_ids=(1,)) -> DGLaplaceOperator:
 
 def _pattern(op) -> tuple[int, int]:
     """Stored cell metric entries and face coefficient components."""
-    return len(op.cell_metrics.laplace_d), len(op.face_data.c)
+    return len(op.cell_metrics.laplace_d), len(op.face_data.b)
 
 
 class TestDetection:

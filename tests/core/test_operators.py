@@ -299,7 +299,7 @@ class TestCGLaplace:
         conn = dof.connectivity
         assert any(b.is_hanging for b in conn.interior)
         loop = FaceLoop.of(geo.kernel, f.n_cells, conn.interior, [], sheets=2)
-        buf = np.moveaxis(cells, -1, 0).reshape(1, -1)  # the loop reads cell-major cells
+        buf = cells.reshape(1, -1)  # the loop reads the lane block
         for ch in loop.chunks:
             v = loop.trace(buf, ch, loop.ws)
             assert np.allclose(v[:, :ch.Fi], v[:, ch.F:], atol=1e-10)

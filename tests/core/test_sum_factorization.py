@@ -136,8 +136,10 @@ class TestFaceKernels:
                         (np.arange(2), np.full(2, face), np.zeros(2, np.intp)))
 
     def _trace(self, loop, u, full=True):
+        """Traces of the cells ``u`` (L, 2, n, n, n) through their lane
+        block."""
         buf = np.empty((u.shape[0], loop.size))
-        loop.sheets(u, buf)
+        loop.sheets(np.ascontiguousarray(np.moveaxis(u, 1, -1)), buf)
         (ch,) = loop.chunks
         return loop.trace(buf, ch, loop.ws, slice(0, 2), full).copy()
 
@@ -146,9 +148,9 @@ class TestFaceKernels:
         buf = np.zeros((R.shape[0], loop.size))
         (ch,) = loop.chunks
         loop.integrate(R, ch, buf, loop.ws, slice(0, 2))
-        out = np.zeros((R.shape[0], 2) + (loop.n1,) * 3)
+        out = np.zeros((R.shape[0],) + (loop.n1,) * 3 + (2,))
         loop.expand(buf, out, loop.ws)
-        return out
+        return np.moveaxis(out, -1, 1)
 
     @staticmethod
     def _reference_order(face, frame):
@@ -231,13 +233,13 @@ class TestValueLoopAdjoint:
         loop_p, _ = value_faces(geo, conn, TensorProductKernel(1, 3))
         for ch, ch_p in zip(loop.chunks, loop_p.chunks):
             assert ch[:6] == ch_p[:6]
-        u = rng.standard_normal((2, forest.n_cells, 3, 3, 3))
-        buf = u.reshape(2, -1)  # value rows gather straight from the cells
+        u = rng.standard_normal((2, 3, 3, 3, forest.n_cells))  # a lane block
+        buf = u.reshape(2, -1)  # value rows gather straight from the nodes
         out = np.zeros_like(u)
         dst = np.empty((2, loop.size))
         rhs = 0.0
         for ch in loop.chunks:
-            R = rng.standard_normal((2,) + ch.idx.shape[1:2] + (9,))
+            R = rng.standard_normal((2,) + ch.idx.shape[2:] + (9,))
             rhs += np.sum(R * loop.trace(buf, ch, loop.ws))
             loop.integrate(R, ch, dst, loop.ws)
         loop.finish(dst)

@@ -46,6 +46,19 @@ class TestConstruction:
         assert sim.solver.velocity.shape == (3, sim.solver.dof_u.n_dofs)
         assert "windkessel_resistance_scale" in MEMBER_VARIABLE_FIELDS
 
+    def test_member_list_builds_twice_unchanged(self):
+        """The start-up bound on dt goes into the solver's copy of the
+        shared settings, not into the caller's configs: one member list
+        builds any number of simulations."""
+        configs = [quick_config(), quick_config(windkessel_resistance_scale=1.5)]
+        before = [c.to_dict() for c in configs]
+        first = LungVentilationSimulation(configs)
+        second = LungVentilationSimulation(configs)
+        assert [c.to_dict() for c in configs] == before
+        assert configs[0].solver.dt_max == float("inf")
+        assert np.isfinite(first.solver.settings.dt_max)
+        assert first.solver.settings.dt_max == second.solver.settings.dt_max
+
 
 class TestE1Bitwise:
     def test_single_member_matches_scalar_simulation(self):

@@ -87,8 +87,8 @@ class TestGhostExchange:
             mail = rt.mailbox(x)
             assert any(mail.values())  # there is at least one cut face
             for rlo in rt.locals:
-                ug = rlo.ghosts(mail[rlo.rank], lead, x.dtype)
-                assert np.array_equal(ug, u[..., rlo.rank_plan.ghosts, :, :, :])
+                ug = rlo.ghosts(mail[rlo.rank], lead, x.dtype)  # a lane block
+                assert np.array_equal(np.moveaxis(ug, -1, -4), u[..., rlo.rank_plan.ghosts, :, :, :])
 
     def test_message_count_positive(self):
         forest = Forest(box(subdivisions=(4, 1, 1)))

@@ -42,10 +42,13 @@ class _LaplaceWithoutConsistencyTerms(DGLaplaceOperator):
     This is exactly the class of bug (a lost face-integral term) the
     rate gate exists to catch: the operator stays symmetric positive
     definite and produces plausible-looking solutions, but the scheme is
-    inconsistent and the L2 order collapses."""
+    inconsistent and the L2 order collapses.  The coefficient hook
+    keeps the penalty ``a`` and zeroes ``b``, the weight of every
+    normal derivative."""
 
-    def _face_flux(self, jump, dn, w, tau):
-        return tau[:, None] * jump * w, np.zeros_like(jump)
+    def _face_coefficients(self, c, w, tau):
+        a, b = super()._face_coefficients(c, w, tau)
+        return a, np.zeros_like(b)
 
 
 class TestGateCatchesInjectedBug:
