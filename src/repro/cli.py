@@ -75,9 +75,6 @@ def _write_timeline_trace(ctx, path, quiet=False):
     analysis = analyze_timeline(events, rank_bytes=rank_bytes)
     meta = {
         "rank_exchange_bytes": {str(k): v for k, v in rank_bytes.items()},
-        "clock_offsets_s": {str(k): v
-                            for k, v in ctx.pool.clock_offsets.items()},
-        "clock_rtts_s": {str(k): v for k, v in ctx.pool.clock_rtts.items()},
     }
     out = write_chrome_trace(path, events, meta=meta)
     if not quiet:
@@ -381,9 +378,7 @@ def cmd_report(args) -> int:
 
         output = args.output or str(args.run_log) + ".html"
         try:
-            path = write_html_dashboard(
-                args.run_log, output, metrics_paths=args.metrics or ()
-            )
+            path = write_html_dashboard(args.run_log, output)
         except (OSError, ValueError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
@@ -452,10 +447,6 @@ def cmd_trace(args) -> int:
         print(json.dumps(analysis))
         return 0
     print(f"trace: {args.trace_file}")
-    if meta.get("clock_rtts_s"):
-        tol = max(meta["clock_rtts_s"].values()) / 2.0
-        print(f"clock-offset tolerance: {tol * 1e6:.1f} us "
-              f"(half the worst handshake round-trip)")
     print(render_timeline(analysis))
     exchange = render_exchange(analysis, MACHINES[args.machine])
     if exchange:
@@ -615,35 +606,23 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    """Render, aggregate, or re-export metric snapshot files."""
+    """Render a run's metric list, or export it as Prometheus text."""
     from .telemetry.metrics import (
         doc_to_prometheus,
         load_metrics,
-        merge_snapshots,
         render_metrics_table,
     )
 
     try:
-        docs = [load_metrics(p) for p in args.files]
+        doc = load_metrics(args.file)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        doc = docs[0] if len(docs) == 1 else merge_snapshots(docs)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
     if args.action == "render":
         print(render_metrics_table(doc))
         return 0
-    if args.action == "aggregate":
-        # always a full merge, so one worker's file normalizes the same
-        # way as many (meta records the worker count)
-        doc = merge_snapshots(docs)
-        text = json.dumps(doc, indent=2, allow_nan=True) + "\n"
-    else:  # export: Prometheus textfile
-        text = doc_to_prometheus(doc)
+    text = doc_to_prometheus(doc)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)
@@ -902,9 +881,6 @@ def main(argv=None) -> int:
     p.add_argument("--output", type=str, default=None,
                    help="with --html: dashboard path "
                         "(default: <run_log>.html)")
-    p.add_argument("--metrics", type=str, nargs="*", default=None,
-                   help="with --html: metric snapshot file(s) for the "
-                        "catalog section (merged when several)")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser(
@@ -995,16 +971,15 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "metrics",
-        help="render, aggregate, or re-export metric snapshot files",
+        help="render a run's metric list or export it as Prometheus text",
     )
-    p.add_argument("action", choices=("render", "aggregate", "export"),
-                   help="render a summary table, aggregate per-worker "
-                        "snapshots into one JSON document, or export "
-                        "the Prometheus textfile")
-    p.add_argument("files", nargs="+",
-                   help="metric snapshot file(s) written with "
-                        "--metrics-file, or .jsonl run logs whose summary "
-                        "carries metrics (merged when several)")
+    p.add_argument("action", choices=("render", "export"),
+                   help="render a summary table, or export the "
+                        "Prometheus textfile")
+    p.add_argument("file",
+                   help="a JSON metric snapshot written with "
+                        "--metrics-file x.json, or a .jsonl run log whose "
+                        "summary carries metrics")
     p.add_argument("--output", type=str, default=None,
                    help="write the result here instead of stdout")
     p.set_defaults(fn=cmd_metrics)

@@ -110,11 +110,6 @@ _WORKER_WAIT_SPINS = METRICS.histogram(
 #: ``repro lung --crash-after-step`` fault hook uses
 CRASH_EXIT_CODE = 137
 
-#: worker->master clock-offset handshake probes at pool startup; the
-#: best (lowest-RTT) sample wins and half its RTT bounds the offset
-#: error (the "clock-offset tolerance" TESTING.md documents)
-_CLOCK_PROBES = 7
-
 
 class WorkerCrash(RuntimeError):
     """A worker process died (or errored) during a pool operation.
@@ -461,11 +456,6 @@ class WorkerPool:
         #: rank -> the ``(round, stamps, peers)`` records of its completed
         #: rounds (kept only with ``trace_timeline``)
         self._rounds: dict[int, list] = {r: [] for r in range(self.n_workers)}
-        #: per-rank worker-clock minus master-clock offsets (handshake
-        #: estimate; subtracted when merging timelines) and the half-RTT
-        #: uncertainty of each estimate
-        self.clock_offsets: dict[int, float] = {}
-        self.clock_rtts: dict[int, float] = {}
         self.shm_prefix = f"repro{os.getpid()}p{next(_pool_ids)}"
 
     # -- lifecycle -----------------------------------------------------
@@ -505,30 +495,7 @@ class WorkerPool:
             self._procs.append(proc)
             self._pipes.append(parent)
         atexit.register(self.close)
-        if self.trace_timeline:
-            self._clock_sync()
         return self
-
-    def _clock_sync(self, probes: int = _CLOCK_PROBES) -> None:
-        """Ping-pong each worker and keep the lowest-RTT sample: the
-        offset estimate is ``t_worker - midpoint(send, recv)`` and its
-        error is bounded by half that RTT.  (With ``fork`` on Linux all
-        processes share ``CLOCK_MONOTONIC``, so the offsets are pure
-        handshake noise — the handshake exists so the merge logic is
-        already correct for transports whose clocks genuinely differ.)"""
-        for r in range(self.n_workers):
-            best_rtt = float("inf")
-            offset = 0.0
-            for _ in range(probes):
-                t0 = time.perf_counter()
-                reply = self._command(r, ("clock",))
-                t1 = time.perf_counter()
-                rtt = t1 - t0
-                if rtt < best_rtt:
-                    best_rtt = rtt
-                    offset = reply[2] - 0.5 * (t0 + t1)
-            self.clock_offsets[r] = offset
-            self.clock_rtts[r] = best_rtt
 
     @property
     def plan(self) -> PartitionPlan:
@@ -614,10 +581,10 @@ class WorkerPool:
 
     # -- timeline ------------------------------------------------------
     def timeline_events(self) -> list[dict]:
-        """The merged global timeline (master clock, rebased to t=0) of
+        """The merged global timeline (shared clock, shifted to t=0) of
         every round recorded so far (empty without ``trace_timeline``);
         see :func:`repro.telemetry.timeline.merge_timeline`."""
-        return merge_timeline(self._rounds, self.clock_offsets)
+        return merge_timeline(self._rounds)
 
     def worker_phase_totals(self) -> dict:
         """Cumulative per-rank phase seconds,
@@ -920,8 +887,6 @@ def _worker_main(rank, pipe, ops, plan, prefix) -> None:
                 elif kind == "crash":
                     state.crash = msg[1]
                     pipe.send(("ok", rank))
-                elif kind == "clock":
-                    pipe.send(("clock", rank, time.perf_counter()))
                 else:
                     pipe.send(("error", f"unknown command {kind!r}"))
             except Exception as exc:  # noqa: BLE001 - reported to master
@@ -1017,7 +982,7 @@ class DistributedSolverContext:
         self.census = self.pool.census()
 
     def timeline_events(self) -> list[dict]:
-        """Merged master-clock timeline of the pool's rounds so far."""
+        """Merged timeline of the pool's rounds so far."""
         return self.pool.timeline_events()
 
     def rank_exchange_bytes(self) -> dict:

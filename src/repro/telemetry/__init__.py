@@ -1,12 +1,11 @@
 """Solver telemetry: hierarchical tracing spans, the solver-health
 metric registry, per-step run-log sinks, and run reports.
 
-Spans time, metrics count.  The solve stack (time integrator,
-Krylov/multigrid solvers, matrix-free operators) opens spans on the
-process-global :data:`TRACER` and records counters, gauges and
-histograms in the process-global :data:`METRICS` registry; both are
-disabled by default and cost one attribute check per call site when
-off.  Enable them (``repro lung --trace`` turns on both,
+The solve stack (time integrator, Krylov/multigrid solvers, matrix-free
+operators) opens spans on the process-global :data:`TRACER` and records
+counters, gauges and histograms in the process-global :data:`METRICS`
+registry; both are disabled by default and cost one attribute check per
+call site when off.  Enable them (``repro lung --trace`` turns on both,
 ``--metrics-file`` the registry alone) to collect a hierarchical
 wall-time profile with per-region call counts, per-sub-step timings,
 the analytic work-model annotations behind ``repro roofline``, and the
@@ -14,6 +13,12 @@ solver-health metrics; pair them with :class:`RunLogWriter` to stream a
 schema-versioned JSONL record per time step that ``repro report``
 aggregates into the paper's Table-2-style breakdown and ``repro
 monitor`` tails while the run is still executing.
+
+A run's metrics are one record, the metric list of
+:func:`~repro.telemetry.metrics.snapshot_doc`: the run log's summary
+footer carries it, ``--metrics-file x.json`` writes it, and
+:func:`load_metrics` reads either back.  Prometheus text
+(``--metrics-file x.prom``) is written, never read.
 """
 
 from .dashboard import render_html_dashboard, write_html_dashboard
@@ -22,8 +27,6 @@ from .metrics import (
     MetricRegistry,
     export_metrics,
     load_metrics,
-    merge_snapshots,
-    parse_prometheus,
     snapshot_doc,
     to_prometheus,
     write_prometheus,
@@ -75,8 +78,6 @@ __all__ = [
     "write_chrome_trace",
     "export_metrics",
     "load_metrics",
-    "merge_snapshots",
-    "parse_prometheus",
     "snapshot_doc",
     "to_prometheus",
     "write_prometheus",

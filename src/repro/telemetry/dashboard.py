@@ -1,11 +1,11 @@
 """Self-contained HTML run dashboard (``repro report --html``).
 
-Renders a JSONL run log — plus optional metric snapshot documents —
-into a single HTML file with no external assets: stat tiles for the
-headline numbers, inline-SVG sparklines for the per-step series (step
-rate, realized CFL, pressure residual, solver iterations, step size,
-recovery activity, and the ventilation series when present), the
-robustness/fault history, and the metric catalog.
+Renders a JSONL run log into a single HTML file with no external
+assets: stat tiles for the headline numbers, inline-SVG sparklines for
+the per-step series (step rate, realized CFL, pressure residual, solver
+iterations, step size, recovery activity, and the ventilation series
+when present), the robustness/fault history, and the metric catalog
+with the values the run's summary carries.
 
 Design notes: single-series sparklines carry no legend (the card title
 names the series); values and labels wear text colors, never the series
@@ -19,7 +19,7 @@ import html
 import math
 from pathlib import Path
 
-from .metrics import METRICS, load_metrics, merge_snapshots
+from .metrics import METRICS
 from .report import robustness_rows
 from .sinks import read_run_log
 
@@ -187,15 +187,16 @@ def _deltas(cumulative) -> list[float]:
     return out
 
 
-def _catalog_table(snapshot: dict | None) -> str:
-    """Metric catalog + current values from a snapshot document; falls
-    back to the registered catalog when no snapshot was supplied."""
-    if snapshot is None:
+def _catalog_table(metrics: list[dict] | None) -> str:
+    """Metric catalog + values from a run summary's metric list; falls
+    back to the registered catalog, without values, for a run that
+    recorded no metrics."""
+    if metrics is None:
         entries = METRICS.catalog()
         for e in entries:
             e["samples"] = []
     else:
-        entries = snapshot.get("metrics", [])
+        entries = metrics
     if not entries:
         return '<p class="empty">no metrics recorded</p>'
     rows = []
@@ -211,6 +212,9 @@ def _catalog_table(snapshot: dict | None) -> str:
             value = f"n={count}, mean={_fmt_num(mean)}"
         elif len(samples) == 1:
             value = _fmt_num(samples[0].get("value", float("nan")))
+        elif m["type"] == "counter":
+            total = sum(s.get("value", 0.0) for s in samples)
+            value = f"{_fmt_num(total)} ({len(samples)} series)"
         else:
             value = f"{len(samples)} series"
         rows.append(
@@ -274,7 +278,6 @@ def render_html_dashboard(
     header: dict,
     steps: list[dict],
     summary: dict | None,
-    snapshot: dict | None = None,
     title: str = "repro run dashboard",
 ) -> str:
     """Render one self-contained HTML page from parsed run-log parts."""
@@ -377,24 +380,17 @@ def render_html_dashboard(
 <h2>Robustness</h2>
 {robustness}
 <h2>Metric catalog</h2>
-{_catalog_table(snapshot)}
+{_catalog_table((summary or {}).get("metrics"))}
 </body>
 </html>
 """
 
 
-def write_html_dashboard(
-    run_log, output, metrics_paths=(), title: str | None = None
-) -> Path:
-    """Render ``run_log`` (+ optional metric snapshot files, merged) to
-    a self-contained HTML file at ``output``."""
+def write_html_dashboard(run_log, output, title: str | None = None) -> Path:
+    """Render ``run_log`` to a self-contained HTML file at ``output``."""
     header, steps, summary = read_run_log(run_log, on_corrupt="warn")
-    snapshot = None
-    docs = [load_metrics(p) for p in metrics_paths]
-    if docs:
-        snapshot = docs[0] if len(docs) == 1 else merge_snapshots(docs)
     html_text = render_html_dashboard(
-        header, steps, summary, snapshot,
+        header, steps, summary,
         title=title or f"repro run — {Path(run_log).name}",
     )
     output = Path(output)

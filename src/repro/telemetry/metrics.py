@@ -24,21 +24,16 @@ enforces it) and every recording entry point is a single attribute
 check while the registry is disabled.  Call sites that would build
 dynamic label values or f-strings guard on ``METRICS.enabled`` first.
 
-Exporters:
+One record is read back: the metric list :func:`snapshot_doc` builds.
+``--metrics-file x.json`` writes it as a schema-versioned JSON document
+(``repro/metrics/1``), a run log's summary footer carries it as-is, and
+:func:`load_metrics` reads either.  The Prometheus text exposition
+format is an export only:
 
-* :func:`to_prometheus` / :func:`write_prometheus` — the Prometheus
-  text exposition format (a ``.prom`` textfile for the node-exporter
-  textfile collector), with :func:`parse_prometheus` as the matching
-  reader so tests can round-trip what we emit;
-* :func:`snapshot_doc` — a schema-versioned JSON document
-  (``repro/metrics/1``); :func:`load_metrics` reads it back, as well as
-  a Prometheus textfile or the ``metrics`` list a run-log summary
-  carries;
-* :func:`merge_snapshots` — the cross-process aggregator that merges
-  per-worker snapshot documents: counters are summed, gauges take the
-  last write (argument order), histogram buckets are merged
-  element-wise.  The merge is associative, which is what allows a
-  tree-shaped reduction over many workers.
+* :func:`to_prometheus` / :func:`write_prometheus` /
+  :func:`doc_to_prometheus` — a ``.prom`` textfile for the
+  node-exporter textfile collector (``--metrics-file x.prom``,
+  ``repro metrics export``); nothing in the package parses it back.
 """
 
 from __future__ import annotations
@@ -407,14 +402,11 @@ def snapshot_doc(registry: MetricRegistry, meta: dict | None = None) -> dict:
 
 
 def load_metrics(path) -> dict:
-    """Read a metrics file as a snapshot document: a JSON snapshot
-    document, a ``.prom``/``.txt`` Prometheus textfile parsed back
-    through :func:`parse_prometheus`, or a ``.jsonl`` run log, whose
-    summary footer carries the run's merged ``metrics`` list
-    (``repro lung --log-file`` with ``--trace`` or ``--metrics-file``)."""
+    """Read a metric list as a snapshot document: a JSON snapshot
+    document, or a ``.jsonl`` run log, whose summary footer carries the
+    run's ``metrics`` list (``repro lung --log-file`` with ``--trace``
+    or ``--metrics-file``)."""
     path = Path(path)
-    if path.suffix in (".prom", ".txt"):
-        return parse_prometheus(path.read_text())
     if path.suffix == ".jsonl":
         header, _, summary = read_run_log(path)
         if not summary or "metrics" not in summary:
@@ -424,7 +416,14 @@ def load_metrics(path) -> dict:
             )
         meta = {k: v for k, v in header.items() if k not in ("type", "schema")}
         return {"schema": SCHEMA, "meta": meta, "metrics": summary["metrics"]}
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError:
+        raise ValueError(
+            f"{path}: not JSON — metrics are read from a {SCHEMA} JSON "
+            "snapshot (--metrics-file x.json) or a .jsonl run log; "
+            "Prometheus text is an export only"
+        ) from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise ValueError(
@@ -434,108 +433,6 @@ def load_metrics(path) -> dict:
     doc.setdefault("meta", {})
     doc.setdefault("metrics", [])
     return doc
-
-
-# ----------------------------------------------------------------------
-# cross-process aggregation
-# ----------------------------------------------------------------------
-def _sample_key(sample: dict) -> tuple[str, ...]:
-    return tuple(sample.get("labels", ()))
-
-
-def merge_snapshots(docs) -> dict:
-    """Merge per-worker snapshot documents into one.
-
-    Counters are summed per label tuple, gauges take the **last**
-    write (argument order — pass workers in a stable order), histogram
-    bucket counts are merged element-wise (bucket edges must agree).
-    The operation is associative: merging pairwise in any grouping
-    yields the same document, so many workers can be reduced in a
-    tree.
-    """
-    docs = list(docs)
-    merged: dict[str, dict] = {}
-    for doc in docs:
-        if doc.get("schema") != SCHEMA:
-            raise ValueError(
-                f"cannot merge metrics schema {doc.get('schema')!r} "
-                f"(expected {SCHEMA!r})"
-            )
-        for m in doc.get("metrics", []):
-            name = m["name"]
-            tgt = merged.get(name)
-            if tgt is None:
-                tgt = merged[name] = {
-                    "name": name,
-                    "type": m["type"],
-                    "help": m.get("help", ""),
-                    "labels": list(m.get("labels", [])),
-                    "source": m.get("source", ""),
-                    "samples": {},
-                }
-                if m["type"] == "histogram":
-                    tgt["buckets"] = list(m.get("buckets", []))
-            else:
-                if tgt["type"] != m["type"] or tgt["labels"] != list(
-                    m.get("labels", [])
-                ):
-                    raise ValueError(
-                        f"metric {name!r}: conflicting type/labels across "
-                        "workers"
-                    )
-                if m["type"] == "histogram" and tgt["buckets"] != list(
-                    m.get("buckets", [])
-                ):
-                    raise ValueError(
-                        f"histogram {name!r}: bucket edges differ across "
-                        "workers — cannot merge"
-                    )
-            for s in m.get("samples", []):
-                key = _sample_key(s)
-                cur = tgt["samples"].get(key)
-                if m["type"] == "counter":
-                    if cur is None:
-                        tgt["samples"][key] = {
-                            "labels": list(key),
-                            "value": float(s["value"]),
-                        }
-                    else:
-                        cur["value"] += float(s["value"])
-                elif m["type"] == "gauge":
-                    # last write wins (later documents supersede)
-                    tgt["samples"][key] = {
-                        "labels": list(key),
-                        "value": float(s["value"]),
-                    }
-                else:  # histogram
-                    counts = [int(c) for c in s["counts"]]
-                    if cur is None:
-                        tgt["samples"][key] = {
-                            "labels": list(key),
-                            "counts": counts,
-                            "sum": float(s["sum"]),
-                            "count": int(s["count"]),
-                        }
-                    else:
-                        if len(cur["counts"]) != len(counts):
-                            raise ValueError(
-                                f"histogram {name!r}: bucket count mismatch"
-                            )
-                        cur["counts"] = [
-                            a + b for a, b in zip(cur["counts"], counts)
-                        ]
-                        cur["sum"] += float(s["sum"])
-                        cur["count"] += int(s["count"])
-    metrics = []
-    for name in sorted(merged):
-        m = merged[name]
-        m["samples"] = [m["samples"][k] for k in sorted(m["samples"])]
-        metrics.append(m)
-    return {
-        "schema": SCHEMA,
-        "meta": {"aggregated_workers": len(docs)},
-        "metrics": metrics,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -603,152 +500,12 @@ def write_prometheus(source, path) -> Path:
     return path
 
 
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)\s*$"
-)
-_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def _unescape_label(value: str) -> str:
-    return (
-        value.replace('\\"', '"').replace("\\n", "\n").replace("\\\\", "\\")
-    )
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse the Prometheus text format back into a snapshot-shaped
-    document (the round-trip counterpart of :func:`doc_to_prometheus`).
-
-    Histogram ``_bucket``/``_sum``/``_count`` series are regrouped
-    under their base metric with the cumulative bucket counts
-    de-accumulated, so ``parse_prometheus(to_prometheus(reg))`` equals
-    ``snapshot_doc(reg)`` up to ``meta``/``source``/unset-gauge
-    presence.
-    """
-    helps: dict[str, str] = {}
-    types: dict[str, str] = {}
-    samples: list[tuple[str, dict, float]] = []
-    for line_no, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            rest = line[len("# HELP "):]
-            name, _, help_text = rest.partition(" ")
-            helps[name] = help_text.replace("\\n", "\n").replace("\\\\", "\\")
-            continue
-        if line.startswith("# TYPE "):
-            rest = line[len("# TYPE "):]
-            name, _, kind = rest.partition(" ")
-            types[name] = kind.strip()
-            continue
-        if line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"line {line_no}: not a Prometheus sample: {line!r}")
-        labels = {
-            k: _unescape_label(v)
-            for k, v in _LABEL_PAIR_RE.findall(m.group("labels") or "")
-        }
-        samples.append((m.group("name"), labels, float(m.group("value"))))
-
-    metrics: dict[str, dict] = {}
-
-    def _entry(name: str) -> dict:
-        e = metrics.get(name)
-        if e is None:
-            e = metrics[name] = {
-                "name": name,
-                "type": types.get(name, "untyped"),
-                "help": helps.get(name, ""),
-                "labels": [],
-                "samples": {},
-            }
-        return e
-
-    hist_names = {n for n, k in types.items() if k == "histogram"}
-    for sname, labels, value in samples:
-        base, part = sname, "value"
-        for suffix in ("_bucket", "_sum", "_count"):
-            cand = sname[: -len(suffix)] if sname.endswith(suffix) else None
-            if cand and cand in hist_names:
-                base, part = cand, suffix[1:]
-                break
-        e = _entry(base)
-        if e["type"] == "histogram":
-            lbl = {k: v for k, v in labels.items() if k != "le"}
-            key = tuple(sorted(lbl.items()))
-            s = e["samples"].setdefault(
-                key, {"labels": lbl, "cum": [], "sum": 0.0, "count": 0}
-            )
-            if part == "bucket":
-                s["cum"].append((labels.get("le", "+Inf"), value))
-            elif part == "sum":
-                s["sum"] = value
-            elif part == "count":
-                s["count"] = int(value)
-        else:
-            key = tuple(sorted(labels.items()))
-            e["samples"][key] = {"labels": labels, "value": value}
-
-    out = []
-    for name in sorted(metrics):
-        e = metrics[name]
-        rows = []
-        edges: list[float] = []
-        for key in sorted(e["samples"]):
-            s = e["samples"][key]
-            if e["type"] == "histogram":
-                finite = [(float(le), c) for le, c in s["cum"] if le != "+Inf"]
-                finite.sort()
-                edges = [le for le, _ in finite]
-                cum = [c for _, c in finite]
-                cum.append(
-                    next((c for le, c in s["cum"] if le == "+Inf"), s["count"])
-                )
-                counts = [
-                    int(cum[i] - (cum[i - 1] if i else 0))
-                    for i in range(len(cum))
-                ]
-                label_names = sorted(s["labels"])
-                rows.append(
-                    {
-                        "labels": [s["labels"][k] for k in label_names],
-                        "counts": counts,
-                        "sum": s["sum"],
-                        "count": s["count"],
-                    }
-                )
-            else:
-                label_names = sorted(s["labels"])
-                rows.append(
-                    {
-                        "labels": [s["labels"][k] for k in label_names],
-                        "value": s["value"],
-                    }
-                )
-            e["labels"] = label_names
-        d = {
-            "name": name,
-            "type": e["type"],
-            "help": e["help"],
-            "labels": e["labels"],
-            "samples": rows,
-        }
-        if e["type"] == "histogram":
-            d["buckets"] = edges
-        out.append(d)
-    return {"schema": SCHEMA, "meta": {}, "metrics": out}
-
-
 # ----------------------------------------------------------------------
 # exports and rendering
 # ----------------------------------------------------------------------
 def export_metrics(source, path, meta: dict | None = None) -> Path:
-    """Write a registry's — or an already-merged snapshot document's —
-    state to ``path``; the suffix picks the format — ``.prom``/``.txt``
+    """Write a registry's — or a snapshot document's — state to
+    ``path``; the suffix picks the format — ``.prom``/``.txt``
     for the Prometheus textfile, anything else for the JSON snapshot
     document."""
     doc = source if isinstance(source, dict) else snapshot_doc(source)

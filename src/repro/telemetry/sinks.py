@@ -117,8 +117,7 @@ def read_run_log(path: str | Path, on_corrupt: str = "raise"):
     indicate corruption, not truncation: with the default
     ``on_corrupt="raise"`` they raise :class:`ValueError`; with
     ``on_corrupt="warn"`` they are skipped with a warning — the mode
-    aggregation jobs use so one crashed worker's damaged log cannot
-    abort the merge of all the others.
+    the HTML dashboard uses, so a damaged log still renders.
     """
     if on_corrupt not in ("raise", "warn"):
         raise ValueError(

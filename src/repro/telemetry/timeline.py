@@ -9,8 +9,7 @@ phases (pack / post / interior / wait / cut / accumulate) plus the
 peer-tagged ``send``/``unpack`` detail intervals.  With
 ``trace_timeline`` the master keeps those round records, and
 :func:`merge_timeline` expands them into one monotonic global event
-stream using the master-clock offsets measured by the pool's startup
-handshake.
+stream.
 
 On top of the merged stream:
 
@@ -28,10 +27,9 @@ On top of the merged stream:
 * :func:`render_timeline` — the terminal/report view of that analysis.
 
 Timestamps are ``time.perf_counter`` seconds.  On Linux that clock is
-``CLOCK_MONOTONIC``, which forked workers share with the master, so the
-measured offsets are dominated by the handshake's pipe round-trip
-(microseconds); the merge subtracts them anyway so the scheme survives
-a transport whose clocks genuinely differ (MPI across hosts).
+``CLOCK_MONOTONIC``, which forked workers share with the master, so
+every rank's stamps are already on one clock and the merge applies no
+per-rank correction.
 """
 
 from __future__ import annotations
@@ -59,23 +57,19 @@ DETAIL_PHASES = ("send", "unpack")
 # merging per-rank streams
 # ----------------------------------------------------------------------
 
-def merge_timeline(rank_rounds: dict, offsets=None, rebase: bool = True) -> list[dict]:
+def merge_timeline(rank_rounds: dict) -> list[dict]:
     """Merge per-rank round records into one global timeline.
 
     ``rank_rounds`` maps rank -> list of ``(round, stamps, peers)``
     records, as the worker pool keeps them: ``stamps`` are the seven
     clock reads bounding the :data:`PHASES` and ``peers`` the
-    ``(phase, peer, t0, t1)`` :data:`DETAIL_PHASES` intervals.
-    ``offsets`` maps rank -> that rank's clock minus the master clock
-    (the handshake estimate), subtracted so all events share the master
-    clock.  With ``rebase`` the merged stream starts at t=0.  Returns
-    plain dicts sorted by start time — the input every
-    exporter/analyzer here consumes.
+    ``(phase, peer, t0, t1)`` :data:`DETAIL_PHASES` intervals, all
+    read from the clock every rank shares.  The merged stream is
+    shifted to start at t=0.  Returns plain dicts sorted by start time
+    — the input every exporter/analyzer here consumes.
     """
-    offsets = offsets or {}
     events: list[dict] = []
     for rank, records in rank_rounds.items():
-        off = float(offsets.get(rank, 0.0))
         for rnd, stamps, peers in records:
             spans = [(p, -1, a, b)
                      for p, a, b in zip(PHASES, stamps, stamps[1:])]
@@ -86,12 +80,12 @@ def merge_timeline(rank_rounds: dict, offsets=None, rebase: bool = True) -> list
                         "round": int(rnd),
                         "phase": phase,
                         "peer": int(peer),
-                        "t0": float(t0) - off,
-                        "t1": float(t1) - off,
+                        "t0": float(t0),
+                        "t1": float(t1),
                     }
                 )
     events.sort(key=lambda e: (e["t0"], e["rank"], e["t1"]))
-    if rebase and events:
+    if events:
         base = events[0]["t0"]
         for e in events:
             e["t0"] -= base

@@ -26,7 +26,7 @@ from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.parallel import CRASH_EXIT_CODE, WorkerCrash, WorkerPool
 from repro.telemetry import METRICS, TRACER
-from repro.telemetry.metrics import parse_prometheus, snapshot_doc
+from repro.telemetry.metrics import load_metrics, snapshot_doc
 
 pytestmark = pytest.mark.parallel
 
@@ -155,15 +155,15 @@ class TestWorkerCrashDuringLungRun:
             return step(self)
 
         monkeypatch.setattr(LungVentilationSimulation, "step", crashing_step)
-        log, prom = tmp_path / "run.jsonl", tmp_path / "run.prom"
+        log, export = tmp_path / "run.jsonl", tmp_path / "run.json"
         rc = main(["lung", "--steps", "3", "--generations", "1",
                    "--workers", "2", "--log-file", str(log),
-                   "--metrics-file", str(prom)])
+                   "--metrics-file", str(export)])
         assert rc == 1
         assert "error: worker 1" in capsys.readouterr().err
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["type"] for r in records] == ["header", "step", "summary"]
-        doc = parse_prometheus(prom.read_text())
+        doc = load_metrics(export)
         pool_vmults = metric_total("repro_parallel_pool_vmults_total", doc)
         assert pool_vmults > 1
         # the crashed round was dispatched but completed on no rank

@@ -3,12 +3,11 @@
 import pytest
 
 from repro.telemetry import (
-    METRICS,
     RunLogWriter,
     render_html_dashboard,
     write_html_dashboard,
 )
-from repro.telemetry.metrics import MetricRegistry, export_metrics, snapshot_doc
+from repro.telemetry.metrics import MetricRegistry, snapshot_doc
 from repro.timeint.dual_splitting import StepStatistics
 
 
@@ -74,39 +73,30 @@ class TestRenderDashboard:
                 '<td class="num">3</td>') in html
 
     def test_metrics_doc_renders_catalog(self, tmp_path):
-        METRICS.reset()
-        METRICS.enable()
-        try:
-            METRICS.counter("repro_dash_demo_total", "demo counter").inc(4)
-            doc = snapshot_doc(METRICS, meta={"command": "test"})
-        finally:
-            METRICS.disable()
-            METRICS.reset()
+        """The catalog lists the metric list the run's summary carries."""
         log = write_log(tmp_path / "run.jsonl")
-        header, steps, summary = _read(log)
-        html = render_html_dashboard(header, steps, summary, snapshot=doc)
-        assert "repro_dash_demo_total" in html
-        assert "demo counter" in html
+        html = render_html_dashboard(*_read(log))
+        assert "<code>repro_checkpoints_total</code>" in html
+        assert "<code>repro_recovery_step_retries_total</code>" in html
 
-    def test_metrics_files_merged_into_dashboard(self, tmp_path):
-        METRICS.reset()
-        METRICS.enable()
-        try:
-            METRICS.counter("repro_dash_demo_total", "demo counter").inc(2)
-            export_metrics(METRICS, tmp_path / "w1.json")
-            export_metrics(METRICS, tmp_path / "w2.json")
-        finally:
-            METRICS.disable()
-            METRICS.reset()
-        log = write_log(tmp_path / "run.jsonl")
+    def test_catalog_values_come_from_summary(self, tmp_path):
+        """A catalog row shows the value the summary records, read from
+        the log alone."""
+        reg = MetricRegistry(enabled=True)
+        reg.counter("repro_dash_demo_total", "demo counter").inc(7)
+        log = tmp_path / "run.jsonl"
+        with RunLogWriter(log, meta={"command": "lung"}) as w:
+            w.write_step(make_stats(0))
+            w.write_summary(metrics=snapshot_doc(reg)["metrics"])
         out = tmp_path / "dash.html"
-        write_html_dashboard(
-            log, out,
-            metrics_paths=(tmp_path / "w1.json", tmp_path / "w2.json"),
-        )
+        write_html_dashboard(log, out)
         html = out.read_text()
-        assert "repro_dash_demo_total" in html
-        assert ">4<" in html or ">4.00<" in html or "4" in html
+        assert ("<td><code>repro_dash_demo_total</code></td>"
+                "<td>counter</td><td>–</td>") in html
+        row = html[html.index("<code>repro_dash_demo_total</code>"):]
+        row = row[:row.index("</tr>")]
+        assert '<td class="num">7</td>' in row
+        assert "demo counter" in row
 
     def test_truncated_log_still_renders(self, tmp_path):
         log = write_log(tmp_path / "run.jsonl")

@@ -1,5 +1,5 @@
-"""Tests of the solver-health metric registry, exporters, and the
-cross-process aggregator."""
+"""Tests of the solver-health metric registry, its JSON snapshot record
+and the Prometheus text export."""
 
 import json
 import math
@@ -13,8 +13,6 @@ from repro.telemetry.metrics import (
     doc_to_prometheus,
     export_metrics,
     load_metrics,
-    merge_snapshots,
-    parse_prometheus,
     snapshot_doc,
     to_prometheus,
     write_prometheus,
@@ -200,48 +198,62 @@ class TestPrometheus:
         fam = reg.gauge("g", labels=("level",))
         fam.labels(('DG(k=3) "fine"\nx\\y',)).set(1.0)
         text = to_prometheus(reg)
-        assert '\\"fine\\"' in text and "\\n" in text and "\\\\y" in text
-        doc = parse_prometheus(text)
-        assert doc["metrics"][0]["samples"][0]["labels"] == [
-            'DG(k=3) "fine"\nx\\y'
-        ]
+        assert text.splitlines()[-1] == r'g{level="DG(k=3) \"fine\"\nx\\y"} 1'
 
-    def _doc_by_name(self, doc):
-        out = {}
-        for m in doc["metrics"]:
-            samples = {}
-            for s in m["samples"]:
-                key = frozenset(zip(m["labels"], s["labels"]))
-                samples[key] = {k: v for k, v in s.items() if k != "labels"}
-            out[m["name"]] = {
-                "type": m["type"],
-                "help": m["help"],
-                "buckets": m.get("buckets"),
-                "samples": samples,
-            }
-        return out
-
-    def test_roundtrip(self, tmp_path):
-        """Acceptance: parse_prometheus(write_prometheus(reg)) recovers
-        the snapshot document (modulo meta/source and label ordering —
-        compared as label-name -> value mappings)."""
+    def test_exact_exposition(self):
+        """The whole exposition, byte for byte: a counter, a labelled
+        family whose label values need escaping, set and unset gauges,
+        non-finite values, a histogram, and HELP escaping."""
         reg = make_registry()
-        path = write_prometheus(reg, tmp_path / "m.prom")
-        parsed = parse_prometheus(path.read_text())
-        assert self._doc_by_name(parsed) == self._doc_by_name(
-            snapshot_doc(reg)
-        )
+        reg.counter("repro_failures_total", "failures",
+                    labels=("solve", "reason")).labels(
+            ('say "hi"', "back\\slash\nnew line")).inc()
+        bad = reg.gauge("repro_bad", "non-finite", labels=("kind",))
+        for kind, v in (("nan", math.nan), ("inf", math.inf),
+                        ("-inf", -math.inf)):
+            bad.labels(kind).set(v)
+        reg.gauge("repro_unset", "never written")
+        reg.counter("repro_help_total", "a \\ backslash\nand a newline")
+        expected = r"""# HELP repro_bad non-finite
+# TYPE repro_bad gauge
+repro_bad{kind="-inf"} -inf
+repro_bad{kind="inf"} inf
+repro_bad{kind="nan"} nan
+# HELP repro_failures_total failures
+# TYPE repro_failures_total counter
+repro_failures_total{solve="pressure",reason="none"} 2
+repro_failures_total{solve="say \"hi\"",reason="back\\slash\nnew line"} 1
+repro_failures_total{solve="viscous",reason="max_iterations"} 1
+# HELP repro_help_total a \\ backslash\nand a newline
+# TYPE repro_help_total counter
+repro_help_total 0
+# HELP repro_iters iterations
+# TYPE repro_iters histogram
+repro_iters_bucket{le="1"} 1
+repro_iters_bucket{le="5"} 3
+repro_iters_bucket{le="10"} 4
+repro_iters_bucket{le="+Inf"} 5
+repro_iters_sum 55.5
+repro_iters_count 5
+# HELP repro_residual last residual
+# TYPE repro_residual gauge
+repro_residual 1.5e-07
+# HELP repro_solves_total total solves
+# TYPE repro_solves_total counter
+repro_solves_total 3
+# HELP repro_unset never written
+# TYPE repro_unset gauge
+"""
+        assert to_prometheus(reg) == expected
 
     def test_roundtrip_through_exporter_is_stable(self, tmp_path):
-        """After one parse normalization (label names come back
-        sorted), render -> parse is a fixed point."""
+        """Exporting the JSON snapshot (``repro metrics export``) gives
+        the same bytes as exporting the registry directly."""
         reg = make_registry()
-        doc1 = parse_prometheus(to_prometheus(reg))
-        assert parse_prometheus(doc_to_prometheus(doc1)) == doc1
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="not a Prometheus sample"):
-            parse_prometheus("this is not a metric line\n")
+        path = export_metrics(reg, tmp_path / "m.json")
+        assert doc_to_prometheus(load_metrics(path)) == to_prometheus(reg)
+        prom = write_prometheus(reg, tmp_path / "m.prom")
+        assert prom.read_text() == to_prometheus(reg)
 
 
 class TestSnapshotFiles:
@@ -255,11 +267,14 @@ class TestSnapshotFiles:
         assert doc["meta"] == {"worker": 1}
 
     def test_load_single_doc_and_prom(self, tmp_path):
+        """The JSON snapshot loads back exactly; Prometheus text is an
+        export only, refused with a message naming what is read."""
         reg = make_registry()
         js = export_metrics(reg, tmp_path / "m.json")
         prom = write_prometheus(reg, tmp_path / "m.prom")
         assert load_metrics(js)["metrics"] == snapshot_doc(reg)["metrics"]
-        assert load_metrics(prom)["metrics"]  # parsed back through .prom
+        with pytest.raises(ValueError, match="JSON snapshot .* run log"):
+            load_metrics(prom)
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "m.json"
@@ -287,80 +302,6 @@ class TestSnapshotFiles:
             w.write_summary()
         with pytest.raises(ValueError, match="no summary metrics"):
             load_metrics(path)
-
-
-class TestMerge:
-    def worker(self, solves, residual, iters, failures=()):
-        reg = MetricRegistry(enabled=True)
-        reg.counter("repro_solves_total").inc(solves)
-        reg.gauge("repro_residual").set(residual)
-        h = reg.histogram("repro_iters", buckets=(1, 5, 10))
-        for v in iters:
-            h.observe(v)
-        fam = reg.counter("repro_failures_total", labels=("reason",))
-        for reason in failures:
-            fam.labels((reason,)).inc()
-        return snapshot_doc(reg)
-
-    def test_counters_sum_gauges_last_write_buckets_merge(self):
-        """Acceptance: the aggregator sums counters per label tuple,
-        keeps the last gauge write, and merges histogram buckets
-        element-wise."""
-        a = self.worker(3, 1e-6, (0.5, 3), failures=("nan", "nan"))
-        b = self.worker(4, 2e-8, (7, 42), failures=("max_iterations",))
-        doc = merge_snapshots([a, b])
-        by_name = {m["name"]: m for m in doc["metrics"]}
-        assert by_name["repro_solves_total"]["samples"][0]["value"] == 7
-        assert by_name["repro_residual"]["samples"][0]["value"] == 2e-8
-        h = by_name["repro_iters"]["samples"][0]
-        assert h["counts"] == [1, 1, 1, 1]
-        assert h["count"] == 4 and h["sum"] == pytest.approx(52.5)
-        failures = {
-            tuple(s["labels"]): s["value"]
-            for s in by_name["repro_failures_total"]["samples"]
-        }
-        assert failures == {("max_iterations",): 1, ("nan",): 2}
-        assert doc["meta"]["aggregated_workers"] == 2
-
-    def test_merge_is_associative(self):
-        """Acceptance: (a + b) + c == a + (b + c) — the property that
-        makes tree-shaped reductions over many workers legal.  Gauges
-        keep document order under both groupings because merge output
-        preserves the last-write value."""
-        a = self.worker(1, 1.0, (0.5,), failures=("nan",))
-        b = self.worker(2, 2.0, (3,))
-        c = self.worker(3, 3.0, (7, 42), failures=("nan", "stall"))
-
-        def strip_meta(doc):
-            return doc["metrics"]
-
-        left = merge_snapshots([merge_snapshots([a, b]), c])
-        right = merge_snapshots([a, merge_snapshots([b, c])])
-        flat = merge_snapshots([a, b, c])
-        assert strip_meta(left) == strip_meta(right) == strip_meta(flat)
-
-    def test_merge_rejects_mismatched_buckets(self):
-        reg1 = MetricRegistry(enabled=True)
-        reg1.histogram("h", buckets=(1, 2)).observe(1)
-        reg2 = MetricRegistry(enabled=True)
-        reg2.histogram("h", buckets=(1, 3)).observe(1)
-        with pytest.raises(ValueError, match="bucket edges differ"):
-            merge_snapshots([snapshot_doc(reg1), snapshot_doc(reg2)])
-
-    def test_merge_rejects_conflicting_types(self):
-        reg1 = MetricRegistry(enabled=True)
-        reg1.counter("x").inc()
-        reg2 = MetricRegistry(enabled=True)
-        reg2.gauge("x").set(1)
-        with pytest.raises(ValueError, match="conflicting type"):
-            merge_snapshots([snapshot_doc(reg1), snapshot_doc(reg2)])
-
-    def test_merged_doc_survives_prometheus_roundtrip(self):
-        a = self.worker(3, 1e-6, (0.5, 3))
-        b = self.worker(4, 2e-8, (7,))
-        doc = merge_snapshots([a, b])
-        parsed = parse_prometheus(doc_to_prometheus(doc))
-        assert parse_prometheus(doc_to_prometheus(parsed)) == parsed
 
 
 class TestDefaultBuckets:

@@ -173,13 +173,11 @@ class TestTraceCLI:
         path = self.write_trace(
             tmp_path / "t.json",
             meta={"rank_exchange_bytes": {"0": {"send": 800, "recv": 800},
-                                          "1": {"send": 800, "recv": 800}},
-                  "clock_rtts_s": {"0": 3e-5, "1": 2.4e-5}},
+                                          "1": {"send": 800, "recv": 800}}},
         )
         assert main(["trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "distributed timeline: 2 ranks, 1 rounds" in out
-        assert "clock-offset tolerance: 15.0 us" in out
         assert "overlap efficiency" in out
         assert "ghost_exchange[rank0]" in out  # bandwidth attribution
 
@@ -478,16 +476,16 @@ class TestObservabilityCLI:
 
 class TestMetricsCLI:
     def test_lung_metrics_file_round_trips(self, tmp_path, capsys):
-        """Acceptance: ``repro lung --metrics-file out.prom`` produces a
-        Prometheus exposition the bundled parser validates."""
+        """Acceptance: ``repro lung --metrics-file out.json`` writes the
+        run's metric list as a JSON snapshot that loads back."""
         from repro.telemetry import METRICS
-        from repro.telemetry.metrics import parse_prometheus
+        from repro.telemetry.metrics import load_metrics
 
-        prom = tmp_path / "out.prom"
+        path = tmp_path / "out.json"
         assert main(["lung", "--steps", "2",
-                     "--metrics-file", str(prom)]) == 0
+                     "--metrics-file", str(path)]) == 0
         assert "metrics written to" in capsys.readouterr().out
-        doc = parse_prometheus(prom.read_text())
+        doc = load_metrics(path)
         names = {m["name"] for m in doc["metrics"]}
         assert "repro_steps_total" in names
         assert "repro_cg_solves_total" in names
@@ -511,8 +509,8 @@ class TestMetricsCLI:
         # the session left the global registry off for the next command
         assert not METRICS.enabled
 
-    def test_metrics_aggregate_and_render(self, tmp_path, capsys):
-        """Acceptance: merge per-worker snapshots, then render a table."""
+    def test_metrics_render_snapshot(self, tmp_path, capsys):
+        """``repro metrics render`` tabulates one JSON snapshot."""
         from repro.telemetry import METRICS
         from repro.telemetry.metrics import export_metrics
 
@@ -520,24 +518,32 @@ class TestMetricsCLI:
         METRICS.enable()
         try:
             METRICS.counter("repro_demo_total", "demo").inc(3)
-            export_metrics(METRICS, tmp_path / "w1.json")
-            METRICS.counter("repro_demo_total", "demo").inc(2)
-            export_metrics(METRICS, tmp_path / "w2.json")
+            export_metrics(METRICS, tmp_path / "w.json")
         finally:
             METRICS.disable()
             METRICS.reset()
-        merged = tmp_path / "merged.json"
-        assert main(["metrics", "aggregate", str(tmp_path / "w1.json"),
-                     str(tmp_path / "w2.json"), "--output",
-                     str(merged)]) == 0
-        capsys.readouterr()
-        doc = json.loads(merged.read_text())
-        demo = [m for m in doc["metrics"] if m["name"] == "repro_demo_total"]
-        assert demo[0]["samples"][0]["value"] == 3 + 5
-        assert doc["meta"]["aggregated_workers"] == 2
-        assert main(["metrics", "render", str(merged)]) == 0
-        out = capsys.readouterr().out
-        assert "repro_demo_total" in out
+        assert main(["metrics", "render", str(tmp_path / "w.json")]) == 0
+        row = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("repro_demo_total")]
+        assert len(row) == 1 and row[0].split()[-1] == "3"
+
+    def test_metrics_render_refuses_prometheus_text(self, tmp_path, capsys):
+        """Prometheus text is an export only: reading one back is a
+        usage error that names the accepted inputs."""
+        from repro.telemetry import METRICS
+        from repro.telemetry.metrics import export_metrics
+
+        METRICS.reset()
+        METRICS.enable()
+        try:
+            METRICS.counter("repro_demo_total", "demo").inc(3)
+            prom = export_metrics(METRICS, tmp_path / "w.prom")
+        finally:
+            METRICS.disable()
+            METRICS.reset()
+        assert main(["metrics", "render", str(prom)]) == 2
+        err = capsys.readouterr().err
+        assert "JSON snapshot" in err and ".jsonl run log" in err
 
     def test_metrics_export_to_prometheus(self, tmp_path, capsys):
         from repro.telemetry import METRICS
@@ -579,19 +585,29 @@ class TestMetricsCLI:
 
     def test_report_html_dashboard(self, tmp_path, capsys):
         """Acceptance: ``repro report --html`` writes one self-contained
-        HTML file next to the log."""
+        HTML file whose metric catalog carries the traced run's own
+        values, read from the log's summary."""
+        from repro.telemetry import read_run_log
+
         log = tmp_path / "run.jsonl"
-        prom = tmp_path / "run.prom"
-        assert main(["lung", "--steps", "2", "--log-file", str(log),
-                     "--metrics-file", str(prom)]) == 0
+        assert main(["lung", "--steps", "2", "--trace",
+                     "--log-file", str(log)]) == 0
         out_html = tmp_path / "dash.html"
         assert main(["report", "--html", str(log), "--output",
-                     str(out_html), "--metrics", str(prom)]) == 0
+                     str(out_html)]) == 0
         assert "dashboard written to" in capsys.readouterr().out
         html = out_html.read_text()
         assert html.lstrip().startswith("<!DOCTYPE html>")
         assert "<svg" in html
-        assert "repro_cg_solves_total" in html  # catalog from the .prom
+        _, _, summary = read_run_log(log)
+        solves = [s["value"] for m in summary["metrics"]
+                  if m["name"] == "repro_cg_solves_total"
+                  for s in m["samples"]]
+        assert sum(solves) > 0
+        row = html[html.index("<code>repro_cg_solves_total</code>"):]
+        row = row[:row.index("</tr>")]
+        assert (f'<td class="num">{sum(solves):.0f} '
+                f'({len(solves)} series)</td>') in row
 
     def test_report_html_default_output_path(self, tmp_path, capsys):
         log = tmp_path / "run.jsonl"
