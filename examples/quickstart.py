@@ -17,7 +17,9 @@ from repro.mesh import Forest, GeometryField, box, build_connectivity
 from repro.solvers import HybridMultigridPreconditioner, conjugate_gradient
 
 
-def main() -> None:
+def main():
+    """Solve, print the hierarchy and the result; returns the CG result
+    and the L2 error."""
     # mesh: unit cube, 2 uniform octree refinements (512 cells)
     mesh = box(subdivisions=(1, 1, 1), boundary_ids={i: 1 for i in range(6)})
     forest = Forest(mesh).refine_all(2)
@@ -46,10 +48,11 @@ def main() -> None:
 
     # L2 error against the manufactured solution
     cm = geometry.cell_metrics()
-    uq = geometry.kernel.values(dofs.to_lanes(dofs.cell_view(result.x)))
+    uq = geometry.kernel.values(dofs.lanes(result.x))
     eq = exact(*cm.points)
     err = np.sqrt(np.sum((uq - eq) ** 2 * cm.jxw))
     print(f"L2 error vs manufactured solution: {err:.3e}")
+    return result, err
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Degree-of-freedom handlers for DG and continuous (CG) spaces.
 
-*DG* unknowns are cell-local: the global vector is simply the cell-major
-concatenation of ``(k+1)^3`` tensors, so gather and scatter are reshapes
-— the property that makes DG mass inversion and cell-wise vectorization
-cheap.  A vector field is stored component-major, one such scalar field
-per component, so its components are a batch axis like ensemble
-members and the cell axis of every field is ``-4``.
+*DG* unknowns are cell-local: the global vector stores the cells'
+``(k+1)^3`` tensors in *lane order* ``(n, n, n, N)`` — nodes major, the
+cell index fastest, as the SIMD lane is the innermost index of the
+paper's vectorized kernels (Section 3.1).  The flat vector therefore is
+the lane block the cell kernels and face loops read, and a reshape
+(:meth:`DGDofHandler.lanes`) is all an operator needs to read it.  A
+vector field is stored component-major, one such scalar field per
+component, so its components are a batch axis like ensemble members and
+the cell axis of every field is the last.
 
 *CG* unknowns are shared between cells.  Nodes are identified by
 quantized physical positions on the *trilinear* leaf geometry (the same
@@ -19,9 +22,9 @@ conforming auxiliary space of the hybrid multigrid algorithm
 smoother diagonal, the transfer, and the operator application.
 
 All of that indirection is planned once into one sparse *cell map*
-``G = P·C`` (rows: the cell nodes in the lane order of
-:meth:`DGDofHandler.to_lanes`, columns: the masters), so a CG gather is
-``G x`` straight into the layout of the cell kernels and a scatter
+``G = P·C`` (rows: the DG vector's dofs, in its lane order; columns:
+the masters), so a CG gather is ``G x`` straight into the layout of the
+cell kernels and of the DG vector, and a scatter
 ``Gᵀ c`` — one streaming sparse product each way.
 """
 
@@ -68,43 +71,13 @@ class DGDofHandler:
         :data:`repro.core.backend.DEFAULT_DTYPE`)."""
         return np.zeros(self.n_dofs, dtype=resolve_dtype(dtype))
 
-    def cell_view(self, vec: np.ndarray) -> np.ndarray:
-        """View a flat global vector as cell tensors:
-        scalar -> (N, n, n, n); vector -> (c, N, n, n, n).
-
-        A vector field is stored component-major, ``c`` scalar fields one
-        after another, so the cell axis is always ``-4``.  An
-        ensemble-stacked vector ``(E, ndof)`` views as ``(E, [c,] N, n,
-        n, n)``.  The cell kernels and the face loops work on its lane
-        block (:meth:`to_lanes`).
-        """
+    def lanes(self, vec: np.ndarray) -> np.ndarray:
+        """View a flat ``(*lead, n_dofs)`` vector as its lane block
+        ``(*lead, [c,] n, n, n, N)`` — a reshape, never a copy of a
+        contiguous vector, so writes go through."""
         n = self.n1
         comps = (self.n_components,) if self.n_components > 1 else ()
-        return vec.reshape(vec.shape[:-1] + comps + (self.n_cells, n, n, n))
-
-    def flat(self, cells: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`cell_view`: cell tensors back to the flat
-        global vector, preserving any ensemble axes in front."""
-        lead = cells.shape[:-5] if self.n_components > 1 else cells.shape[:-4]
-        return cells.reshape(lead + (-1,))
-
-    def to_lanes(self, cells: np.ndarray, ws=None) -> np.ndarray:
-        """:meth:`cell_view` tensors of any number ``N`` of cells copied
-        into a *lane block* ``(*lead, [c,] n, n, n, N)`` — the cells on
-        the trailing axis, the layout of the cell kernels — fresh, or the
-        ``dof.lanes`` buffer of the workspace ``ws``."""
-        k = cells.ndim - 4  # one transpose (``moveaxis`` costs a dozen calls)
-        t = cells.transpose(*range(k), k + 1, k + 2, k + 3, k)
-        if ws is None:
-            return np.array(t, order="C")
-        out = ws.take("dof.lanes", t.shape, t.dtype)
-        np.copyto(out, t)
-        return out
-
-    def from_lanes(self, block: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_lanes`, into fresh cell tensors."""
-        k = block.ndim - 4
-        return np.array(block.transpose(*range(k), k + 3, k, k + 1, k + 2), order="C")
+        return vec.reshape(vec.shape[:-1] + comps + (n, n, n, self.n_cells))
 
 
 class CGDofHandler:
@@ -284,7 +257,7 @@ class CGDofHandler:
         """``(G, Gᵀ)`` in the kernel dtype of ``dtype``.
 
         ``G = P·C`` maps masters to the ``n_cells·(k+1)³`` cell nodes in
-        the lane order of :meth:`DGDofHandler.to_lanes` (``P`` picks
+        the lane order of the DG vector (``P`` picks
         ``cell_to_global``): hanging-node weights, Dirichlet zeros and the
         node sharing are all in it.  ``Gᵀ`` is the cell-major map's
         transpose with its columns relabelled, so each row sums in the

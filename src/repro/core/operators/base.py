@@ -586,11 +586,12 @@ def _instrument_entry(raw):
 class MatrixFreeOperator:
     """Minimal linear-operator interface shared by all operators.
 
-    Every operator carries a lazily created plan cache (scatter plans,
-    contraction paths, reusable workspaces; see :mod:`repro.core.plans`).
-    Shallow clones (e.g. the float32 operators inside the multigrid
-    V-cycle) may share the cache: scatter plans are dtype-agnostic and
-    workspace buffers are keyed by dtype.
+    Every operator carries a lazily created plan cache: its workspace
+    of reusable scratch buffers (:class:`~repro.core.plans.Workspace`)
+    and its work model per compute dtype.  Shallow clones (e.g. the
+    float32 operators inside the multigrid V-cycle) share the cache:
+    workspace buffers are keyed by dtype, work models by compute
+    dtype.
 
     Subclasses are instrumented automatically: the outermost application
     entry point each class defines itself (``apply`` when present — the

@@ -69,11 +69,10 @@ class ConvectiveOperator(MatrixFreeOperator):
         return central + 0.5 * lam[..., None, :, :] * (vm - vp)
 
     def apply(self, u_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
-        u = self.dof.cell_view(u_flat)  # (*lead, 3, N, n, n, n)
+        ul = self.dof.lanes(u_flat)  # (*lead, 3, n, n, n, N)
         kern = self.kern
         cm = self.cell_metrics
         # cell term: -int (u (x) u) : grad(v), on lane blocks
-        ul = self.dof.to_lanes(u)
         uq = kern.values(ul)
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
         #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
@@ -99,7 +98,7 @@ class ConvectiveOperator(MatrixFreeOperator):
 
         self.loop.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                         flux)
-        return self.dof.flat(self.dof.from_lanes(out))
+        return out.reshape(u_flat.shape)
 
     def vmult(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - nonlinear
         raise NotImplementedError("convective operator is nonlinear; use apply()")
@@ -115,7 +114,7 @@ class ConvectiveOperator(MatrixFreeOperator):
         ``(E,)`` array (members share dt; the per-member CFL that this
         feeds is recorded in the step statistics).
         """
-        uq = self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))
+        uq = self.kern.values(self.dof.lanes(u_flat))
         # J^{-1} u: ref-space velocity = (jinv)[l,i] u_i; jinv_t[i,l] = jinv[l,i]
         uref = contract("ilzyxc,...izyxc->...lzyxc", self.cell_metrics.jinv_t, uq)
         speed = np.sqrt((uref**2).sum(axis=-5))

@@ -88,10 +88,9 @@ class DivergenceOperator(_MixedSpaceOperator):
         Poisson right-hand side of the dual splitting, where all boundary
         physics is carried by the consistent pressure Neumann data;
         ``homogeneous=True`` treats the velocity-Dirichlet data as zero."""
-        u = self.dof_u.cell_view(u_flat)  # (*lead, 3, N, n, n, n)
+        ul = self.dof_u.lanes(u_flat)  # (*lead, 3, n, n, n, N)
         cm = self.cell_metrics
         # cell term: -int grad(q) . u, on lane blocks
-        ul = self.dof_u.to_lanes(u)
         uq = self.kern_u.values(ul)
         rg = contract("ilzyxc,...izyxc->l...zyxc", cm.jinv_t, uq)
         rg *= -cm.jxw
@@ -114,7 +113,7 @@ class DivergenceOperator(_MixedSpaceOperator):
 
         self.loop_u.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                           flux, self.loop_p)
-        return self.dof_p.flat(self.dof_p.from_lanes(out))
+        return out.reshape(u_flat.shape[:-1] + (-1,))
 
     def vmult(self, u_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data (linear) application: velocity-Dirichlet
@@ -131,11 +130,10 @@ class GradientOperator(_MixedSpaceOperator):
 
     def apply(self, p_flat: np.ndarray, t: float = 0.0, homogeneous: bool = False) -> np.ndarray:
         """``homogeneous=True`` treats the pressure-Dirichlet data as zero."""
-        p = self.dof_p.cell_view(p_flat)  # (*lead, N, n_p, n_p, n_p)
+        pl = self.dof_p.lanes(p_flat)  # (*lead, n_p, n_p, n_p, N)
         cm = self.cell_metrics
         # cell term: -int p div(v) -> component-major ref-grad
         # coefficients of each v_i, on lane blocks
-        pl = self.dof_p.to_lanes(p)
         coeff = -(self.kern_p.values(pl) * cm.jxw)
         rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
         out = self.kern_u.integrate_gradients_cm(rg)
@@ -154,7 +152,7 @@ class GradientOperator(_MixedSpaceOperator):
 
         self.loop_p.apply(pl.reshape((-1,) + pl.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                           flux, self.loop_u)
-        return self.dof_u.flat(self.dof_u.from_lanes(out))
+        return out.reshape(p_flat.shape[:-1] + (-1,))
 
     def vmult(self, p_flat: np.ndarray) -> np.ndarray:
         """Homogeneous-data application (pressure-Dirichlet data = 0)."""

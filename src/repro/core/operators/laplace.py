@@ -12,7 +12,7 @@ loop's boundary rows (each boundary id's data evaluated once).
 
 The SIP mat-vec is the cell term plus one planned face loop
 (:class:`~repro.core.operators.base.FaceLoop`, four sheets per direction)
-on the cell term's lane block: every face side — interior minus,
+on the DG vector itself, a lane block: every face side — interior minus,
 interior plus, Dirichlet — is a row of the same chunked sheet gather,
 precomposed flux block and sheet scatter, whatever its face number,
 orientation or subface; :mod:`repro.parallel.runtime`'s rank-local
@@ -181,20 +181,21 @@ class DGLaplaceOperator(MatrixFreeOperator):
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
         """``x`` is (ndof,) or batch-stacked ``(*lead, ndof)``: the
-        leading axes ride along in front of the same kernels.  One lane
-        block (:meth:`DGDofHandler.to_lanes`) gives the face sheets, then
-        takes the cell term in place and the face terms on top."""
+        leading axes ride along in front of the same kernels.  ``x``'s
+        lane block gives the face sheets, the cell term lands in a fresh
+        block of ``x``'s dtype and the face terms on top."""
         ws, loop, data = self.workspace(), self.face_loop, self.face_data
-        ul = self.dof.to_lanes(self.dof.cell_view(x), ws)
-        lanes = ul.reshape((-1,) + ul.shape[-4:])
+        u = self.dof.lanes(x)
+        lanes = u.reshape((-1,) + u.shape[-4:])
         buf = ws.take("sip.sheets", (lanes.shape[0], loop.size),
-                      np.result_type(ul.dtype, data.a.dtype))
+                      np.result_type(u.dtype, data.a.dtype))
         loop.sheets(lanes, buf)
-        cell_laplacian(self.kern, self.cell_metrics.laplace_d, ul, ws, ul)
+        out = np.empty(u.shape, u.dtype)
+        cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, ws, out)
         loop.run(buf, data, loop.chunks, ws)
         loop.finish(buf)
-        loop.expand(buf, lanes, ws)
-        return self.dof.flat(self.dof.from_lanes(ul))
+        loop.expand(buf, out.reshape(lanes.shape), ws)
+        return out.reshape(x.shape)
 
     # ------------------------------------------------------------------
     def assemble_rhs(
@@ -253,7 +254,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
             add(loop, g, nitsche)
         if h is not None:
             add(nloop, h, lambda ch, hb: hb)
-        return self.dof.flat(self.dof.from_lanes(out))
+        return out.reshape(lead + (-1,))
 
     # ------------------------------------------------------------------
     def diagonal(self) -> np.ndarray:
@@ -264,7 +265,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         one full operator application per local basis function."""
         diag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
         self.face_loop.add_diagonal(self.face_data, diag)
-        return self.dof.flat(self.dof.from_lanes(diag))
+        return diag.reshape(-1)
 
 
 class CGLaplaceOperator(MatrixFreeOperator):

@@ -54,9 +54,11 @@ class MassOperator(MatrixFreeOperator):
     def vmult(self, x: np.ndarray) -> np.ndarray:
         ws = self.workspace()
         # components (and members) ride the lane block's leading axes
-        q = self.kern.values(self.dof.to_lanes(self.dof.cell_view(x), ws), ws)
+        q = self.kern.values(self.dof.lanes(x), ws)
         q *= self.jxw
-        return self.dof.flat(self.dof.from_lanes(self.kern.integrate_values(q, ws)))
+        y = np.empty(x.shape, q.dtype)
+        self.kern.integrate_values(q, ws, self.dof.lanes(y))
+        return y
 
     def diagonal(self) -> np.ndarray:
         """Matrix-free diagonal via squared 1D interpolation factors."""
@@ -65,7 +67,7 @@ class MassOperator(MatrixFreeOperator):
         diag = contract("zyxc,zZ,yY,xX->ZYXc", self.jxw, N2, N2, N2)
         if self.dof.n_components > 1:
             diag = np.broadcast_to(diag, (self.dof.n_components,) + diag.shape)
-        return self.dof.flat(self.dof.from_lanes(diag))
+        return diag.reshape(-1)
 
 
 class InverseMassOperator(MatrixFreeOperator):
@@ -101,9 +103,9 @@ class InverseMassOperator(MatrixFreeOperator):
         }
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        t = self.kern.apply_tensor(self.Sinv.T, self.dof.to_lanes(self.dof.cell_view(x)))
+        t = self.kern.apply_tensor(self.Sinv.T, self.dof.lanes(x))
         t /= self.jxw
-        return self.dof.flat(self.dof.from_lanes(self.kern.apply_tensor(self.Sinv, t)))
+        return self.kern.apply_tensor(self.Sinv, t).reshape(x.shape)
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - not used as smoother
         raise NotImplementedError("inverse mass is itself the preconditioner")

@@ -65,7 +65,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         step before the penalty solve).  ``(*lead, n)`` input yields
         ``tau_div`` ``(*lead, N)`` / ``tau_cont`` ``(*lead, F)`` fields
         (``tau_cont`` over the interior faces in loop order)."""
-        uq = self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))
+        uq = self.kern.values(self.dof.lanes(u_flat))
         speed = np.sqrt((uq**2).sum(axis=-5))
         jxw = self.cell_metrics.jxw
         mean_speed = cell_sums(speed * jxw) / cell_sums(jxw)
@@ -75,13 +75,12 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         self.tau_cont = self.zeta_cont * 0.5 * (mean_speed[..., cm] + mean_speed[..., cp])
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        u = self.dof.cell_view(x)  # (*lead, 3, N, n, n, n)
+        ul = self.dof.lanes(x)  # (*lead, 3, n, n, n, N)
         kern = self.kern
         cm = self.cell_metrics
         # divergence penalty: tau_div (div u)(div v), on lane blocks.
         # ROADMAP 1(A): the swapaxes transposes the trial-side gradient;
         # the fix deletes it.
-        ul = self.dof.to_lanes(u)
         grads = np.swapaxes(kern.gradients_cm(ul), 0, -5)
         div = contract("ilzyxc,l...izyxc->...zyxc", cm.jinv_t, grads)
         coeff = div * cm.jxw * self.tau_div[..., None, None, None, :]
@@ -104,7 +103,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
 
         self.loop.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                         flux)
-        return self.dof.flat(self.dof.from_lanes(out))
+        return out.reshape(x.shape)
 
     def diagonal(self) -> np.ndarray:  # pragma: no cover - inv-mass preconditioned
         raise NotImplementedError

@@ -15,12 +15,12 @@ as the lane index of deal.II's ``VectorizedArray`` is innermost in the
 paper's kernels.  A 1D contraction along x, y or z is then one GEMM
 stack whose right-hand sides are at least the ``N`` cells wide, never a
 ``K = k + 1`` tall-skinny product or a stack of tiny per-cell ones.
-Global DG vectors stay cell-major, ``(*lead, [3,] N, n, n, n)`` with a
-velocity's components as its innermost lead axis;
-:class:`~repro.core.dof_handler.DGDofHandler` copies between the two
-layouts (``to_lanes`` / ``from_lanes``, the cell axis ``-4`` to the
-end and back), and the face loops read the same lane blocks.  Components
-and members are batch axes of every kernel alike.
+Global DG vectors are stored in the same order, ``(*lead, [3,] n, n, n,
+N)`` with a velocity's components as its innermost lead axis, so a
+vector *is* a lane block (:meth:`~repro.core.dof_handler.DGDofHandler.lanes`
+views it) and neither the kernels nor the face loops copy it into
+another layout.  Components and members are batch axes of every kernel
+alike.
 
 :func:`apply_1d` itself is layout-agnostic: dimension ``d = 0`` is the
 *last* array axis, ``d = 1`` the one before it, and so on — on a lane

@@ -12,10 +12,12 @@ Format version 2 additionally embeds the run's configuration
 configuration drift — restoring a state into a simulation built with
 different solver settings silently changes the trajectory, which is
 exactly the class of bug a long checkpointed run cannot afford.
-Version 3 stores the velocity histories component-major, the layout of
-:class:`~repro.core.dof_handler.DGDofHandler`; version-1/2 files, whose
-velocities were written interleaved per cell, are permuted once on load,
-and version-1 files (no embedded config) still load.
+Version 4 stores every history in the lane order of
+:class:`~repro.core.dof_handler.DGDofHandler`, ``(*lead, [3,] n³, N)``.
+Older files are cell-major — pressures ``(N, n³)``, velocities
+component-major ``(3, N, n³)`` in version 3 and interleaved per cell
+``(N, 3, n³)`` before it — and are permuted once on load; version-1
+files (no embedded config) still load.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: format versions this module can read
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 
 class CheckpointConfigDrift(UserWarning):
@@ -130,17 +132,19 @@ def _scheme_payload(scheme) -> dict:
 def _restore_scheme(data, scheme) -> None:
     """Set what :func:`_scheme_payload` stored on ``scheme``, history
     fields cast to its state dtype (stored fields are float64 already).
-    The velocity histories of version-1/2 files go from their
-    ``(*lead, N, 3, n³)`` order to the component-major ``(*lead, 3, N,
-    n³)``."""
+    The histories of a cell-major file (version < 4) go to the lane
+    order ``(*lead, [3,] n³, N)``."""
     dt = np.dtype(getattr(scheme, "state_dtype", np.float64))
     n_cells = scheme.ops.mass.dof.n_cells
-    interleaved = int(data["version"]) < 3
+    version = int(data["version"])
 
     def fields(key, n):
         out = [data[f"{key}_{i}"].astype(dt, copy=False) for i in range(int(n))]
-        if interleaved and key != "p":
-            out = [np.swapaxes(x.reshape(x.shape[:-1] + (n_cells, 3, -1)), -3, -2)
+        if version < 4:  # (N, [3,] n³), or (3, N, n³) for a version-3 velocity
+            c = 1 if key == "p" else 3
+            v3 = version == 3 and c == 3
+            pair = (c, n_cells) if v3 else (n_cells, c)
+            out = [np.moveaxis(x.reshape(x.shape[:-1] + pair + (-1,)), -2 if v3 else -3, -1)
                    .reshape(x.shape) for x in out]
         return out
 

@@ -42,10 +42,10 @@ class FlowDiagnostics:
 
     # ------------------------------------------------------------------
     def _values(self, u_flat: np.ndarray) -> np.ndarray:
-        return self.kern.values(self.dof.to_lanes(self.dof.cell_view(u_flat)))  # (3, q, q, q, N)
+        return self.kern.values(self.dof.lanes(u_flat))  # (3, q, q, q, N)
 
     def _phys_gradients(self, u_flat: np.ndarray) -> np.ndarray:
-        g = self.kern.gradients_cm(self.dof.to_lanes(self.dof.cell_view(u_flat)))
+        g = self.kern.gradients_cm(self.dof.lanes(u_flat))
         return contract("lmzyxc,m...izyxc->...ilzyxc", self.cm.jinv_t, g)
 
     # ------------------------------------------------------------------
@@ -90,7 +90,7 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
 
     forest = geometry.forest
     basis = LagrangeBasis1D(dof_u.degree)
-    u = dof_u.cell_view(u_flat)
+    u = dof_u.lanes(u_flat)
     out = np.full((len(points), 3), np.nan)
     all_corners = forest.corner_points
     lows, highs = all_corners.min(axis=1), all_corners.max(axis=1)
@@ -114,6 +114,6 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
             lx = basis.values(np.clip(ref[0:1], 0, 1))[0]
             ly = basis.values(np.clip(ref[1:2], 0, 1))[0]
             lz = basis.values(np.clip(ref[2:3], 0, 1))[0]
-            out[ip] = contract("izyx,z,y,x->i", u[:, c], lz, ly, lx)
+            out[ip] = contract("izyx,z,y,x->i", u[..., c], lz, ly, lx)
             break
     return out

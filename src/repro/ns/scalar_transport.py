@@ -75,12 +75,10 @@ class ScalarAdvectionOperator:
         return np.where(un >= 0, un * cm_, un * cp_)
 
     def apply(self, c_flat: np.ndarray, u_flat: np.ndarray) -> np.ndarray:
-        c = self.dof_c.cell_view(c_flat)
-        u = self.dof_u.cell_view(u_flat)
         kern = self.kern
         cmx = self.cell_metrics
         # cell term: -int c u . grad(v), on lane blocks
-        cl, ul = self.dof_c.to_lanes(c), self.dof_u.to_lanes(u)
+        cl, ul = self.dof_c.lanes(c_flat), self.dof_u.lanes(u_flat)
         cq, uq = kern.values(cl), kern.values(ul)
         coeff = -(cq * cmx.jxw)
         rg = contract("ilzyxc,izyxc,zyxc->lzyxc", cmx.jinv_t, uq, coeff)
@@ -100,11 +98,11 @@ class ScalarAdvectionOperator:
             return self._upwind(c_m, c_p, un) * fd.jxw[ch.f0:ch.f0 + F]
 
         self.loop.apply(np.concatenate([cl[None], ul]), out[None], flux)
-        return self.dof_c.flat(self.dof_c.from_lanes(out))
+        return out.reshape(-1)
 
     def boundary_mean(self, c_flat: np.ndarray, boundary_id: int) -> float:
         """Area-weighted mean of the concentration over one boundary id."""
-        c = self.loop.boundary_values(self.dof_c.to_lanes(self.dof_c.cell_view(c_flat))[None])[0]
+        c = self.loop.boundary_values(self.dof_c.lanes(c_flat)[None])[0]
         sel = self.loop.bids == boundary_id
         w = self.face_data.jxw[self.loop.bface[sel]]
         return float((c[sel] * w).sum() / w.sum())
@@ -163,5 +161,5 @@ class ScalarTransportSolver:
 
     def mean_concentration(self, geometry: GeometryField) -> float:
         cm = geometry.cell_metrics()
-        cq = geometry.kernel.values(self.dof_c.to_lanes(self.dof_c.cell_view(self.c)))
+        cq = geometry.kernel.values(self.dof_c.lanes(self.c))
         return float((cq * cm.jxw).sum() / cm.jxw.sum())

@@ -325,10 +325,10 @@ class IncompressibleNavierStokesSolver:
         dof, kern = self.dof_u, self.geo_u.kernel
         cm = self.geo_u.cell_metrics()
         # physical gradient: dU_i/dx_l = sum_m jinv_t[l, m] * ghat[i, m]
-        g = kern.gradients_cm(dof.to_lanes(dof.cell_view(u_flat)))
+        g = kern.gradients_cm(dof.lanes(u_flat))
         G = contract("lmzyxc,m...izyxc->...ilzyxc", cm.jinv_t, g)
         rhs = kern.integrate_values(curl_of_gradient(G, 4) * cm.jxw)
-        return self.inv_mass_u.vmult(dof.flat(dof.from_lanes(rhs)))
+        return self.inv_mass_u.vmult(rhs.reshape(u_flat.shape))
 
     def _pressure_dirichlet_rhs(self, t: float) -> np.ndarray:
         """Weak Dirichlet data of the pressure Poisson operator."""
@@ -366,7 +366,7 @@ class IncompressibleNavierStokesSolver:
         omega = self.compute_vorticity(sum(b * u for b, u in zip(beta, u_history)))
         for weight, field in [*zip(beta, u_history), (None, omega)]:
             src = wall.scratch(wall.ws, "fl.src", (3 * total.shape[0], wall.size), field.dtype)
-            ul = self.dof_u.to_lanes(self.dof_u.cell_view(field))
+            ul = self.dof_u.lanes(field)
             wall.sheets(ul.reshape((-1,) + ul.shape[-4:]), src)
             for ch in wall.chunks:
                 b = slice(ch.b0, ch.b0 + ch.F - ch.Fi)
@@ -387,7 +387,7 @@ class IncompressibleNavierStokesSolver:
             ploop.integrate(h[:, ch.b0:ch.b0 + ch.F - ch.Fi], ch, dst, ploop.ws, slice(ch.Fi, ch.F))
         out = np.zeros((h.shape[0],) + (self.dof_p.n1,) * 3 + (self.dof_p.n_cells,))
         ploop.expand(dst, out, ploop.ws)
-        return self.dof_p.flat(self.dof_p.from_lanes(out.reshape(lead + out.shape[1:])))
+        return out.reshape(lead + (-1,))
 
     def _viscous_boundary_rhs(self, t: float):
         """Weak velocity-Dirichlet data of the viscous step: every wall's
@@ -403,14 +403,15 @@ class IncompressibleNavierStokesSolver:
         f = np.asarray(self._body_force_fn(*cm.points, t))
         # (3, q, q, q, N): the components ride the lane block's batch axis
         out = self.geo_u.kernel.integrate_values(f * cm.jxw)
-        return self.dof_u.flat(self.dof_u.from_lanes(out))
+        return out.reshape(out.shape[:-5] + (-1,))
 
     # ------------------------------------------------------------------
     def interpolate_velocity(self, fn, t: float = 0.0) -> np.ndarray:
         """Nodal interpolation of ``fn(x, y, z, t) -> (3, ...)``: one call
-        on the flattened nodal coordinates of all cells."""
-        X = self.geo_u.X  # (N, 3, n, n, n): the velocity nodes are the geometry nodes
-        return np.asarray(fn(X[:, 0].ravel(), X[:, 1].ravel(), X[:, 2].ravel(), t)).reshape(-1)
+        on the nodal coordinates of all cells in lane order."""
+        # (3, n, n, n, N): the velocity nodes are the geometry nodes
+        X = np.moveaxis(self.geo_u.X, 0, -1)
+        return np.asarray(fn(X[0].ravel(), X[1].ravel(), X[2].ravel(), t)).reshape(-1)
 
     def initialize(self, u0=None, t0: float = 0.0) -> None:
         if u0 is None:
@@ -514,15 +515,14 @@ class IncompressibleNavierStokesSolver:
     def velocity_error_l2(self, exact, t: float) -> float:
         """L2 error of the velocity against ``exact(x, y, z, t) -> (3, ...)``."""
         cm = self.geo_u.cell_metrics()
-        uq = self.geo_u.kernel.values(self.dof_u.to_lanes(self.dof_u.cell_view(self.velocity)))
+        uq = self.geo_u.kernel.values(self.dof_u.lanes(self.velocity))
         ex = np.asarray(exact(*cm.points, t))
         return float(np.sqrt(np.sum((uq - ex) ** 2 * cm.jxw)))
 
     def _divergence_field(self) -> np.ndarray:
         """div(u) at quadrature points; ensemble states get a leading
         member axis."""
-        dof = self.dof_u
-        g = self.geo_u.kernel.gradients_cm(dof.to_lanes(dof.cell_view(self.velocity)))
+        g = self.geo_u.kernel.gradients_cm(self.dof_u.lanes(self.velocity))
         return contract("ilzyxc,l...izyxc->...zyxc", self.geo_u.cell_metrics().jinv_t, g)
 
     def max_divergence(self) -> float:
@@ -557,7 +557,7 @@ class IncompressibleNavierStokesSolver:
 
     def _flow_rates_of(self, u_flat: np.ndarray, boundary_ids):
         loop, fd = self.divergence.loop_u, self.divergence.face_data
-        ul = self.dof_u.to_lanes(self.dof_u.cell_view(u_flat))
+        ul = self.dof_u.lanes(u_flat)
         v = loop.boundary_values(ul.reshape((-1,) + ul.shape[-4:]))
         v = v.reshape(ul.shape[:-4] + v.shape[1:])
         un = contract("ifq,...ifq->...fq", fd.normal[:, loop.bface], v)

@@ -22,8 +22,13 @@ mirrors Kronbichler & Kormann's overlap strategy:
    posted the current round, gathers the inboxes into the ghost cells'
    lane block, and runs the cut faces,
 5. **accumulate** — the residual sheets are expanded onto the cell
-   term, and the owned slice of the result vector is written to the
-   shared output buffer.
+   term, and the owned lane columns of the result vector are written to
+   the shared output buffer.
+
+A rank's cells are the lane columns ``[lo, hi)`` of the DG vector's lane
+block (:meth:`~repro.core.dof_handler.DGDofHandler.lanes`): the rank
+copies them once into its own block, and a ghost payload is the lane
+columns of the cells a neighbor needs.
 
 Bitwise reproducibility (the contract the parallel test battery
 enforces): a rank runs the operator's own
@@ -269,7 +274,6 @@ class RankLocalOperator:
         self.rank = rank
         rp = plan.rank_plans[rank]
         self.rank_plan = rp
-        self._dofs = slice(rp.lo * plan.npc, rp.hi * plan.npc)
         self._laplace_d = np.ascontiguousarray(op.cell_metrics.laplace_d[..., rp.lo:rp.hi])
         (cm, fm, cp, fp, code, kind), (cd, fd, bd) = op.face_loop.table
         n_own = rp.n_cells
@@ -286,10 +290,12 @@ class RankLocalOperator:
 
     # -- phases --------------------------------------------------------
     def interior(self, u: np.ndarray):
-        """Cell term plus every face that needs no ghost data, on one lane
-        block; returns the state for :meth:`cut` and :meth:`accumulate`."""
+        """Cell term plus every face that needs no ghost data, on the
+        rank's own copy of its lane columns ``u`` (:meth:`owned`);
+        returns the state for :meth:`cut` and :meth:`accumulate`."""
         op = self.op
-        ul = op.dof.to_lanes(u, self.ws)
+        ul = self.ws.take("rank.lanes", u.shape, u.dtype)
+        np.copyto(ul, u)
         lanes = ul.reshape((math.prod(ul.shape[:-4]),) + ul.shape[-4:])
         buf = self.ws.take("sip.sheets", (lanes.shape[0], self.faces.size), ul.dtype)
         self.faces.sheets(lanes, buf)
@@ -306,22 +312,23 @@ class RankLocalOperator:
         self.faces.run(buf, self.data, self.faces.phases[1], self.ws)
 
     def accumulate(self, state) -> np.ndarray:
-        """Add the owned residual sheets onto the cell term."""
+        """Add the owned residual sheets onto the cell term; returns the
+        owned lane columns of the result (workspace-owned)."""
         ul, buf = state
         self.faces.finish(buf)
         self.faces.expand(buf, ul.reshape(buf.shape[:1] + ul.shape[-4:]), self.ws)
-        return self.op.dof.from_lanes(ul)
+        return ul
 
     def owned(self, x: np.ndarray) -> np.ndarray:
-        """The owned cells of a flat ``(*lead, n_dofs)`` vector, as a
-        ``(*lead, n_cells, n1, n1, n1)`` view."""
-        n1 = self.plan.n1
-        return x[..., self._dofs].reshape(
-            x.shape[:-1] + (self.rank_plan.n_cells, n1, n1, n1))
+        """The owned cells of a flat ``(*lead, n_dofs)`` vector: the lane
+        columns ``[lo, hi)`` of its lane block, a ``(*lead, n1, n1, n1,
+        n_cells)`` view."""
+        return self.op.dof.lanes(x)[..., self.rank_plan.lo:self.rank_plan.hi]
 
     def pack(self, u: np.ndarray, dst: int) -> np.ndarray:
-        """Ghost-cell payload (owned nodal tensors) for rank ``dst``."""
-        return u[..., self.rank_plan.send[dst], :, :, :]
+        """Ghost-cell payload (the lane columns of the owned cells) for
+        rank ``dst``."""
+        return u[..., self.rank_plan.send[dst]]
 
     def ghosts(self, inbox, lead: tuple, dtype, peers: list | None = None):
         """The ghost cells' lane block ``(*lead, n1, n1, n1, ghosts)``
@@ -332,15 +339,15 @@ class RankLocalOperator:
         ug = np.empty(lead + (self.plan.n1,) * 3 + (rp.ghosts.size,), dtype=dtype)
         for src, slots in rp.recv.items():
             ts = time.perf_counter()
-            ug[..., slots] = np.moveaxis(inbox[src], -4, -1)
+            ug[..., slots] = inbox[src]
             if peers is not None:
                 peers.append(("unpack", src, ts, time.perf_counter()))
         return ug
 
     def store(self, y: np.ndarray, y_own: np.ndarray) -> None:
-        """Write the owned share into the flat ``(*lead, n_dofs)``
-        result ``y``."""
-        y[..., self._dofs] = y_own.reshape(y_own.shape[:-4] + (-1,))
+        """Write the owned lane columns ``y_own`` into the flat ``(*lead,
+        n_dofs)`` result ``y``."""
+        self.op.dof.lanes(y)[..., self.rank_plan.lo:self.rank_plan.hi] = y_own
 
 
 class InProcessGhostRuntime:
@@ -748,7 +755,7 @@ def _session_names(prefix: str, sid: int, plan: PartitionPlan, lead: tuple):
     out = {}
     for rp in plan.rank_plans:
         for dst, idx in rp.send.items():
-            shape = lead + (idx.size,) + (plan.n1,) * 3
+            shape = lead + (plan.n1,) * 3 + (idx.size,)
             out[(rp.rank, dst)] = (f"{prefix}-s{sid}-ob{rp.rank}to{dst}", shape)
     return {"x": f"{prefix}-s{sid}-x", "y": f"{prefix}-s{sid}-y", "out": out}
 
@@ -939,17 +946,18 @@ class DistributedSolverContext:
 
     ``ctx.operator`` replaces the fp64 operator in the outer Krylov
     iteration.  The distributed fp64 mat-vec is bitwise identical to
-    the serial one (canonical accumulation order + padded face-batch
-    subsets), so CG iterates — and therefore ``repro poisson
-    --workers N`` — reproduce the single-process run exactly.
+    the serial one (every owned residual slot is written by the serial
+    face loop's row arithmetic, and no GEMM has a single row), so CG
+    iterates — and therefore ``repro poisson --workers N`` — reproduce
+    the single-process run exactly.
 
     When a
     :class:`~repro.solvers.multigrid.HybridMultigridPreconditioner` is
     given and ``distribute_single_precision=True``, its finest (DG)
     level — operator and Chebyshev smoother — is swapped to
-    pool-backed fronts as well.  This is *off* by default: BLAS sgemm
-    row-blocking makes fp32 face-batch subsets round differently from
-    the full batch (~1e-7 relative), so distributing the fp32 smoother
+    pool-backed fronts as well.  This is *off* by default: sgemm may
+    block a rank's subset of the face loop's rows differently from the
+    full loop (~1e-7 relative), so distributing the fp32 smoother
     would perturb the preconditioner and break the fp64 bitwise
     contract of the outer iteration.  The Chebyshev eigenvalue
     estimates and the Jacobi diagonal were computed at preconditioner

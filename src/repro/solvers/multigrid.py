@@ -105,8 +105,8 @@ def operator_to_dtype(op, dtype):
     :meth:`repro.core.sum_factorization.TensorProductKernel._mat`).
     Composite operators (vector Laplacian, Helmholtz, penalty step) have
     their nested operators cast recursively.  The clone shares the
-    original's plan cache — scatter plans are dtype-agnostic, workspace
-    buffers and work models are keyed by dtype — and its dof handler,
+    original's plan cache — workspace buffers and work models are keyed
+    by dtype — and its dof handler,
     whose CG cell map is picked by the input dtype."""
     dtype = np.dtype(dtype)
     if np.dtype(getattr(op, "dtype", None)) == dtype:

@@ -60,29 +60,14 @@ class Transfer:
         return self.P.shape
 
 
-class _LaneTransfer(Transfer):
-    """A transfer whose fine rows are the DG dofs in lane order: the DG
-    vector passes through the handler's lane pair on each side."""
-
-    def __init__(self, dg: DGDofHandler, P: sp.spmatrix, Pt: sp.spmatrix) -> None:
-        super().__init__(P, Pt)
-        self.dg = dg
-
-    def prolongate(self, xc: np.ndarray) -> np.ndarray:
-        y = super().prolongate(xc)
-        return self.dg.flat(self.dg.from_lanes(y.reshape(y.shape[:-1] + (self.dg.n1,) * 3 + (-1,))))
-
-    def restrict(self, rf: np.ndarray) -> np.ndarray:
-        return super().restrict(self.dg.to_lanes(self.dg.cell_view(rf)).reshape(rf.shape))
-
-
 def dg_from_cg(dg: DGDofHandler, cg: CGDofHandler, dtype=np.float64) -> Transfer:
     """Exact embedding of the conforming space into the DG space: the CG
-    handler's cell map ``G`` at ``dtype`` (its rows are the DG dofs in
-    lane order), shared with the handler rather than copied."""
+    handler's cell map ``G`` at ``dtype`` (its rows are the DG dofs, in
+    the DG vector's lane order), shared with the handler rather than
+    copied."""
     if dg.degree != cg.degree or dg.n_cells != cg.n_cells:
         raise ValueError("DG and CG spaces must share mesh and degree")
-    return _LaneTransfer(dg, *cg.cell_map(dtype))
+    return Transfer(*cg.cell_map(dtype))
 
 
 def _interpolation_rows(

@@ -30,14 +30,17 @@ def _fingerprint(y) -> list[float]:
     return [float(np.linalg.norm(y)), float(np.abs(y).max()), float(r @ y)]
 
 
-def _interleaved(u, n_cells: int, inverse: bool = False):
-    """A velocity vector from the component-major layout ``(3, N, n³)``
-    to the per-cell interleaved ``(N, 3, n³)`` (``inverse``: back) — the
-    fingerprinted velocities were drawn and taken interleaved, the layout
-    of the implementation that produced them, so they are kept that way
-    instead of being regenerated."""
-    pair = (n_cells, 3) if inverse else (3, n_cells)
-    return np.swapaxes(u.reshape(u.shape[:-1] + pair + (-1,)), -3, -2).reshape(u.shape)
+def _committed(u, dof, inverse: bool = False):
+    """A DG vector of ``dof`` from its lane order ``(*lead, [c,] n³, N)``
+    to the cell-major ``(*lead, N, [c,] n³)`` (``inverse``: back) — the
+    fingerprinted vectors were drawn and taken cell-major, velocities
+    interleaved per cell, the layout of the implementation that produced
+    them, so they are kept that way instead of being regenerated."""
+    c, m, N = dof.n_components, dof.n1 ** 3, dof.n_cells
+    lead = u.shape[:-1]
+    if inverse:
+        return np.moveaxis(u.reshape(lead + (N, c, m)), -3, -1).reshape(u.shape)
+    return np.moveaxis(u.reshape(lead + (c, m, N)), -1, -3).reshape(u.shape)
 
 
 def _operator_fingerprints() -> dict:
@@ -78,8 +81,10 @@ def _operator_fingerprints() -> dict:
         )
 
     def vmult(op, seed, dtype=np.float64):
-        x = np.random.default_rng(seed).standard_normal(op.n_dofs)
-        return op.vmult(x.astype(dtype, copy=False))
+        x = np.random.default_rng(seed).standard_normal(op.n_dofs).astype(dtype, copy=False)
+        if isinstance(op.dof, CGDofHandler):
+            return op.vmult(x)
+        return _committed(op.vmult(_committed(x, op.dof, inverse=True)), op.dof)
 
     out: dict = {}
     for degree in (1, 2, 3):
@@ -96,10 +101,10 @@ def _operator_fingerprints() -> dict:
         MassOperator(DGDofHandler(junction, 2), GeometryField(junction, 2)), 0)
     vec = VectorDGLaplace(lap, DGDofHandler(hanging, 2, n_components=3))
     x = np.random.default_rng(8).standard_normal(vec.n_dofs)
-    out["vmult_vector_laplace_hanging_k2"] = _interleaved(
-        vec.vmult(_interleaved(x, hanging.n_cells, inverse=True)), hanging.n_cells)
-    out["assemble_rhs_dg_laplace_hanging_k2"] = lap.assemble_rhs(
-        f=lambda x, y, z: x * y + z, dirichlet=lambda x, y, z: x - z)
+    out["vmult_vector_laplace_hanging_k2"] = _committed(
+        vec.vmult(_committed(x, vec.dof, inverse=True)), vec.dof)
+    out["assemble_rhs_dg_laplace_hanging_k2"] = _committed(lap.assemble_rhs(
+        f=lambda x, y, z: x * y + z, dirichlet=lambda x, y, z: x - z), lap.dof)
     for name, forest in (("hanging", hanging), ("bifurcation", junction)):
         out.update(_flow_operator_outputs(name, forest))
     metrics = {
@@ -134,9 +139,9 @@ def _flow_operator_outputs(name: str, forest) -> dict:
         SolverSettings(use_multigrid=False),
     )
     rng = np.random.default_rng(21)
-    N = forest.n_cells
-    u0, u1, w = _interleaved(rng.standard_normal((3, solver.dof_u.n_dofs)), N, inverse=True)
-    p = rng.standard_normal(solver.dof_p.n_dofs)
+    dof_u, dof_p = solver.dof_u, solver.dof_p
+    u0, u1, w = _committed(rng.standard_normal((3, dof_u.n_dofs)), dof_u, inverse=True)
+    p = _committed(rng.standard_normal(dof_p.n_dofs), dof_p, inverse=True)
     solver.penalty.update_parameters(w)
     coeffs = bdf_coefficients(2, [0.01, 0.02])
     out = {
@@ -150,7 +155,7 @@ def _flow_operator_outputs(name: str, forest) -> dict:
             0.3, [u0, u1], [0.29, 0.27], coeffs, 0.01),
         f"viscous_boundary_rhs_{name}_k2": solver._viscous_boundary_rhs(0.3),
     }
-    return {key: _interleaved(y, N) if y.size == solver.dof_u.n_dofs else y
+    return {key: _committed(y, dof_u if y.size == dof_u.n_dofs else dof_p)
             for key, y in out.items()}
 
 

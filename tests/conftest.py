@@ -86,11 +86,18 @@ def rng(request) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def lane_block(cells: np.ndarray) -> np.ndarray:
+    """Cell-major tensors ``(..., N, n, n, n)`` of a reference built cell
+    by cell as the lane block ``(..., n, n, n, N)`` — the order of a DG
+    vector (:meth:`DGDofHandler.lanes`) once flattened."""
+    return np.moveaxis(cells, -4, -1)
+
+
 def interpolate_per_leaf(dof_u, forest, fn) -> np.ndarray:
     """Nodal interpolation of ``fn(x, y, z) -> (3, ...)`` into the
-    component-major velocity layout ``(3, N, n, n, n)``, with one geometry
-    evaluation and one call of ``fn`` per leaf: the reference of the
-    solver's batched ``interpolate_velocity``."""
+    velocity space, with one geometry evaluation and one call of ``fn``
+    per leaf: the reference of the solver's batched
+    ``interpolate_velocity``."""
     from repro.core.basis import LagrangeBasis1D
 
     n = dof_u.n1
@@ -101,7 +108,7 @@ def interpolate_per_leaf(dof_u, forest, fn) -> np.ndarray:
     for c, leaf in enumerate(forest.leaves):
         pts = forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
         out[:, c] = np.asarray(fn(pts[:, 0], pts[:, 1], pts[:, 2])).reshape(3, n, n, n)
-    return dof_u.flat(out)
+    return lane_block(out).reshape(-1)
 
 
 # -- meshes where face plans can go wrong (hanging, reoriented, curved) --

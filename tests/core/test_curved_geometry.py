@@ -37,7 +37,7 @@ def solve_on_cylinder(levels: int, degree: int):
     cm = geo.cell_metrics()
     r2 = cm.points[0] ** 2 + cm.points[1] ** 2
     exact = (R * R - r2) / 4.0
-    uq = geo.kernel.values(dof.to_lanes(dof.cell_view(res.x)))
+    uq = geo.kernel.values(dof.lanes(res.x))
     err = float(np.sqrt(np.sum((uq - exact) ** 2 * cm.jxw)))
     return err
 

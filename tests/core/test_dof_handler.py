@@ -14,6 +14,8 @@ from repro.mesh.octree import Forest
 from repro.solvers.assemble import AssembledOperator, assemble_cg_laplace
 from repro.solvers.multigrid import operator_to_dtype
 
+from ..conftest import lane_block
+
 
 def _conforming_box():
     return Forest(box(subdivisions=(2, 1, 1), boundary_ids={0: 1})).refine_all(1)
@@ -54,16 +56,17 @@ class TestDGDofHandler:
         assert dof.n_dofs == 2 * 3 * 64
 
     def test_views_are_views(self):
-        """cell_view and flat reshape without copying: writes through the
-        view land in the flat vector (the zero-cost gather/scatter of DG)."""
-        forest = Forest(box())
+        """``lanes`` reshapes without copying: writes through the view
+        land in the flat vector (the zero-cost gather/scatter of DG),
+        node-major with the cell index fastest."""
+        forest = Forest(box(subdivisions=(2, 1, 1)))
         dof = DGDofHandler(forest, 2)
         v = dof.zeros()
-        cells = dof.cell_view(v)
-        cells[0, 1, 1, 1] = 7.0
-        assert 7.0 in v
-        assert np.shares_memory(v, cells)
-        assert np.shares_memory(dof.flat(cells), v)
+        lanes = dof.lanes(v)
+        assert lanes.shape == (3, 3, 3, 2)
+        lanes[1, 2, 0, 1] = 7.0
+        assert v[(1 * 9 + 2 * 3 + 0) * 2 + 1] == 7.0
+        assert np.shares_memory(v, lanes)
 
 
 class TestCGNumbering:
@@ -149,11 +152,6 @@ class TestHangingConstraints:
         assert pts.min() >= -1e-12 and pts.max() <= 2 + 1e-12
 
 
-def _lanes(cells):
-    """Cell-major ``(..., N, n, n, n)`` -> lane block ``(..., n, n, n, N)``."""
-    return np.moveaxis(cells, -4, -1)
-
-
 class TestCellMap:
     """``gather_cells`` / ``scatter_add_cells`` through the one sparse
     cell map ``G = P·C`` against implementation-independent references:
@@ -163,7 +161,7 @@ class TestCellMap:
     def test_gather_matches_expand_and_index(self, cg_space):
         dof, _ = cg_space
         x = np.random.default_rng(0).standard_normal(dof.n_dofs)
-        ref = _lanes(dof.expand(x)[dof.cell_to_global])
+        ref = lane_block(dof.expand(x)[dof.cell_to_global])
         assert _rel_err(dof.gather_cells(x), ref) <= 1e-14
 
     def test_scatter_matches_add_at(self, cg_space):
@@ -173,7 +171,7 @@ class TestCellMap:
         r_global = np.zeros(dof.n_global)
         np.add.at(r_global, dof.cell_to_global.ravel(), cells.ravel())
         ref = dof.Ct @ r_global
-        assert _rel_err(dof.scatter_add_cells(_lanes(cells).copy()), ref) <= 1e-14
+        assert _rel_err(dof.scatter_add_cells(lane_block(cells).copy()), ref) <= 1e-14
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_lane_map_is_bitwise_the_cell_major_map(self, cg_space, dtype):
@@ -191,9 +189,9 @@ class TestCellMap:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, dof.n_dofs)).astype(dtype)
         cells = rng.standard_normal((2, dof.n_cells) + (dof.n1,) * 3).astype(dtype)
-        want = _lanes((G @ x.T).T.reshape(cells.shape))
+        want = lane_block((G @ x.T).T.reshape(cells.shape))
         assert np.array_equal(dof.gather_cells(x), want)
-        got = dof.scatter_add_cells(_lanes(cells).copy())
+        got = dof.scatter_add_cells(lane_block(cells).copy())
         assert np.array_equal(got, (Gt @ cells.reshape(2, -1).T).T)
 
     def test_diagonal_matches_squared_constraint_formula(self, cg_space):
@@ -267,21 +265,19 @@ class TestAnyLead:
 
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
     def test_velocity_is_three_scalar_fields(self, vector_laplace, lead):
-        """Component-major layout: component ``i`` of ``cell_view`` is
-        the ``i``-th third of every lead row viewed as cells, and the
-        lane copies and ``flat`` round-trip bitwise."""
+        """Component-major layout: component ``i`` of the lane block is
+        the ``i``-th third of every lead row viewed as a scalar lane
+        block, and the view flattens back to the vector."""
         dof = vector_laplace.dof
-        cells_shape = (dof.n_cells,) + (dof.n1,) * 3
+        block = (dof.n1,) * 3 + (dof.n_cells,)
         x = np.random.default_rng(5).standard_normal(lead + (dof.n_dofs,))
-        cells = dof.cell_view(x)
-        assert cells.shape == lead + (3,) + cells_shape
+        lanes = dof.lanes(x)
+        assert lanes.shape == lead + (3,) + block
+        assert np.shares_memory(lanes, x)
         for i in range(3):
-            assert np.array_equal(cells[..., i, :, :, :, :],
-                                  x.reshape(lead + (3, -1))[..., i, :].reshape(lead + cells_shape))
-        lanes = dof.to_lanes(cells)
-        assert lanes.shape == lead + (3,) + cells_shape[1:] + cells_shape[:1]
-        assert np.array_equal(dof.from_lanes(lanes), cells)
-        assert np.array_equal(dof.flat(dof.from_lanes(lanes)), x)
+            assert np.array_equal(lanes[..., i, :, :, :, :],
+                                  x.reshape(lead + (3, -1))[..., i, :].reshape(lead + block))
+        assert np.array_equal(lanes.reshape(lead + (-1,)), x)
 
     @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
     def test_vector_laplace_is_its_scalar_stack(self, vector_laplace, lead):

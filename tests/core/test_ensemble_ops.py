@@ -345,10 +345,10 @@ class TestStackedVectorLaplacian:
     def test_equals_three_scalar_matvecs(self, operators, rng):
         scalar, vector = operators
         x = rng.standard_normal(vector.n_dofs)
-        u = vector.dof.cell_view(x)
-        y = vector.dof.cell_view(vector.vmult(x))
+        u = vector.dof.lanes(x)
+        y = vector.dof.lanes(vector.vmult(x))
         for c in range(3):
-            ref = scalar.dof.cell_view(scalar.vmult(scalar.dof.flat(u[c])))
+            ref = scalar.dof.lanes(scalar.vmult(u[c].reshape(-1)))
             np.testing.assert_allclose(
                 y[c], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 

@@ -173,7 +173,7 @@ class TestGalerkinConsistency:
 
         b = op.assemble_rhs(dirichlet=lambda x, y, z: a[0] * x + a[1] * y + a[2] * z,
                             neumann=dudn)
-        u = np.einsum("i,ci...->c...", a, geo.X).reshape(-1)
+        u = np.einsum("i,ci...->...c", a, geo.X).reshape(-1)  # lane order
         np.testing.assert_allclose(op.vmult(u), b, rtol=0, atol=1e-11 * np.abs(b).max())
 
 

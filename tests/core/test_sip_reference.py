@@ -29,6 +29,8 @@ from repro.mesh.octree import Forest
 from repro.parallel.runtime import InProcessGhostRuntime
 from repro.solvers.multigrid import operator_to_dtype
 
+from ..conftest import lane_block
+
 PENALTY = 2.5  # DGLaplaceOperator's default penalty_factor
 
 
@@ -103,9 +105,11 @@ def dense_sip(op):
     """``(A, rhs)``: the SIP matrix of ``op``'s mesh and a function
     assembling its right-hand side, both from the definitions
     ``a(u, v) = sum_K int grad u . grad v + sum_F int tau [u][v]
-    - {d_n u}[v] - {d_n v}[u]`` with mirror ghosts on Dirichlet faces."""
+    - {d_n u}[v] - {d_n v}[u]`` with mirror ghosts on Dirichlet faces;
+    built cell-major, returned in the DG vector's lane order."""
     geo, conn = op.geo, op.conn
-    n3 = op.kern.n_dofs_1d ** 3
+    n = op.kern.n_dofs_1d
+    n3 = n ** 3
     A = np.zeros((op.n_dofs, op.n_dofs))
     span = [slice(c * n3, (c + 1) * n3) for c in range(geo.n_cells)]
     rule = gauss(op.kern.n_q_points)
@@ -156,9 +160,10 @@ def dense_sip(op):
                 b[span[c]] += (W * dirichlet(*x.T)) @ (2 * t * V - dn)
             else:
                 b[span[c]] += (W * neumann(*x.T)) @ V
-        return b
+        return b[perm]
 
-    return A, rhs
+    perm = lane_block(np.arange(op.n_dofs).reshape((geo.n_cells,) + (n,) * 3)).reshape(-1)
+    return A[np.ix_(perm, perm)], rhs
 
 
 def _operator(forest, degree, dirichlet_ids):

@@ -85,13 +85,13 @@ class TestPeriodicOperators:
         op = DGLaplaceOperator(dof, geo, conn)
         cm = geo.cell_metrics()
         f = (2 * np.pi) ** 2 * np.sin(2 * np.pi * cm.points[0])
-        b = dof.flat(dof.from_lanes(geo.kernel.integrate_values(f * cm.jxw)))
+        b = geo.kernel.integrate_values(f * cm.jxw).reshape(-1)
         ones = np.ones(dof.n_dofs)
         b = b - (ones @ b) / (ones @ ones) * ones
         res = conjugate_gradient(op, b, InverseMassOperator(dof, geo),
                                  tol=1e-10, max_iter=3000)
         assert res.converged
-        uq = geo.kernel.values(dof.to_lanes(dof.cell_view(res.x)))
+        uq = geo.kernel.values(dof.lanes(res.x))
         exact = np.sin(2 * np.pi * cm.points[0])
         # remove the mean ambiguity
         uq = uq - (uq * cm.jxw).sum() / cm.jxw.sum()
@@ -120,17 +120,16 @@ class TestPeriodicOperators:
 
         minv = InverseMassOperator(solver.dof_c, geo)
         dof_c = solver.dof_c
-        solver.c = minv.vmult(dof_c.flat(dof_c.from_lanes(geo.kernel.integrate_values(c0 * cm.jxw))))
+        solver.c = minv.vmult(geo.kernel.integrate_values(c0 * cm.jxw).reshape(-1))
 
         def values(c):
-            return geo.kernel.values(dof_c.to_lanes(dof_c.cell_view(c)))
+            return geo.kernel.values(dof_c.lanes(c))
 
         mass0 = float((values(solver.c) * cm.jxw).sum())
         # uniform velocity in +x
         n = degree + 1
-        u = np.zeros((3, forest.n_cells, n, n, n))
-        u[0] = 1.0
-        u_flat = dof_u.flat(u)
+        u_flat = np.zeros(dof_u.n_dofs)
+        dof_u.lanes(u_flat)[0] = 1.0
         # advect one full period (t = 1): the blob returns to its start
         dt = 0.005
         for _ in range(200):

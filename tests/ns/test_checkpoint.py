@@ -197,23 +197,27 @@ class TestMemberRunCheckpoint:
         assert np.array_equal(fresh.solver.velocity, sim.solver.velocity)
 
 
-def _as_version_2(path, n_cells):
-    """Rewrite a checkpoint as the version-2 file of the same state:
-    velocity histories interleaved per cell, ``(*lead, N, 3, n³)``."""
+def _as_cell_major(path, version, n_cells):
+    """Rewrite a checkpoint as the cell-major file of an older
+    ``version`` of the same state: pressures ``(*lead, N, n³)``,
+    velocity histories component-major ``(*lead, 3, N, n³)`` in version
+    3 and interleaved per cell ``(*lead, N, 3, n³)`` before it."""
     with np.load(path) as data:
         payload = {k: data[k] for k in data.files}
     for key, x in payload.items():
-        if key.startswith(("u_", "conv_")):
-            cm = x.reshape(x.shape[:-1] + (3, n_cells, -1))
-            payload[key] = np.swapaxes(cm, -3, -2).reshape(x.shape)
-    payload["version"] = np.array(2)
+        if key.startswith(("u_", "conv_", "p_")):
+            c = 1 if key.startswith("p_") else 3
+            lanes = x.reshape(x.shape[:-1] + (c, -1, n_cells))
+            payload[key] = np.moveaxis(lanes, -1, -2 if version == 3 else -3).reshape(x.shape)
+    payload["version"] = np.array(version)
     np.savez_compressed(path, **payload)
     return payload
 
 
 class TestVelocityLayoutVersions:
-    """Version 3 stores velocities component-major; a version-2 file
-    (interleaved per cell) of the same state resumes bit for bit."""
+    """Version 4 stores every history in the DG vectors' lane order; the
+    cell-major files of versions 2 and 3 of the same state resume bit
+    for bit."""
 
     @pytest.mark.parametrize("members", [1, 2])
     def test_versions_2_and_3_resume_bitwise(self, tmp_path, members):
@@ -224,19 +228,24 @@ class TestVelocityLayoutVersions:
             ref.step()
         for _ in range(2):
             twin.step()
-        v3 = save_lung_state(tmp_path / "v3.npz", twin)
-        v2 = save_lung_state(tmp_path / "v2.npz", twin)
-        old = _as_version_2(v2, twin.solver.dof_u.n_cells)
-        with np.load(v3) as data:
-            assert int(data["version"]) == 3
-            assert not np.array_equal(data["u_0"], old["u_0"])
+        v4 = save_lung_state(tmp_path / "v4.npz", twin)
+        paths = [v4]
+        with np.load(v4) as data:
+            assert int(data["version"]) == 4
+            for version in (2, 3):
+                path = save_lung_state(tmp_path / f"v{version}.npz", twin)
+                old = _as_cell_major(path, version, twin.solver.dof_u.n_cells)
+                for key in ("u_0", "conv_0", "p_0"):
+                    assert not np.array_equal(data[key], old[key])
+                paths.append(path)
         scheme = twin.solver.scheme
-        for path in (v3, v2):
+        for path in paths:
             fresh = LungVentilationSimulation(configs())
             load_lung_state(path, fresh)
             got = fresh.solver.scheme
-            for a, b in zip(got.u_history + got.conv_history,
-                            scheme.u_history + scheme.conv_history, strict=True):
+            for a, b in zip(got.u_history + got.conv_history + got.p_history,
+                            scheme.u_history + scheme.conv_history + scheme.p_history,
+                            strict=True):
                 assert np.array_equal(a, b)
             for _ in range(2):
                 fresh.step()

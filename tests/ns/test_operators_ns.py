@@ -23,7 +23,7 @@ from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 from repro.ns.bc import BoundaryConditions, PressureDirichlet, VelocityDirichlet
 
-from ..conftest import interpolate_per_leaf
+from ..conftest import interpolate_per_leaf, lane_block
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestGradDivDuality:
         for c, leaf in enumerate(forest.leaves):
             pts = forest.coarse.map_geometry(leaf.tree, leaf.ref_points(ref))
             parr[c] = pts[:, 0].reshape(n, n, n)
-        gp = G.apply(dof_p.flat(parr))
+        gp = G.apply(lane_block(parr).reshape(-1))
         vx = interpolate_per_leaf(dof_u, forest, lambda x, y, z: np.stack([1 + 0 * x, 0 * y, 0 * z]))
         assert np.isclose(vx @ gp, 1.0, rtol=1e-10)
 
@@ -191,7 +191,7 @@ class TestPenalty:
         cm = geo.cell_metrics()
 
         def div_l2(vec):
-            g = kern.gradients_cm(dof_u.to_lanes(dof_u.cell_view(vec)))  # g[l, i]
+            g = kern.gradients_cm(dof_u.lanes(vec))  # g[l, i]
             div = np.einsum("ilzyxc,lizyxc->zyxc", cm.jinv_t, g, optimize=True)
             return np.sqrt((div**2 * cm.jxw).sum())
 
@@ -205,11 +205,11 @@ class TestHelmholtz:
         vec = VectorDGLaplace(scal, dof_u)
         x = rng.standard_normal(dof_u.n_dofs)
         y = vec.vmult(x)
-        xv = dof_u.cell_view(x)
-        yv = dof_u.cell_view(y)
+        xv = dof_u.lanes(x)
+        yv = dof_u.lanes(y)
         for c in range(3):
-            yc = scal.vmult(dof_us.flat(xv[c]))
-            assert np.allclose(yv[c], dof_us.cell_view(yc))
+            yc = scal.vmult(xv[c].reshape(-1))
+            assert np.allclose(yv[c], dof_us.lanes(yc))
 
     def test_helmholtz_spd_and_solvable(self, setup, rng):
         forest, geo, _, conn, dof_u, dof_us, _, _ = setup

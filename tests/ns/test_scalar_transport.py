@@ -87,8 +87,7 @@ class TestTransportSolver:
             dof_u=dof_u,
         )
         # a blob in the first cell
-        c = solver.dof_c.cell_view(solver.c)
-        c[0] = 1.0
+        solver.dof_c.lanes(solver.c)[..., 0] = 1.0
         total0 = solver.mean_concentration(geo)
         u0 = np.zeros(dof_u.n_dofs)
         for _ in range(50):

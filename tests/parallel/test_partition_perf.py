@@ -83,12 +83,12 @@ class TestGhostExchange:
         plan = rt.plan
         for lead in ((), (3,)):
             x = rng.standard_normal(lead + (plan.n_dofs,))
-            u = x.reshape(lead + (plan.n_cells,) + (plan.n1,) * 3)
+            u = x.reshape(lead + (plan.n1,) * 3 + (plan.n_cells,))
             mail = rt.mailbox(x)
             assert any(mail.values())  # there is at least one cut face
             for rlo in rt.locals:
                 ug = rlo.ghosts(mail[rlo.rank], lead, x.dtype)  # a lane block
-                assert np.array_equal(np.moveaxis(ug, -1, -4), u[..., rlo.rank_plan.ghosts, :, :, :])
+                assert np.array_equal(ug, u[..., rlo.rank_plan.ghosts])
 
     def test_message_count_positive(self):
         forest = Forest(box(subdivisions=(4, 1, 1)))

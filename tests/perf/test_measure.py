@@ -1,10 +1,12 @@
 """Tests of the throughput measurement harness."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.perf import measure
 from repro.perf.measure import ThroughputResult, measure_operator, measure_throughput
 
 
@@ -30,14 +32,16 @@ class TestMeasureThroughput:
         assert r.dofs_per_second == pytest.approx(1e4)
         assert "DoF/s" in str(r)
 
-    def test_reports_sample_std(self):
-        r = measure_throughput(lambda: time.sleep(0.001), n_dofs=10,
-                               repetitions=5, warmup=0)
-        assert r.std_seconds >= 0.0
-        samples_implied = np.array([r.best_seconds, r.mean_seconds])
-        assert np.all(samples_implied > 0)
-        # a constant workload cannot have std larger than its mean
-        assert r.std_seconds < r.mean_seconds
+    def test_reports_sample_std(self, monkeypatch):
+        """Best, mean and sample std (ddof=1) of scripted ``perf_counter``
+        stamps, exactly: samples 1, 0.5, 0.75, 0.5 and 1 s have mean
+        0.75 s and std 0.25 s, all exact in binary."""
+        stamps = iter([10.0, 11.0, 20.0, 20.5, 30.0, 30.75, 40.0, 40.5, 50.0, 51.0])
+        monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=lambda: next(stamps)))
+        r = measure_throughput(lambda: None, n_dofs=10, repetitions=5, warmup=0,
+                               track_allocations=False)
+        assert (r.best_seconds, r.mean_seconds, r.std_seconds) == (0.5, 0.75, 0.25)
+        assert next(stamps, None) is None  # two stamps per repetition, no more
 
     def test_single_repetition_has_zero_std(self):
         r = measure_throughput(lambda: None, n_dofs=1, repetitions=1, warmup=0)

@@ -35,7 +35,7 @@ class TestTransfers:
         xd = T.prolongate(xc)
         geo = GeometryField(forest, 2)
         cm = geo.cell_metrics()
-        vals = geo.kernel.values(dg.to_lanes(dg.cell_view(xd)))
+        vals = geo.kernel.values(dg.lanes(xd))
         exact = 2 * cm.points[0] - cm.points[1] + 0.5 * cm.points[2]
         assert np.allclose(vals, exact, atol=1e-10)
 
