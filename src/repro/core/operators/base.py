@@ -24,7 +24,6 @@ three scalar fields per ensemble member, members major — with no copy.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,7 +32,7 @@ import numpy as np
 from ...mesh.connectivity import Orientation, orient_face_array
 from ...telemetry import TRACER
 from ..backend import DEFAULT_DTYPE
-from ..plans import Workspace
+from ..plans import SCRATCH
 
 
 def tangential_dims(face: int) -> tuple[int, int]:
@@ -46,10 +45,6 @@ def tangential_dims(face: int) -> tuple[int, int]:
 #: face-side rows per chunk of :class:`FaceLoop` (minus, plus and
 #: boundary rows together; buffers are O(chunk))
 _FACE_CHUNK = 1024
-
-#: the scratch of every face loop: loops run one at a time, a trial and
-#: a test loop working together use distinct tags
-FACE_SCRATCH = Workspace()
 
 
 def _matmul_rows(a, b, out, r0: int, r1: int) -> None:
@@ -135,8 +130,14 @@ class FaceLoop:
     a lane block of their own, the sheets of ``[0, n_out)`` first.
     Each of ``phases`` — ``(interior mask, boundary mask)`` pairs, by
     default everything — is chunked on its own, so a rank can run its
-    owned faces while ghost data is in flight.
+    owned faces while ghost data is in flight.  Scratch comes from the
+    process arena (:data:`~repro.core.plans.SCRATCH`); loops run one at
+    a time, a trial and a test loop working together use distinct tags.
     """
+
+    #: boundary-face quadrature points (3, bfaces, q*q) in loop order, where
+    #: the SIP operator evaluates its data (shared with its dtype clones)
+    points = None
 
     def __init__(self, kern, n_cells: int, n_out: int, interior, boundary,
                  phases=None, sheets: int = 4) -> None:
@@ -235,7 +236,6 @@ class FaceLoop:
         c0, f0 = np.nonzero(~written)
         self.zero = np.sort((c0[:, None, None] + n_out * pat[f0, 0]).ravel())
         self._mats: dict = {}
-        self.ws = FACE_SCRATCH
 
     @classmethod
     def of(cls, kern, n_cells: int, interior, boundary, sheets: int = 4) -> "FaceLoop":
@@ -282,12 +282,6 @@ class FaceLoop:
             return K * K, K * KD[0], K * KD[1]
         return K, K.T, KD, KD.transpose(0, 2, 1)
 
-    @staticmethod
-    def scratch(ws, tag: str, shape: tuple, dt) -> np.ndarray:
-        """``shape`` scratch on one buffer per tag, so chunks, row
-        subsets and leading axes of every size share it."""
-        return ws.flat(tag, math.prod(shape), dt).reshape(shape)
-
     # -- the loop ------------------------------------------------------
     def sheets(self, u: np.ndarray, buf: np.ndarray, lo: int = 0) -> None:
         """Write the sheets of both faces per direction of the lane block
@@ -303,7 +297,7 @@ class FaceLoop:
                   out=blk[:, 1].reshape(L, s, n, n * N).transpose(0, 2, 1, 3))
         np.matmul(T, u.reshape(L, n, n * n * N), out=blk[:, 2].reshape(L, s, n * n * N))
 
-    def run(self, buf: np.ndarray, data, chunks, ws) -> None:
+    def run(self, buf: np.ndarray, data, chunks) -> None:
         """The SIP face terms of ``chunks`` (four sheets; ``data`` a
         :class:`~repro.core.operators.laplace.FaceData`): per chunk one
         gather of the rows' sheets, per interpolation kind the GEMMs to
@@ -314,10 +308,10 @@ class FaceLoop:
         nn, qq, k = self.n1 ** 2, data.a.shape[1], len(data.b)
         for r0, f0, _, Fi, F, groups, idx, sidx in chunks:
             C = idx.shape[2]
-            G = self.scratch(ws, "sip.G", (L, 2, nn, C), dt)
+            G = SCRATCH.take("sip.G", (L, 2, nn, C), dt)
             np.take(buf, idx, axis=1, out=G, mode="clip")
             Gt = G.swapaxes(-1, -2)
-            Q = self.scratch(ws, "sip.Q", (L, 1 + k, C, qq), dt)
+            Q = SCRATCH.take("sip.Q", (L, 1 + k, C, qq), dt)
             mats = [(self._mat((kind, False), dt), a, b) for kind, a, b in groups]
             for (_, Kt, _, KDt), a, b in mats:
                 _matmul_rows(Gt[:, :2], Kt, Q[:, :2], a, b)
@@ -361,7 +355,7 @@ class FaceLoop:
             return ch.groups, slice(None)
         return [(0, 0, rows.stop - rows.start)], rows
 
-    def trace(self, buf: np.ndarray, ch: Chunk, ws, rows=None, full: bool = False):
+    def trace(self, buf: np.ndarray, ch: Chunk, rows=None, full: bool = False):
         """Quadrature-point data of the rows ``rows`` (default: every
         row) of chunk ``ch`` from ``buf`` — the sheets of a four-sheet
         loop, the lane block ``(L, n^3 N)`` of a two-sheet one: values
@@ -371,9 +365,9 @@ class FaceLoop:
         k = 2 if full else 1
         idx = ch.idx[:k, :, sel]
         L, dt, C = buf.shape[0], buf.dtype, idx.shape[2]
-        G = self.scratch(ws, "fl.G", (L, k, self.n1 ** 2, C), dt)
+        G = SCRATCH.take("fl.G", (L, k, self.n1 ** 2, C), dt)
         np.take(buf, idx, axis=1, out=G, mode="clip")
-        Q = self.scratch(ws, "fl.Q", (L, 4 if full else 1, C, self.kern.n_q_points ** 2), dt)
+        Q = SCRATCH.take("fl.Q", (L, 4 if full else 1, C, self.kern.n_q_points ** 2), dt)
         for kind, a, b in groups:
             _, Kt, _, KDt = self._mat((kind, False), dt)
             _matmul_rows(G.swapaxes(-1, -2), Kt, Q[:, :k], a, b)
@@ -381,7 +375,7 @@ class FaceLoop:
                 _matmul_rows(G[:, :1].swapaxes(-1, -2), KDt, Q[:, 2:], a, b)
         return Q if full else Q[:, 0]
 
-    def integrate(self, R: np.ndarray, ch: Chunk, buf: np.ndarray, ws, rows=None) -> None:
+    def integrate(self, R: np.ndarray, ch: Chunk, buf: np.ndarray, rows=None) -> None:
         """Adjoint of :meth:`trace`: test the rows' quadrature weights
         ``R`` — ``(L, C, q*q)`` of the values, or ``(L, 4, C, q*q)`` of
         ``v, d_n v, d_a v, d_b v`` — and scatter the residual sheets into
@@ -392,9 +386,9 @@ class FaceLoop:
         sidx = ch.sidx[:k, :, sel]
         L, dt, C = R.shape[0], buf.dtype, sidx.shape[2]
         # the trace's scratch is free again (``R`` must not live in it)
-        G = self.scratch(ws, "fl.G", (L, k, self.n1 ** 2, C), dt)
+        G = SCRATCH.take("fl.G", (L, k, self.n1 ** 2, C), dt)
         if full:
-            T = self.scratch(ws, "fl.Q", (L, 2, self.n1 ** 2, C), dt)
+            T = SCRATCH.take("fl.Q", (L, 2, self.n1 ** 2, C), dt)
         for kind, a, b in groups:
             K, _, KD, _ = self._mat((kind, False), dt)
             if full:
@@ -415,13 +409,13 @@ class FaceLoop:
         (default ``self``; a loop over the same table in the test
         space), then :meth:`finish` and :meth:`expand`."""
         test, src = self if test is None else test, u.reshape(u.shape[0], -1)
-        dst = test.scratch(test.ws, "fl.dst", (out.shape[0], test.size), out.dtype)
+        dst = SCRATCH.take("fl.dst", (out.shape[0], test.size), out.dtype)
         for ch, tch in zip(self.chunks, test.chunks):
-            rv = flux(self.trace(src, ch, self.ws), ch)
+            rv = flux(self.trace(src, ch), ch)
             rv = rv.reshape((-1,) + rv.shape[-2:])
-            test.integrate(np.concatenate([rv, -rv[:, :ch.Fi]], axis=1), tch, dst, test.ws)
+            test.integrate(np.concatenate([rv, -rv[:, :ch.Fi]], axis=1), tch, dst)
         test.finish(dst)
-        test.expand(dst, out, test.ws)
+        test.expand(dst, out)
 
     def boundary_values(self, u: np.ndarray) -> np.ndarray:
         """Values ``(L, bfaces, q*q)`` of the lane block ``u`` (L, n, n,
@@ -430,7 +424,7 @@ class FaceLoop:
         src = u.reshape(u.shape[0], -1)
         out = np.empty((u.shape[0], self.bids.size, self.kern.n_q_points ** 2), u.dtype)
         for ch in self.chunks:
-            out[:, ch.b0:ch.b0 + ch.F - ch.Fi] = self.trace(src, ch, self.ws, slice(ch.Fi, ch.F))
+            out[:, ch.b0:ch.b0 + ch.F - ch.Fi] = self.trace(src, ch, slice(ch.Fi, ch.F))
         return out
 
     def boundary_data(self, points: np.ndarray, fns: dict, comps: int = 0,
@@ -469,14 +463,14 @@ class FaceLoop:
         for main, src in self.fold:
             buf[:, main] += buf[:, src]
 
-    def expand(self, buf: np.ndarray, out: np.ndarray, ws, key: str = "T") -> None:
+    def expand(self, buf: np.ndarray, out: np.ndarray, key: str = "T") -> None:
         """``out`` (L, n, n, n, N), the lane block of cells ``0..N-1``,
         += their residual sheets expanded by the transposed
         :meth:`sheets` GEMMs."""
         L, N, n, s = out.shape[0], out.shape[-1], self.n1, self.n_sheets
         T, Tt = self._mat(key, buf.dtype)
         blk = buf[:, :3 * s * n * n * N].reshape(L, 3, s, n, n, N)
-        e = ws.take("sip.E", out.shape, buf.dtype)
+        e = SCRATCH.take("sip.E", out.shape, buf.dtype)
         _matmul_rows(blk[:, 0].transpose(0, 2, 3, 4, 1), T, e.swapaxes(-1, -2), 0, N)
         out += e
         np.matmul(Tt, blk[:, 1].reshape(L, s, n, n * N).transpose(0, 2, 1, 3),
@@ -504,7 +498,7 @@ class FaceLoop:
                 G[0, 1, a:b] = cw[0, a:b] @ KK
             _scatter(buf, sidx, G.swapaxes(-1, -2))
         self.finish(buf)
-        self.expand(buf, diag[None], Workspace(), "T2")
+        self.expand(buf, diag[None], "T2")
 
 
 def value_faces(geometry, conn, kern=None) -> tuple[FaceLoop, FaceValues]:
@@ -586,12 +580,11 @@ def _instrument_entry(raw):
 class MatrixFreeOperator:
     """Minimal linear-operator interface shared by all operators.
 
-    Every operator carries a lazily created plan cache: its workspace
-    of reusable scratch buffers (:class:`~repro.core.plans.Workspace`)
-    and its work model per compute dtype.  Shallow clones (e.g. the
-    float32 operators inside the multigrid V-cycle) share the cache:
-    workspace buffers are keyed by dtype, work models by compute
-    dtype.
+    Every operator carries a lazily created plan cache holding its work
+    model per compute dtype; shallow clones (e.g. the float32 operators
+    inside the multigrid V-cycle) share it.  Scratch buffers are not
+    per operator: every application takes them from the process arena
+    (:data:`~repro.core.plans.SCRATCH`).
 
     Subclasses are instrumented automatically: the outermost application
     entry point each class defines itself (``apply`` when present — the
@@ -614,22 +607,6 @@ class MatrixFreeOperator:
                 break
 
     @property
-    def plan_cache(self) -> dict:
-        cache = self.__dict__.get("_plan_cache")
-        if cache is None:
-            cache = {}
-            self.__dict__["_plan_cache"] = cache
-        return cache
-
-    def workspace(self) -> Workspace:
-        cache = self.plan_cache
-        ws = cache.get("workspace")
-        if ws is None:
-            ws = Workspace()
-            cache["workspace"] = ws
-        return ws
-
-    @property
     def precision_bytes(self) -> int:
         """Bytes per value at the operator's compute dtype — the knob the
         analytic transfer models scale with (a float32 clone reports half
@@ -642,7 +619,7 @@ class MatrixFreeOperator:
         :mod:`repro.perf.memory`).  Keyed by compute dtype because
         shallow dtype clones share the plan cache but move half the
         bytes."""
-        cache = self.plan_cache
+        cache = self.__dict__.setdefault("_plan_cache", {})
         key = ("work_model", np.dtype(self.dtype).str)
         wm = cache.get(key)
         if wm is None:

@@ -51,7 +51,8 @@ class ConvectiveOperator(MatrixFreeOperator):
         self.geo = geometry_over
         self.conn = connectivity
         self.bcs = bcs
-        self.cell_metrics = geometry_over.cell_metrics()
+        cm = geometry_over.cell_metrics()
+        self.jinv_t, self.jxw = cm.jinv_t, cm.jxw
         self.loop, self.face_data = value_faces(geometry_over, connectivity)
         present = {b.boundary_id for b in connectivity.boundary}
         self.velocity_dirichlet = set(bcs.velocity_dirichlet_ids(present))
@@ -71,14 +72,13 @@ class ConvectiveOperator(MatrixFreeOperator):
     def apply(self, u_flat: np.ndarray, t: float = 0.0) -> np.ndarray:
         ul = self.dof.lanes(u_flat)  # (*lead, 3, n, n, n, N)
         kern = self.kern
-        cm = self.cell_metrics
         # cell term: -int (u (x) u) : grad(v), on lane blocks
         uq = kern.values(ul)
         # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
         #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
         Fu = contract("...izyxc,...jzyxc->...ijzyxc", uq, uq)
-        rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, cm.jinv_t)
-        rg *= -cm.jxw
+        rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, self.jinv_t)
+        rg *= -self.jxw
         out = kern.integrate_gradients_cm(rg)
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
@@ -116,6 +116,6 @@ class ConvectiveOperator(MatrixFreeOperator):
         """
         uq = self.kern.values(self.dof.lanes(u_flat))
         # J^{-1} u: ref-space velocity = (jinv)[l,i] u_i; jinv_t[i,l] = jinv[l,i]
-        uref = contract("ilzyxc,...izyxc->...lzyxc", self.cell_metrics.jinv_t, uq)
+        uref = contract("ilzyxc,...izyxc->...lzyxc", self.jinv_t, uq)
         speed = np.sqrt((uref**2).sum(axis=-5))
         return speed.reshape(u_flat.shape[:-1] + (-1,)).max(axis=-1)

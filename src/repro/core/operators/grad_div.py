@@ -62,7 +62,8 @@ class _MixedSpaceOperator(MatrixFreeOperator):
         self.geo = geometry
         self.conn = connectivity
         self.bcs = bcs
-        self.cell_metrics = geometry.cell_metrics()
+        cm = geometry.cell_metrics()
+        self.jinv_t, self.jxw = cm.jinv_t, cm.jxw
         self.loop_u, self.face_data = value_faces(geometry, connectivity)
         self.loop_p, _ = value_faces(geometry, connectivity, self.kern_p)
         present = {b.boundary_id for b in connectivity.boundary}
@@ -89,11 +90,10 @@ class DivergenceOperator(_MixedSpaceOperator):
         physics is carried by the consistent pressure Neumann data;
         ``homogeneous=True`` treats the velocity-Dirichlet data as zero."""
         ul = self.dof_u.lanes(u_flat)  # (*lead, 3, n, n, n, N)
-        cm = self.cell_metrics
         # cell term: -int grad(q) . u, on lane blocks
         uq = self.kern_u.values(ul)
-        rg = contract("ilzyxc,...izyxc->l...zyxc", cm.jinv_t, uq)
-        rg *= -cm.jxw
+        rg = contract("ilzyxc,...izyxc->l...zyxc", self.jinv_t, uq)
+        rg *= -self.jxw
         out = self.kern_p.integrate_gradients_cm(rg)
         fd = self.face_data
         ids = () if interior_trace_everywhere else self.velocity_dirichlet
@@ -131,11 +131,10 @@ class GradientOperator(_MixedSpaceOperator):
     def apply(self, p_flat: np.ndarray, t: float = 0.0, homogeneous: bool = False) -> np.ndarray:
         """``homogeneous=True`` treats the pressure-Dirichlet data as zero."""
         pl = self.dof_p.lanes(p_flat)  # (*lead, n_p, n_p, n_p, N)
-        cm = self.cell_metrics
         # cell term: -int p div(v) -> component-major ref-grad
         # coefficients of each v_i, on lane blocks
-        coeff = -(self.kern_p.values(pl) * cm.jxw)
-        rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
+        coeff = -(self.kern_p.values(pl) * self.jxw)
+        rg = contract("ilzyxc,...zyxc->l...izyxc", self.jinv_t, coeff)
         out = self.kern_u.integrate_gradients_cm(rg)
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,

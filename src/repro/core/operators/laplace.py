@@ -16,8 +16,8 @@ on the DG vector itself, a lane block: every face side — interior minus,
 interior plus, Dirichlet — is a row of the same chunked sheet gather,
 precomposed flux block and sheet scatter, whatever its face number,
 orientation or subface; :mod:`repro.parallel.runtime`'s rank-local
-operator runs the same loop on its own faces.  The mat-vec's scratch buffers live in each
-instance's workspace (:mod:`repro.core.plans`).
+operator runs the same loop on its own faces.  The mat-vec's scratch buffers live in the
+process-wide arena (:data:`repro.core.plans.SCRATCH`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import METRIC_ROWS, GeometryField, sparsest
 from ..dof_handler import CGDofHandler, DGDofHandler, csr_with_data
-from ..plans import contract
+from ..plans import SCRATCH, contract
 from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
 
 
@@ -40,17 +40,16 @@ def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
     (6|3, q, q, q, c) (:data:`~repro.mesh.mapping.METRIC_ROWS`).  The
     reference-gradient stack is component-major, so the 3x3 metric is
     nine flat multiply-adds (three if diagonal).  The result lands in
-    ``out`` (``u`` itself may be it), by default ``lap.out``."""
+    ``out`` (``u`` itself may be it), else a fresh array; scratch:
+    ``ws``'s ``tpk.g``, ``lap.Dg`` and the dead values' ``tpk.a``."""
     g = kern.gradients_cm(u, ws)
     dt = np.result_type(laplace_d.dtype, g.dtype)
     Dg = ws.take("lap.Dg", g.shape, dt)
-    t = ws.take("lap.t", g.shape[1:], dt)
+    t = ws.take("tpk.a", g.shape[1:], dt)
     for a, ((b, s), *rest) in enumerate(METRIC_ROWS[len(laplace_d)]):
         np.multiply(laplace_d[s], g[b], out=Dg[a])
         for b, s in rest:
             Dg[a] += np.multiply(laplace_d[s], g[b], out=t)
-    if out is None:
-        out = ws.take("lap.out", u.shape, dt)
     return kern.integrate_gradients_cm(Dg, ws, out)
 
 
@@ -121,7 +120,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         self.conn = connectivity
         self.kern = geometry.kernel
         self.dirichlet_ids = tuple(dirichlet_ids)
-        self.cell_metrics = geometry.cell_metrics()
+        self.laplace_d = geometry.cell_metrics().laplace_d
         fms, bms = geometry.all_face_metrics(connectivity)
         pen = penalty_factor * (dof.degree + 1) ** 2
         dirichlet = [(b, fm) for b, fm in zip(connectivity.boundary, bms)
@@ -138,8 +137,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
             np.concatenate([np.zeros(0)] + [pen * fm.penalty for fm in faces]))
         loop = self.face_loop
         self.face_data = FaceData(a[loop.src_faces], sparsest(b[:, loop.src_rows], [0], [1, 2]))
-        self.dirichlet_points = in_loop_order(
-            [fm.points for _, fm in dirichlet], self.face_loop.bsrc, (3, qq))
+        loop.points = in_loop_order([fm.points for _, fm in dirichlet], loop.bsrc, (3, qq))
 
     # ------------------------------------------------------------------
     @property
@@ -153,7 +151,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import laplace_flops
         from ...perf.memory import laplace_transfer
 
-        cell, face = len(self.cell_metrics.laplace_d), len(self.face_data.b)
+        cell, face = len(self.laplace_d), len(self.face_data.b)
         fl = laplace_flops(self.dof.degree, self.kern.n_q_points, cell, face)
         tr = laplace_transfer(self.dof.degree, self.kern.n_q_points, self.precision_bytes,
                               cell_entries=cell, face_components=face)
@@ -184,17 +182,17 @@ class DGLaplaceOperator(MatrixFreeOperator):
         leading axes ride along in front of the same kernels.  ``x``'s
         lane block gives the face sheets, the cell term lands in a fresh
         block of ``x``'s dtype and the face terms on top."""
-        ws, loop, data = self.workspace(), self.face_loop, self.face_data
+        loop, data = self.face_loop, self.face_data
         u = self.dof.lanes(x)
         lanes = u.reshape((-1,) + u.shape[-4:])
-        buf = ws.take("sip.sheets", (lanes.shape[0], loop.size),
-                      np.result_type(u.dtype, data.a.dtype))
+        buf = SCRATCH.take("sip.sheets", (lanes.shape[0], loop.size),
+                           np.result_type(u.dtype, data.a.dtype))
         loop.sheets(lanes, buf)
         out = np.empty(u.shape, u.dtype)
-        cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, ws, out)
-        loop.run(buf, data, loop.chunks, ws)
+        cell_laplacian(self.kern, self.laplace_d, u, SCRATCH, out)
+        loop.run(buf, data, loop.chunks)
         loop.finish(buf)
-        loop.expand(buf, out.reshape(lanes.shape), ws)
+        loop.expand(buf, out.reshape(lanes.shape))
         return out.reshape(x.shape)
 
     # ------------------------------------------------------------------
@@ -219,7 +217,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
             dirichlet = dict.fromkeys(self.dirichlet_ids, dirichlet)
         g = h = None
         if dirichlet is not None:
-            g = loop.boundary_data(self.dirichlet_points, dirichlet)
+            g = loop.boundary_data(loop.points, dirichlet)
         if neumann is not None:  # the natural rows of the value loop
             nloop, nfd = value_faces(self.geo, self.conn)
             ids = set(nloop.bids.tolist()) - set(self.dirichlet_ids)
@@ -230,9 +228,10 @@ class DGLaplaceOperator(MatrixFreeOperator):
             raise ValueError("inconsistent ensemble sizes in boundary data") from None
         n = self.kern.n_dofs_1d
         out = np.zeros(lead + (n, n, n, self.dof.n_cells))
-        if f is not None:
-            pts = self.cell_metrics.points
-            out += self.kern.integrate_values(f(pts[0], pts[1], pts[2]) * self.cell_metrics.jxw)
+        if f is not None:  # at the operator's dtype, like its metric
+            cm = self.geo.cell_metrics()
+            pts, jxw = (a.astype(self.dtype, copy=False) for a in (cm.points, cm.jxw))
+            out += self.kern.integrate_values(f(pts[0], pts[1], pts[2]) * jxw)
         lanes = out.reshape((-1,) + out.shape[-4:])
 
         def add(lp, data, weights):  # zeroed sheets, boundary rows only: no finish
@@ -241,8 +240,8 @@ class DGLaplaceOperator(MatrixFreeOperator):
             buf = np.zeros((lanes.shape[0], lp.size))
             for ch in lp.chunks:
                 R = weights(ch, data[:, ch.b0:ch.b0 + ch.F - ch.Fi])
-                lp.integrate(R, ch, buf, lp.ws, slice(ch.Fi, ch.F))
-            lp.expand(buf, lanes, lp.ws)
+                lp.integrate(R, ch, buf, slice(ch.Fi, ch.F))
+            lp.expand(buf, lanes)
 
         def nitsche(ch, gb):  # weights of v (a g) and d_n, d_a, d_b v (b g)
             R = np.zeros((gb.shape[0], 4) + gb.shape[1:])  # unstored b: zero weights
@@ -263,7 +262,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
         (:func:`_cell_laplace_diagonal`), the face self-couplings by one
         pass of the face loop (:meth:`FaceLoop.add_diagonal`) instead of
         one full operator application per local basis function."""
-        diag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
+        diag = _cell_laplace_diagonal(self.kern, self.laplace_d)
         self.face_loop.add_diagonal(self.face_data, diag)
         return diag.reshape(-1)
 
@@ -278,7 +277,7 @@ class CGLaplaceOperator(MatrixFreeOperator):
             raise ValueError("geometry kernel degree must match the dof space")
         self.dof = dof
         self.kern = geometry.kernel
-        self.cell_metrics = geometry.cell_metrics()
+        self.laplace_d = geometry.cell_metrics().laplace_d
 
     @property
     def n_dofs(self) -> int:
@@ -290,10 +289,10 @@ class CGLaplaceOperator(MatrixFreeOperator):
         from ...perf.flops import cg_laplace_flops
 
         nq = self.kern.n_q_points
-        fl = cg_laplace_flops(self.dof.degree, nq, len(self.cell_metrics.laplace_d))
+        fl = cg_laplace_flops(self.dof.degree, nq, len(self.laplace_d))
         pb = self.precision_bytes
         vec_bytes = 3.0 * pb * self.n_dofs
-        metric_bytes = len(self.cell_metrics.laplace_d) * nq**3 * pb * self.dof.n_cells
+        metric_bytes = len(self.laplace_d) * nq**3 * pb * self.dof.n_cells
         return {
             "flops": float(fl.matvec_total(self.dof.n_cells, 0, 0)),
             "bytes": vec_bytes + metric_bytes,
@@ -304,13 +303,13 @@ class CGLaplaceOperator(MatrixFreeOperator):
         u = self.dof.gather_cells(x)
         # the cell term overwrites the gathered cells, which
         # scatter_add_cells reduces into a fresh global vector
-        cell_laplacian(self.kern, self.cell_metrics.laplace_d, u, self.workspace(), u)
+        cell_laplacian(self.kern, self.laplace_d, u, SCRATCH, u)
         return self.dof.scatter_add_cells(u)
 
     def diagonal(self) -> np.ndarray:
         """Jacobi diagonal: local cell diagonals accumulated with squared
         constraint weights (the standard matrix-free approximation),
         ``(G∘G)ᵀ · ldiag`` through the handler's cell map."""
-        ldiag = _cell_laplace_diagonal(self.kern, self.cell_metrics.laplace_d)
+        ldiag = _cell_laplace_diagonal(self.kern, self.laplace_d)
         _, Gt = self.dof.cell_map(ldiag.dtype)
         return csr_with_data(Gt, Gt.data**2) @ ldiag.reshape(-1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
-from ..plans import contract
+from ..plans import SCRATCH, contract
 from .base import MatrixFreeOperator
 
 
@@ -52,12 +52,11 @@ class MassOperator(MatrixFreeOperator):
         }
 
     def vmult(self, x: np.ndarray) -> np.ndarray:
-        ws = self.workspace()
         # components (and members) ride the lane block's leading axes
-        q = self.kern.values(self.dof.lanes(x), ws)
+        q = self.kern.values(self.dof.lanes(x), SCRATCH)
         q *= self.jxw
         y = np.empty(x.shape, q.dtype)
-        self.kern.integrate_values(q, ws, self.dof.lanes(y))
+        self.kern.integrate_values(q, SCRATCH, self.dof.lanes(y))
         return y
 
     def diagonal(self) -> np.ndarray:

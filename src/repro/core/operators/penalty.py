@@ -45,14 +45,15 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         self.dof = dof_u
         self.kern = geometry.kernel
         self.conn = connectivity
-        self.cell_metrics = geometry.cell_metrics()
+        cm = geometry.cell_metrics()
+        self.jinv_t, self.jxw = cm.jinv_t, cm.jxw
         self.loop, self.face_data = value_faces(geometry, connectivity)
         (cm, _, cp, *_), _ = self.loop.table
         f = self.loop.src_faces[self.loop.src_faces < cm.size]
         self._face_cells = cm[f], cp[f]  # interior faces in loop order
         self.zeta_div = zeta_div
         self.zeta_cont = zeta_cont
-        self.h_cell = cell_sums(self.cell_metrics.jxw) ** (1.0 / 3.0)
+        self.h_cell = cell_sums(self.jxw) ** (1.0 / 3.0)
         self.tau_div = np.zeros(dof_u.n_cells)
         self.tau_cont = np.zeros(connectivity.n_interior_faces)
 
@@ -67,7 +68,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         (``tau_cont`` over the interior faces in loop order)."""
         uq = self.kern.values(self.dof.lanes(u_flat))
         speed = np.sqrt((uq**2).sum(axis=-5))
-        jxw = self.cell_metrics.jxw
+        jxw = self.jxw
         mean_speed = cell_sums(speed * jxw) / cell_sums(jxw)
         k = self.dof.degree
         self.tau_div = self.zeta_div * mean_speed * self.h_cell / (k + 1)
@@ -77,14 +78,13 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
     def vmult(self, x: np.ndarray) -> np.ndarray:
         ul = self.dof.lanes(x)  # (*lead, 3, n, n, n, N)
         kern = self.kern
-        cm = self.cell_metrics
         # divergence penalty: tau_div (div u)(div v), on lane blocks.
         # ROADMAP 1(A): the swapaxes transposes the trial-side gradient;
         # the fix deletes it.
         grads = np.swapaxes(kern.gradients_cm(ul), 0, -5)
-        div = contract("ilzyxc,l...izyxc->...zyxc", cm.jinv_t, grads)
-        coeff = div * cm.jxw * self.tau_div[..., None, None, None, :]
-        rg = contract("ilzyxc,...zyxc->l...izyxc", cm.jinv_t, coeff)
+        div = contract("ilzyxc,l...izyxc->...zyxc", self.jinv_t, grads)
+        coeff = div * self.jxw * self.tau_div[..., None, None, None, :]
+        rg = contract("ilzyxc,...zyxc->l...izyxc", self.jinv_t, coeff)
         out = kern.integrate_gradients_cm(rg)
         fd = self.face_data
         tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))

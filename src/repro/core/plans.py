@@ -24,20 +24,34 @@ the NumPy rendition of that discipline, shared by every operator in
   dispatch is decided once per (subscripts, shapes) signature and
   cached — deterministically, from the contraction structure, so runs
   are reproducible.
-* :class:`Workspace` — a keyed arena of preallocated scratch buffers so
-  steady-state operator applications (the inner loop of Chebyshev
-  smoothing and CG, hitting identical shapes thousands of times) perform
-  no large allocations.  Buffers are keyed by (tag, shape, dtype), so a
-  float32 clone of an operator (see
-  :func:`repro.solvers.multigrid.operator_to_dtype`) transparently
-  gets its own set.
+* :class:`Workspace` — a scratch arena, so steady-state applications
+  (Chebyshev and CG inner loops) perform no large allocations.
+  :data:`SCRATCH` is the one arena of the process: every operator,
+  dtype clone, multigrid level, face loop and rank-local operator takes
+  its scratch there, one byte buffer per *tag* viewed at the requested
+  shape and dtype and grown only by a larger request.  The contract is
+  process-wide: a tag is live from the ``take`` that hands it out until
+  its contents are last read, and nobody holds an arena array across a
+  call that may take the same tag.  The cell kernels reuse a tag once
+  its contents are dead: their sweeps alternate ``tpk.a``/``tpk.b``
+  (``values`` leaves its result in ``tpk.a``, which the integrations
+  read and never write first), gradients live in ``tpk.g``, the
+  Laplacian's metric product in ``lap.Dg``; face loops use ``sip.*`` /
+  ``fl.*`` (a trial and a test loop distinct ones), a rank
+  ``rank.lanes``.  Forked workers inherit the arena copy-on-write.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ..telemetry.metrics import METRICS
 from .backend import DEFAULT_DTYPE
+
+_SCRATCH_BYTES = METRICS.gauge(
+    "repro_scratch_bytes", "bytes held by the process-wide scratch arena")
 
 #: Contracted-extent threshold below which a 1- or 2-operand einsum is
 #: dispatched to the direct C loop instead of a precomputed path (the
@@ -153,49 +167,50 @@ class ScatterPlan:
 
 
 class Workspace:
-    """Keyed arena of reusable scratch arrays.
-
-    ``take(tag, shape, dtype)`` returns a preallocated buffer (contents
-    undefined) for the given key, allocating it on first use.  Callers
-    must consume a buffer before requesting the same tag again; distinct
-    tags never alias.  Because the key includes dtype, float64 and
-    float32 operator applications sharing one workspace keep separate
-    buffers.
+    """Arena of scratch arrays: ``take(tag, shape, dtype)`` views the
+    tag's byte buffer (contents undefined), replaced only when a larger
+    one is asked for; distinct tags never alias.  Growth sets the
+    ``repro_scratch_bytes`` gauge; a warm call only looks its view up.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("_bytes", "_views")
 
     def __init__(self) -> None:
-        self._arrays: dict = {}
+        self._bytes: dict = {}
+        self._views: dict = {}
 
     def take(self, tag: str, shape: tuple, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        key = (tag, tuple(shape), np.dtype(dtype).str)
-        arr = self._arrays.get(key)
+        key = (tag, shape, dtype)
+        arr = self._views.get(key)
         if arr is None:
-            arr = np.empty(shape, dtype=dtype)
-            self._arrays[key] = arr
+            dtype = np.dtype(dtype)
+            size = math.prod(shape) * dtype.itemsize
+            buf = self._bytes.get(tag)
+            if buf is None or buf.size < size:
+                buf = self._bytes[tag] = np.empty(size, np.uint8)
+                self._views = {k: v for k, v in self._views.items() if k[0] != tag}
+                _SCRATCH_BYTES.set(self.nbytes)
+            arr = self._views[key] = buf[:size].view(dtype).reshape(shape)
         return arr
-
-    def flat(self, tag: str, size: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
-        """``size`` values of one 1D buffer per (tag, dtype), replaced
-        only when a larger one is asked for — callers whose shapes vary
-        per call (face-loop chunks, row subsets, leading axes) share it."""
-        key = (tag, None, np.dtype(dtype).str)
-        arr = self._arrays.get(key)
-        if arr is None or arr.size < size:
-            arr = self._arrays[key] = np.empty(size, dtype=dtype)
-        return arr[:size]
 
     def zeros(self, tag: str, shape: tuple, dtype=DEFAULT_DTYPE) -> np.ndarray:
         arr = self.take(tag, shape, dtype)
         arr[...] = 0
         return arr
 
+    def clear(self) -> None:
+        """Drop every buffer (the next requests start from nothing)."""
+        self._bytes, self._views = {}, {}
+        _SCRATCH_BYTES.set(0)
+
     @property
     def n_buffers(self) -> int:
-        return len(self._arrays)
+        return len(self._bytes)
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in self._arrays.values())
+        return sum(a.nbytes for a in self._bytes.values())
 
+
+#: the process-wide scratch arena (see the module docstring)
+SCRATCH = Workspace()

@@ -36,7 +36,6 @@ import numpy as np
 
 from .backend import kernel_dtype
 from .basis import ShapeMatrices, shape_matrices
-from .plans import Workspace
 
 _F64 = np.dtype(np.float64)
 
@@ -194,10 +193,11 @@ class TensorProductKernel:
     # n|q, N)``; direction d (0 = x) is ``apply_1d`` dimension d + 1.
 
     def apply_tensor(self, M: np.ndarray, u: np.ndarray, ws=None,
-                     tag: str = "tpk.t", out: np.ndarray | None = None) -> np.ndarray:
+                     tags=("tpk.a", "tpk.b"), out: np.ndarray | None = None) -> np.ndarray:
         """Sweep the 1D matrix ``M`` along x, then y, then z of the lane
-        block ``u``, into ``out``, else the ``ws`` buffers ``tag.0..2``
-        (intermediates too), else fresh arrays."""
+        block ``u``, into ``out``, else the ``ws`` buffer ``tags[0]``;
+        the intermediates alternate ``tags[0]``, ``tags[1]`` (fresh
+        arrays without ``ws``), so ``u`` must not live in ``tags[0]``."""
         dt = np.result_type(M.dtype, u.dtype)
         m, n = M.shape
         lead, N = u.shape[:-4], u.shape[-1]
@@ -205,27 +205,27 @@ class TensorProductKernel:
         for d in range(3):
             dst = out if d == 2 else None
             if dst is None and ws is not None:
-                dst = ws.take(f"{tag}.{d}", shapes[d], dt)
+                dst = ws.take(tags[d % 2], shapes[d], dt)
             u = apply_1d(M, u, d + 1, out=dst)
         return u
 
     def values(self, u: np.ndarray, ws=None) -> np.ndarray:
         """Interpolate nodal coefficients to quadrature-point values,
         ``(*lead, n, n, n, N) -> (*lead, q, q, q, N)``; with a
-        :class:`~repro.core.plans.Workspace` ``ws`` the result is
-        workspace-owned (consume it before the next ``ws`` call)."""
-        return self.apply_tensor(self._mat("interp", kernel_dtype(u.dtype)), u, ws, "tpk.val")
+        :class:`~repro.core.plans.Workspace` ``ws`` the result is its
+        ``tpk.a`` (consume it before the next kernel call)."""
+        return self.apply_tensor(self._mat("interp", kernel_dtype(u.dtype)), u, ws)
 
     def values_and_gradients(self, u: np.ndarray, ws=None):
         """Values and component-major reference gradients: the three
         interpolation sweeps of :meth:`values`, then one collocation-
         derivative sweep per direction.  Returns ``(values, gradients)``
         with gradients ``(3, *lead, q, q, q, N)`` (:meth:`gradients_cm`);
-        with ``ws`` both are workspace-owned."""
+        with ``ws`` they are its ``tpk.a`` and ``tpk.g``."""
         nq = self.n_q_points
         dt = kernel_dtype(u.dtype)
         shape = (3,) + u.shape[:-4] + (nq, nq, nq, u.shape[-1])
-        g = np.empty(shape, dt) if ws is None else ws.take("tpk.grad.out", shape, dt)
+        g = np.empty(shape, dt) if ws is None else ws.take("tpk.g", shape, dt)
         vals = self.values(u, ws)
         D = self._mat("co_grad", dt)
         for i in range(3):
@@ -235,7 +235,7 @@ class TensorProductKernel:
     def gradients_cm(self, u: np.ndarray, ws=None) -> np.ndarray:
         """Reference gradients at the quadrature points, *component-
         major*: ``(*lead, n, n, n, N) -> (3, *lead, q, q, q, N)``, every
-        d/dx̂_d one contiguous lane block (workspace-owned with ``ws``)."""
+        d/dx̂_d one contiguous lane block (``ws``'s ``tpk.g`` with ``ws``)."""
         return self.values_and_gradients(u, ws)[1]
 
     def integrate_values(self, q: np.ndarray, ws=None,
@@ -243,26 +243,25 @@ class TensorProductKernel:
         """Test against values, the transpose of :meth:`values`:
         quadrature data ``(*lead, q, q, q, N)`` (JxW etc. applied) ->
         nodal residuals ``(*lead, n, n, n, N)``, into ``out``, else
-        workspace-owned with ``ws``, else fresh."""
+        ``ws``'s ``tpk.b``, else fresh.  ``q`` may be ``tpk.a``."""
         Mt = self._mat("interp_t", kernel_dtype(q.dtype))
-        return self.apply_tensor(Mt, q, ws, "tpk.iv", out)
+        return self.apply_tensor(Mt, q, ws, ("tpk.b", "tpk.a"), out)
 
     def integrate_gradients_cm(self, q: np.ndarray, ws=None,
                                out: np.ndarray | None = None) -> np.ndarray:
         """Test against gradients, transpose of :meth:`gradients_cm`:
         component-major ``(3, *lead, q, q, q, N)`` -> ``(*lead, n, n, n,
-        N)`` (``out`` or a fresh array; intermediates live in ``ws``):
-        three accumulated transposed collocation-derivative sweeps, then
-        :meth:`integrate_values`."""
-        if ws is None:
-            ws = Workspace()
+        N)`` (``out`` or a fresh array; intermediates ``ws``'s ``tpk.a``,
+        ``tpk.b`` or fresh): three accumulated transposed collocation-
+        derivative sweeps, then :meth:`integrate_values`."""
         n = self.n_dofs_1d
         dt = kernel_dtype(q.dtype)
         if out is None:
             out = np.empty(q.shape[1:-4] + (n, n, n, q.shape[-1]), dt)
         Dt = self._mat("co_grad_t", dt)
-        acc = apply_1d(Dt, q[0], 1, out=ws.take("tpk.ig.acc", q.shape[1:], dt))
-        t = ws.take("tpk.ig.t", q.shape[1:], dt)
+        shape = q.shape[1:]
+        acc = apply_1d(Dt, q[0], 1, out=None if ws is None else ws.take("tpk.a", shape, dt))
+        t = np.empty(shape, dt) if ws is None else ws.take("tpk.b", shape, dt)
         acc += apply_1d(Dt, q[1], 2, out=t)
         acc += apply_1d(Dt, q[2], 3, out=t)
         return self.integrate_values(acc, ws, out=out)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core.backend import resolve_dtype
 from ..core.dof_handler import DGDofHandler
-from ..core.plans import contract
+from ..core.plans import SCRATCH, contract
 from ..core.operators import (
     ConvectiveOperator,
     DGLaplaceOperator,
@@ -365,12 +365,12 @@ class IncompressibleNavierStokesSolver:
         beta = coeffs.beta[:len(u_history)]
         omega = self.compute_vorticity(sum(b * u for b, u in zip(beta, u_history)))
         for weight, field in [*zip(beta, u_history), (None, omega)]:
-            src = wall.scratch(wall.ws, "fl.src", (3 * total.shape[0], wall.size), field.dtype)
+            src = SCRATCH.take("fl.src", (3 * total.shape[0], wall.size), field.dtype)
             ul = self.dof_u.lanes(field)
             wall.sheets(ul.reshape((-1,) + ul.shape[-4:]), src)
             for ch in wall.chunks:
                 b = slice(ch.b0, ch.b0 + ch.F - ch.Fi)
-                Q = wall.trace(src, ch, wall.ws, slice(ch.Fi, ch.F), full=True)
+                Q = wall.trace(src, ch, slice(ch.Fi, ch.F), full=True)
                 Q = Q.reshape((-1, 3) + Q.shape[1:])  # (e, i, v|n|a|b, rows, q)
                 # physical gradient d u_i / d x_l from the frame derivatives
                 grad = contract("lfrq,eifrq->eilrq", self._wall_jinv_t[:, :, b], Q[:, :, 1:])
@@ -384,9 +384,9 @@ class IncompressibleNavierStokesSolver:
         h *= fd.jxw[wall.bface] * np.isin(wall.bids, ids)[:, None]
         dst = np.zeros((h.shape[0], ploop.size))
         for ch in ploop.chunks:
-            ploop.integrate(h[:, ch.b0:ch.b0 + ch.F - ch.Fi], ch, dst, ploop.ws, slice(ch.Fi, ch.F))
+            ploop.integrate(h[:, ch.b0:ch.b0 + ch.F - ch.Fi], ch, dst, slice(ch.Fi, ch.F))
         out = np.zeros((h.shape[0],) + (self.dof_p.n1,) * 3 + (self.dof_p.n_cells,))
-        ploop.expand(dst, out, ploop.ws)
+        ploop.expand(dst, out)
         return out.reshape(lead + (-1,))
 
     def _viscous_boundary_rhs(self, t: float):

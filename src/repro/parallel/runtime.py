@@ -78,7 +78,7 @@ import numpy as np
 from ..core.operators.base import MatrixFreeOperator
 from ..core.operators.base import FaceLoop
 from ..core.operators.laplace import cell_laplacian
-from ..core.plans import Workspace
+from ..core.plans import SCRATCH
 from ..telemetry import TRACER
 from ..telemetry.metrics import METRICS
 from ..telemetry.timeline import PHASES, merge_timeline
@@ -265,7 +265,9 @@ class RankLocalOperator:
     faces, whose far side reads the sheets of the exchanged ghost cells.
     Every owned residual slot is written by the same row arithmetic as in
     the serial loop, so the owned output slice is bitwise identical to
-    the corresponding slice of a single-process ``vmult``.
+    the corresponding slice of a single-process ``vmult``.  Scratch is
+    the process arena's: the state :meth:`interior` returns lives in
+    ``rank.lanes``/``sip.sheets`` until :meth:`accumulate` consumes it.
     """
 
     def __init__(self, op, plan: PartitionPlan, rank: int) -> None:
@@ -274,7 +276,7 @@ class RankLocalOperator:
         self.rank = rank
         rp = plan.rank_plans[rank]
         self.rank_plan = rp
-        self._laplace_d = np.ascontiguousarray(op.cell_metrics.laplace_d[..., rp.lo:rp.hi])
+        self._laplace_d = np.ascontiguousarray(op.laplace_d[..., rp.lo:rp.hi])
         (cm, fm, cp, fp, code, kind), (cd, fd, bd) = op.face_loop.table
         n_own = rp.n_cells
         own_m, own_p, own_d = ((c >= rp.lo) & (c < rp.hi) for c in (cm, cp, cd))
@@ -286,7 +288,6 @@ class RankLocalOperator:
             phases=((own_m & own_p, own_d), (own_m ^ own_p, np.zeros_like(own_d))),
         )
         self.data = op.face_data.restrict(op.face_loop, self.faces)
-        self.ws = Workspace()
 
     # -- phases --------------------------------------------------------
     def interior(self, u: np.ndarray):
@@ -294,13 +295,13 @@ class RankLocalOperator:
         rank's own copy of its lane columns ``u`` (:meth:`owned`);
         returns the state for :meth:`cut` and :meth:`accumulate`."""
         op = self.op
-        ul = self.ws.take("rank.lanes", u.shape, u.dtype)
+        ul = SCRATCH.take("rank.lanes", u.shape, u.dtype)
         np.copyto(ul, u)
         lanes = ul.reshape((math.prod(ul.shape[:-4]),) + ul.shape[-4:])
-        buf = self.ws.take("sip.sheets", (lanes.shape[0], self.faces.size), ul.dtype)
+        buf = SCRATCH.take("sip.sheets", (lanes.shape[0], self.faces.size), ul.dtype)
         self.faces.sheets(lanes, buf)
-        cell_laplacian(op.kern, self._laplace_d, ul, op.workspace(), ul)
-        self.faces.run(buf, self.data, self.faces.phases[0], self.ws)
+        cell_laplacian(op.kern, self._laplace_d, ul, SCRATCH, ul)
+        self.faces.run(buf, self.data, self.faces.phases[0])
         return ul, buf
 
     def cut(self, state, ug: np.ndarray) -> None:
@@ -309,14 +310,14 @@ class RankLocalOperator:
         buf = state[1]
         self.faces.sheets(ug.reshape(buf.shape[:1] + ug.shape[-4:]), buf,
                           lo=self.rank_plan.n_cells)
-        self.faces.run(buf, self.data, self.faces.phases[1], self.ws)
+        self.faces.run(buf, self.data, self.faces.phases[1])
 
     def accumulate(self, state) -> np.ndarray:
         """Add the owned residual sheets onto the cell term; returns the
-        owned lane columns of the result (workspace-owned)."""
+        owned lane columns of the result (the arena's ``rank.lanes``)."""
         ul, buf = state
         self.faces.finish(buf)
-        self.faces.expand(buf, ul.reshape(buf.shape[:1] + ul.shape[-4:]), self.ws)
+        self.faces.expand(buf, ul.reshape(buf.shape[:1] + ul.shape[-4:]))
         return ul
 
     def owned(self, x: np.ndarray) -> np.ndarray:

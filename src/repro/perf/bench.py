@@ -281,7 +281,7 @@ def _suite_vmult(smoke: bool, degree: int, select=_always,
         dof_v = DGDofHandler(forest, degree, n_components=3)
         meta = {"mesh": mesh_name, "n_cells": forest.n_cells,
                 "degree": degree, "mode": "planned",
-                "metric": [len(op.cell_metrics.laplace_d), len(op.face_data.b)]}
+                "metric": [len(op.laplace_d), len(op.face_data.b)]}
 
         def make_op():
             return _dg_laplace(forest, degree)[3]
@@ -320,7 +320,7 @@ def _suite_vmult(smoke: bool, degree: int, select=_always,
     _, _, _, op = _dg_laplace(forest, degree)
     op = operator_to_dtype(op, ds)
     e_meta = {"mesh": mesh_name, "n_cells": forest.n_cells, "degree": degree,
-              "metric": [len(op.cell_metrics.laplace_d), len(op.face_data.b)]}
+              "metric": [len(op.laplace_d), len(op.face_data.b)]}
     rng = np.random.default_rng(0)
     for mode, members in [("ensemble", e) for e in (1, 2, 4, 8)] + [("sequential", 8)]:
         name = f"{mesh_name}/dg_laplace/{mode}_e{members}{sfx}"

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+
+# scipy.linalg and scipy.sparse.linalg are imported where the AMG calls
+# them, so a process that never builds an AMG does not map them
 
 
 def strength_graph(A: sp.csr_matrix, theta: float = 0.08) -> sp.csr_matrix:
@@ -99,6 +100,8 @@ def gauss_seidel_splitting(A: sp.csr_matrix) -> tuple:
 def symmetric_gauss_seidel(split: tuple, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One symmetric Gauss-Seidel sweep (forward then backward): scipy
     triangular solves on a :func:`gauss_seidel_splitting`."""
+    import scipy.sparse.linalg as spla
+
     L, U_strict, U, L_strict = split
     # forward: (D+L) x_new = b - U_strict x
     x = spla.spsolve_triangular(L, b - U_strict @ x, lower=True)
@@ -172,6 +175,8 @@ class SmoothedAggregationAMG:
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
         """Two triangular solves on the Cholesky factor; a non-finite
         right-hand side comes back non-finite instead of raising."""
+        import scipy.linalg as sla
+
         return sla.cho_solve((self._coarse_factor, True), b, check_finite=False)
 
     def _vcycle(self, level: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ assembled ``C^T A C``, the same matrix the AMG root is built on.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields, is_dataclass
+import weakref
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -70,51 +71,53 @@ _MG_LEVEL_DOFS = METRICS.gauge(
 )
 
 
-def _cast_arrays(obj, dtype, _seen=None):
-    """Recursively cast floating ndarray attributes of dataclasses to
-    ``dtype`` (non-float arrays — index sets — pass through)."""
-    if isinstance(obj, np.ndarray):
-        return obj.astype(dtype) if obj.dtype.kind == "f" and obj.dtype != dtype else obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        clone = copy.copy(obj)
-        for f in fields(obj):
-            object.__setattr__(clone, f.name, _cast_arrays(getattr(obj, f.name), dtype))
-        return clone
-    if isinstance(obj, list):
-        return [_cast_arrays(v, dtype) for v in obj]
-    return obj
-
-
-#: array-valued operator attributes cast by :func:`operator_to_dtype`
-_CASTABLE_ATTRS = (
-    "cell_metrics", "face_data", "jxw",
-    "Sinv", "h_cell", "tau_div", "tau_cont",
-)
+#: what an operator's kernels read (arrays, or dataclasses of them)
+_KERNEL_DATA = ("laplace_d", "jinv_t", "jxw", "face_data", "Sinv", "h_cell", "tau_div", "tau_cont")
 
 #: nested operators a composite delegates to (cast recursively)
 _SUB_OPERATORS = ("scalar", "mass", "laplace", "penalty")
 
+#: ``(id(source), dtype) -> (weakref(source), weakref(cast))``
+_CASTS: dict = {}
+
+
+def _cast(obj, dtype: np.dtype):
+    """``obj`` at ``dtype``: a float array cast once while a clone holds
+    the cast, a dataclass field by field, anything else as it is."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return replace(obj, **{f.name: _cast(getattr(obj, f.name), dtype) for f in fields(obj)})
+    if not isinstance(obj, np.ndarray) or obj.dtype.kind != "f" or obj.dtype == dtype:
+        return obj
+    key = (id(obj), dtype.str)
+    src, ref = _CASTS.get(key, (None, None))
+    cast = ref() if src is not None and src() is obj else None
+    if cast is None:
+        cast = obj.astype(dtype)
+        _CASTS[key] = (weakref.ref(obj, lambda _, key=key: _CASTS.pop(key, None)),
+                       weakref.ref(cast))
+    return cast
+
 
 def operator_to_dtype(op, dtype):
-    """Shallow-clone an operator with its metric/factor data cast to
+    """Shallow-clone an operator with the data its kernels read cast to
     ``dtype`` so NumPy keeps all kernel arithmetic in that precision.
 
     With ``dtype=float32`` this doubles the cells per 'SIMD' batch and
     halves the memory traffic, as in the paper; tabulated 1D shape
     factors are dtype-matched lazily by the kernels themselves (see
     :meth:`repro.core.sum_factorization.TensorProductKernel._mat`).
-    Composite operators (vector Laplacian, Helmholtz, penalty step) have
-    their nested operators cast recursively.  The clone shares the
-    original's plan cache — workspace buffers and work models are keyed
-    by dtype — and its dof handler,
-    whose CG cell map is picked by the input dtype."""
+    Only :data:`_KERNEL_DATA` is cast, each source array once per dtype:
+    clones over one geometry (the DG and CG(k) levels) share one metric.
+    Nested operators of composites are cast recursively; the plan cache
+    (work models keyed by dtype) and the dof handler (its CG cell map
+    picked by the input dtype) are shared."""
     dtype = np.dtype(dtype)
     if np.dtype(getattr(op, "dtype", None)) == dtype:
         return op
     clone = copy.copy(op)
-    for name in _CASTABLE_ATTRS:
+    for name in _KERNEL_DATA:
         if hasattr(clone, name):
-            setattr(clone, name, _cast_arrays(getattr(op, name), dtype))
+            setattr(clone, name, _cast(getattr(op, name), dtype))
     for name in _SUB_OPERATORS:
         sub = getattr(clone, name, None)
         if sub is not None and hasattr(sub, "vmult"):

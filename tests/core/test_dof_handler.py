@@ -198,7 +198,7 @@ class TestCellMap:
         """``(G∘G)ᵀ ldiag`` is ``C²ᵀ`` applied to the scattered cell
         diagonals, summed in another order."""
         dof, op = cg_space
-        ldiag = np.moveaxis(_cell_laplace_diagonal(op.kern, op.cell_metrics.laplace_d), -1, 0)
+        ldiag = np.moveaxis(_cell_laplace_diagonal(op.kern, op.laplace_d), -1, 0)
         scattered = np.zeros(dof.n_global)
         np.add.at(scattered, dof.cell_to_global.ravel(), ldiag.ravel())
         C2 = dof.C.copy()

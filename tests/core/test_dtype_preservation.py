@@ -8,9 +8,10 @@ dtype contract these tests check
 * fp32 results agree with the fp64 reference within single-precision
   roundoff on a curved (bifurcation) mesh with mixed face orientations
   and randomized input, and
-* the planned DG- and CG-Laplace vmults allocate measurably fewer transient
-  bytes at fp32 than at fp64 (tracemalloc high-water mark), i.e. the
-  kernels do not secretly stage double-precision temporaries.
+* the planned DG- and CG-Laplace vmults take measurably less scratch
+  and allocate measurably fewer transient bytes at fp32 than at fp64
+  (arena and tracemalloc high-water marks from an empty arena), i.e.
+  the kernels do not secretly stage double-precision temporaries.
 
 fp32 operators are built with :func:`repro.solvers.multigrid.operator_to_dtype`
 — the same cast the NS solver and the benchmarks use — so the clones
@@ -148,64 +149,101 @@ class TestFp32MatchesFp64:
             assert np.linalg.norm(y32 - y64) / scale < FP32_RTOL
 
 
+def arena_and_peak(op, x):
+    """(arena high-water bytes, tracemalloc peak) of one application
+    ``op.vmult(x)`` starting from an empty arena: every byte of scratch
+    it takes, and everything else it allocates."""
+    from repro.core.plans import SCRATCH
+    from repro.perf.measure import measure_allocations
+
+    SCRATCH.clear()
+    peak, _ = measure_allocations(lambda: op.vmult(x))
+    return SCRATCH.nbytes, peak
+
+
 class TestNoDoubleTemporaries:
-    """tracemalloc check on the representative kernels: a warm planned
-    vmult at fp32 must allocate well under the fp64 peak — if any hot
-    temporary were secretly staged in double, the fp32 peak would match
-    the fp64 one instead of halving."""
+    """A vmult at fp32 must take well under the fp64 scratch and
+    allocate well under the fp64 peak — if any hot temporary were
+    secretly staged in double, the fp32 numbers would match the fp64
+    ones instead of halving.  Each application starts from an empty
+    arena (a pre-grown one would hand both out for free), after one
+    warm call per dtype fills the plan caches."""
 
     @staticmethod
-    def check(setup, name):
-        from repro.perf.measure import measure_allocations
-
-        op64 = setup[4][name]
-        op32 = operator_to_dtype(op64, np.float32)
+    def check(op64, op32, name):
         x64 = _input_vector(op64, name, np.float64)
         x32 = x64.astype(np.float32)
-        # warm both plan caches/workspaces so we measure steady state
         op64.vmult(x64)
         op32.vmult(x32)
-        peak64, _ = measure_allocations(lambda: op64.vmult(x64))
-        peak32, _ = measure_allocations(lambda: op32.vmult(x32))
-        assert peak64 > 0
+        arena32, peak32 = arena_and_peak(op32, x32)
+        arena64, peak64 = arena_and_peak(op64, x64)
+        assert arena64 > 0 and peak64 > 0
+        assert arena32 <= 0.75 * arena64, (
+            f"fp32 {name} vmult takes {arena32}B of scratch vs fp64 {arena64}B — "
+            "hidden double-precision temporaries?"
+        )
         assert peak32 <= 0.75 * peak64, (
             f"fp32 {name} vmult peak {peak32}B vs fp64 {peak64}B — "
             "hidden double-precision temporaries?"
         )
 
     def test_fp32_peak_allocation_is_smaller(self, setup):
-        self.check(setup, "dg_laplace")
+        op64 = setup[4]["dg_laplace"]
+        self.check(op64, operator_to_dtype(op64, np.float32), "dg_laplace")
 
     def test_cg_laplace_fp32_peak_allocation_is_smaller(self, setup):
         """The CG gather/scatter runs through the handler's sparse cell
         map; a map left in float64 would stage the whole vmult in double."""
-        self.check(setup, "cg_laplace")
+        op64 = setup[4]["cg_laplace"]
+        self.check(op64, operator_to_dtype(op64, np.float32), "cg_laplace")
+
+    @pytest.mark.parametrize("name", ["dg_laplace", "cg_laplace"])
+    def test_an_injected_fp64_temporary_fails_it(self, setup, name):
+        """A clone whose kernel data escaped the cast (the metric, and the
+        SIP flux coefficients) stages its products in double: the check
+        must catch it."""
+        import copy
+
+        op64 = setup[4][name]
+        bad = copy.copy(operator_to_dtype(op64, np.float32))
+        for attr in ("laplace_d", "face_data"):
+            if hasattr(op64, attr):
+                setattr(bad, attr, getattr(op64, attr))
+        with pytest.raises(AssertionError, match="hidden double"):
+            self.check(op64, bad, name)
+
+
+def assert_no_float64(op, path="op"):
+    """No float64 array among ``op``'s attributes, walking into
+    dataclasses, lists and tuples (the shared index plans — face loops,
+    kernels, dof handlers — are plain objects and not walked)."""
+    from dataclasses import fields, is_dataclass
+
+    def walk(obj, path):
+        if isinstance(obj, np.ndarray):
+            assert obj.dtype != np.float64, path
+        elif is_dataclass(obj) and not isinstance(obj, type):
+            for f in fields(obj):
+                walk(getattr(obj, f.name), f"{path}.{f.name}")
+        elif isinstance(obj, (list, tuple)):
+            for i, v in enumerate(obj):
+                walk(v, f"{path}[{i}]")
+
+    for attr, value in vars(op).items():
+        walk(value, f"{path}.{attr}")
 
 
 class TestNoDoubleFaceData:
-    """A float32 clone of a flow operator keeps no float64 array — its
-    loop-order face metrics and penalty parameters are cast, so the face
-    loop never promotes."""
+    """A float32 clone keeps no float64 array — the flow operators'
+    loop-order face metrics and penalty parameters and the Laplacians'
+    metric and flux coefficients are cast, so no kernel promotes."""
 
-    @pytest.mark.parametrize("name", ["convective", "divergence", "gradient", "penalty"])
+    @pytest.mark.parametrize("name", ["convective", "divergence", "gradient", "penalty",
+                                      "dg_laplace", "cg_laplace"])
     def test_fp32_clone_holds_no_float64_array(self, setup, name):
-        from dataclasses import fields, is_dataclass
-
         *_, ops = setup
         clone = operator_to_dtype(ops[name], np.float32)
         if name == "penalty":
             clone.update_parameters(np.ones(clone.n_dofs, np.float32))
-
-        def walk(obj, path):
-            if isinstance(obj, np.ndarray):
-                assert obj.dtype != np.float64, path
-            elif is_dataclass(obj) and not isinstance(obj, type):
-                for f in fields(obj):
-                    walk(getattr(obj, f.name), f"{path}.{f.name}")
-            elif isinstance(obj, (list, tuple)):
-                for i, v in enumerate(obj):
-                    walk(v, f"{path}[{i}]")
-
-        assert "face_data" in vars(clone)
-        for attr, value in vars(clone).items():
-            walk(value, attr)
+        assert ("laplace_d" if "laplace" in name else "face_data") in vars(clone)
+        assert_no_float64(clone, name)

@@ -65,7 +65,7 @@ class TestStorageEqualsTransferModel:
         model = laplace_transfer(DEGREE, nq, precision_bytes=pb)
         vec_and_meta = 3 * (DEGREE + 1) ** 3 * pb + 8 * 4
         # cells: 6 values per quadrature point
-        D = op.cell_metrics.laplace_d
+        D = op.laplace_d
         assert D.dtype == dtype and D.shape == (6, nq, nq, nq, op.dof.n_cells)
         cell_bytes = D.nbytes // op.dof.n_cells
         # faces: the one store the face loop reads — 7 values per

@@ -48,7 +48,7 @@ def _operator(forest, degree=2, dirichlet_ids=(1,)) -> DGLaplaceOperator:
 
 def _pattern(op) -> tuple[int, int]:
     """Stored cell metric entries and face coefficient components."""
-    return len(op.cell_metrics.laplace_d), len(op.face_data.b)
+    return len(op.laplace_d), len(op.face_data.b)
 
 
 class TestDetection:
@@ -126,7 +126,7 @@ class TestDiagonalEqualsFull:
         op = box_pair[0]
         nq, N = op.kern.n_q_points, op.dof.n_cells
         model = laplace_transfer(DEGREE, nq, 8, 1, *_pattern(op))
-        assert op.cell_metrics.laplace_d.nbytes == 3 * nq ** 3 * 8 * N
+        assert op.laplace_d.nbytes == 3 * nq ** 3 * 8 * N
         vec_and_meta = 3 * (DEGREE + 1) ** 3 * 8 + 8 * 4
         assert model.bytes_per_cell == vec_and_meta + 3 * nq ** 3 * 8 + 3 * (3 * nq * nq * 8)
 

@@ -301,5 +301,5 @@ class TestCGLaplace:
         loop = FaceLoop.of(geo.kernel, f.n_cells, conn.interior, [], sheets=2)
         buf = cells.reshape(1, -1)  # the loop reads the lane block
         for ch in loop.chunks:
-            v = loop.trace(buf, ch, loop.ws)
+            v = loop.trace(buf, ch)
             assert np.allclose(v[:, :ch.Fi], v[:, ch.F:], atol=1e-10)

@@ -220,15 +220,22 @@ class TestWorkspace:
         assert a is b
         assert ws.n_buffers == 1
 
-    def test_keys_separate_by_tag_shape_dtype(self):
+    def test_tag_shares_bytes_across_shape_and_dtype(self):
+        """One byte buffer per tag, viewed at every shape and dtype, grown
+        only by a larger request; distinct tags never alias."""
         ws = Workspace()
         a = ws.take("t", (4,))
         b = ws.take("u", (4,))
+        d = ws.take("t", (2, 2), np.float32)
+        assert np.shares_memory(a, d) and not np.shares_memory(a, b)
+        assert d.shape == (2, 2) and d.dtype == np.float32
+        assert (ws.n_buffers, ws.nbytes) == (2, 4 * 8 + 4 * 8)
         c = ws.take("t", (5,))
-        d = ws.take("t", (4,), np.float32)
-        assert len({id(x) for x in (a, b, c, d)}) == 4
-        assert ws.n_buffers == 4
-        assert ws.nbytes == 4 * 8 + 4 * 8 + 5 * 8 + 4 * 4
+        assert not np.shares_memory(a, c)
+        assert (ws.n_buffers, ws.nbytes) == (2, 5 * 8 + 4 * 8)
+        assert np.shares_memory(ws.take("t", (4,), np.float32), c)
+        ws.clear()
+        assert (ws.n_buffers, ws.nbytes) == (0, 0)
 
     def test_zeros(self):
         ws = Workspace()

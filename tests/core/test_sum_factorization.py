@@ -141,15 +141,15 @@ class TestFaceKernels:
         buf = np.empty((u.shape[0], loop.size))
         loop.sheets(np.ascontiguousarray(np.moveaxis(u, 1, -1)), buf)
         (ch,) = loop.chunks
-        return loop.trace(buf, ch, loop.ws, slice(0, 2), full).copy()
+        return loop.trace(buf, ch, slice(0, 2), full).copy()
 
     def _integrate(self, loop, R):
         """Adjoint of :meth:`_trace`: the cell tensors tested by ``R``."""
         buf = np.zeros((R.shape[0], loop.size))
         (ch,) = loop.chunks
-        loop.integrate(R, ch, buf, loop.ws, slice(0, 2))
+        loop.integrate(R, ch, buf, slice(0, 2))
         out = np.zeros((R.shape[0],) + (loop.n1,) * 3 + (2,))
-        loop.expand(buf, out, loop.ws)
+        loop.expand(buf, out)
         return np.moveaxis(out, -1, 1)
 
     @staticmethod
@@ -240,10 +240,10 @@ class TestValueLoopAdjoint:
         rhs = 0.0
         for ch in loop.chunks:
             R = rng.standard_normal((2,) + ch.idx.shape[2:] + (9,))
-            rhs += np.sum(R * loop.trace(buf, ch, loop.ws))
-            loop.integrate(R, ch, dst, loop.ws)
+            rhs += np.sum(R * loop.trace(buf, ch))
+            loop.integrate(R, ch, dst)
         loop.finish(dst)
-        loop.expand(dst, out, loop.ws)
+        loop.expand(dst, out)
         assert np.isclose(np.sum(out * u), rhs, rtol=1e-12)
 
     def test_curved_hanging(self, curved_hanging, rng):

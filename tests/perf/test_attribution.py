@@ -225,7 +225,7 @@ class TestOperatorInstrumentation:
         assert conn.n_boundary_faces == 10
         # the box is axis-aligned: the model counts the stored diagonal
         # cell metric and normal-only face coefficient
-        stored = len(op.cell_metrics.laplace_d), len(op.face_data.b)
+        stored = len(op.laplace_d), len(op.face_data.b)
         assert stored == (3, 1)
         f = laplace_flops(op.dof.degree, op.kern.n_q_points, *stored)
         expected = f.matvec_total(op.dof.n_cells, conn.n_interior_faces, 1)

@@ -24,6 +24,7 @@ INSTRUMENTED = (
     "repro.robustness.checkpointing",
     "repro.lung.simulation",
     "repro.parallel.runtime",
+    "repro.core.plans",
 )
 
 
