@@ -11,7 +11,7 @@ from .basis import (
     subinterval_matrix,
     change_of_basis_matrix,
 )
-from .plans import ScatterPlan, Workspace, contract
+from .plans import ScatterPlan, Workspace
 from .sum_factorization import TensorProductKernel, apply_1d
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "change_of_basis_matrix",
     "ScatterPlan",
     "Workspace",
-    "contract",
     "TensorProductKernel",
     "apply_1d",
 ]

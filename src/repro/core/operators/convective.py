@@ -27,9 +27,8 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import GeometryField
+from ...mesh.mapping import GeometryField, normal_dot, to_reference
 from ..dof_handler import DGDofHandler
-from ..plans import contract
 from .base import MatrixFreeOperator, dirichlet_rows, value_faces
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at runtime
@@ -63,8 +62,8 @@ class ConvectiveOperator(MatrixFreeOperator):
 
     def _lax_friedrichs(self, vm, vp, normal):
         """Numerical flux (..., 3, F, q*q) in the minus normal direction."""
-        un_m = contract("ifq,...ifq->...fq", normal, vm)
-        un_p = contract("ifq,...ifq->...fq", normal, vp)
+        un_m = normal_dot(normal, vm)
+        un_p = normal_dot(normal, vp)
         lam = np.maximum(np.abs(un_m), np.abs(un_p))
         central = 0.5 * (vm * un_m[..., None, :, :] + vp * un_p[..., None, :, :])
         return central + 0.5 * lam[..., None, :, :] * (vm - vp)
@@ -74,12 +73,11 @@ class ConvectiveOperator(MatrixFreeOperator):
         kern = self.kern
         # cell term: -int (u (x) u) : grad(v), on lane blocks
         uq = kern.values(ul)
-        # F[i, j] = u_i u_j; ref-grad coefficient of v_i, component-major:
-        #   rg[l, .., i] = -sum_j F[i,j] jinv_t[j,l] * jxw
-        Fu = contract("...izyxc,...jzyxc->...ijzyxc", uq, uq)
-        rg = contract("...ijzyxc,jlzyxc->l...izyxc", Fu, self.jinv_t)
-        rg *= -self.jxw
-        out = kern.integrate_gradients_cm(rg)
+        # ref-grad coefficient of v_i, component-major: the physical
+        # (u (x) u)[i, :] = u_i u to the reference frame, -u_i (J^{-1} u) jxw
+        uref = to_reference(self.jinv_t, np.moveaxis(uq, -5, 0))
+        uref *= -self.jxw
+        out = kern.integrate_gradients_cm(uref[..., None, :, :, :, :] * uq)
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop, fd.points, self.velocity_dirichlet,
                                  self.bcs.velocity_value, t, 1, out.dtype)
@@ -115,7 +113,6 @@ class ConvectiveOperator(MatrixFreeOperator):
         feeds is recorded in the step statistics).
         """
         uq = self.kern.values(self.dof.lanes(u_flat))
-        # J^{-1} u: ref-space velocity = (jinv)[l,i] u_i; jinv_t[i,l] = jinv[l,i]
-        uref = contract("ilzyxc,...izyxc->...lzyxc", self.jinv_t, uq)
-        speed = np.sqrt((uref**2).sum(axis=-5))
+        uref = to_reference(self.jinv_t, np.moveaxis(uq, -5, 0))
+        speed = np.sqrt((uref**2).sum(axis=0))
         return speed.reshape(u_flat.shape[:-1] + (-1,)).max(axis=-1)

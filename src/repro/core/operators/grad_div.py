@@ -32,9 +32,8 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import GeometryField
+from ...mesh.mapping import GeometryField, isotropic_to_reference, normal_dot, to_reference
 from ..dof_handler import DGDofHandler
-from ..plans import contract
 from ..sum_factorization import TensorProductKernel
 from .base import MatrixFreeOperator, dirichlet_rows, value_faces
 
@@ -92,7 +91,7 @@ class DivergenceOperator(_MixedSpaceOperator):
         ul = self.dof_u.lanes(u_flat)  # (*lead, 3, n, n, n, N)
         # cell term: -int grad(q) . u, on lane blocks
         uq = self.kern_u.values(ul)
-        rg = contract("ilzyxc,...izyxc->l...zyxc", self.jinv_t, uq)
+        rg = to_reference(self.jinv_t, np.moveaxis(uq, -5, 0))
         rg *= -self.jxw
         out = self.kern_p.integrate_gradients_cm(rg)
         fd = self.face_data
@@ -108,8 +107,7 @@ class DivergenceOperator(_MixedSpaceOperator):
             ustar = np.empty_like(v[:, :, :F])
             ustar[:, :, :Fi] = 0.5 * (v[:, :, :Fi] + v[:, :, F:])
             ustar[:, :, Fi:] = np.where(rows[b], g[:, :, b], v[:, :, Fi:F])
-            return contract("ifq,...ifq->...fq", fd.normal[:, ch.f0:ch.f0 + F],
-                            ustar) * fd.jxw[ch.f0:ch.f0 + F]
+            return normal_dot(fd.normal[:, ch.f0:ch.f0 + F], ustar) * fd.jxw[ch.f0:ch.f0 + F]
 
         self.loop_u.apply(ul.reshape((-1,) + ul.shape[-4:]), out.reshape((-1,) + out.shape[-4:]),
                           flux, self.loop_p)
@@ -134,8 +132,7 @@ class GradientOperator(_MixedSpaceOperator):
         # cell term: -int p div(v) -> component-major ref-grad
         # coefficients of each v_i, on lane blocks
         coeff = -(self.kern_p.values(pl) * self.jxw)
-        rg = contract("ilzyxc,...zyxc->l...izyxc", self.jinv_t, coeff)
-        out = self.kern_u.integrate_gradients_cm(rg)
+        out = self.kern_u.integrate_gradients_cm(isotropic_to_reference(self.jinv_t, coeff))
         fd = self.face_data
         g, rows = dirichlet_rows(self.loop_u, fd.points, self.pressure_dirichlet,
                                  self.bcs.pressure_value, t, 0, out.dtype, homogeneous)

@@ -29,7 +29,7 @@ import numpy as np
 from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import METRIC_ROWS, GeometryField, sparsest
 from ..dof_handler import CGDofHandler, DGDofHandler, csr_with_data
-from ..plans import SCRATCH, contract
+from ..plans import SCRATCH
 from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
 
 
@@ -65,7 +65,8 @@ def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
             fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
             fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
             fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-            ldiag += contract("zyxc,zZ,yY,xX->ZYXc", laplace_d[s], fz, fy, fx)
+            ldiag += np.einsum("zyxc,zZ,yY,xX->ZYXc", laplace_d[s], fz, fy, fx, order="C",
+                               optimize="optimal")
     return ldiag
 
 

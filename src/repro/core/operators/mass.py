@@ -17,7 +17,7 @@ import numpy as np
 
 from ...mesh.mapping import GeometryField
 from ..dof_handler import DGDofHandler
-from ..plans import SCRATCH, contract
+from ..plans import SCRATCH
 from .base import MatrixFreeOperator
 
 
@@ -63,7 +63,8 @@ class MassOperator(MatrixFreeOperator):
         """Matrix-free diagonal via squared 1D interpolation factors."""
         kern = self.kern
         N2 = kern.shape.interp**2  # (nq, n)
-        diag = contract("zyxc,zZ,yY,xX->ZYXc", self.jxw, N2, N2, N2)
+        diag = np.einsum("zyxc,zZ,yY,xX->ZYXc", self.jxw, N2, N2, N2, order="C",
+                         optimize="optimal")
         if self.dof.n_components > 1:
             diag = np.broadcast_to(diag, (self.dof.n_components,) + diag.shape)
         return diag.reshape(-1)

@@ -26,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...mesh.connectivity import MeshConnectivity
-from ...mesh.mapping import GeometryField, cell_sums
+from ...mesh.mapping import (GeometryField, cell_sums, isotropic_to_reference, normal_dot,
+                             to_physical, trace)
 from ..dof_handler import DGDofHandler
-from ..plans import contract
 from .base import MatrixFreeOperator, value_faces
 from .mass import MassOperator
 
@@ -82,10 +82,9 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
         # ROADMAP 1(A): the swapaxes transposes the trial-side gradient;
         # the fix deletes it.
         grads = np.swapaxes(kern.gradients_cm(ul), 0, -5)
-        div = contract("ilzyxc,l...izyxc->...zyxc", self.jinv_t, grads)
+        div = trace(to_physical(self.jinv_t, grads))
         coeff = div * self.jxw * self.tau_div[..., None, None, None, :]
-        rg = contract("ilzyxc,...zyxc->l...izyxc", self.jinv_t, coeff)
-        out = kern.integrate_gradients_cm(rg)
+        out = kern.integrate_gradients_cm(isotropic_to_reference(self.jinv_t, coeff))
         fd = self.face_data
         tau = np.reshape(self.tau_cont, (-1, np.shape(self.tau_cont)[-1]))
 
@@ -95,7 +94,7 @@ class DivergenceContinuityPenalty(MatrixFreeOperator):
             v = v.reshape((-1, 3) + v.shape[1:])
             F, Fi, i0 = ch.F, ch.Fi, ch.f0 - ch.b0
             nrm, w = fd.normal[:, ch.f0:ch.f0 + Fi], fd.jxw[ch.f0:ch.f0 + Fi]
-            jump_n = contract("ifq,...ifq->...fq", nrm, v[:, :, :Fi] - v[:, :, F:])
+            jump_n = normal_dot(nrm, v[:, :, :Fi] - v[:, :, F:])
             q = tau[:, i0:i0 + Fi, None] * jump_n * w
             rv = np.zeros_like(v[:, :, :F])
             rv[:, :, :Fi] = q[:, None] * nrm

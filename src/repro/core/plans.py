@@ -13,17 +13,6 @@ the NumPy rendition of that discipline, shared by every operator in
   face terms no longer scatter per batch (the face loop of
   :mod:`repro.core.operators.base` writes sheet slots); the benchmark's
   scatter probe measures this primitive.
-* :func:`contract` — an einsum dispatcher with a global plan cache.
-  Contractions with at most two operands and a small contracted extent
-  (the ``J^{-T} g`` style metric applications, contracting a length-3
-  component axis) run fastest through the *direct* C einsum loop;
-  routing them through ``optimize=True``/``einsum_path`` pays a
-  tensordot round trip with transposed copies that costs several times
-  the arithmetic.  Multi-operand contractions (the closed-form diagonal
-  formulas) do benefit from a precomputed ``np.einsum_path``.  The
-  dispatch is decided once per (subscripts, shapes) signature and
-  cached — deterministically, from the contraction structure, so runs
-  are reproducible.
 * :class:`Workspace` — a scratch arena, so steady-state applications
   (Chebyshev and CG inner loops) perform no large allocations.
   :data:`SCRATCH` is the one arena of the process: every operator,
@@ -36,7 +25,8 @@ the NumPy rendition of that discipline, shared by every operator in
   its contents are dead: their sweeps alternate ``tpk.a``/``tpk.b``
   (``values`` leaves its result in ``tpk.a``, which the integrations
   read and never write first), gradients live in ``tpk.g``, the
-  Laplacian's metric product in ``lap.Dg``; face loops use ``sip.*`` /
+  Laplacian's metric product in ``lap.Dg``, the metric helpers of
+  :mod:`repro.mesh.mapping` their product in ``metric.t``; face loops use ``sip.*`` /
   ``fl.*`` (a trial and a test loop distinct ones), a rank
   ``rank.lanes``.  Forked workers inherit the arena copy-on-write.
 """
@@ -52,61 +42,6 @@ from .backend import DEFAULT_DTYPE
 
 _SCRATCH_BYTES = METRICS.gauge(
     "repro_scratch_bytes", "bytes held by the process-wide scratch arena")
-
-#: Contracted-extent threshold below which a 1- or 2-operand einsum is
-#: dispatched to the direct C loop instead of a precomputed path (the
-#: path would route through tensordot/BLAS whose packing copies dominate
-#: at these sizes).
-DIRECT_CONTRACTION_LIMIT = 8
-
-_PATH_CACHE: dict = {}
-
-
-def _contraction_strategy(subscripts: str, operands) -> object:
-    """Deterministic plan for one einsum signature: ``False`` for the
-    direct C loop, or a precomputed ``np.einsum_path`` path list."""
-    if len(operands) <= 1:
-        return False
-    lhs, arrow, out_labels = subscripts.partition("->")
-    if len(operands) == 2:
-        # extent of the contracted index space; labels behind an
-        # ellipsis (broadcast batch axes, never contracted) are located
-        # from the right
-        dims: dict[str, int] = {}
-        for labels, op in zip(lhs.split(","), operands):
-            head, _, tail = labels.partition("...")
-            dims.update(zip(head, op.shape))
-            dims.update(zip(reversed(tail), reversed(op.shape)))
-        if not arrow:
-            out_labels = "".join(c for c in dims if lhs.count(c) == 1)
-        extent = 1
-        for ch in set(dims) - set(out_labels):
-            extent *= dims[ch]
-        if extent <= DIRECT_CONTRACTION_LIMIT:
-            return False
-    path, _ = np.einsum_path(subscripts, *operands, optimize="optimal")
-    return path
-
-
-def contract(subscripts: str, *operands, out: np.ndarray | None = None):
-    """``np.einsum`` with a cached, deterministic contraction plan.
-
-    The plan (direct C loop vs. precomputed path) is decided on first use
-    per (subscripts, operand shapes) and reused for every later call —
-    no per-application path search.  Subscripts may carry an ellipsis
-    for leading batch axes (``"cilzyx,...cizyx->...clzyx"``), so one
-    spelling serves flat and ensemble-stacked fields.  A fresh result is
-    C-contiguous in the order of its output subscripts (einsum's default
-    would mimic the operands' strides), so a component-major output
-    ``"...->l...czyx"`` hands the sum-factorization sweeps contiguous
-    blocks.
-    """
-    key = (subscripts, tuple(op.shape for op in operands))
-    strategy = _PATH_CACHE.get(key)
-    if strategy is None:
-        strategy = _contraction_strategy(subscripts, operands)
-        _PATH_CACHE[key] = strategy
-    return np.einsum(subscripts, *operands, out=out, order="C", optimize=strategy)
 
 
 class ScatterPlan:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.plans import SCRATCH
 from ..core.sum_factorization import TensorProductKernel
 from .connectivity import FaceBatch, BoundaryBatch, MeshConnectivity, orient_face_array
 from .octree import Forest
@@ -109,6 +110,70 @@ def sparsest(block: np.ndarray, kept: list, dropped: list) -> np.ndarray:
     return block[kept] if np.all(small) else block
 
 
+#: the stored entries of :attr:`CellMetrics.jinv_t` by its plane count,
+#: ``(l, m, plane)`` per entry ``J^{-T}[l, m]``: all nine, or the diagonal
+JINV_ENTRIES = {9: tuple((l, m, 3 * l + m) for l in range(3) for m in range(3)),
+                3: ((0, 0, 0), (1, 1, 1), (2, 2, 2))}
+
+
+def _jinv_t_products(jinv_t: np.ndarray, x, transpose: bool, out=None) -> np.ndarray:
+    """``out[r] = sum_c A[r, c] x[c]``, ``A`` = ``J^{-T}`` (``J^{-1}`` if
+    ``transpose``), over the stored entries of ``jinv_t`` only: ``x`` is
+    three component blocks with any leading axes (``None`` is zero), the
+    result a component-major ``(3, ...)`` block, C-contiguous unless
+    ``out`` is given; scratch: ``SCRATCH``'s ``metric.t``."""
+    blocks = [b for b in x if b is not None]
+    shape = np.broadcast_shapes(jinv_t.shape[1:], *(b.shape for b in blocks))
+    dt = np.result_type(jinv_t, *blocks)
+    out = np.empty((3,) + shape, dt) if out is None else out
+    t, fresh = SCRATCH.take("metric.t", shape, dt), [True] * 3
+    for l, m, s in JINV_ENTRIES[len(jinv_t)]:
+        r, c = (m, l) if transpose else (l, m)
+        if x[c] is not None:
+            if fresh[r]:
+                np.multiply(jinv_t[s], x[c], out=out[r])
+            else:
+                out[r] += np.multiply(jinv_t[s], x[c], out=t)
+            fresh[r] = False
+    for r in np.flatnonzero(fresh):
+        out[r] = 0
+    return out
+
+
+def to_physical(jinv_t: np.ndarray, g) -> np.ndarray:
+    """``J^{-T} g``: the reference gradient ``g[m]`` = d/dx̂_m as the
+    physical one, ``[l]`` = d/dx_l."""
+    return _jinv_t_products(jinv_t, g, False)
+
+
+def to_reference(jinv_t: np.ndarray, v) -> np.ndarray:
+    """``J^{-1} v``: a physical vector in the reference frame (on the test
+    side, a physical gradient coefficient as the reference one)."""
+    return _jinv_t_products(jinv_t, v, True)
+
+
+def isotropic_to_reference(jinv_t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`to_reference` of ``s e_i`` for each component ``i``: the
+    reference-gradient coefficients ``(3, ..., 3_i, q, q, q, N)`` of the
+    test term ``s div v``."""
+    out = np.empty((3,) + s.shape[:-4] + (3,) + s.shape[-4:], np.result_type(jinv_t, s))
+    for i in range(3):
+        _jinv_t_products(jinv_t, [s if m == i else None for m in range(3)], True,
+                         out[..., i, :, :, :, :])
+    return out
+
+
+def trace(G: np.ndarray) -> np.ndarray:
+    """The divergence ``sum_i G[i, ..., i, q, q, q, N]`` of a physical
+    gradient (:func:`to_physical`)."""
+    return G[0, ..., 0, :, :, :, :] + G[1, ..., 1, :, :, :, :] + G[2, ..., 2, :, :, :, :]
+
+
+def normal_dot(normal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``n . v`` per face point: ``normal`` (3, F, q), ``v`` (..., 3, F, q)."""
+    return normal[0] * v[..., 0, :, :] + normal[1] * v[..., 1, :, :] + normal[2] * v[..., 2, :, :]
+
+
 @dataclass
 class CellMetrics:
     """Per-cell quadrature-point metric data (the D_e factors of Eq. (7)),
@@ -118,7 +183,9 @@ class CellMetrics:
     Attributes
     ----------
     jxw:       (nq, nq, nq, N)        quadrature weight x |det J|
-    jinv_t:    (3, 3, nq, nq, nq, N)  J^{-T}: phys grad = jinv_t @ ref grad
+    jinv_t:    (9|3, nq, nq, nq, N)   J^{-T}, its nine entries or, on an
+               axis-aligned mesh, its diagonal (:data:`JINV_ENTRIES`),
+               applied by :func:`to_physical` / :func:`to_reference`.
     laplace_d: (6|3, nq, nq, nq, N)   J^{-1} J^{-T} |det J| w — the
                symmetric 3x3 block applied between I_e and I_e^T for the
                Laplacian, as its six unique entries (:data:`SYM_SLOT`) or,
@@ -212,8 +279,10 @@ class GeometryField:
                 np.einsum("j...,j...->...", Jinv[a], Jinv[b], out=laplace_d[SYM_SLOT[a][b]])
         laplace_d *= jxw
         laplace_d = sparsest(laplace_d, [0, 3, 5], [1, 2, 4])
-        self._cell_metrics = CellMetrics(jxw=jxw, jinv_t=np.swapaxes(Jinv, 0, 1),
-                                         laplace_d=laplace_d, points=vals, det_j=det)
+        jinv_t = np.swapaxes(Jinv, 0, 1).reshape((9,) + jxw.shape)
+        jinv_t = sparsest(jinv_t, [0, 4, 8], [1, 2, 3, 5, 6, 7])
+        self._cell_metrics = CellMetrics(jxw=jxw, jinv_t=jinv_t, laplace_d=laplace_d,
+                                         points=vals, det_j=det)
         return self._cell_metrics
 
     # ------------------------------------------------------------------

@@ -10,18 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dof_handler import DGDofHandler
-from ..core.plans import contract
-from ..mesh.mapping import GeometryField
+from ..mesh.mapping import GeometryField, to_physical, trace
 
 
 def curl_of_gradient(G: np.ndarray, n_point_axes: int) -> np.ndarray:
-    """curl(u) from the physical gradient ``G[..., i, l, <points>] =
-    du_i/dx_l`` (``n_point_axes`` trailing quadrature axes), stacked on
-    the component axis."""
+    """curl(u) from the physical gradient ``G[l, ..., i, <points>] =
+    du_i/dx_l`` (:func:`~repro.mesh.mapping.to_physical`; ``n_point_axes``
+    trailing quadrature axes), stacked on the component axis."""
     pts = (slice(None),) * n_point_axes
 
     def d(i: int, l: int) -> np.ndarray:
-        return G[(..., i, l) + pts]
+        return G[(l, ..., i) + pts]
 
     return np.stack(
         [d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)],
@@ -45,8 +44,7 @@ class FlowDiagnostics:
         return self.kern.values(self.dof.lanes(u_flat))  # (3, q, q, q, N)
 
     def _phys_gradients(self, u_flat: np.ndarray) -> np.ndarray:
-        g = self.kern.gradients_cm(self.dof.lanes(u_flat))
-        return contract("lmzyxc,m...izyxc->...ilzyxc", self.cm.jinv_t, g)
+        return to_physical(self.cm.jinv_t, self.kern.gradients_cm(self.dof.lanes(u_flat)))
 
     # ------------------------------------------------------------------
     def volume(self) -> float:
@@ -65,8 +63,7 @@ class FlowDiagnostics:
         return float(0.5 * ((curl**2).sum(axis=-5) * self.cm.jxw).sum() / self.volume())
 
     def divergence_l2(self, u_flat: np.ndarray) -> float:
-        G = self._phys_gradients(u_flat)
-        div = contract("...iizyxc->...zyxc", G)
+        div = trace(self._phys_gradients(u_flat))
         return float(np.sqrt((div**2 * self.cm.jxw).sum()))
 
     def max_velocity(self, u_flat: np.ndarray) -> float:
@@ -76,7 +73,7 @@ class FlowDiagnostics:
     def momentum(self, u_flat: np.ndarray) -> np.ndarray:
         """int u dx, one value per component."""
         uq = self._values(u_flat)
-        return contract("izyxc,zyxc->i", uq, self.cm.jxw)
+        return np.einsum("izyxc,zyxc->i", uq, self.cm.jxw, optimize="optimal")
 
 
 def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
@@ -114,6 +111,6 @@ def sample_centerline(dof_u: DGDofHandler, geometry: GeometryField,
             lx = basis.values(np.clip(ref[0:1], 0, 1))[0]
             ly = basis.values(np.clip(ref[1:2], 0, 1))[0]
             lz = basis.values(np.clip(ref[2:3], 0, 1))[0]
-            out[ip] = contract("izyx,z,y,x->i", u[..., c], lz, ly, lx)
+            out[ip] = np.einsum("izyx,z,y,x->i", u[..., c], lz, ly, lx, optimize="optimal")
             break
     return out

@@ -21,11 +21,10 @@ import numpy as np
 
 from ..core.dof_handler import DGDofHandler
 from ..core.operators.base import value_faces
-from ..core.plans import contract
 from ..core.operators.laplace import DGLaplaceOperator
 from ..core.operators.mass import InverseMassOperator
 from ..mesh.connectivity import MeshConnectivity
-from ..mesh.mapping import GeometryField
+from ..mesh.mapping import GeometryField, normal_dot, to_reference
 
 
 class ScalarAdvectionOperator:
@@ -80,9 +79,7 @@ class ScalarAdvectionOperator:
         # cell term: -int c u . grad(v), on lane blocks
         cl, ul = self.dof_c.lanes(c_flat), self.dof_u.lanes(u_flat)
         cq, uq = kern.values(cl), kern.values(ul)
-        coeff = -(cq * cmx.jxw)
-        rg = contract("ilzyxc,izyxc,zyxc->lzyxc", cmx.jinv_t, uq, coeff)
-        out = kern.integrate_gradients_cm(rg)
+        out = kern.integrate_gradients_cm(to_reference(cmx.jinv_t, uq * -(cq * cmx.jxw)))
         fd, c_in = self.face_data, self._c_in
 
         def flux(v, ch):
@@ -94,7 +91,7 @@ class ScalarAdvectionOperator:
             c_p[Fi:] = np.where(np.isnan(c_in[b]), c_m[Fi:], c_in[b])
             um = v[1:, :F].copy()
             um[:, :Fi] = 0.5 * (um[:, :Fi] + v[1:, F:])
-            un = contract("ifq,ifq->fq", fd.normal[:, ch.f0:ch.f0 + F], um)
+            un = normal_dot(fd.normal[:, ch.f0:ch.f0 + F], um)
             return self._upwind(c_m, c_p, un) * fd.jxw[ch.f0:ch.f0 + F]
 
         self.loop.apply(np.concatenate([cl[None], ul]), out[None], flux)

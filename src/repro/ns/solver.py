@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core.backend import resolve_dtype
 from ..core.dof_handler import DGDofHandler
-from ..core.plans import SCRATCH, contract
+from ..core.plans import SCRATCH
 from ..core.operators import (
     ConvectiveOperator,
     DGLaplaceOperator,
@@ -27,7 +27,7 @@ from ..core.operators import (
 )
 from ..core.operators.base import FaceLoop, in_loop_order, tangential_dims
 from ..mesh.connectivity import build_connectivity
-from ..mesh.mapping import GeometryField
+from ..mesh.mapping import GeometryField, normal_dot, to_physical, trace
 from ..mesh.octree import Forest
 from ..robustness.recovery import (
     FallbackTier,
@@ -178,14 +178,15 @@ class IncompressibleNavierStokesSolver:
         )
         # wall rows of the consistent pressure Neumann data: a four-sheet
         # velocity loop over the value loops' table (same chunks), and the
-        # rows' J^{-T} with its reference columns in the (n, a, b) frame
+        # rows' J^{-T} (all nine entries) with its reference columns in the
+        # (n, a, b) frame
         loop = self.divergence.loop_u
         self._wall_loop = FaceLoop(loop.kern, forest.n_cells, forest.n_cells, *loop.table)
         _, bms = face_metrics
         self._wall_jinv_t = in_loop_order(
             [fm.jinv_t[:, :, [b.face // 2, *tangential_dims(b.face)]]
              for b, fm in zip(self.conn.boundary, bms)],
-            loop.bsrc, (3, 3, self.geo_u.kernel.n_q_points ** 2))
+            loop.bsrc, (9, self.geo_u.kernel.n_q_points ** 2))
         if self.settings.use_multigrid and degree - 1 >= 1:
             self.pressure_pre = HybridMultigridPreconditioner(
                 self.pressure_poisson, smoother_degree=self.settings.smoother_degree
@@ -324,9 +325,7 @@ class IncompressibleNavierStokesSolver:
         pressure Neumann boundary condition."""
         dof, kern = self.dof_u, self.geo_u.kernel
         cm = self.geo_u.cell_metrics()
-        # physical gradient: dU_i/dx_l = sum_m jinv_t[l, m] * ghat[i, m]
-        g = kern.gradients_cm(dof.lanes(u_flat))
-        G = contract("lmzyxc,m...izyxc->...ilzyxc", cm.jinv_t, g)
+        G = to_physical(cm.jinv_t, kern.gradients_cm(dof.lanes(u_flat)))
         rhs = kern.integrate_values(curl_of_gradient(G, 4) * cm.jxw)
         return self.inv_mass_u.vmult(rhs.reshape(u_flat.shape))
 
@@ -372,15 +371,16 @@ class IncompressibleNavierStokesSolver:
                 b = slice(ch.b0, ch.b0 + ch.F - ch.Fi)
                 Q = wall.trace(src, ch, slice(ch.Fi, ch.F), full=True)
                 Q = Q.reshape((-1, 3) + Q.shape[1:])  # (e, i, v|n|a|b, rows, q)
-                # physical gradient d u_i / d x_l from the frame derivatives
-                grad = contract("lfrq,eifrq->eilrq", self._wall_jinv_t[:, :, b], Q[:, :, 1:])
+                # physical gradient grad[l, e, i] = d u_i / d x_l from the
+                # frame derivatives
+                grad = to_physical(self._wall_jinv_t[:, b], np.moveaxis(Q[:, :, 1:], 2, 0))
                 if weight is None:
                     total[..., b, :] += self.nu * curl_of_gradient(grad, 2)
                     continue
-                v = Q[:, :, 0]
-                conv = contract("ejrq,eijrq->eirq", v, grad)
-                total[..., b, :] += weight * (conv + contract("eiirq->erq", grad)[:, None] * v)
-        h = -contract("iBq,eiBq->eBq", fd.normal[:, wall.bface], total)
+                v = Q[:, :, 0]  # conv(u) = div(u (x) u) = sum_j d_j(u_j u)
+                total[..., b, :] += weight * sum(v[:, j, None] * grad[j] + grad[j, :, j, None] * v
+                                                 for j in range(3))
+        h = -normal_dot(fd.normal[:, wall.bface], total)
         h *= fd.jxw[wall.bface] * np.isin(wall.bids, ids)[:, None]
         dst = np.zeros((h.shape[0], ploop.size))
         for ch in ploop.chunks:
@@ -523,7 +523,7 @@ class IncompressibleNavierStokesSolver:
         """div(u) at quadrature points; ensemble states get a leading
         member axis."""
         g = self.geo_u.kernel.gradients_cm(self.dof_u.lanes(self.velocity))
-        return contract("ilzyxc,l...izyxc->...zyxc", self.geo_u.cell_metrics().jinv_t, g)
+        return trace(to_physical(self.geo_u.cell_metrics().jinv_t, g))
 
     def max_divergence(self) -> float:
         """max |div u| at quadrature points — the quantity the penalty
@@ -560,6 +560,6 @@ class IncompressibleNavierStokesSolver:
         ul = self.dof_u.lanes(u_flat)
         v = loop.boundary_values(ul.reshape((-1,) + ul.shape[-4:]))
         v = v.reshape(ul.shape[:-4] + v.shape[1:])
-        un = contract("ifq,...ifq->...fq", fd.normal[:, loop.bface], v)
+        un = normal_dot(fd.normal[:, loop.bface], v)
         q = (un * fd.jxw[loop.bface]).sum(axis=-1)
         return q @ (loop.bids[:, None] == np.asarray(boundary_ids)).astype(q.dtype)

@@ -93,6 +93,17 @@ def lane_block(cells: np.ndarray) -> np.ndarray:
     return np.moveaxis(cells, -4, -1)
 
 
+def dense_jinv_t(jinv_t: np.ndarray) -> np.ndarray:
+    """The stored ``CellMetrics.jinv_t`` (9 or 3 planes) as the full
+    ``(3, 3, ...)`` matrix ``J^{-T}[l, m]``, zeros where not stored."""
+    if len(jinv_t) == 9:
+        return jinv_t.reshape((3, 3) + jinv_t.shape[1:])
+    full = np.zeros((3, 3) + jinv_t.shape[1:], jinv_t.dtype)
+    for l in range(3):
+        full[l, l] = jinv_t[l]
+    return full
+
+
 def interpolate_per_leaf(dof_u, forest, fn) -> np.ndarray:
     """Nodal interpolation of ``fn(x, y, z) -> (3, ...)`` into the
     velocity space, with one geometry evaluation and one call of ``fn``
@@ -113,14 +124,19 @@ def interpolate_per_leaf(dof_u, forest, fn) -> np.ndarray:
 
 # -- meshes where face plans can go wrong (hanging, reoriented, curved) --
 
-@pytest.fixture
-def curved_hanging(rng):
+def curved_hanging_forest(rng) -> Forest:
     """Randomized bifurcation (curved, non-identity orientations) with
-    one randomly picked cell refined (2:1 hanging faces); the k=2
-    ``(geometry, connectivity, DGLaplaceOperator)``."""
+    one randomly picked cell refined (2:1 hanging faces)."""
     forest = Forest(bifurcation(opening_angle_deg=float(rng.uniform(40.0, 80.0))))
     pick = int(rng.integers(0, forest.n_cells))
-    forest = forest.refine([forest.leaves[pick]]).balance()
+    return forest.refine([forest.leaves[pick]]).balance()
+
+
+@pytest.fixture
+def curved_hanging(rng):
+    """:func:`curved_hanging_forest`'s k=2 ``(geometry, connectivity,
+    DGLaplaceOperator)``."""
+    forest = curved_hanging_forest(rng)
     geo = GeometryField(forest, 2)
     conn = build_connectivity(forest)
     assert any(b.subface is not None for b in conn.interior)
@@ -143,13 +159,11 @@ def _cube_rotations():
                 yield R
 
 
-@pytest.fixture
-def rotated_hanging_box(rng):
+def rotated_hanging_forest(rng) -> Forest:
     """The unit box in 2x2x2 cells sheared by ``SHEAR`` (so ``J^{-1} n``
     has tangential components), each cell's local frame randomly rotated
     — shared faces carry swapped and flipped orientations — with one
-    cell refined (2:1 hanging faces); Dirichlet id 1 on two sides.
-    ``(forest, connectivity)``."""
+    cell refined (2:1 hanging faces); Dirichlet id 1 on two sides."""
     mesh = box(subdivisions=(2, 2, 2), boundary_ids={0: 1, 3: 1})
     mesh.vertices = mesh.vertices @ SHEAR.T
     rotations = list(_cube_rotations())
@@ -159,7 +173,13 @@ def rotated_hanging_box(rng):
         q = (corners @ rotations[rng.integers(len(rotations))].T + 1) // 2
         cells[c] = mesh.cells[c][q[:, 0] + 2 * q[:, 1] + 4 * q[:, 2]]
     forest = Forest(HexMesh(mesh.vertices, cells, dict(mesh.boundary_ids)))
-    forest = forest.refine([forest.leaves[int(rng.integers(forest.n_cells))]]).balance()
+    return forest.refine([forest.leaves[int(rng.integers(forest.n_cells))]]).balance()
+
+
+@pytest.fixture
+def rotated_hanging_box(rng):
+    """:func:`rotated_hanging_forest` ``(forest, connectivity)``."""
+    forest = rotated_hanging_forest(rng)
     conn = build_connectivity(forest)
     codes = {b.orientation.code for b in conn.interior}
     assert codes & {1, 2, 3, 5, 6, 7} and any(b.subface is not None for b in conn.interior)

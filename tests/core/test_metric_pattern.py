@@ -51,17 +51,23 @@ def _pattern(op) -> tuple[int, int]:
     return len(op.laplace_d), len(op.face_data.b)
 
 
+def _jinv_t_planes(op) -> int:
+    """Stored entries of the flow operators' ``J^{-T}`` on ``op``'s mesh."""
+    return len(op.geo.cell_metrics().jinv_t)
+
+
 class TestDetection:
     @pytest.mark.parametrize("make", [_box, _hanging_box, _beltrami_box])
     def test_axis_aligned_meshes_are_diagonal(self, make):
-        assert _pattern(_operator(make())) == (3, 1)
+        op = _operator(make())
+        assert (_pattern(op), _jinv_t_planes(op)) == ((3, 1), 3)
 
     def test_curved_and_sheared_meshes_are_full(self, rotated_hanging_box, curved_hanging):
         forest, _ = rotated_hanging_box
-        assert _pattern(_operator(forest)) == (6, 3)
-        assert _pattern(curved_hanging[2]) == (6, 3)
-        assert _pattern(_operator(Forest(bifurcation(opening_angle_deg=60.0)))) == (6, 3)
-        assert _pattern(_operator(_lung(), degree=1)) == (6, 3)
+        for op in (_operator(forest), curved_hanging[2],
+                   _operator(Forest(bifurcation(opening_angle_deg=60.0))),
+                   _operator(_lung(), degree=1)):
+            assert (_pattern(op), _jinv_t_planes(op)) == ((6, 3), 9)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,7 @@ def box_pair():
         m.setattr(mapping, "METRIC_ROUNDOFF", 0.0)
         full = _operator(_box(), DEGREE)
     assert (_pattern(diagonal), _pattern(full)) == ((3, 1), (6, 3))
+    assert (_jinv_t_planes(diagonal), _jinv_t_planes(full)) == (3, 9)
     return diagonal, full
 
 

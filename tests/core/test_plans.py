@@ -2,7 +2,8 @@
 planned operator paths against implementation-independent references.
 
 The plan primitives are compared with the numpy builtins they replace
-(``np.add.at``, ``np.einsum(optimize=True)``, fresh ``np.empty``).  The
+(``np.add.at``, fresh ``np.empty``); the metric helpers that replaced the
+einsum plan cache are tested in ``tests/ns/test_flow_metric.py``.  The
 operator applications are pinned to fingerprints the pre-plan reference
 execution produced before it was deleted (``tests/golden``), and the
 closed-form diagonal to the diagonal of the dense matrix assembled from
@@ -17,13 +18,7 @@ import pytest
 
 from repro.core.dof_handler import DGDofHandler
 from repro.core.operators import DGLaplaceOperator
-from repro.core import plans
-from repro.core.plans import (
-    _PATH_CACHE,
-    ScatterPlan,
-    Workspace,
-    contract,
-)
+from repro.core.plans import ScatterPlan, Workspace
 from repro.mesh.connectivity import build_connectivity
 from repro.mesh.generators import bifurcation, box
 from repro.mesh.mapping import GeometryField
@@ -129,87 +124,6 @@ class TestScatterPlan:
         for i, j in np.ndindex(2, 3):
             plan.add(ref[i, j], contrib[i, j])
         assert np.array_equal(out, ref)
-
-
-class TestContract:
-    @pytest.mark.parametrize("subscripts,shapes", [
-        ("cijzyx,cjzyx->cizyx", [(4, 3, 3, 2, 2, 2), (4, 3, 2, 2, 2)]),
-        ("fiab,fiab->fab", [(5, 3, 4, 4), (5, 3, 4, 4)]),
-        ("fijab,fiab->fjab", [(5, 3, 3, 4, 4), (5, 3, 4, 4)]),
-        ("fab,abxy->fxy", [(5, 4, 4), (4, 4, 3, 3)]),
-        ("czyx,zZ,yY,xX->cZYX", [(4, 3, 3, 3), (3, 3), (3, 3), (3, 3)]),
-    ])
-    def test_matches_einsum(self, subscripts, shapes):
-        rng = np.random.default_rng(5)
-        ops = [rng.standard_normal(s) for s in shapes]
-        ref = np.einsum(subscripts, *ops, optimize=True)
-        np.testing.assert_allclose(contract(subscripts, *ops), ref,
-                                   rtol=1e-13, atol=1e-14)
-        key = (subscripts, tuple(s for s in map(tuple, shapes)))
-        assert key in _PATH_CACHE  # plan decided once, cached
-
-    @pytest.mark.parametrize("ellipsis,explicit,shapes", [
-        ("cilzyx,...cilzyx->...czyx", "cilzyx,ecilzyx->eczyx",
-         [(4, 3, 3, 2, 2, 2), (2, 4, 3, 3, 2, 2, 2)]),
-        ("cilzyx,...cilzyx->...czyx", "cilzyx,cilzyx->czyx",
-         [(4, 3, 3, 2, 2, 2), (4, 3, 3, 2, 2, 2)]),
-        ("cilzyx,...czyx->l...cizyx", "cilzyx,eczyx->lecizyx",
-         [(4, 3, 3, 2, 2, 2), (2, 4, 2, 2, 2)]),
-        ("fiab,...fiab->...fab", "fiab,efiab->efab",
-         [(5, 3, 4, 4), (2, 5, 3, 4, 4)]),
-        ("...cijzyx,cjlzyx->l...cizyx", "cijzyx,cjlzyx->lcizyx",
-         [(4, 3, 3, 2, 2, 2), (4, 3, 3, 2, 2, 2)]),
-    ])
-    def test_ellipsis_is_bitwise_explicit_and_cached(self, ellipsis, explicit,
-                                                     shapes, rng, monkeypatch):
-        """Leading batch axes spelled ``...``: same plan and same bits as
-        the explicit subscripts, C-contiguous in output-subscript order,
-        and the plan is looked up (not rebuilt) after the first call."""
-        ops = [rng.standard_normal(s) for s in shapes]
-        ref = contract(explicit, *ops)
-        key = (ellipsis, tuple(shapes))
-        _PATH_CACHE.pop(key, None)
-        first = contract(ellipsis, *ops)
-        assert _PATH_CACHE[key] == _PATH_CACHE[(explicit, tuple(shapes))]
-        assert np.array_equal(first, ref) and first.flags.c_contiguous
-        monkeypatch.setattr(
-            plans, "_contraction_strategy",
-            lambda *a: pytest.fail("plan rebuilt on a cache hit"),
-        )
-        assert np.array_equal(contract(ellipsis, *ops), ref)
-
-    def test_ellipsis_large_contraction_gets_a_path(self):
-        a, b = np.ones((2, 5, 4, 4)), np.ones((4, 4, 3, 3))
-        np.testing.assert_allclose(
-            contract("...fab,abxy->...fxy", a, b),
-            np.einsum("efab,abxy->efxy", a, b))
-        assert _PATH_CACHE[("...fab,abxy->...fxy", (a.shape, b.shape))] is not False
-
-    def test_out_parameter(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((4, 3, 2, 2))
-        b = rng.standard_normal((4, 3, 2, 2))
-        out = np.empty((4, 2, 2))
-        res = contract("fiab,fiab->fab", a, b, out=out)
-        assert res is out
-        np.testing.assert_allclose(out, np.einsum("fiab,fiab->fab", a, b))
-
-    def test_small_contraction_goes_direct(self):
-        """Length-3 metric contractions must use the direct C loop
-        (strategy ``False``), not a tensordot path."""
-        a = np.ones((4, 3, 3, 2, 2, 2))
-        b = np.ones((4, 3, 2, 2, 2))
-        contract("cijzyx,cjzyx->cizyx", a, b)
-        assert _PATH_CACHE[("cijzyx,cjzyx->cizyx", (a.shape, b.shape))] is False
-
-    def test_float32_reuses_shape_keyed_plan(self):
-        a64 = np.ones((3, 3, 2, 2))
-        b64 = np.ones((3, 3, 2, 2))
-        r64 = contract("fiab,fiab->fab", a64, b64)
-        r32 = contract("fiab,fiab->fab", a64.astype(np.float32),
-                       b64.astype(np.float32))
-        assert r32.dtype == np.float32
-        np.testing.assert_allclose(r32, r64, rtol=1e-6)
 
 
 class TestWorkspace:

@@ -173,57 +173,59 @@ class TestWorkerCrashDuringLungRun:
         assert not TRACER.enabled and not METRICS.enabled
 
 
+def run_cli(tmp_path, args, check=True):
+    """``python -m repro *args`` in ``tmp_path`` (``PYTHONHASHSEED=0``)."""
+    env = dict(os.environ,
+               PYTHONPATH=str(REPO_SRC), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    if check and proc.returncode != 0:
+        raise AssertionError(
+            f"repro {' '.join(args)} -> rc {proc.returncode}\n"
+            f"{proc.stdout}\n{proc.stderr}"
+        )
+    return proc
+
+
+def step_records(path):
+    with open(path) as f:
+        recs = [json.loads(line) for line in f]
+    return [r for r in recs if r.get("type") == "step"]
+
+
 class TestCrashResumeDistributed:
     """A checkpointed distributed run killed mid-flight resumes
     bit-identically — and the resumed run may switch between serial and
     distributed execution, because fp64 steps are bitwise either way."""
 
-    def _run(self, tmp_path, args, check=True):
-        env = dict(os.environ,
-                   PYTHONPATH=str(REPO_SRC), PYTHONHASHSEED="0")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=600,
-        )
-        if check and proc.returncode != 0:
-            raise AssertionError(
-                f"repro {' '.join(args)} -> rc {proc.returncode}\n"
-                f"{proc.stdout}\n{proc.stderr}"
-            )
-        return proc
-
-    @staticmethod
-    def _steps(path):
-        with open(path) as f:
-            recs = [json.loads(line) for line in f]
-        return [r for r in recs if r.get("type") == "step"]
-
     def test_killed_distributed_run_resumes_bit_identically(self, tmp_path):
         base = ["lung", "--steps", "4", "--generations", "1",
                 "--checkpoint-every", "2", "--checkpoint-keep", "3"]
         # reference: 4 uninterrupted serial steps
-        self._run(tmp_path, base + [
+        run_cli(tmp_path, base + [
             "--checkpoint-dir", str(tmp_path / "ck-ref"),
             "--log-file", str(tmp_path / "ref.jsonl"),
         ])
         # distributed run killed right after step 2 (os._exit, no cleanup)
-        proc = self._run(tmp_path, base + [
+        proc = run_cli(tmp_path, base + [
             "--workers", "2",
             "--checkpoint-dir", str(tmp_path / "ck-crash"),
             "--crash-after-step", "2",
         ], check=False)
         assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
         # resume the remaining 2 steps, again distributed
-        self._run(tmp_path, [
+        run_cli(tmp_path, [
             "lung", "--steps", "2", "--generations", "1", "--workers", "2",
             "--checkpoint-every", "2", "--checkpoint-keep", "3",
             "--checkpoint-dir", str(tmp_path / "ck-crash"),
             "--resume", "latest",
             "--log-file", str(tmp_path / "resumed.jsonl"),
         ])
-        ref = self._steps(tmp_path / "ref.jsonl")[-2:]
-        res = self._steps(tmp_path / "resumed.jsonl")
+        ref = step_records(tmp_path / "ref.jsonl")[-2:]
+        res = step_records(tmp_path / "resumed.jsonl")
         assert len(res) == 2
         for a, b in zip(ref, res):
             for key in ("t", "dt", "iterations", "inflow_m3_s",
@@ -273,3 +275,19 @@ class TestMemberRunHonoursWorkers:
         assert serial[0].shape[0] == 2
         for s, d in zip(serial, distributed):
             assert np.array_equal(s, d)
+
+
+class TestFloat32LungStepOnTwoWorkers:
+    def test_tidal_volume_matches_serial(self, tmp_path):
+        """``repro lung --steps 1 --compute-dtype float32`` on 2 workers and
+        serially: the pressure CG stays fp64 even at ``compute_dtype=float32``,
+        so the distributed step agrees to fp32 round-off at worst — the
+        tidal volumes within 1e-5 relative."""
+        tidal = []
+        for name, extra in (("serial", []), ("dist", ["--workers", "2"])):
+            log = tmp_path / f"lung32_{name}.jsonl"
+            run_cli(tmp_path, ["lung", "--steps", "1", "--compute-dtype", "float32", *extra,
+                               "--log-file", str(log)])
+            tidal.append(step_records(log)[-1]["tidal_volume_ml"])
+        serial, dist = tidal
+        assert abs(serial - dist) <= 1e-5 * max(abs(serial), 1e-30), (serial, dist)
