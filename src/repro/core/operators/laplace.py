@@ -30,6 +30,7 @@ from ...mesh.connectivity import MeshConnectivity
 from ...mesh.mapping import METRIC_ROWS, GeometryField, sparsest
 from ..dof_handler import CGDofHandler, DGDofHandler, csr_with_data
 from ..plans import SCRATCH
+from ..sum_factorization import apply_1d
 from .base import FaceLoop, MatrixFreeOperator, in_loop_order, value_faces
 
 
@@ -55,18 +56,16 @@ def cell_laplacian(kern, laplace_d: np.ndarray, u: np.ndarray, ws,
 
 def _cell_laplace_diagonal(kern, laplace_d: np.ndarray) -> np.ndarray:
     """Diagonal of the cell term ``sum_q (d_a phi_i) D[a,b] (d_b phi_i)``
-    via squared 1D shape-function factors; ``laplace_d`` is
-    (6|3, q, q, q, c), the result the lane block (n, n, n, c)."""
-    Ng = kern.shape.interp
-    Dg = kern.shape.grad
+    by x, y, z sweeps of squared 1D shape-function factors; ``laplace_d``
+    is (6|3, q, q, q, c), the result the float64 lane block (n, n, n, c)."""
+    Ng, Dg = kern.shape.interp.T, kern.shape.grad.T
     ldiag = np.zeros((kern.n_dofs_1d,) * 3 + laplace_d.shape[-1:])
     for a, row in enumerate(METRIC_ROWS[len(laplace_d)]):
         for b, s in row:
-            fx = (Dg if a == 0 else Ng) * (Dg if b == 0 else Ng)
-            fy = (Dg if a == 1 else Ng) * (Dg if b == 1 else Ng)
-            fz = (Dg if a == 2 else Ng) * (Dg if b == 2 else Ng)
-            ldiag += np.einsum("zyxc,zZ,yY,xX->ZYXc", laplace_d[s], fz, fy, fx, order="C",
-                               optimize="optimal")
+            t = laplace_d[s]
+            for d in range(3):
+                t = apply_1d((Dg if a == d else Ng) * (Dg if b == d else Ng), t, d + 1)
+            ldiag += t
     return ldiag
 
 
@@ -259,7 +258,7 @@ class DGLaplaceOperator(MatrixFreeOperator):
     # ------------------------------------------------------------------
     def diagonal(self) -> np.ndarray:
         """Exact operator diagonal by closed-form tensor evaluation: the
-        cell part by the squared-1D-factor einsum trick
+        cell part by sweeps of squared 1D factors
         (:func:`_cell_laplace_diagonal`), the face self-couplings by one
         pass of the face loop (:meth:`FaceLoop.add_diagonal`) instead of
         one full operator application per local basis function."""

@@ -60,11 +60,9 @@ class MassOperator(MatrixFreeOperator):
         return y
 
     def diagonal(self) -> np.ndarray:
-        """Matrix-free diagonal via squared 1D interpolation factors."""
-        kern = self.kern
-        N2 = kern.shape.interp**2  # (nq, n)
-        diag = np.einsum("zyxc,zZ,yY,xX->ZYXc", self.jxw, N2, N2, N2, order="C",
-                         optimize="optimal")
+        """Matrix-free diagonal: x, y, z sweeps of the squared 1D
+        interpolation factors over ``JxW``, in float64."""
+        diag = self.kern.apply_tensor(self.kern.shape.interp.T ** 2, self.jxw)
         if self.dof.n_components > 1:
             diag = np.broadcast_to(diag, (self.dof.n_components,) + diag.shape)
         return diag.reshape(-1)

@@ -127,52 +127,21 @@ class RunConfig:
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "generations": self.generations,
-            "degree": self.degree,
-            "scale": self.scale,
-            "refine_upper_generations": self.refine_upper_generations,
-            "viscosity": self.viscosity,
-            "seed": self.seed,
-            "compute_dtype": self.compute_dtype,
-            "windkessel_resistance_scale": self.windkessel_resistance_scale,
-            "windkessel_compliance_scale": self.windkessel_compliance_scale,
-            "workers": self.workers,
-            "trace_timeline": self.trace_timeline,
-            "solver": dataclasses.asdict(self.solver),
-            "ventilation": dataclasses.asdict(self.ventilation),
-            "robustness": dataclasses.asdict(self.robustness),
-        }
+        # every field, the three settings objects as nested dicts
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         from ..lung.ventilator import VentilationSettings
         from ..ns.solver import SolverSettings
 
-        scalar_keys = (
-            "generations",
-            "degree",
-            "scale",
-            "refine_upper_generations",
-            "viscosity",
-            "seed",
-            "compute_dtype",
-            "windkessel_resistance_scale",
-            "windkessel_compliance_scale",
-            "workers",
-            "trace_timeline",
-        )
-        unknown = set(d) - set(scalar_keys) - {"solver", "ventilation", "robustness"}
+        settings = {"solver": SolverSettings, "ventilation": VentilationSettings,
+                    "robustness": RobustnessSettings}
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown RunConfig keys: {sorted(unknown)}")
-        kwargs: dict = {k: d[k] for k in scalar_keys if k in d}
-        if d.get("solver") is not None:
-            kwargs["solver"] = SolverSettings(**d["solver"])
-        if d.get("ventilation") is not None:
-            kwargs["ventilation"] = VentilationSettings(**d["ventilation"])
-        if d.get("robustness") is not None:
-            kwargs["robustness"] = RobustnessSettings(**d["robustness"])
-        return cls(**kwargs)
+        return cls(**{k: settings[k](**v) if k in settings and v is not None else v
+                      for k, v in d.items()})
 
     def to_json(self, **dumps_kwargs) -> str:
         # non-finite floats (dt_max defaults to inf) serialize as the

@@ -20,7 +20,12 @@ Tiers (see TESTING.md):
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,12 @@ from repro.mesh.mapping import GeometryField
 from repro.mesh.octree import Forest
 
 _OPTIONAL_TIERS = ("convergence", "nightly", "parallel")
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: the step-record fields two runs of the same fp64 steps agree on bit
+#: for bit (JSON floats round-trip exactly)
+STEP_KEYS = ("t", "dt", "iterations", "inflow_m3_s", "tidal_volume_ml")
 
 
 def pytest_addoption(parser):
@@ -84,6 +95,35 @@ def rng(request) -> np.random.Generator:
     reordering tests never changes any test's random data."""
     seed = zlib.crc32(request.node.nodeid.encode())
     return np.random.default_rng(seed)
+
+
+def run_cli(*args, cwd=None, rc=0) -> subprocess.CompletedProcess:
+    """``python -m repro *args`` in a fresh process (``PYTHONPATH=src``,
+    ``PYTHONHASHSEED=0``) in ``cwd`` (default: the repository root);
+    asserts its exit status is ``rc``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *map(str, args)],
+        cwd=cwd or REPO, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == rc, (
+        f"repro {' '.join(map(str, args))} -> rc {proc.returncode}\n"
+        f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+    )
+    return proc
+
+
+def step_records(path) -> list[dict]:
+    """The ``step`` records of a JSONL run log, in order."""
+    with open(path) as f:
+        return [r for r in map(json.loads, f) if r.get("type") == "step"]
+
+
+def assert_same_steps(a: list[dict], b: list[dict], keys=STEP_KEYS) -> None:
+    """Two runs' step records are as many and equal on ``keys``."""
+    for x, y in zip(a, b, strict=True):
+        for key in keys:
+            assert x[key] == y[key], (key, x[key], y[key])
 
 
 def lane_block(cells: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ resumes bit-identically, serial or distributed.
 import glob
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -28,11 +26,9 @@ from repro.parallel import CRASH_EXIT_CODE, WorkerCrash, WorkerPool
 from repro.telemetry import METRICS, TRACER
 from repro.telemetry.metrics import load_metrics, snapshot_doc
 
-pytestmark = pytest.mark.parallel
+from ..conftest import assert_same_steps, run_cli, step_records
 
-REPO_SRC = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "src")
-)
+pytestmark = pytest.mark.parallel
 
 
 def make_op(forest, degree=2, dirichlet=(1,)):
@@ -173,29 +169,6 @@ class TestWorkerCrashDuringLungRun:
         assert not TRACER.enabled and not METRICS.enabled
 
 
-def run_cli(tmp_path, args, check=True):
-    """``python -m repro *args`` in ``tmp_path`` (``PYTHONHASHSEED=0``)."""
-    env = dict(os.environ,
-               PYTHONPATH=str(REPO_SRC), PYTHONHASHSEED="0")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=600,
-    )
-    if check and proc.returncode != 0:
-        raise AssertionError(
-            f"repro {' '.join(args)} -> rc {proc.returncode}\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    return proc
-
-
-def step_records(path):
-    with open(path) as f:
-        recs = [json.loads(line) for line in f]
-    return [r for r in recs if r.get("type") == "step"]
-
-
 class TestCrashResumeDistributed:
     """A checkpointed distributed run killed mid-flight resumes
     bit-identically — and the resumed run may switch between serial and
@@ -205,32 +178,20 @@ class TestCrashResumeDistributed:
         base = ["lung", "--steps", "4", "--generations", "1",
                 "--checkpoint-every", "2", "--checkpoint-keep", "3"]
         # reference: 4 uninterrupted serial steps
-        run_cli(tmp_path, base + [
-            "--checkpoint-dir", str(tmp_path / "ck-ref"),
-            "--log-file", str(tmp_path / "ref.jsonl"),
-        ])
+        run_cli(*base, "--checkpoint-dir", tmp_path / "ck-ref",
+                "--log-file", tmp_path / "ref.jsonl", cwd=tmp_path)
         # distributed run killed right after step 2 (os._exit, no cleanup)
-        proc = run_cli(tmp_path, base + [
-            "--workers", "2",
-            "--checkpoint-dir", str(tmp_path / "ck-crash"),
-            "--crash-after-step", "2",
-        ], check=False)
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
+        run_cli(*base, "--workers", "2", "--checkpoint-dir", tmp_path / "ck-crash",
+                "--crash-after-step", "2", cwd=tmp_path, rc=CRASH_EXIT_CODE)
         # resume the remaining 2 steps, again distributed
-        run_cli(tmp_path, [
-            "lung", "--steps", "2", "--generations", "1", "--workers", "2",
-            "--checkpoint-every", "2", "--checkpoint-keep", "3",
-            "--checkpoint-dir", str(tmp_path / "ck-crash"),
-            "--resume", "latest",
-            "--log-file", str(tmp_path / "resumed.jsonl"),
-        ])
+        run_cli("lung", "--steps", "2", "--generations", "1", "--workers", "2",
+                "--checkpoint-every", "2", "--checkpoint-keep", "3",
+                "--checkpoint-dir", tmp_path / "ck-crash", "--resume", "latest",
+                "--log-file", tmp_path / "resumed.jsonl", cwd=tmp_path)
         ref = step_records(tmp_path / "ref.jsonl")[-2:]
         res = step_records(tmp_path / "resumed.jsonl")
         assert len(res) == 2
-        for a, b in zip(ref, res):
-            for key in ("t", "dt", "iterations", "inflow_m3_s",
-                        "tidal_volume_ml"):
-                assert a[key] == b[key], (key, a[key], b[key])
+        assert_same_steps(ref, res)
         # the checkpoints written before the kill match the serial ones
         with np.load(tmp_path / "ck-ref" / "ckpt-00000001.npz") as A, \
                 np.load(tmp_path / "ck-crash" / "ckpt-00000001.npz") as B:
@@ -286,8 +247,8 @@ class TestFloat32LungStepOnTwoWorkers:
         tidal = []
         for name, extra in (("serial", []), ("dist", ["--workers", "2"])):
             log = tmp_path / f"lung32_{name}.jsonl"
-            run_cli(tmp_path, ["lung", "--steps", "1", "--compute-dtype", "float32", *extra,
-                               "--log-file", str(log)])
+            run_cli("lung", "--steps", "1", "--compute-dtype", "float32", *extra,
+                    "--log-file", log, cwd=tmp_path)
             tidal.append(step_records(log)[-1]["tidal_volume_ml"])
         serial, dist = tidal
         assert abs(serial - dist) <= 1e-5 * max(abs(serial), 1e-30), (serial, dist)

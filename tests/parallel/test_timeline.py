@@ -9,7 +9,10 @@ a real traced worker pool are marked ``parallel`` (enable with
 without perturbing — the traced mat-vec stays bitwise identical to the
 serial operator — while every protocol round leaves a complete
 six-phase event record per rank, and the master's metric registry
-counts exactly the rounds the workers completed.
+counts exactly the rounds the workers completed.  The same contract
+holds end to end for a traced ``repro lung --steps 2 --workers 2``
+(:class:`TestTracedLungRun`), whose Chrome trace and ``repro trace``
+analysis are checked against the run log.
 """
 
 import json
@@ -38,6 +41,15 @@ from repro.telemetry.timeline import (
     render_worker_phases,
     write_chrome_trace,
 )
+
+from ..conftest import assert_same_steps, run_cli, step_records
+
+#: the six phases of a protocol round, by name
+SIX_PHASES = {"pack", "post", "interior", "wait", "cut", "accumulate"}
+
+#: the flags of the traced 2-worker lung run (:func:`lung_cli`)
+TRACED = ("--workers", "2", "--trace-timeline", "lung_trace.json",
+          "--metrics-file", "lung_traced.prom")
 
 
 def make_op(forest, degree=2, dirichlet=(1,)):
@@ -215,6 +227,30 @@ class TestChromeTrace:
         p.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ValueError):
             load_chrome_trace(p)
+
+    @pytest.mark.parallel
+    def test_traced_lung_run_document(self, lung_cli):
+        """The trace of ``repro lung --steps 2 --workers 2``: a slice
+        per phase on two rank tracks, carrying full-precision seconds
+        in ``args`` for bit-exact re-analysis, and ghost flow arrows."""
+        path = lung_cli(*TRACED).parent / "lung_trace.json"
+        doc = json.loads(path.read_text())
+        assert doc["metadata"]["schema"] == "repro/timeline/1"
+        te = doc["traceEvents"]
+        assert te, "empty traceEvents"
+        slices = [e for e in te if e["ph"] == "X"]
+        assert slices, "no complete slices"
+        for s in slices:
+            for key in ("name", "pid", "tid", "ts", "dur", "args"):
+                assert key in s, (key, s)
+            assert s["dur"] >= 0
+            assert "t0_s" in s["args"] and "t1_s" in s["args"]
+        assert {s["tid"] for s in slices} == {0, 1}, "expected 2 rank tracks"
+        names = {s["name"] for s in slices}
+        assert SIX_PHASES <= names, names
+        assert [e for e in te if e["ph"] in ("s", "f")], "no ghost flow arrows"
+        assert {"process_name", "thread_name"} <= {
+            e["name"] for e in te if e["ph"] == "M"}
 
 
 class TestAnalyzeTimeline:
@@ -561,6 +597,51 @@ class TestDistributedLungCLI:
         assert {s["labels"][0] for s in phases["samples"]} >= set(PHASES)
         vm = by_name["repro_parallel_worker_vmults_total"]
         assert sum(s["value"] for s in vm["samples"]) > 0
+
+
+@pytest.mark.parallel
+class TestTracedLungRun:
+    """``repro lung --steps 2 --workers 2 --trace-timeline``: tracing
+    observes without steering, the master counts every round both
+    workers completed, and ``repro trace`` re-derives the analysis the
+    run logged."""
+
+    def test_steps_equal_untraced(self, lung_cli):
+        assert_same_steps(step_records(lung_cli("--workers", "2")),
+                          step_records(lung_cli(*TRACED)))
+
+    def test_worker_metrics(self, lung_cli):
+        # read from the run log's summary, the run's one metrics record
+        with open(lung_cli(*TRACED)) as f:
+            summary = [json.loads(line) for line in f][-1]
+        assert summary["type"] == "summary", summary["type"]
+        by_name = {m["name"]: m for m in summary["metrics"]}
+        pool = metric_total(by_name, "repro_parallel_pool_vmults_total")
+        workers = metric_total(by_name, "repro_parallel_worker_vmults_total")
+        assert pool > 0 and workers == 2 * pool, (workers, pool)
+        phases = {s["labels"][0] for s in
+                  by_name["repro_parallel_worker_phase_seconds_total"]["samples"]}
+        assert phases == SIX_PHASES, phases
+        srcs = {s["labels"][0] for s in
+                by_name["repro_parallel_ghost_wait_spins"]["samples"]}
+        assert srcs == {"0", "1"}, srcs
+
+    def test_trace_cli_reproduces_logged_analysis(self, lung_cli):
+        log = lung_cli(*TRACED)
+        run_cli("trace", "lung_trace.json", cwd=log.parent)
+        a = json.loads(run_cli("trace", "lung_trace.json", "--json",
+                               cwd=log.parent).stdout)
+        assert a["schema"] == "repro/timeline/1"
+        assert a["n_ranks"] == 2 and a["n_rounds"] > 0
+        t = a["totals"]
+        assert 0.0 <= t["wait_fraction"] <= 1.0
+        assert t["overlap_efficiency"] == 1.0 - t["wait_fraction"]
+        assert t["critical_path_s"] > 0 and t["stall_speedup_bound"] >= 1.0
+        with open(log) as f:
+            recs = [json.loads(line) for line in f]
+        logged = [r for r in recs if r.get("type") == "summary"][-1]["timeline"]
+        assert a["rounds"] == logged["rounds"], "rounds differ"
+        assert a["totals"] == logged["totals"], "totals differ"
 
 
 @pytest.mark.parallel

@@ -33,6 +33,29 @@ def make_doc(throughputs: dict[str, float], n_dofs: int = 1000) -> dict:
     }
 
 
+def check_vmult_smoke(doc: dict, dtype: str) -> None:
+    """The document of ``repro bench --suite vmult --smoke [--dtype]``:
+    every case measured at ``dtype``, and the ensemble-axis scaling
+    cases present — one batched (E, n) vmult per member count plus the
+    8-sequential-calls reference."""
+    assert doc["schema"] == "repro/bench/2", doc["schema"]
+    assert doc["suite"] == "vmult", doc["suite"]
+    assert doc["dtype"] == dtype, doc["dtype"]
+    assert doc["cases"], "no benchmark cases emitted"
+    assert doc["fingerprint"]["numpy"], "fingerprint missing"
+    for case in doc["cases"]:
+        assert case["throughput"] > 0, case["name"]
+        assert case["dtype"] == dtype, case["name"]
+        if dtype != "float64":
+            assert case["name"].endswith(f"@{dtype}"), case["name"]
+    ens = [c for c in doc["cases"] if c["meta"].get("mode") == "ensemble"]
+    assert {c["meta"]["members"] for c in ens} == {1, 2, 4, 8}, \
+        sorted(c["name"] for c in ens)
+    assert any(c["meta"].get("mode") == "sequential"
+               and c["meta"].get("members") == 8
+               for c in doc["cases"]), "sequential_e8 missing"
+
+
 class TestFingerprint:
     def test_identifies_stack(self):
         import numpy as np
@@ -136,10 +159,10 @@ class TestDtypeAxis:
         assert reasons == {"not in baseline", "not in current run"}
 
     def test_vmult_suite_float32_names_and_fields(self):
-        doc = run_suite("vmult", smoke=True, degree=2, dtype="float32",
-                        case_filter="box_r1/dg_laplace")
-        assert doc["dtype"] == "float32"
-        assert [c["name"] for c in doc["cases"]] == [
+        doc = run_suite("vmult", smoke=True, dtype="float32")
+        check_vmult_smoke(doc, "float32")
+        assert [c["name"] for c in doc["cases"]
+                if c["name"].startswith("box_r1/dg_laplace/")] == [
             "box_r1/dg_laplace/planned@float32",
             "box_r1/dg_laplace/ensemble_e1@float32",
             "box_r1/dg_laplace/ensemble_e2@float32",
@@ -147,9 +170,6 @@ class TestDtypeAxis:
             "box_r1/dg_laplace/ensemble_e8@float32",
             "box_r1/dg_laplace/sequential_e8@float32",
         ]
-        for c in doc["cases"]:
-            assert c["dtype"] == "float32"
-            assert c["throughput"] > 0
         members = [c["meta"]["members"] for c in doc["cases"]
                    if c["meta"].get("mode") == "ensemble"]
         assert members == [1, 2, 4, 8]
@@ -211,9 +231,10 @@ class TestRunSuite:
         assert "dg_laplace_vmult" in out and "dofs/s" in out
 
     def test_vmult_suite_modes(self):
-        doc = run_suite("vmult", smoke=True, degree=2,
-                        case_filter="box_r1/dg_laplace")
-        names = [c["name"] for c in doc["cases"]]
+        doc = run_suite("vmult", smoke=True)
+        check_vmult_smoke(doc, "float64")
+        names = [c["name"] for c in doc["cases"]
+                 if c["name"].startswith("box_r1/dg_laplace/")]
         assert names == [
             "box_r1/dg_laplace/planned",
             "box_r1/dg_laplace/ensemble_e1",
@@ -224,3 +245,14 @@ class TestRunSuite:
         ]
         modes = {c["meta"]["mode"] for c in doc["cases"]}
         assert modes == {"planned", "ensemble", "sequential"}
+
+    def test_ensemble_smoke_suite(self):
+        """``repro bench --smoke --suite ensemble``: one E=4 batched and
+        one sequential lung-step case, both measured (no speedup gate:
+        shared runners are too noisy)."""
+        doc = run_suite("ensemble", smoke=True)
+        assert doc["suite"] == "ensemble", doc["suite"]
+        by_mode = {c["meta"]["mode"]: c for c in doc["cases"]}
+        ens, seq = by_mode["ensemble"], by_mode["sequential"]
+        assert ens["meta"]["members"] == 4, ens["meta"]
+        assert ens["throughput"] > 0 and seq["throughput"] > 0

@@ -8,10 +8,6 @@ steps.  The state both paths checkpoint at step 2N must agree to the
 last bit."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,77 +15,56 @@ import pytest
 from repro.cli import main
 from repro.telemetry import METRICS, TRACER, read_run_log, robustness_rows
 
+from ..conftest import assert_same_steps, run_cli, step_records
 from .test_recovery import FaultyConvective
 
-REPO = Path(__file__).resolve().parents[2]
 
-
-def run_cli(args, check_rc=0):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lung", *args],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=560,
-    )
-    assert proc.returncode == check_rc, (
-        f"rc={proc.returncode}\nstdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-    )
-    return proc
-
-
-def checkpoint_arrays(path):
-    with np.load(path) as data:
-        return {k: np.array(data[k]) for k in data.files if k != "config_json"}
-
-
-def kill_and_resume(tmp_path, extra=()):
-    """Run the reference, the crashed and the resumed process; return
-    the reference and crash checkpoint directories and run logs."""
+def kill_and_resume(tmp_path, n=2, extra=()):
+    """Run the reference (2n steps, a checkpoint every n), the process
+    crashed after step n and the one resumed for n more steps; compare
+    the step-2n checkpoints field by field and return the reference and
+    resumed step records."""
     ref_dir = tmp_path / "ref"
     crash_dir = tmp_path / "crash"
     ref_log, resumed_log = tmp_path / "ref.jsonl", tmp_path / "resumed.jsonl"
-    common = ["--steps", "4", "--checkpoint-every", "2",
-              "--checkpoint-keep", "5", *extra]
+    every = ["--checkpoint-every", str(n), "--checkpoint-keep", "5"]
 
-    run_cli([*common, "--checkpoint-dir", str(ref_dir),
-             "--log-file", str(ref_log)])
-    crash = run_cli(
-        [*common, "--checkpoint-dir", str(crash_dir),
-         "--crash-after-step", "2"],
-        check_rc=137,
-    )
-    assert "simulated crash after step 2" in crash.stdout
-    # the crashed run left exactly the step-2 checkpoint behind
+    run_cli("lung", "--steps", 2 * n, *every, *extra,
+            "--checkpoint-dir", ref_dir, "--log-file", ref_log)
+    crash = run_cli("lung", "--steps", 2 * n, *every, *extra,
+                    "--checkpoint-dir", crash_dir, "--crash-after-step", n,
+                    rc=137)
+    assert f"simulated crash after step {n}" in crash.stdout
+    # the crashed run left exactly the step-n checkpoint behind
     assert sorted(p.name for p in crash_dir.glob("*.npz")) == [
         "ckpt-00000000.npz"
     ]
 
-    resumed = run_cli(
-        ["--steps", "2", "--checkpoint-every", "2", "--checkpoint-keep",
-         "5", "--checkpoint-dir", str(crash_dir), "--resume", "latest",
-         "--log-file", str(resumed_log), *extra],
-    )
+    resumed = run_cli("lung", "--steps", n, *every, "--checkpoint-dir",
+                      crash_dir, "--resume", "latest",
+                      "--log-file", resumed_log, *extra)
     assert "resumed from" in resumed.stdout
 
-    ref = checkpoint_arrays(ref_dir / "ckpt-00000001.npz")
-    res = checkpoint_arrays(crash_dir / "ckpt-00000001.npz")
-    assert set(ref) == set(res)
-    for key in sorted(ref):
-        assert np.array_equal(ref[key], res[key]), (
-            f"checkpoint field {key} differs after kill/resume"
-        )
-    return step_records(ref_log), step_records(resumed_log)
-
-
-def step_records(path):
-    return [json.loads(line) for line in path.read_text().splitlines()
-            if json.loads(line)["type"] == "step"]
+    with np.load(ref_dir / "ckpt-00000001.npz") as A, \
+            np.load(crash_dir / "ckpt-00000001.npz") as B:
+        assert set(A.files) == set(B.files)
+        for key in sorted(A.files):
+            if key != "config_json":
+                assert np.array_equal(A[key], B[key]), (
+                    f"checkpoint field {key} differs after kill/resume"
+                )
+    ref, res = step_records(ref_log), step_records(resumed_log)
+    assert len(ref) == 2 * n and len(res) == n
+    return ref, res
 
 
 class TestCrashResume:
     @pytest.mark.slow
     def test_kill_and_resume_is_bit_identical(self, tmp_path):
-        kill_and_resume(tmp_path)
+        """6 steps with a checkpoint every 3, killed after step 3: the
+        resumed steps 4-6 equal the uninterrupted run's."""
+        ref, resumed = kill_and_resume(tmp_path, n=3)
+        assert_same_steps(ref[3:], resumed)
 
     @pytest.mark.slow
     def test_member_run_kill_and_resume_is_bit_identical(self, tmp_path):
@@ -99,13 +74,10 @@ class TestCrashResume:
         ref, resumed = kill_and_resume(
             tmp_path, extra=["--resistance-scales", "1.0,1.5"]
         )
-        assert len(ref) == 4 and len(resumed) == 2
-        for a, b in zip(ref[2:], resumed):
-            for key in ("t", "dt", "cfl", "iterations", "inflow_m3_s",
-                        "tidal_volume_ml", "member_cfl",
-                        "member_pressure_iterations"):
-                assert a[key] == b[key], (key, a[key], b[key])
-            assert len(a["inflow_m3_s"]) == 2
+        assert_same_steps(ref[2:], resumed, keys=(
+            "t", "dt", "cfl", "iterations", "inflow_m3_s", "tidal_volume_ml",
+            "member_cfl", "member_pressure_iterations"))
+        assert all(len(a["inflow_m3_s"]) == 2 for a in ref[2:])
 
 
 class TestCheckpointFlags:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 
+from .conftest import STEP_KEYS
+
 
 class TestCLI:
     def test_poisson(self, capsys):
@@ -81,6 +83,9 @@ class TestTelemetryCLI:
                 rec["wall_time_s"], rel=0.1
             )
         assert summary["n_steps"] == 3
+        # the header opens the log, the summary footer closes it
+        lines = log.read_text().splitlines()
+        assert json.loads(lines[0]) == header and json.loads(lines[-1]) == summary
         assert "counters" not in summary and "gauges" not in summary
         (solves,) = [m for m in summary["metrics"]
                      if m["name"] == "repro_cg_solves_total"]
@@ -92,14 +97,13 @@ class TestTelemetryCLI:
         traced run equal an untraced run's bit for bit."""
         from repro.telemetry import read_run_log
 
-        keys = ("t", "dt", "iterations", "inflow_m3_s", "tidal_volume_ml")
         runs = []
         for flags in ([], ["--trace"]):
             log = tmp_path / f"run{len(flags)}.jsonl"
             assert main(["lung", "--steps", "3", *flags,
                          "--log-file", str(log)]) == 0
             _, steps, _ = read_run_log(log)
-            runs.append([{k: s[k] for k in keys} for s in steps])
+            runs.append([{k: s[k] for k in STEP_KEYS} for s in steps])
         assert runs[0] == runs[1]
 
     def test_lung_log_file_without_trace(self, tmp_path, capsys):
